@@ -17,9 +17,18 @@ import numpy as np
 
 from . import elasticity as el
 from . import geometry as geo
-from .autodiff import loss_backward, loss_forward, pack_batch
-from .jets import ActivationKind, NonFiniteError, act_derivs
-from .network import BranchPair, HoloMLP, InitConfig, Mode, build_mlp, init_weights, mlp_forward
+from .autodiff import forward_residuals, loss_backward, loss_forward, pack_batch
+from .jets import ActivationKind, NonFiniteError
+from .network import (
+    BranchPair,
+    HoloMLP,
+    InitConfig,
+    Mode,
+    branch_backward,
+    build_mlp,
+    init_weights,
+    mlp_forward,
+)
 from .rng import Rng
 from .training import TrainConfig
 
@@ -235,48 +244,16 @@ def _cvar(a: np.ndarray) -> float:
     return float(np.mean(np.abs(a - mu) ** 2))
 
 
-def _forward_trace(net: HoloMLP, z: np.ndarray):
-    """Forward pass caching per-layer jet inputs and activation derivatives."""
-    from .jets import activate_jets, affine_jets, seed_jets
-
-    jets = seed_jets(z)
-    xs, ys, caches = [], [], []
-    last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        xs.append(jets)
-        jets = affine_jets(jets, layer.weights, layer.bias)
-        ys.append(jets)
-        if i != last:
-            jets, cache = activate_jets(net.activation, jets, context=f"layer {i+1}", with_third=True)
-            caches.append((jets, cache))
-    return xs, ys, caches
-
-
-def _weight_grad_var(net: HoloMLP, xs, ys, caches, channel: int) -> list[float]:
+def _branch_grad_var(net: HoloMLP, caches: list, channel: int) -> list[float]:
     """Per-layer variance of d(sum over batch of output[channel]) / dW_l.
 
-    One adjoint sweep seeded with ones over the batch; the per-layer weight
-    derivative is the usual accumulation adjoint x conj(input), and its
-    entries (real/imag pooled) give the reported variance.
+    One reverse sweep of the branch seeded with ones over the batch; the
+    entries of each layer's weight derivative (real/imag pooled) give the
+    reported variance.
     """
-    b = xs[0].shape[1]
-    L = len(net.layers)
-    a = np.zeros((3, b, 1), dtype=np.complex128)
-    a[channel, :, 0] = 1.0
-    out: list[float] = [0.0] * L
-    for li in range(L - 1, -1, -1):
-        if li != L - 1:
-            xj, (p1, p2, p3) = ys[li], caches[li][1]
-            d1, d2 = xj[1], xj[2]
-            nxt = np.empty_like(a)
-            nxt[0] = a[0] * np.conj(p1) + a[1] * np.conj(p2 * d1) + a[2] * np.conj(p3 * d1 * d1 + p2 * d2)
-            nxt[1] = a[1] * np.conj(p1) + a[2] * np.conj(2.0 * p2 * d1)
-            nxt[2] = a[2] * np.conj(p1)
-            a = nxt
-        g = np.einsum("cbi,cbj->ij", a, np.conj(xs[li]))
-        out[li] = _cvar(g)
-        a = np.einsum("cbi,ij->cbj", a, np.conj(net.layers[li].weights))
-    return out
+    seed = np.zeros((3, caches[0][0].shape[1]), dtype=np.complex128)
+    seed[channel] = 1.0
+    return [_cvar(gw) for gw, _ in branch_backward(net, caches, seed)]
 
 
 def _square_problem(hidden: Sequence[int], activation: ActivationKind) -> "ProblemSpec":
@@ -331,12 +308,11 @@ def variance_report(
         with np.errstate(over="ignore", invalid="ignore"):
             init_weights(pair.phi, cfg, rng.spawn(100))
             init_weights(pair.psi, cfg, rng.spawn(101))
-            z = packed.eval_z[0]
-            xs, ys, caches = _forward_trace(pair.phi, z)
-            var_y = [_cvar(y[0]) for y in ys[:n_inner]]
-            per_q = [_weight_grad_var(pair.phi, xs, ys, caches, ch)[:n_inner] for ch in (0, 1, 2)]
-            _, tape = loss_forward([pair], packed, problem)
-            wg = loss_backward(tape).grads
+            _, rec = loss_forward([pair], packed, problem)
+            caches = rec.subs[0].phi
+            var_y = [_cvar(y[0]) for _, y, _ in caches[:n_inner]]
+            per_q = [_branch_grad_var(pair.phi, caches, ch)[:n_inner] for ch in (0, 1, 2)]
+            wg = loss_backward(rec).grads
             var_loss = [_cvar(wg[(0, "phi", li, "W")]) for li in range(n_inner)]
         return VarianceReport(layers, var_y, per_q[0], per_q[1], per_q[2], var_loss, [False] * n_inner)
     except (NonFiniteError, FloatingPointError):
@@ -367,8 +343,6 @@ def init_diagnostics(
 
 def residual_summary(pairs, problem, n_points: int, seed: int) -> dict:
     """RMS residuals on a fresh boundary batch, split outer vs interface."""
-    from .autodiff import forward_residuals
-
     samples = geo.sample_boundary(problem.domain, n_points, Rng(seed).spawn(7))
     groups = forward_residuals(pairs, samples, problem)
     outer = np.concatenate([g.residuals.ravel() for g in groups if g.outer and g.residuals.size])
@@ -381,15 +355,14 @@ def residual_summary(pairs, problem, n_points: int, seed: int) -> dict:
 
 def pointwise_boundary_residuals(pairs, problem, n_points: int, seed: int):
     """Residual norm per held-out boundary sample; returns (z, piece, norm)."""
-    from .autodiff import loss_forward, pack_batch
-
     samples = geo.sample_boundary(problem.domain, n_points, Rng(seed).spawn(7))
-    _, tape = loss_forward(pairs, pack_batch(samples, problem.domain), problem)
+    packed = pack_batch(samples, problem.domain)
     zs, pieces, norms = [], [], []
-    for g, slot in zip(tape.groups, tape.group_slots):
-        r = tape.values[slot]
+    for rg in forward_residuals(pairs, packed, problem):
+        r = rg.residuals
         if not r.shape[0]:
             continue
+        g = packed.groups[rg.key[2]]
         zs.append(g.z)
         pieces.append(np.full(g.z.size, g.piece))
         norms.append(np.sqrt(np.sum(r * r, axis=1)))

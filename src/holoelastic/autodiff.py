@@ -1,17 +1,19 @@
 """Reverse-mode gradients of the boundary loss over complex network weights.
 
-The forward pass is a pipeline of batched primitives (jet affine, jet
-activation, field assembly, residuals, reduction) recorded on a tape; one
-reverse sweep visits each record exactly once and accumulates, for every
-complex weight w, the real pair (dL/dRe w, dL/dIm w) packed as a complex
-number.
+The loss graph always has the same shape: per subdomain two branches
+(L x (jet affine, jet activation) each, network.forward_jets), the
+Kolosov-Muskhelishvili field map, per-piece boundary residuals and the
+length-weighted mean square.  loss_forward runs these stages and keeps
+what the reverse pass needs; loss_backward passes adjoints back stage by
+stage (residuals -> KM -> branches) and yields, for every complex weight w,
+the real pair (dL/dRe w, dL/dIm w) packed as a complex number.
 
 Adjoint rules: every variable u carries a(u) = dL/dRe(u) + i dL/dIm(u).
 Through a holomorphic step v = f(u) the adjoint propagates as
 a(u) += a(v) * conj(f'(u)); the non-holomorphic terminal steps (Re, Im,
 conj, the conj(z)-products of the field map, squared residuals) get
 dedicated rules.  The z-derivatives inside the jets are handled by the
-forward jet arithmetic, never by this tape.
+forward jet arithmetic, never by the reverse pass.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 
 from . import elasticity as el
 from .geometry import BoundarySample, DomainSpec, piece_length
-from .jets import ActivationKind, NonFiniteError, act_derivs, activate_jets, affine_jets, seed_jets
-from .network import BranchPair, HoloMLP, Mode, flatten_spec
+from .jets import NonFiniteError
+from .network import BranchPair, Mode, branch_backward, flatten_spec, forward_jets, km_state
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -123,355 +125,48 @@ class WeightGrad:
             parts.append(np.ascontiguousarray(g).view(np.float64).ravel())
         return np.concatenate(parts) if parts else np.zeros(0)
 
-    def max_abs(self) -> float:
-        vals = [float(np.max(np.abs(g.view(np.float64)))) for g in self.grads.values() if g.size]
-        return max(vals) if vals else 0.0
 
-
-# --- tape records --------------------------------------------------------------
-
-
-class Tape:
-    """Ordered record of the loss pipeline; replays and differentiates."""
-
-    def __init__(self):
-        self.ops: list = []
-        self.values: list[Optional[np.ndarray]] = []
-        self.groups: list[Group] = []
-        self.group_slots: list[int] = []
-        self.alphas: list[float] = []
-        self.loss: float = math.nan
-
-    def alloc(self, value: Optional[np.ndarray] = None) -> int:
-        self.values.append(value)
-        return len(self.values) - 1
-
-    def run(self, op) -> None:
-        self.ops.append(op)
-        op.forward(self.values)
-
-    def replay(self) -> float:
-        """Re-run every record in order; returns the reconstructed loss."""
-        values: list[Optional[np.ndarray]] = [None] * len(self.values)
-        loss = math.nan
-        for op in self.ops:
-            op.forward(values)
-            if isinstance(op, _LossRec):
-                loss = op.loss
-        return loss
+# --- forward -------------------------------------------------------------------
 
 
 @dataclass
-class _SeedRec:
+class SubdomainPass:
+    """Seed -> phi and psi branches -> KM fields on one subdomain's points."""
+
     z: np.ndarray
-    out: int
-
-    def forward(self, values):
-        values[self.out] = seed_jets(self.z)
-
-    def backward(self, values, adj, grads):
-        pass
+    phi: Optional[list]  # forward_jets layer caches; None on forward-only passes
+    psi: Optional[list]
+    fields: el.FieldPoint
 
 
 @dataclass
-class _AffineRec:
-    key_w: ParamKey
-    key_b: ParamKey
-    weights: np.ndarray  # snapshot so replay/backward survive parameter updates
-    bias: np.ndarray
-    x: int
-    out: int
+class LossRecord:
+    """Forward state of one loss evaluation, read by loss_backward."""
 
-    def forward(self, values):
-        values[self.out] = affine_jets(values[self.x], self.weights, self.bias)
+    pairs: Sequence[BranchPair]
+    material: el.Material
+    subs: dict[int, SubdomainPass]
+    groups: list[Group]  # pieces with samples or positive length
+    residuals: list[el.ResidualGroup]  # one per group
+    alphas: list[float]
+    loss: float
+    components: dict
 
-    def backward(self, values, adj, grads):
-        a = adj.get(self.out)
-        if a is None:
-            return
-        x = values[self.x]
-        three, b, ni = x.shape
-        no = self.weights.shape[0]
-        a2 = a.reshape(3 * b, no)
-        x2 = x.reshape(3 * b, ni)
-        _acc_key(grads, self.key_w, a2.T @ np.conj(x2))
-        _acc_key(grads, self.key_b, a[0].sum(axis=0))
-        _acc(adj, self.x, (a2 @ np.conj(self.weights)).reshape(3, b, ni), x.shape)
+    @property
+    def ops(self) -> list:
+        """Stage caches in forward order (perfbench reports their count)."""
+        out: list = []
+        for sp in self.subs.values():
+            out += (sp.phi or []) + (sp.psi or []) + [sp]
+        return out + self.residuals + [self.components]
 
 
-@dataclass
-class _ActRec:
-    kind: ActivationKind
-    x: int
-    out: int
-    context: str
-    cache: tuple = ()
-
-    def forward(self, values):
-        values[self.out], self.cache = activate_jets(
-            self.kind, values[self.x], context=self.context, with_third=True
-        )
-
-    def backward(self, values, adj, grads):
-        a = adj.get(self.out)
-        if a is None:
-            return
-        p1, p2, p3 = self.cache
-        x = values[self.x]
-        d1, d2 = x[1], x[2]
-        out = np.empty_like(x)
-        out[0] = a[0] * np.conj(p1) + a[1] * np.conj(p2 * d1) + a[2] * np.conj(p3 * d1 * d1 + p2 * d2)
-        out[1] = a[1] * np.conj(p1) + a[2] * np.conj(2.0 * p2 * d1)
-        out[2] = a[2] * np.conj(p1)
-        _acc(adj, self.x, out, x.shape)
+def _slice_fields(f: el.FieldPoint, s: slice) -> el.FieldPoint:
+    return el.FieldPoint(*(None if v is None else v[s] for v in (f.sxx, f.syy, f.sxy, f.ux, f.uy)))
 
 
-@dataclass
-class _KMRec:
-    """Field assembly; the only non-holomorphic complex step of the pipeline."""
-
-    mode: Mode
-    gamma: float
-    mu: float
-    z: np.ndarray
-    jphi: int
-    jpsi: int
-    outs: dict  # field name -> slot
-
-    def _state(self, values) -> el.KMState:
-        jp = values[self.jphi][:, :, 0]
-        jq = values[self.jpsi][:, :, 0]
-        if self.mode is Mode.STANDARD:
-            return el.KMState(phi=jp[0], dphi=jp[1], ddphi=jp[2], psi=jq[0], dpsi=jq[1])
-        return el.KMState(dphi=jp[0], ddphi=jp[1], dpsi=jq[0])
-
-    def forward(self, values):
-        state = self._state(values)
-        mat = _MatView(self.gamma, self.mu)
-        f = el.km_fields(self.z, state, mat)
-        for name, slot in self.outs.items():
-            values[slot] = getattr(f, name)
-
-    def backward(self, values, adj, grads):
-        b = self.z.size
-
-        def radj(name):
-            slot = self.outs.get(name)
-            a = adj.get(slot) if slot is not None else None
-            return a if a is not None else np.zeros(b)
-
-        rxx, ryy, rxy = radj("sxx"), radj("syy"), radj("sxy")
-        a_ddphi = self.z * (ryy - rxx + 1j * rxy)
-        a_dpsi = (ryy - rxx) + 1j * rxy
-        a_dphi = 2.0 * (rxx + ryy) + 0j
-        ap = np.zeros((3, b, 1), dtype=np.complex128)
-        aq = np.zeros((3, b, 1), dtype=np.complex128)
-        if self.mode is Mode.STANDARD:
-            a_u = radj("ux") + 1j * radj("uy")
-            a_phi = (self.gamma / (2.0 * self.mu)) * a_u
-            a_dphi = a_dphi + np.conj(a_u) * (-self.z / (2.0 * self.mu))
-            a_psi = np.conj(a_u) * (-1.0 / (2.0 * self.mu))
-            ap[0, :, 0], ap[1, :, 0], ap[2, :, 0] = a_phi, a_dphi, a_ddphi
-            aq[0, :, 0], aq[1, :, 0] = a_psi, a_dpsi
-        else:
-            ap[0, :, 0], ap[1, :, 0] = a_dphi, a_ddphi
-            aq[0, :, 0] = a_dpsi
-        _acc(adj, self.jphi, ap, ap.shape)
-        _acc(adj, self.jpsi, aq, aq.shape)
-
-
-@dataclass
-class _MatView:
-    gamma: float
-    mu: float
-
-
-@dataclass
-class _ResidualRec:
-    group: Group
-    fields_a: dict  # field name -> slot of first (or only) subdomain
-    fields_b: Optional[dict]
-    out: int
-
-    def _point(self, values, fields) -> el.FieldPoint:
-        sl = self.group.slices
-        sub = self.group.subs[0] if fields is self.fields_a else self.group.subs[1]
-        s = sl[sub]
-        get = lambda name: values[fields[name]][s] if name in fields else None
-        return el.FieldPoint(get("sxx"), get("syy"), get("sxy"), get("ux"), get("uy"))
-
-    def forward(self, values):
-        g = self.group
-        fa = self._point(values, self.fields_a)
-        if isinstance(g.bc, el.Interface):
-            fb = self._point(values, self.fields_b)
-            r = el.interface_residual(fa, fb, g.normal)
-        else:
-            r = el.bc_residual(g.bc, fa, g.normal, g.z)
-        values[self.out] = r.T  # (B, k)
-
-    def backward(self, values, adj, grads):
-        rho = adj.get(self.out)
-        if rho is None:
-            return
-        g = self.group
-        nx, ny = np.real(g.normal), np.imag(g.normal)
-
-        def add(fields, sub, name, val):
-            slot = fields.get(name)
-            if slot is None:
-                raise ValueError(f"residual needs field {name} missing in stress-only mode")
-            full = adj.get(slot)
-            if full is None:
-                full = np.zeros(values[slot].shape)
-                adj[slot] = full
-            full[g.slices[sub]] += val
-
-        if isinstance(g.bc, el.Traction):
-            r1, r2 = rho[:, 0], rho[:, 1]
-            add(self.fields_a, g.subs[0], "sxx", r1 * nx)
-            add(self.fields_a, g.subs[0], "sxy", r1 * ny + r2 * nx)
-            add(self.fields_a, g.subs[0], "syy", r2 * ny)
-        elif isinstance(g.bc, el.Displacement):
-            add(self.fields_a, g.subs[0], "ux", rho[:, 0])
-            add(self.fields_a, g.subs[0], "uy", rho[:, 1])
-        elif isinstance(g.bc, el.Symmetry):
-            at1, at2 = rho[:, 0] * ny, -rho[:, 0] * nx
-            add(self.fields_a, g.subs[0], "sxx", at1 * nx)
-            add(self.fields_a, g.subs[0], "sxy", at1 * ny + at2 * nx)
-            add(self.fields_a, g.subs[0], "syy", at2 * ny)
-            add(self.fields_a, g.subs[0], "ux", rho[:, 1] * nx)
-            add(self.fields_a, g.subs[0], "uy", rho[:, 1] * ny)
-        else:  # interface jump: +side a, -side b
-            for sgn, fields, sub in ((1.0, self.fields_a, g.subs[0]), (-1.0, self.fields_b, g.subs[1])):
-                add(fields, sub, "ux", sgn * rho[:, 0])
-                add(fields, sub, "uy", sgn * rho[:, 1])
-                add(fields, sub, "sxx", sgn * rho[:, 2] * nx)
-                add(fields, sub, "sxy", sgn * (rho[:, 2] * ny + rho[:, 3] * nx))
-                add(fields, sub, "syy", sgn * rho[:, 3] * ny)
-
-
-@dataclass
-class _LossRec:
-    groups: list[Group]
-    slots: list[int]
-    loss: float = math.nan
-    components: dict = field(default_factory=dict)
-    alphas: list[float] = field(default_factory=list)
-
-    def forward(self, values):
-        rgs = [
-            el.ResidualGroup(g.key, values[s], g.length, outer=g.outer)
-            for g, s in zip(self.groups, self.slots)
-        ]
-        self.loss, self.components = el.assemble_loss(rgs)
-        self.alphas = el.group_weights(rgs)
-
-    def backward(self, values, adj, grads):
-        for g, slot, alpha in zip(self.groups, self.slots, self.alphas):
-            r = values[slot]
-            if r.shape[0]:
-                adj[slot] = (2.0 * alpha / r.shape[0]) * r
-
-
-def _acc(adj: dict, slot: int, val: np.ndarray, shape) -> None:
-    cur = adj.get(slot)
-    if cur is None:
-        adj[slot] = val.copy() if val.shape == shape else np.broadcast_to(val, shape).copy()
-    else:
-        cur += val
-
-
-def _acc_key(grads: dict, key: ParamKey, val: np.ndarray) -> None:
-    cur = grads.get(key)
-    if cur is None:
-        grads[key] = val
-    else:
-        cur += val
-
-
-# --- pipeline ------------------------------------------------------------------
-
-
-def _record_branch(tape: Tape, net: HoloMLP, pair_i: int, branch: str, z_slot: int) -> int:
-    cur = z_slot
-    last = len(net.layers) - 1
-    for li, layer in enumerate(net.layers):
-        out = tape.alloc()
-        tape.run(
-            _AffineRec(
-                (pair_i, branch, li, "W"),
-                (pair_i, branch, li, "b"),
-                layer.weights.copy(),
-                layer.bias.copy(),
-                cur,
-                out,
-            )
-        )
-        cur = out
-        if li != last:
-            out = tape.alloc()
-            tape.run(_ActRec(net.activation, cur, out, f"pair {pair_i} {branch} layer {li + 1}"))
-            cur = out
-    return cur
-
-
-def _build_tape(
-    pairs: Sequence[BranchPair], packed: PackedBatch, material: el.Material
-) -> Tape:
-    mode = pairs[0].mode
-    field_names = ("sxx", "syy", "sxy") + (("ux", "uy") if mode is Mode.STANDARD else ())
-    tape = Tape()
-    fields: dict[int, dict] = {}
-    for sub, z in packed.eval_z.items():
-        if z.size == 0:
-            continue
-        z_slot = tape.alloc()
-        tape.run(_SeedRec(z, z_slot))
-        jp = _record_branch(tape, pairs[sub].phi, sub, "phi", z_slot)
-        jq = _record_branch(tape, pairs[sub].psi, sub, "psi", z_slot)
-        outs = {name: tape.alloc() for name in field_names}
-        tape.run(_KMRec(mode, material.gamma, material.mu, z, jp, jq, outs))
-        fields[sub] = outs
-    res_slots = []
-    live = [g for g in packed.groups if g.z.size or g.length > 0.0]
-    for g in live:
-        if g.z.size == 0:
-            # keeps the empty-group contract of assemble_loss observable
-            res_slots.append(tape.alloc(np.zeros((0, 2))))
-            continue
-        out = tape.alloc()
-        fb = fields[g.subs[1]] if isinstance(g.bc, el.Interface) else None
-        tape.run(_ResidualRec(g, fields[g.subs[0]], fb, out))
-        res_slots.append(out)
-    loss_rec = _LossRec(live, res_slots)
-    tape.run(loss_rec)
-    tape.groups = live
-    tape.group_slots = res_slots
-    tape.alphas = loss_rec.alphas
-    tape.loss = loss_rec.loss
-    return tape
-
-
-def _check_finite(tape: Tape) -> None:
-    for g, slot in zip(tape.groups, tape.group_slots):
-        r = tape.values[slot]
-        bad = ~np.isfinite(r)
-        if bad.any():
-            i = int(np.argwhere(bad.any(axis=1))[0, 0])
-            raise NonFiniteError(
-                f"non-finite residual at piece {g.piece}, sample t={g.t[i]:.6g}, z={g.z[i]:.6g}"
-            )
-    if not math.isfinite(tape.loss):
-        raise NonFiniteError("non-finite loss")
-
-
-def loss_forward(
-    pairs: Sequence[BranchPair],
-    batch: Union[PackedBatch, Sequence[BoundarySample]],
-    problem: "ProblemSpec",
-) -> tuple[float, Tape]:
-    """Boundary loss of the networks on a sample batch, with its tape."""
+def _forward(pairs: Sequence[BranchPair], batch, problem: "ProblemSpec", keep: bool) -> LossRecord:
+    """Run the loss pipeline; `keep` retains the branch caches for the reverse pass."""
     packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
     if packed.n_samples == 0:
         raise ValueError("empty batch")
@@ -479,30 +174,151 @@ def loss_forward(
         raise ValueError(
             f"{len(pairs)} network pairs for {problem.domain.n_subdomains} subdomains"
         )
-    tape = _build_tape(pairs, packed, problem.material)
-    _check_finite(tape)
-    return tape.loss, tape
+    mode = pairs[0].mode
+    subs: dict[int, SubdomainPass] = {}
+    for sub, z in packed.eval_z.items():
+        if z.size == 0:
+            continue
+        cphi, cpsi = ([], []) if keep else (None, None)
+        jp = forward_jets(pairs[sub].phi, z, cphi, where=f"pair {sub} phi ")
+        jq = forward_jets(pairs[sub].psi, z, cpsi, where=f"pair {sub} psi ")
+        fields = el.km_fields(z, km_state(mode, jp, jq), problem.material)
+        subs[sub] = SubdomainPass(z, cphi, cpsi, fields)
+    groups = [g for g in packed.groups if g.z.size or g.length > 0.0]
+    residuals = []
+    for g in groups:
+        if g.z.size == 0:
+            # keeps the empty-group contract of assemble_loss observable
+            r = np.zeros((0, 2))
+        else:
+            fa = _slice_fields(subs[g.subs[0]].fields, g.slices[g.subs[0]])
+            if isinstance(g.bc, el.Interface):
+                fb = _slice_fields(subs[g.subs[1]].fields, g.slices[g.subs[1]])
+                r = el.interface_residual(fa, fb, g.normal).T  # (B, k)
+            else:
+                r = el.bc_residual(g.bc, fa, g.normal, g.z).T
+        residuals.append(el.ResidualGroup(g.key, r, g.length, outer=g.outer))
+    loss, components = el.assemble_loss(residuals)
+    alphas = el.group_weights(residuals)
+    rec = LossRecord(pairs, problem.material, subs, groups, residuals, alphas, loss, components)
+    _check_finite(rec)
+    return rec
+
+
+def _check_finite(rec: LossRecord) -> None:
+    for g, rg in zip(rec.groups, rec.residuals):
+        bad = ~np.isfinite(rg.residuals)
+        if bad.any():
+            i = int(np.argwhere(bad.any(axis=1))[0, 0])
+            raise NonFiniteError(
+                f"non-finite residual at piece {g.piece}, sample t={g.t[i]:.6g}, z={g.z[i]:.6g}"
+            )
+    if not math.isfinite(rec.loss):
+        raise NonFiniteError("non-finite loss")
+
+
+def loss_forward(
+    pairs: Sequence[BranchPair],
+    batch: Union[PackedBatch, Sequence[BoundarySample]],
+    problem: "ProblemSpec",
+) -> tuple[float, LossRecord]:
+    """Boundary loss of the networks on a sample batch, with its record."""
+    rec = _forward(pairs, batch, problem, keep=True)
+    return rec.loss, rec
 
 
 def loss_value(pairs, batch, problem) -> float:
-    return loss_forward(pairs, batch, problem)[0]
+    """Boundary loss without the caches of the reverse pass."""
+    return _forward(pairs, batch, problem, keep=False).loss
 
 
 def forward_residuals(pairs, batch, problem) -> list[el.ResidualGroup]:
     """Per-piece residual batches without gradient bookkeeping."""
-    _, tape = loss_forward(pairs, batch, problem)
-    return [
-        el.ResidualGroup(g.key, tape.values[s], g.length, outer=g.outer)
-        for g, s in zip(tape.groups, tape.group_slots)
-    ]
+    return _forward(pairs, batch, problem, keep=False).residuals
 
 
-def loss_backward(tape: Tape) -> WeightGrad:
-    """Reverse sweep; every record is visited exactly once."""
-    adj: dict[int, np.ndarray] = {}
+# --- backward ------------------------------------------------------------------
+
+
+def _residual_backward(g: Group, rho: np.ndarray, adj: dict[int, dict]) -> None:
+    """Add dL/dfields of one group's (B, k) residual adjoint into its slices."""
+    nx, ny = np.real(g.normal), np.imag(g.normal)
+
+    def add(sub, name, val):
+        adj[sub][name][g.slices[sub]] += val
+
+    a = g.subs[0]
+    if isinstance(g.bc, el.Traction):
+        r1, r2 = rho[:, 0], rho[:, 1]
+        add(a, "sxx", r1 * nx)
+        add(a, "sxy", r1 * ny + r2 * nx)
+        add(a, "syy", r2 * ny)
+    elif isinstance(g.bc, el.Displacement):
+        add(a, "ux", rho[:, 0])
+        add(a, "uy", rho[:, 1])
+    elif isinstance(g.bc, el.Symmetry):
+        at1, at2 = rho[:, 0] * ny, -rho[:, 0] * nx
+        add(a, "sxx", at1 * nx)
+        add(a, "sxy", at1 * ny + at2 * nx)
+        add(a, "syy", at2 * ny)
+        add(a, "ux", rho[:, 1] * nx)
+        add(a, "uy", rho[:, 1] * ny)
+    else:  # interface jump: +side a, -side b
+        for sgn, sub in ((1.0, g.subs[0]), (-1.0, g.subs[1])):
+            add(sub, "ux", sgn * rho[:, 0])
+            add(sub, "uy", sgn * rho[:, 1])
+            add(sub, "sxx", sgn * rho[:, 2] * nx)
+            add(sub, "sxy", sgn * (rho[:, 2] * ny + rho[:, 3] * nx))
+            add(sub, "syy", sgn * rho[:, 3] * ny)
+
+
+def _km_backward(mode: Mode, material: el.Material, z: np.ndarray, adj: dict):
+    """(3, B) adjoints of the phi- and psi-branch jets from dL/dfields.
+
+    The field map is the only non-holomorphic complex step of the pipeline.
+    """
+    gamma, mu = material.gamma, material.mu
+    rxx, ryy, rxy = adj["sxx"], adj["syy"], adj["sxy"]
+    a_ddphi = z * (ryy - rxx + 1j * rxy)
+    a_dpsi = (ryy - rxx) + 1j * rxy
+    a_dphi = 2.0 * (rxx + ryy) + 0j
+    ap = np.zeros((3, z.size), dtype=np.complex128)
+    aq = np.zeros((3, z.size), dtype=np.complex128)
+    if mode is Mode.STANDARD:
+        a_u = adj["ux"] + 1j * adj["uy"]
+        a_phi = (gamma / (2.0 * mu)) * a_u
+        a_dphi = a_dphi + np.conj(a_u) * (-z / (2.0 * mu))
+        a_psi = np.conj(a_u) * (-1.0 / (2.0 * mu))
+        ap[0], ap[1], ap[2] = a_phi, a_dphi, a_ddphi
+        aq[0], aq[1] = a_psi, a_dpsi
+    else:
+        ap[0], ap[1] = a_dphi, a_ddphi
+        aq[0] = a_dpsi
+    return ap, aq
+
+
+def loss_backward(rec: LossRecord) -> WeightGrad:
+    """Gradient of rec.loss over every complex weight.
+
+    Reads the live weight arrays of rec.pairs, not copies: call it before
+    the weights are updated.
+    """
+    mode = rec.pairs[0].mode
+    names = ("sxx", "syy", "sxy") + (("ux", "uy") if mode is Mode.STANDARD else ())
+    # dL/dfields per subdomain: zeros, then each group adds into its own slice
+    adj = {sub: {n: np.zeros(sp.z.size) for n in names} for sub, sp in rec.subs.items()}
+    for g, rg, alpha in zip(rec.groups, rec.residuals, rec.alphas):
+        r = rg.residuals
+        if r.shape[0]:
+            _residual_backward(g, (2.0 * alpha / r.shape[0]) * r, adj)
     grads: dict[ParamKey, np.ndarray] = {}
-    for op in reversed(tape.ops):
-        op.backward(tape.values, adj, grads)
+    for sub, sp in rec.subs.items():
+        ap, aq = _km_backward(mode, rec.material, sp.z, adj[sub])
+        pair = rec.pairs[sub]
+        for branch, net, caches, a in (("phi", pair.phi, sp.phi, ap), ("psi", pair.psi, sp.psi, aq)):
+            for li, (gw, gb) in enumerate(branch_backward(net, caches, a)):
+                grads[(sub, branch, li, "W")] = gw
+                grads[(sub, branch, li, "b")] = gb
     return WeightGrad(grads)
 
 
@@ -512,7 +328,7 @@ def grad_check(
     problem: "ProblemSpec",
     step: float = 1e-6,
 ) -> float:
-    """Max relative deviation of the tape gradient from central differences.
+    """Max relative deviation of the reverse-mode gradient from central differences.
 
     Deviations are measured against max(|fd|, |ad|, 1e-3 * max|grad|) so that
     finite-difference noise on near-zero components does not dominate.
@@ -522,8 +338,8 @@ def grad_check(
     from .network import flatten_params, write_params
 
     packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
-    loss, tape = loss_forward(pairs, packed, problem)
-    gvec = loss_backward(tape).to_vector(pairs)
+    loss, rec = loss_forward(pairs, packed, problem)
+    gvec = loss_backward(rec).to_vector(pairs)
     vec = flatten_params(pairs)
     scale = 1e-3 * max(float(np.max(np.abs(gvec))) if gvec.size else 0.0, 1e-30)
     worst = 0.0
@@ -531,10 +347,10 @@ def grad_check(
         orig = vec[i]
         vec[i] = orig + step
         write_params(pairs, vec)
-        lp = loss_forward(pairs, packed, problem)[0]
+        lp = loss_value(pairs, packed, problem)
         vec[i] = orig - step
         write_params(pairs, vec)
-        lm = loss_forward(pairs, packed, problem)[0]
+        lm = loss_value(pairs, packed, problem)
         vec[i] = orig
         fd = (lp - lm) / (2.0 * step)
         denom = max(abs(fd), abs(gvec[i]), scale)

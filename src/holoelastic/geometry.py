@@ -175,7 +175,13 @@ class BoundarySample:
 
 
 def allocate_counts(lengths: Sequence[float], n: int) -> list[int]:
-    """Largest-remainder rounding of the length-proportional allocation."""
+    """Largest-remainder rounding of the length-proportional allocation.
+
+    With at least one sample per piece available (n >= len(lengths)), a
+    piece of positive length never gets none: its sample comes from the
+    piece rounded up the most among those holding two or more, since an
+    empty piece would drop its boundary condition from the loss.
+    """
     total = math.fsum(lengths)
     quotas = [n * L / total for L in lengths]
     counts = [int(math.floor(q)) for q in quotas]
@@ -183,6 +189,13 @@ def allocate_counts(lengths: Sequence[float], n: int) -> list[int]:
     order = sorted(range(len(lengths)), key=lambda i: (counts[i] - quotas[i], i))
     for i in order[:short]:
         counts[i] += 1
+    if n >= len(lengths):
+        for i, L in enumerate(lengths):
+            if counts[i] == 0 and L > 0.0:
+                donors = [j for j in range(len(lengths)) if counts[j] >= 2]
+                j = max(donors, key=lambda j: (counts[j] - quotas[j], -j))
+                counts[j] -= 1
+                counts[i] = 1
     return counts
 
 

@@ -177,6 +177,19 @@ def affine_jets(jets: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return out
 
 
+def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: np.ndarray):
+    """Reverse of affine_jets: (dL/dW, dL/db, dL/djets) from dL/dout.
+
+    `jets` is the layer input (3,B,Ni) and `adj` the output adjoint
+    (3,B,No); weight adjoints are packed as dL/dRe w + i dL/dIm w.
+    """
+    three, b, ni = jets.shape
+    no = weights.shape[0]
+    a2 = adj.reshape(3 * b, no)
+    x2 = jets.reshape(3 * b, ni)
+    return a2.T @ np.conj(x2), adj[0].sum(axis=0), (a2 @ np.conj(weights)).reshape(3, b, ni)
+
+
 def activate_jets(
     kind: ActivationKind, jets: np.ndarray, context: str = "activation", with_third: bool = False
 ):
@@ -195,3 +208,20 @@ def activate_jets(
     if not np.isfinite(out).all():
         raise NonFiniteError(f"non-finite value in {context} ({kind.value})")
     return out, d[1:]
+
+
+def activate_jets_adjoint(adj: np.ndarray, jets: np.ndarray, derivs) -> np.ndarray:
+    """Reverse of activate_jets: dL/djets from dL/dout.
+
+    `jets` is the activation input and `derivs` the (p1, p2, p3) cache of
+    activate_jets(..., with_third=True).  Each channel's adjoint is the
+    output adjoint times the conjugated partial derivative.
+    """
+    p1, p2, p3 = derivs
+    d1, d2 = jets[1], jets[2]
+    a0, a1, a2 = adj
+    out = np.empty_like(jets)
+    out[0] = a0 * np.conj(p1) + a1 * np.conj(p2 * d1) + a2 * np.conj(p3 * d1 * d1 + p2 * d2)
+    out[1] = a1 * np.conj(p1) + a2 * np.conj(2.0 * p2 * d1)
+    out[2] = a2 * np.conj(p1)
+    return out

@@ -23,7 +23,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .elasticity import KMState
-from .jets import ActivationKind, NonFiniteError, act_derivs, activate_jets, affine_jets, seed_jets
+from .jets import (
+    ActivationKind,
+    NonFiniteError,
+    act_derivs,
+    activate_jets,
+    activate_jets_adjoint,
+    affine_jets,
+    affine_jets_adjoint,
+    seed_jets,
+)
 from .rng import Rng
 
 # Admissible ends of the init-variance scale: 1 stabilizes first-derivative
@@ -101,34 +110,69 @@ def build_mlp(
     return HoloMLP(layers, activation, mode)
 
 
-def forward_jets(net: HoloMLP, z: np.ndarray) -> np.ndarray:
-    """Evaluate the network on seeded jets; returns (3, B) value/d1/d2."""
+def forward_jets(
+    net: HoloMLP, z: np.ndarray, caches: Optional[list] = None, where: str = ""
+) -> np.ndarray:
+    """Evaluate the network on seeded jets; returns (3, B) value/d1/d2.
+
+    With a `caches` list, appends one (input jets, pre-activation jets,
+    activation derivatives) entry per layer for branch_backward; the output
+    layer has no activation and caches (input jets, None, None).  `where`
+    prefixes the layer name in non-finite errors.
+    """
+    keep = caches is not None
     jets = seed_jets(z)
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
+        # without caches no layer's arrays outlive it (large eval grids)
+        x = jets if keep else None
         jets = affine_jets(jets, layer.weights, layer.bias)
+        y = derivs = None
         if i != last:
-            jets, _ = activate_jets(net.activation, jets, context=f"layer {i + 1}")
+            y = jets if keep else None
+            jets, derivs = activate_jets(
+                net.activation, jets, context=f"{where}layer {i + 1}", with_third=keep
+            )
+        if keep:
+            caches.append((x, y, derivs))
     return jets[:, :, 0]
 
 
-def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z) -> KMState:
-    """Run both branches at z and bundle the potentials.
+def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Reverse sweep of forward_jets from the (3, B) output adjoint.
 
-    Standard mode reads (phi, phi', phi'') and (psi, psi') off the jets.
-    Stress-only mode treats the branch outputs as phi' and psi'; phi'' is the
-    first jet derivative of the phi'-branch and phi/psi are absent.
+    Returns per layer the packed (dL/dW, dL/db).  Reads the live weight
+    arrays, so it must run before they are updated.
     """
+    a = adj.reshape(3, -1, 1)
+    grads = []
+    for layer, (x, y, derivs) in zip(reversed(net.layers), reversed(caches)):
+        if y is not None:
+            a = activate_jets_adjoint(a, y, derivs)
+        gw, gb, a = affine_jets_adjoint(a, x, layer.weights)
+        grads.append((gw, gb))
+    return grads[::-1]
+
+
+def km_state(mode: Mode, jp: np.ndarray, jq: np.ndarray) -> KMState:
+    """Read the potentials off the (3, B) phi- and psi-branch jets.
+
+    Standard mode reads (phi, phi', phi'') and (psi, psi').  Stress-only mode
+    treats the branch outputs as phi' and psi'; phi'' is the first jet
+    derivative of the phi'-branch and phi/psi are absent.
+    """
+    if mode is Mode.STANDARD:
+        return KMState(phi=jp[0], dphi=jp[1], ddphi=jp[2], psi=jq[0], dpsi=jq[1])
+    return KMState(dphi=jp[0], ddphi=jp[1], dpsi=jq[0])
+
+
+def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z) -> KMState:
+    """Run both branches at z and bundle the potentials (see km_state)."""
     if net_phi.mode is not net_psi.mode:
         raise ValueError("branches disagree on mode")
     z = np.asarray(z, dtype=np.complex128)
     scalar = z.ndim == 0
-    jp = forward_jets(net_phi, z.ravel())
-    jq = forward_jets(net_psi, z.ravel())
-    if net_phi.mode is Mode.STANDARD:
-        state = KMState(phi=jp[0], dphi=jp[1], ddphi=jp[2], psi=jq[0], dpsi=jq[1])
-    else:
-        state = KMState(dphi=jp[0], ddphi=jp[1], dpsi=jq[0])
+    state = km_state(net_phi.mode, forward_jets(net_phi, z.ravel()), forward_jets(net_psi, z.ravel()))
     if scalar:
         for name in ("phi", "dphi", "ddphi", "psi", "dpsi"):
             v = getattr(state, name)

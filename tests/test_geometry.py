@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ring_quadrant_domain
+from conftest import config_path, ring_quadrant_domain
 from holoelastic.elasticity import ConstantData, Traction
 from holoelastic.geometry import (
     Arc,
@@ -19,6 +19,7 @@ from holoelastic.geometry import (
     piece_tangent,
     sample_boundary,
 )
+from holoelastic.problem import load_config
 from holoelastic.rng import Rng
 
 BC = Traction(ConstantData(0, 0))
@@ -72,6 +73,18 @@ def test_allocate_counts_largest_remainder_within_one():
     assert sum(counts) == n
     total = sum(lengths)
     for c, L in zip(counts, lengths):
+        assert abs(c - n * L / total) < 1.0
+
+
+def test_allocate_counts_gives_every_piece_a_sample():
+    # rail_section's 40 test points over 14 pieces: web_right's quota is 0.33
+    lengths = [piece_length(p) for p in load_config(config_path("rail_section")).domain.pieces]
+    n = 40
+    counts = allocate_counts(lengths, n)
+    assert sum(counts) == n
+    total = sum(lengths)
+    for c, L in zip(counts, lengths):
+        assert c >= 1
         assert abs(c - n * L / total) < 1.0
 
 

@@ -1,10 +1,11 @@
+import glob
 import json
 import os
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_NAMES, config_path
+from conftest import CONFIG_DIR, CONFIG_NAMES, config_path
 from holoelastic.cli import run_command
 from holoelastic.elasticity import Displacement, Interface, Symmetry, Traction
 from holoelastic.geometry import outward_normal, piece_point, region_contains, Region
@@ -110,6 +111,21 @@ def _mini_ring(tmp_path, epochs=3, out="out", seed=None):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return path, doc["outputs"]["dir"]
+
+
+@pytest.mark.parametrize(
+    "name", sorted(os.path.splitext(os.path.basename(p))[0] for p in glob.glob(os.path.join(CONFIG_DIR, "*.json")))
+)
+def test_shipped_config_trains_and_evaluates(name, tmp_path):
+    doc = json.load(open(config_path(name)))
+    doc["training"]["epochs"] = 2
+    doc["outputs"]["grid"] = [10, 10]
+    doc["outputs"]["dir"] = str(tmp_path / "out")
+    cfg = str(tmp_path / f"{name}.json")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert run_command(["train", cfg]) == 0
+    assert run_command(["eval", cfg, os.path.join(doc["outputs"]["dir"], "checkpoint.json")]) == 0
 
 
 def test_cli_train_eval_cycle(tmp_path, capsys):
