@@ -16,13 +16,14 @@ from .elasticity import (
     Symmetry,
     Traction,
     assemble_loss,
+    bc_operator,
     bc_residual,
     interface_residual,
     km_fields,
     material_derived,
 )
 from .geometry import Arc, BoundaryPiece, BoundarySample, DomainSpec, Line, Side, sample_boundary
-from .jets import ActivationKind, Jet2, NonFiniteError, jet_activate, jet_affine, jet_seed
+from .jets import ActivationKind, NonFiniteError
 from .network import (
     BranchPair,
     HoloMLP,

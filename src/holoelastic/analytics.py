@@ -345,9 +345,9 @@ def residual_summary(pairs, problem, n_points: int, seed: int) -> dict:
     """RMS residuals on a fresh boundary batch, split outer vs interface."""
     samples = geo.sample_boundary(problem.domain, n_points, Rng(seed).spawn(7))
     groups = forward_residuals(pairs, samples, problem)
-    outer = np.concatenate([g.residuals.ravel() for g in groups if g.outer and g.residuals.size])
-    iface = [g.residuals.ravel() for g in groups if not g.outer and g.residuals.size]
-    out = {"outer_rms": rms(outer), "groups": {g.key: rms(g.residuals) for g in groups if g.residuals.size}}
+    outer = np.concatenate([g.residuals.ravel() for g in groups if g.outer])
+    iface = [g.residuals.ravel() for g in groups if not g.outer]
+    out = {"outer_rms": rms(outer), "groups": {g.key: rms(g.residuals) for g in groups}}
     if iface:
         out["interface_rms"] = rms(np.concatenate(iface))
     return out
@@ -358,11 +358,8 @@ def pointwise_boundary_residuals(pairs, problem, n_points: int, seed: int):
     samples = geo.sample_boundary(problem.domain, n_points, Rng(seed).spawn(7))
     packed = pack_batch(samples, problem.domain)
     zs, pieces, norms = [], [], []
-    for rg in forward_residuals(pairs, packed, problem):
+    for g, rg in zip(packed.groups, forward_residuals(pairs, packed, problem)):
         r = rg.residuals
-        if not r.shape[0]:
-            continue
-        g = packed.groups[rg.key[2]]
         zs.append(g.z)
         pieces.append(np.full(g.z.size, g.piece))
         norms.append(np.sqrt(np.sum(r * r, axis=1)))

@@ -45,8 +45,9 @@ class Group:
     length: float
     subs: tuple[int, ...]
     z: np.ndarray
-    normal: np.ndarray  # complex nx + i ny
     t: np.ndarray
+    A: np.ndarray  # (B, k, 5) residual operator of el.bc_operator
+    d: np.ndarray  # (B, k) prescribed data
     slices: dict[int, slice] = field(default_factory=dict)
 
     @property
@@ -62,15 +63,16 @@ class Group:
 class PackedBatch:
     groups: list[Group]
     eval_z: dict[int, np.ndarray]
-    n_samples: int
 
 
 def pack_batch(samples: Sequence[BoundarySample], domain: DomainSpec) -> PackedBatch:
-    """Group samples by piece and build per-subdomain evaluation arrays.
+    """Group samples by piece, build each piece's residual operator and the
+    per-subdomain evaluation arrays.
 
-    Within each group samples are ordered by t, which fixes the reduction
-    order regardless of the input permutation.  Interface samples appear in
-    the evaluation arrays of both adjoining subdomains.
+    Every piece needs at least one sample.  Within each group samples are
+    ordered by t, which fixes the reduction order regardless of the input
+    permutation.  Interface samples appear in the evaluation arrays of both
+    adjoining subdomains.
     """
     by_piece: dict[int, list[BoundarySample]] = {i: [] for i in range(len(domain.pieces))}
     for s in samples:
@@ -78,15 +80,20 @@ def pack_batch(samples: Sequence[BoundarySample], domain: DomainSpec) -> PackedB
     groups = []
     for idx, piece in enumerate(domain.pieces):
         ss = sorted(by_piece[idx], key=lambda s: s.t)
+        if not ss:
+            raise ValueError(f"boundary piece {idx} ({piece.name!r}) is empty: the batch has no sample on it")
+        z = np.array([s.z for s in ss], dtype=np.complex128)
+        A, d = el.bc_operator(piece.bc, np.array([s.normal for s in ss], dtype=np.complex128), z)
         groups.append(
             Group(
                 piece=idx,
                 bc=piece.bc,
                 length=piece_length(piece),
                 subs=tuple(piece.subdomains),
-                z=np.array([s.z for s in ss], dtype=np.complex128),
-                normal=np.array([s.normal for s in ss], dtype=np.complex128),
+                z=z,
                 t=np.array([s.t for s in ss], dtype=float),
+                A=A,
+                d=d,
             )
         )
     chunks: dict[int, list[np.ndarray]] = {i: [] for i in range(domain.n_subdomains)}
@@ -101,7 +108,7 @@ def pack_batch(samples: Sequence[BoundarySample], domain: DomainSpec) -> PackedB
         s: (np.concatenate(c) if c else np.empty(0, dtype=np.complex128))
         for s, c in chunks.items()
     }
-    return PackedBatch(groups, eval_z, sum(g.z.size for g in groups))
+    return PackedBatch(groups, eval_z)
 
 
 # --- weight gradients ---------------------------------------------------------
@@ -136,7 +143,7 @@ class SubdomainPass:
     z: np.ndarray
     phi: Optional[list]  # forward_jets layer caches; None on forward-only passes
     psi: Optional[list]
-    fields: el.FieldPoint
+    fields: np.ndarray  # (nf, B) rows of el.FieldPoint.rows
 
 
 @dataclass
@@ -146,7 +153,7 @@ class LossRecord:
     pairs: Sequence[BranchPair]
     material: el.Material
     subs: dict[int, SubdomainPass]
-    groups: list[Group]  # pieces with samples or positive length
+    groups: list[Group]
     residuals: list[el.ResidualGroup]  # one per group
     alphas: list[float]
     loss: float
@@ -161,15 +168,9 @@ class LossRecord:
         return out + self.residuals + [self.components]
 
 
-def _slice_fields(f: el.FieldPoint, s: slice) -> el.FieldPoint:
-    return el.FieldPoint(*(None if v is None else v[s] for v in (f.sxx, f.syy, f.sxy, f.ux, f.uy)))
-
-
 def _forward(pairs: Sequence[BranchPair], batch, problem: "ProblemSpec", keep: bool) -> LossRecord:
     """Run the loss pipeline; `keep` retains the branch caches for the reverse pass."""
     packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
-    if packed.n_samples == 0:
-        raise ValueError("empty batch")
     if len(pairs) != problem.domain.n_subdomains:
         raise ValueError(
             f"{len(pairs)} network pairs for {problem.domain.n_subdomains} subdomains"
@@ -182,25 +183,19 @@ def _forward(pairs: Sequence[BranchPair], batch, problem: "ProblemSpec", keep: b
         cphi, cpsi = ([], []) if keep else (None, None)
         jp = forward_jets(pairs[sub].phi, z, cphi, where=f"pair {sub} phi ")
         jq = forward_jets(pairs[sub].psi, z, cpsi, where=f"pair {sub} psi ")
-        fields = el.km_fields(z, km_state(mode, jp, jq), problem.material)
+        fields = el.km_fields(z, km_state(mode, jp, jq), problem.material).rows()
         subs[sub] = SubdomainPass(z, cphi, cpsi, fields)
-    groups = [g for g in packed.groups if g.z.size or g.length > 0.0]
     residuals = []
-    for g in groups:
-        if g.z.size == 0:
-            # keeps the empty-group contract of assemble_loss observable
-            r = np.zeros((0, 2))
+    for g in packed.groups:
+        fa = subs[g.subs[0]].fields[:, g.slices[g.subs[0]]]
+        if g.outer:
+            r = el.bc_residual(g.A, g.d, fa)
         else:
-            fa = _slice_fields(subs[g.subs[0]].fields, g.slices[g.subs[0]])
-            if isinstance(g.bc, el.Interface):
-                fb = _slice_fields(subs[g.subs[1]].fields, g.slices[g.subs[1]])
-                r = el.interface_residual(fa, fb, g.normal).T  # (B, k)
-            else:
-                r = el.bc_residual(g.bc, fa, g.normal, g.z).T
+            r = el.interface_residual(g.A, fa, subs[g.subs[1]].fields[:, g.slices[g.subs[1]]])
         residuals.append(el.ResidualGroup(g.key, r, g.length, outer=g.outer))
     loss, components = el.assemble_loss(residuals)
     alphas = el.group_weights(residuals)
-    rec = LossRecord(pairs, problem.material, subs, groups, residuals, alphas, loss, components)
+    rec = LossRecord(pairs, problem.material, subs, packed.groups, residuals, alphas, loss, components)
     _check_finite(rec)
     return rec
 
@@ -240,52 +235,20 @@ def forward_residuals(pairs, batch, problem) -> list[el.ResidualGroup]:
 # --- backward ------------------------------------------------------------------
 
 
-def _residual_backward(g: Group, rho: np.ndarray, adj: dict[int, dict]) -> None:
-    """Add dL/dfields of one group's (B, k) residual adjoint into its slices."""
-    nx, ny = np.real(g.normal), np.imag(g.normal)
-
-    def add(sub, name, val):
-        adj[sub][name][g.slices[sub]] += val
-
-    a = g.subs[0]
-    if isinstance(g.bc, el.Traction):
-        r1, r2 = rho[:, 0], rho[:, 1]
-        add(a, "sxx", r1 * nx)
-        add(a, "sxy", r1 * ny + r2 * nx)
-        add(a, "syy", r2 * ny)
-    elif isinstance(g.bc, el.Displacement):
-        add(a, "ux", rho[:, 0])
-        add(a, "uy", rho[:, 1])
-    elif isinstance(g.bc, el.Symmetry):
-        at1, at2 = rho[:, 0] * ny, -rho[:, 0] * nx
-        add(a, "sxx", at1 * nx)
-        add(a, "sxy", at1 * ny + at2 * nx)
-        add(a, "syy", at2 * ny)
-        add(a, "ux", rho[:, 1] * nx)
-        add(a, "uy", rho[:, 1] * ny)
-    else:  # interface jump: +side a, -side b
-        for sgn, sub in ((1.0, g.subs[0]), (-1.0, g.subs[1])):
-            add(sub, "ux", sgn * rho[:, 0])
-            add(sub, "uy", sgn * rho[:, 1])
-            add(sub, "sxx", sgn * rho[:, 2] * nx)
-            add(sub, "sxy", sgn * (rho[:, 2] * ny + rho[:, 3] * nx))
-            add(sub, "syy", sgn * rho[:, 3] * ny)
-
-
-def _km_backward(mode: Mode, material: el.Material, z: np.ndarray, adj: dict):
-    """(3, B) adjoints of the phi- and psi-branch jets from dL/dfields.
+def _km_backward(mode: Mode, material: el.Material, z: np.ndarray, adj: np.ndarray):
+    """(3, B) adjoints of the phi- and psi-branch jets from the (nf, B) dL/dfields.
 
     The field map is the only non-holomorphic complex step of the pipeline.
     """
     gamma, mu = material.gamma, material.mu
-    rxx, ryy, rxy = adj["sxx"], adj["syy"], adj["sxy"]
+    rxx, ryy, rxy = adj[0], adj[1], adj[2]
     a_ddphi = z * (ryy - rxx + 1j * rxy)
     a_dpsi = (ryy - rxx) + 1j * rxy
     a_dphi = 2.0 * (rxx + ryy) + 0j
     ap = np.zeros((3, z.size), dtype=np.complex128)
     aq = np.zeros((3, z.size), dtype=np.complex128)
     if mode is Mode.STANDARD:
-        a_u = adj["ux"] + 1j * adj["uy"]
+        a_u = adj[3] + 1j * adj[4]
         a_phi = (gamma / (2.0 * mu)) * a_u
         a_dphi = a_dphi + np.conj(a_u) * (-z / (2.0 * mu))
         a_psi = np.conj(a_u) * (-1.0 / (2.0 * mu))
@@ -304,13 +267,16 @@ def loss_backward(rec: LossRecord) -> WeightGrad:
     the weights are updated.
     """
     mode = rec.pairs[0].mode
-    names = ("sxx", "syy", "sxy") + (("ux", "uy") if mode is Mode.STANDARD else ())
-    # dL/dfields per subdomain: zeros, then each group adds into its own slice
-    adj = {sub: {n: np.zeros(sp.z.size) for n in names} for sub, sp in rec.subs.items()}
+    # dL/dfields per subdomain: zeros, then each group adds A^T rho into its
+    # own slice (negated on side b of an interface, whose residual is A fa - A fb)
+    adj = {sub: np.zeros_like(sp.fields) for sub, sp in rec.subs.items()}
     for g, rg, alpha in zip(rec.groups, rec.residuals, rec.alphas):
         r = rg.residuals
-        if r.shape[0]:
-            _residual_backward(g, (2.0 * alpha / r.shape[0]) * r, adj)
+        nf = adj[g.subs[0]].shape[0]
+        at = np.einsum("bkf,bk->fb", g.A[:, :, :nf], (2.0 * alpha / r.shape[0]) * r)
+        adj[g.subs[0]][:, g.slices[g.subs[0]]] += at
+        if not g.outer:
+            adj[g.subs[1]][:, g.slices[g.subs[1]]] -= at
     grads: dict[ParamKey, np.ndarray] = {}
     for sub, sp in rec.subs.items():
         ap, aq = _km_backward(mode, rec.material, sp.z, adj[sub])

@@ -8,14 +8,17 @@ holomorphic potentials phi, psi:
     sxy = Im(conj(z) phi'' + psi')
     ux + i uy = (gamma phi - z conj(phi') - conj(psi)) / (2 mu)
 
+Every boundary condition is a per-sample linear operator on the field rows
+(sxx, syy, sxy, ux, uy), built once per sample batch by bc_operator; the
+residual applies it and the residual's adjoint is its transpose.
+
 Units are MPa for moduli/stresses and meters for lengths/displacements.
-All functions are pure and accept scalars or equally-shaped numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -52,17 +55,13 @@ class Material:
     lam: float
     mu: float
     mode: PlaneMode = PlaneMode.STRAIN
+    lambda_tilde: float = field(init=False, repr=False, compare=False)
+    gamma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        material_derived(self.lam, self.mu, self.mode)  # validates
-
-    @property
-    def lambda_tilde(self) -> float:
-        return material_derived(self.lam, self.mu, self.mode)[0]
-
-    @property
-    def gamma(self) -> float:
-        return material_derived(self.lam, self.mu, self.mode)[1]
+        lam_tilde, gamma = material_derived(self.lam, self.mu, self.mode)  # validates
+        object.__setattr__(self, "lambda_tilde", lam_tilde)
+        object.__setattr__(self, "gamma", gamma)
 
 
 @dataclass
@@ -90,6 +89,11 @@ class FieldPoint:
     ux: Optional[np.ndarray] = None
     uy: Optional[np.ndarray] = None
 
+    def rows(self) -> np.ndarray:
+        """The fields as one (nf, B) array, rows (sxx, syy, sxy[, ux, uy])."""
+        vals = (self.sxx, self.syy, self.sxy) + (() if self.ux is None else (self.ux, self.uy))
+        return np.stack([np.ravel(v) for v in vals])
+
 
 def km_fields(z, s: KMState, mat: Material) -> FieldPoint:
     """Map a potential bundle to physical fields at z."""
@@ -103,11 +107,6 @@ def km_fields(z, s: KMState, mat: Material) -> FieldPoint:
         return FieldPoint(sxx, syy, sxy)
     w = (mat.gamma * s.phi - z * np.conj(s.dphi) - np.conj(s.psi)) / (2.0 * mat.mu)
     return FieldPoint(sxx, syy, sxy, np.real(w), np.imag(w))
-
-
-def traction(f: FieldPoint, nx, ny) -> tuple[np.ndarray, np.ndarray]:
-    """Stress vector sigma . n."""
-    return f.sxx * nx + f.sxy * ny, f.sxy * nx + f.syy * ny
 
 
 # --- boundary conditions ----------------------------------------------------
@@ -169,48 +168,66 @@ class Interface:
 BCKind = Union[Traction, Displacement, Symmetry, Interface]
 
 
-def _check_unit_normal(nx, ny):
-    nrm = np.hypot(np.asarray(nx, dtype=float), np.asarray(ny, dtype=float))
-    if np.any(np.abs(nrm - 1.0) > 1e-12):
-        raise ValueError("boundary normal is not a unit vector")
+def bc_operator(kind: BCKind, n, z) -> tuple[np.ndarray, np.ndarray]:
+    """One boundary condition as a linear map on the field rows.
 
+    Returns A of shape (B, k, 5), acting on (sxx, syy, sxy, ux, uy) at each
+    sample, and the prescribed data d of shape (B, k); the residual is
+    A f - d.  With t = sigma . n:
 
-def bc_residual(kind: BCKind, f: FieldPoint, n, z) -> np.ndarray:
-    """Residual of one outer boundary condition; shape (2,) or (2, B).
+      Traction      t - data
+      Displacement  u - data
+      Symmetry      ((sigma.n) x n, u . n), d = 0
+      Interface     (u, t) of side a minus (u, t) of side b, d = 0
 
     `n` is the outward unit normal as a complex number nx + i*ny.
     """
-    n = np.asarray(n, dtype=np.complex128)
+    n = np.atleast_1d(np.asarray(n, dtype=np.complex128))
     nx, ny = np.real(n), np.imag(n)
-    _check_unit_normal(nx, ny)
+    if np.any(np.abs(np.hypot(nx, ny) - 1.0) > 1e-12):
+        raise ValueError("boundary normal is not a unit vector")
+    zero, one = np.zeros_like(nx), np.ones_like(nx)
+    t = np.array([[nx, zero, ny, zero, zero], [zero, ny, nx, zero, zero]])  # (k, 5, B)
+    u = np.array([[zero, zero, zero, one, zero], [zero, zero, zero, zero, one]])
     if isinstance(kind, Traction):
-        t1, t2 = traction(f, nx, ny)
-        d1, d2 = eval_boundary_data(kind.data, z, nx, ny)
-        return np.stack([t1 - d1, t2 - d2])
-    if isinstance(kind, Displacement):
-        if f.ux is None:
-            raise ValueError("displacement residual requested on stress-only fields")
-        d1, d2 = eval_boundary_data(kind.data, z, nx, ny)
-        return np.stack([f.ux - d1, f.uy - d2])
-    if isinstance(kind, Symmetry):
-        if f.ux is None:
-            raise ValueError("symmetry residual requested on stress-only fields")
-        t1, t2 = traction(f, nx, ny)
-        # (sigma.n) x n is the scalar 2D cross product; u.n the normal slip
-        return np.stack([t1 * ny - t2 * nx, f.ux * nx + f.uy * ny])
-    raise TypeError(f"bc_residual does not handle {kind!r}; use interface_residual")
+        a = t
+    elif isinstance(kind, Displacement):
+        a = u
+    elif isinstance(kind, Symmetry):
+        a = np.array([ny * t[0] - nx * t[1], nx * u[0] + ny * u[1]])
+    elif isinstance(kind, Interface):
+        a = np.concatenate([u, t])
+    else:
+        raise TypeError(f"unknown boundary condition {kind!r}")
+    A = np.ascontiguousarray(a.transpose(2, 0, 1))
+    # residuals are column-major (B, k): assemble_loss then sums them one
+    # component after the other, which fixes its rounding
+    d = np.zeros(A.shape[:2], order="F")
+    if isinstance(kind, (Traction, Displacement)):
+        d[:, 0], d[:, 1] = eval_boundary_data(kind.data, z, nx, ny)
+    return A, d
 
 
-def interface_residual(f1: FieldPoint, f2: FieldPoint, n) -> np.ndarray:
-    """Displacement and traction jumps across an interface; shape (4,) or (4, B)."""
-    if f1.ux is None or f2.ux is None:
-        raise ValueError("interface residual requires displacements on both sides")
-    n = np.asarray(n, dtype=np.complex128)
-    nx, ny = np.real(n), np.imag(n)
-    _check_unit_normal(nx, ny)
-    t1a, t2a = traction(f1, nx, ny)
-    t1b, t2b = traction(f2, nx, ny)
-    return np.stack([f1.ux - f2.ux, f1.uy - f2.uy, t1a - t1b, t2a - t2b])
+def _apply(A: np.ndarray, f: np.ndarray) -> np.ndarray:
+    nf = f.shape[0]
+    if nf < A.shape[2] and A[:, :, nf:].any():
+        raise ValueError("residual reads displacements of stress-only fields")
+    return np.einsum("bkf,fb->bk", A[:, :, :nf], f, order="F")
+
+
+def bc_residual(A: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Residual A f - d of one outer boundary condition; shape (B, k).
+
+    (A, d) come from bc_operator and `f` holds the (nf, B) field rows
+    (FieldPoint.rows); stress-only rows (nf = 3) serve operators that read
+    no displacement.
+    """
+    return _apply(A, f) - d
+
+
+def interface_residual(A: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """Displacement and traction jumps A fa - A fb across an interface; shape (B, 4)."""
+    return _apply(A, fa) - _apply(A, fb)
 
 
 # --- loss assembly ----------------------------------------------------------

@@ -45,18 +45,26 @@ def write_history_csv(path: str, history: History, wall_times: bool = False) -> 
 
 
 def write_fields_csv(path: str, grid: GridField) -> None:
-    """Field CSV: x, y, sxx, syy, sxy, ux, uy; masked points keep empty cells."""
-    rows = []
-    for iy, y in enumerate(grid.ys):
-        for ix, x in enumerate(grid.xs):
-            if grid.mask[iy, ix]:
-                vals = [grid.sxx[iy, ix], grid.syy[iy, ix], grid.sxy[iy, ix]]
-                for u in (grid.ux, grid.uy):
-                    vals.append(u[iy, ix] if u is not None else None)
+    """Field CSV: x, y, sxx, syy, sxy, ux, uy; masked points keep empty cells.
+
+    Rows are formatted from Python floats one grid row at a time; their repr
+    is the shortest round-trip form, like numpy's.
+    """
+    lines = ["x,y,sxx,syy,sxy,ux,uy"]
+    xs = grid.xs.tolist()
+    for iy, y in enumerate(grid.ys.tolist()):
+        mask = grid.mask[iy].tolist()
+        sxx, syy, sxy = grid.sxx[iy].tolist(), grid.syy[iy].tolist(), grid.sxy[iy].tolist()
+        ux = grid.ux[iy].tolist() if grid.ux is not None else None
+        uy = grid.uy[iy].tolist() if grid.uy is not None else None
+        for ix, x in enumerate(xs):
+            if not mask[ix]:
+                lines.append(f"{x},{y},,,,,")
+            elif ux is None:
+                lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},,")
             else:
-                vals = [None] * 5
-            rows.append((x, y, *vals))
-    write_text_atomic(path, _csv(("x", "y", "sxx", "syy", "sxy", "ux", "uy"), rows))
+                lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},{ux[ix]},{uy[ix]}")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_errors_csv(path: str, errors: dict[str, float]) -> None:

@@ -1,21 +1,17 @@
-"""Second-order jet arithmetic for holomorphic functions.
+"""Second-order jet arithmetic for holomorphic functions, batched.
 
 A jet carries a complex value together with its first and second derivatives
 in z (truncated Taylor arithmetic).  Seeding the identity jet (z, 1, 0) at a
 point and pushing it through affine layers and entire activations yields the
 value, first and second z-derivative of the composed function in one pass;
-the chain rule is applied to second order at every activation.
-
-Complex scalars are plain Python ``complex`` / numpy ``complex128``.  Every
-public operation rejects non-finite values.
+the chain rule is applied to second order at every activation.  The affine
+layer and the activation each come with their adjoint for the reverse pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -29,60 +25,6 @@ class ActivationKind(Enum):
     COS = "cos"
     SIN = "sin"
     COS_SQRT = "cos_sqrt"
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Value plus first and second z-derivatives of a holomorphic function."""
-
-    f: complex
-    d1: complex
-    d2: complex
-
-
-def _finite(*vals: complex) -> bool:
-    return all(math.isfinite(v.real) and math.isfinite(v.imag) for v in map(complex, vals))
-
-
-def jet_seed(z: complex) -> Jet2:
-    """Identity jet (z, 1, 0) used to start a network evaluation."""
-    if not _finite(z):
-        raise ValueError(f"jet_seed requires a finite input, got {z!r}")
-    return Jet2(complex(z), 1.0 + 0.0j, 0.0 + 0.0j)
-
-
-def jet_affine(weights: Sequence[complex], bias: complex, inputs: Sequence[Jet2]) -> Jet2:
-    """Linear combination of jets plus a bias on the value component."""
-    if len(weights) != len(inputs) or not inputs:
-        raise ValueError(
-            f"jet_affine: {len(weights)} weights vs {len(inputs)} inputs"
-        )
-    f = complex(bias)
-    d1 = 0.0 + 0.0j
-    d2 = 0.0 + 0.0j
-    for w, x in zip(weights, inputs):
-        f += w * x.f
-        d1 += w * x.d1
-        d2 += w * x.d2
-    return Jet2(f, d1, d2)
-
-
-def jet_mul(a: Jet2, b: Jet2) -> Jet2:
-    """Truncated Taylor product (Leibniz to second order)."""
-    return Jet2(
-        a.f * b.f,
-        a.d1 * b.f + a.f * b.d1,
-        a.d2 * b.f + 2.0 * a.d1 * b.d1 + a.f * b.d2,
-    )
-
-
-def jet_activate(kind: ActivationKind, x: Jet2, context: str = "activation") -> Jet2:
-    """Apply an entire activation to a jet (Faa di Bruno to order 2)."""
-    p0, p1, p2 = (complex(v) for v in act_derivs(kind, np.complex128(x.f), order=2))
-    out = Jet2(p0, p1 * x.d1, p2 * x.d1 * x.d1 + p1 * x.d2)
-    if not _finite(out.f, out.d1, out.d2):
-        raise NonFiniteError(f"non-finite value in {context} ({kind.value})")
-    return out
 
 
 # --- activation catalogue -------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,19 @@ def test_empty_batch_rejected():
     problem, samples, pairs = _ring_setup()
     with pytest.raises(ValueError, match="empty"):
         loss_forward(pairs, [], problem)
+
+
+def test_pack_rejects_batch_missing_a_piece():
+    problem, samples, _ = _ring_setup(n=8)
+    with pytest.raises(ValueError, match="piece 1 \\('axis_x'\\) is empty"):
+        pack_batch([s for s in samples if s.piece != 1], problem.domain)
+
+
+def test_pack_rejects_non_unit_normal():
+    problem, samples, _ = _ring_setup(n=8)
+    samples[3] = dataclasses.replace(samples[3], normal=1.5 * samples[3].normal)
+    with pytest.raises(ValueError, match="not a unit vector"):
+        pack_batch(samples, problem.domain)
 
 
 def test_subdomain_count_mismatch():

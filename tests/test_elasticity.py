@@ -18,6 +18,7 @@ from holoelastic.elasticity import (
     Symmetry,
     Traction,
     assemble_loss,
+    bc_operator,
     bc_residual,
     eval_boundary_data,
     interface_residual,
@@ -49,6 +50,18 @@ def test_material_invalid():
         material_derived(-1.0, 1.0, PlaneMode.STRAIN)
 
 
+def test_material_derived_constants_set_once():
+    mat = Material(1.0, 1.0, PlaneMode.STRESS)
+    assert (mat.lambda_tilde, mat.gamma) == material_derived(1.0, 1.0, PlaneMode.STRESS)
+    assert mat == Material(1.0, 1.0, PlaneMode.STRESS)
+    with pytest.raises(ValueError):
+        Material(1.0, 0.0)
+
+
+def _residual(kind, f, n, z=0j):
+    return bc_residual(*bc_operator(kind, n, z), f.rows())
+
+
 def test_km_fields_zero_state():
     s = KMState(phi=0j, dphi=0j, ddphi=0j, psi=0j, dpsi=0j)
     f = km_fields(0.3 + 0.1j, s, MAT)
@@ -77,7 +90,7 @@ def test_km_fields_polynomial_example():
 
 def test_traction_residual_uniform_pressure():
     f = FieldPoint(sxx=np.array(3.0), syy=np.array(3.0), sxy=np.array(0.0))
-    r = bc_residual(Traction(ConstantData(3.0, 0.0)), f, 1 + 0j, 0j)
+    r = _residual(Traction(ConstantData(3.0, 0.0)), f, 1 + 0j)
     assert np.allclose(r, 0.0)
 
 
@@ -88,7 +101,7 @@ def test_normal_pressure_data():
 
 def test_displacement_residual():
     f = FieldPoint(0.0, 0.0, 0.0, ux=np.array(1.0), uy=np.array(2.0))
-    r = bc_residual(Displacement(ConstantData(0.0, 0.0)), f, 1j, 0j)
+    r = _residual(Displacement(ConstantData(0.0, 0.0)), f, 1j)
     assert np.allclose(r.ravel(), [1.0, 2.0])
 
 
@@ -96,33 +109,58 @@ def test_symmetry_residual_vanishes_for_compatible_state():
     # u parallel to the tangent, sigma.n parallel to n  ->  both terms vanish
     n = complex(0, 1)
     f = FieldPoint(sxx=np.array(0.0), syy=np.array(5.0), sxy=np.array(0.0), ux=np.array(3.0), uy=np.array(0.0))
-    r = bc_residual(Symmetry(), f, n, 0j)
+    r = _residual(Symmetry(), f, n)
     assert np.allclose(r, 0.0)
 
 
 def test_residual_rejects_non_unit_normal():
-    f = FieldPoint(np.array(1.0), np.array(1.0), np.array(0.0))
-    with pytest.raises(ValueError):
-        bc_residual(Traction(ConstantData(0, 0)), f, 1 + 1j, 0j)
+    with pytest.raises(ValueError, match="unit vector"):
+        bc_operator(Traction(ConstantData(0, 0)), 1 + 1j, 0j)
 
 
 def test_displacement_residual_needs_displacements():
     f = FieldPoint(np.array(1.0), np.array(1.0), np.array(0.0))
     with pytest.raises(ValueError):
-        bc_residual(Displacement(ConstantData(0, 0)), f, 1 + 0j, 0j)
+        _residual(Displacement(ConstantData(0, 0)), f, 1 + 0j)
 
 
 def test_interface_residual_cases():
     f1 = FieldPoint(np.array(1.0), np.array(2.0), np.array(0.5), np.array(0.1), np.array(0.2))
-    r = interface_residual(f1, f1, 1 + 0j)
+    A, d = bc_operator(Interface(0, 1), 1 + 0j, 0j)
+    assert np.all(d == 0.0)
+    r = interface_residual(A, f1.rows(), f1.rows())
     assert np.allclose(r, 0.0)
     # pure shear jump with n = (1, 0): only the second traction component jumps
     f2 = FieldPoint(np.array(1.0), np.array(2.0), np.array(0.5 - 0.3), np.array(0.1), np.array(0.2))
-    r = interface_residual(f1, f2, 1 + 0j)
+    r = interface_residual(A, f1.rows(), f2.rows())
     assert np.allclose(r.ravel(), [0.0, 0.0, 0.0, 0.3])
-    r_flip = interface_residual(f1, f2, -1 + 0j)
+    r_flip = interface_residual(bc_operator(Interface(0, 1), -1 + 0j, 0j)[0], f1.rows(), f2.rows())
     assert np.allclose(np.linalg.norm(r_flip), np.linalg.norm(r))
     assert np.allclose(r_flip.ravel()[3], -0.3)
+
+
+def test_bc_operators_match_the_written_out_conditions():
+    rng = np.random.default_rng(4)
+    B = 7
+    n = np.exp(1j * rng.uniform(0, 2 * np.pi, B))  # off-axis unit normals
+    nx, ny = n.real, n.imag
+    z = rng.normal(size=B) + 1j * rng.normal(size=B)
+    f = FieldPoint(*rng.normal(size=(5, B)))
+    tx, ty = f.sxx * nx + f.sxy * ny, f.sxy * nx + f.syy * ny  # sigma . n
+    want = {
+        Traction(NormalPressure(2.0)): [tx + 2.0 * nx, ty + 2.0 * ny],
+        Displacement(ConstantData(0.5, -1.0)): [f.ux - 0.5, f.uy + 1.0],
+        Symmetry(): [tx * ny - ty * nx, f.ux * nx + f.uy * ny],
+    }
+    for kind, rows in want.items():
+        A, d = bc_operator(kind, n, z)
+        assert A.shape == (B, 2, 5) and d.shape == (B, 2)
+        assert np.allclose(bc_residual(A, d, f.rows()), np.array(rows).T, atol=1e-14)
+    g = FieldPoint(*rng.normal(size=(5, B)))
+    gx, gy = g.sxx * nx + g.sxy * ny, g.sxy * nx + g.syy * ny
+    A, _ = bc_operator(Interface(0, 1), n, z)
+    jump = [f.ux - g.ux, f.uy - g.uy, tx - gx, ty - gy]
+    assert np.allclose(interface_residual(A, f.rows(), g.rows()), np.array(jump).T, atol=1e-14)
 
 
 def test_interface_residual_distinct_ids():

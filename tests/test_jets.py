@@ -7,58 +7,60 @@ from hypothesis import strategies as st
 
 from holoelastic.jets import (
     ActivationKind,
-    Jet2,
     NonFiniteError,
     act_derivs,
-    jet_activate,
-    jet_affine,
-    jet_mul,
-    jet_seed,
+    activate_jets,
+    affine_jets,
+    seed_jets,
 )
 
 ALL_KINDS = list(ActivationKind)
 
 
+def _jet(f, d1, d2):
+    """One jet (value, first, second derivative) as a (3, 1, 1) batch."""
+    return np.array([f, d1, d2], dtype=np.complex128).reshape(3, 1, 1)
+
+
+def _act(kind, jets, **kw):
+    return activate_jets(kind, jets, **kw)[0][:, 0, 0]
+
+
 def test_seed_identity_jet():
-    assert jet_seed(0) == Jet2(0, 1, 0)
-    assert jet_seed(1 + 2j) == Jet2(1 + 2j, 1, 0)
+    assert np.array_equal(seed_jets(np.array([0j])), _jet(0, 1, 0))
+    assert np.array_equal(seed_jets(np.array([1 + 2j])), _jet(1 + 2j, 1, 0))
 
 
 def test_seed_rejects_non_finite():
     with pytest.raises(ValueError):
-        jet_seed(complex("nan"))
+        seed_jets(np.array([complex("nan")]))
     with pytest.raises(ValueError):
-        jet_seed(complex(np.inf, 0))
+        seed_jets(np.array([complex(np.inf, 0)]))
 
 
 def test_affine_examples():
-    z = jet_seed(0.3 + 0.7j)
-    assert jet_affine([1], 0, [z]) == z
-    assert jet_affine([2j], 1, [Jet2(1, 1, 0)]) == Jet2(1 + 2j, 2j, 0)
-    a, b = jet_seed(0.2), jet_seed(-1j)
-    out = jet_affine([1, 1], 0, [a, b])
-    assert out == Jet2(0.2 - 1j, 2, 0)
-
-
-def test_affine_length_mismatch():
-    with pytest.raises(ValueError):
-        jet_affine([1, 2], 0, [jet_seed(0)])
-    with pytest.raises(ValueError):
-        jet_affine([], 0, [])
+    one, zero = np.ones((1, 1), dtype=complex), np.zeros(1, dtype=complex)
+    z = seed_jets(np.array([0.3 + 0.7j]))
+    assert np.array_equal(affine_jets(z, one, zero), z)
+    out = affine_jets(_jet(1, 1, 0), np.array([[2j]]), np.array([1 + 0j]))
+    assert np.array_equal(out, _jet(1 + 2j, 2j, 0))
+    # two inputs summed: the units of a (3, 1, 2) batch
+    ab = np.concatenate([seed_jets(np.array([0.2 + 0j])), seed_jets(np.array([-1j]))], axis=2)
+    out = affine_jets(ab, np.ones((1, 2), dtype=complex), zero)
+    assert np.array_equal(out, _jet(0.2 - 1j, 2, 0))
 
 
 def test_exp_jet_at_zero():
-    out = jet_activate(ActivationKind.EXP, Jet2(0, 1, 0))
-    assert out == Jet2(1, 1, 1)
+    assert np.array_equal(_act(ActivationKind.EXP, _jet(0, 1, 0)), [1, 1, 1])
 
 
 def test_exp_of_square_at_one():
     # exp(z^2) at z=1 carries jets (1, 2, 2); symbolic: (e, 2e, 6e)
-    out = jet_activate(ActivationKind.EXP, Jet2(1, 2, 2))
+    f, d1, d2 = _act(ActivationKind.EXP, _jet(1, 2, 2))
     e = math.e
-    assert abs(out.f - e) < 1e-14
-    assert abs(out.d1 - 2 * e) < 1e-13
-    assert abs(out.d2 - 6 * e) < 1e-13
+    assert abs(f - e) < 1e-14
+    assert abs(d1 - 2 * e) < 1e-13
+    assert abs(d2 - 6 * e) < 1e-13
 
 
 def _cos_sqrt_series(z, order, terms=40):
@@ -71,10 +73,10 @@ def _cos_sqrt_series(z, order, terms=40):
 
 
 def test_cos_sqrt_at_pi_squared():
-    out = jet_activate(ActivationKind.COS_SQRT, Jet2(np.pi**2, 1, 0))
-    assert abs(out.f - (-1.0)) < 1e-12
-    assert abs(out.d1) < 1e-12  # -sin(pi)/(2 pi)
-    assert abs(out.d2 - _cos_sqrt_series(np.pi**2, 2)) < 1e-12
+    f, d1, d2 = _act(ActivationKind.COS_SQRT, _jet(np.pi**2, 1, 0))
+    assert abs(f - (-1.0)) < 1e-12
+    assert abs(d1) < 1e-12  # -sin(pi)/(2 pi)
+    assert abs(d2 - _cos_sqrt_series(np.pi**2, 2)) < 1e-12
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
@@ -100,7 +102,7 @@ def test_cos_sqrt_derivatives_near_zero():
 
 def test_activation_overflow_raises():
     with pytest.raises(NonFiniteError, match="layer three"):
-        jet_activate(ActivationKind.EXP, Jet2(1e4, 1, 0), context="layer three")
+        activate_jets(ActivationKind.EXP, _jet(1e4, 1, 0), context="layer three")
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -118,30 +120,3 @@ def test_activation_jets_match_finite_differences(kind):
         fd2 = (fp - 2 * f0 + fm) / step**2
         assert np.max(np.abs(fd1 - d1) / np.maximum(1.0, np.abs(d1))) < 1e-6
         assert np.max(np.abs(fd2 - d2) / np.maximum(1.0, np.abs(d2))) < 1e-4
-
-
-def _poly_jet(coeffs, x: Jet2) -> Jet2:
-    out = Jet2(coeffs[-1], 0, 0)
-    for c in reversed(coeffs[:-1]):
-        out = jet_affine([1], c, [jet_mul(out, x)])
-    return out
-
-
-@given(
-    st.lists(st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False), min_size=2, max_size=5),
-    st.lists(st.complex_numbers(max_magnitude=2, allow_nan=False, allow_infinity=False), min_size=2, max_size=5),
-    st.complex_numbers(max_magnitude=1.5, allow_nan=False, allow_infinity=False),
-)
-@settings(max_examples=60, deadline=None)
-def test_jet_composition_matches_symbolic_polynomials(p, q, z):
-    # push the identity jet through p(q(z)) and compare against the exact
-    # derivatives of the composed polynomial
-    inner = _poly_jet(q, jet_seed(z))
-    outer = _poly_jet(p, inner)
-    comp = np.polynomial.polynomial.Polynomial(np.array(q, dtype=complex))
-    full = np.polynomial.polynomial.Polynomial(np.array(p, dtype=complex))(comp)
-    want = (full(z), full.deriv(1)(z), full.deriv(2)(z))
-    scale = max(1.0, *(abs(w) for w in want))
-    assert abs(outer.f - want[0]) <= 1e-12 * scale
-    assert abs(outer.d1 - want[1]) <= 1e-12 * scale
-    assert abs(outer.d2 - want[2]) <= 1e-12 * scale

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, CONFIG_NAMES, config_path
+from holoelastic.analytics import GridField
 from holoelastic.cli import run_command
 from holoelastic.elasticity import Displacement, Interface, Symmetry, Traction
+from holoelastic.export import write_fields_csv
 from holoelastic.geometry import outward_normal, piece_point, region_contains, Region
 from holoelastic.problem import ConfigError, load_config, save_config
 
@@ -207,3 +209,25 @@ def test_no_partial_files_on_failure(tmp_path):
     os.remove(os.path.join(out, "fields.csv")) if os.path.exists(os.path.join(out, "fields.csv")) else None
     assert run_command(["eval", cfg, ckpt]) != 0
     assert not os.path.exists(os.path.join(out, "fields.csv"))
+
+
+@pytest.mark.parametrize("with_u", [True, False])
+def test_fields_csv_matches_per_cell_formatting(tmp_path, with_u):
+    rng = np.random.default_rng(0)
+    ny, nx = 3, 4
+    vals = [rng.normal(size=(ny, nx)) * 10.0 ** rng.integers(-20, 20, size=(ny, nx)) for _ in range(5)]
+    vals[0][0, 1], vals[1][0, 1], vals[2][0, 1] = -0.0, 1e16, 1e-5
+    mask = rng.random((ny, nx)) < 0.7
+    mask[0, 1] = True
+    xs, ys = np.linspace(-2.0, 0.0, nx), np.linspace(0.1, 2.0, ny)
+    us = vals[3:] if with_u else [None, None]
+    grid = GridField(xs, ys, mask, np.zeros((ny, nx), int), *vals[:3], *us)
+    path = str(tmp_path / "fields.csv")
+    write_fields_csv(path, grid)
+    # reference: str() of each numpy scalar, empty cells where masked or absent
+    want = ["x,y,sxx,syy,sxy,ux,uy"]
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            cells = [v[iy, ix] if v is not None and mask[iy, ix] else None for v in vals[:3] + us]
+            want.append(",".join("" if c is None else str(c) for c in (x, y, *cells)))
+    assert open(path).read() == "\n".join(want) + "\n"
