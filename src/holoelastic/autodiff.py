@@ -155,9 +155,8 @@ class LossRecord:
     subs: dict[int, SubdomainPass]
     groups: list[Group]
     residuals: list[el.ResidualGroup]  # one per group
-    alphas: list[float]
     loss: float
-    components: dict
+    components: dict  # group key -> (alpha, mse) of el.assemble_loss
 
     @property
     def ops(self) -> list:
@@ -194,13 +193,15 @@ def _forward(pairs: Sequence[BranchPair], batch, problem: "ProblemSpec", keep: b
             r = el.interface_residual(g.A, fa, subs[g.subs[1]].fields[:, g.slices[g.subs[1]]])
         residuals.append(el.ResidualGroup(g.key, r, g.length, outer=g.outer))
     loss, components = el.assemble_loss(residuals)
-    alphas = el.group_weights(residuals)
-    rec = LossRecord(pairs, problem.material, subs, packed.groups, residuals, alphas, loss, components)
+    rec = LossRecord(pairs, problem.material, subs, packed.groups, residuals, loss, components)
     _check_finite(rec)
     return rec
 
 
 def _check_finite(rec: LossRecord) -> None:
+    # the loss sums non-negative terms, so it is finite only if every residual is
+    if math.isfinite(rec.loss):
+        return
     for g, rg in zip(rec.groups, rec.residuals):
         bad = ~np.isfinite(rg.residuals)
         if bad.any():
@@ -208,8 +209,7 @@ def _check_finite(rec: LossRecord) -> None:
             raise NonFiniteError(
                 f"non-finite residual at piece {g.piece}, sample t={g.t[i]:.6g}, z={g.z[i]:.6g}"
             )
-    if not math.isfinite(rec.loss):
-        raise NonFiniteError("non-finite loss")
+    raise NonFiniteError("non-finite loss")
 
 
 def loss_forward(
@@ -270,8 +270,9 @@ def loss_backward(rec: LossRecord) -> WeightGrad:
     # dL/dfields per subdomain: zeros, then each group adds A^T rho into its
     # own slice (negated on side b of an interface, whose residual is A fa - A fb)
     adj = {sub: np.zeros_like(sp.fields) for sub, sp in rec.subs.items()}
-    for g, rg, alpha in zip(rec.groups, rec.residuals, rec.alphas):
+    for g, rg in zip(rec.groups, rec.residuals):
         r = rg.residuals
+        alpha = rec.components[g.key][0]
         nf = adj[g.subs[0]].shape[0]
         at = np.einsum("bkf,bk->fb", g.A[:, :, :nf], (2.0 * alpha / r.shape[0]) * r)
         adj[g.subs[0]][:, g.slices[g.subs[0]]] += at

@@ -148,8 +148,8 @@ def train(
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         try:
-            loss, tape = loss_forward(pairs, packed_train, problem)
-            grads = loss_backward(tape).to_vector(pairs)
+            loss, rec = loss_forward(pairs, packed_train, problem)
+            grads = loss_backward(rec).to_vector(pairs)
             test = loss_value(pairs, packed_test, problem) if packed_test else math.nan
             adam_step(adam, grads, cfg.lr * cfg.lr_decay**epoch, vec)
         except NonFiniteError as e:

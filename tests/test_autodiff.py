@@ -182,6 +182,14 @@ def test_non_finite_loss_names_sample():
         loss_forward(pairs, samples, problem)
 
 
+def test_nan_output_weight_names_residual_sample():
+    problem, samples, pairs = _ring_setup(n=8)
+    # the output layer has no activation check, so the NaN reaches the residuals
+    pairs[0].phi.layers[-1].weights[0, 0] = np.nan
+    with pytest.raises(NonFiniteError, match=r"non-finite residual at piece 0, sample t=.*, z="):
+        loss_forward(pairs, samples, problem)
+
+
 def test_gradient_vector_alignment():
     problem, samples, pairs = _ring_setup(n=8)
     _, rec = loss_forward(pairs, samples, problem)

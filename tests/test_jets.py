@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from holoelastic.jets import (
     ActivationKind,
     NonFiniteError,
+    _cos_sqrt_derivs,
     act_derivs,
     activate_jets,
     affine_jets,
@@ -120,3 +121,29 @@ def test_activation_jets_match_finite_differences(kind):
         fd2 = (fp - 2 * f0 + fm) / step**2
         assert np.max(np.abs(fd1 - d1) / np.maximum(1.0, np.abs(d1))) < 1e-6
         assert np.max(np.abs(fd2 - d2) / np.maximum(1.0, np.abs(d2))) < 1e-4
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_act_derivs_bitwise_after_complex_gemm(kind):
+    # act_derivs runs a real matmul before libm to dodge a slowdown after
+    # complex GEMMs; that must change timing only, never a single bit
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(600, 100)) + 1j * rng.normal(size=(600, 100))
+    w = 0.02 * (rng.normal(size=(100, 100)) + 1j * rng.normal(size=(100, 100)))
+    y = x @ w.T
+    got = act_derivs(kind, y, order=3)
+    y0 = y.copy()
+    if kind is ActivationKind.EXP:
+        want = (np.exp(y0),) * 4
+    elif kind is ActivationKind.COS:
+        c, s = np.cos(y0), np.sin(y0)
+        want = (c, -s, -c, s)
+    elif kind is ActivationKind.SIN:
+        c, s = np.cos(y0), np.sin(y0)
+        want = (s, c, -s, -c)
+    else:
+        want = _cos_sqrt_derivs(y0, 3)
+    assert len(got) == 4
+    for g, r in zip(got, want):
+        assert np.isfinite(g).all()
+        assert np.array_equal(g.view(np.uint64), r.view(np.uint64))
