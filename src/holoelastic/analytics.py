@@ -26,6 +26,7 @@ from .network import (
     Mode,
     branch_backward,
     build_mlp,
+    forward_jets,
     init_weights,
     mlp_forward,
 )
@@ -251,7 +252,7 @@ def _branch_grad_var(net: HoloMLP, caches: list, channel: int) -> list[float]:
     entries of each layer's weight derivative (real/imag pooled) give the
     reported variance.
     """
-    seed = np.zeros((3, caches[0][0].shape[1]), dtype=np.complex128)
+    seed = np.zeros(caches[0][0].shape[:2], dtype=np.complex128)
     seed[channel] = 1.0
     return [_cvar(gw) for gw, _ in branch_backward(net, caches, seed)]
 
@@ -310,6 +311,11 @@ def variance_report(
             init_weights(pair.psi, cfg, rng.spawn(101))
             _, rec = loss_forward([pair], packed, problem)
             caches = rec.subs[0].phi
+            if caches[0][0].shape[0] < 3:
+                # a stress-only phi branch carries no second derivative; the
+                # three sweeps read one order-2 forward of the same branch
+                caches = []
+                forward_jets(pair.phi, rec.subs[0].z, 2, caches)
             var_y = [_cvar(y[0]) for _, y, _ in caches[:n_inner]]
             per_q = [_branch_grad_var(pair.phi, caches, ch)[:n_inner] for ch in (0, 1, 2)]
             wg = loss_backward(rec).grads

@@ -13,7 +13,10 @@ Through a holomorphic step v = f(u) the adjoint propagates as
 a(u) += a(v) * conj(f'(u)); the non-holomorphic terminal steps (Re, Im,
 conj, the conj(z)-products of the field map, squared residuals) get
 dedicated rules.  The z-derivatives inside the jets are handled by the
-forward jet arithmetic, never by the reverse pass.
+forward jet arithmetic, never by the reverse pass.  Each branch carries
+only the jet channels the field map reads (network.JET_ORDERS: phi to
+order 2 and psi to order 1 in standard mode, 1 and 0 in stress-only
+mode), and its adjoint has the same channels.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from . import elasticity as el
 from .geometry import BoundarySample, DomainSpec, piece_length
 from .jets import NonFiniteError
-from .network import BranchPair, Mode, branch_backward, flatten_spec, forward_jets, km_state
+from .network import JET_ORDERS, BranchPair, Mode, branch_backward, flatten_spec, forward_jets, km_state
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -175,13 +178,14 @@ def _forward(pairs: Sequence[BranchPair], batch, problem: "ProblemSpec", keep: b
             f"{len(pairs)} network pairs for {problem.domain.n_subdomains} subdomains"
         )
     mode = pairs[0].mode
+    order_phi, order_psi = JET_ORDERS[mode]
     subs: dict[int, SubdomainPass] = {}
     for sub, z in packed.eval_z.items():
         if z.size == 0:
             continue
         cphi, cpsi = ([], []) if keep else (None, None)
-        jp = forward_jets(pairs[sub].phi, z, cphi, where=f"pair {sub} phi ")
-        jq = forward_jets(pairs[sub].psi, z, cpsi, where=f"pair {sub} psi ")
+        jp = forward_jets(pairs[sub].phi, z, order_phi, cphi, where=f"pair {sub} phi ")
+        jq = forward_jets(pairs[sub].psi, z, order_psi, cpsi, where=f"pair {sub} psi ")
         fields = el.km_fields(z, km_state(mode, jp, jq), problem.material).rows()
         subs[sub] = SubdomainPass(z, cphi, cpsi, fields)
     residuals = []
@@ -236,7 +240,7 @@ def forward_residuals(pairs, batch, problem) -> list[el.ResidualGroup]:
 
 
 def _km_backward(mode: Mode, material: el.Material, z: np.ndarray, adj: np.ndarray):
-    """(3, B) adjoints of the phi- and psi-branch jets from the (nf, B) dL/dfields.
+    """Adjoints of the phi- and psi-branch jets (JET_ORDERS) from the (nf, B) dL/dfields.
 
     The field map is the only non-holomorphic complex step of the pipeline.
     """
@@ -245,8 +249,9 @@ def _km_backward(mode: Mode, material: el.Material, z: np.ndarray, adj: np.ndarr
     a_ddphi = z * (ryy - rxx + 1j * rxy)
     a_dpsi = (ryy - rxx) + 1j * rxy
     a_dphi = 2.0 * (rxx + ryy) + 0j
-    ap = np.zeros((3, z.size), dtype=np.complex128)
-    aq = np.zeros((3, z.size), dtype=np.complex128)
+    order_phi, order_psi = JET_ORDERS[mode]
+    ap = np.empty((order_phi + 1, z.size), dtype=np.complex128)
+    aq = np.empty((order_psi + 1, z.size), dtype=np.complex128)
     if mode is Mode.STANDARD:
         a_u = adj[3] + 1j * adj[4]
         a_phi = (gamma / (2.0 * mu)) * a_u

@@ -105,14 +105,15 @@ def _cmd_eval(args) -> int:
         raise ValueError(
             f"checkpoint has {len(pairs)} network pairs, config needs {spec.domain.n_subdomains}"
         )
-    want_hidden = [spec.networks.units] * spec.networks.hidden_layers + [1]
+    nets = spec.networks
+    want_hidden = [nets.units] * nets.hidden_layers + [1]
     for pair in pairs:
         for net in (pair.phi, pair.psi):
             got = net.widths[1:]
-            if got != want_hidden or net.mode is not spec.networks.mode:
+            if got != want_hidden or net.mode is not nets.mode or net.activation is not nets.activation:
                 raise ValueError(
-                    f"checkpoint architecture {got}/{net.mode.value} does not match "
-                    f"config {want_hidden}/{spec.networks.mode.value}"
+                    f"checkpoint architecture {got}/{net.mode.value}/{net.activation.value} does not "
+                    f"match config {want_hidden}/{nets.mode.value}/{nets.activation.value}"
                 )
     nx, ny = spec.outputs.grid
     if args.grid:

@@ -1,11 +1,13 @@
-"""Second-order jet arithmetic for holomorphic functions, batched.
+"""Truncated jet arithmetic for holomorphic functions, batched.
 
-A jet carries a complex value together with its first and second derivatives
-in z (truncated Taylor arithmetic).  Seeding the identity jet (z, 1, 0) at a
-point and pushing it through affine layers and entire activations yields the
-value, first and second z-derivative of the composed function in one pass;
-the chain rule is applied to second order at every activation.  The affine
-layer and the activation each come with their adjoint for the reverse pass.
+A jet of order k carries a complex value together with its first k
+z-derivatives (truncated Taylor arithmetic, k <= 2).  Seeding the identity
+jet (z, 1, 0, ...) at a point and pushing it through affine layers and entire
+activations yields the value and the first k z-derivatives of the composed
+function in one pass; the chain rule is applied to order k at every
+activation.  A jet's order is its channel count minus one, so each primitive
+reads it off the array.  The affine layer and the activation each come with
+their adjoint for the reverse pass.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class ActivationKind(Enum):
 # --- activation catalogue -------------------------------------------------
 #
 # act_derivs returns (phi, phi', ..., phi^(order)) evaluated elementwise.
-# Backward passes need the third derivative, so order goes up to 3.
+# The reverse pass of an order-k jet needs order k + 1, so order goes up to 3.
 
 # cos(sqrt(z)) is entire; the closed form -sin(w)/(2w), w = sqrt(z), has a
 # removable singularity at 0 and its second/third derivatives lose all
@@ -102,25 +104,27 @@ def act_derivs(kind: ActivationKind, y: np.ndarray, order: int = 3) -> tuple[np.
 
 # --- vectorized layer primitives ------------------------------------------
 #
-# A batch of jets is one complex array of shape (3, B, N): value, first and
-# second derivative channels for B points and N units.  Stacking the channels
-# lets each affine layer run as a single GEMM.
+# A batch of jets is one complex array of shape (k + 1, B, N): the value and
+# the first k derivative channels for B points and N units.  Stacking the
+# channels lets each affine layer run as a single GEMM.
 
 
-def seed_jets(z: np.ndarray) -> np.ndarray:
+def seed_jets(z: np.ndarray, order: int = 2) -> np.ndarray:
+    """Identity jets (z, 1, 0) of the given order (0, 1 or 2) at the points z."""
     z = np.asarray(z, dtype=np.complex128).ravel()
     if not np.isfinite(z).all():
         raise ValueError("seed_jets requires finite inputs")
-    out = np.zeros((3, z.size, 1), dtype=np.complex128)
+    out = np.zeros((order + 1, z.size, 1), dtype=np.complex128)
     out[0, :, 0] = z
-    out[1, :, 0] = 1.0
+    if order >= 1:
+        out[1, :, 0] = 1.0
     return out
 
 
 def affine_jets(jets: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """(3,B,Ni) jets through y = W x + b; the bias touches the value channel only."""
-    three, b, ni = jets.shape
-    out = (jets.reshape(3 * b, ni) @ weights.T).reshape(3, b, weights.shape[0])
+    """(n,B,Ni) jets through y = W x + b; the bias touches the value channel only."""
+    n, b, ni = jets.shape
+    out = (jets.reshape(n * b, ni) @ weights.T).reshape(n, b, weights.shape[0])
     out[0] += bias
     return out
 
@@ -128,31 +132,33 @@ def affine_jets(jets: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
 def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: np.ndarray):
     """Reverse of affine_jets: (dL/dW, dL/db, dL/djets) from dL/dout.
 
-    `jets` is the layer input (3,B,Ni) and `adj` the output adjoint
-    (3,B,No); weight adjoints are packed as dL/dRe w + i dL/dIm w.
+    `jets` is the layer input (n,B,Ni) and `adj` the output adjoint
+    (n,B,No); weight adjoints are packed as dL/dRe w + i dL/dIm w.
     """
-    three, b, ni = jets.shape
+    n, b, ni = jets.shape
     no = weights.shape[0]
-    a2 = adj.reshape(3 * b, no)
-    x2 = jets.reshape(3 * b, ni)
-    return a2.T @ np.conj(x2), adj[0].sum(axis=0), (a2 @ np.conj(weights)).reshape(3, b, ni)
+    a2 = adj.reshape(n * b, no)
+    x2 = jets.reshape(n * b, ni)
+    return a2.T @ np.conj(x2), adj[0].sum(axis=0), (a2 @ np.conj(weights)).reshape(n, b, ni)
 
 
-def activate_jets(
-    kind: ActivationKind, jets: np.ndarray, context: str = "activation", with_third: bool = False
-):
-    """Elementwise activation on a jet batch.
+def activate_jets(kind: ActivationKind, jets: np.ndarray, context: str = "activation", cache: bool = False):
+    """Elementwise activation on a jet batch, to the jet's own order.
 
-    Returns (out, derivs) where derivs are the activation derivatives at the
-    value channel, cached for the reverse pass ((p1, p2) or (p1, p2, p3)).
+    Returns (out, derivs) where derivs are the activation derivatives
+    (p1, ..., p_k) at the value channel of an order-k jet.  With `cache`
+    they run one order further, (p1, ..., p_k+1), as activate_jets_adjoint
+    needs.
     """
-    order = 3 if with_third else 2
-    d = act_derivs(kind, jets[0], order=order)
+    n = jets.shape[0]
+    d = act_derivs(kind, jets[0], order=n if cache else n - 1)
     out = np.empty_like(jets)
     with np.errstate(over="ignore", invalid="ignore"):
         out[0] = d[0]
-        out[1] = d[1] * jets[1]
-        out[2] = d[2] * jets[1] * jets[1] + d[1] * jets[2]
+        if n > 1:
+            out[1] = d[1] * jets[1]
+        if n > 2:
+            out[2] = d[2] * jets[1] * jets[1] + d[1] * jets[2]
     if not np.isfinite(out).all():
         raise NonFiniteError(f"non-finite value in {context} ({kind.value})")
     return out, d[1:]
@@ -161,15 +167,21 @@ def activate_jets(
 def activate_jets_adjoint(adj: np.ndarray, jets: np.ndarray, derivs) -> np.ndarray:
     """Reverse of activate_jets: dL/djets from dL/dout.
 
-    `jets` is the activation input and `derivs` the (p1, p2, p3) cache of
-    activate_jets(..., with_third=True).  Each channel's adjoint is the
-    output adjoint times the conjugated partial derivative.
+    `jets` is the activation input and `derivs` the (p1, ..., p_k+1) cache of
+    activate_jets(..., cache=True).  Each channel's adjoint is the output
+    adjoint times the conjugated partial derivative; only the channels the
+    jet carries contribute.
     """
-    p1, p2, p3 = derivs
-    d1, d2 = jets[1], jets[2]
-    a0, a1, a2 = adj
+    n = jets.shape[0]
+    p1 = derivs[0]
     out = np.empty_like(jets)
-    out[0] = a0 * np.conj(p1) + a1 * np.conj(p2 * d1) + a2 * np.conj(p3 * d1 * d1 + p2 * d2)
-    out[1] = a1 * np.conj(p1) + a2 * np.conj(2.0 * p2 * d1)
-    out[2] = a2 * np.conj(p1)
+    out[0] = adj[0] * np.conj(p1)
+    if n > 1:
+        p2, d1 = derivs[1], jets[1]
+        out[0] += adj[1] * np.conj(p2 * d1)
+        out[1] = adj[1] * np.conj(p1)
+    if n > 2:
+        out[0] += adj[2] * np.conj(derivs[2] * d1 * d1 + p2 * jets[2])
+        out[1] += adj[2] * np.conj(2.0 * p2 * d1)
+        out[2] = adj[2] * np.conj(p1)
     return out

@@ -3,9 +3,11 @@ Taylor-matching approximator.
 
 A network maps one complex input through complex fully-connected layers with
 an entire activation between them; the final layer is affine.  Evaluating it
-on a seeded jet yields the value and its first two z-derivatives in a single
-pass.  In standard mode a branch pair returns (phi, phi', phi'', psi, psi');
-in stress-only mode the branch outputs are read as phi' and psi' directly.
+on a seeded jet of order k yields the value and its first k z-derivatives in
+a single pass.  Each branch runs at the order the Kolosov-Muskhelishvili map
+reads (JET_ORDERS): in standard mode a branch pair returns (phi, phi', phi'')
+and (psi, psi'); in stress-only mode the branch outputs are read as phi' and
+psi' directly, so the pair returns (phi', phi'') and (psi').
 """
 
 from __future__ import annotations
@@ -111,9 +113,10 @@ def build_mlp(
 
 
 def forward_jets(
-    net: HoloMLP, z: np.ndarray, caches: Optional[list] = None, where: str = ""
+    net: HoloMLP, z: np.ndarray, order: int = 2, caches: Optional[list] = None, where: str = ""
 ) -> np.ndarray:
-    """Evaluate the network on seeded jets; returns (3, B) value/d1/d2.
+    """Evaluate the network on seeded jets of `order`; returns the (order + 1, B)
+    value and derivative channels.
 
     With a `caches` list, appends one (input jets, pre-activation jets,
     activation derivatives) entry per layer for branch_backward; the output
@@ -121,7 +124,7 @@ def forward_jets(
     prefixes the layer name in non-finite errors.
     """
     keep = caches is not None
-    jets = seed_jets(z)
+    jets = seed_jets(z, order)
     last = len(net.layers) - 1
     for i, layer in enumerate(net.layers):
         # without caches no layer's arrays outlive it (large eval grids)
@@ -131,7 +134,7 @@ def forward_jets(
         if i != last:
             y = jets if keep else None
             jets, derivs = activate_jets(
-                net.activation, jets, context=f"{where}layer {i + 1}", with_third=keep
+                net.activation, jets, context=f"{where}layer {i + 1}", cache=keep
             )
         if keep:
             caches.append((x, y, derivs))
@@ -139,12 +142,12 @@ def forward_jets(
 
 
 def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Reverse sweep of forward_jets from the (3, B) output adjoint.
+    """Reverse sweep of forward_jets from the (order + 1, B) output adjoint.
 
     Returns per layer the packed (dL/dW, dL/db).  Reads the live weight
     arrays, so it must run before they are updated.
     """
-    a = adj.reshape(3, -1, 1)
+    a = adj[:, :, None]
     grads = []
     for layer, (x, y, derivs) in zip(reversed(net.layers), reversed(caches)):
         if y is not None:
@@ -154,8 +157,13 @@ def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[n
     return grads[::-1]
 
 
+# Jet orders (phi branch, psi branch) per mode: exactly the channels km_state
+# reads, so no branch computes a derivative the field map never uses.
+JET_ORDERS = {Mode.STANDARD: (2, 1), Mode.STRESS_ONLY: (1, 0)}
+
+
 def km_state(mode: Mode, jp: np.ndarray, jq: np.ndarray) -> KMState:
-    """Read the potentials off the (3, B) phi- and psi-branch jets.
+    """Read the potentials off the phi- and psi-branch jets (JET_ORDERS).
 
     Standard mode reads (phi, phi', phi'') and (psi, psi').  Stress-only mode
     treats the branch outputs as phi' and psi'; phi'' is the first jet
@@ -172,7 +180,12 @@ def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z) -> KMState:
         raise ValueError("branches disagree on mode")
     z = np.asarray(z, dtype=np.complex128)
     scalar = z.ndim == 0
-    state = km_state(net_phi.mode, forward_jets(net_phi, z.ravel()), forward_jets(net_psi, z.ravel()))
+    order_phi, order_psi = JET_ORDERS[net_phi.mode]
+    state = km_state(
+        net_phi.mode,
+        forward_jets(net_phi, z.ravel(), order_phi),
+        forward_jets(net_psi, z.ravel(), order_psi),
+    )
     if scalar:
         for name in ("phi", "dphi", "ddphi", "psi", "dpsi"):
             v = getattr(state, name)
@@ -291,7 +304,7 @@ def init_weights(net: HoloMLP, cfg: InitConfig, rng: Optional[Rng] = None) -> Ho
 
 
 def _complex_to_pairs(a: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in a.ravel()]
+    return np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
 
 
 def _pairs_to_complex(pairs, shape) -> np.ndarray:
@@ -320,7 +333,7 @@ def checkpoint_save(path: str, pairs: Sequence[BranchPair]) -> None:
         doc["pairs"].append(entry)
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # the C encoder; json.dump streams through the Python one
     os.replace(tmp, path)
 
 

@@ -208,6 +208,19 @@ def test_variance_report_rejects_empty_probe():
         init_diagnostics([10], ActivationKind.EXP, 0.5, None, 100, 0, 0)
 
 
+def test_variance_report_stress_only_sweeps_three_phi_channels():
+    # a stress-only phi branch carries two jet channels in the loss; the
+    # report still sweeps all three output channels, and with the same
+    # domain, seed and beta they match the standard-mode report bit for bit
+    args = ([8, 8], ActivationKind.EXP, 0.7, None, 200, 40, 0)
+    std = variance_report(square_problem(), *args)
+    so = variance_report(square_problem(mode="stress_only"), *args)
+    assert not any(so.overflow)
+    assert all(v > 0 for v in so.var_ddphi_w)
+    for name in ("var_y", "var_phi_w", "var_dphi_w", "var_ddphi_w"):
+        assert getattr(so, name) == getattr(std, name), name
+
+
 def test_variance_report_flags_overflow_instead_of_nan():
     # far beyond the admissible range the Gaussian-assumption layers misjudge
     # E|x|^2 exponentially, the forward pass overflows, and the report flags

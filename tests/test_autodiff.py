@@ -75,6 +75,20 @@ def test_fresh_net_loss_positive_and_replayable():
     assert loss_value(pairs, samples, problem) == loss
 
 
+@pytest.mark.parametrize("mode, n_phi, n_psi", [("standard", 3, 2), ("stress_only", 2, 1)])
+def test_loss_record_caches_only_the_channels_km_reads(mode, n_phi, n_psi):
+    problem = square_problem(mode=mode)
+    pairs = build_pairs(problem)
+    samples = sample_boundary(problem.domain, 8, Rng(0))
+    _, rec = loss_forward(pairs, samples, problem)
+    sp = rec.subs[0]
+    for caches, n in ((sp.phi, n_phi), (sp.psi, n_psi)):
+        for x, y, derivs in caches:
+            assert x.shape[0] == n
+            if y is not None:
+                assert y.shape[0] == n and len(derivs) == n
+
+
 def test_gradients_match_finite_differences():
     problem, samples, pairs = _ring_setup(n=8, hidden=(6, 6))
     dev = grad_check(pairs, samples, problem, step=1e-6)
@@ -158,7 +172,7 @@ def test_cauchy_riemann_consistency_of_adjoint_rules():
     def forward(wv):
         jets = np.zeros((3, 1, 1), dtype=complex)
         jets[0, 0, 0] = wv * z0
-        out, cache = activate_jets(ActivationKind.EXP, jets, with_third=True)
+        out, cache = activate_jets(ActivationKind.EXP, jets, cache=True)
         return out, cache
 
     out, (p1, p2, p3) = forward(w)

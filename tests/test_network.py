@@ -91,6 +91,22 @@ def test_jets_match_finite_differences_in_z():
     assert np.max(np.abs(d2_fd - jets[2]) / np.maximum(1.0, np.abs(jets[2]))) < 1e-4
 
 
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_forward_jets_lower_orders_are_channel_prefixes(kind):
+    pair = _init_pair([6, 6], seed=2)
+    pair.phi.activation = kind
+    z = np.array([0.2 + 0.1j, -0.3 + 0.5j, 0.7 - 0.4j])
+    full = forward_jets(pair.phi, z, 2)
+    assert full.shape == (3, z.size)
+    for order in (0, 1, 2):
+        caches = []
+        got = forward_jets(pair.phi, z, order, caches)
+        assert got.shape == (order + 1, z.size)
+        assert np.array_equal(got, full[: order + 1])
+        # the reverse pass gets activation derivatives one order past the jet
+        assert all(len(derivs) == order + 1 for _, _, derivs in caches[:-1])
+
+
 def test_init_beta_bounds():
     net = build_mlp([4])
     cfg = InitConfig(probe=np.ones(10, dtype=complex), beta=-0.1)

@@ -158,6 +158,21 @@ def test_cli_eval_architecture_mismatch(tmp_path, capsys):
     assert "architecture" in capsys.readouterr().err
 
 
+def test_cli_eval_rejects_checkpoint_of_another_activation(tmp_path, capsys):
+    cfg, out = _mini_ring(tmp_path, epochs=1)
+    doc = json.load(open(cfg))
+    doc["networks"]["activation"] = "cos"
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert run_command(["train", cfg]) == 0
+    doc["networks"]["activation"] = "exp"
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert run_command(["eval", cfg, os.path.join(out, "checkpoint.json")]) == 2
+    err = capsys.readouterr().err
+    assert "architecture" in err and "cos" in err
+
+
 def test_cli_unknown_command():
     assert run_command(["frobnicate"]) != 0
 
