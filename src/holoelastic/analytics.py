@@ -1,4 +1,4 @@
-"""Closed-form references, error metrics, physics checks and init diagnostics.
+"""Closed-form references, field grids, error metrics and init diagnostics.
 
 The pressurized-ring problem has an exact solution (constant phi', a 1/z^2
 psi'), which makes it the main quantitative benchmark: phi' and psi' are
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -141,20 +141,6 @@ def eval_grid(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> GridFie
     )
 
 
-def grid_l2_error(nn: GridField, ref: GridField) -> dict[str, float]:
-    """Root-mean-square difference per component over unmasked points."""
-    if nn.xs.shape != ref.xs.shape or not np.array_equal(nn.mask, ref.mask):
-        raise ValueError("grids/masks disagree")
-    out = {}
-    for k in ("sxx", "syy", "sxy", "ux", "uy"):
-        a, b = getattr(nn, k), getattr(ref, k)
-        if a is None or b is None:
-            continue
-        d = a[nn.mask] - b[nn.mask]
-        out[k] = float(np.sqrt(np.mean(np.abs(d) ** 2)))
-    return out
-
-
 def rel_l2(values: np.ndarray, ref: np.ndarray, mask: np.ndarray) -> float:
     """||values - ref|| / ||ref|| over unmasked points (complex-safe)."""
     d = values[mask] - ref[mask]
@@ -165,54 +151,6 @@ def rel_l2(values: np.ndarray, ref: np.ndarray, mask: np.ndarray) -> float:
 def rms(values: np.ndarray, mask: Optional[np.ndarray] = None) -> float:
     v = values if mask is None else values[mask]
     return float(np.sqrt(np.mean(np.abs(v) ** 2)))
-
-
-# --- physics property checks ------------------------------------------------------
-
-
-def _stress_stencil(stress_fn: Callable, z: np.ndarray, h: float):
-    zs = [z + h, z - h, z + 1j * h, z - 1j * h, z]
-    return [stress_fn(np.asarray(pt, dtype=np.complex128)) for pt in zs]
-
-
-def fd_equilibrium(stress_fn: Callable, z, h: float):
-    """Central-difference divergence of a stress field and max local |stress|.
-
-    stress_fn(z) must return (sxx, syy, sxy) arrays; the exact divergence of
-    a Kolosov-Muskhelishvili field is zero, so the residual is pure
-    finite-difference truncation.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    xp, xm, yp, ym, _ = _stress_stencil(stress_fn, z, h)
-    r1 = (xp[0] - xm[0]) / (2 * h) + (yp[2] - ym[2]) / (2 * h)
-    r2 = (xp[2] - xm[2]) / (2 * h) + (yp[1] - ym[1]) / (2 * h)
-    smax = max(float(np.max(np.abs(np.stack(s)))) for s in (xp, xm, yp, ym))
-    return r1, r2, smax
-
-
-def fd_trace_laplacian(stress_fn: Callable, z, h: float):
-    """Five-point Laplacian of the stress trace sxx + syy (harmonic exactly)."""
-    z = np.asarray(z, dtype=np.complex128)
-    xp, xm, yp, ym, c = _stress_stencil(stress_fn, z, h)
-    tr = lambda s: s[0] + s[1]
-    return (tr(xp) + tr(xm) + tr(yp) + tr(ym) - 4.0 * tr(c)) / (h * h)
-
-
-def net_stress_fn(pair: BranchPair, mat: el.Material) -> Callable:
-    def fn(z):
-        state = mlp_forward(pair.phi, pair.psi, z)
-        f = el.km_fields(z, state, mat)
-        return f.sxx, f.syy, f.sxy
-
-    return fn
-
-
-def equilibrium_residual(nets: BranchPair, mat: el.Material, z, h: float):
-    """Finite-difference equilibrium residual of the network's stress field."""
-    if not (1e-6 <= h <= 1e-2):
-        raise ValueError(f"step h={h} outside [1e-6, 1e-2]")
-    r1, r2, _ = fd_equilibrium(net_stress_fn(nets, mat), z, h)
-    return r1, r2
 
 
 # --- initialization diagnostics -----------------------------------------------------

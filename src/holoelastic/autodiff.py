@@ -3,7 +3,8 @@
 The loss graph always has the same shape: per subdomain two branches
 (L x (jet affine, jet activation) each, network.forward_jets), the
 Kolosov-Muskhelishvili field map, per-piece boundary residuals and the
-length-weighted mean square.  loss_forward runs these stages and keeps
+length-weighted mean square.  loss_forward runs these stages, optionally
+on test points appended to the training points for a test loss, and keeps
 what the reverse pass needs; loss_backward passes adjoints back stage by
 stage (residuals -> KM -> branches) and yields, for every complex weight w,
 the real pair (dL/dRe w, dL/dIm w) packed as a complex number.
@@ -141,7 +142,8 @@ class WeightGrad:
 
 @dataclass
 class SubdomainPass:
-    """Seed -> phi and psi branches -> KM fields on one subdomain's points."""
+    """Seed -> phi and psi branches -> KM fields on one subdomain's training
+    points (the branch caches also hold any test points, after them)."""
 
     z: np.ndarray
     phi: Optional[list]  # forward_jets layer caches; None on forward-only passes
@@ -160,6 +162,7 @@ class LossRecord:
     residuals: list[el.ResidualGroup]  # one per group
     loss: float
     components: dict  # group key -> (alpha, mse) of el.assemble_loss
+    test_loss: float = math.nan  # loss on the test batch, if one rode along
 
     @property
     def ops(self) -> list:
@@ -170,8 +173,27 @@ class LossRecord:
         return out + self.residuals + [self.components]
 
 
-def _forward(pairs: Sequence[BranchPair], batch, problem: "ProblemSpec", keep: bool) -> LossRecord:
-    """Run the loss pipeline; `keep` retains the branch caches for the reverse pass."""
+def _residuals(groups: list[Group], fields: dict[int, np.ndarray]) -> list[el.ResidualGroup]:
+    """Per-group residuals from each subdomain's (nf, B) field rows."""
+    out = []
+    for g in groups:
+        fa = fields[g.subs[0]][:, g.slices[g.subs[0]]]
+        if g.outer:
+            r = el.bc_residual(g.A, g.d, fa)
+        else:
+            r = el.interface_residual(g.A, fa, fields[g.subs[1]][:, g.slices[g.subs[1]]])
+        out.append(el.ResidualGroup(g.key, r, g.length, outer=g.outer))
+    return out
+
+
+def _forward(
+    pairs: Sequence[BranchPair], batch, problem: "ProblemSpec", keep: bool, test: Optional[PackedBatch] = None
+) -> LossRecord:
+    """Run the loss pipeline; `keep` retains the branch caches for the reverse pass.
+
+    A `test` batch's points follow the training points of each subdomain
+    through the same branch forwards; its loss is assembled from its rows.
+    """
     packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
     if len(pairs) != problem.domain.n_subdomains:
         raise ValueError(
@@ -180,33 +202,34 @@ def _forward(pairs: Sequence[BranchPair], batch, problem: "ProblemSpec", keep: b
     mode = pairs[0].mode
     order_phi, order_psi = JET_ORDERS[mode]
     subs: dict[int, SubdomainPass] = {}
+    test_fields: dict[int, np.ndarray] = {}
     for sub, z in packed.eval_z.items():
-        if z.size == 0:
+        n = z.size
+        zz = z if test is None else np.concatenate((z, test.eval_z[sub]))
+        if zz.size == 0:
             continue
         cphi, cpsi = ([], []) if keep else (None, None)
-        jp = forward_jets(pairs[sub].phi, z, order_phi, cphi, where=f"pair {sub} phi ")
-        jq = forward_jets(pairs[sub].psi, z, order_psi, cpsi, where=f"pair {sub} psi ")
-        fields = el.km_fields(z, km_state(mode, jp, jq), problem.material).rows()
-        subs[sub] = SubdomainPass(z, cphi, cpsi, fields)
-    residuals = []
-    for g in packed.groups:
-        fa = subs[g.subs[0]].fields[:, g.slices[g.subs[0]]]
-        if g.outer:
-            r = el.bc_residual(g.A, g.d, fa)
-        else:
-            r = el.interface_residual(g.A, fa, subs[g.subs[1]].fields[:, g.slices[g.subs[1]]])
-        residuals.append(el.ResidualGroup(g.key, r, g.length, outer=g.outer))
+        jp = forward_jets(pairs[sub].phi, zz, order_phi, cphi, where=f"pair {sub} phi ")
+        jq = forward_jets(pairs[sub].psi, zz, order_psi, cpsi, where=f"pair {sub} psi ")
+        fields = el.km_fields(zz, km_state(mode, jp, jq), problem.material).rows()
+        subs[sub] = SubdomainPass(z, cphi, cpsi, fields[:, :n])
+        test_fields[sub] = fields[:, n:]
+    residuals = _residuals(packed.groups, {s: sp.fields for s, sp in subs.items()})
     loss, components = el.assemble_loss(residuals)
+    _check_finite(loss, packed.groups, residuals)
     rec = LossRecord(pairs, problem.material, subs, packed.groups, residuals, loss, components)
-    _check_finite(rec)
+    if test is not None:
+        test_residuals = _residuals(test.groups, test_fields)
+        rec.test_loss = el.assemble_loss(test_residuals)[0]
+        _check_finite(rec.test_loss, test.groups, test_residuals)
     return rec
 
 
-def _check_finite(rec: LossRecord) -> None:
+def _check_finite(loss: float, groups: list[Group], residuals: list[el.ResidualGroup]) -> None:
     # the loss sums non-negative terms, so it is finite only if every residual is
-    if math.isfinite(rec.loss):
+    if math.isfinite(loss):
         return
-    for g, rg in zip(rec.groups, rec.residuals):
+    for g, rg in zip(groups, residuals):
         bad = ~np.isfinite(rg.residuals)
         if bad.any():
             i = int(np.argwhere(bad.any(axis=1))[0, 0])
@@ -220,9 +243,14 @@ def loss_forward(
     pairs: Sequence[BranchPair],
     batch: Union[PackedBatch, Sequence[BoundarySample]],
     problem: "ProblemSpec",
+    test: Optional[PackedBatch] = None,
 ) -> tuple[float, LossRecord]:
-    """Boundary loss of the networks on a sample batch, with its record."""
-    rec = _forward(pairs, batch, problem, keep=True)
+    """Boundary loss of the networks on a sample batch, with its record.
+
+    A packed `test` batch rides along: rec.test_loss equals loss_value on it
+    bit for bit, and loss_backward leaves its points out.
+    """
+    rec = _forward(pairs, batch, problem, keep=True, test=test)
     return rec.loss, rec
 
 

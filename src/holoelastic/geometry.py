@@ -161,9 +161,6 @@ class DomainSpec:
     def outer_length(self) -> float:
         return math.fsum(piece_length(p) for p in self.pieces if not p.is_interface)
 
-    def total_length(self) -> float:
-        return math.fsum(piece_length(p) for p in self.pieces)
-
 
 @dataclass
 class BoundarySample:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -129,38 +130,38 @@ def affine_jets(jets: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return out
 
 
-def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: np.ndarray):
+def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.ndarray]):
     """Reverse of affine_jets: (dL/dW, dL/db, dL/djets) from dL/dout.
 
     `jets` is the layer input (n,B,Ni) and `adj` the output adjoint
-    (n,B,No); weight adjoints are packed as dL/dRe w + i dL/dIm w.
+    (n,B,No); weight adjoints are packed as dL/dRe w + i dL/dIm w.  With
+    `weights` None the input adjoint is skipped and returned as None.
     """
     n, b, ni = jets.shape
-    no = weights.shape[0]
-    a2 = adj.reshape(n * b, no)
-    x2 = jets.reshape(n * b, ni)
-    return a2.T @ np.conj(x2), adj[0].sum(axis=0), (a2 @ np.conj(weights)).reshape(n, b, ni)
+    a2 = adj.reshape(n * b, adj.shape[2])
+    gw = a2.T @ np.conj(jets).reshape(n * b, ni)
+    da = None if weights is None else (a2 @ np.conj(weights)).reshape(n, b, ni)
+    return gw, adj[0].sum(axis=0), da
 
 
-def activate_jets(kind: ActivationKind, jets: np.ndarray, context: str = "activation", cache: bool = False):
+def activate_jets(kind: ActivationKind, jets: np.ndarray, cache: bool = False):
     """Elementwise activation on a jet batch, to the jet's own order.
 
     Returns (out, derivs) where derivs are the activation derivatives
     (p1, ..., p_k) at the value channel of an order-k jet.  With `cache`
     they run one order further, (p1, ..., p_k+1), as activate_jets_adjoint
-    needs.
+    needs.  Overflow is not checked here; network.forward_jets checks.
     """
     n = jets.shape[0]
     d = act_derivs(kind, jets[0], order=n if cache else n - 1)
     out = np.empty_like(jets)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[0] = d[0]
-        if n > 1:
-            out[1] = d[1] * jets[1]
-        if n > 2:
-            out[2] = d[2] * jets[1] * jets[1] + d[1] * jets[2]
-    if not np.isfinite(out).all():
-        raise NonFiniteError(f"non-finite value in {context} ({kind.value})")
+    out[0] = d[0]
+    if n > 1:
+        np.multiply(d[1], jets[1], out=out[1])
+    if n > 2:
+        np.multiply(d[2], jets[1], out=out[2])
+        out[2] *= jets[1]
+        out[2] += d[1] * jets[2]
     return out, d[1:]
 
 
@@ -175,6 +176,10 @@ def activate_jets_adjoint(adj: np.ndarray, jets: np.ndarray, derivs) -> np.ndarr
     n = jets.shape[0]
     p1 = derivs[0]
     out = np.empty_like(jets)
+    # conj(p1) and p2 * d1 are not hoisted: numpy elides the conj temporary
+    # of arrays >= 256 KiB by computing a * conj(b) in place as conj(b) * a
+    # (with FMA a * b and b * a differ in the imaginary part), and a named
+    # p2 * d1 would hold one more (B, N) array at the peak
     out[0] = adj[0] * np.conj(p1)
     if n > 1:
         p2, d1 = derivs[1], jets[1]

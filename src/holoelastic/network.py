@@ -113,46 +113,67 @@ def build_mlp(
 
 
 def forward_jets(
-    net: HoloMLP, z: np.ndarray, order: int = 2, caches: Optional[list] = None, where: str = ""
+    net: HoloMLP,
+    z: np.ndarray,
+    order: int = 2,
+    caches: Optional[list] = None,
+    where: str = "",
+    check_layers: bool = False,
 ) -> np.ndarray:
     """Evaluate the network on seeded jets of `order`; returns the (order + 1, B)
     value and derivative channels.
 
     With a `caches` list, appends one (input jets, pre-activation jets,
     activation derivatives) entry per layer for branch_backward; the output
-    layer has no activation and caches (input jets, None, None).  `where`
-    prefixes the layer name in non-finite errors.
+    layer has no activation and caches (input jets, None, None).
+
+    Only the output is checked for finiteness: a hidden overflow reaches it
+    through any derivative channel (0 * inf after exp(-inf) = 0), and order-0
+    jets, which have none, check every layer.  A non-finite output re-runs
+    with `check_layers`, raising NonFiniteError that names the first bad
+    hidden layer after `where`; if none is bad, the output is returned for
+    the caller to report.
     """
     keep = caches is not None
+    check_layers = check_layers or order == 0
     jets = seed_jets(z, order)
     last = len(net.layers) - 1
-    for i, layer in enumerate(net.layers):
-        # without caches no layer's arrays outlive it (large eval grids)
-        x = jets if keep else None
-        jets = affine_jets(jets, layer.weights, layer.bias)
-        y = derivs = None
-        if i != last:
-            y = jets if keep else None
-            jets, derivs = activate_jets(
-                net.activation, jets, context=f"{where}layer {i + 1}", cache=keep
-            )
-        if keep:
-            caches.append((x, y, derivs))
-    return jets[:, :, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, layer in enumerate(net.layers):
+            # without caches no layer's arrays outlive it (large eval grids)
+            x = jets if keep else None
+            jets = affine_jets(jets, layer.weights, layer.bias)
+            y = derivs = None
+            if i != last:
+                y = jets if keep else None
+                jets, derivs = activate_jets(net.activation, jets, cache=keep)
+                if check_layers and not np.isfinite(jets).all():
+                    raise NonFiniteError(
+                        f"non-finite value in {where}layer {i + 1} ({net.activation.value})"
+                    )
+            if keep:
+                caches.append((x, y, derivs))
+    out = jets[:, :, 0]
+    if not check_layers and not np.isfinite(out).all():
+        forward_jets(net, z, order, where=where, check_layers=True)
+    return out
 
 
 def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Reverse sweep of forward_jets from the (order + 1, B) output adjoint.
 
-    Returns per layer the packed (dL/dW, dL/db).  Reads the live weight
-    arrays, so it must run before they are updated.
+    Returns per layer the packed (dL/dW, dL/db).  Only the first B rows of
+    the caches take part (rows past B hold test points).  Reads the live
+    weight arrays, so it must run before they are updated.
     """
+    b = adj.shape[1]
     a = adj[:, :, None]
     grads = []
-    for layer, (x, y, derivs) in zip(reversed(net.layers), reversed(caches)):
+    for i in reversed(range(len(net.layers))):
+        x, y, derivs = caches[i]
         if y is not None:
-            a = activate_jets_adjoint(a, y, derivs)
-        gw, gb, a = affine_jets_adjoint(a, x, layer.weights)
+            a = activate_jets_adjoint(a, y[:, :b], [d[:b] for d in derivs])
+        gw, gb, a = affine_jets_adjoint(a, x[:, :b], net.layers[i].weights if i else None)
         grads.append((gw, gb))
     return grads[::-1]
 
@@ -175,23 +196,13 @@ def km_state(mode: Mode, jp: np.ndarray, jq: np.ndarray) -> KMState:
 
 
 def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z) -> KMState:
-    """Run both branches at z and bundle the potentials (see km_state)."""
+    """Run both branches at the points z (flattened) and bundle the
+    potentials (see km_state)."""
     if net_phi.mode is not net_psi.mode:
         raise ValueError("branches disagree on mode")
-    z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
+    z = np.asarray(z, dtype=np.complex128).ravel()
     order_phi, order_psi = JET_ORDERS[net_phi.mode]
-    state = km_state(
-        net_phi.mode,
-        forward_jets(net_phi, z.ravel(), order_phi),
-        forward_jets(net_psi, z.ravel(), order_psi),
-    )
-    if scalar:
-        for name in ("phi", "dphi", "ddphi", "psi", "dpsi"):
-            v = getattr(state, name)
-            if v is not None:
-                setattr(state, name, complex(v[0]))
-    return state
+    return km_state(net_phi.mode, forward_jets(net_phi, z, order_phi), forward_jets(net_psi, z, order_psi))
 
 
 # --- parameter flattening -----------------------------------------------------
@@ -307,9 +318,14 @@ def _complex_to_pairs(a: np.ndarray) -> list:
     return np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
 
 
-def _pairs_to_complex(pairs, shape) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    return flat.reshape(shape)
+def _pairs_to_complex(pairs, shape: tuple, what: str) -> np.ndarray:
+    try:
+        a = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError):
+        a = np.empty(0)
+    if a.shape != (math.prod(shape), 2):
+        raise ValueError(f"{what} must be {math.prod(shape)} [re, im] pairs")
+    return a.view(np.complex128).reshape(shape)
 
 
 def checkpoint_save(path: str, pairs: Sequence[BranchPair]) -> None:
@@ -338,21 +354,36 @@ def checkpoint_save(path: str, pairs: Sequence[BranchPair]) -> None:
 
 
 def checkpoint_load(path: str) -> list[BranchPair]:
+    """Branch pairs of a checkpoint_save file.
+
+    A malformed file fails with a ValueError naming the pair, branch and
+    layer: shapes must be positive [n_out, n_in], weights and bias must hold
+    n_out * n_in and n_out [re, im] pairs, and the widths must chain 1 -> 1.
+    """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or not doc.get("pairs"):
+        raise ValueError(f"checkpoint {path}: no network pairs")
     pairs = []
-    for entry in doc["pairs"]:
+    for pi, entry in enumerate(doc["pairs"]):
         nets = {}
         for name in ("phi", "psi"):
-            spec = entry[name]
-            layers = [
-                LayerParams(
-                    _pairs_to_complex(l["weights"], tuple(l["shape"])),
-                    _pairs_to_complex(l["bias"], (l["shape"][0],)),
-                )
-                for l in spec["layers"]
-            ]
-            nets[name] = HoloMLP(layers, ActivationKind(spec["activation"]), Mode(spec["mode"]))
+            try:
+                spec = entry[name]
+                layers = []
+                for li, l in enumerate(spec["layers"], start=1):
+                    shape = tuple(l["shape"])
+                    if len(shape) != 2 or not all(type(v) is int and v > 0 for v in shape):
+                        raise ValueError(f"layer {li}: shape {list(shape)} is not [n_out, n_in] > 0")
+                    layers.append(LayerParams(
+                        _pairs_to_complex(l["weights"], shape, f"layer {li} weights"),
+                        _pairs_to_complex(l["bias"], shape[:1], f"layer {li} bias"),
+                    ))
+                nets[name] = HoloMLP(layers, ActivationKind(spec["activation"]), Mode(spec["mode"]))
+            except (KeyError, TypeError) as e:
+                raise ValueError(f"checkpoint {path}: pair {pi} {name}: missing or malformed {e}") from e
+            except ValueError as e:
+                raise ValueError(f"checkpoint {path}: pair {pi} {name}: {e}") from e
         pairs.append(BranchPair(nets["phi"], nets["psi"]))
     return pairs
 
@@ -450,16 +481,6 @@ def constructive_shallow(
     b = unit_roots(n)
     c = complex(xi) - b * complex(z0)
     return ShallowApprox(a, b, c, ActivationKind.EXP, g.copy(), complex(z0))
-
-
-def vandermonde_solve(taylor: Sequence[complex], b: np.ndarray, xi: complex = 0.0) -> np.ndarray:
-    """Dense-solve cross-check of the inverse-DFT coefficient path."""
-    n = len(b)
-    g = np.asarray(taylor[:n], dtype=np.complex128)
-    k = np.arange(n)
-    s = g * np.array([math.factorial(int(j)) for j in k], dtype=float) * np.exp(-complex(xi))
-    V = np.vander(b, n, increasing=True).T
-    return np.linalg.solve(V, s)
 
 
 def shallow_eval_direct(s: ShallowApprox, z) -> np.ndarray:

@@ -2,20 +2,20 @@
 
 Training is full batch: one epoch is one optimizer step over all training
 points, which are drawn once up front (together with the test points and the
-init probe) from seeded sub-streams of the run seed.  Complex weights are
+init probe) from seeded sub-streams of the run seed.  The test loss rides
+the training forward (autodiff.loss_forward's `test`).  Complex weights are
 optimized as independent real pairs.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import PackedBatch, loss_backward, loss_forward, loss_value, pack_batch
+from .autodiff import PackedBatch, loss_backward, loss_forward, pack_batch
 from .geometry import sample_boundary
 from .jets import NonFiniteError
 from .network import (
@@ -148,9 +148,10 @@ def train(
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         try:
-            loss, rec = loss_forward(pairs, packed_train, problem)
+            loss, rec = loss_forward(pairs, packed_train, problem, test=packed_test)
             grads = loss_backward(rec).to_vector(pairs)
-            test = loss_value(pairs, packed_test, problem) if packed_test else math.nan
+            test = rec.test_loss
+            del rec  # its caches must not outlive the epoch into the next forward
             adam_step(adam, grads, cfg.lr * cfg.lr_decay**epoch, vec)
         except NonFiniteError as e:
             raise NonFiniteError(f"epoch {epoch}: {e}") from e

@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from holoelastic.elasticity import ConstantData, Material, NormalPressure, Symmetry, Traction
+from holoelastic.elasticity import ConstantData, Material, NormalPressure, Symmetry, Traction, km_fields
 from holoelastic.geometry import Arc, BoundaryPiece, DomainSpec, Line, Patch, Region, Side
+from holoelastic.network import mlp_forward
 from holoelastic.problem import NetworkConfig, OutputConfig, ProblemSpec
 from holoelastic.training import TrainConfig
 
@@ -77,3 +78,51 @@ def square_problem(mode="standard", epochs=0, seed=0) -> ProblemSpec:
         OutputConfig(),
         name="square_test",
     )
+
+
+# --- physics property checks: finite differences of a network's stress field ---
+
+
+def _stress_stencil(stress_fn, z: np.ndarray, h: float):
+    zs = [z + h, z - h, z + 1j * h, z - 1j * h, z]
+    return [stress_fn(np.asarray(pt, dtype=np.complex128)) for pt in zs]
+
+
+def fd_equilibrium(stress_fn, z, h: float):
+    """Central-difference divergence of a stress field and max local |stress|.
+
+    stress_fn(z) must return (sxx, syy, sxy) arrays; the exact divergence of
+    a Kolosov-Muskhelishvili field is zero, so the residual is pure
+    finite-difference truncation.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    xp, xm, yp, ym, _ = _stress_stencil(stress_fn, z, h)
+    r1 = (xp[0] - xm[0]) / (2 * h) + (yp[2] - ym[2]) / (2 * h)
+    r2 = (xp[2] - xm[2]) / (2 * h) + (yp[1] - ym[1]) / (2 * h)
+    smax = max(float(np.max(np.abs(np.stack(s)))) for s in (xp, xm, yp, ym))
+    return r1, r2, smax
+
+
+def fd_trace_laplacian(stress_fn, z, h: float):
+    """Five-point Laplacian of the stress trace sxx + syy (harmonic exactly)."""
+    z = np.asarray(z, dtype=np.complex128)
+    xp, xm, yp, ym, c = _stress_stencil(stress_fn, z, h)
+    tr = lambda s: s[0] + s[1]
+    return (tr(xp) + tr(xm) + tr(yp) + tr(ym) - 4.0 * tr(c)) / (h * h)
+
+
+def net_stress_fn(pair, mat):
+    def fn(z):
+        state = mlp_forward(pair.phi, pair.psi, z)
+        f = km_fields(z, state, mat)
+        return f.sxx, f.syy, f.sxy
+
+    return fn
+
+
+def equilibrium_residual(nets, mat, z, h: float):
+    """Finite-difference equilibrium residual of the network's stress field."""
+    if not (1e-6 <= h <= 1e-2):
+        raise ValueError(f"step h={h} outside [1e-6, 1e-2]")
+    r1, r2, _ = fd_equilibrium(net_stress_fn(nets, mat), z, h)
+    return r1, r2

@@ -15,13 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CONFIG_NAMES, config_path
+from conftest import CONFIG_NAMES, config_path, fd_equilibrium, fd_trace_laplacian, net_stress_fn
 from holoelastic.analytics import (
     eval_grid,
-    fd_equilibrium,
-    fd_trace_laplacian,
     init_diagnostics,
-    net_stress_fn,
     pointwise_boundary_residuals,
     rel_l2,
     residual_summary,

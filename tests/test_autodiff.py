@@ -17,7 +17,7 @@ from holoelastic.jets import ActivationKind, NonFiniteError, act_derivs
 from holoelastic.network import BranchPair, build_mlp, flatten_params, write_params
 from holoelastic.problem import load_config
 from holoelastic.rng import Rng
-from holoelastic.training import build_pairs, init_pairs
+from holoelastic.training import build_pairs, init_pairs, train
 
 
 def _ring_setup(n=8, seed=3, hidden=(10, 10)):
@@ -202,6 +202,42 @@ def test_nan_output_weight_names_residual_sample():
     pairs[0].phi.layers[-1].weights[0, 0] = np.nan
     with pytest.raises(NonFiniteError, match=r"non-finite residual at piece 0, sample t=.*, z="):
         loss_forward(pairs, samples, problem)
+
+
+@pytest.mark.parametrize("name", ["ring_quadrant", "dd_plate_hole", "stress_only"])
+def test_test_rows_ride_the_training_forward(name):
+    # the test loss of the fused forward equals loss_value on the test batch
+    # bit for bit, and the train loss and gradient do not see the test rows
+    if name == "stress_only":
+        problem = square_problem(mode="stress_only")
+    else:
+        problem = load_config(config_path(name))
+    problem.networks.hidden_layers = 2
+    problem.networks.units = 6
+    rng = Rng(4)
+    train_b = pack_batch(sample_boundary(problem.domain, 64, rng.spawn(1)), problem.domain)
+    test_b = pack_batch(sample_boundary(problem.domain, 24, rng.spawn(2)), problem.domain)
+    pairs = build_pairs(problem)
+    probe = np.array([s.z for s in sample_boundary(problem.domain, 200, rng.spawn(3))])
+    init_pairs(pairs, probe, 0.7, 3, rng)
+    loss, rec = loss_forward(pairs, train_b, problem, test=test_b)
+    assert rec.test_loss == loss_value(pairs, test_b, problem)
+    loss0, rec0 = loss_forward(pairs, train_b, problem)
+    assert loss == loss0 and np.isnan(rec0.test_loss)
+    g, g0 = (loss_backward(r).to_vector(pairs) for r in (rec, rec0))
+    assert np.any(g != 0.0) and np.array_equal(g, g0)
+
+
+def test_hidden_layer_overflow_names_pair_branch_and_layer():
+    problem, samples, pairs = _ring_setup(n=8)
+    pairs[0].psi.layers[1].bias[:] = 1e4
+    with pytest.raises(NonFiniteError, match=r"^non-finite value in pair 0 psi layer 2 \(exp\)$"):
+        loss_forward(pairs, samples, problem)
+    # training runs the same forward; its message adds the epoch
+    problem = ring_problem(epochs=5, seed=0, n_train=40, n_test=8)
+    problem.training.lr = 10.0
+    with pytest.raises(NonFiniteError, match=r"^epoch \d+: non-finite value in pair 0 (phi|psi) layer [12] \(exp\)$"):
+        train(problem)
 
 
 def test_gradient_vector_alignment():

@@ -14,6 +14,7 @@ from holoelastic.jets import (
     affine_jets,
     seed_jets,
 )
+from holoelastic.network import build_mlp, forward_jets
 
 ALL_KINDS = list(ActivationKind)
 
@@ -102,8 +103,12 @@ def test_cos_sqrt_derivatives_near_zero():
 
 
 def test_activation_overflow_raises():
-    with pytest.raises(NonFiniteError, match="layer three"):
-        activate_jets(ActivationKind.EXP, _jet(1e4, 1, 0), context="layer three")
+    # activations check nothing themselves; the branch forward names the layer
+    net = build_mlp([1, 1, 1])
+    for layer, w in zip(net.layers, (1.0, 1.0, 1e4, 1.0)):
+        layer.weights[:] = w
+    with pytest.raises(NonFiniteError, match=r"layer 3 \(exp\)"):
+        forward_jets(net, np.array([1.0 + 0j]))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

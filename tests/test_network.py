@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ring_quadrant_domain
 from holoelastic.geometry import sample_boundary
-from holoelastic.jets import ActivationKind
+from holoelastic.jets import ActivationKind, NonFiniteError, activate_jets, affine_jets, seed_jets
 from holoelastic.network import (
     BETA1,
     BETA2,
@@ -105,6 +105,31 @@ def test_forward_jets_lower_orders_are_channel_prefixes(kind):
         assert np.array_equal(got, full[: order + 1])
         # the reverse pass gets activation derivatives one order past the jet
         assert all(len(derivs) == order + 1 for _, _, derivs in caches[:-1])
+
+
+def _unchecked_forward(net, z, order):
+    jets = seed_jets(z, order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, layer in enumerate(net.layers):
+            jets = affine_jets(jets, layer.weights, layer.bias)
+            if i < len(net.layers) - 1:
+                jets = activate_jets(net.activation, jets)[0]
+    return jets[:, :, 0]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_hidden_overflow_is_named_at_every_jet_order(order):
+    # layer 1 overflows to inf and layer 2 maps it to exp(-inf + i nan) = 0.
+    # A derivative channel carries the overflow to the output as 0 * inf =
+    # NaN; an order-0 jet has none, so its value comes out finite and
+    # forward_jets checks every layer of an order-0 branch
+    net = build_mlp([1, 1])
+    for layer, w in zip(net.layers, (1e4, -1.0, 1.0)):
+        layer.weights[:] = w
+    z = np.array([1.0 + 0j])
+    assert np.isfinite(_unchecked_forward(net, z, order)).all() == (order == 0)
+    with pytest.raises(NonFiniteError, match=r"^non-finite value in pair 3 psi layer 1 \(exp\)$"):
+        forward_jets(net, z, order, where="pair 3 psi ")
 
 
 def test_init_beta_bounds():

@@ -173,6 +173,30 @@ def test_cli_eval_rejects_checkpoint_of_another_activation(tmp_path, capsys):
     assert "architecture" in err and "cos" in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["pairs"][0]["phi"]["layers"][1]["weights"].pop(), "pair 0 phi: layer 2 weights must be 100 [re, im] pairs"),
+        (lambda d: d["pairs"][0]["psi"]["layers"][2]["bias"].append([0.0, 0.0]), "pair 0 psi: layer 3 bias must be 1 [re, im] pairs"),
+        (lambda d: d["pairs"][0]["phi"]["layers"][0].update(shape=[10, 0]), "pair 0 phi: layer 1: shape [10, 0] is not"),
+        (lambda d: d["pairs"][0]["psi"]["layers"].pop(0), "pair 0 psi: network must map 1 -> 1"),
+        (lambda d: d["pairs"][0]["psi"]["layers"][1].pop("weights"), "pair 0 psi: missing or malformed 'weights'"),
+        (lambda d: d.update(pairs=[]), "no network pairs"),
+    ],
+    ids=["short_weights", "long_bias", "zero_width", "broken_chain", "missing_weights", "no_pairs"],
+)
+def test_cli_eval_rejects_malformed_checkpoint(tmp_path, capsys, edit, message):
+    cfg, out = _mini_ring(tmp_path, epochs=0)
+    assert run_command(["train", cfg]) == 0
+    ckpt = os.path.join(out, "checkpoint.json")
+    doc = json.load(open(ckpt))
+    edit(doc)
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    assert run_command(["eval", cfg, ckpt]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_unknown_command():
     assert run_command(["frobnicate"]) != 0
 

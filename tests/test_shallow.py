@@ -9,7 +9,6 @@ from holoelastic.network import (
     shallow_eval,
     shallow_eval_direct,
     unit_roots,
-    vandermonde_solve,
 )
 
 
@@ -22,6 +21,15 @@ def _disk_points(n_r=100, n_a=100):
 def _geometric_taylor(n):
     # 1 / (1.5 - z) = sum 1.5^-(k+1) z^k
     return [1.5 ** -(k + 1) for k in range(n)]
+
+
+def vandermonde_solve(taylor, b, xi=0.0):
+    """Dense-solve cross-check of constructive_shallow's inverse-DFT coefficients."""
+    n = len(b)
+    g = np.asarray(taylor[:n], dtype=np.complex128)
+    s = g * np.array([math.factorial(k) for k in range(n)], dtype=float) * np.exp(-complex(xi))
+    V = np.vander(b, n, increasing=True).T
+    return np.linalg.solve(V, s)
 
 
 def test_single_unit_reproduces_exp():
