@@ -22,7 +22,7 @@ from .elasticity import (
     km_fields,
     material_derived,
 )
-from .geometry import Arc, BoundaryPiece, BoundarySample, DomainSpec, Line, Side, sample_boundary
+from .geometry import Arc, BoundaryPiece, DomainSpec, Line, Side, sample_boundary
 from .jets import ActivationKind, NonFiniteError
 from .network import (
     BranchPair,

@@ -196,7 +196,7 @@ def _branch_grad_var(net: HoloMLP, caches: list, channel: int) -> list[float]:
 
 
 def _square_problem(hidden: Sequence[int], activation: ActivationKind) -> "ProblemSpec":
-    """Homogeneous square benchmark: clamped top/bottom, free left/right."""
+    """Homogeneous square benchmark: clamped bottom/left, traction-free right/top."""
     from .problem import NetworkConfig, OutputConfig, ProblemSpec
 
     zero = el.ConstantData(0.0, 0.0)
@@ -233,11 +233,8 @@ def variance_report(
         m_e = L + 1  # probe statistics for every layer
     rng = Rng(seed)
     domain = problem.domain
-    probe = np.array(
-        [s.z for s in geo.sample_boundary(domain, probe_n, rng.spawn(3))], dtype=np.complex128
-    )
-    batch = geo.sample_boundary(domain, batch_n, rng.spawn(1))
-    packed = pack_batch(batch, domain)
+    probe = geo.sample_boundary(domain, probe_n, rng.spawn(3)).z
+    packed = pack_batch(geo.sample_boundary(domain, batch_n, rng.spawn(1)), domain)
     mode = problem.networks.mode
     pair = BranchPair(build_mlp(hidden, activation, mode), build_mlp(hidden, activation, mode))
     cfg = InitConfig(probe=probe, beta=beta, m_e=m_e)
@@ -256,8 +253,7 @@ def variance_report(
                 forward_jets(pair.phi, rec.subs[0].z, 2, caches)
             var_y = [_cvar(y[0]) for _, y, _ in caches[:n_inner]]
             per_q = [_branch_grad_var(pair.phi, caches, ch)[:n_inner] for ch in (0, 1, 2)]
-            wg = loss_backward(rec).grads
-            var_loss = [_cvar(wg[(0, "phi", li, "W")]) for li in range(n_inner)]
+            var_loss = [_cvar(gw) for gw, _ in loss_backward(rec).grads[0][0][:n_inner]]
         return VarianceReport(layers, var_y, per_q[0], per_q[1], per_q[2], var_loss, [False] * n_inner)
     except (NonFiniteError, FloatingPointError):
         inf = [math.inf] * n_inner

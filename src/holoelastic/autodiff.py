@@ -29,9 +29,9 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 import numpy as np
 
 from . import elasticity as el
-from .geometry import BoundarySample, DomainSpec, piece_length
+from .geometry import DomainSpec, piece_length
 from .jets import NonFiniteError
-from .network import JET_ORDERS, BranchPair, Mode, branch_backward, flatten_spec, forward_jets, km_state
+from .network import JET_ORDERS, BranchPair, Mode, branch_backward, forward_jets, km_state
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -69,37 +69,24 @@ class PackedBatch:
     eval_z: dict[int, np.ndarray]
 
 
-def pack_batch(samples: Sequence[BoundarySample], domain: DomainSpec) -> PackedBatch:
-    """Group samples by piece, build each piece's residual operator and the
-    per-subdomain evaluation arrays.
+def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
+    """Group a sample_boundary batch by piece, build each piece's residual
+    operator and the per-subdomain evaluation arrays.
 
     Every piece needs at least one sample.  Within each group samples are
-    ordered by t, which fixes the reduction order regardless of the input
-    permutation.  Interface samples appear in the evaluation arrays of both
-    adjoining subdomains.
+    ordered by t (ties keep their batch order), which fixes the reduction
+    order regardless of the input permutation.  Interface samples appear in
+    the evaluation arrays of both adjoining subdomains.
     """
-    by_piece: dict[int, list[BoundarySample]] = {i: [] for i in range(len(domain.pieces))}
-    for s in samples:
-        by_piece[s.piece].append(s)
     groups = []
     for idx, piece in enumerate(domain.pieces):
-        ss = sorted(by_piece[idx], key=lambda s: s.t)
-        if not ss:
+        rows = np.flatnonzero(samples.piece == idx)
+        if rows.size == 0:
             raise ValueError(f"boundary piece {idx} ({piece.name!r}) is empty: the batch has no sample on it")
-        z = np.array([s.z for s in ss], dtype=np.complex128)
-        A, d = el.bc_operator(piece.bc, np.array([s.normal for s in ss], dtype=np.complex128), z)
-        groups.append(
-            Group(
-                piece=idx,
-                bc=piece.bc,
-                length=piece_length(piece),
-                subs=tuple(piece.subdomains),
-                z=z,
-                t=np.array([s.t for s in ss], dtype=float),
-                A=A,
-                d=d,
-            )
-        )
+        rows = rows[np.argsort(samples.t[rows], kind="stable")]
+        z = samples.z[rows]
+        A, d = el.bc_operator(piece.bc, samples.normal[rows], z)
+        groups.append(Group(idx, piece.bc, piece_length(piece), tuple(piece.subdomains), z, samples.t[rows], A, d))
     chunks: dict[int, list[np.ndarray]] = {i: [] for i in range(domain.n_subdomains)}
     offsets = {i: 0 for i in range(domain.n_subdomains)}
     for g in groups:
@@ -108,33 +95,24 @@ def pack_batch(samples: Sequence[BoundarySample], domain: DomainSpec) -> PackedB
             chunks[sub].append(g.z)
             offsets[sub] = start + g.z.size
             g.slices[sub] = slice(start, start + g.z.size)
-    eval_z = {
-        s: (np.concatenate(c) if c else np.empty(0, dtype=np.complex128))
-        for s, c in chunks.items()
-    }
-    return PackedBatch(groups, eval_z)
+    return PackedBatch(groups, {s: np.concatenate(c) for s, c in chunks.items()})
 
 
 # --- weight gradients ---------------------------------------------------------
 
-ParamKey = tuple[int, str, int, str]  # (pair, branch, layer, "W"|"b")
-
 
 @dataclass
 class WeightGrad:
-    """Per complex weight the pair (dL/dRe w, dL/dIm w), packed as Re + i Im."""
+    """Per subdomain the (phi, psi) lists of branch_backward's per-layer
+    (dL/dW, dL/db), each weight's pair (dL/dRe w, dL/dIm w) packed as Re + i Im."""
 
-    grads: dict[ParamKey, np.ndarray]
+    grads: list[tuple[list, list]]
 
-    def to_vector(self, pairs: Sequence[BranchPair]) -> np.ndarray:
+    def to_vector(self) -> np.ndarray:
         """Real gradient vector aligned with network.flatten_params ordering."""
-        parts = []
-        for key, shape in flatten_spec(pairs):
-            g = self.grads.get(key)
-            if g is None:
-                g = np.zeros(shape, dtype=np.complex128)
-            parts.append(np.ascontiguousarray(g).view(np.float64).ravel())
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate(
+            [g.view(np.float64).ravel() for pair in self.grads for branch in pair for layer in branch for g in layer]
+        )
 
 
 # --- forward -------------------------------------------------------------------
@@ -206,8 +184,6 @@ def _forward(
     for sub, z in packed.eval_z.items():
         n = z.size
         zz = z if test is None else np.concatenate((z, test.eval_z[sub]))
-        if zz.size == 0:
-            continue
         cphi, cpsi = ([], []) if keep else (None, None)
         jp = forward_jets(pairs[sub].phi, zz, order_phi, cphi, where=f"pair {sub} phi ")
         jq = forward_jets(pairs[sub].psi, zz, order_psi, cpsi, where=f"pair {sub} psi ")
@@ -241,7 +217,7 @@ def _check_finite(loss: float, groups: list[Group], residuals: list[el.ResidualG
 
 def loss_forward(
     pairs: Sequence[BranchPair],
-    batch: Union[PackedBatch, Sequence[BoundarySample]],
+    batch: Union[PackedBatch, np.recarray],
     problem: "ProblemSpec",
     test: Optional[PackedBatch] = None,
 ) -> tuple[float, LossRecord]:
@@ -311,14 +287,11 @@ def loss_backward(rec: LossRecord) -> WeightGrad:
         adj[g.subs[0]][:, g.slices[g.subs[0]]] += at
         if not g.outer:
             adj[g.subs[1]][:, g.slices[g.subs[1]]] -= at
-    grads: dict[ParamKey, np.ndarray] = {}
+    grads = []
     for sub, sp in rec.subs.items():
         ap, aq = _km_backward(mode, rec.material, sp.z, adj[sub])
         pair = rec.pairs[sub]
-        for branch, net, caches, a in (("phi", pair.phi, sp.phi, ap), ("psi", pair.psi, sp.psi, aq)):
-            for li, (gw, gb) in enumerate(branch_backward(net, caches, a)):
-                grads[(sub, branch, li, "W")] = gw
-                grads[(sub, branch, li, "b")] = gb
+        grads.append((branch_backward(pair.phi, sp.phi, ap), branch_backward(pair.psi, sp.psi, aq)))
     return WeightGrad(grads)
 
 
@@ -339,7 +312,7 @@ def grad_check(
 
     packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
     loss, rec = loss_forward(pairs, packed, problem)
-    gvec = loss_backward(rec).to_vector(pairs)
+    gvec = loss_backward(rec).to_vector()
     vec = flatten_params(pairs)
     scale = 1e-3 * max(float(np.max(np.abs(gvec))) if gvec.size else 0.0, 1e-30)
     worst = 0.0

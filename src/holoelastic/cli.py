@@ -27,6 +27,16 @@ def _apply_thread_cap() -> None:
         os.environ.setdefault(var, cap)
 
 
+def _grid(text: str) -> tuple[int, int]:
+    try:
+        nx, ny = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        nx = ny = 0
+    if nx < 1 or ny < 1:
+        raise argparse.ArgumentTypeError(f"expected NxM with positive N and M, got {text!r}")
+    return nx, ny
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="holoelastic")
     sub = p.add_subparsers(dest="command", required=True)
@@ -39,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="evaluate a checkpoint on a field grid")
     e.add_argument("config")
     e.add_argument("checkpoint")
-    e.add_argument("--grid", default=None, help="grid resolution NxM")
+    e.add_argument("--grid", type=_grid, default=None, help="grid resolution NxM")
 
     i = sub.add_parser("init-check", help="initialization variance report")
     i.add_argument("config")
@@ -115,9 +125,7 @@ def _cmd_eval(args) -> int:
                     f"checkpoint architecture {got}/{net.mode.value}/{net.activation.value} does not "
                     f"match config {want_hidden}/{nets.mode.value}/{nets.activation.value}"
                 )
-    nx, ny = spec.outputs.grid
-    if args.grid:
-        nx, ny = (int(v) for v in args.grid.lower().split("x"))
+    nx, ny = args.grid or spec.outputs.grid
     grid = eval_grid(pairs, spec, nx, ny)
     export.write_fields_csv(_out_path(spec, "fields.csv"), grid)
     print(f"wrote field grid {nx}x{ny} ({int(grid.mask.sum())} interior points)")
@@ -209,7 +217,7 @@ def _cmd_sample(args) -> int:
     seed = args.seed if args.seed is not None else spec.training.seed
     samples = sample_boundary(spec.domain, n, Rng(seed).spawn(1))
     path = _out_path(spec, "samples.csv")
-    export.write_samples_csv(path, samples)
+    export.write_samples_csv(path, samples, spec.domain)
     print(f"wrote {len(samples)} samples to {path}")
     return 0
 

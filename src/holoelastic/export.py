@@ -90,11 +90,12 @@ def write_variance_csv(path: str, report: VarianceReport) -> None:
     write_text_atomic(path, _csv(header, rows))
 
 
-def write_samples_csv(path: str, samples) -> None:
-    rows = [
-        (s.z.real, s.z.imag, s.normal.real, s.normal.imag, s.piece, s.t, "|".join(map(str, s.subdomains)))
-        for s in samples
-    ]
+def write_samples_csv(path: str, samples, domain) -> None:
+    """Sample CSV of a sample_boundary batch; subdomains come from each sample's piece."""
+    subs = ["|".join(map(str, p.subdomains)) for p in domain.pieces]
+    z, nrm, piece = samples.z, samples.normal, samples.piece.tolist()
+    xy = (z.real, z.imag, nrm.real, nrm.imag)
+    rows = zip(*(c.tolist() for c in xy), piece, samples.t.tolist(), [subs[i] for i in piece])
     write_text_atomic(path, _csv(("x", "y", "nx", "ny", "piece", "t", "subdomains"), rows))
 
 

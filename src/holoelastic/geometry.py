@@ -153,6 +153,9 @@ class DomainSpec:
             for s in p.subdomains:
                 if not (0 <= s < self.n_subdomains):
                     raise ValueError(f"piece {p.name!r} references subdomain {s}")
+        bare = set(range(self.n_subdomains)).difference(*(p.subdomains for p in self.pieces))
+        if bare:
+            raise ValueError(f"subdomain {min(bare)} has no boundary piece")
         if self.outer_length() <= 0.0:
             raise ValueError("total outer boundary length must be positive")
         if self.regions is not None and len(self.regions) != self.n_subdomains:
@@ -160,15 +163,6 @@ class DomainSpec:
 
     def outer_length(self) -> float:
         return math.fsum(piece_length(p) for p in self.pieces if not p.is_interface)
-
-
-@dataclass
-class BoundarySample:
-    z: complex
-    normal: complex
-    piece: int
-    t: float
-    subdomains: tuple[int, ...]
 
 
 def allocate_counts(lengths: Sequence[float], n: int) -> list[int]:
@@ -196,24 +190,23 @@ def allocate_counts(lengths: Sequence[float], n: int) -> list[int]:
     return counts
 
 
-def sample_boundary(spec: DomainSpec, n: int, rng: Rng) -> list[BoundarySample]:
+def sample_boundary(spec: DomainSpec, n: int, rng: Rng) -> np.recarray:
     """Draw n boundary points, uniformly in arc length across all pieces.
 
     Per-piece counts follow largest-remainder rounding of the proportional
-    allocation; placement within each piece is uniform in t.
+    allocation; placement within each piece is uniform in t.  The batch is
+    one record array with fields z, normal (unit outward), piece (index into
+    spec.pieces) and t, piece by piece with t sorted within each piece.
     """
     if n < len(spec.pieces):
         raise ValueError(f"need at least {len(spec.pieces)} samples, got {n}")
-    lengths = [piece_length(p) for p in spec.pieces]
-    counts = allocate_counts(lengths, n)
-    out: list[BoundarySample] = []
+    counts = allocate_counts([piece_length(p) for p in spec.pieces], n)
+    out = np.recarray(n, dtype=[("z", complex), ("normal", complex), ("piece", np.int64), ("t", float)])
+    start = 0
     for idx, (piece, cnt) in enumerate(zip(spec.pieces, counts)):
-        if cnt == 0:
-            continue
+        rows = slice(start, start + cnt)
         ts = np.sort(rng.uniform(cnt))
-        zs = piece_point(piece, ts)
-        ns = outward_normal(piece, ts)
-        ns = np.broadcast_to(ns, zs.shape)
-        for t, z, nrm in zip(ts, zs, ns):
-            out.append(BoundarySample(complex(z), complex(nrm), idx, float(t), piece.subdomains))
+        out.t[rows], out.z[rows], out.normal[rows] = ts, piece_point(piece, ts), outward_normal(piece, ts)
+        out.piece[rows] = idx
+        start += cnt
     return out

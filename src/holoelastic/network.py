@@ -12,14 +12,13 @@ psi' directly, so the pair returns (phi', phi'') and (psi').
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from math import isqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -212,17 +211,6 @@ def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z) -> KMState:
 # weights before bias, re/im interleaved (the complex128 memory layout).
 
 
-def flatten_spec(pairs: Sequence[BranchPair]) -> list[tuple[tuple, tuple]]:
-    """[(key, shape)] for every parameter tensor, in flattening order."""
-    out = []
-    for pi, pair in enumerate(pairs):
-        for branch, net in (("phi", pair.phi), ("psi", pair.psi)):
-            for li, layer in enumerate(net.layers):
-                out.append(((pi, branch, li, "W"), layer.weights.shape))
-                out.append(((pi, branch, li, "b"), layer.bias.shape))
-    return out
-
-
 def _param_arrays(pairs: Sequence[BranchPair]):
     for pair in pairs:
         for net in (pair.phi, pair.psi):
@@ -391,52 +379,36 @@ def checkpoint_load(path: str) -> list[BranchPair]:
 # --- shallow Taylor-matching approximator ------------------------------------
 
 
-def _round_sqrt(f: Fraction) -> float:
-    if f <= 0:
-        return 0.0
-    return isqrt((f.numerator << 220) // f.denominator) / float(1 << 110)
+def _ulps(x: float) -> dict[int, float]:
+    """x moved by k = -3..3 ulps."""
+    out = {0: x}
+    for k in range(1, 4):
+        out[k], out[-k] = math.nextafter(out[k - 1], math.inf), math.nextafter(out[1 - k], -math.inf)
+    return out
 
 
-def _ulp_walk(x: float, k: int) -> float:
-    for _ in range(abs(k)):
-        x = np.nextafter(x, math.copysign(math.inf, x) if k > 0 else -math.copysign(math.inf, x))
-    return x
+# (cos, sin) ulp offsets, smaller first
+_ULP_STEPS = sorted(itertools.product(range(-3, 4), repeat=2), key=lambda k: (abs(k[0]) + abs(k[1]), k))
 
 
 def unit_roots(n: int) -> np.ndarray:
     """The n-th roots of unity with |b_j| == 1 exact under np.abs.
 
-    np.exp puts roots within one ulp of the unit circle but np.abs does not
-    always round their modulus to 1.0; the smaller component is therefore
-    rebuilt from the larger one with exact rational arithmetic and nudged by
-    ulps until the modulus is exactly 1.
+    np.cos and np.sin put each root within an ulp of the unit circle, but
+    np.abs does not always round its modulus to 1.0; both components are
+    then moved by up to 3 ulps, smaller offsets first, until it does.
     """
     out = np.empty(n, dtype=np.complex128)
     for j in range(n):
         theta = 2.0 * math.pi * j / n
-        c, s = float(np.cos(theta)), float(np.sin(theta))
-        v = complex(c, s)
-        if np.abs(np.complex128(v)) == 1.0:
-            out[j] = v
-            continue
-        swap = abs(s) > abs(c)
-        big0, small0 = (s, c) if swap else (c, s)
-        sgn = math.copysign(1.0, small0)
-        found = None
-        for kb in (0, -1, 1, -2, 2):
-            big = _ulp_walk(big0, kb)
-            y0 = _round_sqrt(Fraction(1) - Fraction(big) * Fraction(big))
-            for ks in (0, -1, 1, -2, 2, -3, 3, -4, 4):
-                y = sgn * _ulp_walk(y0, ks)
-                cand = complex(y, big) if swap else complex(big, y)
-                if np.abs(np.complex128(cand)) == 1.0:
-                    found = cand
-                    break
-            if found is not None:
+        cs, ss = _ulps(float(np.cos(theta))), _ulps(float(np.sin(theta)))
+        for kc, ks in _ULP_STEPS:
+            v = complex(cs[kc], ss[ks])
+            if np.abs(v) == 1.0:
+                out[j] = v
                 break
-        if found is None:
+        else:
             raise ArithmeticError(f"no exact unit root near angle {theta}")
-        out[j] = found
     return out
 
 

@@ -72,18 +72,28 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _num(v, path: str) -> float:
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        _fail(path, f"expected a number, got {v!r}")
+
+
+def _nums(v, n: int, path: str) -> tuple[float, ...]:
+    if not (isinstance(v, list) and len(v) == n):
+        _fail(path, f"expected a list of {n} numbers, got {v!r}")
+    return tuple(_num(x, path) for x in v)
+
+
 def _cx(v, path: str) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        _fail(path, f"expected [x, y], got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    return complex(*_nums(v, 2, path))
 
 
 def _parse_data(obj: dict, path: str) -> el.BoundaryData:
     if "constant" in obj:
-        vx, vy = obj["constant"]
-        return el.ConstantData(float(vx), float(vy))
+        return el.ConstantData(*_nums(obj["constant"], 2, f"{path}.constant"))
     if "normal_pressure" in obj:
-        return el.NormalPressure(float(obj["normal_pressure"]))
+        return el.NormalPressure(_num(obj["normal_pressure"], f"{path}.normal_pressure"))
     _fail(path, "boundary data must give 'constant' or 'normal_pressure'")
 
 
@@ -111,32 +121,34 @@ def _parse_piece(obj: dict, i: int) -> geo.BoundaryPiece:
     elif kind == "arc":
         shape = geo.Arc(
             _cx(_need(obj, "center", path), f"{path}.center"),
-            float(_need(obj, "radius", path)),
-            float(_need(obj, "theta0", path)),
-            float(_need(obj, "theta1", path)),
+            _num(_need(obj, "radius", path), f"{path}.radius"),
+            _num(_need(obj, "theta0", path), f"{path}.theta0"),
+            _num(_need(obj, "theta1", path), f"{path}.theta1"),
         )
     else:
         _fail(path, f"unknown piece kind {kind!r}")
-    bc, iface_subs = _parse_bc(_need(obj, "bc", path), f"{path}.bc")
-    if iface_subs:
-        subs = iface_subs
-    else:
-        subs = (int(_need(obj, "subdomain", path)),)
-    side = geo.Side(obj.get("side", "left"))
+    bc, subs = _parse_bc(_need(obj, "bc", path), f"{path}.bc")
+    sub = None if subs else _need(obj, "subdomain", path)
     try:
-        return geo.BoundaryPiece(shape, bc, side, subs, name=obj.get("name", f"piece{i}"))
+        side = geo.Side(obj.get("side", "left"))
+        return geo.BoundaryPiece(shape, bc, side, subs or (int(sub),), name=obj.get("name", f"piece{i}"))
     except ValueError as e:
         _fail(path, str(e))
+
+
+def _rows(obj: dict, key: str, n: int, path: str) -> list[tuple[float, ...]]:
+    return [_nums(v, n, f"{path}.{key}[{k}]") for k, v in enumerate(obj.get(key, []))]
 
 
 def _parse_region(obj: dict, path: str) -> geo.Region:
     patches = []
     for j, p in enumerate(obj.get("patches", [])):
-        rect = tuple(float(v) for v in p["rect"]) if "rect" in p else None
-        disks_in = tuple((_cx(d[:2], path), float(d[2])) for d in p.get("disks_in", []))
-        disks_out = tuple((_cx(d[:2], path), float(d[2])) for d in p.get("disks_out", []))
-        halfplanes = tuple(tuple(float(v) for v in h) for h in p.get("halfplanes", []))
-        patches.append(geo.Patch(rect, disks_in, disks_out, halfplanes))
+        pp = f"{path}.patches[{j}]"
+        rect = _nums(p["rect"], 4, f"{pp}.rect") if "rect" in p else None
+        disks_in, disks_out = (
+            tuple((complex(x, y), r) for x, y, r in _rows(p, key, 3, pp)) for key in ("disks_in", "disks_out")
+        )
+        patches.append(geo.Patch(rect, disks_in, disks_out, tuple(_rows(p, "halfplanes", 3, pp))))
     if not patches:
         _fail(path, "region needs at least one patch")
     return geo.Region(tuple(patches))
@@ -199,10 +211,10 @@ def load_config(path: str) -> ProblemSpec:
         raise ConfigError(f"training: {e}")
 
     out_obj = doc.get("outputs", {})
-    outputs = OutputConfig(
-        tuple(int(v) for v in out_obj.get("grid", [40, 40])),
-        str(out_obj.get("dir", "out")),
-    )
+    grid = out_obj.get("grid", [40, 40])
+    if not (isinstance(grid, list) and len(grid) == 2 and all(type(v) is int and v > 0 for v in grid)):
+        _fail("outputs.grid", f"expected [nx, ny] with positive integers, got {grid!r}")
+    outputs = OutputConfig(tuple(grid), str(out_obj.get("dir", "out")))
 
     try:
         return ProblemSpec(

@@ -131,14 +131,11 @@ def train(
     cfg = cfg if cfg is not None else problem.training
     domain = problem.domain
     rng = Rng(cfg.seed)
-    train_samples = sample_boundary(domain, cfg.n_train, rng.spawn(1))
-    packed_train = pack_batch(train_samples, domain)
+    packed_train = pack_batch(sample_boundary(domain, cfg.n_train, rng.spawn(1)), domain)
     packed_test: Optional[PackedBatch] = None
     if cfg.n_test > 0:
         packed_test = pack_batch(sample_boundary(domain, cfg.n_test, rng.spawn(2)), domain)
-
-    probe_samples = sample_boundary(domain, 10 * cfg.n_train, rng.spawn(3))
-    probe = np.array([s.z for s in probe_samples], dtype=np.complex128)
+    probe = sample_boundary(domain, 10 * cfg.n_train, rng.spawn(3)).z
     pairs = build_pairs(problem)
     init_pairs(pairs, probe, cfg.beta, cfg.m_e, rng)
 
@@ -149,7 +146,7 @@ def train(
         t0 = time.perf_counter()
         try:
             loss, rec = loss_forward(pairs, packed_train, problem, test=packed_test)
-            grads = loss_backward(rec).to_vector(pairs)
+            grads = loss_backward(rec).to_vector()
             test = rec.test_loss
             del rec  # its caches must not outlive the epoch into the next forward
             adam_step(adam, grads, cfg.lr * cfg.lr_decay**epoch, vec)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -35,20 +33,39 @@ def _ring_setup(n=8, seed=3, hidden=(10, 10)):
 def test_empty_batch_rejected():
     problem, samples, pairs = _ring_setup()
     with pytest.raises(ValueError, match="empty"):
-        loss_forward(pairs, [], problem)
+        loss_forward(pairs, samples[:0], problem)
 
 
 def test_pack_rejects_batch_missing_a_piece():
     problem, samples, _ = _ring_setup(n=8)
     with pytest.raises(ValueError, match="piece 1 \\('axis_x'\\) is empty"):
-        pack_batch([s for s in samples if s.piece != 1], problem.domain)
+        pack_batch(samples[samples.piece != 1], problem.domain)
 
 
 def test_pack_rejects_non_unit_normal():
     problem, samples, _ = _ring_setup(n=8)
-    samples[3] = dataclasses.replace(samples[3], normal=1.5 * samples[3].normal)
+    samples.normal[3] *= 1.5
     with pytest.raises(ValueError, match="not a unit vector"):
         pack_batch(samples, problem.domain)
+
+
+@pytest.mark.parametrize("name", ["ring_quadrant", "dd_plate_hole"])
+def test_pack_batch_ignores_sample_order(name):
+    # groups are ordered by t whatever the batch order, so the packed arrays
+    # and the loss keep their bits under any permutation of the samples
+    problem = load_config(config_path(name))
+    problem.networks.hidden_layers, problem.networks.units = 1, 4
+    rng = Rng(6)
+    samples = sample_boundary(problem.domain, 60, rng.spawn(1))
+    pairs = build_pairs(problem)
+    init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.5, 3, rng)
+    perm = np.argsort(rng.uniform(len(samples)))
+    assert np.any(perm != np.arange(len(samples)))
+    a, b = pack_batch(samples, problem.domain), pack_batch(samples[perm], problem.domain)
+    for ga, gb in zip(a.groups, b.groups):
+        for field in ("z", "t", "A", "d"):
+            assert np.array_equal(getattr(ga, field), getattr(gb, field)), field
+    assert loss_value(pairs, a, problem) == loss_value(pairs, b, problem)
 
 
 def test_subdomain_count_mismatch():
@@ -155,9 +172,9 @@ def test_zeroed_fanout_gives_exactly_zero_gradient():
     # cut unit 2 of the phi branch's hidden layer 1 out of every downstream path
     pairs[0].phi.layers[1].weights[:, 2] = 0.0
     _, rec = loss_forward(pairs, samples, problem)
-    g = loss_backward(rec).grads[(0, "phi", 0, "W")]
+    g = loss_backward(rec).grads[0][0][0][0]  # pair 0, phi, layer 1, dL/dW
     assert np.all(g[2, :] == 0.0)
-    gb = loss_backward(rec).grads[(0, "phi", 0, "b")]
+    gb = loss_backward(rec).grads[0][0][0][1]
     assert gb[2] == 0.0
 
 
@@ -224,7 +241,7 @@ def test_test_rows_ride_the_training_forward(name):
     assert rec.test_loss == loss_value(pairs, test_b, problem)
     loss0, rec0 = loss_forward(pairs, train_b, problem)
     assert loss == loss0 and np.isnan(rec0.test_loss)
-    g, g0 = (loss_backward(r).to_vector(pairs) for r in (rec, rec0))
+    g, g0 = (loss_backward(r).to_vector() for r in (rec, rec0))
     assert np.any(g != 0.0) and np.array_equal(g, g0)
 
 
@@ -243,7 +260,7 @@ def test_hidden_layer_overflow_names_pair_branch_and_layer():
 def test_gradient_vector_alignment():
     problem, samples, pairs = _ring_setup(n=8)
     _, rec = loss_forward(pairs, samples, problem)
-    gvec = loss_backward(rec).to_vector(pairs)
+    gvec = loss_backward(rec).to_vector()
     assert gvec.shape == flatten_params(pairs).shape
     assert np.all(np.isfinite(gvec))
     assert np.any(gvec != 0.0)

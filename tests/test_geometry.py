@@ -110,6 +110,20 @@ def test_samples_lie_on_their_pieces():
         assert abs(dot) < 1e-12
 
 
+@pytest.mark.parametrize("name", ["ring_quadrant", "rail_section", "dd_plate_hole"])
+def test_sample_columns_are_piece_functions_of_t(name):
+    # one record array, piece by piece with t sorted; z and normal are the
+    # piece's own point and outward normal at the sampled t
+    dom = load_config(config_path(name)).domain
+    samples = sample_boundary(dom, 300, Rng(5))
+    assert np.all(np.diff(samples.piece) >= 0)
+    for i, piece in enumerate(dom.pieces):
+        s = samples[samples.piece == i]
+        assert s.size > 0 and np.all(np.diff(s.t) >= 0) and np.all((s.t >= 0.0) & (s.t < 1.0))
+        assert np.array_equal(s.z, piece_point(piece, s.t))
+        assert np.array_equal(s.normal, np.broadcast_to(outward_normal(piece, s.t), s.shape))
+
+
 def test_arc_samples_on_circle():
     dom = ring_quadrant_domain()
     samples = [s for s in sample_boundary(dom, 40, Rng(2)) if s.piece == 0]

@@ -97,6 +97,45 @@ def test_bad_piece_reports_path(tmp_path):
         load_config(str(path))
 
 
+PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
+
+
+@pytest.mark.parametrize(
+    "keys, value, args, message",
+    [
+        (("outputs", "grid"), [40], [], "error: outputs.grid: "),
+        (("outputs", "grid"), [0, -3], [], "error: outputs.grid: "),
+        ((*PIECES, 2, "bc", "data", "constant"), [0.0, 0.0, 0.0], [], "error: geometry.pieces[2].bc.data.constant: "),
+        ((*PIECES, 0, "bc", "data", "normal_pressure"), "x", [], "error: geometry.pieces[0].bc.data.normal_pressure: "),
+        ((*PIECES, 0, "radius"), "two", [], "error: geometry.pieces[0].radius: "),
+        ((*PIECES, 1, "side"), "up", [], "error: geometry.pieces[1]: 'up' is not a valid Side"),
+        ((*PIECES, 1, "subdomain"), "x", [], "error: geometry.pieces[1]: invalid literal for int()"),
+        ((*PATCH, "rect"), [-2.0, 0.0, 0.0], [], "error: geometry.regions[0].patches[0].rect: "),
+        ((*PATCH, "halfplanes"), [[1.0, 0.0]], [], "error: geometry.regions[0].patches[0].halfplanes[0]: "),
+        ((*PATCH, "disks_in"), [[0.0, 0.0]], [], "error: geometry.regions[0].patches[0].disks_in[0]: "),
+        (("geometry", "n_subdomains"), 2, [], "error: geometry: subdomain 1 has no boundary piece"),
+        ((), None, ["--grid", "40"], "argument --grid: expected NxM with positive N and M"),
+    ],
+    ids=[
+        "grid_one", "grid_nonpositive", "constant_3", "pressure_str", "radius_str", "side_str", "subdomain_str",
+        "rect_3", "halfplane_2", "disk_2", "bare_subdomain", "cli_grid",
+    ],
+)
+def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, keys, value, args, message):
+    # the checkpoint does not exist, so only a failure at config load or
+    # argument parsing reports the message
+    doc = json.load(open(config_path("ring_quadrant")))
+    if keys:
+        obj = doc
+        for k in keys[:-1]:
+            obj = obj[k]
+        obj[keys[-1]] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_command(["eval", str(cfg), str(tmp_path / "missing.json"), *args]) == 2
+    assert message in capsys.readouterr().err
+
+
 # --- CLI ------------------------------------------------------------------------
 
 

@@ -48,7 +48,7 @@ def test_zero_coefficients_evaluate_to_zero():
 
 
 def test_unit_roots_exact_modulus():
-    for n in (1, 2, 3, 4, 5, 8, 16, 32, 64):
+    for n in (1, 2, 3, 4, 5, 8, 16, 32, 64, 100, 257, 1000, 4096):
         b = unit_roots(n)
         assert np.all(np.abs(b) == 1.0)
         # still the roots of unity to double precision
