@@ -1,0 +1,92 @@
+"""Print one `<artifact> <sha256>` line for every output of the shipped configs.
+
+Usage: python scripts/output_digests.py [REPO]
+
+Runs the holoelastic CLI of REPO (default: the checkout that holds this
+script) single-threaded inside a temporary directory, which is removed
+afterwards, and hashes:
+
+  <config>/checkpoint.json, history.csv  `train` for 20 epochs (all configs)
+  <config>/fields.csv                     `eval --grid 40x40` of that checkpoint
+  ring_quadrant/errors.csv                the same eval's exact-reference errors
+  ring_quadrant/fields_400x400.csv        `eval --grid 400x400` (and its errors)
+  clamped_square/variance.csv             `init-check`
+  <config>/samples.csv                    `sample --n 300` (all configs)
+  approx.csv                              `approx-demo --n 32`
+
+Diffing the output on two checkouts checks that a change leaves every one of
+these outputs byte-identical:
+
+  python scripts/output_digests.py /path/to/other/checkout > a.txt
+  python scripts/output_digests.py > b.txt && diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import glob
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+EPOCHS = 20
+
+
+def _show(label: str, path: str) -> None:
+    with open(path, "rb") as fh:
+        print(f"{label} {hashlib.sha256(fh.read()).hexdigest()}", flush=True)
+
+
+def main(argv: list[str]) -> int:
+    repo = os.path.abspath(argv[0] if argv else os.path.join(os.path.dirname(__file__), ".."))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads
+    sys.path.insert(0, os.path.join(repo, "src"))
+    from holoelastic.cli import run_command
+
+    def run(*args: str) -> None:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(list(args))
+        if code != 0:
+            raise SystemExit(f"holoelastic {' '.join(args)} exited {code}: {err.getvalue().strip()}")
+
+    configs = sorted(glob.glob(os.path.join(repo, "configs", "*.json")))
+    with tempfile.TemporaryDirectory() as tmp:
+        for src in configs:
+            name = os.path.splitext(os.path.basename(src))[0]
+            out = os.path.join(tmp, name)
+            with open(src) as fh:
+                doc = json.load(fh)
+            doc["training"]["epochs"] = EPOCHS
+            doc.setdefault("outputs", {})["dir"] = out
+            cfg = os.path.join(tmp, f"{name}.json")
+            with open(cfg, "w") as fh:
+                json.dump(doc, fh)
+            ckpt = os.path.join(out, "checkpoint.json")
+            run("train", cfg)
+            _show(f"{name}/checkpoint.json", ckpt)
+            _show(f"{name}/history.csv", os.path.join(out, "history.csv"))
+            run("eval", cfg, ckpt, "--grid", "40x40")
+            _show(f"{name}/fields.csv", os.path.join(out, "fields.csv"))
+            if doc.get("reference"):
+                _show(f"{name}/errors.csv", os.path.join(out, "errors.csv"))
+                run("eval", cfg, ckpt, "--grid", "400x400")
+                _show(f"{name}/fields_400x400.csv", os.path.join(out, "fields.csv"))
+                _show(f"{name}/errors_400x400.csv", os.path.join(out, "errors.csv"))
+            if name == "clamped_square":
+                run("init-check", cfg)
+                _show(f"{name}/variance.csv", os.path.join(out, "variance.csv"))
+            run("sample", cfg, "--n", "300")
+            _show(f"{name}/samples.csv", os.path.join(out, "samples.csv"))
+        approx = os.path.join(tmp, "approx.csv")
+        run("approx-demo", "--n", "32", "--out", approx)
+        _show("approx.csv", approx)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import elasticity as el
 from . import geometry as geo
-from .autodiff import forward_residuals, loss_backward, loss_forward, pack_batch
+from .autodiff import loss_backward, loss_forward, pack_batch
 from .jets import ActivationKind, NonFiniteError
 from .network import (
     BranchPair,
@@ -284,10 +284,10 @@ def init_diagnostics(
 def residual_summary(pairs, problem, n_points: int, seed: int) -> dict:
     """RMS residuals on a fresh boundary batch, split outer vs interface."""
     samples = geo.sample_boundary(problem.domain, n_points, Rng(seed).spawn(7))
-    groups = forward_residuals(pairs, samples, problem)
-    outer = np.concatenate([g.residuals.ravel() for g in groups if g.outer])
-    iface = [g.residuals.ravel() for g in groups if not g.outer]
-    out = {"outer_rms": rms(outer), "groups": {g.key: rms(g.residuals) for g in groups}}
+    _, rec = loss_forward(pairs, samples, problem)
+    outer = np.concatenate([r.ravel() for g, r in zip(rec.groups, rec.residuals) if g.outer])
+    iface = [r.ravel() for g, r in zip(rec.groups, rec.residuals) if not g.outer]
+    out = {"outer_rms": rms(outer), "pieces": [rms(r) for r in rec.residuals]}
     if iface:
         out["interface_rms"] = rms(np.concatenate(iface))
     return out
@@ -296,11 +296,8 @@ def residual_summary(pairs, problem, n_points: int, seed: int) -> dict:
 def pointwise_boundary_residuals(pairs, problem, n_points: int, seed: int):
     """Residual norm per held-out boundary sample; returns (z, piece, norm)."""
     samples = geo.sample_boundary(problem.domain, n_points, Rng(seed).spawn(7))
-    packed = pack_batch(samples, problem.domain)
-    zs, pieces, norms = [], [], []
-    for g, rg in zip(packed.groups, forward_residuals(pairs, packed, problem)):
-        r = rg.residuals
-        zs.append(g.z)
-        pieces.append(np.full(g.z.size, g.piece))
-        norms.append(np.sqrt(np.sum(r * r, axis=1)))
-    return np.concatenate(zs), np.concatenate(pieces), np.concatenate(norms)
+    _, rec = loss_forward(pairs, samples, problem)
+    z = np.concatenate([g.z for g in rec.groups])
+    pieces = np.concatenate([np.full(g.z.size, g.piece) for g in rec.groups])
+    norms = np.concatenate([np.sqrt(np.sum(r * r, axis=1)) for r in rec.residuals])
+    return z, pieces, norms

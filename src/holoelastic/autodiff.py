@@ -3,11 +3,14 @@
 The loss graph always has the same shape: per subdomain two branches
 (L x (jet affine, jet activation) each, network.forward_jets), the
 Kolosov-Muskhelishvili field map, per-piece boundary residuals and the
-length-weighted mean square.  loss_forward runs these stages, optionally
-on test points appended to the training points for a test loss, and keeps
-what the reverse pass needs; loss_backward passes adjoints back stage by
-stage (residuals -> KM -> branches) and yields, for every complex weight w,
-the real pair (dL/dRe w, dL/dIm w) packed as a complex number.
+length-weighted mean square.  pack_batch fixes each piece's residual
+operator and loss weight once per sample batch.  loss_forward runs the
+stages, optionally on test points appended to the training points for a
+test loss, and keeps what the reverse pass needs: the branch caches, each
+piece's (B, k) residual array and its mean square.  loss_backward passes
+adjoints back stage by stage (residuals -> KM -> branches) and yields, for
+every complex weight w, the real pair (dL/dRe w, dL/dIm w) packed as a
+complex number.
 
 Adjoint rules: every variable u carries a(u) = dL/dRe(u) + i dL/dIm(u).
 Through a holomorphic step v = f(u) the adjoint propagates as
@@ -45,22 +48,14 @@ class Group:
     """All samples of one boundary piece, sorted by the piece parameter."""
 
     piece: int
-    bc: el.BCKind
-    length: float
+    outer: bool  # False on an interface
+    alpha: float  # loss weight of el.group_weights
     subs: tuple[int, ...]
     z: np.ndarray
     t: np.ndarray
     A: np.ndarray  # (B, k, 5) residual operator of el.bc_operator
     d: np.ndarray  # (B, k) prescribed data
     slices: dict[int, slice] = field(default_factory=dict)
-
-    @property
-    def outer(self) -> bool:
-        return not isinstance(self.bc, el.Interface)
-
-    @property
-    def key(self) -> tuple:
-        return (self.subs, type(self.bc).__name__, self.piece)
 
 
 @dataclass
@@ -70,14 +65,16 @@ class PackedBatch:
 
 
 def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
-    """Group a sample_boundary batch by piece, build each piece's residual
-    operator and the per-subdomain evaluation arrays.
+    """Group a sample_boundary batch by piece, fix each piece's loss weight
+    and residual operator, and build the per-subdomain evaluation arrays.
 
     Every piece needs at least one sample.  Within each group samples are
     ordered by t (ties keep their batch order), which fixes the reduction
     order regardless of the input permutation.  Interface samples appear in
     the evaluation arrays of both adjoining subdomains.
     """
+    outer = [not p.is_interface for p in domain.pieces]
+    alphas = el.group_weights([piece_length(p) for p in domain.pieces], outer)
     groups = []
     for idx, piece in enumerate(domain.pieces):
         rows = np.flatnonzero(samples.piece == idx)
@@ -86,7 +83,7 @@ def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
         rows = rows[np.argsort(samples.t[rows], kind="stable")]
         z = samples.z[rows]
         A, d = el.bc_operator(piece.bc, samples.normal[rows], z)
-        groups.append(Group(idx, piece.bc, piece_length(piece), tuple(piece.subdomains), z, samples.t[rows], A, d))
+        groups.append(Group(idx, outer[idx], alphas[idx], tuple(piece.subdomains), z, samples.t[rows], A, d))
     chunks: dict[int, list[np.ndarray]] = {i: [] for i in range(domain.n_subdomains)}
     offsets = {i: 0 for i in range(domain.n_subdomains)}
     for g in groups:
@@ -124,8 +121,8 @@ class SubdomainPass:
     points (the branch caches also hold any test points, after them)."""
 
     z: np.ndarray
-    phi: Optional[list]  # forward_jets layer caches; None on forward-only passes
-    psi: Optional[list]
+    phi: list  # forward_jets layer caches
+    psi: list
     fields: np.ndarray  # (nf, B) rows of el.FieldPoint.rows
 
 
@@ -137,9 +134,9 @@ class LossRecord:
     material: el.Material
     subs: dict[int, SubdomainPass]
     groups: list[Group]
-    residuals: list[el.ResidualGroup]  # one per group
+    residuals: list[np.ndarray]  # (B, k) per group
     loss: float
-    components: dict  # group key -> (alpha, mse) of el.assemble_loss
+    mse: list[float]  # mean squared residual norm per group
     test_loss: float = math.nan  # loss on the test batch, if one rode along
 
     @property
@@ -147,30 +144,49 @@ class LossRecord:
         """Stage caches in forward order (perfbench reports their count)."""
         out: list = []
         for sp in self.subs.values():
-            out += (sp.phi or []) + (sp.psi or []) + [sp]
-        return out + self.residuals + [self.components]
+            out += sp.phi + sp.psi + [sp]
+        return out + self.residuals + [self.mse]
 
 
-def _residuals(groups: list[Group], fields: dict[int, np.ndarray]) -> list[el.ResidualGroup]:
-    """Per-group residuals from each subdomain's (nf, B) field rows."""
+def _residuals(groups: list[Group], fields: dict[int, np.ndarray]) -> list[np.ndarray]:
+    """Per-group (B, k) residuals from each subdomain's (nf, B) field rows."""
     out = []
     for g in groups:
         fa = fields[g.subs[0]][:, g.slices[g.subs[0]]]
         if g.outer:
-            r = el.bc_residual(g.A, g.d, fa)
+            out.append(el.bc_residual(g.A, g.d, fa))
         else:
-            r = el.interface_residual(g.A, fa, fields[g.subs[1]][:, g.slices[g.subs[1]]])
-        out.append(el.ResidualGroup(g.key, r, g.length, outer=g.outer))
+            out.append(el.interface_residual(g.A, fa, fields[g.subs[1]][:, g.slices[g.subs[1]]]))
     return out
 
 
-def _forward(
-    pairs: Sequence[BranchPair], batch, problem: "ProblemSpec", keep: bool, test: Optional[PackedBatch] = None
-) -> LossRecord:
-    """Run the loss pipeline; `keep` retains the branch caches for the reverse pass.
+def _loss(groups: list[Group], residuals: list[np.ndarray]) -> tuple[float, list[float]]:
+    """el.assemble_loss with the packed weights; a non-finite loss names its first bad sample."""
+    loss, mse = el.assemble_loss(residuals, [g.alpha for g in groups])
+    # the loss sums non-negative terms, so it is finite only if every residual is
+    if not math.isfinite(loss):
+        for g, r in zip(groups, residuals):
+            bad = ~np.isfinite(r)
+            if bad.any():
+                i = int(np.argwhere(bad.any(axis=1))[0, 0])
+                raise NonFiniteError(
+                    f"non-finite residual at piece {g.piece}, sample t={g.t[i]:.6g}, z={g.z[i]:.6g}"
+                )
+        raise NonFiniteError("non-finite loss")
+    return loss, mse
 
-    A `test` batch's points follow the training points of each subdomain
-    through the same branch forwards; its loss is assembled from its rows.
+
+def loss_forward(
+    pairs: Sequence[BranchPair],
+    batch: Union[PackedBatch, np.recarray],
+    problem: "ProblemSpec",
+    test: Optional[PackedBatch] = None,
+) -> tuple[float, LossRecord]:
+    """Boundary loss of the networks on a sample batch, with its record.
+
+    A packed `test` batch's points follow the training points of each
+    subdomain through the same branch forwards: rec.test_loss equals
+    loss_value on it bit for bit, and loss_backward leaves its points out.
     """
     packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
     if len(pairs) != problem.domain.n_subdomains:
@@ -184,60 +200,23 @@ def _forward(
     for sub, z in packed.eval_z.items():
         n = z.size
         zz = z if test is None else np.concatenate((z, test.eval_z[sub]))
-        cphi, cpsi = ([], []) if keep else (None, None)
+        cphi, cpsi = [], []
         jp = forward_jets(pairs[sub].phi, zz, order_phi, cphi, where=f"pair {sub} phi ")
         jq = forward_jets(pairs[sub].psi, zz, order_psi, cpsi, where=f"pair {sub} psi ")
         fields = el.km_fields(zz, km_state(mode, jp, jq), problem.material).rows()
         subs[sub] = SubdomainPass(z, cphi, cpsi, fields[:, :n])
         test_fields[sub] = fields[:, n:]
     residuals = _residuals(packed.groups, {s: sp.fields for s, sp in subs.items()})
-    loss, components = el.assemble_loss(residuals)
-    _check_finite(loss, packed.groups, residuals)
-    rec = LossRecord(pairs, problem.material, subs, packed.groups, residuals, loss, components)
+    loss, mse = _loss(packed.groups, residuals)
+    rec = LossRecord(pairs, problem.material, subs, packed.groups, residuals, loss, mse)
     if test is not None:
-        test_residuals = _residuals(test.groups, test_fields)
-        rec.test_loss = el.assemble_loss(test_residuals)[0]
-        _check_finite(rec.test_loss, test.groups, test_residuals)
-    return rec
-
-
-def _check_finite(loss: float, groups: list[Group], residuals: list[el.ResidualGroup]) -> None:
-    # the loss sums non-negative terms, so it is finite only if every residual is
-    if math.isfinite(loss):
-        return
-    for g, rg in zip(groups, residuals):
-        bad = ~np.isfinite(rg.residuals)
-        if bad.any():
-            i = int(np.argwhere(bad.any(axis=1))[0, 0])
-            raise NonFiniteError(
-                f"non-finite residual at piece {g.piece}, sample t={g.t[i]:.6g}, z={g.z[i]:.6g}"
-            )
-    raise NonFiniteError("non-finite loss")
-
-
-def loss_forward(
-    pairs: Sequence[BranchPair],
-    batch: Union[PackedBatch, np.recarray],
-    problem: "ProblemSpec",
-    test: Optional[PackedBatch] = None,
-) -> tuple[float, LossRecord]:
-    """Boundary loss of the networks on a sample batch, with its record.
-
-    A packed `test` batch rides along: rec.test_loss equals loss_value on it
-    bit for bit, and loss_backward leaves its points out.
-    """
-    rec = _forward(pairs, batch, problem, keep=True, test=test)
-    return rec.loss, rec
+        rec.test_loss = _loss(test.groups, _residuals(test.groups, test_fields))[0]
+    return loss, rec
 
 
 def loss_value(pairs, batch, problem) -> float:
-    """Boundary loss without the caches of the reverse pass."""
-    return _forward(pairs, batch, problem, keep=False).loss
-
-
-def forward_residuals(pairs, batch, problem) -> list[el.ResidualGroup]:
-    """Per-piece residual batches without gradient bookkeeping."""
-    return _forward(pairs, batch, problem, keep=False).residuals
+    """Boundary loss alone."""
+    return loss_forward(pairs, batch, problem)[0]
 
 
 # --- backward ------------------------------------------------------------------
@@ -279,11 +258,9 @@ def loss_backward(rec: LossRecord) -> WeightGrad:
     # dL/dfields per subdomain: zeros, then each group adds A^T rho into its
     # own slice (negated on side b of an interface, whose residual is A fa - A fb)
     adj = {sub: np.zeros_like(sp.fields) for sub, sp in rec.subs.items()}
-    for g, rg in zip(rec.groups, rec.residuals):
-        r = rg.residuals
-        alpha = rec.components[g.key][0]
+    for g, r in zip(rec.groups, rec.residuals):
         nf = adj[g.subs[0]].shape[0]
-        at = np.einsum("bkf,bk->fb", g.A[:, :, :nf], (2.0 * alpha / r.shape[0]) * r)
+        at = np.einsum("bkf,bk->fb", g.A[:, :, :nf], (2.0 * g.alpha / r.shape[0]) * r)
         adj[g.subs[0]][:, g.slices[g.subs[0]]] += at
         if not g.outer:
             adj[g.subs[1]][:, g.slices[g.subs[1]]] -= at

@@ -130,7 +130,7 @@ def _cmd_eval(args) -> int:
     export.write_fields_csv(_out_path(spec, "fields.csv"), grid)
     print(f"wrote field grid {nx}x{ny} ({int(grid.mask.sum())} interior points)")
     ref = spec.reference
-    if ref and ref.get("kind") == "ring":
+    if ref:  # load_config admits only the ring
         p, r, R = float(ref["p"]), float(ref["r"]), float(ref["R"])
         X, Y = np.meshgrid(grid.xs, grid.ys)
         Z = X + 1j * Y

@@ -233,46 +233,23 @@ def interface_residual(A: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndar
 # --- loss assembly ----------------------------------------------------------
 
 
-@dataclass
-class ResidualGroup:
-    """Residual batch of one boundary piece.
-
-    residuals has shape (B, k); `length` is the piece arc length and `outer`
-    marks pieces on the outer boundary (interfaces are not outer).
-    """
-
-    key: tuple
-    residuals: np.ndarray
-    length: float
-    outer: bool = True
-
-
-def group_weights(groups: Sequence[ResidualGroup]) -> list[float]:
-    """Per-group weights: piece length over total outer boundary length."""
-    outer_len = math.fsum(g.length for g in groups if g.outer)
+def group_weights(lengths: Sequence[float], outer: Sequence[bool]) -> list[float]:
+    """Per-piece loss weights: piece length over total outer boundary length."""
+    outer_len = math.fsum(length for length, o in zip(lengths, outer) if o)
     if outer_len <= 0.0:
         raise ValueError("total outer boundary length must be positive")
-    return [g.length / outer_len for g in groups]
+    return [length / outer_len for length in lengths]
 
 
-def assemble_loss(groups: Sequence[ResidualGroup]) -> tuple[float, dict]:
-    """Length-weighted mean-squared boundary residual.
+def assemble_loss(residuals: Sequence[np.ndarray], alphas: Sequence[float]) -> tuple[float, list[float]]:
+    """Length-weighted mean-squared boundary residual and the per-piece means.
 
-    Every group contributes alpha * mean_i ||r_i||^2 with
-    alpha = length(piece) / length(outer boundary); outer alphas sum to 1.
+    Every (B, k) residual batch contributes alpha * mean_i ||r_i||^2, summed
+    in piece order, with alpha from group_weights; outer alphas sum to 1.
     """
-    alphas = group_weights(groups)
     total = 0.0
-    components: dict = {}
-    for g, alpha in zip(groups, alphas):
-        r = np.asarray(g.residuals, dtype=float)
-        if r.ndim != 2:
-            raise ValueError(f"group {g.key}: residuals must be (B, k), got {r.shape}")
-        if r.shape[0] == 0:
-            if g.length > 0.0:
-                raise ValueError(f"group {g.key} is empty but carries boundary length {g.length}")
-            continue
-        mse = float(np.sum(r * r) / r.shape[0])
-        components[g.key] = (alpha, mse)
-        total += alpha * mse
-    return total, components
+    mse = []
+    for r, alpha in zip(residuals, alphas):
+        mse.append(float(np.sum(r * r) / r.shape[0]))
+        total += alpha * mse[-1]
+    return total, mse

@@ -49,6 +49,11 @@ class ProblemSpec:
     name: str = ""
 
     def __post_init__(self):
+        n = len(self.domain.pieces)  # every piece needs a sample; n_test = 0 means no test batch
+        for key in ("n_train", "n_test"):
+            v = getattr(self.training, key)
+            if (key == "n_train" or v > 0) and v < n:
+                raise ConfigError(f"training: {key} must be at least the number of boundary pieces ({n}), got {v}")
         if self.networks.mode is Mode.STRESS_ONLY:
             for p in self.domain.pieces:
                 if not isinstance(p.bc, el.Traction):
@@ -77,6 +82,12 @@ def _num(v, path: str) -> float:
         return float(v)
     except (TypeError, ValueError):
         _fail(path, f"expected a number, got {v!r}")
+
+
+def _int(v, path: str) -> int:
+    if type(v) is not int:  # a float would truncate and a bool is an int subclass
+        _fail(path, f"expected an integer, got {v!r}")
+    return v
 
 
 def _nums(v, n: int, path: str) -> tuple[float, ...]:
@@ -109,7 +120,8 @@ def _parse_bc(obj: dict, path: str) -> tuple[el.BCKind, tuple[int, ...]]:
         subs = _need(obj, "subdomains", path)
         if not (isinstance(subs, list) and len(subs) == 2):
             _fail(path, "interface needs 'subdomains': [a, b]")
-        return el.Interface(int(subs[0]), int(subs[1])), (int(subs[0]), int(subs[1]))
+        a, b = (_int(s, f"{path}.subdomains") for s in subs)
+        return el.Interface(a, b), (a, b)
     _fail(path, f"unknown bc type {kind!r}")
 
 
@@ -179,33 +191,30 @@ def load_config(path: str) -> ProblemSpec:
         regions = [
             _parse_region(r, f"geometry.regions[{i}]") for i, r in enumerate(geo_obj["regions"])
         ]
+    n_sub = _int(geo_obj.get("n_subdomains", 1), "geometry.n_subdomains")
     try:
-        domain = geo.DomainSpec(pieces, int(geo_obj.get("n_subdomains", 1)), regions)
+        domain = geo.DomainSpec(pieces, n_sub, regions)
     except ValueError as e:
         raise ConfigError(f"geometry: {e}")
 
     net_obj = _need(doc, "networks", "config")
+    layers, units = (_int(_need(net_obj, k, "networks"), f"networks.{k}") for k in ("hidden_layers", "units"))
     try:
         networks = NetworkConfig(
-            int(_need(net_obj, "hidden_layers", "networks")),
-            int(_need(net_obj, "units", "networks")),
-            ActivationKind(net_obj.get("activation", "exp")),
-            Mode(net_obj.get("mode", "standard")),
+            layers, units, ActivationKind(net_obj.get("activation", "exp")), Mode(net_obj.get("mode", "standard"))
         )
     except ValueError as e:
         raise ConfigError(f"networks: {e}")
 
     tr_obj = _need(doc, "training", "config")
+    counts = {k: _int(_need(tr_obj, k, "training"), f"training.{k}") for k in ("epochs", "n_train")}
+    counts.update({k: _int(tr_obj.get(k, v), f"training.{k}") for k, v in (("n_test", 0), ("seed", 0), ("m_e", 3))})
     try:
         training = TrainConfig(
-            epochs=int(_need(tr_obj, "epochs", "training")),
             lr=float(_need(tr_obj, "lr", "training")),
-            n_train=int(_need(tr_obj, "n_train", "training")),
-            n_test=int(tr_obj.get("n_test", 0)),
-            seed=int(tr_obj.get("seed", 0)),
             beta=float(tr_obj.get("beta", 0.5)),
-            m_e=int(tr_obj.get("m_e", 3)),
             lr_decay=float(tr_obj.get("lr_decay", 1.0)),
+            **counts,
         )
     except ValueError as e:
         raise ConfigError(f"training: {e}")
@@ -216,6 +225,16 @@ def load_config(path: str) -> ProblemSpec:
         _fail("outputs.grid", f"expected [nx, ny] with positive integers, got {grid!r}")
     outputs = OutputConfig(tuple(grid), str(out_obj.get("dir", "out")))
 
+    ref = doc.get("reference")
+    if ref is not None:
+        if not isinstance(ref, dict):
+            _fail("reference", f"expected an object, got {ref!r}")
+        if ref.get("kind") != "ring":
+            _fail("reference.kind", f"expected 'ring', got {ref.get('kind')!r}")
+        p, r, R = (_num(ref.get(k), f"reference.{k}") for k in ("p", "r", "R"))
+        if not 0.0 < r < R:
+            _fail("reference.r", f"need 0 < r < R, got r={r}, R={R}")
+
     try:
         return ProblemSpec(
             material=material,
@@ -223,9 +242,11 @@ def load_config(path: str) -> ProblemSpec:
             networks=networks,
             training=training,
             outputs=outputs,
-            reference=doc.get("reference"),
+            reference=ref,
             name=str(doc.get("name", os.path.splitext(os.path.basename(path))[0])),
         )
+    except ConfigError:
+        raise
     except ValueError as e:
         raise ConfigError(f"config: {e}")
 

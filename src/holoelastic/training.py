@@ -50,6 +50,10 @@ class TrainConfig:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if not self.beta > 0.0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
+        if self.m_e < 2:
+            raise ValueError(f"m_e must be >= 2, got {self.m_e}")
 
 
 @dataclass

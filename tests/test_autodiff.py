@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import config_path, ring_problem, square_problem
+from conftest import CONFIG_NAMES, config_path, ring_problem, square_problem
+from holoelastic import elasticity
 from holoelastic.autodiff import (
     grad_check,
     loss_backward,
@@ -10,7 +11,7 @@ from holoelastic.autodiff import (
     pack_batch,
 )
 from holoelastic.elasticity import ConstantData, Traction
-from holoelastic.geometry import sample_boundary
+from holoelastic.geometry import piece_length, sample_boundary
 from holoelastic.jets import ActivationKind, NonFiniteError, act_derivs
 from holoelastic.network import BranchPair, build_mlp, flatten_params, write_params
 from holoelastic.problem import load_config
@@ -66,6 +67,39 @@ def test_pack_batch_ignores_sample_order(name):
         for field in ("z", "t", "A", "d"):
             assert np.array_equal(getattr(ga, field), getattr(gb, field)), field
     assert loss_value(pairs, a, problem) == loss_value(pairs, b, problem)
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_loss_reads_the_packed_piece_weights(name):
+    # each piece's weight is fixed at pack time to the formula criterion 7
+    # checks, and the loss is the in-order sum of weight times mean square
+    problem = load_config(config_path(name))
+    problem.networks.hidden_layers, problem.networks.units = 1, 4
+    rng = Rng(5)
+    packed = pack_batch(sample_boundary(problem.domain, 80, rng.spawn(1)), problem.domain)
+    outer_len = problem.domain.outer_length()
+    assert [g.alpha for g in packed.groups] == [piece_length(p) / outer_len for p in problem.domain.pieces]
+    pairs = build_pairs(problem)
+    init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.5, 3, rng)
+    loss, rec = loss_forward(pairs, packed, problem)
+    total = 0.0
+    for g, r, mse in zip(rec.groups, rec.residuals, rec.mse):
+        assert r.shape[0] == g.z.size and mse == float(np.sum(r * r) / r.shape[0])
+        total += g.alpha * mse
+    assert loss == rec.loss == total > 0.0
+
+
+def test_train_computes_piece_weights_once_per_batch(monkeypatch):
+    calls = []
+    weights = elasticity.group_weights
+
+    def counted(*args):
+        calls.append(args)
+        return weights(*args)
+
+    monkeypatch.setattr(elasticity, "group_weights", counted)
+    train(ring_problem(epochs=4, n_train=40, n_test=8))
+    assert len(calls) == 2  # the training and the test batch
 
 
 def test_subdomain_count_mismatch():

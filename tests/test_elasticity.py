@@ -14,13 +14,13 @@ from holoelastic.elasticity import (
     Material,
     NormalPressure,
     PlaneMode,
-    ResidualGroup,
     Symmetry,
     Traction,
     assemble_loss,
     bc_operator,
     bc_residual,
     eval_boundary_data,
+    group_weights,
     interface_residual,
     km_fields,
     material_derived,
@@ -168,49 +168,31 @@ def test_interface_residual_distinct_ids():
         Interface(2, 2)
 
 
-def _group(key, res, length, outer=True):
-    return ResidualGroup(key, np.asarray(res, dtype=float), length, outer)
-
-
 def test_assemble_loss_alpha_split():
     # square with two Dirichlet and two Neumann edges of equal length
-    groups = [
-        _group(("d1",), np.zeros((3, 2)), 1.0),
-        _group(("d2",), np.zeros((3, 2)), 1.0),
-        _group(("n1",), np.zeros((3, 2)), 1.0),
-        _group(("n2",), np.zeros((3, 2)), 1.0),
-    ]
-    total, comps = assemble_loss(groups)
+    alphas = group_weights([1.0] * 4, [True] * 4)
+    assert alphas == [0.25] * 4
+    total, mse = assemble_loss([np.zeros((3, 2))] * 4, alphas)
     assert total == 0.0
-    assert all(abs(alpha - 0.25) < 1e-15 for alpha, _ in comps.values())
+    assert mse == [0.0] * 4
 
 
 def test_assemble_loss_mean_of_squared_norms():
-    groups = [_group(("n",), [[1.0, 0.0], [0.0, 1.0]], 2.0)]
-    total, comps = assemble_loss(groups)
+    alphas = group_weights([2.0], [True])
+    total, mse = assemble_loss([np.array([[1.0, 0.0], [0.0, 1.0]])], alphas)
     assert abs(total - 1.0) < 1e-15
-    assert comps[("n",)] == (1.0, 1.0)
-
-
-def test_assemble_loss_empty_group_with_length_rejected():
-    groups = [
-        _group(("a",), np.zeros((2, 2)), 1.0),
-        _group(("b",), np.zeros((0, 2)), 1.0),
-    ]
-    with pytest.raises(ValueError, match="empty"):
-        assemble_loss(groups)
+    assert (alphas, mse) == ([1.0], [1.0])
 
 
 def test_outer_alphas_sum_to_one_with_interfaces():
-    groups = [
-        _group(("o1",), np.zeros((2, 2)), 1.5),
-        _group(("o2",), np.zeros((2, 2)), 2.5),
-        _group(("i",), np.zeros((2, 4)), 3.0, outer=False),
-    ]
-    _, comps = assemble_loss(groups)
-    outer_alpha = comps[("o1",)][0] + comps[("o2",)][0]
-    assert abs(outer_alpha - 1.0) < 1e-12
-    assert abs(comps[("i",)][0] - 3.0 / 4.0) < 1e-12
+    alphas = group_weights([1.5, 2.5, 3.0], [True, True, False])
+    assert abs(alphas[0] + alphas[1] - 1.0) < 1e-12
+    assert abs(alphas[2] - 3.0 / 4.0) < 1e-12
+
+
+def test_group_weights_need_outer_length():
+    with pytest.raises(ValueError, match="outer boundary length"):
+        group_weights([1.0], [False])
 
 
 @given(st.lists(st.floats(-5, 5), min_size=4, max_size=20), st.integers(0, 10_000))
@@ -220,6 +202,6 @@ def test_assemble_loss_permutation_invariant_given_fixed_order(vals, seed):
     res = np.array(vals[:n]).reshape(-1, 2)
     perm = np.random.default_rng(seed).permutation(res.shape[0])
     # groups carry a canonical sample order, so a permuted copy reduces identically
-    total1, _ = assemble_loss([_group(("g",), res, 1.0)])
-    total2, _ = assemble_loss([_group(("g",), res[perm][np.argsort(perm)], 1.0)])
+    total1, _ = assemble_loss([res], [1.0])
+    total2, _ = assemble_loss([res[perm][np.argsort(perm)]], [1.0])
     assert total1 == total2

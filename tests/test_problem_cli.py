@@ -115,10 +115,29 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         ((*PATCH, "disks_in"), [[0.0, 0.0]], [], "error: geometry.regions[0].patches[0].disks_in[0]: "),
         (("geometry", "n_subdomains"), 2, [], "error: geometry: subdomain 1 has no boundary piece"),
         ((), None, ["--grid", "40"], "argument --grid: expected NxM with positive N and M"),
+        (("training", "epochs"), 2.7, [], "error: training.epochs: expected an integer, got 2.7"),
+        (("training", "n_train"), 40.0, [], "error: training.n_train: expected an integer"),
+        (("training", "n_test"), "8", [], "error: training.n_test: expected an integer"),
+        (("training", "seed"), 1.5, [], "error: training.seed: expected an integer"),
+        (("training", "m_e"), 3.0, [], "error: training.m_e: expected an integer"),
+        (("networks", "hidden_layers"), True, [], "error: networks.hidden_layers: expected an integer, got True"),
+        (("networks", "units"), 10.5, [], "error: networks.units: expected an integer"),
+        (("geometry", "n_subdomains"), 1.0, [], "error: geometry.n_subdomains: expected an integer"),
+        (("training", "m_e"), 1, [], "error: training: m_e must be >= 2, got 1"),
+        (("training", "beta"), -1, [], "error: training: beta must be positive"),
+        (("training", "n_test"), 2, [], "error: training: n_test must be at least the number of boundary pieces (4)"),
+        (("training", "n_train"), 3, [], "error: training: n_train must be at least the number of boundary pieces"),
+        (("reference",), {"kind": "ring", "p": -1.0, "r": 0.5}, [], "error: reference.R: "),
+        (("reference", "kind"), "rign", [], "error: reference.kind: expected 'ring'"),
+        (("reference",), "ring", [], "error: reference: expected an object"),
+        (("reference", "r"), 3.0, [], "error: reference.r: need 0 < r < R"),
     ],
     ids=[
         "grid_one", "grid_nonpositive", "constant_3", "pressure_str", "radius_str", "side_str", "subdomain_str",
-        "rect_3", "halfplane_2", "disk_2", "bare_subdomain", "cli_grid",
+        "rect_3", "halfplane_2", "disk_2", "bare_subdomain", "cli_grid", "epochs_float", "n_train_float",
+        "n_test_str", "seed_float", "m_e_float", "layers_bool", "units_float", "n_subdomains_float", "m_e_1",
+        "beta_negative", "n_test_below_pieces", "n_train_below_pieces", "ref_missing_R", "ref_kind", "ref_str",
+        "ref_r_beyond_R",
     ],
 )
 def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, keys, value, args, message):
@@ -134,6 +153,16 @@ def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, ke
     cfg.write_text(json.dumps(doc))
     assert run_command(["eval", str(cfg), str(tmp_path / "missing.json"), *args]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_interface_subdomains_must_be_integers(tmp_path):
+    doc = json.load(open(config_path("dd_plate_hole")))
+    i = next(k for k, p in enumerate(doc["geometry"]["pieces"]) if p["bc"]["type"] == "interface")
+    doc["geometry"]["pieces"][i]["bc"]["subdomains"][1] = 1.0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=rf"^geometry\.pieces\[{i}\]\.bc\.subdomains: expected an integer, got 1\.0$"):
+        load_config(str(path))
 
 
 # --- CLI ------------------------------------------------------------------------
