@@ -10,6 +10,8 @@ afterwards, and hashes:
   <config>/fields.csv                     `eval --grid 40x40` of that checkpoint
   ring_quadrant/errors.csv                the same eval's exact-reference errors
   ring_quadrant/fields_400x400.csv        `eval --grid 400x400` (and its errors)
+  clamped_square/fields_200x200.csv       `eval --grid 200x200`: 40,000 points, so
+                                          ten FORWARD_BLOCK blocks of 100-wide nets
   clamped_square/variance.csv             `init-check`
   <config>/samples.csv                    `sample --n 300` (all configs)
   approx.csv                              `approx-demo --n 32`
@@ -78,6 +80,8 @@ def main(argv: list[str]) -> int:
                 _show(f"{name}/fields_400x400.csv", os.path.join(out, "fields.csv"))
                 _show(f"{name}/errors_400x400.csv", os.path.join(out, "errors.csv"))
             if name == "clamped_square":
+                run("eval", cfg, ckpt, "--grid", "200x200")
+                _show(f"{name}/fields_200x200.csv", os.path.join(out, "fields.csv"))
                 run("init-check", cfg)
                 _show(f"{name}/variance.csv", os.path.join(out, "variance.csv"))
             run("sample", cfg, "--n", "300")

@@ -129,6 +129,8 @@ def eval_grid(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> GridFie
             continue
         z = X[where] + 1j * Y[where]
         state = mlp_forward(pairs[s].phi, pairs[s].psi, z)
+        # one call on all points: numpy's temporary elision orders z * conj(dphi)
+        # by array size, so splitting km_fields would change bits of ux and uy
         f = el.km_fields(z, state, problem.material)
         for k in arrays:
             arrays[k][where] = getattr(f, k)

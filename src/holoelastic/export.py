@@ -9,27 +9,27 @@ notation.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .analytics import GridField, VarianceReport
 from .training import History
 
 
-def write_text_atomic(path: str, text: str) -> None:
+def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks one after another to path.tmp, then rename it to path."""
     d = os.path.dirname(path)
     if d:
         os.makedirs(d, exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
-def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    lines = [",".join(header)]
+def _csv(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    yield ",".join(header) + "\n"
     for row in rows:
-        lines.append(",".join("" if v is None else str(v) for v in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join("" if v is None else str(v) for v in row) + "\n"
 
 
 def write_history_csv(path: str, history: History, wall_times: bool = False) -> None:
@@ -47,24 +47,29 @@ def write_history_csv(path: str, history: History, wall_times: bool = False) -> 
 def write_fields_csv(path: str, grid: GridField) -> None:
     """Field CSV: x, y, sxx, syy, sxy, ux, uy; masked points keep empty cells.
 
-    Rows are formatted from Python floats one grid row at a time; their repr
-    is the shortest round-trip form, like numpy's.
+    Rows are formatted from Python floats and written one grid row at a time;
+    their repr is the shortest round-trip form, like numpy's.
     """
-    lines = ["x,y,sxx,syy,sxy,ux,uy"]
+    write_text_atomic(path, _field_rows(grid))
+
+
+def _field_rows(grid: GridField) -> Iterator[str]:
+    yield "x,y,sxx,syy,sxy,ux,uy\n"
     xs = grid.xs.tolist()
     for iy, y in enumerate(grid.ys.tolist()):
         mask = grid.mask[iy].tolist()
         sxx, syy, sxy = grid.sxx[iy].tolist(), grid.syy[iy].tolist(), grid.sxy[iy].tolist()
         ux = grid.ux[iy].tolist() if grid.ux is not None else None
         uy = grid.uy[iy].tolist() if grid.uy is not None else None
+        lines = []
         for ix, x in enumerate(xs):
             if not mask[ix]:
-                lines.append(f"{x},{y},,,,,")
+                lines.append(f"{x},{y},,,,,\n")
             elif ux is None:
-                lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},,")
+                lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},,\n")
             else:
-                lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},{ux[ix]},{uy[ix]}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+                lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},{ux[ix]},{uy[ix]}\n")
+        yield "".join(lines)
 
 
 def write_errors_csv(path: str, errors: dict[str, float]) -> None:

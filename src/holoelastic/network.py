@@ -194,14 +194,22 @@ def km_state(mode: Mode, jp: np.ndarray, jq: np.ndarray) -> KMState:
     return KMState(dphi=jp[0], ddphi=jp[1], dpsi=jq[0])
 
 
+# Points per forward_jets call in mlp_forward, so that a hidden layer's jets
+# hold (order + 1) * width * FORWARD_BLOCK entries however large the grid.
+FORWARD_BLOCK = 4096
+
+
 def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z) -> KMState:
-    """Run both branches at the points z (flattened) and bundle the
-    potentials (see km_state)."""
+    """Both branches at the points z (flattened), FORWARD_BLOCK at a time; see km_state."""
     if net_phi.mode is not net_psi.mode:
         raise ValueError("branches disagree on mode")
     z = np.asarray(z, dtype=np.complex128).ravel()
-    order_phi, order_psi = JET_ORDERS[net_phi.mode]
-    return km_state(net_phi.mode, forward_jets(net_phi, z, order_phi), forward_jets(net_psi, z, order_psi))
+    orders = JET_ORDERS[net_phi.mode]
+    outs = [np.empty((k + 1, z.size), dtype=np.complex128) for k in orders]
+    for i in range(0, z.size, FORWARD_BLOCK):
+        for out, net, k in zip(outs, (net_phi, net_psi), orders):
+            out[:, i : i + FORWARD_BLOCK] = forward_jets(net, z[i : i + FORWARD_BLOCK], k)
+    return km_state(net_phi.mode, *outs)
 
 
 # --- parameter flattening -----------------------------------------------------

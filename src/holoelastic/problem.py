@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -78,10 +79,10 @@ def _need(obj: dict, key: str, path: str):
 
 
 def _num(v, path: str) -> float:
-    try:
+    # JSON numbers but not bools; the bound rejects NaN, inf and ints past the float range
+    if type(v) in (int, float) and abs(v) <= sys.float_info.max:
         return float(v)
-    except (TypeError, ValueError):
-        _fail(path, f"expected a number, got {v!r}")
+    _fail(path, f"expected a finite number, got {v!r}")
 
 
 def _int(v, path: str) -> int:
@@ -121,7 +122,10 @@ def _parse_bc(obj: dict, path: str) -> tuple[el.BCKind, tuple[int, ...]]:
         if not (isinstance(subs, list) and len(subs) == 2):
             _fail(path, "interface needs 'subdomains': [a, b]")
         a, b = (_int(s, f"{path}.subdomains") for s in subs)
-        return el.Interface(a, b), (a, b)
+        try:
+            return el.Interface(a, b), (a, b)
+        except ValueError as e:
+            _fail(f"{path}.subdomains", str(e))
     _fail(path, f"unknown bc type {kind!r}")
 
 
@@ -175,12 +179,9 @@ def load_config(path: str) -> ProblemSpec:
             raise ConfigError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
 
     mat_obj = _need(doc, "material", "config")
+    lam, mu = (_num(_need(mat_obj, k, "material"), f"material.{k}") for k in ("lambda", "mu"))
     try:
-        material = el.Material(
-            float(_need(mat_obj, "lambda", "material")),
-            float(_need(mat_obj, "mu", "material")),
-            el.PlaneMode(mat_obj.get("mode", "plane_strain")),
-        )
+        material = el.Material(lam, mu, el.PlaneMode(mat_obj.get("mode", "plane_strain")))
     except ValueError as e:
         raise ConfigError(f"material: {e}")
 
@@ -207,15 +208,12 @@ def load_config(path: str) -> ProblemSpec:
         raise ConfigError(f"networks: {e}")
 
     tr_obj = _need(doc, "training", "config")
-    counts = {k: _int(_need(tr_obj, k, "training"), f"training.{k}") for k in ("epochs", "n_train")}
-    counts.update({k: _int(tr_obj.get(k, v), f"training.{k}") for k, v in (("n_test", 0), ("seed", 0), ("m_e", 3))})
+    fields = {k: _int(_need(tr_obj, k, "training"), f"training.{k}") for k in ("epochs", "n_train")}
+    fields.update({k: _int(tr_obj.get(k, v), f"training.{k}") for k, v in (("n_test", 0), ("seed", 0), ("m_e", 3))})
+    fields["lr"] = _num(_need(tr_obj, "lr", "training"), "training.lr")
+    fields.update({k: _num(tr_obj.get(k, v), f"training.{k}") for k, v in (("beta", 0.5), ("lr_decay", 1.0))})
     try:
-        training = TrainConfig(
-            lr=float(_need(tr_obj, "lr", "training")),
-            beta=float(tr_obj.get("beta", 0.5)),
-            lr_decay=float(tr_obj.get("lr_decay", 1.0)),
-            **counts,
-        )
+        training = TrainConfig(**fields)
     except ValueError as e:
         raise ConfigError(f"training: {e}")
 

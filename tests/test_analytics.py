@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from holoelastic.analytics import (
     rotate_stress,
     variance_report,
 )
+from holoelastic import network
 from holoelastic.elasticity import KMState, Material, km_fields
+from holoelastic.export import write_fields_csv
 from holoelastic.geometry import sample_boundary
 from holoelastic.jets import ActivationKind
 from holoelastic.rng import Rng
@@ -157,6 +160,33 @@ def test_eval_grid_and_l2_error():
     assert np.all(np.isnan(grid.sxx[~grid.mask]))
     err = grid_l2_error(grid, grid)
     assert all(v == 0.0 for v in err.values())
+
+
+def test_eval_memory_is_set_by_the_forward_block_not_the_grid(monkeypatch, tmp_path):
+    # 7,363 interior points of a 100x100 ring grid in 512-point blocks.  With
+    # every point's jets held at once eval_grid peaked at 10.5 MB, and
+    # write_fields_csv held every row's text (3.3 MB).  The field map still
+    # runs once on all points, which keeps the fields' bits (see eval_grid)
+    problem = ring_problem()
+    pairs = build_pairs(problem)
+    rng = Rng(0)
+    init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.5, 3, rng)
+    monkeypatch.setattr(network, "FORWARD_BLOCK", 512, raising=False)
+    calls = []
+    monkeypatch.setattr("holoelastic.elasticity.km_fields", lambda *a: calls.append(a[0].size) or km_fields(*a))
+    tracemalloc.start()
+    try:
+        grid = eval_grid(pairs, problem, 100, 100)
+        eval_peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_fields_csv(str(tmp_path / "fields.csv"), grid)
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert calls == [grid.mask.sum()] and calls[0] >= 8 * 512
+    assert eval_peak < 5e6
+    assert write_peak < 1e6
 
 
 def test_grid_l2_constant_offset():

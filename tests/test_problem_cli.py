@@ -1,5 +1,6 @@
 import glob
 import json
+import math
 import os
 
 import numpy as np
@@ -131,13 +132,24 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         (("reference", "kind"), "rign", [], "error: reference.kind: expected 'ring'"),
         (("reference",), "ring", [], "error: reference: expected an object"),
         (("reference", "r"), 3.0, [], "error: reference.r: need 0 < r < R"),
+        (("training", "lr"), None, [], "error: training.lr: expected a finite number, got None"),
+        (("training", "lr"), "0.03", [], "error: training.lr: expected a finite number, got '0.03'"),
+        (("training", "lr"), math.nan, [], "error: training.lr: expected a finite number, got nan"),
+        (("training", "lr"), math.inf, [], "error: training.lr: expected a finite number, got inf"),
+        (("training", "beta"), True, [], "error: training.beta: expected a finite number, got True"),
+        (("training", "lr_decay"), "1", [], "error: training.lr_decay: expected a finite number, got '1'"),
+        (("material", "mu"), "1", [], "error: material.mu: expected a finite number, got '1'"),
+        (("material", "lambda"), None, [], "error: material.lambda: expected a finite number, got None"),
+        ((*PIECES, 0, "bc", "data", "normal_pressure"), math.nan, [],
+         "error: geometry.pieces[0].bc.data.normal_pressure: expected a finite number, got nan"),
     ],
     ids=[
         "grid_one", "grid_nonpositive", "constant_3", "pressure_str", "radius_str", "side_str", "subdomain_str",
         "rect_3", "halfplane_2", "disk_2", "bare_subdomain", "cli_grid", "epochs_float", "n_train_float",
         "n_test_str", "seed_float", "m_e_float", "layers_bool", "units_float", "n_subdomains_float", "m_e_1",
         "beta_negative", "n_test_below_pieces", "n_train_below_pieces", "ref_missing_R", "ref_kind", "ref_str",
-        "ref_r_beyond_R",
+        "ref_r_beyond_R", "lr_null", "lr_str", "lr_nan", "lr_inf", "beta_bool", "lr_decay_str", "mu_str",
+        "lambda_null", "pressure_nan",
     ],
 )
 def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, keys, value, args, message):
@@ -163,6 +175,28 @@ def test_interface_subdomains_must_be_integers(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=rf"^geometry\.pieces\[{i}\]\.bc\.subdomains: expected an integer, got 1\.0$"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("subs", [[0, 0], [-1, 0]])
+def test_interface_subdomains_must_be_distinct_and_nonnegative(tmp_path, subs):
+    doc = json.load(open(config_path("dd_plate_hole")))
+    i = next(k for k, p in enumerate(doc["geometry"]["pieces"]) if p["bc"]["type"] == "interface")
+    doc["geometry"]["pieces"][i]["bc"]["subdomains"] = subs
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    want = rf"^geometry\.pieces\[{i}\]\.bc\.subdomains: interface needs two distinct subdomains, got {subs[0]}, {subs[1]}$"
+    with pytest.raises(ConfigError, match=want):
+        load_config(str(path))
+
+
+def test_integer_json_numbers_load_as_floats(tmp_path):
+    doc = json.load(open(config_path("ring_quadrant")))
+    doc["material"]["mu"], doc["training"]["lr"] = 1, 1
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc))
+    spec = load_config(str(path))
+    assert type(spec.material.mu) is float and spec.material.mu == 1.0
+    assert type(spec.training.lr) is float and spec.training.lr == 1.0
 
 
 # --- CLI ------------------------------------------------------------------------
