@@ -15,6 +15,13 @@ afterwards, and hashes:
   clamped_square/variance.csv             `init-check`
   <config>/samples.csv                    `sample --n 300` (all configs)
   approx.csv                              `approx-demo --n 32`
+  <config>@<act>/checkpoint.json, history.csv
+                                          `train` for 20 epochs of ring_quadrant and
+                                          clamped_square with the activation <act>
+                                          (cos, sin, cos_sqrt): the shipped configs
+                                          all use exp, whose derivative jet is its
+                                          output, so only these runs take the other
+                                          activations' forward and reverse paths
 
 Diffing the output on two checkouts checks that a change leaves every one of
 these outputs byte-identical:
@@ -56,22 +63,32 @@ def main(argv: list[str]) -> int:
         if code != 0:
             raise SystemExit(f"holoelastic {' '.join(args)} exited {code}: {err.getvalue().strip()}")
 
+    def train(tmp: str, name: str, activation: str = "") -> tuple[str, dict, str]:
+        """Train a 20-epoch copy of config `name` and hash its checkpoint and
+        history; returns the copy's path and document and the checkpoint."""
+        label = f"{name}@{activation}" if activation else name
+        with open(os.path.join(repo, "configs", f"{name}.json")) as fh:
+            doc = json.load(fh)
+        doc["training"]["epochs"] = EPOCHS
+        if activation:
+            doc["networks"]["activation"] = activation
+        out = os.path.join(tmp, label)
+        doc.setdefault("outputs", {})["dir"] = out
+        cfg = os.path.join(tmp, f"{label}.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        ckpt = os.path.join(out, "checkpoint.json")
+        run("train", cfg)
+        _show(f"{label}/checkpoint.json", ckpt)
+        _show(f"{label}/history.csv", os.path.join(out, "history.csv"))
+        return cfg, doc, ckpt
+
     configs = sorted(glob.glob(os.path.join(repo, "configs", "*.json")))
     with tempfile.TemporaryDirectory() as tmp:
         for src in configs:
             name = os.path.splitext(os.path.basename(src))[0]
-            out = os.path.join(tmp, name)
-            with open(src) as fh:
-                doc = json.load(fh)
-            doc["training"]["epochs"] = EPOCHS
-            doc.setdefault("outputs", {})["dir"] = out
-            cfg = os.path.join(tmp, f"{name}.json")
-            with open(cfg, "w") as fh:
-                json.dump(doc, fh)
-            ckpt = os.path.join(out, "checkpoint.json")
-            run("train", cfg)
-            _show(f"{name}/checkpoint.json", ckpt)
-            _show(f"{name}/history.csv", os.path.join(out, "history.csv"))
+            cfg, doc, ckpt = train(tmp, name)
+            out = os.path.dirname(ckpt)
             run("eval", cfg, ckpt, "--grid", "40x40")
             _show(f"{name}/fields.csv", os.path.join(out, "fields.csv"))
             if doc.get("reference"):
@@ -89,6 +106,9 @@ def main(argv: list[str]) -> int:
         approx = os.path.join(tmp, "approx.csv")
         run("approx-demo", "--n", "32", "--out", approx)
         _show("approx.csv", approx)
+        for name in ("ring_quadrant", "clamped_square"):
+            for activation in ("cos", "sin", "cos_sqrt"):
+                train(tmp, name, activation)
     return 0
 
 

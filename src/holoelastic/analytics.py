@@ -253,7 +253,8 @@ def variance_report(
                 # three sweeps read one order-2 forward of the same branch
                 caches = []
                 forward_jets(pair.phi, rec.subs[0].z, 2, caches)
-            var_y = [_cvar(y[0]) for _, y, _ in caches[:n_inner]]
+            # the caches hold no pre-activations: one value-channel GEMM per layer
+            var_y = [_cvar(x[0] @ l.weights.T + l.bias) for (x, _), l in zip(caches[:n_inner], pair.phi.layers)]
             per_q = [_branch_grad_var(pair.phi, caches, ch)[:n_inner] for ch in (0, 1, 2)]
             var_loss = [_cvar(gw) for gw, _ in loss_backward(rec).grads[0][0][:n_inner]]
         return VarianceReport(layers, var_y, per_q[0], per_q[1], per_q[2], var_loss, [False] * n_inner)

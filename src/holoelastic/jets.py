@@ -7,7 +7,7 @@ activations yields the value and the first k z-derivatives of the composed
 function in one pass; the chain rule is applied to order k at every
 activation.  A jet's order is its channel count minus one, so each primitive
 reads it off the array.  The affine layer and the activation each come with
-their adjoint for the reverse pass.
+their adjoint; the activation's reads only the cached jet of f'(y).
 """
 
 from __future__ import annotations
@@ -145,48 +145,47 @@ def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.
 
 
 def activate_jets(kind: ActivationKind, jets: np.ndarray, cache: bool = False):
-    """Elementwise activation on a jet batch, to the jet's own order.
+    """Elementwise activation f on a jet batch, to the jet's own order.
 
-    Returns (out, derivs) where derivs are the activation derivatives
-    (p1, ..., p_k) at the value channel of an order-k jet.  With `cache`
-    they run one order further, (p1, ..., p_k+1), as activate_jets_adjoint
-    needs.  Overflow is not checked here; network.forward_jets checks.
+    Returns (out, g).  With `cache`, g is the derivative jet: the jet of
+    f'(y), with out's channels, which is all activate_jets_adjoint reads; for
+    exp it is out itself.  Otherwise g is None.  Overflow is not checked
+    here; network.forward_jets checks.
     """
     n = jets.shape[0]
     d = act_derivs(kind, jets[0], order=n if cache else n - 1)
-    out = np.empty_like(jets)
-    out[0] = d[0]
-    if n > 1:
-        np.multiply(d[1], jets[1], out=out[1])
-    if n > 2:
-        np.multiply(d[2], jets[1], out=out[2])
-        out[2] *= jets[1]
-        out[2] += d[1] * jets[2]
-    return out, d[1:]
+    outs = []  # out by the chain rule from (f, f', ...); g from (f', f'', ...)
+    for p in [d, d[1:]] if cache and kind is not ActivationKind.EXP else [d]:
+        out = np.empty_like(jets)
+        out[0] = p[0]
+        if n > 1:
+            np.multiply(p[1], jets[1], out=out[1])
+        if n > 2:
+            np.multiply(p[2], jets[1], out=out[2])
+            out[2] *= jets[1]
+            out[2] += p[1] * jets[2]
+        outs.append(out)
+    return outs[0], outs[-1] if cache else None
 
 
-def activate_jets_adjoint(adj: np.ndarray, jets: np.ndarray, derivs) -> np.ndarray:
-    """Reverse of activate_jets: dL/djets from dL/dout.
+def activate_jets_adjoint(adj: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Reverse of activate_jets: dL/djets from dL/dout and the derivative jet g.
 
-    `jets` is the activation input and `derivs` the (p1, ..., p_k+1) cache of
-    activate_jets(..., cache=True).  Each channel's adjoint is the output
-    adjoint times the conjugated partial derivative; only the channels the
-    jet carries contribute.
+    out = f(y) has d out = g . d y in truncated series arithmetic (the
+    Leibniz rule), so each input channel's adjoint sums the output adjoints
+    times the conjugated channels of g that multiply it.
     """
-    n = jets.shape[0]
-    p1 = derivs[0]
-    out = np.empty_like(jets)
-    # conj(p1) and p2 * d1 are not hoisted: numpy elides the conj temporary
-    # of arrays >= 256 KiB by computing a * conj(b) in place as conj(b) * a
-    # (with FMA a * b and b * a differ in the imaginary part), and a named
-    # p2 * d1 would hold one more (B, N) array at the peak
-    out[0] = adj[0] * np.conj(p1)
+    n = g.shape[0]
+    out = np.empty_like(g)
+    # conj(g) is not hoisted: numpy elides the conj temporary of arrays
+    # >= 256 KiB by computing a * conj(b) in place as conj(b) * a (with FMA
+    # a * b and b * a differ in the imaginary part)
+    out[0] = adj[0] * np.conj(g[0])
     if n > 1:
-        p2, d1 = derivs[1], jets[1]
-        out[0] += adj[1] * np.conj(p2 * d1)
-        out[1] = adj[1] * np.conj(p1)
+        out[0] += adj[1] * np.conj(g[1])
+        out[1] = adj[1] * np.conj(g[0])
     if n > 2:
-        out[0] += adj[2] * np.conj(derivs[2] * d1 * d1 + p2 * jets[2])
-        out[1] += adj[2] * np.conj(2.0 * p2 * d1)
-        out[2] = adj[2] * np.conj(p1)
+        out[0] += adj[2] * np.conj(g[2])
+        out[1] += adj[2] * np.conj(2.0 * g[1])
+        out[2] = adj[2] * np.conj(g[0])
     return out

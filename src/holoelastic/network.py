@@ -122,9 +122,9 @@ def forward_jets(
     """Evaluate the network on seeded jets of `order`; returns the (order + 1, B)
     value and derivative channels.
 
-    With a `caches` list, appends one (input jets, pre-activation jets,
-    activation derivatives) entry per layer for branch_backward; the output
-    layer has no activation and caches (input jets, None, None).
+    With a `caches` list, appends one (input jets, derivative jet) entry per
+    layer for branch_backward; the output layer has no activation and caches
+    (input jets, None).  For exp the derivative jet is the next layer's input.
 
     Only the output is checked for finiteness: a hidden overflow reaches it
     through any derivative channel (0 * inf after exp(-inf) = 0), and order-0
@@ -142,16 +142,15 @@ def forward_jets(
             # without caches no layer's arrays outlive it (large eval grids)
             x = jets if keep else None
             jets = affine_jets(jets, layer.weights, layer.bias)
-            y = derivs = None
+            g = None
             if i != last:
-                y = jets if keep else None
-                jets, derivs = activate_jets(net.activation, jets, cache=keep)
+                jets, g = activate_jets(net.activation, jets, cache=keep)
                 if check_layers and not np.isfinite(jets).all():
                     raise NonFiniteError(
                         f"non-finite value in {where}layer {i + 1} ({net.activation.value})"
                     )
             if keep:
-                caches.append((x, y, derivs))
+                caches.append((x, g))
     out = jets[:, :, 0]
     if not check_layers and not np.isfinite(out).all():
         forward_jets(net, z, order, where=where, check_layers=True)
@@ -162,16 +161,17 @@ def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[n
     """Reverse sweep of forward_jets from the (order + 1, B) output adjoint.
 
     Returns per layer the packed (dL/dW, dL/db).  Only the first B rows of
-    the caches take part (rows past B hold test points).  Reads the live
-    weight arrays, so it must run before they are updated.
+    the caches take part (rows past B hold test points).  Each layer's
+    (input jets, derivative jet) cache is all its adjoints read.  Reads the
+    live weight arrays, so it must run before they are updated.
     """
     b = adj.shape[1]
     a = adj[:, :, None]
     grads = []
     for i in reversed(range(len(net.layers))):
-        x, y, derivs = caches[i]
-        if y is not None:
-            a = activate_jets_adjoint(a, y[:, :b], [d[:b] for d in derivs])
+        x, g = caches[i]
+        if g is not None:
+            a = activate_jets_adjoint(a, g[:, :b])
         gw, gb, a = affine_jets_adjoint(a, x[:, :b], net.layers[i].weights if i else None)
         grads.append((gw, gb))
     return grads[::-1]
@@ -207,8 +207,8 @@ def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z) -> KMState:
     orders = JET_ORDERS[net_phi.mode]
     outs = [np.empty((k + 1, z.size), dtype=np.complex128) for k in orders]
     for i in range(0, z.size, FORWARD_BLOCK):
-        for out, net, k in zip(outs, (net_phi, net_psi), orders):
-            out[:, i : i + FORWARD_BLOCK] = forward_jets(net, z[i : i + FORWARD_BLOCK], k)
+        for out, net, k, where in zip(outs, (net_phi, net_psi), orders, ("phi ", "psi ")):
+            out[:, i : i + FORWARD_BLOCK] = forward_jets(net, z[i : i + FORWARD_BLOCK], k, where=where)
     return km_state(net_phi.mode, *outs)
 
 
@@ -321,6 +321,9 @@ def _pairs_to_complex(pairs, shape: tuple, what: str) -> np.ndarray:
         a = np.empty(0)
     if a.shape != (math.prod(shape), 2):
         raise ValueError(f"{what} must be {math.prod(shape)} [re, im] pairs")
+    # asarray takes numeric strings and booleans, and json reads NaN/Infinity
+    if not (np.isfinite(a).all() and {type(v) for p in pairs for v in p} <= {int, float}):
+        raise ValueError(f"{what} must hold finite numbers")
     return a.view(np.complex128).reshape(shape)
 
 
@@ -354,7 +357,8 @@ def checkpoint_load(path: str) -> list[BranchPair]:
 
     A malformed file fails with a ValueError naming the pair, branch and
     layer: shapes must be positive [n_out, n_in], weights and bias must hold
-    n_out * n_in and n_out [re, im] pairs, and the widths must chain 1 -> 1.
+    n_out * n_in and n_out [re, im] pairs of finite JSON numbers, and the
+    widths must chain 1 -> 1.
     """
     with open(path) as fh:
         doc = json.load(fh)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -134,10 +136,39 @@ def test_loss_record_caches_only_the_channels_km_reads(mode, n_phi, n_psi):
     _, rec = loss_forward(pairs, samples, problem)
     sp = rec.subs[0]
     for caches, n in ((sp.phi, n_phi), (sp.psi, n_psi)):
-        for x, y, derivs in caches:
-            assert x.shape[0] == n
-            if y is not None:
-                assert y.shape[0] == n and len(derivs) == n
+        for x, g in caches:
+            # input and derivative jets both carry exactly n channels
+            assert x.shape[0] == n and (g is None or g.shape[:2] == x.shape[:2])
+        assert caches[-1][1] is None  # the output layer has no activation
+
+
+def test_exp_derivative_jet_is_the_next_layers_input():
+    # exp' = exp, so an exp layer caches nothing beyond its output
+    problem, samples, pairs = _ring_setup()
+    _, rec = loss_forward(pairs, samples, problem)
+    for caches in (rec.subs[0].phi, rec.subs[0].psi):
+        assert all(caches[i][1] is caches[i + 1][0] for i in range(len(caches) - 1))
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_loss_record_holds_one_jet_per_hidden_layer_and_activation(kind):
+    # the affine adjoints need every hidden output: 3 layers of (B, N) =
+    # (1000, 100) complex, with 3 + 2 channels over the phi and psi branches.
+    # A non-exp activation adds a derivative jet of the same size, and
+    # nothing else of that size outlives the forward
+    problem = square_problem()
+    problem.networks.hidden_layers, problem.networks.units, problem.networks.activation = 3, 100, kind
+    pairs = build_pairs(problem)
+    samples = sample_boundary(problem.domain, 1000, Rng(0))
+    floor = (3 + 2) * 3 * 1000 * 100 * 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, rec = loss_forward(pairs, samples, problem)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1.1 * floor * (1 if kind is ActivationKind.EXP else 2), held / floor
 
 
 def test_gradients_match_finite_differences():
@@ -226,7 +257,8 @@ def test_cauchy_riemann_consistency_of_adjoint_rules():
         out, cache = activate_jets(ActivationKind.EXP, jets, cache=True)
         return out, cache
 
-    out, (p1, p2, p3) = forward(w)
+    out, g = forward(w)
+    p1 = g[0]  # f'(y) at the value channel
     # adjoint of Re(f): a = 1; through the activation then the product by z0
     a_out = np.zeros((3, 1, 1), dtype=complex)
     a_out[0] = 1.0

@@ -120,8 +120,8 @@ def test_forward_jets_lower_orders_are_channel_prefixes(kind):
         got = forward_jets(pair.phi, z, order, caches)
         assert got.shape == (order + 1, z.size)
         assert np.array_equal(got, full[: order + 1])
-        # the reverse pass gets activation derivatives one order past the jet
-        assert all(len(derivs) == order + 1 for _, _, derivs in caches[:-1])
+        # each hidden layer caches a derivative jet with its input's channels
+        assert all(g.shape[0] == x.shape[0] == order + 1 for x, g in caches[:-1])
 
 
 def _unchecked_forward(net, z, order):

@@ -284,8 +284,15 @@ def test_cli_eval_rejects_checkpoint_of_another_activation(tmp_path, capsys):
         (lambda d: d["pairs"][0]["psi"]["layers"].pop(0), "pair 0 psi: network must map 1 -> 1"),
         (lambda d: d["pairs"][0]["psi"]["layers"][1].pop("weights"), "pair 0 psi: missing or malformed 'weights'"),
         (lambda d: d.update(pairs=[]), "no network pairs"),
+        (lambda d: d["pairs"][0]["phi"]["layers"][1]["weights"][3].__setitem__(0, math.nan),
+         "pair 0 phi: layer 2 weights must hold finite numbers"),
+        (lambda d: d["pairs"][0]["psi"]["layers"][0]["bias"][0].__setitem__(1, -math.inf),
+         "pair 0 psi: layer 1 bias must hold finite numbers"),
+        (lambda d: d["pairs"][0]["phi"]["layers"][2]["bias"].__setitem__(0, ["0.5", True]),
+         "pair 0 phi: layer 3 bias must hold finite numbers"),
     ],
-    ids=["short_weights", "long_bias", "zero_width", "broken_chain", "missing_weights", "no_pairs"],
+    ids=["short_weights", "long_bias", "zero_width", "broken_chain", "missing_weights", "no_pairs",
+         "nan_weight", "inf_bias", "string_bias"],
 )
 def test_cli_eval_rejects_malformed_checkpoint(tmp_path, capsys, edit, message):
     cfg, out = _mini_ring(tmp_path, epochs=0)
@@ -297,6 +304,19 @@ def test_cli_eval_rejects_malformed_checkpoint(tmp_path, capsys, edit, message):
         json.dump(doc, fh)
     assert run_command(["eval", cfg, ckpt]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_eval_overflow_names_the_branch(tmp_path, capsys):
+    # a finite checkpoint whose psi branch overflows exp at the grid points
+    cfg, out = _mini_ring(tmp_path, epochs=0)
+    assert run_command(["train", cfg]) == 0
+    ckpt = os.path.join(out, "checkpoint.json")
+    doc = json.load(open(ckpt))
+    doc["pairs"][0]["psi"]["layers"][0]["weights"] = [[-1e3, 0.0]] * 10  # Re(z) < 0 here
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    assert run_command(["eval", cfg, ckpt]) == 2
+    assert "error: non-finite value in psi layer 1 (exp)" in capsys.readouterr().err
 
 
 def test_cli_unknown_command():
