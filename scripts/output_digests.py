@@ -12,7 +12,16 @@ afterwards, and hashes:
   ring_quadrant/fields_400x400.csv        `eval --grid 400x400` (and its errors)
   clamped_square/fields_200x200.csv       `eval --grid 200x200`: 40,000 points, so
                                           ten FORWARD_BLOCK blocks of 100-wide nets
-  clamped_square/variance.csv             `init-check`
+  clamped_square/variance.csv             `init-check` (m_e = L + 1: a probe statistic
+                                          for every layer)
+  clamped_square/variance_m_e3.csv        `init-check --m-e 3`, the probe depth that
+                                          training uses
+  clamped_square@stress_only/variance.csv `init-check` of a stress-only copy of
+                                          clamped_square (its clamped pieces made
+                                          traction-free, as stress-only mode allows
+                                          tractions only; beta 0.7): the report
+                                          re-runs the two-channel phi branch at
+                                          order 2
   <config>/samples.csv                    `sample --n 300` (all configs)
   approx.csv                              `approx-demo --n 32`
   <config>@<act>/checkpoint.json, history.csv
@@ -49,6 +58,14 @@ def _show(label: str, path: str) -> None:
         print(f"{label} {hashlib.sha256(fh.read()).hexdigest()}", flush=True)
 
 
+def _stress_only(doc: dict) -> None:
+    doc["networks"]["mode"] = "stress_only"
+    doc["training"]["beta"] = 0.7  # inside stress-only mode's admissible range
+    for piece in doc["geometry"]["pieces"]:
+        if piece["bc"]["type"] == "displacement":
+            piece["bc"]["type"] = "traction"  # keeps its zero data
+
+
 def main(argv: list[str]) -> int:
     repo = os.path.abspath(argv[0] if argv else os.path.join(os.path.dirname(__file__), ".."))
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -63,20 +80,30 @@ def main(argv: list[str]) -> int:
         if code != 0:
             raise SystemExit(f"holoelastic {' '.join(args)} exited {code}: {err.getvalue().strip()}")
 
-    def train(tmp: str, name: str, activation: str = "") -> tuple[str, dict, str]:
-        """Train a 20-epoch copy of config `name` and hash its checkpoint and
-        history; returns the copy's path and document and the checkpoint."""
-        label = f"{name}@{activation}" if activation else name
+    def copy_config(tmp: str, name: str, label: str, edit) -> tuple[str, dict, str]:
+        """Write config `name`, changed by edit(doc), as tmp/<label>.json with
+        outputs in tmp/<label>; returns its path, document and output dir."""
         with open(os.path.join(repo, "configs", f"{name}.json")) as fh:
             doc = json.load(fh)
-        doc["training"]["epochs"] = EPOCHS
-        if activation:
-            doc["networks"]["activation"] = activation
+        edit(doc)
         out = os.path.join(tmp, label)
         doc.setdefault("outputs", {})["dir"] = out
         cfg = os.path.join(tmp, f"{label}.json")
         with open(cfg, "w") as fh:
             json.dump(doc, fh)
+        return cfg, doc, out
+
+    def train(tmp: str, name: str, activation: str = "") -> tuple[str, dict, str]:
+        """Train a 20-epoch copy of config `name` and hash its checkpoint and
+        history; returns the copy's path and document and the checkpoint."""
+        label = f"{name}@{activation}" if activation else name
+
+        def edit(doc: dict) -> None:
+            doc["training"]["epochs"] = EPOCHS
+            if activation:
+                doc["networks"]["activation"] = activation
+
+        cfg, doc, out = copy_config(tmp, name, label, edit)
         ckpt = os.path.join(out, "checkpoint.json")
         run("train", cfg)
         _show(f"{label}/checkpoint.json", ckpt)
@@ -101,8 +128,13 @@ def main(argv: list[str]) -> int:
                 _show(f"{name}/fields_200x200.csv", os.path.join(out, "fields.csv"))
                 run("init-check", cfg)
                 _show(f"{name}/variance.csv", os.path.join(out, "variance.csv"))
+                run("init-check", cfg, "--m-e", "3")
+                _show(f"{name}/variance_m_e3.csv", os.path.join(out, "variance.csv"))
             run("sample", cfg, "--n", "300")
             _show(f"{name}/samples.csv", os.path.join(out, "samples.csv"))
+        cfg, _, out = copy_config(tmp, "clamped_square", "clamped_square@stress_only", _stress_only)
+        run("init-check", cfg)
+        _show("clamped_square@stress_only/variance.csv", os.path.join(out, "variance.csv"))
         approx = os.path.join(tmp, "approx.csv")
         run("approx-demo", "--n", "32", "--out", approx)
         _show("approx.csv", approx)

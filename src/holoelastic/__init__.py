@@ -39,7 +39,7 @@ from .network import (
     mlp_forward,
     shallow_eval,
 )
-from .problem import ProblemSpec, load_config, save_config
+from .problem import ProblemSpec, load_config
 from .rng import Rng
 from .training import AdamState, History, TrainConfig, adam_step, train
 

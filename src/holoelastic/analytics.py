@@ -17,7 +17,7 @@ import numpy as np
 
 from . import elasticity as el
 from . import geometry as geo
-from .autodiff import loss_backward, loss_forward, pack_batch
+from .autodiff import field_adjoints, loss_forward, pack_batch
 from .jets import ActivationKind, NonFiniteError
 from .network import (
     BranchPair,
@@ -128,7 +128,7 @@ def eval_grid(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> GridFie
         if not where.any():
             continue
         z = X[where] + 1j * Y[where]
-        state = mlp_forward(pairs[s].phi, pairs[s].psi, z)
+        state = mlp_forward(pairs[s].phi, pairs[s].psi, z, where=f"pair {s} ")
         # one call on all points: numpy's temporary elision orders z * conj(dphi)
         # by array size, so splitting km_fields would change bits of ux and uy
         f = el.km_fields(z, state, problem.material)
@@ -189,10 +189,11 @@ def _branch_grad_var(net: HoloMLP, caches: list, channel: int) -> list[float]:
     """Per-layer variance of d(sum over batch of output[channel]) / dW_l.
 
     One reverse sweep of the branch seeded with ones over the batch; the
-    entries of each layer's weight derivative (real/imag pooled) give the
-    reported variance.
+    seed has channel + 1 channels, since the adjoint stays zero above the
+    seeded channel.  The entries of each layer's weight derivative
+    (real/imag pooled) give the reported variance.
     """
-    seed = np.zeros(caches[0][0].shape[:2], dtype=np.complex128)
+    seed = np.zeros((channel + 1, caches[0][0].shape[1]), dtype=np.complex128)
     seed[channel] = 1.0
     return [_cvar(gw) for gw, _ in branch_backward(net, caches, seed)]
 
@@ -225,7 +226,12 @@ def variance_report(
     batch_n: int,
     seed: int,
 ) -> VarianceReport:
-    """Initialize fresh branches for `problem` and sample per-layer variances."""
+    """Initialize fresh branches for `problem` and sample per-layer variances.
+
+    Only the phi branch is swept: once per output channel 0, 1 and 2 for the
+    phi rows (_branch_grad_var), and once from the loss adjoint for
+    var_loss_w.
+    """
     if probe_n < 1 or batch_n < 1:
         raise ValueError("probe and batch sizes must be positive")
     if problem.domain.n_subdomains != 1:
@@ -247,16 +253,18 @@ def variance_report(
             init_weights(pair.phi, cfg, rng.spawn(100))
             init_weights(pair.psi, cfg, rng.spawn(101))
             _, rec = loss_forward([pair], packed, problem)
-            caches = rec.subs[0].phi
+            z, caches, adj = rec.subs[0].z, rec.subs[0].phi, field_adjoints(rec)[0][0]
+            del rec  # frees the psi caches, which no sweep reads
+            # the phi rows of loss_backward(rec), without the psi sweep
+            var_loss = [_cvar(gw) for gw, _ in branch_backward(pair.phi, caches, adj)[:n_inner]]
             if caches[0][0].shape[0] < 3:
                 # a stress-only phi branch carries no second derivative; the
                 # three sweeps read one order-2 forward of the same branch
                 caches = []
-                forward_jets(pair.phi, rec.subs[0].z, 2, caches)
+                forward_jets(pair.phi, z, 2, caches)
             # the caches hold no pre-activations: one value-channel GEMM per layer
             var_y = [_cvar(x[0] @ l.weights.T + l.bias) for (x, _), l in zip(caches[:n_inner], pair.phi.layers)]
             per_q = [_branch_grad_var(pair.phi, caches, ch)[:n_inner] for ch in (0, 1, 2)]
-            var_loss = [_cvar(gw) for gw, _ in loss_backward(rec).grads[0][0][:n_inner]]
         return VarianceReport(layers, var_y, per_q[0], per_q[1], per_q[2], var_loss, [False] * n_inner)
     except (NonFiniteError, FloatingPointError):
         inf = [math.inf] * n_inner

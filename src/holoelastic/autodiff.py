@@ -7,10 +7,10 @@ length-weighted mean square.  pack_batch fixes each piece's residual
 operator and loss weight once per sample batch.  loss_forward runs the
 stages, optionally on test points appended to the training points for a
 test loss, and keeps what the reverse pass needs: the branch caches, each
-piece's (B, k) residual array and its mean square.  loss_backward passes
-adjoints back stage by stage (residuals -> KM -> branches) and yields, for
-every complex weight w, the real pair (dL/dRe w, dL/dIm w) packed as a
-complex number.
+piece's (B, k) residual array and its mean square.  field_adjoints passes
+adjoints back to the branch outputs (residuals -> KM), and loss_backward
+sweeps them through the branches, yielding for every complex weight w the
+real pair (dL/dRe w, dL/dIm w) packed as a complex number.
 
 Adjoint rules: every variable u carries a(u) = dL/dRe(u) + i dL/dIm(u).
 Through a holomorphic step v = f(u) the adjoint propagates as
@@ -248,12 +248,9 @@ def _km_backward(mode: Mode, material: el.Material, z: np.ndarray, adj: np.ndarr
     return ap, aq
 
 
-def loss_backward(rec: LossRecord) -> WeightGrad:
-    """Gradient of rec.loss over every complex weight.
-
-    Reads the live weight arrays of rec.pairs, not copies: call it before
-    the weights are updated.
-    """
+def field_adjoints(rec: LossRecord) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per subdomain the (phi, psi) branch-output adjoints of rec.loss
+    (JET_ORDERS channels by B training points): residuals -> KM fields -> jets."""
     mode = rec.pairs[0].mode
     # dL/dfields per subdomain: zeros, then each group adds A^T rho into its
     # own slice (negated on side b of an interface, whose residual is A fa - A fb)
@@ -264,9 +261,17 @@ def loss_backward(rec: LossRecord) -> WeightGrad:
         adj[g.subs[0]][:, g.slices[g.subs[0]]] += at
         if not g.outer:
             adj[g.subs[1]][:, g.slices[g.subs[1]]] -= at
+    return [_km_backward(mode, rec.material, sp.z, adj[sub]) for sub, sp in rec.subs.items()]
+
+
+def loss_backward(rec: LossRecord) -> WeightGrad:
+    """Gradient of rec.loss over every complex weight.
+
+    Reads the live weight arrays of rec.pairs, not copies: call it before
+    the weights are updated.
+    """
     grads = []
-    for sub, sp in rec.subs.items():
-        ap, aq = _km_backward(mode, rec.material, sp.z, adj[sub])
+    for (sub, sp), (ap, aq) in zip(rec.subs.items(), field_adjoints(rec)):
         pair = rec.pairs[sub]
         grads.append((branch_backward(pair.phi, sp.phi, ap), branch_backward(pair.psi, sp.psi, aq)))
     return WeightGrad(grads)

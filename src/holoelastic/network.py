@@ -74,9 +74,6 @@ class HoloMLP:
     def widths(self) -> list[int]:
         return [1] + [l.weights.shape[0] for l in self.layers]
 
-    def n_params(self) -> int:
-        return sum(l.weights.size + l.bias.size for l in self.layers)
-
 
 @dataclass
 class BranchPair:
@@ -158,21 +155,24 @@ def forward_jets(
 
 
 def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Reverse sweep of forward_jets from the (order + 1, B) output adjoint.
+    """Reverse sweep of forward_jets from an (n, B) output adjoint.
 
-    Returns per layer the packed (dL/dW, dL/db).  Only the first B rows of
-    the caches take part (rows past B hold test points).  Each layer's
-    (input jets, derivative jet) cache is all its adjoints read.  Reads the
-    live weight arrays, so it must run before they are updated.
+    Returns per layer the packed (dL/dW, dL/db).  Only the first n channels
+    and the first B rows of the caches take part: rows past B hold test
+    points, and an adjoint that is zero above channel n - 1 stays so through
+    every layer (the Leibniz rule of truncated series), so a sweep seeded at
+    a low channel skips the rows above it.  Each layer's (input jets,
+    derivative jet) cache is all its adjoints read.  Reads the live weight
+    arrays, so it must run before they are updated.
     """
-    b = adj.shape[1]
+    n, b = adj.shape
     a = adj[:, :, None]
     grads = []
     for i in reversed(range(len(net.layers))):
         x, g = caches[i]
         if g is not None:
-            a = activate_jets_adjoint(a, g[:, :b])
-        gw, gb, a = affine_jets_adjoint(a, x[:, :b], net.layers[i].weights if i else None)
+            a = activate_jets_adjoint(a, g[:n, :b])
+        gw, gb, a = affine_jets_adjoint(a, x[:n, :b], net.layers[i].weights if i else None)
         grads.append((gw, gb))
     return grads[::-1]
 
@@ -199,16 +199,17 @@ def km_state(mode: Mode, jp: np.ndarray, jq: np.ndarray) -> KMState:
 FORWARD_BLOCK = 4096
 
 
-def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z) -> KMState:
-    """Both branches at the points z (flattened), FORWARD_BLOCK at a time; see km_state."""
+def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z, where: str = "") -> KMState:
+    """Both branches at the points z (flattened), FORWARD_BLOCK at a time; see
+    km_state.  An overflow names "{where}phi" or "{where}psi" and the layer."""
     if net_phi.mode is not net_psi.mode:
         raise ValueError("branches disagree on mode")
     z = np.asarray(z, dtype=np.complex128).ravel()
     orders = JET_ORDERS[net_phi.mode]
     outs = [np.empty((k + 1, z.size), dtype=np.complex128) for k in orders]
     for i in range(0, z.size, FORWARD_BLOCK):
-        for out, net, k, where in zip(outs, (net_phi, net_psi), orders, ("phi ", "psi ")):
-            out[:, i : i + FORWARD_BLOCK] = forward_jets(net, z[i : i + FORWARD_BLOCK], k, where=where)
+        for out, net, k, name in zip(outs, (net_phi, net_psi), orders, ("phi ", "psi ")):
+            out[:, i : i + FORWARD_BLOCK] = forward_jets(net, z[i : i + FORWARD_BLOCK], k, where=where + name)
     return km_state(net_phi.mode, *outs)
 
 
@@ -253,7 +254,9 @@ class InitConfig:
     Layers below m_e scale the weight variance by the sample mean of
     |x_{l-1}|^2 over a propagated probe of boundary points; from m_e on, the
     activations are assumed Gaussian, which gives the closed-form scale
-    e^beta for the exponential activation.  Biases start at zero.
+    e^beta for the exponential activation.  Biases start at zero.  The probe
+    is propagated only up to the input of the last layer below m_e, so
+    m_e = 2 propagates nothing and m_e >= L + 1 reaches x_{L-1}.
     """
 
     probe: np.ndarray  # complex boundary coordinates
@@ -274,7 +277,11 @@ def admissible_beta(mode: Mode) -> tuple[float, float]:
 
 
 def init_weights(net: HoloMLP, cfg: InitConfig, rng: Optional[Rng] = None) -> HoloMLP:
-    """Initialize `net` in place; returns it for convenience."""
+    """Initialize `net` in place; returns it for convenience.
+
+    A probe statistic that is not finite and positive (an overflowed
+    propagation) raises NonFiniteError naming the layer that reads it.
+    """
     if cfg.beta <= 0.0:
         raise ValueError(f"beta must be positive, got {cfg.beta}")
     lo, hi = admissible_beta(net.mode)
@@ -287,10 +294,12 @@ def init_weights(net: HoloMLP, cfg: InitConfig, rng: Optional[Rng] = None) -> Ho
     if rng is None:
         rng = Rng(cfg.seed)
     x = cfg.probe.reshape(-1, 1)
-    L = len(net.layers)
+    # the probe reaches x_{last-1}, the input of the last layer that reads a
+    # statistic of it; each propagated x is checked by the next layer's m_l
+    last = min(cfg.m_e, len(net.layers) + 1) - 1
     for l, layer in enumerate(net.layers, start=1):
         no, ni = layer.weights.shape
-        if l < cfg.m_e:
+        if l <= last:
             m_l = float(np.mean(np.abs(x) ** 2))
             if not math.isfinite(m_l) or m_l <= 0.0:
                 raise NonFiniteError(f"probe propagation degenerate at layer {l}: m_l={m_l}")
@@ -299,11 +308,8 @@ def init_weights(net: HoloMLP, cfg: InitConfig, rng: Optional[Rng] = None) -> Ho
             var = cfg.beta / (2.0 * ni * math.exp(cfg.beta))
         layer.weights[:] = rng.complex_normal(no * ni, std=math.sqrt(var)).reshape(no, ni)
         layer.bias[:] = 0.0
-        if l < cfg.m_e and l < L:
-            y = x @ layer.weights.T
-            x = act_derivs(net.activation, y, order=0)[0]
-            if not np.isfinite(x).all():
-                raise NonFiniteError(f"probe propagation overflowed after layer {l}")
+        if l < last:
+            x = act_derivs(net.activation, x @ layer.weights.T, order=0)[0]
     return net
 
 

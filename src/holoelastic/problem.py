@@ -1,4 +1,4 @@
-"""Problem configuration: JSON schema, validation, round-trip serialization.
+"""Problem configuration: JSON schema and validation.
 
 A config bundles material, boundary geometry with BC data, network
 architecture, training protocol and output settings.  Boundary data are
@@ -247,95 +247,3 @@ def load_config(path: str) -> ProblemSpec:
         raise
     except ValueError as e:
         raise ConfigError(f"config: {e}")
-
-
-def _data_json(data: el.BoundaryData) -> dict:
-    if isinstance(data, el.ConstantData):
-        return {"constant": [data.vx, data.vy]}
-    return {"normal_pressure": data.p}
-
-
-def _piece_json(p: geo.BoundaryPiece) -> dict:
-    out: dict = {}
-    if isinstance(p.shape, geo.Line):
-        out["kind"] = "line"
-        out["p0"] = [p.shape.p0.real, p.shape.p0.imag]
-        out["p1"] = [p.shape.p1.real, p.shape.p1.imag]
-    else:
-        out["kind"] = "arc"
-        out["center"] = [p.shape.center.real, p.shape.center.imag]
-        out["radius"] = p.shape.radius
-        out["theta0"] = p.shape.theta0
-        out["theta1"] = p.shape.theta1
-    bc = p.bc
-    if isinstance(bc, el.Traction):
-        out["bc"] = {"type": "traction", "data": _data_json(bc.data)}
-    elif isinstance(bc, el.Displacement):
-        out["bc"] = {"type": "displacement", "data": _data_json(bc.data)}
-    elif isinstance(bc, el.Symmetry):
-        out["bc"] = {"type": "symmetry"}
-    else:
-        out["bc"] = {"type": "interface", "subdomains": [bc.a, bc.b]}
-    if not isinstance(bc, el.Interface):
-        out["subdomain"] = p.subdomains[0]
-    out["side"] = p.side.value
-    out["name"] = p.name
-    return out
-
-
-def _region_json(r: geo.Region) -> dict:
-    patches = []
-    for p in r.patches:
-        obj: dict = {}
-        if p.rect is not None:
-            obj["rect"] = list(p.rect)
-        if p.disks_in:
-            obj["disks_in"] = [[c.real, c.imag, rad] for c, rad in p.disks_in]
-        if p.disks_out:
-            obj["disks_out"] = [[c.real, c.imag, rad] for c, rad in p.disks_out]
-        if p.halfplanes:
-            obj["halfplanes"] = [list(h) for h in p.halfplanes]
-        patches.append(obj)
-    return {"patches": patches}
-
-
-def save_config(spec: ProblemSpec, path: str) -> None:
-    """Serialize a ProblemSpec; load_config(save_config(s)) == s."""
-    doc = {
-        "name": spec.name,
-        "material": {
-            "lambda": spec.material.lam,
-            "mu": spec.material.mu,
-            "mode": spec.material.mode.value,
-        },
-        "geometry": {
-            "n_subdomains": spec.domain.n_subdomains,
-            "pieces": [_piece_json(p) for p in spec.domain.pieces],
-        },
-        "networks": {
-            "hidden_layers": spec.networks.hidden_layers,
-            "units": spec.networks.units,
-            "activation": spec.networks.activation.value,
-            "mode": spec.networks.mode.value,
-        },
-        "training": {
-            "epochs": spec.training.epochs,
-            "lr": spec.training.lr,
-            "n_train": spec.training.n_train,
-            "n_test": spec.training.n_test,
-            "seed": spec.training.seed,
-            "beta": spec.training.beta,
-            "m_e": spec.training.m_e,
-            "lr_decay": spec.training.lr_decay,
-        },
-        "outputs": {"grid": list(spec.outputs.grid), "dir": spec.outputs.out_dir},
-    }
-    if spec.domain.regions is not None:
-        doc["geometry"]["regions"] = [_region_json(r) for r in spec.domain.regions]
-    if spec.reference is not None:
-        doc["reference"] = spec.reference
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
-    os.replace(tmp, path)

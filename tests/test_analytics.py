@@ -17,7 +17,8 @@ from holoelastic.analytics import (
     rotate_stress,
     variance_report,
 )
-from holoelastic import network
+from holoelastic import analytics, network
+from holoelastic.autodiff import loss_backward
 from holoelastic.elasticity import KMState, Material, km_fields
 from holoelastic.export import write_fields_csv
 from holoelastic.geometry import sample_boundary
@@ -271,3 +272,28 @@ def test_variance_report_flags_overflow_instead_of_nan():
     assert all(rep.overflow)
     assert all(math.isinf(v) for v in rep.var_y)
     assert not any(math.isnan(v) for v in rep.var_y)
+
+
+def test_variance_rows_match_the_full_sweeps(monkeypatch):
+    # variance_report sweeps the loss adjoint through phi alone, and each
+    # channel seed with channel + 1 rows: var_loss_w is bit for bit that of
+    # the full loss_backward gradient, the phi rows match 3-channel seeds
+    records = []
+    original = analytics.loss_forward
+
+    def keep(*args, **kwargs):
+        out = original(*args, **kwargs)
+        records.append(out[1])
+        return out
+
+    monkeypatch.setattr(analytics, "loss_forward", keep)
+    rep = init_diagnostics([30, 30, 30], ActivationKind.EXP, 0.5, 3, 500, 200, 2)
+    (rec,) = records
+    phi = loss_backward(rec).grads[0][0]
+    assert rep.var_loss_w == [analytics._cvar(gw) for gw, _ in phi[:3]]
+    caches = rec.subs[0].phi
+    for channel, row in enumerate((rep.var_phi_w, rep.var_dphi_w, rep.var_ddphi_w)):
+        seed = np.zeros((3, rec.subs[0].z.size), dtype=np.complex128)
+        seed[channel] = 1.0
+        want = [analytics._cvar(gw) for gw, _ in network.branch_backward(rec.pairs[0].phi, caches, seed)[:3]]
+        assert np.allclose(row, want, rtol=1e-14, atol=0.0), channel

@@ -15,7 +15,7 @@ from holoelastic.autodiff import (
 from holoelastic.elasticity import ConstantData, Traction
 from holoelastic.geometry import piece_length, sample_boundary
 from holoelastic.jets import ActivationKind, NonFiniteError, act_derivs
-from holoelastic.network import BranchPair, build_mlp, flatten_params, write_params
+from holoelastic.network import BranchPair, branch_backward, build_mlp, flatten_params, write_params
 from holoelastic.problem import load_config
 from holoelastic.rng import Rng
 from holoelastic.training import build_pairs, init_pairs, train
@@ -330,3 +330,30 @@ def test_gradient_vector_alignment():
     assert gvec.shape == flatten_params(pairs).shape
     assert np.all(np.isfinite(gvec))
     assert np.any(gvec != 0.0)
+
+
+@pytest.mark.parametrize("kind", [ActivationKind.EXP, ActivationKind.COS])
+@pytest.mark.parametrize("mode", ["standard", "stress_only"])
+def test_branch_backward_reads_the_adjoints_channels_only(mode, kind):
+    # an n-channel adjoint on wider caches gives the sweep of the same
+    # adjoint zero-padded to the caches' channels (test rows ride along)
+    problem = square_problem(mode=mode)
+    problem.networks.hidden_layers, problem.networks.units, problem.networks.activation = 3, 12, kind
+    rng = Rng(5)
+    train_b = pack_batch(sample_boundary(problem.domain, 48, rng.spawn(1)), problem.domain)
+    test_b = pack_batch(sample_boundary(problem.domain, 16, rng.spawn(2)), problem.domain)
+    pairs = build_pairs(problem)
+    init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.7, 3, rng)
+    _, rec = loss_forward(pairs, train_b, problem, test=test_b)
+    sp = rec.subs[0]
+    b = sp.z.size
+    for net, caches in ((pairs[0].phi, sp.phi), (pairs[0].psi, sp.psi)):
+        full_n = caches[0][0].shape[0]
+        for n in range(1, full_n + 1):
+            adj = rng.spawn(10 + n).complex_normal(n * b).reshape(n, b)
+            padded = np.zeros((full_n, b), dtype=np.complex128)
+            padded[:n] = adj
+            for got, want in zip(branch_backward(net, caches, adj), branch_backward(net, caches, padded)):
+                for g, w in zip(got, want):
+                    assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (n, full_n)
+

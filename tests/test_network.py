@@ -43,7 +43,7 @@ def _init_pair(hidden, seed=0, beta=0.5, m_e=3, mode=Mode.STANDARD):
 def test_param_count_matches_reference_protocol():
     # two hidden layers of 10: 141 complex parameters per branch
     net = build_mlp([10, 10])
-    assert net.n_params() == 141
+    assert sum(l.weights.size + l.bias.size for l in net.layers) == 141
     pair = BranchPair(net, build_mlp([10, 10]))
     assert flatten_params([pair]).size == 2 * 2 * 141
 
@@ -210,6 +210,54 @@ def test_init_variance_in_band_on_deep_net():
             var = float(np.mean(np.abs(y - y.mean()) ** 2))
             assert 0.5 * beta < var < 1.7 * beta, (beta, li, var)
             x = np.exp(y)
+
+
+def _init_weights_reference(net, cfg, rng):
+    # reference: propagates the probe through every layer below m_e, also the
+    # last one, whose output no layer reads
+    x = cfg.probe.reshape(-1, 1)
+    L = len(net.layers)
+    for l, layer in enumerate(net.layers, start=1):
+        no, ni = layer.weights.shape
+        if l < cfg.m_e:
+            var = cfg.beta / (2.0 * ni * float(np.mean(np.abs(x) ** 2)))
+        else:
+            var = cfg.beta / (2.0 * ni * math.exp(cfg.beta))
+        layer.weights[:] = rng.complex_normal(no * ni, std=math.sqrt(var)).reshape(no, ni)
+        layer.bias[:] = 0.0
+        if l < cfg.m_e and l < L:
+            x = network.act_derivs(net.activation, x @ layer.weights.T, order=0)[0]
+            assert np.isfinite(x).all()
+
+
+@pytest.mark.parametrize("kind", [ActivationKind.EXP, ActivationKind.COS])
+@pytest.mark.parametrize("m_e", [2, 3, 4, 5])  # 2, 3, L and L + 1 for L = 4 layers
+def test_init_weights_match_the_full_probe_propagation(m_e, kind):
+    cfg = InitConfig(probe=_ring_probe(), beta=0.5, m_e=m_e)
+    got, want = build_mlp([12, 12, 12], kind), build_mlp([12, 12, 12], kind)
+    init_weights(got, cfg, Rng(8))
+    _init_weights_reference(want, cfg, Rng(8))
+    for a, b in zip(got.layers, want.layers):
+        assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+
+
+def test_init_propagates_the_probe_only_to_the_last_layer_that_reads_it(monkeypatch):
+    # m_e = 3 reads m_1 and m_2, so x_1 is the last probe layer: one
+    # activation per branch, where the propagation used to compute x_2 too
+    calls = []
+    act_derivs = network.act_derivs
+    monkeypatch.setattr(network, "act_derivs", lambda *a, **k: calls.append(1) or act_derivs(*a, **k))
+    _init_pair([10, 10], m_e=3)
+    assert len(calls) == 2
+
+
+def test_init_probe_overflow_raises():
+    net = build_mlp([10, 10, 10])
+    cfg = InitConfig(probe=_ring_probe(), beta=1e6, m_e=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NonFiniteError, match=r"^probe propagation degenerate at layer 2: m_l=inf$"):
+            init_weights(net, cfg, Rng(0))
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):

@@ -1,4 +1,5 @@
 import glob
+import importlib.util
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from holoelastic.cli import run_command
 from holoelastic.elasticity import Displacement, Interface, Symmetry, Traction
 from holoelastic.export import write_fields_csv
 from holoelastic.geometry import outward_normal, piece_point, region_contains, Region
-from holoelastic.problem import ConfigError, load_config, save_config
+from holoelastic.problem import ConfigError, load_config
 
 
 # --- config loading -----------------------------------------------------------
@@ -43,11 +44,26 @@ def test_dd_config_structure(configs):
         assert set(p.subdomains) == {p.bc.a, p.bc.b}
 
 
+def _gen_configs_script():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "gen_configs.py")
+    spec = importlib.util.spec_from_file_location("gen_configs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("name", CONFIG_NAMES)
-def test_roundtrip_equals_original(name, tmp_path, configs):
-    spec = configs[name]
-    path = str(tmp_path / "rt.json")
-    save_config(spec, path)
+def test_roundtrip_equals_original(name, tmp_path):
+    # scripts/gen_configs.py writes configs/<name>.json byte for byte, and
+    # loading it gives back the generator's spec
+    script = _gen_configs_script()
+    gen = getattr(script, name)
+    assert gen in script.GENERATORS
+    spec = gen()
+    path = str(tmp_path / f"{name}.json")
+    script.save_config(spec, path)
+    with open(path, "rb") as fh, open(config_path(name), "rb") as shipped:
+        assert fh.read() == shipped.read()
     assert load_config(path) == spec
 
 
@@ -316,7 +332,25 @@ def test_cli_eval_overflow_names_the_branch(tmp_path, capsys):
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
     assert run_command(["eval", cfg, ckpt]) == 2
-    assert "error: non-finite value in psi layer 1 (exp)" in capsys.readouterr().err
+    assert "error: non-finite value in pair 0 psi layer 1 (exp)" in capsys.readouterr().err
+
+
+def test_cli_eval_overflow_names_the_pair(tmp_path, capsys):
+    # dd_plate_hole evaluates four pairs; only pair 2's phi branch overflows
+    doc = json.load(open(config_path("dd_plate_hole")))
+    doc["training"]["epochs"] = 0
+    doc["outputs"]["dir"] = str(tmp_path / "out")
+    cfg = str(tmp_path / "dd.json")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert run_command(["train", cfg]) == 0
+    ckpt = str(tmp_path / "out" / "checkpoint.json")
+    ck = json.load(open(ckpt))
+    ck["pairs"][2]["phi"]["layers"][0]["weights"] = [[1e3, 1e3]] * 10  # Re(w z) > 709 where y < x - 0.71
+    with open(ckpt, "w") as fh:
+        json.dump(ck, fh)
+    assert run_command(["eval", cfg, ckpt, "--grid", "20x20"]) == 2
+    assert "error: non-finite value in pair 2 phi layer 1 (exp)" in capsys.readouterr().err
 
 
 def test_cli_unknown_command():
