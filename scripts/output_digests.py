@@ -12,6 +12,8 @@ afterwards, and hashes:
   ring_quadrant/fields_400x400.csv        `eval --grid 400x400` (and its errors)
   clamped_square/fields_200x200.csv       `eval --grid 200x200`: 40,000 points, so
                                           ten FORWARD_BLOCK blocks of 100-wide nets
+  dd_plate_hole/fields_300x300.csv        `eval --grid 300x300`: grid blocks of 13 rows
+                                          that cross the four subdomains
   clamped_square/variance.csv             `init-check` (m_e = L + 1: a probe statistic
                                           for every layer)
   clamped_square/variance_m_e3.csv        `init-check --m-e 3`, the probe depth that
@@ -123,6 +125,9 @@ def main(argv: list[str]) -> int:
                 run("eval", cfg, ckpt, "--grid", "400x400")
                 _show(f"{name}/fields_400x400.csv", os.path.join(out, "fields.csv"))
                 _show(f"{name}/errors_400x400.csv", os.path.join(out, "errors.csv"))
+            if name == "dd_plate_hole":
+                run("eval", cfg, ckpt, "--grid", "300x300")
+                _show(f"{name}/fields_300x300.csv", os.path.join(out, "fields.csv"))
             if name == "clamped_square":
                 run("eval", cfg, ckpt, "--grid", "200x200")
                 _show(f"{name}/fields_200x200.csv", os.path.join(out, "fields.csv"))

@@ -10,13 +10,14 @@ tests (rectangles, disks, halfplanes) of the problem's region spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import elasticity as el
 from . import geometry as geo
+from . import network
 from .autodiff import field_adjoints, loss_forward, pack_batch
 from .jets import ActivationKind, NonFiniteError
 from .network import (
@@ -97,11 +98,13 @@ def domain_bbox(domain: geo.DomainSpec) -> tuple[float, float, float, float]:
     return float(x.min()), float(x.max()), float(y.min()), float(y.max())
 
 
-def eval_grid(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> GridField:
+def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Iterator[GridField]:
     """Evaluate the networks on an nx-by-ny grid over the domain bounding box.
 
-    Points outside every subdomain region stay masked and carry NaN.  Grid
-    nodes are cell centers so samples stay clear of the boundary curves.
+    Yields GridFields of consecutive grid rows, about network.FORWARD_BLOCK
+    points each (one row at least), so memory is set by the block, not the
+    grid.  Points outside every subdomain region stay masked and carry NaN.
+    Grid nodes are cell centers so samples stay clear of the boundary curves.
     """
     domain = problem.domain
     if domain.regions is None:
@@ -109,45 +112,68 @@ def eval_grid(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> GridFie
     x0, x1, y0, y1 = domain_bbox(domain)
     xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
     ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
-    X, Y = np.meshgrid(xs, ys)
-    sub = np.full(X.shape, -1, dtype=int)
-    for s, region in enumerate(domain.regions):
-        inside = geo.region_contains(region, X, Y) & (sub < 0)
-        sub[inside] = s
-    mask = sub >= 0
-    shape = X.shape
-    want_u = pairs[0].mode is Mode.STANDARD
-    arrays = {k: np.full(shape, np.nan) for k in ("sxx", "syy", "sxy")}
-    if want_u:
-        arrays["ux"] = np.full(shape, np.nan)
-        arrays["uy"] = np.full(shape, np.nan)
-    dphi = np.full(shape, np.nan, dtype=np.complex128)
-    dpsi = np.full(shape, np.nan, dtype=np.complex128)
-    for s in range(domain.n_subdomains):
-        where = sub == s
-        if not where.any():
-            continue
-        z = X[where] + 1j * Y[where]
-        state = mlp_forward(pairs[s].phi, pairs[s].psi, z, where=f"pair {s} ")
-        # one call on all points: numpy's temporary elision orders z * conj(dphi)
-        # by array size, so splitting km_fields would change bits of ux and uy
-        f = el.km_fields(z, state, problem.material)
-        for k in arrays:
-            arrays[k][where] = getattr(f, k)
-        dphi[where] = state.dphi
-        dpsi[where] = state.dpsi
-    return GridField(
-        xs, ys, mask, sub,
-        arrays["sxx"], arrays["syy"], arrays["sxy"],
-        arrays.get("ux"), arrays.get("uy"), dphi, dpsi,
-    )
+    names = ("sxx", "syy", "sxy") + (("ux", "uy") if pairs[0].mode is Mode.STANDARD else ())
+    rows = max(1, network.FORWARD_BLOCK // nx)
+    for i in range(0, ny, rows):
+        X, Y = np.meshgrid(xs, ys[i : i + rows])
+        sub = np.full(X.shape, -1, dtype=int)
+        for s, region in enumerate(domain.regions):
+            sub[geo.region_contains(region, X, Y) & (sub < 0)] = s
+        arrays = {k: np.full(X.shape, np.nan) for k in names}
+        arrays.update(dphi=np.full(X.shape, np.nan + 0j), dpsi=np.full(X.shape, np.nan + 0j))
+        for s in range(domain.n_subdomains):
+            where = sub == s
+            if not where.any():
+                continue
+            z = X[where] + 1j * Y[where]
+            state = mlp_forward(pairs[s].phi, pairs[s].psi, z, where=f"pair {s} ")
+            f = el.km_fields(z, state, problem.material)
+            for k, a in arrays.items():
+                a[where] = getattr(f if k in names else state, k)
+        yield GridField(xs, ys[i : i + rows], sub >= 0, sub, **arrays)
+
+
+def eval_grid(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> GridField:
+    """The blocks of grid_blocks stacked into one GridField."""
+    blocks = list(grid_blocks(pairs, problem, nx, ny))
+    stack = lambda k: None if getattr(blocks[0], k) is None else np.concatenate([getattr(b, k) for b in blocks])
+    return GridField(blocks[0].xs, *(stack(f.name) for f in fields(GridField)[1:]))
+
+
+class RingErrors:
+    """Field errors against the exact ring solution, accumulated over grid blocks.
+
+    add() keeps each block's per-point error and reference magnitudes;
+    errors() takes their rms over all blocks in grid order: bit for bit what
+    rel_l2 and rms give on the whole grid.
+    """
+
+    def __init__(self, reference: dict):
+        self.p, self.r, self.R = (float(reference[k]) for k in ("p", "r", "R"))
+        names = ("rel_l2_dphi", "rel_l2_dpsi", "rel_l2_sigma_rr", "rel_l2_sigma_tt", "rms_sigma_rt")
+        self.err: dict[str, list] = {k: [] for k in names}
+        self.ref: dict[str, list] = {k: [] for k in names[:4]}
+
+    def add(self, block: GridField) -> None:
+        X, Y = np.meshgrid(block.xs, block.ys)
+        m = block.mask
+        z = X[m] + 1j * Y[m]
+        dphi, dpsi = ring_exact_potentials(z, self.p, self.r, self.R)
+        srr_ref, stt_ref = ring_exact_stress(np.abs(z), self.p, self.r, self.R)
+        srr, stt, srt = rotate_stress(block.sxx[m], block.syy[m], block.sxy[m], np.angle(z))
+        for k, got, want in zip(self.ref, (block.dphi[m], block.dpsi[m], srr, stt), (dphi, dpsi, srr_ref, stt_ref)):
+            self.err[k].append(np.abs(got - want))
+            self.ref[k].append(np.abs(want))
+        self.err["rms_sigma_rt"].append(np.abs(srt))
+
+    def errors(self) -> dict[str, float]:
+        norm = lambda parts: rms(np.concatenate(parts))
+        return {k: norm(v) / norm(self.ref[k]) if k in self.ref else norm(v) for k, v in self.err.items()}
 
 
 def rel_l2(values: np.ndarray, ref: np.ndarray, mask: np.ndarray) -> float:
     """||values - ref|| / ||ref|| over unmasked points (complex-safe)."""
-    d = values[mask] - ref[mask]
-    denom = float(np.sqrt(np.mean(np.abs(ref[mask]) ** 2)))
-    return float(np.sqrt(np.mean(np.abs(d) ** 2))) / denom
+    return rms(values[mask] - ref[mask]) / rms(ref[mask])
 
 
 def rms(values: np.ndarray, mask: Optional[np.ndarray] = None) -> float:

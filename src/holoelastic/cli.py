@@ -102,10 +102,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    import numpy as np
-
     from . import export
-    from .analytics import eval_grid, rel_l2, ring_exact_potentials, ring_exact_stress, rms, rotate_stress
+    from .analytics import RingErrors, grid_blocks
     from .network import checkpoint_load
     from .problem import load_config
 
@@ -126,27 +124,22 @@ def _cmd_eval(args) -> int:
                     f"match config {want_hidden}/{nets.mode.value}/{nets.activation.value}"
                 )
     nx, ny = args.grid or spec.outputs.grid
-    grid = eval_grid(pairs, spec, nx, ny)
-    export.write_fields_csv(_out_path(spec, "fields.csv"), grid)
-    print(f"wrote field grid {nx}x{ny} ({int(grid.mask.sum())} interior points)")
-    ref = spec.reference
-    if ref:  # load_config admits only the ring
-        p, r, R = float(ref["p"]), float(ref["r"]), float(ref["R"])
-        X, Y = np.meshgrid(grid.xs, grid.ys)
-        Z = X + 1j * Y
-        dphi_ref, dpsi_ref = ring_exact_potentials(np.where(grid.mask, Z, 1.0), p, r, R)
-        errors = {
-            "rel_l2_dphi": rel_l2(grid.dphi, dphi_ref, grid.mask),
-            "rel_l2_dpsi": rel_l2(grid.dpsi, dpsi_ref, grid.mask),
-        }
-        rho = np.abs(Z)
-        srr_ref, stt_ref = ring_exact_stress(np.where(grid.mask, rho, r), p, r, R)
-        srr, stt, srt = rotate_stress(grid.sxx, grid.syy, grid.sxy, np.angle(Z))
-        errors["rel_l2_sigma_rr"] = rel_l2(srr, srr_ref, grid.mask)
-        errors["rel_l2_sigma_tt"] = rel_l2(stt, stt_ref, grid.mask)
-        errors["rms_sigma_rt"] = rms(srt, grid.mask)
-        export.write_errors_csv(_out_path(spec, "errors.csv"), errors)
-        for k, v in errors.items():
+    errors = RingErrors(spec.reference) if spec.reference else None  # load_config admits only the ring
+    interior = []
+
+    def blocks():
+        for block in grid_blocks(pairs, spec, nx, ny):
+            interior.append(int(block.mask.sum()))
+            if errors:
+                errors.add(block)
+            yield block
+
+    export.write_fields_csv(_out_path(spec, "fields.csv"), blocks())
+    print(f"wrote field grid {nx}x{ny} ({sum(interior)} interior points)")
+    if errors:
+        values = errors.errors()
+        export.write_errors_csv(_out_path(spec, "errors.csv"), values)
+        for k, v in values.items():
             print(f"{k} = {v:.4e}")
     return 0
 

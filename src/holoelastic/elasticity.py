@@ -105,7 +105,9 @@ def km_fields(z, s: KMState, mat: Material) -> FieldPoint:
     sxy = np.imag(a)
     if not s.has_displacement:
         return FieldPoint(sxx, syy, sxy)
-    w = (mat.gamma * s.phi - z * np.conj(s.dphi) - np.conj(s.psi)) / (2.0 * mat.mu)
+    # np.multiply, not `*`: from 16,384 points numpy reuses a temporary right
+    # operand of `*` in place, which swaps a complex product's operands and bits
+    w = (mat.gamma * s.phi - np.multiply(z, np.conj(s.dphi)) - np.conj(s.psi)) / (2.0 * mat.mu)
     return FieldPoint(sxx, syy, sxy, np.real(w), np.imag(w))
 
 

@@ -21,8 +21,13 @@ def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
     if d:
         os.makedirs(d, exist_ok=True)
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(chunks)
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except BaseException:  # a chunk iterator that raises leaves no partial file
+        os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -44,32 +49,34 @@ def write_history_csv(path: str, history: History, wall_times: bool = False) -> 
     write_text_atomic(path, _csv(("epoch", "train_loss", "test_loss", "ms"), rows))
 
 
-def write_fields_csv(path: str, grid: GridField) -> None:
-    """Field CSV: x, y, sxx, syy, sxy, ux, uy; masked points keep empty cells.
+def write_fields_csv(path: str, blocks: Iterable[GridField]) -> None:
+    """Field CSV of consecutive grid-row blocks (analytics.grid_blocks, or one
+    whole grid): x, y, sxx, syy, sxy, ux, uy; masked points keep empty cells.
 
-    Rows are formatted from Python floats and written one grid row at a time;
-    their repr is the shortest round-trip form, like numpy's.
+    Each block is written as it arrives, one grid row at a time, from Python
+    floats; their repr is the shortest round-trip form, like numpy's.
     """
-    write_text_atomic(path, _field_rows(grid))
+    write_text_atomic(path, _field_rows(blocks))
 
 
-def _field_rows(grid: GridField) -> Iterator[str]:
+def _field_rows(blocks: Iterable[GridField]) -> Iterator[str]:
     yield "x,y,sxx,syy,sxy,ux,uy\n"
-    xs = grid.xs.tolist()
-    for iy, y in enumerate(grid.ys.tolist()):
-        mask = grid.mask[iy].tolist()
-        sxx, syy, sxy = grid.sxx[iy].tolist(), grid.syy[iy].tolist(), grid.sxy[iy].tolist()
-        ux = grid.ux[iy].tolist() if grid.ux is not None else None
-        uy = grid.uy[iy].tolist() if grid.uy is not None else None
-        lines = []
-        for ix, x in enumerate(xs):
-            if not mask[ix]:
-                lines.append(f"{x},{y},,,,,\n")
-            elif ux is None:
-                lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},,\n")
-            else:
-                lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},{ux[ix]},{uy[ix]}\n")
-        yield "".join(lines)
+    for grid in blocks:
+        xs = grid.xs.tolist()
+        for iy, y in enumerate(grid.ys.tolist()):
+            mask = grid.mask[iy].tolist()
+            sxx, syy, sxy = grid.sxx[iy].tolist(), grid.syy[iy].tolist(), grid.sxy[iy].tolist()
+            ux = grid.ux[iy].tolist() if grid.ux is not None else None
+            uy = grid.uy[iy].tolist() if grid.uy is not None else None
+            lines = []
+            for ix, x in enumerate(xs):
+                if not mask[ix]:
+                    lines.append(f"{x},{y},,,,,\n")
+                elif ux is None:
+                    lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},,\n")
+                else:
+                    lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},{ux[ix]},{uy[ix]}\n")
+            yield "".join(lines)
 
 
 def write_errors_csv(path: str, errors: dict[str, float]) -> None:

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import equilibrium_residual, fd_equilibrium, fd_trace_laplacian, net_stress_fn, ring_problem, square_problem
+from conftest import config_path, equilibrium_residual, fd_equilibrium, fd_trace_laplacian, net_stress_fn, ring_problem, square_problem
 from holoelastic.analytics import (
     GridField,
     eval_grid,
@@ -14,15 +16,19 @@ from holoelastic.analytics import (
     rel_l2,
     ring_exact_potentials,
     ring_exact_stress,
+    rms,
     rotate_stress,
     variance_report,
 )
 from holoelastic import analytics, network
 from holoelastic.autodiff import loss_backward
+from holoelastic.cli import run_command
 from holoelastic.elasticity import KMState, Material, km_fields
 from holoelastic.export import write_fields_csv
-from holoelastic.geometry import sample_boundary
+from holoelastic.geometry import region_contains, sample_boundary
 from holoelastic.jets import ActivationKind
+from holoelastic.network import checkpoint_load, mlp_forward
+from holoelastic.problem import load_config
 from holoelastic.rng import Rng
 from holoelastic.training import build_pairs, init_pairs
 
@@ -163,31 +169,103 @@ def test_eval_grid_and_l2_error():
     assert all(v == 0.0 for v in err.values())
 
 
-def test_eval_memory_is_set_by_the_forward_block_not_the_grid(monkeypatch, tmp_path):
-    # 7,363 interior points of a 100x100 ring grid in 512-point blocks.  With
-    # every point's jets held at once eval_grid peaked at 10.5 MB, and
-    # write_fields_csv held every row's text (3.3 MB).  The field map still
-    # runs once on all points, which keeps the fields' bits (see eval_grid)
-    problem = ring_problem()
-    pairs = build_pairs(problem)
-    rng = Rng(0)
-    init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.5, 3, rng)
-    monkeypatch.setattr(network, "FORWARD_BLOCK", 512, raising=False)
+def _ring_cli(tmp_path):
+    """ring_quadrant with outputs under tmp_path and an initialized checkpoint;
+    returns the config path, the output dir and the checkpoint path."""
+    doc = json.load(open(config_path("ring_quadrant")))
+    doc["training"]["epochs"] = 0
+    doc["outputs"]["dir"] = out = str(tmp_path / "out")
+    cfg = str(tmp_path / "ring.json")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert run_command(["train", cfg]) == 0
+    return cfg, out, os.path.join(out, "checkpoint.json")
+
+
+def test_eval_memory_is_set_by_the_forward_block_not_the_grid(monkeypatch, tmp_path, capsys):
+    # 29,454 interior points of a 200x200 ring grid in 512-point blocks.  The
+    # eval keeps per point only the error pass's nine magnitudes (2.1 MB) and
+    # peaks at 3.0 MB; one km_fields call on all points and an error pass on
+    # full-grid arrays peaked at 9.7 MB
+    cfg, _, ckpt = _ring_cli(tmp_path)
+    monkeypatch.setattr(network, "FORWARD_BLOCK", 512)
     calls = []
     monkeypatch.setattr("holoelastic.elasticity.km_fields", lambda *a: calls.append(a[0].size) or km_fields(*a))
+    capsys.readouterr()
     tracemalloc.start()
     try:
-        grid = eval_grid(pairs, problem, 100, 100)
-        eval_peak = tracemalloc.get_traced_memory()[1]
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        write_fields_csv(str(tmp_path / "fields.csv"), grid)
-        write_peak = tracemalloc.get_traced_memory()[1] - held
+        assert run_command(["eval", cfg, ckpt, "--grid", "200x200"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert calls == [grid.mask.sum()] and calls[0] >= 8 * 512
-    assert eval_peak < 5e6
-    assert write_peak < 1e6
+    assert "(29454 interior points)" in capsys.readouterr().out
+    assert sum(calls) == 29454 and max(calls) <= 512
+    assert peak < 5e6
+
+
+def _initialized_pairs(spec, seed=0):
+    pairs = build_pairs(spec)
+    rng = Rng(seed)
+    init_pairs(pairs, sample_boundary(spec.domain, 200, rng.spawn(3)).z, spec.training.beta, 3, rng)
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "name, nx, ny, block",
+    [
+        ("ring_quadrant", 100, 90, None),  # blocks of 40 rows: 40 + 40 + 10
+        ("dd_plate_hole", 150, 150, None),  # blocks of 27 rows cross y = 0 and x = 0
+        ("ring_quadrant", 100, 30, 64),  # a row is wider than FORWARD_BLOCK: one row per block
+    ],
+)
+def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, nx, ny, block):
+    spec = configs[name]
+    pairs = _initialized_pairs(spec)
+    if block:
+        monkeypatch.setattr(network, "FORWARD_BLOCK", block)
+    grid = eval_grid(pairs, spec, nx, ny)
+    assert grid.xs.shape == (nx,) and grid.ys.shape == (ny,)
+    X, Y = np.meshgrid(grid.xs, grid.ys)
+    sub = np.full(X.shape, -1)
+    for s, region in enumerate(spec.domain.regions):
+        sub[region_contains(region, X, Y) & (sub < 0)] = s
+    assert np.array_equal(grid.sub, sub) and np.array_equal(grid.mask, sub >= 0)
+    for s, pair in enumerate(pairs):
+        where = sub == s
+        z = X[where] + 1j * Y[where]
+        state = mlp_forward(pair.phi, pair.psi, z)
+        f = km_fields(z, state, spec.material)
+        for k in ("sxx", "syy", "sxy", "ux", "uy", "dphi", "dpsi"):
+            want = getattr(state if k in ("dphi", "dpsi") else f, k)
+            assert getattr(grid, k)[where].tobytes() == want.tobytes(), (s, k)
+    for k in ("sxx", "syy", "sxy", "ux", "uy", "dphi", "dpsi"):
+        assert np.isnan(getattr(grid, k)[~grid.mask]).all()
+
+
+def test_cli_eval_outputs_are_those_of_eval_grid(tmp_path):
+    # the CLI streams blocks; errors.csv and fields.csv must be what the whole
+    # grid gives: rel_l2 and rms over its interior points, and its CSV rows
+    cfg, out, ckpt = _ring_cli(tmp_path)
+    assert run_command(["eval", cfg, ckpt, "--grid", "90x70"]) == 0  # blocks of 45 rows: 45 + 25
+    spec = load_config(cfg)
+    grid = eval_grid(checkpoint_load(ckpt), spec, 90, 70)
+    X, Y = np.meshgrid(grid.xs, grid.ys)
+    Z, ref = X + 1j * Y, spec.reference
+    dphi, dpsi = ring_exact_potentials(np.where(grid.mask, Z, 1.0), ref["p"], ref["r"], ref["R"])
+    srr_ref, stt_ref = ring_exact_stress(np.where(grid.mask, np.abs(Z), ref["r"]), ref["p"], ref["r"], ref["R"])
+    srr, stt, srt = rotate_stress(grid.sxx, grid.syy, grid.sxy, np.angle(Z))
+    want = {
+        "rel_l2_dphi": rel_l2(grid.dphi, dphi, grid.mask),
+        "rel_l2_dpsi": rel_l2(grid.dpsi, dpsi, grid.mask),
+        "rel_l2_sigma_rr": rel_l2(srr, srr_ref, grid.mask),
+        "rel_l2_sigma_tt": rel_l2(stt, stt_ref, grid.mask),
+        "rms_sigma_rt": rms(srt, grid.mask),
+    }
+    rows = [line.split(",") for line in open(os.path.join(out, "errors.csv")).read().splitlines()[1:]]
+    assert {k: float(v) for k, v in rows} == want
+    whole = str(tmp_path / "whole.csv")
+    write_fields_csv(whole, [grid])
+    assert open(whole).read() == open(os.path.join(out, "fields.csv")).read()
 
 
 def test_grid_l2_constant_offset():

@@ -76,6 +76,21 @@ def test_km_fields_uniform_biaxial():
     assert f.ux is None and f.uy is None
 
 
+def test_km_fields_does_not_depend_on_the_batch_size():
+    # numpy reuses a temporary operand of a large enough product, which may
+    # swap a complex product's operands; grid blocks must give one-shot bits
+    rng = np.random.default_rng(3)
+    c = lambda: rng.normal(size=20_000) + 1j * rng.normal(size=20_000)
+    z, s = c(), KMState(phi=c(), dphi=c(), ddphi=c(), psi=c(), dpsi=c())
+    whole = km_fields(z, s, MAT)
+    parts = []
+    for i in range(0, z.size, 4096):
+        cut = {k: getattr(s, k)[i : i + 4096] for k in ("phi", "dphi", "ddphi", "psi", "dpsi")}
+        parts.append(km_fields(z[i : i + 4096], KMState(**cut), MAT))
+    for k in ("sxx", "syy", "sxy", "ux", "uy"):
+        assert getattr(whole, k).tobytes() == np.concatenate([getattr(p, k) for p in parts]).tobytes(), k
+
+
 def test_km_fields_polynomial_example():
     # phi = z^2, psi = z at z = 1+i with lambda = mu = 1, plane strain
     z = 1 + 1j

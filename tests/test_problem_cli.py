@@ -351,6 +351,9 @@ def test_cli_eval_overflow_names_the_pair(tmp_path, capsys):
         json.dump(ck, fh)
     assert run_command(["eval", cfg, ckpt, "--grid", "20x20"]) == 2
     assert "error: non-finite value in pair 2 phi layer 1 (exp)" in capsys.readouterr().err
+    # the overflow is raised while fields.csv.tmp is being written; no partial file stays
+    assert not os.path.exists(str(tmp_path / "out" / "fields.csv"))
+    assert not os.path.exists(str(tmp_path / "out" / "fields.csv.tmp"))
 
 
 def test_cli_unknown_command():
@@ -418,7 +421,7 @@ def test_fields_csv_matches_per_cell_formatting(tmp_path, with_u):
     us = vals[3:] if with_u else [None, None]
     grid = GridField(xs, ys, mask, np.zeros((ny, nx), int), *vals[:3], *us)
     path = str(tmp_path / "fields.csv")
-    write_fields_csv(path, grid)
+    write_fields_csv(path, [grid])
     # reference: str() of each numpy scalar, empty cells where masked or absent
     want = ["x,y,sxx,syy,sxy,ux,uy"]
     for iy, y in enumerate(ys):
