@@ -27,7 +27,6 @@ from .jets import ActivationKind, NonFiniteError
 from .network import (
     BranchPair,
     HoloMLP,
-    InitConfig,
     LayerParams,
     Mode,
     ShallowApprox,

@@ -20,19 +20,9 @@ from . import geometry as geo
 from . import network
 from .autodiff import field_adjoints, loss_forward, pack_batch
 from .jets import ActivationKind, NonFiniteError
-from .network import (
-    BranchPair,
-    HoloMLP,
-    InitConfig,
-    Mode,
-    branch_backward,
-    build_mlp,
-    forward_jets,
-    init_weights,
-    mlp_forward,
-)
+from .network import BranchPair, HoloMLP, Mode, branch_backward, forward_jets, mlp_forward
 from .rng import Rng
-from .training import TrainConfig
+from .training import TrainConfig, build_pairs, init_pairs
 
 
 # --- ring benchmark -----------------------------------------------------------
@@ -228,6 +218,8 @@ def _square_problem(hidden: Sequence[int], activation: ActivationKind) -> "Probl
     """Homogeneous square benchmark: clamped bottom/left, traction-free right/top."""
     from .problem import NetworkConfig, OutputConfig, ProblemSpec
 
+    if len(set(hidden)) != 1:
+        raise ValueError(f"need one or more hidden layers of equal width, got {list(hidden)}")
     zero = el.ConstantData(0.0, 0.0)
     pieces = [
         geo.BoundaryPiece(geo.Line(-1 - 1j, 1 - 1j), el.Displacement(zero), geo.Side.RIGHT, (0,), "bottom"),
@@ -242,17 +234,9 @@ def _square_problem(hidden: Sequence[int], activation: ActivationKind) -> "Probl
     return ProblemSpec(material, domain, nets, TrainConfig(epochs=0), OutputConfig(), name="square")
 
 
-def variance_report(
-    problem,
-    hidden: Sequence[int],
-    activation: ActivationKind,
-    beta: float,
-    m_e: Optional[int],
-    probe_n: int,
-    batch_n: int,
-    seed: int,
-) -> VarianceReport:
-    """Initialize fresh branches for `problem` and sample per-layer variances.
+def variance_report(problem, beta: float, m_e: Optional[int], probe_n: int, batch_n: int, seed: int) -> VarianceReport:
+    """Initialize the branches that train starts from for `problem` and sample
+    per-layer variances; m_e None reads a probe statistic for every layer.
 
     Only the phi branch is swept: once per output channel 0, 1 and 2 for the
     phi rows (_branch_grad_var), and once from the loss adjoint for
@@ -262,35 +246,32 @@ def variance_report(
         raise ValueError("probe and batch sizes must be positive")
     if problem.domain.n_subdomains != 1:
         raise ValueError("variance diagnostics run on single-subdomain problems")
-    L = len(hidden) + 1
+    n_inner = problem.networks.hidden_layers
     if m_e is None:
-        m_e = L + 1  # probe statistics for every layer
+        m_e = n_inner + 2
     rng = Rng(seed)
     domain = problem.domain
     probe = geo.sample_boundary(domain, probe_n, rng.spawn(3)).z
     packed = pack_batch(geo.sample_boundary(domain, batch_n, rng.spawn(1)), domain)
-    mode = problem.networks.mode
-    pair = BranchPair(build_mlp(hidden, activation, mode), build_mlp(hidden, activation, mode))
-    cfg = InitConfig(probe=probe, beta=beta, m_e=m_e)
-    n_inner = L - 1
-    layers = list(range(1, L))
+    pairs = build_pairs(problem)
+    phi = pairs[0].phi
+    layers = list(range(1, n_inner + 1))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            init_weights(pair.phi, cfg, rng.spawn(100))
-            init_weights(pair.psi, cfg, rng.spawn(101))
-            _, rec = loss_forward([pair], packed, problem)
+            init_pairs(pairs, probe, beta, m_e, rng)
+            _, rec = loss_forward(pairs, packed, problem)
             z, caches, adj = rec.subs[0].z, rec.subs[0].phi, field_adjoints(rec)[0][0]
             del rec  # frees the psi caches, which no sweep reads
             # the phi rows of loss_backward(rec), without the psi sweep
-            var_loss = [_cvar(gw) for gw, _ in branch_backward(pair.phi, caches, adj)[:n_inner]]
+            var_loss = [_cvar(gw) for gw, _ in branch_backward(phi, caches, adj)[:n_inner]]
             if caches[0][0].shape[0] < 3:
                 # a stress-only phi branch carries no second derivative; the
                 # three sweeps read one order-2 forward of the same branch
                 caches = []
-                forward_jets(pair.phi, z, 2, caches)
+                forward_jets(phi, z, 2, caches)
             # the caches hold no pre-activations: one value-channel GEMM per layer
-            var_y = [_cvar(x[0] @ l.weights.T + l.bias) for (x, _), l in zip(caches[:n_inner], pair.phi.layers)]
-            per_q = [_branch_grad_var(pair.phi, caches, ch)[:n_inner] for ch in (0, 1, 2)]
+            var_y = [_cvar(x[0] @ l.weights.T + l.bias) for (x, _), l in zip(caches[:n_inner], phi.layers)]
+            per_q = [_branch_grad_var(phi, caches, ch)[:n_inner] for ch in (0, 1, 2)]
         return VarianceReport(layers, var_y, per_q[0], per_q[1], per_q[2], var_loss, [False] * n_inner)
     except (NonFiniteError, FloatingPointError):
         inf = [math.inf] * n_inner
@@ -308,11 +289,10 @@ def init_diagnostics(
 ) -> VarianceReport:
     """Variance diagnostics on the homogeneous square benchmark.
 
-    `arch` lists the hidden widths (e.g. [100]*7); probe/batch are boundary
-    sample counts.
+    `arch` lists the hidden widths (e.g. [100]*7), one width for every layer
+    as in a NetworkConfig; probe/batch are boundary sample counts.
     """
-    problem = _square_problem(list(arch), activation)
-    return variance_report(problem, list(arch), activation, beta, m_e, probe, batch, seed)
+    return variance_report(_square_problem(list(arch), activation), beta, m_e, probe, batch, seed)
 
 
 # --- held-out residual diagnostics ----------------------------------------------

@@ -275,40 +275,3 @@ def loss_backward(rec: LossRecord) -> WeightGrad:
         pair = rec.pairs[sub]
         grads.append((branch_backward(pair.phi, sp.phi, ap), branch_backward(pair.psi, sp.psi, aq)))
     return WeightGrad(grads)
-
-
-def grad_check(
-    pairs: Sequence[BranchPair],
-    batch,
-    problem: "ProblemSpec",
-    step: float = 1e-6,
-) -> float:
-    """Max relative deviation of the reverse-mode gradient from central differences.
-
-    Deviations are measured against max(|fd|, |ad|, 1e-3 * max|grad|) so that
-    finite-difference noise on near-zero components does not dominate.
-    """
-    if not (0.0 < step <= 1e-3):
-        raise ValueError(f"step must be in (0, 1e-3], got {step}")
-    from .network import flatten_params, write_params
-
-    packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
-    loss, rec = loss_forward(pairs, packed, problem)
-    gvec = loss_backward(rec).to_vector()
-    vec = flatten_params(pairs)
-    scale = 1e-3 * max(float(np.max(np.abs(gvec))) if gvec.size else 0.0, 1e-30)
-    worst = 0.0
-    for i in range(vec.size):
-        orig = vec[i]
-        vec[i] = orig + step
-        write_params(pairs, vec)
-        lp = loss_value(pairs, packed, problem)
-        vec[i] = orig - step
-        write_params(pairs, vec)
-        lm = loss_value(pairs, packed, problem)
-        vec[i] = orig
-        fd = (lp - lm) / (2.0 * step)
-        denom = max(abs(fd), abs(gvec[i]), scale)
-        worst = max(worst, abs(gvec[i] - fd) / denom)
-    write_params(pairs, vec)
-    return worst

@@ -152,17 +152,8 @@ def _cmd_init_check(args) -> int:
     spec = load_config(args.config)
     beta = args.beta if args.beta is not None else spec.training.beta
     seed = args.seed if args.seed is not None else spec.training.seed
-    hidden = [spec.networks.units] * spec.networks.hidden_layers
-    report = variance_report(
-        spec,
-        hidden,
-        spec.networks.activation,
-        beta,
-        args.m_e,
-        probe_n=10 * spec.training.n_train,
-        batch_n=spec.training.n_train,
-        seed=seed,
-    )
+    n = spec.training.n_train
+    report = variance_report(spec, beta, args.m_e, probe_n=10 * n, batch_n=n, seed=seed)
     path = _out_path(spec, "variance.csv")
     export.write_variance_csv(path, report)
     print(f"wrote {path} (beta={beta:g})")

@@ -247,65 +247,50 @@ def write_params(pairs: Sequence[BranchPair], vec: np.ndarray) -> None:
 # --- initialization ---------------------------------------------------------
 
 
-@dataclass
-class InitConfig:
-    """Probe-calibrated Gaussian initialization.
-
-    Layers below m_e scale the weight variance by the sample mean of
-    |x_{l-1}|^2 over a propagated probe of boundary points; from m_e on, the
-    activations are assumed Gaussian, which gives the closed-form scale
-    e^beta for the exponential activation.  Biases start at zero.  The probe
-    is propagated only up to the input of the last layer below m_e, so
-    m_e = 2 propagates nothing and m_e >= L + 1 reaches x_{L-1}.
-    """
-
-    probe: np.ndarray  # complex boundary coordinates
-    beta: float = 0.5
-    m_e: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        self.probe = np.asarray(self.probe, dtype=np.complex128).ravel()
-        if self.probe.size == 0:
-            raise ValueError("init probe must be nonempty")
-        if self.m_e < 2:
-            raise ValueError(f"m_e must be >= 2, got {self.m_e}")
-
-
 def admissible_beta(mode: Mode) -> tuple[float, float]:
     return (BETA2, BETA1) if mode is Mode.STRESS_ONLY else (BETA3, BETA1)
 
 
-def init_weights(net: HoloMLP, cfg: InitConfig, rng: Optional[Rng] = None) -> HoloMLP:
-    """Initialize `net` in place; returns it for convenience.
+def init_weights(net: HoloMLP, probe, beta: float, m_e: int, rng: Rng) -> HoloMLP:
+    """Probe-calibrated Gaussian initialization of `net`, in place; returns it.
 
-    A probe statistic that is not finite and positive (an overflowed
-    propagation) raises NonFiniteError naming the layer that reads it.
+    Layers below m_e scale the weight variance by the sample mean of
+    |x_{l-1}|^2 over a propagated probe of boundary points (complex
+    coordinates); from m_e on, the activations are assumed Gaussian, which
+    gives the closed-form scale e^beta for the exponential activation.
+    Biases start at zero.  The probe is propagated only up to the input of
+    the last layer below m_e, so m_e = 2 propagates nothing and m_e >= L + 1
+    reaches x_{L-1}.  A probe statistic that is not finite and positive (an
+    overflowed propagation) raises NonFiniteError naming the layer that
+    reads it.
     """
-    if cfg.beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {cfg.beta}")
+    probe = np.asarray(probe, dtype=np.complex128).ravel()
+    if probe.size == 0:
+        raise ValueError("init probe must be nonempty")
+    if m_e < 2:
+        raise ValueError(f"m_e must be >= 2, got {m_e}")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be a finite positive number, got {beta}")
     lo, hi = admissible_beta(net.mode)
-    if not (lo <= cfg.beta <= hi):
+    if not (lo <= beta <= hi):
         warnings.warn(
-            f"beta={cfg.beta:.4g} outside the admissible range [{lo:.4g}, {hi:.4g}] "
+            f"beta={beta:.4g} outside the admissible range [{lo:.4g}, {hi:.4g}] "
             f"for {net.mode.value} mode; expect unstable gradients",
             stacklevel=2,
         )
-    if rng is None:
-        rng = Rng(cfg.seed)
-    x = cfg.probe.reshape(-1, 1)
+    x = probe.reshape(-1, 1)
     # the probe reaches x_{last-1}, the input of the last layer that reads a
     # statistic of it; each propagated x is checked by the next layer's m_l
-    last = min(cfg.m_e, len(net.layers) + 1) - 1
+    last = min(m_e, len(net.layers) + 1) - 1
     for l, layer in enumerate(net.layers, start=1):
         no, ni = layer.weights.shape
         if l <= last:
             m_l = float(np.mean(np.abs(x) ** 2))
             if not math.isfinite(m_l) or m_l <= 0.0:
                 raise NonFiniteError(f"probe propagation degenerate at layer {l}: m_l={m_l}")
-            var = cfg.beta / (2.0 * ni * m_l)
+            var = beta / (2.0 * ni * m_l)
         else:
-            var = cfg.beta / (2.0 * ni * math.exp(cfg.beta))
+            var = beta / (2.0 * ni * math.exp(beta))
         layer.weights[:] = rng.complex_normal(no * ni, std=math.sqrt(var)).reshape(no, ni)
         layer.bias[:] = 0.0
         if l < last:
@@ -432,18 +417,15 @@ def unit_roots(n: int) -> np.ndarray:
 
 @dataclass
 class ShallowApprox:
-    """Single-hidden-layer net  g~(z) = sum_j a_j * act(b_j z + c_j).
-
-    Nets built by constructive_shallow also carry the matched Taylor data
-    (taylor, z0); see shallow_eval for why.
-    """
+    """Single-hidden-layer exponential net  g~(z) = sum_j a_j * e^(b_j z + c_j),
+    with the Taylor coefficients `taylor` at z0 that it matches (see
+    constructive_shallow and shallow_eval)."""
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    activation: ActivationKind = ActivationKind.EXP
-    taylor: Optional[np.ndarray] = None
-    z0: complex = 0.0
+    taylor: np.ndarray
+    z0: complex
 
 
 def constructive_shallow(
@@ -470,33 +452,20 @@ def constructive_shallow(
     a = np.fft.fft(s) / n
     b = unit_roots(n)
     c = complex(xi) - b * complex(z0)
-    return ShallowApprox(a, b, c, ActivationKind.EXP, g.copy(), complex(z0))
-
-
-def shallow_eval_direct(s: ShallowApprox, z) -> np.ndarray:
-    """Raw coefficient sum sum_j a_j act(b_j z + c_j)."""
-    z = np.asarray(z, dtype=np.complex128)
-    scalar = z.ndim == 0
-    arg = s.b[:, None] * z.ravel()[None, :] + s.c[:, None]
-    vals = act_derivs(s.activation, arg, order=0)[0]
-    out = (s.a[:, None] * vals).sum(axis=0)
-    return complex(out[0]) if scalar else out.reshape(z.shape)
+    return ShallowApprox(a, b, c, g.copy(), complex(z0))
 
 
 def shallow_eval(s: ShallowApprox, z) -> np.ndarray:
     """Value of the shallow net at z.
 
-    For Taylor-matched exponential nets the raw sum cancels catastrophically
-    once ~20 units are used (|a_j| grows like k!/r^k while the value stays
-    O(1)), so those nets are evaluated through the exact identity
+    The raw sum over units cancels catastrophically once ~20 units are used
+    (|a_j| grows like k!/r^k while the value stays O(1)), so the net is
+    evaluated through the exact identity
 
         sum_j a_j e^(b_j z + c_j) = sum_k g_k k! sum_l w^(k+ln) / (k+ln)!
 
-    with w = z - z0, whose terms never cancel on bounded w.  Hand-built nets
-    fall back to the raw sum.
+    with w = z - z0, whose terms never cancel on bounded w.
     """
-    if s.taylor is None or s.activation is not ActivationKind.EXP:
-        return shallow_eval_direct(s, z)
     z = np.asarray(z, dtype=np.complex128)
     scalar = z.ndim == 0
     w = z.ravel() - s.z0

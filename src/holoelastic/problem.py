@@ -72,8 +72,20 @@ def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
 
 
+def _obj(v, path: str) -> dict:
+    if not isinstance(v, dict):
+        _fail(path, f"expected an object, got {v!r}")
+    return v
+
+
+def _list(v, path: str) -> list:
+    if not isinstance(v, list):
+        _fail(path, f"expected a list, got {v!r}")
+    return v
+
+
 def _need(obj: dict, key: str, path: str):
-    if key not in obj:
+    if key not in _obj(obj, path):
         _fail(path, f"missing required field {key!r}")
     return obj[key]
 
@@ -102,7 +114,7 @@ def _cx(v, path: str) -> complex:
 
 
 def _parse_data(obj: dict, path: str) -> el.BoundaryData:
-    if "constant" in obj:
+    if "constant" in _obj(obj, path):
         return el.ConstantData(*_nums(obj["constant"], 2, f"{path}.constant"))
     if "normal_pressure" in obj:
         return el.NormalPressure(_num(obj["normal_pressure"], f"{path}.normal_pressure"))
@@ -144,23 +156,23 @@ def _parse_piece(obj: dict, i: int) -> geo.BoundaryPiece:
     else:
         _fail(path, f"unknown piece kind {kind!r}")
     bc, subs = _parse_bc(_need(obj, "bc", path), f"{path}.bc")
-    sub = None if subs else _need(obj, "subdomain", path)
+    subs = subs or (_int(_need(obj, "subdomain", path), f"{path}.subdomain"),)
     try:
         side = geo.Side(obj.get("side", "left"))
-        return geo.BoundaryPiece(shape, bc, side, subs or (int(sub),), name=obj.get("name", f"piece{i}"))
+        return geo.BoundaryPiece(shape, bc, side, subs, name=obj.get("name", f"piece{i}"))
     except ValueError as e:
         _fail(path, str(e))
 
 
 def _rows(obj: dict, key: str, n: int, path: str) -> list[tuple[float, ...]]:
-    return [_nums(v, n, f"{path}.{key}[{k}]") for k, v in enumerate(obj.get(key, []))]
+    return [_nums(v, n, f"{path}.{key}[{k}]") for k, v in enumerate(_list(obj.get(key, []), f"{path}.{key}"))]
 
 
 def _parse_region(obj: dict, path: str) -> geo.Region:
     patches = []
-    for j, p in enumerate(obj.get("patches", [])):
+    for j, p in enumerate(_list(_obj(obj, path).get("patches", []), f"{path}.patches")):
         pp = f"{path}.patches[{j}]"
-        rect = _nums(p["rect"], 4, f"{pp}.rect") if "rect" in p else None
+        rect = _nums(p["rect"], 4, f"{pp}.rect") if "rect" in _obj(p, pp) else None
         disks_in, disks_out = (
             tuple((complex(x, y), r) for x, y, r in _rows(p, key, 3, pp)) for key in ("disks_in", "disks_out")
         )
@@ -186,11 +198,13 @@ def load_config(path: str) -> ProblemSpec:
         raise ConfigError(f"material: {e}")
 
     geo_obj = _need(doc, "geometry", "config")
-    pieces = [_parse_piece(p, i) for i, p in enumerate(_need(geo_obj, "pieces", "geometry"))]
+    piece_objs = _list(_need(geo_obj, "pieces", "geometry"), "geometry.pieces")
+    pieces = [_parse_piece(p, i) for i, p in enumerate(piece_objs)]
     regions = None
     if "regions" in geo_obj:
         regions = [
-            _parse_region(r, f"geometry.regions[{i}]") for i, r in enumerate(geo_obj["regions"])
+            _parse_region(r, f"geometry.regions[{i}]")
+            for i, r in enumerate(_list(geo_obj["regions"], "geometry.regions"))
         ]
     n_sub = _int(geo_obj.get("n_subdomains", 1), "geometry.n_subdomains")
     try:
@@ -217,7 +231,7 @@ def load_config(path: str) -> ProblemSpec:
     except ValueError as e:
         raise ConfigError(f"training: {e}")
 
-    out_obj = doc.get("outputs", {})
+    out_obj = _obj(doc.get("outputs", {}), "outputs")
     grid = out_obj.get("grid", [40, 40])
     if not (isinstance(grid, list) and len(grid) == 2 and all(type(v) is int and v > 0 for v in grid)):
         _fail("outputs.grid", f"expected [nx, ny] with positive integers, got {grid!r}")
@@ -225,9 +239,7 @@ def load_config(path: str) -> ProblemSpec:
 
     ref = doc.get("reference")
     if ref is not None:
-        if not isinstance(ref, dict):
-            _fail("reference", f"expected an object, got {ref!r}")
-        if ref.get("kind") != "ring":
+        if _obj(ref, "reference").get("kind") != "ring":
             _fail("reference.kind", f"expected 'ring', got {ref.get('kind')!r}")
         p, r, R = (_num(ref.get(k), f"reference.{k}") for k in ("p", "r", "R"))
         if not 0.0 < r < R:

@@ -18,14 +18,7 @@ import numpy as np
 from .autodiff import PackedBatch, loss_backward, loss_forward, pack_batch
 from .geometry import sample_boundary
 from .jets import NonFiniteError
-from .network import (
-    BranchPair,
-    InitConfig,
-    build_mlp,
-    flatten_params,
-    init_weights,
-    write_params,
-)
+from .network import BranchPair, build_mlp, flatten_params, init_weights, write_params
 from .rng import Rng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,14 +49,15 @@ class TrainConfig:
             raise ValueError(f"m_e must be >= 2, got {self.m_e}")
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -80,11 +74,11 @@ def adam_step(
     if bad.any():
         raise NonFiniteError(f"non-finite gradient at component {int(np.argmax(bad))}")
     state.step += 1
-    state.m += (1.0 - state.beta1) * (grads - state.m)
-    state.v += (1.0 - state.beta2) * (grads * grads - state.v)
-    mhat = state.m / (1.0 - state.beta1 ** state.step)
-    vhat = state.v / (1.0 - state.beta2 ** state.step)
-    params -= lr * mhat / (np.sqrt(vhat) + state.eps)
+    state.m += (1.0 - ADAM_BETA1) * (grads - state.m)
+    state.v += (1.0 - ADAM_BETA2) * (grads * grads - state.v)
+    mhat = state.m / (1.0 - ADAM_BETA1**state.step)
+    vhat = state.v / (1.0 - ADAM_BETA2**state.step)
+    params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return params, state
 
 
@@ -118,10 +112,11 @@ def init_pairs(
     m_e: int,
     rng: Rng,
 ) -> None:
-    cfg = InitConfig(probe=probe, beta=beta, m_e=m_e)
+    """network.init_weights on every branch: pair i draws phi from stream
+    100 + 2i and psi from 101 + 2i of `rng`."""
     for i, pair in enumerate(pairs):
-        init_weights(pair.phi, cfg, rng.spawn(100 + 2 * i))
-        init_weights(pair.psi, cfg, rng.spawn(101 + 2 * i))
+        init_weights(pair.phi, probe, beta, m_e, rng.spawn(100 + 2 * i))
+        init_weights(pair.psi, probe, beta, m_e, rng.spawn(101 + 2 * i))
 
 
 def train(

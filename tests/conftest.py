@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
+from holoelastic.autodiff import PackedBatch, loss_backward, loss_forward, loss_value, pack_batch
 from holoelastic.elasticity import ConstantData, Material, NormalPressure, Symmetry, Traction, km_fields
 from holoelastic.geometry import Arc, BoundaryPiece, DomainSpec, Line, Patch, Region, Side
-from holoelastic.network import mlp_forward
+from holoelastic.network import flatten_params, mlp_forward, write_params
 from holoelastic.problem import NetworkConfig, OutputConfig, ProblemSpec
 from holoelastic.training import TrainConfig
 
@@ -126,3 +127,36 @@ def equilibrium_residual(nets, mat, z, h: float):
         raise ValueError(f"step h={h} outside [1e-6, 1e-2]")
     r1, r2, _ = fd_equilibrium(net_stress_fn(nets, mat), z, h)
     return r1, r2
+
+
+# --- the FD gradient contract ---------------------------------------------------
+
+
+def grad_check(pairs, batch, problem, step: float = 1e-6) -> float:
+    """Max relative deviation of the reverse-mode gradient from central differences.
+
+    Deviations are measured against max(|fd|, |ad|, 1e-3 * max|grad|) so that
+    finite-difference noise on near-zero components does not dominate.
+    """
+    if not (0.0 < step <= 1e-3):
+        raise ValueError(f"step must be in (0, 1e-3], got {step}")
+    packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
+    _, rec = loss_forward(pairs, packed, problem)
+    gvec = loss_backward(rec).to_vector()
+    vec = flatten_params(pairs)
+    scale = 1e-3 * max(float(np.max(np.abs(gvec))) if gvec.size else 0.0, 1e-30)
+    worst = 0.0
+    for i in range(vec.size):
+        orig = vec[i]
+        vec[i] = orig + step
+        write_params(pairs, vec)
+        lp = loss_value(pairs, packed, problem)
+        vec[i] = orig - step
+        write_params(pairs, vec)
+        lm = loss_value(pairs, packed, problem)
+        vec[i] = orig
+        fd = (lp - lm) / (2.0 * step)
+        denom = max(abs(fd), abs(gvec[i]), scale)
+        worst = max(worst, abs(gvec[i] - fd) / denom)
+    write_params(pairs, vec)
+    return worst

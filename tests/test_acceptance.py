@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CONFIG_NAMES, config_path, fd_equilibrium, fd_trace_laplacian, net_stress_fn
+from conftest import CONFIG_NAMES, config_path, fd_equilibrium, fd_trace_laplacian, grad_check, net_stress_fn
 from holoelastic.analytics import (
     eval_grid,
     init_diagnostics,
@@ -27,7 +27,6 @@ from holoelastic.analytics import (
     rms,
     rotate_stress,
 )
-from holoelastic.autodiff import grad_check
 from holoelastic.cli import run_command
 from holoelastic.elasticity import Material, km_fields
 from holoelastic.geometry import allocate_counts, piece_length, sample_boundary

@@ -30,7 +30,7 @@ from holoelastic.jets import ActivationKind
 from holoelastic.network import checkpoint_load, mlp_forward
 from holoelastic.problem import load_config
 from holoelastic.rng import Rng
-from holoelastic.training import build_pairs, init_pairs
+from holoelastic.training import build_pairs, init_pairs, train
 
 MAT = Material(1.0, 1.0)
 
@@ -323,13 +323,17 @@ def test_variance_report_rejects_empty_probe():
         init_diagnostics([10], ActivationKind.EXP, 0.5, None, 0, 100, 0)
     with pytest.raises(ValueError):
         init_diagnostics([10], ActivationKind.EXP, 0.5, None, 100, 0, 0)
+    # a NetworkConfig has one width for every hidden layer, and at least one
+    for arch in ([10, 20], []):
+        with pytest.raises(ValueError, match=rf"need one or more hidden layers of equal width, got \{arch}"):
+            init_diagnostics(arch, ActivationKind.EXP, 0.5, None, 100, 100, 0)
 
 
 def test_variance_report_stress_only_sweeps_three_phi_channels():
     # a stress-only phi branch carries two jet channels in the loss; the
     # report still sweeps all three output channels, and with the same
     # domain, seed and beta they match the standard-mode report bit for bit
-    args = ([8, 8], ActivationKind.EXP, 0.7, None, 200, 40, 0)
+    args = (0.7, None, 200, 40, 0)  # square_problem has two hidden layers of 8
     std = variance_report(square_problem(), *args)
     so = variance_report(square_problem(mode="stress_only"), *args)
     assert not any(so.overflow)
@@ -375,3 +379,32 @@ def test_variance_rows_match_the_full_sweeps(monkeypatch):
         seed[channel] = 1.0
         want = [analytics._cvar(gw) for gw, _ in network.branch_backward(rec.pairs[0].phi, caches, seed)[:3]]
         assert np.allclose(row, want, rtol=1e-14, atol=0.0), channel
+
+
+def test_init_check_sweeps_the_networks_that_train_starts_from(monkeypatch, tmp_path):
+    # `init-check --m-e 3` on a config draws its probe, batch and weights from
+    # the streams that `train` uses at the config's m_e = 3, for the same seed
+    records = []
+    original = analytics.loss_forward
+
+    def keep(*args, **kwargs):
+        out = original(*args, **kwargs)
+        records.append(out[1])
+        return out
+
+    monkeypatch.setattr(analytics, "loss_forward", keep)
+    doc = json.load(open(config_path("ring_quadrant")))
+    doc["training"].update(epochs=0, n_train=60, seed=7)
+    doc["outputs"]["dir"] = str(tmp_path / "out")
+    cfg = str(tmp_path / "ring.json")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert run_command(["init-check", cfg, "--m-e", "3"]) == 0
+    (rec,) = records
+    assert rec.subs[0].z.size == 60
+    pairs, _ = train(load_config(cfg))
+    for name in ("phi", "psi"):
+        got, want = getattr(rec.pairs[0], name), getattr(pairs[0], name)
+        assert got.widths == want.widths == [1, 10, 10, 1]
+        for a, b in zip(got.layers, want.layers):
+            assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()

@@ -3,15 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import CONFIG_NAMES, config_path, ring_problem, square_problem
+from conftest import CONFIG_NAMES, config_path, grad_check, ring_problem, square_problem
 from holoelastic import elasticity
-from holoelastic.autodiff import (
-    grad_check,
-    loss_backward,
-    loss_forward,
-    loss_value,
-    pack_batch,
-)
+from holoelastic.autodiff import loss_backward, loss_forward, loss_value, pack_batch
 from holoelastic.elasticity import ConstantData, Traction
 from holoelastic.geometry import piece_length, sample_boundary
 from holoelastic.jets import ActivationKind, NonFiniteError, act_derivs

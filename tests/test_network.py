@@ -13,7 +13,6 @@ from holoelastic.network import (
     BETA2,
     BETA3,
     BranchPair,
-    InitConfig,
     Mode,
     build_mlp,
     checkpoint_load,
@@ -33,10 +32,9 @@ def _ring_probe(n=400, seed=0):
 
 def _init_pair(hidden, seed=0, beta=0.5, m_e=3, mode=Mode.STANDARD):
     pair = BranchPair(build_mlp(hidden, mode=mode), build_mlp(hidden, mode=mode))
-    cfg = InitConfig(probe=_ring_probe(), beta=beta, m_e=m_e)
-    rng = Rng(seed)
-    init_weights(pair.phi, cfg, rng.spawn(0))
-    init_weights(pair.psi, cfg, rng.spawn(1))
+    probe, rng = _ring_probe(), Rng(seed)
+    init_weights(pair.phi, probe, beta, m_e, rng.spawn(0))
+    init_weights(pair.psi, probe, beta, m_e, rng.spawn(1))
     return pair
 
 
@@ -151,24 +149,27 @@ def test_hidden_overflow_is_named_at_every_jet_order(order):
 
 def test_init_beta_bounds():
     net = build_mlp([4])
-    cfg = InitConfig(probe=np.ones(10, dtype=complex), beta=-0.1)
-    with pytest.raises(ValueError):
-        init_weights(net, cfg, Rng(0))
+    probe = np.ones(10, dtype=complex)
+    for beta in (-0.1, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="beta must be a finite positive number"):
+            init_weights(net, probe, beta, 3, Rng(0))
     with pytest.warns(UserWarning, match="admissible"):
-        init_weights(net, InitConfig(probe=np.ones(10, dtype=complex), beta=0.2), Rng(0))
+        init_weights(net, probe, 0.2, 3, Rng(0))
     # beta2 admissible in stress-only, warns in standard only below beta3
     so = build_mlp([4], mode=Mode.STRESS_ONLY)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        init_weights(so, InitConfig(probe=np.ones(10, dtype=complex), beta=BETA2), Rng(0))
-        init_weights(net, InitConfig(probe=np.ones(10, dtype=complex), beta=BETA3), Rng(0))
+        init_weights(so, probe, BETA2, 3, Rng(0))
+        init_weights(net, probe, BETA3, 3, Rng(0))
     with pytest.warns(UserWarning):
-        init_weights(so, InitConfig(probe=np.ones(10, dtype=complex), beta=0.5), Rng(0))
+        init_weights(so, probe, 0.5, 3, Rng(0))
 
 
 def test_init_empty_probe_rejected():
-    with pytest.raises(ValueError):
-        InitConfig(probe=np.array([], dtype=complex))
+    with pytest.raises(ValueError, match="probe must be nonempty"):
+        init_weights(build_mlp([4]), np.array([], dtype=complex), 0.5, 3, Rng(0))
+    with pytest.raises(ValueError, match="m_e must be >= 2"):
+        init_weights(build_mlp([4]), np.ones(10, dtype=complex), 0.5, 1, Rng(0))
 
 
 def test_init_variance_formulas():
@@ -177,7 +178,6 @@ def test_init_variance_formulas():
     # probe layer uses the sampled mean |x|^2, Gaussian layers use e^beta
     net = build_mlp([10, 10])
     probe = np.exp(1j * np.linspace(0, 2 * np.pi, 1000, endpoint=False))  # m_1 = 1
-    cfg = InitConfig(probe=probe, beta=0.5, m_e=2)
 
     class TrackingRng(Rng):
         stds = []
@@ -186,7 +186,7 @@ def test_init_variance_formulas():
             TrackingRng.stds.append(std)
             return super().complex_normal(n, std)
 
-    init_weights(net, cfg, TrackingRng(0))
+    init_weights(net, probe, 0.5, 2, TrackingRng(0))
     s1, s2, s3 = TrackingRng.stds
     assert abs(s1**2 - 0.5 / (2 * 1 * 1.0)) < 1e-12
     assert abs(s2**2 - 0.5 / (2 * 10 * math.exp(0.5))) < 1e-15
@@ -197,10 +197,9 @@ def test_init_variance_in_band_on_deep_net():
     # 7 hidden layers x 100 units; pooled Var[y_l] should track beta
     for beta in (BETA3, 0.5, BETA2):
         net = build_mlp([100] * 7)
-        cfg = InitConfig(probe=_ring_probe(2000), beta=beta, m_e=3)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            init_weights(net, cfg, Rng(17))
+            init_weights(net, _ring_probe(2000), beta, 3, Rng(17))
         fresh = _ring_probe(500, seed=23)
         jets = np.zeros((3, fresh.size, 1), dtype=complex)
         jets[0, :, 0] = fresh
@@ -212,20 +211,20 @@ def test_init_variance_in_band_on_deep_net():
             x = np.exp(y)
 
 
-def _init_weights_reference(net, cfg, rng):
+def _init_weights_reference(net, probe, beta, m_e, rng):
     # reference: propagates the probe through every layer below m_e, also the
     # last one, whose output no layer reads
-    x = cfg.probe.reshape(-1, 1)
+    x = probe.reshape(-1, 1)
     L = len(net.layers)
     for l, layer in enumerate(net.layers, start=1):
         no, ni = layer.weights.shape
-        if l < cfg.m_e:
-            var = cfg.beta / (2.0 * ni * float(np.mean(np.abs(x) ** 2)))
+        if l < m_e:
+            var = beta / (2.0 * ni * float(np.mean(np.abs(x) ** 2)))
         else:
-            var = cfg.beta / (2.0 * ni * math.exp(cfg.beta))
+            var = beta / (2.0 * ni * math.exp(beta))
         layer.weights[:] = rng.complex_normal(no * ni, std=math.sqrt(var)).reshape(no, ni)
         layer.bias[:] = 0.0
-        if l < cfg.m_e and l < L:
+        if l < m_e and l < L:
             x = network.act_derivs(net.activation, x @ layer.weights.T, order=0)[0]
             assert np.isfinite(x).all()
 
@@ -233,10 +232,10 @@ def _init_weights_reference(net, cfg, rng):
 @pytest.mark.parametrize("kind", [ActivationKind.EXP, ActivationKind.COS])
 @pytest.mark.parametrize("m_e", [2, 3, 4, 5])  # 2, 3, L and L + 1 for L = 4 layers
 def test_init_weights_match_the_full_probe_propagation(m_e, kind):
-    cfg = InitConfig(probe=_ring_probe(), beta=0.5, m_e=m_e)
+    probe = _ring_probe()
     got, want = build_mlp([12, 12, 12], kind), build_mlp([12, 12, 12], kind)
-    init_weights(got, cfg, Rng(8))
-    _init_weights_reference(want, cfg, Rng(8))
+    init_weights(got, probe, 0.5, m_e, Rng(8))
+    _init_weights_reference(want, probe, 0.5, m_e, Rng(8))
     for a, b in zip(got.layers, want.layers):
         assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
 
@@ -253,11 +252,10 @@ def test_init_propagates_the_probe_only_to_the_last_layer_that_reads_it(monkeypa
 
 def test_init_probe_overflow_raises():
     net = build_mlp([10, 10, 10])
-    cfg = InitConfig(probe=_ring_probe(), beta=1e6, m_e=4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(NonFiniteError, match=r"^probe propagation degenerate at layer 2: m_l=inf$"):
-            init_weights(net, cfg, Rng(0))
+            init_weights(net, _ring_probe(), 1e6, 4, Rng(0))
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):

@@ -126,7 +126,7 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         ((*PIECES, 0, "bc", "data", "normal_pressure"), "x", [], "error: geometry.pieces[0].bc.data.normal_pressure: "),
         ((*PIECES, 0, "radius"), "two", [], "error: geometry.pieces[0].radius: "),
         ((*PIECES, 1, "side"), "up", [], "error: geometry.pieces[1]: 'up' is not a valid Side"),
-        ((*PIECES, 1, "subdomain"), "x", [], "error: geometry.pieces[1]: invalid literal for int()"),
+        ((*PIECES, 1, "subdomain"), "x", [], "error: geometry.pieces[1].subdomain: expected an integer, got 'x'"),
         ((*PATCH, "rect"), [-2.0, 0.0, 0.0], [], "error: geometry.regions[0].patches[0].rect: "),
         ((*PATCH, "halfplanes"), [[1.0, 0.0]], [], "error: geometry.regions[0].patches[0].halfplanes[0]: "),
         ((*PATCH, "disks_in"), [[0.0, 0.0]], [], "error: geometry.regions[0].patches[0].disks_in[0]: "),
@@ -158,6 +158,21 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         (("material", "lambda"), None, [], "error: material.lambda: expected a finite number, got None"),
         ((*PIECES, 0, "bc", "data", "normal_pressure"), math.nan, [],
          "error: geometry.pieces[0].bc.data.normal_pressure: expected a finite number, got nan"),
+        ((*PIECES, 1, "subdomain"), 0.5, [], "error: geometry.pieces[1].subdomain: expected an integer, got 0.5"),
+        ((*PIECES, 1, "subdomain"), "0", [], "error: geometry.pieces[1].subdomain: expected an integer, got '0'"),
+        (("material",), 5, [], "error: material: expected an object, got 5"),
+        (("networks",), 3, [], "error: networks: expected an object, got 3"),
+        (("training",), [], [], "error: training: expected an object, got []"),
+        (("outputs",), [1], [], "error: outputs: expected an object, got [1]"),
+        (("geometry", "pieces"), {}, [], "error: geometry.pieces: expected a list, got {}"),
+        ((*PIECES, 2), 7, [], "error: geometry.pieces[2]: expected an object, got 7"),
+        ((*PIECES, 0, "bc"), "traction", [], "error: geometry.pieces[0].bc: expected an object, got 'traction'"),
+        ((*PIECES, 0, "bc", "data"), -1.0, [], "error: geometry.pieces[0].bc.data: expected an object, got -1.0"),
+        (("geometry", "regions"), {"patches": []}, [], "error: geometry.regions: expected a list, got {'patches': []}"),
+        (("geometry", "regions", 0), 5, [], "error: geometry.regions[0]: expected an object, got 5"),
+        (("geometry", "regions", 0, "patches"), {}, [], "error: geometry.regions[0].patches: expected a list, got {}"),
+        (PATCH, "rect", [], "error: geometry.regions[0].patches[0]: expected an object, got 'rect'"),
+        ((*PATCH, "disks_out"), 0.5, [], "error: geometry.regions[0].patches[0].disks_out: expected a list, got 0.5"),
     ],
     ids=[
         "grid_one", "grid_nonpositive", "constant_3", "pressure_str", "radius_str", "side_str", "subdomain_str",
@@ -165,7 +180,9 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         "n_test_str", "seed_float", "m_e_float", "layers_bool", "units_float", "n_subdomains_float", "m_e_1",
         "beta_negative", "n_test_below_pieces", "n_train_below_pieces", "ref_missing_R", "ref_kind", "ref_str",
         "ref_r_beyond_R", "lr_null", "lr_str", "lr_nan", "lr_inf", "beta_bool", "lr_decay_str", "mu_str",
-        "lambda_null", "pressure_nan",
+        "lambda_null", "pressure_nan", "subdomain_float", "subdomain_numeric_str", "material_int", "networks_int",
+        "training_list", "outputs_list", "pieces_object", "piece_int", "bc_str", "bc_data_float", "regions_object",
+        "region_int", "patches_object", "patch_str", "disks_out_float",
     ],
 )
 def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, keys, value, args, message):
@@ -386,6 +403,14 @@ def test_cli_init_check(tmp_path):
     lines = open(os.path.join(out, "variance.csv")).read().splitlines()
     assert lines[0].startswith("layer,var_y")
     assert len(lines) == 3  # two hidden layers
+
+
+@pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "0"])
+def test_cli_init_check_rejects_a_beta_that_is_not_finite_and_positive(tmp_path, capsys, beta):
+    cfg, out = _mini_ring(tmp_path)
+    assert run_command(["init-check", cfg, f"--beta={beta}"]) == 2
+    assert f"error: beta must be a finite positive number, got {float(beta)}" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "variance.csv"))
 
 
 def test_cli_seed_override_changes_output(tmp_path):

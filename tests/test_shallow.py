@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from holoelastic.network import (
-    ShallowApprox,
-    constructive_shallow,
-    shallow_eval,
-    shallow_eval_direct,
-    unit_roots,
-)
+from holoelastic.network import ShallowApprox, constructive_shallow, shallow_eval, unit_roots
 
 
 def _disk_points(n_r=100, n_a=100):
@@ -21,6 +15,12 @@ def _disk_points(n_r=100, n_a=100):
 def _geometric_taylor(n):
     # 1 / (1.5 - z) = sum 1.5^-(k+1) z^k
     return [1.5 ** -(k + 1) for k in range(n)]
+
+
+def shallow_eval_direct(s: ShallowApprox, z) -> np.ndarray:
+    """Reference: the raw sum over units, sum_j a_j e^(b_j z + c_j)."""
+    z = np.asarray(z, dtype=np.complex128)
+    return (s.a[:, None] * np.exp(s.b[:, None] * z.ravel()[None, :] + s.c[:, None])).sum(axis=0).reshape(z.shape)
 
 
 def vandermonde_solve(taylor, b, xi=0.0):
@@ -43,8 +43,9 @@ def test_single_unit_reproduces_exp():
 
 
 def test_zero_coefficients_evaluate_to_zero():
-    s = ShallowApprox(np.array([0j]), np.array([1 + 0j]), np.array([0j]))
+    s = constructive_shallow([0.0], n=1)
     assert shallow_eval(s, 0.7 + 0.2j) == 0.0
+    assert shallow_eval_direct(s, 0.7 + 0.2j) == 0.0
 
 
 def test_unit_roots_exact_modulus():
