@@ -11,19 +11,24 @@ afterwards, and hashes:
   ring_quadrant/errors.csv                the same eval's exact-reference errors
   ring_quadrant/fields_400x400.csv        `eval --grid 400x400` (and its errors)
   clamped_square/fields_200x200.csv       `eval --grid 200x200`: 40,000 points, so
-                                          ten FORWARD_BLOCK blocks of 100-wide nets
+                                          ten grid blocks (FORWARD_BLOCK points each)
+                                          of 100-wide nets
   dd_plate_hole/fields_300x300.csv        `eval --grid 300x300`: grid blocks of 13 rows
                                           that cross the four subdomains
   clamped_square/variance.csv             `init-check` (m_e = L + 1: a probe statistic
                                           for every layer)
   clamped_square/variance_m_e3.csv        `init-check --m-e 3`, the probe depth that
                                           training uses
-  clamped_square@stress_only/variance.csv `init-check` of a stress-only copy of
+  clamped_square@stress_only/checkpoint.json, history.csv, fields.csv, variance.csv
+                                          `train` for 20 epochs, `eval --grid 40x40`
+                                          and `init-check` of a stress-only copy of
                                           clamped_square (its clamped pieces made
                                           traction-free, as stress-only mode allows
-                                          tractions only; beta 0.7): the report
-                                          re-runs the two-channel phi branch at
-                                          order 2
+                                          tractions only; beta 0.7): the only runs of
+                                          the stress-only field map, its adjoint and
+                                          the displacement-free fields.csv rows; the
+                                          report re-runs the two-channel phi branch
+                                          at order 2
   <config>/samples.csv                    `sample --n 300` (all configs)
   approx.csv                              `approx-demo --n 32`
   <config>@<act>/checkpoint.json, history.csv
@@ -95,17 +100,18 @@ def main(argv: list[str]) -> int:
             json.dump(doc, fh)
         return cfg, doc, out
 
-    def train(tmp: str, name: str, activation: str = "") -> tuple[str, dict, str]:
-        """Train a 20-epoch copy of config `name` and hash its checkpoint and
-        history; returns the copy's path and document and the checkpoint."""
-        label = f"{name}@{activation}" if activation else name
+    def train(tmp: str, name: str, label: str = "", edit=None) -> tuple[str, dict, str]:
+        """Train a 20-epoch copy of config `name`, changed by edit(doc), and
+        hash its checkpoint and history; returns the copy's path and document
+        and the checkpoint."""
+        label = label or name
 
-        def edit(doc: dict) -> None:
+        def edit_all(doc: dict) -> None:
             doc["training"]["epochs"] = EPOCHS
-            if activation:
-                doc["networks"]["activation"] = activation
+            if edit:
+                edit(doc)
 
-        cfg, doc, out = copy_config(tmp, name, label, edit)
+        cfg, doc, out = copy_config(tmp, name, label, edit_all)
         ckpt = os.path.join(out, "checkpoint.json")
         run("train", cfg)
         _show(f"{label}/checkpoint.json", ckpt)
@@ -137,15 +143,19 @@ def main(argv: list[str]) -> int:
                 _show(f"{name}/variance_m_e3.csv", os.path.join(out, "variance.csv"))
             run("sample", cfg, "--n", "300")
             _show(f"{name}/samples.csv", os.path.join(out, "samples.csv"))
-        cfg, _, out = copy_config(tmp, "clamped_square", "clamped_square@stress_only", _stress_only)
+        label = "clamped_square@stress_only"
+        cfg, _, ckpt = train(tmp, "clamped_square", label, _stress_only)
+        out = os.path.dirname(ckpt)
+        run("eval", cfg, ckpt, "--grid", "40x40")
+        _show(f"{label}/fields.csv", os.path.join(out, "fields.csv"))
         run("init-check", cfg)
-        _show("clamped_square@stress_only/variance.csv", os.path.join(out, "variance.csv"))
+        _show(f"{label}/variance.csv", os.path.join(out, "variance.csv"))
         approx = os.path.join(tmp, "approx.csv")
         run("approx-demo", "--n", "32", "--out", approx)
         _show("approx.csv", approx)
         for name in ("ring_quadrant", "clamped_square"):
             for activation in ("cos", "sin", "cos_sqrt"):
-                train(tmp, name, activation)
+                train(tmp, name, f"{name}@{activation}", lambda doc: doc["networks"].update(activation=activation))
     return 0
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import elasticity as el
 from . import geometry as geo
-from . import network
 from .autodiff import field_adjoints, loss_forward, pack_batch
 from .jets import ActivationKind, NonFiniteError
 from .network import BranchPair, HoloMLP, Mode, branch_backward, forward_jets, mlp_forward
@@ -88,11 +87,15 @@ def domain_bbox(domain: geo.DomainSpec) -> tuple[float, float, float, float]:
     return float(x.min()), float(x.max()), float(y.min()), float(y.max())
 
 
+FORWARD_BLOCK = 4096  # points per grid_blocks block
+
+
 def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Iterator[GridField]:
     """Evaluate the networks on an nx-by-ny grid over the domain bounding box.
 
-    Yields GridFields of consecutive grid rows, about network.FORWARD_BLOCK
-    points each (one row at least), so memory is set by the block, not the
+    Yields GridFields of consecutive grid rows, FORWARD_BLOCK points at most
+    or one grid row when a row is wider; a hidden layer's jets hold
+    (order + 1) * width entries per point of one block, however large the
     grid.  Points outside every subdomain region stay masked and carry NaN.
     Grid nodes are cell centers so samples stay clear of the boundary curves.
     """
@@ -102,25 +105,24 @@ def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Itera
     x0, x1, y0, y1 = domain_bbox(domain)
     xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
     ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
-    names = ("sxx", "syy", "sxy") + (("ux", "uy") if pairs[0].mode is Mode.STANDARD else ())
-    rows = max(1, network.FORWARD_BLOCK // nx)
+    nf = 5 if pairs[0].mode is Mode.STANDARD else 3
+    rows = max(1, FORWARD_BLOCK // nx)
     for i in range(0, ny, rows):
         X, Y = np.meshgrid(xs, ys[i : i + rows])
         sub = np.full(X.shape, -1, dtype=int)
         for s, region in enumerate(domain.regions):
             sub[geo.region_contains(region, X, Y) & (sub < 0)] = s
-        arrays = {k: np.full(X.shape, np.nan) for k in names}
-        arrays.update(dphi=np.full(X.shape, np.nan + 0j), dpsi=np.full(X.shape, np.nan + 0j))
+        f = np.full((nf,) + X.shape, np.nan)
+        dphi, dpsi = np.full(X.shape, np.nan + 0j), np.full(X.shape, np.nan + 0j)
         for s in range(domain.n_subdomains):
             where = sub == s
             if not where.any():
                 continue
             z = X[where] + 1j * Y[where]
             state = mlp_forward(pairs[s].phi, pairs[s].psi, z, where=f"pair {s} ")
-            f = el.km_fields(z, state, problem.material)
-            for k, a in arrays.items():
-                a[where] = getattr(f if k in names else state, k)
-        yield GridField(xs, ys[i : i + rows], sub >= 0, sub, **arrays)
+            f[:, where] = el.km_fields(z, state, problem.material).rows()
+            dphi[where], dpsi[where] = state.dphi, state.dpsi
+        yield GridField(xs, ys[i : i + rows], sub >= 0, sub, *f, dphi=dphi, dpsi=dpsi)
 
 
 def eval_grid(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> GridField:
@@ -157,6 +159,8 @@ class RingErrors:
         self.err["rms_sigma_rt"].append(np.abs(srt))
 
     def errors(self) -> dict[str, float]:
+        if not sum(e.size for e in self.err["rms_sigma_rt"]):
+            raise ValueError("ring errors need at least one interior grid point, the grid has none")
         norm = lambda parts: rms(np.concatenate(parts))
         return {k: norm(v) / norm(self.ref[k]) if k in self.ref else norm(v) for k, v in self.err.items()}
 

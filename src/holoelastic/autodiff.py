@@ -1,16 +1,16 @@
 """Reverse-mode gradients of the boundary loss over complex network weights.
 
 The loss graph always has the same shape: per subdomain two branches
-(L x (jet affine, jet activation) each, network.forward_jets), the
+(L x (jet affine, jet activation) each, one network.mlp_forward), the
 Kolosov-Muskhelishvili field map, per-piece boundary residuals and the
 length-weighted mean square.  pack_batch fixes each piece's residual
 operator and loss weight once per sample batch.  loss_forward runs the
 stages, optionally on test points appended to the training points for a
 test loss, and keeps what the reverse pass needs: the branch caches, each
 piece's (B, k) residual array and its mean square.  field_adjoints passes
-adjoints back to the branch outputs (residuals -> KM), and loss_backward
-sweeps them through the branches, yielding for every complex weight w the
-real pair (dL/dRe w, dL/dIm w) packed as a complex number.
+adjoints back to the branch outputs (residuals -> el.km_fields_adjoint), and
+loss_backward sweeps them through the branches, yielding for every complex
+weight w the real pair (dL/dRe w, dL/dIm w) packed as a complex number.
 
 Adjoint rules: every variable u carries a(u) = dL/dRe(u) + i dL/dIm(u).
 Through a holomorphic step v = f(u) the adjoint propagates as
@@ -34,7 +34,7 @@ import numpy as np
 from . import elasticity as el
 from .geometry import DomainSpec, piece_length
 from .jets import NonFiniteError
-from .network import JET_ORDERS, BranchPair, Mode, branch_backward, forward_jets, km_state
+from .network import BranchPair, branch_backward, mlp_forward
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -193,17 +193,14 @@ def loss_forward(
         raise ValueError(
             f"{len(pairs)} network pairs for {problem.domain.n_subdomains} subdomains"
         )
-    mode = pairs[0].mode
-    order_phi, order_psi = JET_ORDERS[mode]
     subs: dict[int, SubdomainPass] = {}
     test_fields: dict[int, np.ndarray] = {}
     for sub, z in packed.eval_z.items():
         n = z.size
         zz = z if test is None else np.concatenate((z, test.eval_z[sub]))
         cphi, cpsi = [], []
-        jp = forward_jets(pairs[sub].phi, zz, order_phi, cphi, where=f"pair {sub} phi ")
-        jq = forward_jets(pairs[sub].psi, zz, order_psi, cpsi, where=f"pair {sub} psi ")
-        fields = el.km_fields(zz, km_state(mode, jp, jq), problem.material).rows()
+        state = mlp_forward(pairs[sub].phi, pairs[sub].psi, zz, f"pair {sub} ", (cphi, cpsi))
+        fields = el.km_fields(zz, state, problem.material).rows()
         subs[sub] = SubdomainPass(z, cphi, cpsi, fields[:, :n])
         test_fields[sub] = fields[:, n:]
     residuals = _residuals(packed.groups, {s: sp.fields for s, sp in subs.items()})
@@ -222,36 +219,9 @@ def loss_value(pairs, batch, problem) -> float:
 # --- backward ------------------------------------------------------------------
 
 
-def _km_backward(mode: Mode, material: el.Material, z: np.ndarray, adj: np.ndarray):
-    """Adjoints of the phi- and psi-branch jets (JET_ORDERS) from the (nf, B) dL/dfields.
-
-    The field map is the only non-holomorphic complex step of the pipeline.
-    """
-    gamma, mu = material.gamma, material.mu
-    rxx, ryy, rxy = adj[0], adj[1], adj[2]
-    a_ddphi = z * (ryy - rxx + 1j * rxy)
-    a_dpsi = (ryy - rxx) + 1j * rxy
-    a_dphi = 2.0 * (rxx + ryy) + 0j
-    order_phi, order_psi = JET_ORDERS[mode]
-    ap = np.empty((order_phi + 1, z.size), dtype=np.complex128)
-    aq = np.empty((order_psi + 1, z.size), dtype=np.complex128)
-    if mode is Mode.STANDARD:
-        a_u = adj[3] + 1j * adj[4]
-        a_phi = (gamma / (2.0 * mu)) * a_u
-        a_dphi = a_dphi + np.conj(a_u) * (-z / (2.0 * mu))
-        a_psi = np.conj(a_u) * (-1.0 / (2.0 * mu))
-        ap[0], ap[1], ap[2] = a_phi, a_dphi, a_ddphi
-        aq[0], aq[1] = a_psi, a_dpsi
-    else:
-        ap[0], ap[1] = a_dphi, a_ddphi
-        aq[0] = a_dpsi
-    return ap, aq
-
-
 def field_adjoints(rec: LossRecord) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per subdomain the (phi, psi) branch-output adjoints of rec.loss
-    (JET_ORDERS channels by B training points): residuals -> KM fields -> jets."""
-    mode = rec.pairs[0].mode
+    (network.JET_ORDERS channels by B training points): residuals -> KM fields -> jets."""
     # dL/dfields per subdomain: zeros, then each group adds A^T rho into its
     # own slice (negated on side b of an interface, whose residual is A fa - A fb)
     adj = {sub: np.zeros_like(sp.fields) for sub, sp in rec.subs.items()}
@@ -261,7 +231,7 @@ def field_adjoints(rec: LossRecord) -> list[tuple[np.ndarray, np.ndarray]]:
         adj[g.subs[0]][:, g.slices[g.subs[0]]] += at
         if not g.outer:
             adj[g.subs[1]][:, g.slices[g.subs[1]]] -= at
-    return [_km_backward(mode, rec.material, sp.z, adj[sub]) for sub, sp in rec.subs.items()]
+    return [el.km_fields_adjoint(sp.z, adj[sub], rec.material) for sub, sp in rec.subs.items()]
 
 
 def loss_backward(rec: LossRecord) -> WeightGrad:

@@ -74,9 +74,17 @@ class KMState:
     phi: Optional[np.ndarray] = None
     psi: Optional[np.ndarray] = None
 
-    @property
-    def has_displacement(self) -> bool:
-        return self.phi is not None and self.psi is not None
+
+def km_state(jp: np.ndarray, jq: np.ndarray) -> KMState:
+    """Read the potentials off the phi- and psi-branch jets (network.JET_ORDERS).
+
+    Three phi channels are standard mode: (phi, phi', phi'') and (psi, psi').
+    Two are stress-only mode, whose branch outputs are phi' and psi': phi'' is
+    the first jet derivative of the phi'-branch and phi/psi are absent.
+    """
+    if len(jp) == 3:
+        return KMState(phi=jp[0], dphi=jp[1], ddphi=jp[2], psi=jq[0], dpsi=jq[1])
+    return KMState(dphi=jp[0], ddphi=jp[1], dpsi=jq[0])
 
 
 @dataclass
@@ -103,12 +111,29 @@ def km_fields(z, s: KMState, mat: Material) -> FieldPoint:
     sxx = np.real(2.0 * s.dphi - a)
     syy = np.real(2.0 * s.dphi + a)
     sxy = np.imag(a)
-    if not s.has_displacement:
+    if s.phi is None:
         return FieldPoint(sxx, syy, sxy)
     # np.multiply, not `*`: from 16,384 points numpy reuses a temporary right
     # operand of `*` in place, which swaps a complex product's operands and bits
     w = (mat.gamma * s.phi - np.multiply(z, np.conj(s.dphi)) - np.conj(s.psi)) / (2.0 * mat.mu)
     return FieldPoint(sxx, syy, sxy, np.real(w), np.imag(w))
+
+
+def km_fields_adjoint(z: np.ndarray, adj: np.ndarray, mat: Material) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoints (dL/dRe + i dL/dIm) of the phi- and psi-branch jets of km_state
+    from the (nf, B) dL/dfields: five rows give (3, B) and (2, B), three rows
+    (stress-only) (2, B) and (1, B).  The field map is the only
+    non-holomorphic complex step of the pipeline."""
+    rxx, ryy, rxy = adj[0], adj[1], adj[2]
+    a_ddphi = z * (ryy - rxx + 1j * rxy)
+    a_dpsi = (ryy - rxx) + 1j * rxy
+    a_dphi = 2.0 * (rxx + ryy) + 0j
+    if len(adj) == 3:
+        return np.stack((a_dphi, a_ddphi)), a_dpsi[None]
+    a_u = adj[3] + 1j * adj[4]
+    a_dphi = a_dphi + np.conj(a_u) * (-z / (2.0 * mat.mu))
+    a_psi = np.conj(a_u) * (-1.0 / (2.0 * mat.mu))
+    return np.stack(((mat.gamma / (2.0 * mat.mu)) * a_u, a_dphi, a_ddphi)), np.stack((a_psi, a_dpsi))
 
 
 # --- boundary conditions ----------------------------------------------------

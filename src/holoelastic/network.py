@@ -7,7 +7,8 @@ on a seeded jet of order k yields the value and its first k z-derivatives in
 a single pass.  Each branch runs at the order the Kolosov-Muskhelishvili map
 reads (JET_ORDERS): in standard mode a branch pair returns (phi, phi', phi'')
 and (psi, psi'); in stress-only mode the branch outputs are read as phi' and
-psi' directly, so the pair returns (phi', phi'') and (psi').
+psi' directly, so the pair returns (phi', phi'') and (psi').  mlp_forward is
+the one pair forward, for training and eval alike.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .elasticity import KMState
+from .elasticity import KMState, km_state
 from .jets import (
     ActivationKind,
     NonFiniteError,
@@ -182,35 +183,18 @@ def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[n
 JET_ORDERS = {Mode.STANDARD: (2, 1), Mode.STRESS_ONLY: (1, 0)}
 
 
-def km_state(mode: Mode, jp: np.ndarray, jq: np.ndarray) -> KMState:
-    """Read the potentials off the phi- and psi-branch jets (JET_ORDERS).
-
-    Standard mode reads (phi, phi', phi'') and (psi, psi').  Stress-only mode
-    treats the branch outputs as phi' and psi'; phi'' is the first jet
-    derivative of the phi'-branch and phi/psi are absent.
-    """
-    if mode is Mode.STANDARD:
-        return KMState(phi=jp[0], dphi=jp[1], ddphi=jp[2], psi=jq[0], dpsi=jq[1])
-    return KMState(dphi=jp[0], ddphi=jp[1], dpsi=jq[0])
-
-
-# Points per forward_jets call in mlp_forward, so that a hidden layer's jets
-# hold (order + 1) * width * FORWARD_BLOCK entries however large the grid.
-FORWARD_BLOCK = 4096
-
-
-def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z, where: str = "") -> KMState:
-    """Both branches at the points z (flattened), FORWARD_BLOCK at a time; see
-    km_state.  An overflow names "{where}phi" or "{where}psi" and the layer."""
+def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z, where: str = "", caches=None) -> KMState:
+    """Both branches at the points z (flattened), each at its JET_ORDERS order;
+    see elasticity.km_state.  With `caches`, a (phi, psi) pair of lists, records
+    each branch's forward_jets layer caches.  An overflow names "{where}phi" or
+    "{where}psi" and the layer."""
     if net_phi.mode is not net_psi.mode:
         raise ValueError("branches disagree on mode")
-    z = np.asarray(z, dtype=np.complex128).ravel()
-    orders = JET_ORDERS[net_phi.mode]
-    outs = [np.empty((k + 1, z.size), dtype=np.complex128) for k in orders]
-    for i in range(0, z.size, FORWARD_BLOCK):
-        for out, net, k, name in zip(outs, (net_phi, net_psi), orders, ("phi ", "psi ")):
-            out[:, i : i + FORWARD_BLOCK] = forward_jets(net, z[i : i + FORWARD_BLOCK], k, where=where + name)
-    return km_state(net_phi.mode, *outs)
+    cphi, cpsi = caches or (None, None)
+    order_phi, order_psi = JET_ORDERS[net_phi.mode]
+    jp = forward_jets(net_phi, z, order_phi, cphi, where=where + "phi ")
+    jq = forward_jets(net_psi, z, order_psi, cpsi, where=where + "psi ")
+    return km_state(jp, jq)
 
 
 # --- parameter flattening -----------------------------------------------------

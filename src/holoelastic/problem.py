@@ -103,6 +103,12 @@ def _int(v, path: str) -> int:
     return v
 
 
+def _str(v, path: str) -> str:
+    if not (isinstance(v, str) and v):
+        _fail(path, f"expected a nonempty string, got {v!r}")
+    return v
+
+
 def _nums(v, n: int, path: str) -> tuple[float, ...]:
     if not (isinstance(v, list) and len(v) == n):
         _fail(path, f"expected a list of {n} numbers, got {v!r}")
@@ -157,9 +163,10 @@ def _parse_piece(obj: dict, i: int) -> geo.BoundaryPiece:
         _fail(path, f"unknown piece kind {kind!r}")
     bc, subs = _parse_bc(_need(obj, "bc", path), f"{path}.bc")
     subs = subs or (_int(_need(obj, "subdomain", path), f"{path}.subdomain"),)
+    name = _str(obj.get("name", f"piece{i}"), f"{path}.name")
     try:
         side = geo.Side(obj.get("side", "left"))
-        return geo.BoundaryPiece(shape, bc, side, subs, name=obj.get("name", f"piece{i}"))
+        return geo.BoundaryPiece(shape, bc, side, subs, name=name)
     except ValueError as e:
         _fail(path, str(e))
 
@@ -168,14 +175,22 @@ def _rows(obj: dict, key: str, n: int, path: str) -> list[tuple[float, ...]]:
     return [_nums(v, n, f"{path}.{key}[{k}]") for k, v in enumerate(_list(obj.get(key, []), f"{path}.{key}"))]
 
 
+def _disks(obj: dict, key: str, path: str) -> tuple[tuple[complex, float], ...]:
+    rows = _rows(obj, key, 3, path)
+    for k, (_, _, r) in enumerate(rows):
+        if not r > 0.0:
+            _fail(f"{path}.{key}[{k}]", f"disk radius must be positive, got {r}")
+    return tuple((complex(x, y), r) for x, y, r in rows)
+
+
 def _parse_region(obj: dict, path: str) -> geo.Region:
     patches = []
     for j, p in enumerate(_list(_obj(obj, path).get("patches", []), f"{path}.patches")):
         pp = f"{path}.patches[{j}]"
         rect = _nums(p["rect"], 4, f"{pp}.rect") if "rect" in _obj(p, pp) else None
-        disks_in, disks_out = (
-            tuple((complex(x, y), r) for x, y, r in _rows(p, key, 3, pp)) for key in ("disks_in", "disks_out")
-        )
+        if rect and not (rect[0] < rect[1] and rect[2] < rect[3]):
+            _fail(f"{pp}.rect", f"need xmin < xmax and ymin < ymax, got {list(rect)}")
+        disks_in, disks_out = (_disks(p, key, pp) for key in ("disks_in", "disks_out"))
         patches.append(geo.Patch(rect, disks_in, disks_out, tuple(_rows(p, "halfplanes", 3, pp))))
     if not patches:
         _fail(path, "region needs at least one patch")
@@ -235,7 +250,7 @@ def load_config(path: str) -> ProblemSpec:
     grid = out_obj.get("grid", [40, 40])
     if not (isinstance(grid, list) and len(grid) == 2 and all(type(v) is int and v > 0 for v in grid)):
         _fail("outputs.grid", f"expected [nx, ny] with positive integers, got {grid!r}")
-    outputs = OutputConfig(tuple(grid), str(out_obj.get("dir", "out")))
+    outputs = OutputConfig(tuple(grid), _str(out_obj.get("dir", "out"), "outputs.dir"))
 
     ref = doc.get("reference")
     if ref is not None:
@@ -253,7 +268,7 @@ def load_config(path: str) -> ProblemSpec:
             training=training,
             outputs=outputs,
             reference=ref,
-            name=str(doc.get("name", os.path.splitext(os.path.basename(path))[0])),
+            name=_str(doc.get("name", os.path.splitext(os.path.basename(path))[0]), "name"),
         )
     except ConfigError:
         raise

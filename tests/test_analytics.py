@@ -188,7 +188,7 @@ def test_eval_memory_is_set_by_the_forward_block_not_the_grid(monkeypatch, tmp_p
     # peaks at 3.0 MB; one km_fields call on all points and an error pass on
     # full-grid arrays peaked at 9.7 MB
     cfg, _, ckpt = _ring_cli(tmp_path)
-    monkeypatch.setattr(network, "FORWARD_BLOCK", 512)
+    monkeypatch.setattr(analytics, "FORWARD_BLOCK", 512)
     calls = []
     monkeypatch.setattr("holoelastic.elasticity.km_fields", lambda *a: calls.append(a[0].size) or km_fields(*a))
     capsys.readouterr()
@@ -216,13 +216,18 @@ def _initialized_pairs(spec, seed=0):
         ("ring_quadrant", 100, 90, None),  # blocks of 40 rows: 40 + 40 + 10
         ("dd_plate_hole", 150, 150, None),  # blocks of 27 rows cross y = 0 and x = 0
         ("ring_quadrant", 100, 30, 64),  # a row is wider than FORWARD_BLOCK: one row per block
+        ("square_stress_only", 64, 40, 512),  # blocks of 8 rows of fields without displacements
     ],
 )
 def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, nx, ny, block):
-    spec = configs[name]
+    if name == "square_stress_only":
+        spec = square_problem("stress_only")
+        spec.training.beta = 0.7  # inside stress-only mode's admissible range
+    else:
+        spec = configs[name]
     pairs = _initialized_pairs(spec)
     if block:
-        monkeypatch.setattr(network, "FORWARD_BLOCK", block)
+        monkeypatch.setattr(analytics, "FORWARD_BLOCK", block)
     grid = eval_grid(pairs, spec, nx, ny)
     assert grid.xs.shape == (nx,) and grid.ys.shape == (ny,)
     X, Y = np.meshgrid(grid.xs, grid.ys)
@@ -236,10 +241,11 @@ def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, 
         state = mlp_forward(pair.phi, pair.psi, z)
         f = km_fields(z, state, spec.material)
         for k in ("sxx", "syy", "sxy", "ux", "uy", "dphi", "dpsi"):
-            want = getattr(state if k in ("dphi", "dpsi") else f, k)
-            assert getattr(grid, k)[where].tobytes() == want.tobytes(), (s, k)
+            want, got = getattr(state if k in ("dphi", "dpsi") else f, k), getattr(grid, k)
+            assert (got is None) == (want is None), (s, k)
+            assert want is None or got[where].tobytes() == want.tobytes(), (s, k)
     for k in ("sxx", "syy", "sxy", "ux", "uy", "dphi", "dpsi"):
-        assert np.isnan(getattr(grid, k)[~grid.mask]).all()
+        assert getattr(grid, k) is None or np.isnan(getattr(grid, k)[~grid.mask]).all()
 
 
 def test_cli_eval_outputs_are_those_of_eval_grid(tmp_path):

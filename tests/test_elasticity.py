@@ -23,6 +23,8 @@ from holoelastic.elasticity import (
     group_weights,
     interface_residual,
     km_fields,
+    km_fields_adjoint,
+    km_state,
     material_derived,
 )
 
@@ -89,6 +91,31 @@ def test_km_fields_does_not_depend_on_the_batch_size():
         parts.append(km_fields(z[i : i + 4096], KMState(**cut), MAT))
     for k in ("sxx", "syy", "sxy", "ux", "uy"):
         assert getattr(whole, k).tobytes() == np.concatenate([getattr(p, k) for p in parts]).tobytes(), k
+
+
+@pytest.mark.parametrize("n_phi, n_psi, nf", [(3, 2, 5), (2, 1, 3)])
+def test_km_fields_adjoint_matches_central_differences(n_phi, n_psi, nf):
+    # L = sum(adj * fields) with fields = km_fields(z, km_state(jp, jq)); each
+    # jet entry u gets dL/dRe(u) + i dL/dIm(u).  L is real-linear in the jets,
+    # so central differences are exact up to rounding
+    rng = np.random.default_rng(7)
+    c = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    z, jp, jq, adj = c(6), c(n_phi, 6), c(n_psi, 6), rng.normal(size=(nf, 6))
+    mat = Material(1.3, 0.7, PlaneMode.STRESS)
+    loss = lambda: float(np.sum(adj * km_fields(z, km_state(jp, jq), mat).rows()))
+    ap, aq = km_fields_adjoint(z, adj, mat)
+    assert ap.shape == jp.shape and aq.shape == jq.shape
+    h = 1e-6
+    for jets, a in ((jp, ap), (jq, aq)):
+        for idx in np.ndindex(jets.shape):
+            u, fd = jets[idx], []
+            for step in (h, 1j * h):
+                jets[idx] = u + step
+                lp = loss()
+                jets[idx] = u - step
+                fd.append((lp - loss()) / (2.0 * h))
+                jets[idx] = u
+            assert abs(complex(*fd) - a[idx]) < 1e-8 * (1.0 + abs(a[idx])), idx
 
 
 def test_km_fields_polynomial_example():

@@ -76,22 +76,6 @@ def test_stress_only_constant_output_has_zero_ddphi():
     assert state.ddphi == 0.0
 
 
-@pytest.mark.parametrize("mode", list(Mode))
-@pytest.mark.parametrize("hidden", [[10, 10], [100, 100]])
-def test_mlp_forward_does_not_depend_on_the_block_size(monkeypatch, hidden, mode):
-    pair = _init_pair(hidden, mode=mode, beta=0.7)
-    rng = Rng(5)
-    z = rng.uniform(3000, -2.0, 0.0) + 1j * rng.uniform(3000, 0.0, 2.0)
-    monkeypatch.setattr(network, "FORWARD_BLOCK", z.size)
-    whole = mlp_forward(pair.phi, pair.psi, z)
-    monkeypatch.setattr(network, "FORWARD_BLOCK", 7)
-    blocked = mlp_forward(pair.phi, pair.psi, z)
-    for k in ("phi", "dphi", "ddphi", "psi", "dpsi"):
-        a, b = getattr(whole, k), getattr(blocked, k)
-        assert (a is None) == (b is None)
-        assert a is None or a.tobytes() == b.tobytes()
-
-
 def test_jets_match_finite_differences_in_z():
     pair = _init_pair([10, 10], seed=4)
     rng = Rng(9)

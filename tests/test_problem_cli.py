@@ -173,6 +173,13 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         (("geometry", "regions", 0, "patches"), {}, [], "error: geometry.regions[0].patches: expected a list, got {}"),
         (PATCH, "rect", [], "error: geometry.regions[0].patches[0]: expected an object, got 'rect'"),
         ((*PATCH, "disks_out"), 0.5, [], "error: geometry.regions[0].patches[0].disks_out: expected a list, got 0.5"),
+        ((*PATCH, "rect"), [0, -2, 0, 2], [],
+         "error: geometry.regions[0].patches[0].rect: need xmin < xmax and ymin < ymax, got [0.0, -2.0, 0.0, 2.0]"),
+        ((*PATCH, "disks_in"), [[0.0, 0.0, -2.0]], [],
+         "error: geometry.regions[0].patches[0].disks_in[0]: disk radius must be positive, got -2.0"),
+        (("outputs", "dir"), [1], [], "error: outputs.dir: expected a nonempty string, got [1]"),
+        ((*PIECES, 0, "name"), [1], [], "error: geometry.pieces[0].name: expected a nonempty string, got [1]"),
+        (("name",), {"a": 1}, [], "error: name: expected a nonempty string, got {'a': 1}"),
     ],
     ids=[
         "grid_one", "grid_nonpositive", "constant_3", "pressure_str", "radius_str", "side_str", "subdomain_str",
@@ -182,7 +189,8 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         "ref_r_beyond_R", "lr_null", "lr_str", "lr_nan", "lr_inf", "beta_bool", "lr_decay_str", "mu_str",
         "lambda_null", "pressure_nan", "subdomain_float", "subdomain_numeric_str", "material_int", "networks_int",
         "training_list", "outputs_list", "pieces_object", "piece_int", "bc_str", "bc_data_float", "regions_object",
-        "region_int", "patches_object", "patch_str", "disks_out_float",
+        "region_int", "patches_object", "patch_str", "disks_out_float", "rect_reversed", "disk_radius_negative",
+        "dir_list", "piece_name_list", "name_object",
     ],
 )
 def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, keys, value, args, message):
@@ -279,6 +287,28 @@ def test_cli_train_eval_cycle(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "errors.csv"))
     # masked rows keep empty cells
     assert any(line.endswith(",,,,,") or ",,,,," in line for line in fields[1:])
+
+
+def test_cli_ring_eval_without_interior_points_writes_no_errors(tmp_path, capsys):
+    # a valid region that misses every grid point leaves the ring errors undefined
+    cfg, out = _mini_ring(tmp_path)
+    doc = json.load(open(cfg))
+    doc["geometry"]["regions"][0]["patches"][0]["rect"] = [5, 6, 5, 6]
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert run_command(["train", cfg]) == 0
+    assert run_command(["eval", cfg, os.path.join(out, "checkpoint.json")]) == 2
+    assert "error: ring errors need at least one interior grid point" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "errors.csv"))
+
+
+@pytest.mark.parametrize("flag", [[], ["--wall-times"]])
+def test_cli_train_wall_times(tmp_path, flag):
+    cfg, out = _mini_ring(tmp_path)
+    assert run_command(["train", cfg, *flag]) == 0
+    ms = [float(line.split(",")[3]) for line in open(os.path.join(out, "history.csv")).read().splitlines()[1:]]
+    assert len(ms) == 3
+    assert all(math.isfinite(v) and v > 0.0 for v in ms) if flag else ms == [0.0] * 3
 
 
 def test_cli_eval_architecture_mismatch(tmp_path, capsys):
