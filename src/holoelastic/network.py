@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -285,10 +284,6 @@ def init_weights(net: HoloMLP, probe, beta: float, m_e: int, rng: Rng) -> HoloML
 # --- checkpoints ------------------------------------------------------------
 
 
-def _complex_to_pairs(a: np.ndarray) -> list:
-    return np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
-
-
 def _pairs_to_complex(pairs, shape: tuple, what: str) -> np.ndarray:
     try:
         a = np.asarray(pairs, dtype=float)
@@ -303,28 +298,42 @@ def _pairs_to_complex(pairs, shape: tuple, what: str) -> np.ndarray:
 
 
 def checkpoint_save(path: str, pairs: Sequence[BranchPair]) -> None:
-    """JSON checkpoint with exact [re, im] weight round-trip."""
-    doc = {"pairs": []}
-    for pair in pairs:
-        entry = {}
+    """JSON checkpoint with exact [re, im] weight round-trip, written atomically
+    one weight row at a time.  A non-finite weight or bias raises ValueError
+    naming the pair, branch and layer and leaves any file at path as it was."""
+    from .export import write_text_atomic  # export imports analytics, which imports network
+
+    write_text_atomic(path, _checkpoint_chunks(path, pairs))
+
+
+def _pairs_json(a: np.ndarray) -> str:
+    """[[re, im], ...] of a complex row, as json.dumps writes it."""
+    return json.dumps(np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist())
+
+
+def _checkpoint_chunks(path: str, pairs: Sequence[BranchPair]):
+    """The text of json.dumps({"pairs": [...]}) in pieces: each pair's and
+    branch's head, then each layer's shape, weights and bias, no piece holding
+    more than one weight row, so a save's memory follows a row, not the network."""
+    yield '{"pairs": ['
+    for pi, pair in enumerate(pairs):
+        yield ", {" if pi else "{"
         for name, net in (("phi", pair.phi), ("psi", pair.psi)):
-            entry[name] = {
-                "activation": net.activation.value,
-                "mode": net.mode.value,
-                "layers": [
-                    {
-                        "shape": list(l.weights.shape),
-                        "weights": _complex_to_pairs(l.weights),
-                        "bias": _complex_to_pairs(l.bias),
-                    }
-                    for l in net.layers
-                ],
-            }
-        doc["pairs"].append(entry)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(doc))  # the C encoder; json.dump streams through the Python one
-    os.replace(tmp, path)
+            head = json.dumps({"activation": net.activation.value, "mode": net.mode.value})
+            yield f'{", " if name == "psi" else ""}"{name}": {head[:-1]}, "layers": ['
+            for li, l in enumerate(net.layers, start=1):
+                for what, a in (("weights", l.weights), ("bias", l.bias)):
+                    if not np.isfinite(a).all():
+                        raise ValueError(
+                            f"checkpoint {path}: pair {pi} {name}: layer {li} {what} must hold finite numbers"
+                        )
+                yield f'{", " if li > 1 else ""}{{"shape": {json.dumps(list(l.weights.shape))}, "weights": ['
+                for ri, row in enumerate(l.weights):
+                    yield (", " if ri else "") + _pairs_json(row)[1:-1]
+                yield f'], "bias": {_pairs_json(l.bias)}}}'
+            yield "]}"
+        yield "}"
+    yield "]}"
 
 
 def checkpoint_load(path: str) -> list[BranchPair]:

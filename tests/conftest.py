@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -160,3 +161,29 @@ def grad_check(pairs, batch, problem, step: float = 1e-6) -> float:
         worst = max(worst, abs(gvec[i] - fd) / denom)
     write_params(pairs, vec)
     return worst
+
+
+# --- the checkpoint format ------------------------------------------------------
+
+
+def checkpoint_json(pairs) -> str:
+    """The whole checkpoint document in one json.dumps call: the reference for
+    the bytes network.checkpoint_save writes piece by piece."""
+
+    def to_pairs(a):
+        return np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
+
+    doc = {"pairs": []}
+    for pair in pairs:
+        entry = {}
+        for name, net in (("phi", pair.phi), ("psi", pair.psi)):
+            entry[name] = {
+                "activation": net.activation.value,
+                "mode": net.mode.value,
+                "layers": [
+                    {"shape": list(l.weights.shape), "weights": to_pairs(l.weights), "bias": to_pairs(l.bias)}
+                    for l in net.layers
+                ],
+            }
+        doc["pairs"].append(entry)
+    return json.dumps(doc)

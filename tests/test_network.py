@@ -1,10 +1,16 @@
+import dataclasses
 import math
+import os
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ring_quadrant_domain
+from conftest import CONFIG_NAMES, checkpoint_json, ring_quadrant_domain
 from holoelastic import network
 from holoelastic.geometry import sample_boundary
 from holoelastic.jets import ActivationKind, NonFiniteError, activate_jets, affine_jets, seed_jets
@@ -24,6 +30,7 @@ from holoelastic.network import (
     write_params,
 )
 from holoelastic.rng import Rng
+from holoelastic.training import train
 
 
 def _ring_probe(n=400, seed=0):
@@ -254,6 +261,117 @@ def test_checkpoint_roundtrip_exact(tmp_path):
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.bias, lb.bias)
+
+
+def _saved(tmp_path, pairs) -> str:
+    path = tmp_path / "checkpoint.json"
+    checkpoint_save(str(path), pairs)
+    return path.read_text()
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_checkpoint_bytes_are_those_of_one_json_dumps(tmp_path, configs, name):
+    spec = configs[name]
+    pairs, _ = train(spec, dataclasses.replace(spec.training, epochs=0))
+    assert _saved(tmp_path, pairs) == checkpoint_json(pairs)
+
+
+@pytest.mark.parametrize("kind", list(ActivationKind))
+def test_checkpoint_bytes_per_activation_and_mode(tmp_path, kind):
+    pair = BranchPair(build_mlp([6, 3], kind), build_mlp([4], kind))
+    probe, rng = _ring_probe(), Rng(1)
+    init_weights(pair.phi, probe, 0.5, 3, rng.spawn(0))
+    init_weights(pair.psi, probe, 0.5, 3, rng.spawn(1))
+    pair.phi.layers[1].bias[:] = 0.25 - 1e-3j
+    stress_only = _init_pair([6, 6], mode=Mode.STRESS_ONLY, beta=0.7)
+    pairs = [pair, stress_only]
+    assert _saved(tmp_path, pairs) == checkpoint_json(pairs)
+
+
+# values whose repr is awkward: signed zero, subnormal, short and long
+# exponents, the most negative float
+_EDGE_VALUES = [-0.0, 5e-324, 1e-5, 0.1, 1e16, -1.7976931348623157e308]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_checkpoint_bytes_match_one_json_dumps_property(tmp_path_factory, data):
+    pool = _EDGE_VALUES + data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6))
+    fill = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    mode = data.draw(st.sampled_from(list(Mode)))
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(list(ActivationKind)))
+        nets = [build_mlp(data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4)), kind, mode)
+                for _ in range(2)]
+        for a in (a for net in nets for l in net.layers for a in (l.weights, l.bias)):
+            a.view(np.float64)[...] = fill.choice(pool, size=a.view(np.float64).shape)
+        pairs.append(BranchPair(*nets))
+    assert _saved(tmp_path_factory.mktemp("ckpt"), pairs) == checkpoint_json(pairs)
+
+
+def _random_pair(hidden, seed=0):
+    rng = np.random.default_rng(seed)
+    pair = BranchPair(build_mlp(hidden), build_mlp(hidden))
+    for a in (a for net in (pair.phi, pair.psi) for l in net.layers for a in (l.weights, l.bias)):
+        a.view(np.float64)[...] = rng.standard_normal(2 * a.size).reshape(a.view(np.float64).shape)
+    return pair
+
+
+@pytest.mark.parametrize("units", [100, 200])
+def test_checkpoint_save_memory_follows_one_row(tmp_path, units):
+    # 61,202 complex parameters at 4x100 and 242,402 at 4x200: a save that
+    # built the document would hold them all (13.1 MB traced at 4x100)
+    pairs = [_random_pair([units] * 4)]
+    path = str(tmp_path / "checkpoint.json")
+    checkpoint_save(path, pairs)  # imports export outside the traced save
+    tracemalloc.start()
+    try:
+        checkpoint_save(path, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, f"checkpoint_save peaked at {peak / 1e6:.2f} MB"
+    assert checkpoint_load(path)[0].phi.layers[2].weights.shape == (units, units)
+
+
+def test_checkpoint_save_that_fails_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint.json"
+    old = _saved(tmp_path, [_init_pair([5, 7], seed=3)])
+    chunks = network._checkpoint_chunks
+
+    def fail_after_the_first_layer(where, pairs):
+        for chunk in chunks(where, pairs):
+            yield chunk
+            if '"bias"' in chunk:
+                raise OSError("no space left")
+
+    monkeypatch.setattr(network, "_checkpoint_chunks", fail_after_the_first_layer)
+    for target in (path, tmp_path / "fresh" / "checkpoint.json"):
+        with pytest.raises(OSError, match="no space left"):
+            checkpoint_save(str(target), [_init_pair([5, 7], seed=4)])
+        assert not os.path.exists(f"{target}.tmp")
+    assert path.read_text() == old
+    assert not os.path.exists(tmp_path / "fresh" / "checkpoint.json")
+
+
+@pytest.mark.parametrize(
+    "branch, layer, what, value",
+    [("phi", 2, "weights", complex(math.nan, 0.0)), ("psi", 1, "bias", complex(0.0, -math.inf)),
+     ("phi", 3, "bias", complex(math.inf, 1.0))],
+)
+def test_checkpoint_save_refuses_non_finite_weights(tmp_path, branch, layer, what, value):
+    path = tmp_path / "checkpoint.json"
+    old = _saved(tmp_path, [_init_pair([5, 7], seed=3)])
+    pairs = [_init_pair([5, 7], seed=3), _init_pair([5, 7], seed=4)]
+    getattr(getattr(pairs[1], branch).layers[layer - 1], what).flat[-1] = value
+    for target in (path, tmp_path / "fresh.json"):
+        message = f"checkpoint {target}: pair 1 {branch}: layer {layer} {what} must hold finite numbers"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            checkpoint_save(str(target), pairs)
+        assert not os.path.exists(f"{target}.tmp")
+    assert path.read_text() == old
+    assert not os.path.exists(tmp_path / "fresh.json")
 
 
 def test_flatten_write_roundtrip():
