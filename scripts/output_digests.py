@@ -10,9 +10,9 @@ afterwards, and hashes:
   <config>/fields.csv                     `eval --grid 40x40` of that checkpoint
   ring_quadrant/errors.csv                the same eval's exact-reference errors
   ring_quadrant/fields_400x400.csv        `eval --grid 400x400` (and its errors)
-  clamped_square/fields_200x200.csv       `eval --grid 200x200`: 40,000 points, so
-                                          ten grid blocks (FORWARD_BLOCK points each)
-                                          of 100-wide nets
+  clamped_square/fields_200x200.csv       `eval --grid 200x200`: 40,000 points of
+                                          100-wide nets, so a hundred grid blocks of
+                                          2 rows (FORWARD_BLOCK // 100 points at most)
   dd_plate_hole/fields_300x300.csv        `eval --grid 300x300`: grid blocks of 13 rows
                                           that cross the four subdomains
   clamped_square/variance.csv             `init-check` (m_e = L + 1: a probe statistic

@@ -87,16 +87,17 @@ def domain_bbox(domain: geo.DomainSpec) -> tuple[float, float, float, float]:
     return float(x.min()), float(x.max()), float(y.min()), float(y.max())
 
 
-FORWARD_BLOCK = 4096  # points per grid_blocks block
+FORWARD_BLOCK = 40960  # points x widest layer per grid_blocks block
 
 
 def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Iterator[GridField]:
     """Evaluate the networks on an nx-by-ny grid over the domain bounding box.
 
-    Yields GridFields of consecutive grid rows, FORWARD_BLOCK points at most
-    or one grid row when a row is wider; a hidden layer's jets hold
-    (order + 1) * width entries per point of one block, however large the
-    grid.  Points outside every subdomain region stay masked and carry NaN.
+    Yields GridFields of consecutive grid rows, FORWARD_BLOCK // width points
+    at most for the networks' widest layer, or one grid row when a row is
+    wider; so a hidden layer's jets hold (order + 1) * FORWARD_BLOCK entries
+    per block, however large the grid and the networks.  Points outside every
+    subdomain region stay masked and carry NaN.
     Grid nodes are cell centers so samples stay clear of the boundary curves.
     """
     domain = problem.domain
@@ -106,7 +107,8 @@ def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Itera
     xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
     ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
     nf = 5 if pairs[0].mode is Mode.STANDARD else 3
-    rows = max(1, FORWARD_BLOCK // nx)
+    width = max(max(p.phi.widths + p.psi.widths) for p in pairs)
+    rows = max(1, FORWARD_BLOCK // (nx * width))
     for i in range(0, ny, rows):
         X, Y = np.meshgrid(xs, ys[i : i + rows])
         sub = np.full(X.shape, -1, dtype=int)
@@ -242,9 +244,9 @@ def variance_report(problem, beta: float, m_e: Optional[int], probe_n: int, batc
     """Initialize the branches that train starts from for `problem` and sample
     per-layer variances; m_e None reads a probe statistic for every layer.
 
-    Only the phi branch is swept: once per output channel 0, 1 and 2 for the
-    phi rows (_branch_grad_var), and once from the loss adjoint for
-    var_loss_w.
+    Only the phi branch is swept, so the loss forward caches no psi layer:
+    once per output channel 0, 1 and 2 for the phi rows (_branch_grad_var),
+    and once from the loss adjoint for var_loss_w.
     """
     if probe_n < 1 or batch_n < 1:
         raise ValueError("probe and batch sizes must be positive")
@@ -263,9 +265,9 @@ def variance_report(problem, beta: float, m_e: Optional[int], probe_n: int, batc
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             init_pairs(pairs, probe, beta, m_e, rng)
-            _, rec = loss_forward(pairs, packed, problem)
+            _, rec = loss_forward(pairs, packed, problem, sweep_psi=False)
             z, caches, adj = rec.subs[0].z, rec.subs[0].phi, field_adjoints(rec)[0][0]
-            del rec  # frees the psi caches, which no sweep reads
+            del rec  # the sweeps read z, caches and adj alone
             # the phi rows of loss_backward(rec), without the psi sweep
             var_loss = [_cvar(gw) for gw, _ in branch_backward(phi, caches, adj)[:n_inner]]
             if caches[0][0].shape[0] < 3:

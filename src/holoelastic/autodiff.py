@@ -181,12 +181,15 @@ def loss_forward(
     batch: Union[PackedBatch, np.recarray],
     problem: "ProblemSpec",
     test: Optional[PackedBatch] = None,
+    sweep_psi: bool = True,
 ) -> tuple[float, LossRecord]:
     """Boundary loss of the networks on a sample batch, with its record.
 
     A packed `test` batch's points follow the training points of each
     subdomain through the same branch forwards: rec.test_loss equals
     loss_value on it bit for bit, and loss_backward leaves its points out.
+    With sweep_psi False the psi branch keeps no layer caches, so only phi
+    sweeps (branch_backward) can read the record, not loss_backward.
     """
     packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
     if len(pairs) != problem.domain.n_subdomains:
@@ -199,7 +202,7 @@ def loss_forward(
         n = z.size
         zz = z if test is None else np.concatenate((z, test.eval_z[sub]))
         cphi, cpsi = [], []
-        state = mlp_forward(pairs[sub].phi, pairs[sub].psi, zz, f"pair {sub} ", (cphi, cpsi))
+        state = mlp_forward(pairs[sub].phi, pairs[sub].psi, zz, f"pair {sub} ", (cphi, cpsi if sweep_psi else None))
         fields = el.km_fields(zz, state, problem.material).rows()
         subs[sub] = SubdomainPass(z, cphi, cpsi, fields[:, :n])
         test_fields[sub] = fields[:, n:]

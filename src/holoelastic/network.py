@@ -277,7 +277,9 @@ def init_weights(net: HoloMLP, probe, beta: float, m_e: int, rng: Rng) -> HoloML
         layer.weights[:] = rng.complex_normal(no * ni, std=math.sqrt(var)).reshape(no, ni)
         layer.bias[:] = 0.0
         if l < last:
-            x = act_derivs(net.activation, x @ layer.weights.T, order=0)[0]
+            # one pre-activation and one activation alive at a time
+            x = x @ layer.weights.T
+            x = act_derivs(net.activation, x, order=0)[0]
     return net
 
 

@@ -21,7 +21,7 @@ from holoelastic.analytics import (
     variance_report,
 )
 from holoelastic import analytics, network
-from holoelastic.autodiff import loss_backward
+from holoelastic.autodiff import loss_backward, loss_forward
 from holoelastic.cli import run_command
 from holoelastic.elasticity import KMState, Material, km_fields
 from holoelastic.export import write_fields_csv
@@ -183,12 +183,13 @@ def _ring_cli(tmp_path):
 
 
 def test_eval_memory_is_set_by_the_forward_block_not_the_grid(monkeypatch, tmp_path, capsys):
-    # 29,454 interior points of a 200x200 ring grid in 512-point blocks.  The
-    # eval keeps per point only the error pass's nine magnitudes (2.1 MB) and
-    # peaks at 3.0 MB; one km_fields call on all points and an error pass on
-    # full-grid arrays peaked at 9.7 MB
+    # 29,454 interior points of a 200x200 ring grid in blocks of at most 512
+    # points (FORWARD_BLOCK 5,120 = 512 points x width 10).  The eval keeps per
+    # point only the error pass's nine magnitudes (2.1 MB) and peaks at 3.0 MB;
+    # one km_fields call on all points and an error pass on full-grid arrays
+    # peaked at 9.7 MB
     cfg, _, ckpt = _ring_cli(tmp_path)
-    monkeypatch.setattr(analytics, "FORWARD_BLOCK", 512)
+    monkeypatch.setattr(analytics, "FORWARD_BLOCK", 5120)
     calls = []
     monkeypatch.setattr("holoelastic.elasticity.km_fields", lambda *a: calls.append(a[0].size) or km_fields(*a))
     capsys.readouterr()
@@ -211,15 +212,16 @@ def _initialized_pairs(spec, seed=0):
 
 
 @pytest.mark.parametrize(
-    "name, nx, ny, block",
+    "name, nx, ny, block, rows",
     [
-        ("ring_quadrant", 100, 90, None),  # blocks of 40 rows: 40 + 40 + 10
-        ("dd_plate_hole", 150, 150, None),  # blocks of 27 rows cross y = 0 and x = 0
-        ("ring_quadrant", 100, 30, 64),  # a row is wider than FORWARD_BLOCK: one row per block
-        ("square_stress_only", 64, 40, 512),  # blocks of 8 rows of fields without displacements
+        ("ring_quadrant", 100, 90, None, 40),  # width 10: blocks of 40 rows, 40 + 40 + 10
+        ("dd_plate_hole", 150, 150, None, 27),  # blocks of 27 rows cross y = 0 and x = 0
+        ("ring_quadrant", 100, 30, 640, 1),  # a row is wider than the block: one row per block
+        ("square_stress_only", 64, 40, 4096, 8),  # width 8; fields without displacements
+        ("clamped_square", 200, 6, None, 2),  # width 100: the 2-row blocks of a 200x200 eval
     ],
 )
-def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, nx, ny, block):
+def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, nx, ny, block, rows):
     if name == "square_stress_only":
         spec = square_problem("stress_only")
         spec.training.beta = 0.7  # inside stress-only mode's admissible range
@@ -228,7 +230,11 @@ def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, 
     pairs = _initialized_pairs(spec)
     if block:
         monkeypatch.setattr(analytics, "FORWARD_BLOCK", block)
+    blocks = analytics.grid_blocks
+    got_rows = []
+    monkeypatch.setattr(analytics, "grid_blocks", lambda *a: (got_rows.append(b.ys.size) or b for b in blocks(*a)))
     grid = eval_grid(pairs, spec, nx, ny)
+    assert got_rows == [min(rows, ny - i) for i in range(0, ny, rows)]
     assert grid.xs.shape == (nx,) and grid.ys.shape == (ny,)
     X, Y = np.meshgrid(grid.xs, grid.ys)
     sub = np.full(X.shape, -1)
@@ -362,22 +368,30 @@ def test_variance_report_flags_overflow_instead_of_nan():
     assert not any(math.isnan(v) for v in rep.var_y)
 
 
-def test_variance_rows_match_the_full_sweeps(monkeypatch):
-    # variance_report sweeps the loss adjoint through phi alone, and each
-    # channel seed with channel + 1 rows: var_loss_w is bit for bit that of
-    # the full loss_backward gradient, the phi rows match 3-channel seeds
+def _recorded_loss_forwards(monkeypatch) -> list:
+    """(args, record) of each analytics.loss_forward call, in call order."""
     records = []
     original = analytics.loss_forward
 
     def keep(*args, **kwargs):
         out = original(*args, **kwargs)
-        records.append(out[1])
+        records.append((args, out[1]))
         return out
 
     monkeypatch.setattr(analytics, "loss_forward", keep)
+    return records
+
+
+def test_variance_rows_match_the_full_sweeps(monkeypatch):
+    # variance_report sweeps the loss adjoint through phi alone, and each
+    # channel seed with channel + 1 rows: var_loss_w is bit for bit that of
+    # the full loss_backward gradient, the phi rows match 3-channel seeds.
+    # The report's record holds no psi caches, so the full gradient comes
+    # from a both-branch loss_forward on the same pairs and batch
+    records = _recorded_loss_forwards(monkeypatch)
     rep = init_diagnostics([30, 30, 30], ActivationKind.EXP, 0.5, 3, 500, 200, 2)
-    (rec,) = records
-    phi = loss_backward(rec).grads[0][0]
+    ((args, rec),) = records
+    phi = loss_backward(loss_forward(*args)[1]).grads[0][0]
     assert rep.var_loss_w == [analytics._cvar(gw) for gw, _ in phi[:3]]
     caches = rec.subs[0].phi
     for channel, row in enumerate((rep.var_phi_w, rep.var_dphi_w, rep.var_ddphi_w)):
@@ -387,18 +401,18 @@ def test_variance_rows_match_the_full_sweeps(monkeypatch):
         assert np.allclose(row, want, rtol=1e-14, atol=0.0), channel
 
 
+def test_init_diagnostics_cache_no_psi_layer(monkeypatch):
+    # no variance row sweeps psi, so its forward keeps none of its layers
+    records = _recorded_loss_forwards(monkeypatch)
+    init_diagnostics([20, 20], ActivationKind.EXP, 0.5, None, 100, 50, 0)
+    ((_, rec),) = records
+    assert len(rec.subs[0].phi) == 3 and rec.subs[0].psi == []
+
+
 def test_init_check_sweeps_the_networks_that_train_starts_from(monkeypatch, tmp_path):
     # `init-check --m-e 3` on a config draws its probe, batch and weights from
     # the streams that `train` uses at the config's m_e = 3, for the same seed
-    records = []
-    original = analytics.loss_forward
-
-    def keep(*args, **kwargs):
-        out = original(*args, **kwargs)
-        records.append(out[1])
-        return out
-
-    monkeypatch.setattr(analytics, "loss_forward", keep)
+    records = _recorded_loss_forwards(monkeypatch)
     doc = json.load(open(config_path("ring_quadrant")))
     doc["training"].update(epochs=0, n_train=60, seed=7)
     doc["outputs"]["dir"] = str(tmp_path / "out")
@@ -406,7 +420,7 @@ def test_init_check_sweeps_the_networks_that_train_starts_from(monkeypatch, tmp_
     with open(cfg, "w") as fh:
         json.dump(doc, fh)
     assert run_command(["init-check", cfg, "--m-e", "3"]) == 0
-    (rec,) = records
+    ((_, rec),) = records
     assert rec.subs[0].z.size == 60
     pairs, _ = train(load_config(cfg))
     for name in ("phi", "psi"):

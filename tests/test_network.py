@@ -34,7 +34,7 @@ from holoelastic.training import train
 
 
 def _ring_probe(n=400, seed=0):
-    return np.array([s.z for s in sample_boundary(ring_quadrant_domain(), n, Rng(seed))])
+    return sample_boundary(ring_quadrant_domain(), n, Rng(seed)).z.copy()
 
 
 def _init_pair(hidden, seed=0, beta=0.5, m_e=3, mode=Mode.STANDARD):
@@ -247,6 +247,21 @@ def test_init_probe_overflow_raises():
         warnings.simplefilter("ignore")
         with pytest.raises(NonFiniteError, match=r"^probe propagation degenerate at layer 2: m_l=inf$"):
             init_weights(net, _ring_probe(), 1e6, 4, Rng(0))
+
+
+def test_init_weights_holds_one_probe_layer_and_its_pre_activation():
+    # a 20,000-point probe through 3x50 at m_e = L + 1: each probe layer is a
+    # 16 MB array, and propagating one that held x_{l-1}, its pre-activation
+    # and x_l at once peaked at 3 of them
+    probe, net = _ring_probe(20000), build_mlp([50] * 3)
+    layer = probe.size * 50 * 16
+    tracemalloc.start()
+    try:
+        init_weights(net, probe, 0.5, 5, Rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * layer, f"init_weights peaked at {peak / layer:.2f} probe layers"
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):
