@@ -7,9 +7,7 @@ Kolosov-Muskhelishvili potentials, so training only fits boundary residuals.
 from .elasticity import (
     ConstantData,
     Displacement,
-    FieldPoint,
     Interface,
-    KMState,
     Material,
     NormalPressure,
     PlaneMode,

@@ -97,7 +97,8 @@ def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Itera
     at most for the networks' widest layer, or one grid row when a row is
     wider; so a hidden layer's jets hold (order + 1) * FORWARD_BLOCK entries
     per block, however large the grid and the networks.  Points outside every
-    subdomain region stay masked and carry NaN.
+    subdomain region stay masked and carry NaN; a non-finite field at an
+    interior point raises NonFiniteError naming the pair and the point.
     Grid nodes are cell centers so samples stay clear of the boundary curves.
     """
     domain = problem.domain
@@ -121,9 +122,13 @@ def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Itera
             if not where.any():
                 continue
             z = X[where] + 1j * Y[where]
-            state = mlp_forward(pairs[s].phi, pairs[s].psi, z, where=f"pair {s} ")
-            f[:, where] = el.km_fields(z, state, problem.material).rows()
-            dphi[where], dpsi[where] = state.dphi, state.dpsi
+            jp, jq = mlp_forward(pairs[s], z, where=f"pair {s} ")
+            fs = el.km_fields(z, jp, jq, problem.material)
+            bad = ~np.isfinite(fs).all(axis=0)
+            if bad.any():
+                raise NonFiniteError(f"non-finite field in pair {s} at z={z[np.argmax(bad)]:.6g}")
+            f[:, where] = fs
+            dphi[where], _, dpsi[where] = el.km_derivatives(jp, jq)
         yield GridField(xs, ys[i : i + rows], sub >= 0, sub, *f, dphi=dphi, dpsi=dpsi)
 
 

@@ -2,12 +2,13 @@
 
 The loss graph always has the same shape: per subdomain two branches
 (L x (jet affine, jet activation) each, one network.mlp_forward), the
-Kolosov-Muskhelishvili field map, per-piece boundary residuals and the
-length-weighted mean square.  pack_batch fixes each piece's residual
-operator and loss weight once per sample batch.  loss_forward runs the
-stages, optionally on test points appended to the training points for a
-test loss, and keeps what the reverse pass needs: the branch caches, each
-piece's (B, k) residual array and its mean square.  field_adjoints passes
+Kolosov-Muskhelishvili field map from their jets to (nf, B) field rows
+(el.km_fields), per-piece boundary residuals and the length-weighted mean
+square.  pack_batch fixes each piece's residual operator and loss weight
+once per sample batch.  loss_forward runs the stages, optionally on test
+points appended to the training points for a test loss, and keeps what the
+reverse pass needs: the branch caches, each piece's (B, k) residual array
+and its mean square.  field_adjoints passes
 adjoints back to the branch outputs (residuals -> el.km_fields_adjoint), and
 loss_backward sweeps them through the branches, yielding for every complex
 weight w the real pair (dL/dRe w, dL/dIm w) packed as a complex number.
@@ -123,7 +124,7 @@ class SubdomainPass:
     z: np.ndarray
     phi: list  # forward_jets layer caches
     psi: list
-    fields: np.ndarray  # (nf, B) rows of el.FieldPoint.rows
+    fields: np.ndarray  # (nf, B) rows of el.km_fields
 
 
 @dataclass
@@ -202,8 +203,8 @@ def loss_forward(
         n = z.size
         zz = z if test is None else np.concatenate((z, test.eval_z[sub]))
         cphi, cpsi = [], []
-        state = mlp_forward(pairs[sub].phi, pairs[sub].psi, zz, f"pair {sub} ", (cphi, cpsi if sweep_psi else None))
-        fields = el.km_fields(zz, state, problem.material).rows()
+        jp, jq = mlp_forward(pairs[sub], zz, f"pair {sub} ", (cphi, cpsi if sweep_psi else None))
+        fields = el.km_fields(zz, jp, jq, problem.material)
         subs[sub] = SubdomainPass(z, cphi, cpsi, fields[:, :n])
         test_fields[sub] = fields[:, n:]
     residuals = _residuals(packed.groups, {s: sp.fields for s, sp in subs.items()})

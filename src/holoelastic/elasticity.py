@@ -8,9 +8,14 @@ holomorphic potentials phi, psi:
     sxy = Im(conj(z) phi'' + psi')
     ux + i uy = (gamma phi - z conj(phi') - conj(psi)) / (2 mu)
 
-Every boundary condition is a per-sample linear operator on the field rows
-(sxx, syy, sxy, ux, uy), built once per sample batch by bc_operator; the
-residual applies it and the residual's adjoint is its transpose.
+km_fields maps the phi- and psi-branch jets to the (nf, B) field rows
+(sxx, syy, sxy, ux, uy), the three stress rows alone in stress-only mode, and
+km_fields_adjoint, its exact transpose, maps row adjoints back to the jets;
+km_derivatives picks (phi', phi'', psi') off the jets in either mode, so no
+other module indexes jet channels.  Every boundary condition is a per-sample
+linear operator on the field rows, built once per sample batch by
+bc_operator; the residual applies it and the residual's adjoint is its
+transpose.
 
 Units are MPa for moduli/stresses and meters for lengths/displacements.
 """
@@ -20,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -55,72 +60,43 @@ class Material:
     lam: float
     mu: float
     mode: PlaneMode = PlaneMode.STRAIN
-    lambda_tilde: float = field(init=False, repr=False, compare=False)
     gamma: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam_tilde, gamma = material_derived(self.lam, self.mu, self.mode)  # validates
-        object.__setattr__(self, "lambda_tilde", lam_tilde)
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "gamma", material_derived(self.lam, self.mu, self.mode)[1])  # validates
 
 
-@dataclass
-class KMState:
-    """Potentials and derivatives at a point; phi/psi absent in stress-only nets."""
-
-    dphi: np.ndarray
-    ddphi: np.ndarray
-    dpsi: np.ndarray
-    phi: Optional[np.ndarray] = None
-    psi: Optional[np.ndarray] = None
-
-
-def km_state(jp: np.ndarray, jq: np.ndarray) -> KMState:
-    """Read the potentials off the phi- and psi-branch jets (network.JET_ORDERS).
+def km_derivatives(jp: np.ndarray, jq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phi', phi'', psi') of the phi- and psi-branch jets (network.JET_ORDERS).
 
     Three phi channels are standard mode: (phi, phi', phi'') and (psi, psi').
     Two are stress-only mode, whose branch outputs are phi' and psi': phi'' is
     the first jet derivative of the phi'-branch and phi/psi are absent.
     """
-    if len(jp) == 3:
-        return KMState(phi=jp[0], dphi=jp[1], ddphi=jp[2], psi=jq[0], dpsi=jq[1])
-    return KMState(dphi=jp[0], ddphi=jp[1], dpsi=jq[0])
+    return jp[-2], jp[-1], jq[-1]
 
 
-@dataclass
-class FieldPoint:
-    """Stresses (MPa) and, when available, displacements (m)."""
-
-    sxx: np.ndarray
-    syy: np.ndarray
-    sxy: np.ndarray
-    ux: Optional[np.ndarray] = None
-    uy: Optional[np.ndarray] = None
-
-    def rows(self) -> np.ndarray:
-        """The fields as one (nf, B) array, rows (sxx, syy, sxy[, ux, uy])."""
-        vals = (self.sxx, self.syy, self.sxy) + (() if self.ux is None else (self.ux, self.uy))
-        return np.stack([np.ravel(v) for v in vals])
-
-
-def km_fields(z, s: KMState, mat: Material) -> FieldPoint:
-    """Map a potential bundle to physical fields at z."""
+def km_fields(z, jp: np.ndarray, jq: np.ndarray, mat: Material) -> np.ndarray:
+    """The (nf, B) field rows (sxx, syy, sxy, ux, uy) at z of the branch jets
+    (km_derivatives); stress-only jets give the three stress rows alone."""
     z = np.asarray(z, dtype=np.complex128)
+    dphi, ddphi, dpsi = km_derivatives(jp, jq)
+    out = np.empty((5 if len(jp) == 3 else 3, z.size))
     zc = np.conj(z)
-    a = zc * s.ddphi + s.dpsi
-    sxx = np.real(2.0 * s.dphi - a)
-    syy = np.real(2.0 * s.dphi + a)
-    sxy = np.imag(a)
-    if s.phi is None:
-        return FieldPoint(sxx, syy, sxy)
-    # np.multiply, not `*`: from 16,384 points numpy reuses a temporary right
-    # operand of `*` in place, which swaps a complex product's operands and bits
-    w = (mat.gamma * s.phi - np.multiply(z, np.conj(s.dphi)) - np.conj(s.psi)) / (2.0 * mat.mu)
-    return FieldPoint(sxx, syy, sxy, np.real(w), np.imag(w))
+    a = zc * ddphi + dpsi
+    out[0] = np.real(2.0 * dphi - a)
+    out[1] = np.real(2.0 * dphi + a)
+    out[2] = np.imag(a)
+    if len(jp) == 3:
+        # np.multiply, not `*`: from 16,384 points numpy reuses a temporary right
+        # operand of `*` in place, which swaps a complex product's operands and bits
+        w = (mat.gamma * jp[0] - np.multiply(z, np.conj(dphi)) - np.conj(jq[0])) / (2.0 * mat.mu)
+        out[3], out[4] = np.real(w), np.imag(w)
+    return out
 
 
 def km_fields_adjoint(z: np.ndarray, adj: np.ndarray, mat: Material) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoints (dL/dRe + i dL/dIm) of the phi- and psi-branch jets of km_state
+    """Adjoints (dL/dRe + i dL/dIm) of the phi- and psi-branch jets of km_fields
     from the (nf, B) dL/dfields: five rows give (3, B) and (2, B), three rows
     (stress-only) (2, B) and (1, B).  The field map is the only
     non-holomorphic complex step of the pipeline."""
@@ -245,8 +221,8 @@ def _apply(A: np.ndarray, f: np.ndarray) -> np.ndarray:
 def bc_residual(A: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Residual A f - d of one outer boundary condition; shape (B, k).
 
-    (A, d) come from bc_operator and `f` holds the (nf, B) field rows
-    (FieldPoint.rows); stress-only rows (nf = 3) serve operators that read
+    (A, d) come from bc_operator and `f` holds the (nf, B) field rows of
+    km_fields; stress-only rows (nf = 3) serve operators that read
     no displacement.
     """
     return _apply(A, f) - d

@@ -80,24 +80,12 @@ def _field_rows(blocks: Iterable[GridField]) -> Iterator[str]:
 
 
 def write_errors_csv(path: str, errors: dict[str, float]) -> None:
-    rows = [(k, v) for k, v in errors.items()]
-    write_text_atomic(path, _csv(("quantity", "value"), rows))
+    write_text_atomic(path, _csv(("quantity", "value"), errors.items()))
 
 
 def write_variance_csv(path: str, report: VarianceReport) -> None:
-    rows = []
-    for i, layer in enumerate(report.layers):
-        rows.append(
-            (
-                layer,
-                report.var_y[i],
-                report.var_phi_w[i],
-                report.var_dphi_w[i],
-                report.var_ddphi_w[i],
-                report.var_loss_w[i],
-                int(report.overflow[i]),
-            )
-        )
+    r = report
+    rows = zip(r.layers, r.var_y, r.var_phi_w, r.var_dphi_w, r.var_ddphi_w, r.var_loss_w, map(int, r.overflow))
     header = ("layer", "var_y", "var_phi_w", "var_dphi_w", "var_ddphi_w", "var_loss_w", "overflow")
     write_text_atomic(path, _csv(header, rows))
 

@@ -5,10 +5,11 @@ A network maps one complex input through complex fully-connected layers with
 an entire activation between them; the final layer is affine.  Evaluating it
 on a seeded jet of order k yields the value and its first k z-derivatives in
 a single pass.  Each branch runs at the order the Kolosov-Muskhelishvili map
-reads (JET_ORDERS): in standard mode a branch pair returns (phi, phi', phi'')
-and (psi, psi'); in stress-only mode the branch outputs are read as phi' and
-psi' directly, so the pair returns (phi', phi'') and (psi').  mlp_forward is
-the one pair forward, for training and eval alike.
+reads (JET_ORDERS): in standard mode a branch pair returns the jets
+(phi, phi', phi'') and (psi, psi'); in stress-only mode the branch outputs are
+read as phi' and psi' directly, so the pair returns (phi', phi'') and (psi').
+mlp_forward is the one pair forward, for training and eval alike; its jets go
+straight to elasticity.km_fields.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .elasticity import KMState, km_state
 from .jets import (
     ActivationKind,
     NonFiniteError,
@@ -177,23 +177,21 @@ def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[n
     return grads[::-1]
 
 
-# Jet orders (phi branch, psi branch) per mode: exactly the channels km_state
-# reads, so no branch computes a derivative the field map never uses.
+# Jet orders (phi branch, psi branch) per mode: exactly the channels
+# elasticity.km_fields reads, so no branch computes a derivative it never uses.
 JET_ORDERS = {Mode.STANDARD: (2, 1), Mode.STRESS_ONLY: (1, 0)}
 
 
-def mlp_forward(net_phi: HoloMLP, net_psi: HoloMLP, z, where: str = "", caches=None) -> KMState:
-    """Both branches at the points z (flattened), each at its JET_ORDERS order;
-    see elasticity.km_state.  With `caches`, a (phi, psi) pair of lists, records
-    each branch's forward_jets layer caches.  An overflow names "{where}phi" or
-    "{where}psi" and the layer."""
-    if net_phi.mode is not net_psi.mode:
-        raise ValueError("branches disagree on mode")
+def mlp_forward(pair: BranchPair, z, where: str = "", caches=None) -> tuple[np.ndarray, np.ndarray]:
+    """The (phi, psi) branch jets of `pair` at the points z (flattened), each at
+    its JET_ORDERS order, for elasticity.km_fields.  With `caches`, a (phi, psi)
+    pair of lists, records each branch's forward_jets layer caches.  An
+    overflow names "{where}phi" or "{where}psi" and the layer."""
     cphi, cpsi = caches or (None, None)
-    order_phi, order_psi = JET_ORDERS[net_phi.mode]
-    jp = forward_jets(net_phi, z, order_phi, cphi, where=where + "phi ")
-    jq = forward_jets(net_psi, z, order_psi, cpsi, where=where + "psi ")
-    return km_state(jp, jq)
+    order_phi, order_psi = JET_ORDERS[pair.mode]
+    jp = forward_jets(pair.phi, z, order_phi, cphi, where=where + "phi ")
+    jq = forward_jets(pair.psi, z, order_psi, cpsi, where=where + "psi ")
+    return jp, jq
 
 
 # --- parameter flattening -----------------------------------------------------

@@ -115,9 +115,7 @@ def fd_trace_laplacian(stress_fn, z, h: float):
 
 def net_stress_fn(pair, mat):
     def fn(z):
-        state = mlp_forward(pair.phi, pair.psi, z)
-        f = km_fields(z, state, mat)
-        return f.sxx, f.syy, f.sxy
+        return tuple(km_fields(z, *mlp_forward(pair, z), mat)[:3])
 
     return fn
 

@@ -242,11 +242,11 @@ def test_criterion_8b_clamped_square_boundary_quality():
 
     def trace_second_diff(h):
         z_line = xs + 0.5j
-        f = lambda zz: km_fields(zz, mlp_forward(pairs[0].phi, pairs[0].psi, zz), mat)
+        f = lambda zz: km_fields(zz, *mlp_forward(pairs[0], zz), mat)
         vals = [f(z_line - h), f(z_line), f(z_line + h)]
         worst = 0.0
-        for comp in ("sxx", "syy", "sxy", "ux", "uy"):
-            a, b, c = (np.asarray(getattr(v, comp)) for v in vals)
+        for comp in range(5):  # sxx, syy, sxy, ux, uy
+            a, b, c = (v[comp] for v in vals)
             worst = max(worst, float(np.max(np.abs((a - 2 * b + c) / h**2))))
         return worst
 

@@ -23,7 +23,7 @@ from holoelastic.analytics import (
 from holoelastic import analytics, network
 from holoelastic.autodiff import loss_backward, loss_forward
 from holoelastic.cli import run_command
-from holoelastic.elasticity import KMState, Material, km_fields
+from holoelastic.elasticity import Material, km_derivatives, km_fields
 from holoelastic.export import write_fields_csv
 from holoelastic.geometry import region_contains, sample_boundary
 from holoelastic.jets import ActivationKind
@@ -68,9 +68,9 @@ def test_ring_potentials_reproduce_polar_stress():
     theta = rng.uniform(50, 0.0, 2.0 * np.pi)
     z = rho * np.exp(1j * theta)
     dphi, dpsi = ring_exact_potentials(z, -1.0, 0.5, 2.0)
-    state = KMState(dphi=dphi, ddphi=np.zeros_like(dphi), dpsi=dpsi)
-    f = km_fields(z, state, MAT)
-    srr, stt, srt = rotate_stress(f.sxx, f.syy, f.sxy, theta)
+    # stress-only jets (phi', phi'') and (psi')
+    sxx, syy, sxy = km_fields(z, np.array([dphi, np.zeros_like(dphi)]), dpsi[None], MAT)
+    srr, stt, srt = rotate_stress(sxx, syy, sxy, theta)
     sr_ref, st_ref = ring_exact_stress(rho, -1.0, 0.5, 2.0)
     assert np.max(np.abs(srr - sr_ref)) < 1e-10
     assert np.max(np.abs(stt - st_ref)) < 1e-10
@@ -114,8 +114,7 @@ def test_equilibrium_by_construction_random_nets():
 def test_equilibrium_exact_ring_potentials():
     def stress(z):
         dphi, dpsi = ring_exact_potentials(z, -1.0, 0.5, 2.0)
-        f = km_fields(z, KMState(dphi=dphi, ddphi=np.zeros_like(dphi), dpsi=dpsi), MAT)
-        return f.sxx, f.syy, f.sxy
+        return tuple(km_fields(z, np.array([dphi, np.zeros_like(dphi)]), dpsi[None], MAT))
 
     # truncation scales with h^2 times the cubic 1/z^2-field derivatives, so
     # h = 1e-4 sits at ~2e-8 and h = 1e-5 comfortably under 1e-8
@@ -244,10 +243,12 @@ def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, 
     for s, pair in enumerate(pairs):
         where = sub == s
         z = X[where] + 1j * Y[where]
-        state = mlp_forward(pair.phi, pair.psi, z)
-        f = km_fields(z, state, spec.material)
+        jp, jq = mlp_forward(pair, z)
+        f = km_fields(z, jp, jq, spec.material)
+        dphi, _, dpsi = km_derivatives(jp, jq)
+        wants = dict(zip(("sxx", "syy", "sxy", "ux", "uy"), f), dphi=dphi, dpsi=dpsi)
         for k in ("sxx", "syy", "sxy", "ux", "uy", "dphi", "dpsi"):
-            want, got = getattr(state if k in ("dphi", "dpsi") else f, k), getattr(grid, k)
+            want, got = wants.get(k), getattr(grid, k)
             assert (got is None) == (want is None), (s, k)
             assert want is None or got[where].tobytes() == want.tobytes(), (s, k)
     for k in ("sxx", "syy", "sxy", "ux", "uy", "dphi", "dpsi"):

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from holoelastic.elasticity import (
     ConstantData,
     Displacement,
-    FieldPoint,
     Interface,
-    KMState,
     Material,
     NormalPressure,
     PlaneMode,
@@ -24,7 +22,6 @@ from holoelastic.elasticity import (
     interface_residual,
     km_fields,
     km_fields_adjoint,
-    km_state,
     material_derived,
 )
 
@@ -54,28 +51,44 @@ def test_material_invalid():
 
 def test_material_derived_constants_set_once():
     mat = Material(1.0, 1.0, PlaneMode.STRESS)
-    assert (mat.lambda_tilde, mat.gamma) == material_derived(1.0, 1.0, PlaneMode.STRESS)
+    assert mat.gamma == material_derived(1.0, 1.0, PlaneMode.STRESS)[1]
     assert mat == Material(1.0, 1.0, PlaneMode.STRESS)
     with pytest.raises(ValueError):
         Material(1.0, 0.0)
 
 
 def _residual(kind, f, n, z=0j):
-    return bc_residual(*bc_operator(kind, n, z), f.rows())
+    return bc_residual(*bc_operator(kind, n, z), np.array(f, dtype=float).reshape(len(f), -1))
+
+
+def _jets(*channels):
+    """Branch jets of per-point channel values, one row per channel."""
+    return np.array(channels, dtype=np.complex128).reshape(len(channels), -1)
 
 
 def test_km_fields_zero_state():
-    s = KMState(phi=0j, dphi=0j, ddphi=0j, psi=0j, dpsi=0j)
-    f = km_fields(0.3 + 0.1j, s, MAT)
-    assert f.sxx == f.syy == f.sxy == 0.0
-    assert f.ux == f.uy == 0.0
+    f = km_fields(0.3 + 0.1j, _jets(0j, 0j, 0j), _jets(0j, 0j), MAT)
+    assert f.shape == (5, 1)
+    assert np.all(f == 0.0)
 
 
 def test_km_fields_uniform_biaxial():
-    s = KMState(phi=None, dphi=np.array(2.5 + 0j), ddphi=np.array(0j), dpsi=np.array(0j), psi=None)
-    f = km_fields(1.0 + 2.0j, s, MAT)
-    assert f.sxx == 5.0 and f.syy == 5.0 and f.sxy == 0.0
-    assert f.ux is None and f.uy is None
+    f = km_fields(1.0 + 2.0j, _jets(2.5 + 0j, 0j), _jets(0j), MAT)
+    assert f.shape == (3, 1)
+    sxx, syy, sxy = f[:, 0]
+    assert sxx == 5.0 and syy == 5.0 and sxy == 0.0
+
+
+def test_stress_only_rows_are_the_standard_stress_rows():
+    # stress-only jets share (phi', phi'', psi') with standard jets: its rows
+    # must be the first three standard rows, bit for bit
+    rng = np.random.default_rng(5)
+    c = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    z, jp, jq = c(50), c(3, 50), c(2, 50)
+    standard = km_fields(z, jp, jq, MAT)
+    stress_only = km_fields(z, jp[1:], jq[1:], MAT)
+    assert standard.shape == (5, 50) and stress_only.shape == (3, 50)
+    assert stress_only.tobytes() == standard[:3].tobytes()
 
 
 def test_km_fields_does_not_depend_on_the_batch_size():
@@ -83,26 +96,26 @@ def test_km_fields_does_not_depend_on_the_batch_size():
     # swap a complex product's operands; grid blocks must give one-shot bits
     rng = np.random.default_rng(3)
     c = lambda: rng.normal(size=20_000) + 1j * rng.normal(size=20_000)
-    z, s = c(), KMState(phi=c(), dphi=c(), ddphi=c(), psi=c(), dpsi=c())
-    whole = km_fields(z, s, MAT)
+    z, jp, jq = c(), np.array([c(), c(), c()]), np.array([c(), c()])
+    whole = km_fields(z, jp, jq, MAT)
     parts = []
     for i in range(0, z.size, 4096):
-        cut = {k: getattr(s, k)[i : i + 4096] for k in ("phi", "dphi", "ddphi", "psi", "dpsi")}
-        parts.append(km_fields(z[i : i + 4096], KMState(**cut), MAT))
-    for k in ("sxx", "syy", "sxy", "ux", "uy"):
-        assert getattr(whole, k).tobytes() == np.concatenate([getattr(p, k) for p in parts]).tobytes(), k
+        cut = slice(i, i + 4096)
+        parts.append(km_fields(z[cut], jp[:, cut], jq[:, cut], MAT))
+    for k, row in enumerate(np.concatenate(parts, axis=1)):
+        assert whole[k].tobytes() == row.tobytes(), k
 
 
 @pytest.mark.parametrize("n_phi, n_psi, nf", [(3, 2, 5), (2, 1, 3)])
 def test_km_fields_adjoint_matches_central_differences(n_phi, n_psi, nf):
-    # L = sum(adj * fields) with fields = km_fields(z, km_state(jp, jq)); each
+    # L = sum(adj * fields) with fields = km_fields(z, jp, jq); each
     # jet entry u gets dL/dRe(u) + i dL/dIm(u).  L is real-linear in the jets,
     # so central differences are exact up to rounding
     rng = np.random.default_rng(7)
     c = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
     z, jp, jq, adj = c(6), c(n_phi, 6), c(n_psi, 6), rng.normal(size=(nf, 6))
     mat = Material(1.3, 0.7, PlaneMode.STRESS)
-    loss = lambda: float(np.sum(adj * km_fields(z, km_state(jp, jq), mat).rows()))
+    loss = lambda: float(np.sum(adj * km_fields(z, jp, jq, mat)))
     ap, aq = km_fields_adjoint(z, adj, mat)
     assert ap.shape == jp.shape and aq.shape == jq.shape
     h = 1e-6
@@ -121,17 +134,17 @@ def test_km_fields_adjoint_matches_central_differences(n_phi, n_psi, nf):
 def test_km_fields_polynomial_example():
     # phi = z^2, psi = z at z = 1+i with lambda = mu = 1, plane strain
     z = 1 + 1j
-    s = KMState(phi=z**2, dphi=2 * z, ddphi=2 + 0j, psi=z, dpsi=1 + 0j)
-    f = km_fields(z, s, MAT)
-    assert abs(f.sxx - 1.0) < 1e-14
-    assert abs(f.syy - 7.0) < 1e-14
-    assert abs(f.sxy - (-2.0)) < 1e-14
-    assert abs(f.ux - (-2.5)) < 1e-14
-    assert abs(f.uy - 2.5) < 1e-14
+    f = km_fields(z, _jets(z**2, 2 * z, 2 + 0j), _jets(z, 1 + 0j), MAT)
+    sxx, syy, sxy, ux, uy = f[:, 0]
+    assert abs(sxx - 1.0) < 1e-14
+    assert abs(syy - 7.0) < 1e-14
+    assert abs(sxy - (-2.0)) < 1e-14
+    assert abs(ux - (-2.5)) < 1e-14
+    assert abs(uy - 2.5) < 1e-14
 
 
 def test_traction_residual_uniform_pressure():
-    f = FieldPoint(sxx=np.array(3.0), syy=np.array(3.0), sxy=np.array(0.0))
+    f = (3.0, 3.0, 0.0)  # (sxx, syy, sxy)
     r = _residual(Traction(ConstantData(3.0, 0.0)), f, 1 + 0j)
     assert np.allclose(r, 0.0)
 
@@ -142,7 +155,7 @@ def test_normal_pressure_data():
 
 
 def test_displacement_residual():
-    f = FieldPoint(0.0, 0.0, 0.0, ux=np.array(1.0), uy=np.array(2.0))
+    f = (0.0, 0.0, 0.0, 1.0, 2.0)  # (sxx, syy, sxy, ux, uy)
     r = _residual(Displacement(ConstantData(0.0, 0.0)), f, 1j)
     assert np.allclose(r.ravel(), [1.0, 2.0])
 
@@ -150,7 +163,7 @@ def test_displacement_residual():
 def test_symmetry_residual_vanishes_for_compatible_state():
     # u parallel to the tangent, sigma.n parallel to n  ->  both terms vanish
     n = complex(0, 1)
-    f = FieldPoint(sxx=np.array(0.0), syy=np.array(5.0), sxy=np.array(0.0), ux=np.array(3.0), uy=np.array(0.0))
+    f = (0.0, 5.0, 0.0, 3.0, 0.0)  # (sxx, syy, sxy, ux, uy)
     r = _residual(Symmetry(), f, n)
     assert np.allclose(r, 0.0)
 
@@ -161,22 +174,22 @@ def test_residual_rejects_non_unit_normal():
 
 
 def test_displacement_residual_needs_displacements():
-    f = FieldPoint(np.array(1.0), np.array(1.0), np.array(0.0))
+    f = (1.0, 1.0, 0.0)  # stress rows only
     with pytest.raises(ValueError):
         _residual(Displacement(ConstantData(0, 0)), f, 1 + 0j)
 
 
 def test_interface_residual_cases():
-    f1 = FieldPoint(np.array(1.0), np.array(2.0), np.array(0.5), np.array(0.1), np.array(0.2))
+    f1 = np.array([[1.0], [2.0], [0.5], [0.1], [0.2]])
     A, d = bc_operator(Interface(0, 1), 1 + 0j, 0j)
     assert np.all(d == 0.0)
-    r = interface_residual(A, f1.rows(), f1.rows())
+    r = interface_residual(A, f1, f1)
     assert np.allclose(r, 0.0)
     # pure shear jump with n = (1, 0): only the second traction component jumps
-    f2 = FieldPoint(np.array(1.0), np.array(2.0), np.array(0.5 - 0.3), np.array(0.1), np.array(0.2))
-    r = interface_residual(A, f1.rows(), f2.rows())
+    f2 = np.array([[1.0], [2.0], [0.5 - 0.3], [0.1], [0.2]])
+    r = interface_residual(A, f1, f2)
     assert np.allclose(r.ravel(), [0.0, 0.0, 0.0, 0.3])
-    r_flip = interface_residual(bc_operator(Interface(0, 1), -1 + 0j, 0j)[0], f1.rows(), f2.rows())
+    r_flip = interface_residual(bc_operator(Interface(0, 1), -1 + 0j, 0j)[0], f1, f2)
     assert np.allclose(np.linalg.norm(r_flip), np.linalg.norm(r))
     assert np.allclose(r_flip.ravel()[3], -0.3)
 
@@ -187,22 +200,24 @@ def test_bc_operators_match_the_written_out_conditions():
     n = np.exp(1j * rng.uniform(0, 2 * np.pi, B))  # off-axis unit normals
     nx, ny = n.real, n.imag
     z = rng.normal(size=B) + 1j * rng.normal(size=B)
-    f = FieldPoint(*rng.normal(size=(5, B)))
-    tx, ty = f.sxx * nx + f.sxy * ny, f.sxy * nx + f.syy * ny  # sigma . n
+    f = rng.normal(size=(5, B))
+    sxx, syy, sxy, ux, uy = f
+    tx, ty = sxx * nx + sxy * ny, sxy * nx + syy * ny  # sigma . n
     want = {
         Traction(NormalPressure(2.0)): [tx + 2.0 * nx, ty + 2.0 * ny],
-        Displacement(ConstantData(0.5, -1.0)): [f.ux - 0.5, f.uy + 1.0],
-        Symmetry(): [tx * ny - ty * nx, f.ux * nx + f.uy * ny],
+        Displacement(ConstantData(0.5, -1.0)): [ux - 0.5, uy + 1.0],
+        Symmetry(): [tx * ny - ty * nx, ux * nx + uy * ny],
     }
     for kind, rows in want.items():
         A, d = bc_operator(kind, n, z)
         assert A.shape == (B, 2, 5) and d.shape == (B, 2)
-        assert np.allclose(bc_residual(A, d, f.rows()), np.array(rows).T, atol=1e-14)
-    g = FieldPoint(*rng.normal(size=(5, B)))
-    gx, gy = g.sxx * nx + g.sxy * ny, g.sxy * nx + g.syy * ny
+        assert np.allclose(bc_residual(A, d, f), np.array(rows).T, atol=1e-14)
+    g = rng.normal(size=(5, B))
+    gxx, gyy, gxy, gux, guy = g
+    gx, gy = gxx * nx + gxy * ny, gxy * nx + gyy * ny
     A, _ = bc_operator(Interface(0, 1), n, z)
-    jump = [f.ux - g.ux, f.uy - g.uy, tx - gx, ty - gy]
-    assert np.allclose(interface_residual(A, f.rows(), g.rows()), np.array(jump).T, atol=1e-14)
+    jump = [ux - gux, uy - guy, tx - gx, ty - gy]
+    assert np.allclose(interface_residual(A, f, g), np.array(jump).T, atol=1e-14)
 
 
 def test_interface_residual_distinct_ids():

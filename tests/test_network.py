@@ -55,22 +55,23 @@ def test_param_count_matches_reference_protocol():
 
 def test_zero_net_forward_is_zero():
     pair = BranchPair(build_mlp([10, 10]), build_mlp([10, 10]))
-    state = mlp_forward(pair.phi, pair.psi, 0.3 + 0.4j)
-    assert state.phi == 0 and state.dphi == 0 and state.ddphi == 0
-    assert state.psi == 0 and state.dpsi == 0
+    jp, jq = mlp_forward(pair, 0.3 + 0.4j)
+    # (phi, phi', phi'') and (psi, psi')
+    assert jp.shape == (3, 1) and jq.shape == (2, 1)
+    assert np.all(jp == 0) and np.all(jq == 0)
 
 
 def test_stress_only_forward_semantics():
     pair = _init_pair([6, 6], mode=Mode.STRESS_ONLY, beta=0.7)
     z = np.array([0.2 + 0.1j, -0.3 + 0.5j])
-    state = mlp_forward(pair.phi, pair.psi, z)
-    assert state.phi is None and state.psi is None
+    jp, jq = mlp_forward(pair, z)
+    # no phi or psi channel: (phi', phi'') and (psi')
+    assert jp.shape == (2, 2) and jq.shape == (1, 2)
     # dphi is branch output, ddphi its first jet derivative
     jets = forward_jets(pair.phi, z)
-    assert np.allclose(state.dphi, jets[0])
-    assert np.allclose(state.ddphi, jets[1])
-    jq = forward_jets(pair.psi, z)
-    assert np.allclose(state.dpsi, jq[0])
+    assert np.allclose(jp[0], jets[0])
+    assert np.allclose(jp[1], jets[1])
+    assert np.allclose(jq[0], forward_jets(pair.psi, z)[0])
 
 
 def test_stress_only_constant_output_has_zero_ddphi():
@@ -78,9 +79,9 @@ def test_stress_only_constant_output_has_zero_ddphi():
         build_mlp([4], mode=Mode.STRESS_ONLY), build_mlp([4], mode=Mode.STRESS_ONLY)
     )
     pair.phi.layers[-1].bias[:] = 2.0 + 1.0j  # constant output
-    state = mlp_forward(pair.phi, pair.psi, 0.5 + 0.2j)
-    assert state.dphi == 2.0 + 1.0j
-    assert state.ddphi == 0.0
+    (dphi, ddphi), _ = mlp_forward(pair, 0.5 + 0.2j)
+    assert dphi == 2.0 + 1.0j
+    assert ddphi == 0.0
 
 
 def test_jets_match_finite_differences_in_z():

@@ -13,6 +13,7 @@ from holoelastic.cli import run_command
 from holoelastic.elasticity import Displacement, Interface, Symmetry, Traction
 from holoelastic.export import write_fields_csv
 from holoelastic.geometry import outward_normal, piece_point, region_contains, Region
+from holoelastic.network import checkpoint_load, checkpoint_save
 from holoelastic.problem import ConfigError, load_config
 
 
@@ -401,6 +402,22 @@ def test_cli_eval_overflow_names_the_pair(tmp_path, capsys):
     # the overflow is raised while fields.csv.tmp is being written; no partial file stays
     assert not os.path.exists(str(tmp_path / "out" / "fields.csv"))
     assert not os.path.exists(str(tmp_path / "out" / "fields.csv.tmp"))
+
+
+def test_cli_eval_readout_overflow_names_the_pair_and_point(tmp_path, capsys):
+    # every hidden layer stays finite, so forward_jets returns the overflowed
+    # readout; the field check must stop the eval before any row is kept
+    cfg, out = _mini_ring(tmp_path, epochs=0)
+    assert run_command(["train", cfg]) == 0
+    ckpt = os.path.join(out, "checkpoint.json")
+    pairs = checkpoint_load(ckpt)
+    pairs[0].phi.layers[-1].weights[:] = 1e308
+    checkpoint_save(ckpt, pairs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run_command(["eval", cfg, ckpt, "--grid", "10x10"]) == 2
+    assert "error: non-finite field in pair 0 at z=-1.9+0.1j" in capsys.readouterr().err
+    for name in ("fields.csv", "fields.csv.tmp", "errors.csv"):
+        assert not os.path.exists(os.path.join(out, name)), name
 
 
 def test_cli_unknown_command():
