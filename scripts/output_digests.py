@@ -11,10 +11,12 @@ afterwards, and hashes:
   ring_quadrant/errors.csv                the same eval's exact-reference errors
   ring_quadrant/fields_400x400.csv        `eval --grid 400x400` (and its errors)
   clamped_square/fields_200x200.csv       `eval --grid 200x200`: 40,000 points of
-                                          100-wide nets, so a hundred grid blocks of
-                                          2 rows (FORWARD_BLOCK // 100 points at most)
-  dd_plate_hole/fields_300x300.csv        `eval --grid 300x300`: grid blocks of 13 rows
-                                          that cross the four subdomains
+                                          100-wide nets, so 200 grid blocks of one
+                                          row (a row is wider than FORWARD_BLOCK
+                                          8,192 // 100 points)
+  dd_plate_hole/fields_300x300.csv        `eval --grid 300x300`: grid blocks of 2 rows
+                                          (8,192 // 3,000 points) over the four
+                                          subdomains
   clamped_square/variance.csv             `init-check` (m_e = L + 1: a probe statistic
                                           for every layer)
   clamped_square/variance_m_e3.csv        `init-check --m-e 3`, the probe depth that

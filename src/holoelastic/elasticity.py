@@ -78,20 +78,22 @@ def km_derivatives(jp: np.ndarray, jq: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def km_fields(z, jp: np.ndarray, jq: np.ndarray, mat: Material) -> np.ndarray:
     """The (nf, B) field rows (sxx, syy, sxy, ux, uy) at z of the branch jets
-    (km_derivatives); stress-only jets give the three stress rows alone."""
+    (km_derivatives); stress-only jets give the three stress rows alone.
+    Overflow warnings are silenced: callers check the rows for finiteness."""
     z = np.asarray(z, dtype=np.complex128)
     dphi, ddphi, dpsi = km_derivatives(jp, jq)
     out = np.empty((5 if len(jp) == 3 else 3, z.size))
     zc = np.conj(z)
-    a = zc * ddphi + dpsi
-    out[0] = np.real(2.0 * dphi - a)
-    out[1] = np.real(2.0 * dphi + a)
-    out[2] = np.imag(a)
-    if len(jp) == 3:
-        # np.multiply, not `*`: from 16,384 points numpy reuses a temporary right
-        # operand of `*` in place, which swaps a complex product's operands and bits
-        w = (mat.gamma * jp[0] - np.multiply(z, np.conj(dphi)) - np.conj(jq[0])) / (2.0 * mat.mu)
-        out[3], out[4] = np.real(w), np.imag(w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = zc * ddphi + dpsi
+        out[0] = np.real(2.0 * dphi - a)
+        out[1] = np.real(2.0 * dphi + a)
+        out[2] = np.imag(a)
+        if len(jp) == 3:
+            # np.multiply, not `*`: from 16,384 points numpy reuses a temporary right
+            # operand of `*` in place, which swaps a complex product's operands and bits
+            w = (mat.gamma * jp[0] - np.multiply(z, np.conj(dphi)) - np.conj(jq[0])) / (2.0 * mat.mu)
+            out[3], out[4] = np.real(w), np.imag(w)
     return out
 
 

@@ -61,22 +61,19 @@ def write_fields_csv(path: str, blocks: Iterable[GridField]) -> None:
 
 def _field_rows(blocks: Iterable[GridField]) -> Iterator[str]:
     yield "x,y,sxx,syy,sxy,ux,uy\n"
+    grid_xs = None
     for grid in blocks:
-        xs = grid.xs.tolist()
+        if grid.xs is not grid_xs:  # the blocks of one grid share its xs
+            grid_xs, xs = grid.xs, [f"{x}," for x in grid.xs.tolist()]
+        rows = [r for r in (grid.sxx, grid.syy, grid.sxy, grid.ux, grid.uy) if r is not None]
+        end = "\n" if len(rows) == 5 else ",,\n"
         for iy, y in enumerate(grid.ys.tolist()):
-            mask = grid.mask[iy].tolist()
-            sxx, syy, sxy = grid.sxx[iy].tolist(), grid.syy[iy].tolist(), grid.sxy[iy].tolist()
-            ux = grid.ux[iy].tolist() if grid.ux is not None else None
-            uy = grid.uy[iy].tolist() if grid.uy is not None else None
-            lines = []
-            for ix, x in enumerate(xs):
-                if not mask[ix]:
-                    lines.append(f"{x},{y},,,,,\n")
-                elif ux is None:
-                    lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},,\n")
-                else:
-                    lines.append(f"{x},{y},{sxx[ix]},{syy[ix]},{sxy[ix]},{ux[ix]},{uy[ix]}\n")
-            yield "".join(lines)
+            y = f"{y},"
+            cells = zip(*(r[iy].tolist() for r in rows))
+            yield "".join(
+                f"{x}{y}{','.join(map(repr, c))}{end}" if m else f"{x}{y},,,,\n"
+                for x, m, c in zip(xs, grid.mask[iy].tolist(), cells)
+            )
 
 
 def write_errors_csv(path: str, errors: dict[str, float]) -> None:

@@ -284,15 +284,28 @@ def init_weights(net: HoloMLP, probe, beta: float, m_e: int, rng: Rng) -> HoloML
 # --- checkpoints ------------------------------------------------------------
 
 
-def _pairs_to_complex(pairs, shape: tuple, what: str) -> np.ndarray:
-    try:
-        a = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError):
-        a = np.empty(0)
+def _layer_arrays(obj: dict) -> dict:
+    """json object_hook: a layer's weights and bias become float arrays as soon
+    as the decoder closes the layer, so one layer's Python lists live at a
+    time.  A value that does not convert becomes an empty array, and [re, im]
+    pairs holding strings or booleans (which asarray takes) a NaN one."""
+    for k in ("weights", "bias"):
+        if k not in obj:
+            continue
+        try:
+            a = np.asarray(obj[k], dtype=float)
+        except (TypeError, ValueError):
+            a = np.empty(0)
+        if a.ndim == 2 and a.shape[1] == 2 and not {type(v) for p in obj[k] for v in p} <= {int, float}:
+            a[:] = np.nan
+        obj[k] = a
+    return obj
+
+
+def _pairs_to_complex(a: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     if a.shape != (math.prod(shape), 2):
         raise ValueError(f"{what} must be {math.prod(shape)} [re, im] pairs")
-    # asarray takes numeric strings and booleans, and json reads NaN/Infinity
-    if not (np.isfinite(a).all() and {type(v) for p in pairs for v in p} <= {int, float}):
+    if not np.isfinite(a).all():  # json reads NaN/Infinity
         raise ValueError(f"{what} must hold finite numbers")
     return a.view(np.complex128).reshape(shape)
 
@@ -345,7 +358,7 @@ def checkpoint_load(path: str) -> list[BranchPair]:
     widths must chain 1 -> 1.
     """
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, object_hook=_layer_arrays)
     if not isinstance(doc, dict) or not doc.get("pairs"):
         raise ValueError(f"checkpoint {path}: no network pairs")
     pairs = []

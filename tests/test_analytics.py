@@ -182,25 +182,26 @@ def _ring_cli(tmp_path):
 
 
 def test_eval_memory_is_set_by_the_forward_block_not_the_grid(monkeypatch, tmp_path, capsys):
-    # 29,454 interior points of a 200x200 ring grid in blocks of at most 512
-    # points (FORWARD_BLOCK 5,120 = 512 points x width 10).  The eval keeps per
-    # point only the error pass's nine magnitudes (2.1 MB) and peaks at 3.0 MB;
-    # one km_fields call on all points and an error pass on full-grid arrays
-    # peaked at 9.7 MB
+    # the interior points of a ring grid in blocks of at most 512 points
+    # (FORWARD_BLOCK 5,120 = 512 points x width 10).  The error pass keeps
+    # sums of squares per grid row, so the eval peaks at 0.76 MB (200x200) and
+    # 0.85 MB (400x400); keeping nine magnitudes per point peaked at 3.0 and
+    # 10.9 MB, and one km_fields call on all points at 9.7 MB (200x200)
     cfg, _, ckpt = _ring_cli(tmp_path)
     monkeypatch.setattr(analytics, "FORWARD_BLOCK", 5120)
-    calls = []
-    monkeypatch.setattr("holoelastic.elasticity.km_fields", lambda *a: calls.append(a[0].size) or km_fields(*a))
-    capsys.readouterr()
-    tracemalloc.start()
-    try:
-        assert run_command(["eval", cfg, ckpt, "--grid", "200x200"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert "(29454 interior points)" in capsys.readouterr().out
-    assert sum(calls) == 29454 and max(calls) <= 512
-    assert peak < 5e6
+    for n, interior in ((200, 29454), (400, 117806)):
+        calls = []
+        monkeypatch.setattr("holoelastic.elasticity.km_fields", lambda *a: calls.append(a[0].size) or km_fields(*a))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert run_command(["eval", cfg, ckpt, "--grid", f"{n}x{n}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"({interior} interior points)" in capsys.readouterr().out
+        assert sum(calls) == interior and max(calls) <= 512
+        assert peak < 1.5e6, n
 
 
 def _initialized_pairs(spec, seed=0):
@@ -213,11 +214,11 @@ def _initialized_pairs(spec, seed=0):
 @pytest.mark.parametrize(
     "name, nx, ny, block, rows",
     [
-        ("ring_quadrant", 100, 90, None, 40),  # width 10: blocks of 40 rows, 40 + 40 + 10
-        ("dd_plate_hole", 150, 150, None, 27),  # blocks of 27 rows cross y = 0 and x = 0
+        ("ring_quadrant", 100, 90, None, 8),  # width 10: blocks of 8 rows, 11 x 8 + 2
+        ("dd_plate_hole", 150, 150, 40960, 27),  # blocks of 27 rows cross y = 0 and x = 0
         ("ring_quadrant", 100, 30, 640, 1),  # a row is wider than the block: one row per block
         ("square_stress_only", 64, 40, 4096, 8),  # width 8; fields without displacements
-        ("clamped_square", 200, 6, None, 2),  # width 100: the 2-row blocks of a 200x200 eval
+        ("clamped_square", 200, 6, None, 1),  # width 100: the 1-row blocks of a 200x200 eval
     ],
 )
 def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, nx, ny, block, rows):
@@ -255,11 +256,10 @@ def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, 
         assert getattr(grid, k) is None or np.isnan(getattr(grid, k)[~grid.mask]).all()
 
 
-def test_cli_eval_outputs_are_those_of_eval_grid(tmp_path):
+def test_cli_eval_outputs_are_those_of_eval_grid(monkeypatch, tmp_path):
     # the CLI streams blocks; errors.csv and fields.csv must be what the whole
     # grid gives: rel_l2 and rms over its interior points, and its CSV rows
     cfg, out, ckpt = _ring_cli(tmp_path)
-    assert run_command(["eval", cfg, ckpt, "--grid", "90x70"]) == 0  # blocks of 45 rows: 45 + 25
     spec = load_config(cfg)
     grid = eval_grid(checkpoint_load(ckpt), spec, 90, 70)
     X, Y = np.meshgrid(grid.xs, grid.ys)
@@ -274,11 +274,15 @@ def test_cli_eval_outputs_are_those_of_eval_grid(tmp_path):
         "rel_l2_sigma_tt": rel_l2(stt, stt_ref, grid.mask),
         "rms_sigma_rt": rms(srt, grid.mask),
     }
-    rows = [line.split(",") for line in open(os.path.join(out, "errors.csv")).read().splitlines()[1:]]
-    assert {k: float(v) for k, v in rows} == want
     whole = str(tmp_path / "whole.csv")
     write_fields_csv(whole, [grid])
-    assert open(whole).read() == open(os.path.join(out, "fields.csv")).read()
+    # blocks of 9 rows (7 x 9 + 7), then of one row
+    for block in (analytics.FORWARD_BLOCK, 640):
+        monkeypatch.setattr(analytics, "FORWARD_BLOCK", block)
+        assert run_command(["eval", cfg, ckpt, "--grid", "90x70"]) == 0
+        rows = [line.split(",") for line in open(os.path.join(out, "errors.csv")).read().splitlines()[1:]]
+        assert {k: float(v) for k, v in rows} == want, block
+        assert open(whole).read() == open(os.path.join(out, "fields.csv")).read(), block
 
 
 def test_grid_l2_constant_offset():

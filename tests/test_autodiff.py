@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +280,18 @@ def test_nan_output_weight_names_residual_sample():
     pairs[0].phi.layers[-1].weights[0, 0] = np.nan
     with pytest.raises(NonFiniteError, match=r"non-finite residual at piece 0, sample t=.*, z="):
         loss_forward(pairs, samples, problem)
+
+
+def test_readout_overflow_names_residual_sample_without_warnings():
+    # every hidden layer stays finite, so the readout's inf reaches the field
+    # map and the residuals; the loss check names the sample, and no numpy
+    # RuntimeWarning is raised on the way
+    problem, samples, pairs = _ring_setup(n=8)
+    pairs[0].phi.layers[-1].weights[:] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteError, match=r"^non-finite residual at piece \d+, sample t=.*, z="):
+            loss_forward(pairs, samples, problem)
 
 
 @pytest.mark.parametrize("name", ["ring_quadrant", "dd_plate_hole", "stress_only"])

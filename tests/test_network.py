@@ -351,6 +351,24 @@ def test_checkpoint_save_memory_follows_one_row(tmp_path, units):
     assert checkpoint_load(path)[0].phi.layers[2].weights.shape == (units, units)
 
 
+def test_checkpoint_load_holds_one_layer_of_lists(tmp_path):
+    # a 4x100 pair: the file's text (2.6 MB), one 100x100 layer's Python lists
+    # and the arrays peak at 5.4 MB traced; decoding the whole document to
+    # lists first peaked at 11.5 MB
+    pairs = [_random_pair([100] * 4)]
+    path = str(tmp_path / "checkpoint.json")
+    checkpoint_save(path, pairs)
+    tracemalloc.start()
+    try:
+        loaded = checkpoint_load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6, f"checkpoint_load peaked at {peak / 1e6:.2f} MB"
+    for a, b in zip(pairs[0].phi.layers + pairs[0].psi.layers, loaded[0].phi.layers + loaded[0].psi.layers):
+        assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+
+
 def test_checkpoint_save_that_fails_leaves_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "checkpoint.json"
     old = _saved(tmp_path, [_init_pair([5, 7], seed=3)])

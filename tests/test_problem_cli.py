@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -413,7 +414,8 @@ def test_cli_eval_readout_overflow_names_the_pair_and_point(tmp_path, capsys):
     pairs = checkpoint_load(ckpt)
     pairs[0].phi.layers[-1].weights[:] = 1e308
     checkpoint_save(ckpt, pairs)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert run_command(["eval", cfg, ckpt, "--grid", "10x10"]) == 2
     assert "error: non-finite field in pair 0 at z=-1.9+0.1j" in capsys.readouterr().err
     for name in ("fields.csv", "fields.csv.tmp", "errors.csv"):
