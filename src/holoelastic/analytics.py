@@ -10,7 +10,7 @@ tests (rectangles, disks, halfplanes) of the problem's region spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -65,26 +65,14 @@ class GridField:
     xs: np.ndarray
     ys: np.ndarray
     mask: np.ndarray  # True where the point is inside the domain
-    sub: np.ndarray  # owning subdomain, -1 outside
-    sxx: np.ndarray
-    syy: np.ndarray
-    sxy: np.ndarray
-    ux: Optional[np.ndarray] = None
-    uy: Optional[np.ndarray] = None
-    dphi: Optional[np.ndarray] = None
-    dpsi: Optional[np.ndarray] = None
+    rows: np.ndarray  # (nf, ny, nx) el.km_fields rows: sxx, syy, sxy[, ux, uy]; NaN outside
+    dphi: np.ndarray
+    dpsi: np.ndarray
 
 
 def domain_bbox(domain: geo.DomainSpec) -> tuple[float, float, float, float]:
-    ts = np.linspace(0.0, 1.0, 257)
-    xs, ys = [], []
-    for p in domain.pieces:
-        z = geo.piece_point(p, ts)
-        xs.append(np.real(z))
-        ys.append(np.imag(z))
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    return float(x.min()), float(x.max()), float(y.min()), float(y.max())
+    z = np.concatenate([geo.piece_point(p, np.linspace(0.0, 1.0, 257)) for p in domain.pieces])
+    return float(z.real.min()), float(z.real.max()), float(z.imag.min()), float(z.imag.max())
 
 
 FORWARD_BLOCK = 8192  # points x widest layer per grid_blocks block
@@ -109,9 +97,9 @@ def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Itera
     ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
     nf = 5 if pairs[0].mode is Mode.STANDARD else 3
     width = max(max(p.phi.widths + p.psi.widths) for p in pairs)
-    rows = max(1, FORWARD_BLOCK // (nx * width))
-    for i in range(0, ny, rows):
-        X, Y = np.meshgrid(xs, ys[i : i + rows])
+    step = max(1, FORWARD_BLOCK // (nx * width))
+    for i in range(0, ny, step):
+        X, Y = np.meshgrid(xs, ys[i : i + step])
         sub = np.full(X.shape, -1, dtype=int)
         for s, region in enumerate(domain.regions):
             sub[geo.region_contains(region, X, Y) & (sub < 0)] = s
@@ -129,14 +117,14 @@ def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Itera
                 raise NonFiniteError(f"non-finite field in pair {s} at z={z[np.argmax(bad)]:.6g}")
             f[:, where] = fs
             dphi[where], _, dpsi[where] = el.km_derivatives(jp, jq)
-        yield GridField(xs, ys[i : i + rows], sub >= 0, sub, *f, dphi=dphi, dpsi=dpsi)
+        yield GridField(xs, ys[i : i + step], sub >= 0, f, dphi, dpsi)
 
 
 def eval_grid(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> GridField:
     """The blocks of grid_blocks stacked into one GridField."""
     blocks = list(grid_blocks(pairs, problem, nx, ny))
-    stack = lambda k: None if getattr(blocks[0], k) is None else np.concatenate([getattr(b, k) for b in blocks])
-    return GridField(blocks[0].xs, *(stack(f.name) for f in fields(GridField)[1:]))
+    cat = lambda k, axis=0: np.concatenate([getattr(b, k) for b in blocks], axis)
+    return GridField(blocks[0].xs, cat("ys"), cat("mask"), cat("rows", 1), cat("dphi"), cat("dpsi"))
 
 
 class RingErrors:
@@ -160,7 +148,7 @@ class RingErrors:
         z = np.where(m, X + 1j * Y, self.R)  # masked points read the outer radius
         dphi, dpsi = ring_exact_potentials(z, self.p, self.r, self.R)
         srr_ref, stt_ref = ring_exact_stress(np.abs(z), self.p, self.r, self.R)
-        srr, stt, srt = rotate_stress(block.sxx, block.syy, block.sxy, np.angle(z))
+        srr, stt, srt = rotate_stress(*block.rows[:3], np.angle(z))
         for k, got, want in zip(self.ref, (block.dphi, block.dpsi, srr, stt), (dphi, dpsi, srr_ref, stt_ref)):
             self.err[k] += _row_sums(got - want, m).tolist()
             self.ref[k] += _row_sums(want, m).tolist()
@@ -319,23 +307,20 @@ def init_diagnostics(
 # --- held-out residual diagnostics ----------------------------------------------
 
 
-def residual_summary(pairs, problem, n_points: int, seed: int) -> dict:
-    """RMS residuals on a fresh boundary batch, split outer vs interface."""
+def heldout_residuals(pairs, problem, n_points: int, seed: int) -> dict:
+    """Boundary residuals on a fresh batch, from one sample_boundary draw
+    (stream 7 of Rng(seed)) and one loss_forward: the RMS over the outer
+    pieces ("outer_rms"), over the interfaces ("interface_rms", None without
+    one) and per piece ("piece_rms"), and each sample's point ("z"), piece
+    index ("piece") and residual norm ("norm"), in loss_forward's order."""
     samples = geo.sample_boundary(problem.domain, n_points, Rng(seed).spawn(7))
     _, rec = loss_forward(pairs, samples, problem)
-    outer = np.concatenate([r.ravel() for g, r in zip(rec.groups, rec.residuals) if g.outer])
     iface = [r.ravel() for g, r in zip(rec.groups, rec.residuals) if not g.outer]
-    out = {"outer_rms": rms(outer), "pieces": [rms(r) for r in rec.residuals]}
-    if iface:
-        out["interface_rms"] = rms(np.concatenate(iface))
-    return out
-
-
-def pointwise_boundary_residuals(pairs, problem, n_points: int, seed: int):
-    """Residual norm per held-out boundary sample; returns (z, piece, norm)."""
-    samples = geo.sample_boundary(problem.domain, n_points, Rng(seed).spawn(7))
-    _, rec = loss_forward(pairs, samples, problem)
-    z = np.concatenate([g.z for g in rec.groups])
-    pieces = np.concatenate([np.full(g.z.size, g.piece) for g in rec.groups])
-    norms = np.concatenate([np.sqrt(np.sum(r * r, axis=1)) for r in rec.residuals])
-    return z, pieces, norms
+    return {
+        "outer_rms": rms(np.concatenate([r.ravel() for g, r in zip(rec.groups, rec.residuals) if g.outer])),
+        "interface_rms": rms(np.concatenate(iface)) if iface else None,
+        "piece_rms": [rms(r) for r in rec.residuals],
+        "z": np.concatenate([g.z for g in rec.groups]),
+        "piece": np.concatenate([np.full(g.z.size, g.piece) for g in rec.groups]),
+        "norm": np.concatenate([np.sqrt(np.sum(r * r, axis=1)) for r in rec.residuals]),
+    }

@@ -9,10 +9,11 @@ notation.
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .analytics import GridField, VarianceReport
-from .training import History
+if TYPE_CHECKING:  # pragma: no cover
+    from .analytics import GridField, VarianceReport
+    from .training import History
 
 
 def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -65,11 +66,10 @@ def _field_rows(blocks: Iterable[GridField]) -> Iterator[str]:
     for grid in blocks:
         if grid.xs is not grid_xs:  # the blocks of one grid share its xs
             grid_xs, xs = grid.xs, [f"{x}," for x in grid.xs.tolist()]
-        rows = [r for r in (grid.sxx, grid.syy, grid.sxy, grid.ux, grid.uy) if r is not None]
-        end = "\n" if len(rows) == 5 else ",,\n"
+        end = "\n" if len(grid.rows) == 5 else ",,\n"
         for iy, y in enumerate(grid.ys.tolist()):
             y = f"{y},"
-            cells = zip(*(r[iy].tolist() for r in rows))
+            cells = zip(*grid.rows[:, iy].tolist())
             yield "".join(
                 f"{x}{y}{','.join(map(repr, c))}{end}" if m else f"{x}{y},,,,\n"
                 for x, m, c in zip(xs, grid.mask[iy].tolist(), cells)

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .export import write_text_atomic
 from .jets import (
     ActivationKind,
     NonFiniteError,
@@ -314,8 +315,6 @@ def checkpoint_save(path: str, pairs: Sequence[BranchPair]) -> None:
     """JSON checkpoint with exact [re, im] weight round-trip, written atomically
     one weight row at a time.  A non-finite weight or bias raises ValueError
     naming the pair, branch and layer and leaves any file at path as it was."""
-    from .export import write_text_atomic  # export imports analytics, which imports network
-
     write_text_atomic(path, _checkpoint_chunks(path, pairs))
 
 

@@ -84,6 +84,14 @@ def _list(v, path: str) -> list:
     return v
 
 
+def _keys(obj, path: str, *read: str) -> dict:
+    """obj, once every key in it is one of `read`: the keys the loader reads there."""
+    for key in _obj(obj, path):
+        if key not in read:
+            _fail(path, f"unknown field {key!r}; expected one of {', '.join(read)}")
+    return obj
+
+
 def _need(obj: dict, key: str, path: str):
     if key not in _obj(obj, path):
         _fail(path, f"missing required field {key!r}")
@@ -121,22 +129,23 @@ def _cx(v, path: str) -> complex:
 
 def _parse_data(obj: dict, path: str) -> el.BoundaryData:
     if "constant" in _obj(obj, path):
-        return el.ConstantData(*_nums(obj["constant"], 2, f"{path}.constant"))
+        return el.ConstantData(*_nums(_keys(obj, path, "constant")["constant"], 2, f"{path}.constant"))
     if "normal_pressure" in obj:
+        _keys(obj, path, "normal_pressure")
         return el.NormalPressure(_num(obj["normal_pressure"], f"{path}.normal_pressure"))
     _fail(path, "boundary data must give 'constant' or 'normal_pressure'")
 
 
 def _parse_bc(obj: dict, path: str) -> tuple[el.BCKind, tuple[int, ...]]:
     kind = _need(obj, "type", path)
-    if kind == "traction":
-        return el.Traction(_parse_data(_need(obj, "data", path), f"{path}.data")), ()
-    if kind == "displacement":
-        return el.Displacement(_parse_data(_need(obj, "data", path), f"{path}.data")), ()
+    if kind in ("traction", "displacement"):
+        data = _parse_data(_need(_keys(obj, path, "type", "data"), "data", path), f"{path}.data")
+        return (el.Traction if kind == "traction" else el.Displacement)(data), ()
     if kind == "symmetry":
+        _keys(obj, path, "type")
         return el.Symmetry(), ()
     if kind == "interface":
-        subs = _need(obj, "subdomains", path)
+        subs = _need(_keys(obj, path, "type", "subdomains"), "subdomains", path)
         if not (isinstance(subs, list) and len(subs) == 2):
             _fail(path, "interface needs 'subdomains': [a, b]")
         a, b = (_int(s, f"{path}.subdomains") for s in subs)
@@ -151,17 +160,16 @@ def _parse_piece(obj: dict, i: int) -> geo.BoundaryPiece:
     path = f"geometry.pieces[{i}]"
     kind = _need(obj, "kind", path)
     if kind == "line":
-        shape = geo.Line(_cx(_need(obj, "p0", path), f"{path}.p0"), _cx(_need(obj, "p1", path), f"{path}.p1"))
+        read = ("p0", "p1")
+        shape = geo.Line(*(_cx(_need(obj, k, path), f"{path}.{k}") for k in read))
     elif kind == "arc":
-        shape = geo.Arc(
-            _cx(_need(obj, "center", path), f"{path}.center"),
-            _num(_need(obj, "radius", path), f"{path}.radius"),
-            _num(_need(obj, "theta0", path), f"{path}.theta0"),
-            _num(_need(obj, "theta1", path), f"{path}.theta1"),
-        )
+        read = ("center", "radius", "theta0", "theta1")
+        center = _cx(_need(obj, "center", path), f"{path}.center")
+        shape = geo.Arc(center, *(_num(_need(obj, k, path), f"{path}.{k}") for k in read[1:]))
     else:
         _fail(path, f"unknown piece kind {kind!r}")
     bc, subs = _parse_bc(_need(obj, "bc", path), f"{path}.bc")
+    _keys(obj, path, "kind", *read, "bc", *(() if subs else ("subdomain",)), "side", "name")
     subs = subs or (_int(_need(obj, "subdomain", path), f"{path}.subdomain"),)
     name = _str(obj.get("name", f"piece{i}"), f"{path}.name")
     try:
@@ -185,9 +193,10 @@ def _disks(obj: dict, key: str, path: str) -> tuple[tuple[complex, float], ...]:
 
 def _parse_region(obj: dict, path: str) -> geo.Region:
     patches = []
-    for j, p in enumerate(_list(_obj(obj, path).get("patches", []), f"{path}.patches")):
+    for j, p in enumerate(_list(_keys(obj, path, "patches").get("patches", []), f"{path}.patches")):
         pp = f"{path}.patches[{j}]"
-        rect = _nums(p["rect"], 4, f"{pp}.rect") if "rect" in _obj(p, pp) else None
+        _keys(p, pp, "rect", "disks_in", "disks_out", "halfplanes")
+        rect = _nums(p["rect"], 4, f"{pp}.rect") if "rect" in p else None
         if rect and not (rect[0] < rect[1] and rect[2] < rect[3]):
             _fail(f"{pp}.rect", f"need xmin < xmax and ymin < ymax, got {list(rect)}")
         disks_in, disks_out = (_disks(p, key, pp) for key in ("disks_in", "disks_out"))
@@ -205,14 +214,15 @@ def load_config(path: str) -> ProblemSpec:
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
 
-    mat_obj = _need(doc, "material", "config")
+    _keys(doc, "config", "name", "material", "geometry", "networks", "training", "outputs", "reference")
+    mat_obj = _keys(_need(doc, "material", "config"), "material", "lambda", "mu", "mode")
     lam, mu = (_num(_need(mat_obj, k, "material"), f"material.{k}") for k in ("lambda", "mu"))
     try:
         material = el.Material(lam, mu, el.PlaneMode(mat_obj.get("mode", "plane_strain")))
     except ValueError as e:
         raise ConfigError(f"material: {e}")
 
-    geo_obj = _need(doc, "geometry", "config")
+    geo_obj = _keys(_need(doc, "geometry", "config"), "geometry", "n_subdomains", "pieces", "regions")
     piece_objs = _list(_need(geo_obj, "pieces", "geometry"), "geometry.pieces")
     pieces = [_parse_piece(p, i) for i, p in enumerate(piece_objs)]
     regions = None
@@ -227,7 +237,7 @@ def load_config(path: str) -> ProblemSpec:
     except ValueError as e:
         raise ConfigError(f"geometry: {e}")
 
-    net_obj = _need(doc, "networks", "config")
+    net_obj = _keys(_need(doc, "networks", "config"), "networks", "hidden_layers", "units", "activation", "mode")
     layers, units = (_int(_need(net_obj, k, "networks"), f"networks.{k}") for k in ("hidden_layers", "units"))
     try:
         networks = NetworkConfig(
@@ -237,6 +247,7 @@ def load_config(path: str) -> ProblemSpec:
         raise ConfigError(f"networks: {e}")
 
     tr_obj = _need(doc, "training", "config")
+    _keys(tr_obj, "training", "epochs", "lr", "n_train", "n_test", "seed", "beta", "m_e", "lr_decay")
     fields = {k: _int(_need(tr_obj, k, "training"), f"training.{k}") for k in ("epochs", "n_train")}
     fields.update({k: _int(tr_obj.get(k, v), f"training.{k}") for k, v in (("n_test", 0), ("seed", 0), ("m_e", 3))})
     fields["lr"] = _num(_need(tr_obj, "lr", "training"), "training.lr")
@@ -246,7 +257,7 @@ def load_config(path: str) -> ProblemSpec:
     except ValueError as e:
         raise ConfigError(f"training: {e}")
 
-    out_obj = _obj(doc.get("outputs", {}), "outputs")
+    out_obj = _keys(doc.get("outputs", {}), "outputs", "grid", "dir")
     grid = out_obj.get("grid", [40, 40])
     if not (isinstance(grid, list) and len(grid) == 2 and all(type(v) is int and v > 0 for v in grid)):
         _fail("outputs.grid", f"expected [nx, ny] with positive integers, got {grid!r}")
@@ -254,9 +265,11 @@ def load_config(path: str) -> ProblemSpec:
 
     ref = doc.get("reference")
     if ref is not None:
-        if _obj(ref, "reference").get("kind") != "ring":
+        if _keys(ref, "reference", "kind", "p", "r", "R").get("kind") != "ring":
             _fail("reference.kind", f"expected 'ring', got {ref.get('kind')!r}")
         p, r, R = (_num(ref.get(k), f"reference.{k}") for k in ("p", "r", "R"))
+        if p == 0.0:  # the rel-L2 errors divide by the exact fields, all zero without pressure
+            _fail("reference.p", "ring pressure must be nonzero, got 0")
         if not 0.0 < r < R:
             _fail("reference.r", f"need 0 < r < R, got r={r}, R={R}")
 

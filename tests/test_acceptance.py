@@ -18,10 +18,9 @@ import pytest
 from conftest import CONFIG_NAMES, config_path, fd_equilibrium, fd_trace_laplacian, grad_check, net_stress_fn
 from holoelastic.analytics import (
     eval_grid,
+    heldout_residuals,
     init_diagnostics,
-    pointwise_boundary_residuals,
     rel_l2,
-    residual_summary,
     ring_exact_potentials,
     ring_exact_stress,
     rms,
@@ -93,7 +92,7 @@ def test_criterion_2_stress_reconstruction(ring_runs):
     ref = spec.reference
     rho = np.where(grid.mask, np.abs(Z), ref["r"])
     srr_ref, stt_ref = ring_exact_stress(rho, ref["p"], ref["r"], ref["R"])
-    srr, stt, srt = rotate_stress(grid.sxx, grid.syy, grid.sxy, np.angle(Z))
+    srr, stt, srt = rotate_stress(*grid.rows[:3], np.angle(Z))
     e_rr = rel_l2(srr, srr_ref, grid.mask)
     e_tt = rel_l2(stt, stt_ref, grid.mask)
     shear = rms(srt, grid.mask)
@@ -217,7 +216,7 @@ def test_criterion_8a_domain_decomposition(dd_runs):
     dd, dd_pairs, dd_hist, quarter, q_pairs, q_hist = dd_runs
     ratio = dd_hist.train_loss[-1] / q_hist.train_loss[-1]
     assert ratio < 5.0, f"dd/quadrant final loss ratio {ratio:.2f}"
-    summ = residual_summary(dd_pairs, dd, 600, seed=4242)
+    summ = heldout_residuals(dd_pairs, dd, 600, seed=4242)
     iface, outer = summ["interface_rms"], summ["outer_rms"]
     assert iface < 3.0 * outer, f"interface RMS {iface:.3f} vs outer RMS {outer:.3f}"
     print(
@@ -229,7 +228,8 @@ def test_criterion_8a_domain_decomposition(dd_runs):
 def test_criterion_8b_clamped_square_boundary_quality():
     spec = _cfg("clamped_square")
     pairs, _ = train(spec)
-    z, piece, norm = pointwise_boundary_residuals(pairs, spec, 800, seed=77)
+    held = heldout_residuals(pairs, spec, 800, seed=77)
+    z, norm = held["z"], held["norm"]
     corners = np.array([0.5 + 0.5j, -0.5 + 0.5j, 0.5 - 0.5j, -0.5 - 0.5j])
     dist = np.min(np.abs(z[:, None] - corners[None, :]), axis=1)
     near = norm[dist < 0.1]

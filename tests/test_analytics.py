@@ -12,6 +12,7 @@ from conftest import config_path, equilibrium_residual, fd_equilibrium, fd_trace
 from holoelastic.analytics import (
     GridField,
     eval_grid,
+    heldout_residuals,
     init_diagnostics,
     rel_l2,
     ring_exact_potentials,
@@ -147,10 +148,7 @@ def grid_l2_error(nn, ref):
     if nn.xs.shape != ref.xs.shape or not np.array_equal(nn.mask, ref.mask):
         raise ValueError("grids/masks disagree")
     out = {}
-    for k in ("sxx", "syy", "sxy", "ux", "uy"):
-        a, b = getattr(nn, k), getattr(ref, k)
-        if a is None or b is None:
-            continue
+    for k, a, b in zip(("sxx", "syy", "sxy", "ux", "uy"), nn.rows, ref.rows):
         d = a[nn.mask] - b[nn.mask]
         out[k] = float(np.sqrt(np.mean(np.abs(d) ** 2)))
     return out
@@ -162,8 +160,8 @@ def test_eval_grid_and_l2_error():
     grid = eval_grid([pair], problem, 24, 24)
     assert grid.mask.shape == (24, 24)
     assert grid.mask.any() and not grid.mask.all()
-    assert np.all(np.isfinite(grid.sxx[grid.mask]))
-    assert np.all(np.isnan(grid.sxx[~grid.mask]))
+    assert np.all(np.isfinite(grid.rows[0][grid.mask]))
+    assert np.all(np.isnan(grid.rows[0][~grid.mask]))
     err = grid_l2_error(grid, grid)
     assert all(v == 0.0 for v in err.values())
 
@@ -240,20 +238,19 @@ def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, 
     sub = np.full(X.shape, -1)
     for s, region in enumerate(spec.domain.regions):
         sub[region_contains(region, X, Y) & (sub < 0)] = s
-    assert np.array_equal(grid.sub, sub) and np.array_equal(grid.mask, sub >= 0)
+    assert np.array_equal(grid.mask, sub >= 0)
+    # each interior point carries the fields of its owner, the first region that holds it
     for s, pair in enumerate(pairs):
         where = sub == s
         z = X[where] + 1j * Y[where]
         jp, jq = mlp_forward(pair, z)
         f = km_fields(z, jp, jq, spec.material)
         dphi, _, dpsi = km_derivatives(jp, jq)
-        wants = dict(zip(("sxx", "syy", "sxy", "ux", "uy"), f), dphi=dphi, dpsi=dpsi)
-        for k in ("sxx", "syy", "sxy", "ux", "uy", "dphi", "dpsi"):
-            want, got = wants.get(k), getattr(grid, k)
-            assert (got is None) == (want is None), (s, k)
-            assert want is None or got[where].tobytes() == want.tobytes(), (s, k)
-    for k in ("sxx", "syy", "sxy", "ux", "uy", "dphi", "dpsi"):
-        assert getattr(grid, k) is None or np.isnan(getattr(grid, k)[~grid.mask]).all()
+        assert grid.rows.shape == (len(f), ny, nx), s
+        assert grid.rows[:, where].tobytes() == f.tobytes(), s
+        assert grid.dphi[where].tobytes() == dphi.tobytes() and grid.dpsi[where].tobytes() == dpsi.tobytes(), s
+    for values in (grid.rows[:, ~grid.mask], grid.dphi[~grid.mask], grid.dpsi[~grid.mask]):
+        assert np.isnan(values).all()
 
 
 def test_cli_eval_outputs_are_those_of_eval_grid(monkeypatch, tmp_path):
@@ -266,7 +263,7 @@ def test_cli_eval_outputs_are_those_of_eval_grid(monkeypatch, tmp_path):
     Z, ref = X + 1j * Y, spec.reference
     dphi, dpsi = ring_exact_potentials(np.where(grid.mask, Z, 1.0), ref["p"], ref["r"], ref["R"])
     srr_ref, stt_ref = ring_exact_stress(np.where(grid.mask, np.abs(Z), ref["r"]), ref["p"], ref["r"], ref["R"])
-    srr, stt, srt = rotate_stress(grid.sxx, grid.syy, grid.sxy, np.angle(Z))
+    srr, stt, srt = rotate_stress(*grid.rows[:3], np.angle(Z))
     want = {
         "rel_l2_dphi": rel_l2(grid.dphi, dphi, grid.mask),
         "rel_l2_dpsi": rel_l2(grid.dpsi, dpsi, grid.mask),
@@ -285,12 +282,31 @@ def test_cli_eval_outputs_are_those_of_eval_grid(monkeypatch, tmp_path):
         assert open(whole).read() == open(os.path.join(out, "fields.csv")).read(), block
 
 
+def test_heldout_residuals_is_one_loss_forward(configs):
+    # dd_plate_hole: outer pieces (k = 2 residual components) and interfaces (k = 4)
+    spec = configs["dd_plate_hole"]
+    pairs = _initialized_pairs(spec)
+    got = heldout_residuals(pairs, spec, 300, seed=11)
+    _, rec = loss_forward(pairs, sample_boundary(spec.domain, 300, Rng(11).spawn(7)), spec)
+    assert {r.shape[1] for r in rec.residuals} == {2, 4}
+    mean_sq = lambda rs: float(np.sum(np.concatenate([r.ravel() for r in rs]) ** 2)) / sum(r.size for r in rs)
+    outer = [r for g, r in zip(rec.groups, rec.residuals) if g.outer]
+    iface = [r for g, r in zip(rec.groups, rec.residuals) if not g.outer]
+    assert got["outer_rms"] == math.sqrt(mean_sq(outer)) and got["interface_rms"] == math.sqrt(mean_sq(iface))
+    # per piece: each sample's squared norm, added with math.fsum
+    assert got["piece_rms"] == [math.sqrt(math.fsum(np.sum(r * r, axis=1)) / r.size) for r in rec.residuals]
+    assert got["z"].tobytes() == np.concatenate([g.z for g in rec.groups]).tobytes()
+    assert got["piece"].tolist() == [g.piece for g in rec.groups for _ in g.z]
+    assert got["norm"].tobytes() == np.concatenate([np.linalg.norm(r, axis=1) for r in rec.residuals]).tobytes()
+    assert got["z"].size == 300 and 0.0 < got["outer_rms"] < math.inf
+
+
 def test_grid_l2_constant_offset():
     problem = ring_problem()
     pair = _trained_free_pair()
     grid = eval_grid([pair], problem, 16, 16)
     shifted = eval_grid([pair], problem, 16, 16)
-    shifted.sxx = shifted.sxx + 0.75
+    shifted.rows[0] += 0.75
     err = grid_l2_error(shifted, grid)
     assert abs(err["sxx"] - 0.75) < 1e-12
     assert err["syy"] == 0.0
@@ -301,8 +317,8 @@ def test_grid_l2_error_matches_two_pass_oracle():
     mask = np.ones((8, 20), dtype=bool)
     a = rng.normal(160).reshape(8, 20)
     b = rng.normal(160).reshape(8, 20)
-    ga = GridField(np.arange(20.0), np.arange(8.0), mask, np.zeros((8, 20), int), a, a, a)
-    gb = GridField(np.arange(20.0), np.arange(8.0), mask, np.zeros((8, 20), int), b, b, b)
+    ga = GridField(np.arange(20.0), np.arange(8.0), mask, np.stack([a, a, a]), None, None)
+    gb = GridField(np.arange(20.0), np.arange(8.0), mask, np.stack([b, b, b]), None, None)
     err = grid_l2_error(ga, gb)["sxx"]
     # independent accumulation: mean of squares, then sqrt
     acc = 0.0
@@ -316,7 +332,7 @@ def test_grid_l2_error_matches_two_pass_oracle():
 def test_grid_l2_symmetry_and_triangle(seed):
     rng = Rng(seed)
     mask = np.ones((4, 10), dtype=bool)
-    mk = lambda arr: GridField(np.arange(10.0), np.arange(4.0), mask, np.zeros((4, 10), int), arr, arr, arr)
+    mk = lambda arr: GridField(np.arange(10.0), np.arange(4.0), mask, np.stack([arr, arr, arr]), None, None)
     a, b, c = (rng.normal(40).reshape(4, 10) for _ in range(3))
     dab = grid_l2_error(mk(a), mk(b))["sxx"]
     dba = grid_l2_error(mk(b), mk(a))["sxx"]

@@ -182,6 +182,22 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         (("outputs", "dir"), [1], [], "error: outputs.dir: expected a nonempty string, got [1]"),
         ((*PIECES, 0, "name"), [1], [], "error: geometry.pieces[0].name: expected a nonempty string, got [1]"),
         (("name",), {"a": 1}, [], "error: name: expected a nonempty string, got {'a': 1}"),
+        (("training", "n_tset"), 8, [], "error: training: unknown field 'n_tset'; expected one of epochs, lr,"),
+        (("training", "lr_decya"), 0.5, [], "error: training: unknown field 'lr_decya'"),
+        (("networks", "activaton"), "cos", [], "error: networks: unknown field 'activaton'"),
+        (("outputs", "gird"), [8, 8], [], "error: outputs: unknown field 'gird'; expected one of grid, dir"),
+        (("refrence",), {}, [], "error: config: unknown field 'refrence'"),
+        (("material", "nu"), 0.3, [], "error: material: unknown field 'nu'"),
+        (("geometry", "n_subdomain"), 1, [], "error: geometry: unknown field 'n_subdomain'"),
+        ((*PIECES, 1, "radius"), 1.0, [], "error: geometry.pieces[1]: unknown field 'radius'; expected one of kind, p0,"),
+        ((*PIECES, 1, "bc", "data"), {"constant": [0.0, 0.0]}, [], "error: geometry.pieces[1].bc: unknown field 'data'"),
+        ((*PIECES, 0, "bc", "data", "constant"), [0.0, 0.0], [],
+         "error: geometry.pieces[0].bc.data: unknown field 'normal_pressure'; expected one of constant"),
+        (("geometry", "regions", 0, "patch"), [], [], "error: geometry.regions[0]: unknown field 'patch'"),
+        ((*PATCH, "disk_in"), [], [], "error: geometry.regions[0].patches[0]: unknown field 'disk_in'"),
+        (("reference", "q"), 1.0, [], "error: reference: unknown field 'q'; expected one of kind, p, r, R"),
+        (("reference", "p"), 0, [], "error: reference.p: ring pressure must be nonzero, got 0"),
+        (("reference", "p"), -0.0, [], "error: reference.p: ring pressure must be nonzero, got 0"),
     ],
     ids=[
         "grid_one", "grid_nonpositive", "constant_3", "pressure_str", "radius_str", "side_str", "subdomain_str",
@@ -192,7 +208,9 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         "lambda_null", "pressure_nan", "subdomain_float", "subdomain_numeric_str", "material_int", "networks_int",
         "training_list", "outputs_list", "pieces_object", "piece_int", "bc_str", "bc_data_float", "regions_object",
         "region_int", "patches_object", "patch_str", "disks_out_float", "rect_reversed", "disk_radius_negative",
-        "dir_list", "piece_name_list", "name_object",
+        "dir_list", "piece_name_list", "name_object", "training_typo", "lr_decay_typo", "activation_typo",
+        "grid_typo", "root_typo", "material_extra", "geometry_typo", "line_with_radius", "symmetry_with_data",
+        "data_both", "region_typo", "patch_typo", "reference_extra", "ref_p_zero", "ref_p_negative_zero",
     ],
 )
 def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, keys, value, args, message):
@@ -229,6 +247,16 @@ def test_interface_subdomains_must_be_distinct_and_nonnegative(tmp_path, subs):
     path.write_text(json.dumps(doc))
     want = rf"^geometry\.pieces\[{i}\]\.bc\.subdomains: interface needs two distinct subdomains, got {subs[0]}, {subs[1]}$"
     with pytest.raises(ConfigError, match=want):
+        load_config(str(path))
+
+
+def test_interface_piece_names_its_subdomains_in_the_bc_only(tmp_path):
+    doc = json.load(open(config_path("dd_plate_hole")))
+    i = next(k for k, p in enumerate(doc["geometry"]["pieces"]) if p["bc"]["type"] == "interface")
+    doc["geometry"]["pieces"][i]["subdomain"] = 0
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=rf"^geometry\.pieces\[{i}\]: unknown field 'subdomain'; expected one of kind, "):
         load_config(str(path))
 
 
@@ -493,7 +521,7 @@ def test_fields_csv_matches_per_cell_formatting(tmp_path, with_u):
     mask[0, 1] = True
     xs, ys = np.linspace(-2.0, 0.0, nx), np.linspace(0.1, 2.0, ny)
     us = vals[3:] if with_u else [None, None]
-    grid = GridField(xs, ys, mask, np.zeros((ny, nx), int), *vals[:3], *us)
+    grid = GridField(xs, ys, mask, np.stack(vals if with_u else vals[:3]), None, None)
     path = str(tmp_path / "fields.csv")
     write_fields_csv(path, [grid])
     # reference: str() of each numpy scalar, empty cells where masked or absent
