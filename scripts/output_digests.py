@@ -4,7 +4,9 @@ Usage: python scripts/output_digests.py [REPO]
 
 Runs the holoelastic CLI of REPO (default: the checkout that holds this
 script) single-threaded inside a temporary directory, which is removed
-afterwards, and hashes:
+afterwards.  It sets the three BLAS thread variables itself, because in
+checkouts older than the package root's HOLOELASTIC_THREADS cap that
+variable does not reach the BLAS.  It hashes:
 
   <config>/checkpoint.json, history.csv  `train` for 20 epochs (all configs)
   <config>/fields.csv                     `eval --grid 40x40` of that checkpoint

@@ -2,43 +2,16 @@
 
 The governing equations are satisfied by construction: the networks output
 Kolosov-Muskhelishvili potentials, so training only fits boundary residuals.
+
+The package root exports nothing; import the submodules.  Importing it caps
+the BLAS thread pools at HOLOELASTIC_THREADS, when set, before any submodule
+loads numpy; a BLAS variable set explicitly keeps its value.
 """
 
-from .elasticity import (
-    ConstantData,
-    Displacement,
-    Interface,
-    Material,
-    NormalPressure,
-    PlaneMode,
-    Symmetry,
-    Traction,
-    assemble_loss,
-    bc_operator,
-    bc_residual,
-    interface_residual,
-    km_fields,
-    material_derived,
-)
-from .geometry import Arc, BoundaryPiece, DomainSpec, Line, Side, sample_boundary
-from .jets import ActivationKind, NonFiniteError
-from .network import (
-    BranchPair,
-    HoloMLP,
-    LayerParams,
-    Mode,
-    ShallowApprox,
-    build_mlp,
-    checkpoint_load,
-    checkpoint_save,
-    constructive_shallow,
-    init_weights,
-    mlp_forward,
-    shallow_eval,
-)
-from .problem import ProblemSpec, load_config
-from .rng import Rng
-from .training import AdamState, History, TrainConfig, adam_step, train
+import os
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+if os.environ.get("HOLOELASTIC_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["HOLOELASTIC_THREADS"])
+
 __version__ = "0.1.0"

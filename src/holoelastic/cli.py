@@ -6,25 +6,24 @@ Commands:
   init-check <config>                 per-layer variance report CSV
   approx-demo                         shallow-approximator sup-error study
   sample <config>                     boundary sample CSV
-
-Heavy imports happen inside the commands so the HOLOELASTIC_THREADS cap can
-be applied to the BLAS thread pools before numpy loads.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
 
+import numpy as np
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("HOLOELASTIC_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
+from . import export, training  # training.train is looked up per call, so it can be wrapped
+from .analytics import RingErrors, grid_blocks, variance_report
+from .geometry import sample_boundary
+from .network import checkpoint_load, checkpoint_save, constructive_shallow, shallow_eval
+from .problem import load_config
+from .rng import Rng
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -35,6 +34,16 @@ def _grid(text: str) -> tuple[int, int]:
     if nx < 1 or ny < 1:
         raise argparse.ArgumentTypeError(f"expected NxM with positive N and M, got {text!r}")
     return nx, ny
+
+
+def _units(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 4:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 4, got {text!r}")
+    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--seed", type=int, default=None)
 
     a = sub.add_parser("approx-demo", help="shallow approximator convergence study")
-    a.add_argument("--n", type=int, default=32, help="largest unit count (doubling from 4)")
+    a.add_argument("--n", type=_units, default=32, help="largest unit count (doubling from 4)")
     a.add_argument("--target", default="inv_shift", choices=("inv_shift", "exp"))
     a.add_argument("--out", default="approx.csv")
 
@@ -70,21 +79,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _out_path(spec, name: str) -> str:
-    os.makedirs(spec.outputs.out_dir, exist_ok=True)
     return os.path.join(spec.outputs.out_dir, name)
 
 
 def _cmd_train(args) -> int:
-    from . import export
-    from .network import checkpoint_save
-    from .problem import load_config
-    from .training import train
-
     spec = load_config(args.config)
     if args.seed is not None:
         spec.training.seed = args.seed
     t0 = time.perf_counter()
-    pairs, history = train(spec)
+    pairs, history = training.train(spec)
     elapsed = time.perf_counter() - t0
     ckpt = _out_path(spec, "checkpoint.json")
     checkpoint_save(ckpt, pairs)
@@ -102,11 +105,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from . import export
-    from .analytics import RingErrors, grid_blocks
-    from .network import checkpoint_load
-    from .problem import load_config
-
     spec = load_config(args.config)
     pairs = checkpoint_load(args.checkpoint)
     if len(pairs) != spec.domain.n_subdomains:
@@ -145,10 +143,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_init_check(args) -> int:
-    from . import export
-    from .analytics import variance_report
-    from .problem import load_config
-
     spec = load_config(args.config)
     beta = args.beta if args.beta is not None else spec.training.beta
     seed = args.seed if args.seed is not None else spec.training.seed
@@ -161,13 +155,6 @@ def _cmd_init_check(args) -> int:
 
 
 def _cmd_approx_demo(args) -> int:
-    import numpy as np
-
-    from . import export
-    from .network import constructive_shallow, shallow_eval
-
-    import math
-
     if args.target == "inv_shift":
         target = lambda z: 1.0 / (1.5 - z)
         taylor = lambda n: [1.5 ** -(k + 1) for k in range(n)]
@@ -191,11 +178,6 @@ def _cmd_approx_demo(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from . import export
-    from .geometry import sample_boundary
-    from .problem import load_config
-    from .rng import Rng
-
     spec = load_config(args.config)
     n = args.n if args.n is not None else spec.training.n_train
     seed = args.seed if args.seed is not None else spec.training.seed
@@ -217,7 +199,6 @@ _COMMANDS = {
 
 def run_command(argv) -> int:
     """Dispatch a CLI invocation; returns the process exit code."""
-    _apply_thread_cap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

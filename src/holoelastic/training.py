@@ -39,8 +39,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.n_test < 0 or self.n_train <= 0:
             raise ValueError("epochs/n_test must be >= 0 and n_train positive")
-        if self.lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be a finite positive number, got {self.lr}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not self.beta > 0.0:
@@ -119,15 +119,14 @@ def init_pairs(
         init_weights(pair.psi, probe, beta, m_e, rng.spawn(101 + 2 * i))
 
 
-def train(
-    problem: "ProblemSpec", cfg: Optional[TrainConfig] = None
-) -> tuple[list[BranchPair], History]:
-    """Train networks for `problem`; returns the pairs and the loss history.
+def train(problem: "ProblemSpec") -> tuple[list[BranchPair], History]:
+    """Train networks for `problem` with the settings of `problem.training`;
+    returns the pairs and the loss history.
 
     Losses recorded at epoch e are evaluated before the e-th parameter
     update, so entry 0 is the loss of the freshly initialized networks.
     """
-    cfg = cfg if cfg is not None else problem.training
+    cfg = problem.training
     domain = problem.domain
     rng = Rng(cfg.seed)
     packed_train = pack_batch(sample_boundary(domain, cfg.n_train, rng.spawn(1)), domain)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -54,6 +55,11 @@ def ring_problem(epochs=0, seed=0, n_train=200, n_test=20) -> ProblemSpec:
         reference={"kind": "ring", "p": -1.0, "r": 0.5, "R": 2.0},
         name="ring_test",
     )
+
+
+def with_training(problem: ProblemSpec, **training) -> ProblemSpec:
+    """`problem` with the given training settings replaced."""
+    return dataclasses.replace(problem, training=dataclasses.replace(problem.training, **training))
 
 
 def traction_square_domain() -> DomainSpec:

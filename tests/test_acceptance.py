@@ -15,7 +15,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CONFIG_NAMES, config_path, fd_equilibrium, fd_trace_laplacian, grad_check, net_stress_fn
+from conftest import (
+    CONFIG_NAMES,
+    config_path,
+    fd_equilibrium,
+    fd_trace_laplacian,
+    grad_check,
+    net_stress_fn,
+    with_training,
+)
 from holoelastic.analytics import (
     eval_grid,
     heldout_residuals,
@@ -33,15 +41,11 @@ from holoelastic.jets import ActivationKind
 from holoelastic.network import BETA2, BETA3, constructive_shallow, mlp_forward, shallow_eval
 from holoelastic.problem import load_config
 from holoelastic.rng import Rng
-from holoelastic.training import TrainConfig, build_pairs, init_pairs, train
+from holoelastic.training import build_pairs, init_pairs, train
 
 
 def _cfg(name):
     return load_config(config_path(name))
-
-
-def _with(cfg: TrainConfig, **kw) -> TrainConfig:
-    return TrainConfig(**{**cfg.__dict__, **kw})
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +55,7 @@ def ring_runs():
     runs = []
     for seed in (0, 1, 2):
         t0 = time.perf_counter()
-        pairs, history = train(spec, _with(spec.training, seed=seed))
+        pairs, history = train(with_training(spec, seed=seed))
         runs.append({"seed": seed, "pairs": pairs, "history": history, "secs": time.perf_counter() - t0})
     return spec, runs
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import re
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_NAMES, checkpoint_json, ring_quadrant_domain
+from conftest import CONFIG_NAMES, checkpoint_json, ring_quadrant_domain, with_training
 from holoelastic import network
 from holoelastic.geometry import sample_boundary
 from holoelastic.jets import ActivationKind, NonFiniteError, activate_jets, affine_jets, seed_jets
@@ -288,7 +287,7 @@ def _saved(tmp_path, pairs) -> str:
 @pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_checkpoint_bytes_are_those_of_one_json_dumps(tmp_path, configs, name):
     spec = configs[name]
-    pairs, _ = train(spec, dataclasses.replace(spec.training, epochs=0))
+    pairs, _ = train(with_training(spec, epochs=0))
     assert _saved(tmp_path, pairs) == checkpoint_json(pairs)
 
 

@@ -3,12 +3,15 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import CONFIG_DIR, CONFIG_NAMES, config_path
+import holoelastic
 from holoelastic.analytics import GridField
 from holoelastic.cli import run_command
 from holoelastic.elasticity import Displacement, Interface, Symmetry, Traction
@@ -472,6 +475,30 @@ def test_cli_approx_demo(tmp_path):
     lines = open(out).read().splitlines()
     errs = [float(l.split(",")[1]) for l in lines[1:]]
     assert errs == sorted(errs, reverse=True)
+
+
+@pytest.mark.parametrize("n", ["2", "-5", "3", "four"])
+def test_cli_approx_demo_rejects_fewer_than_4_units(tmp_path, capsys, n):
+    out = str(tmp_path / "approx.csv")
+    assert run_command(["approx-demo", f"--n={n}", "--out", out]) == 2
+    assert f"argument --n: expected an integer of at least 4, got '{n}'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_package_import_caps_blas_threads_before_numpy_loads():
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    src = os.path.dirname(os.path.dirname(holoelastic.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env.update(HOLOELASTIC_THREADS="3", PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
+    probe = f"import os, sys, holoelastic; print('numpy' in sys.modules, *(os.environ.get(v) for v in {blas!r}))"
+
+    def run(**preset):
+        done = subprocess.run([sys.executable, "-c", probe], env={**env, **preset}, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    assert run() == ["False", "3", "3", "3"]
+    assert run(OPENBLAS_NUM_THREADS="2") == ["False", "3", "2", "3"]
 
 
 def test_cli_init_check(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ring_problem, square_problem
+from conftest import ring_problem, square_problem, with_training
 from holoelastic.autodiff import loss_value, pack_batch
 from holoelastic.geometry import sample_boundary
 from holoelastic.jets import NonFiniteError
@@ -17,6 +17,9 @@ def test_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
+    for lr in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"lr must be a finite positive number, got {lr}"):
+            TrainConfig(lr=lr)
     with pytest.raises(ValueError):
         TrainConfig(lr_decay=0.0)
     with pytest.raises(ValueError):
@@ -74,7 +77,7 @@ def test_zero_epochs_returns_initialized_nets():
 
 def test_epoch0_loss_is_initial_loss_and_lr0_like_behavior():
     problem = ring_problem(epochs=5, seed=2)
-    pairs0, _ = train(problem, TrainConfig(**{**problem.training.__dict__, "epochs": 0}))
+    pairs0, _ = train(with_training(problem, epochs=0))
     _, history = train(problem)
     rng = Rng(problem.training.seed)
     samples = sample_boundary(problem.domain, problem.training.n_train, rng.spawn(1))
@@ -85,9 +88,8 @@ def test_epoch0_loss_is_initial_loss_and_lr0_like_behavior():
 def test_tiny_lr_keeps_parameters_still():
     # lr > 0 is required, so probe the invariant with a negligible rate
     problem = ring_problem(epochs=3, seed=1)
-    cfg = TrainConfig(**{**problem.training.__dict__, "lr": 1e-300})
-    pairs, history = train(problem, cfg)
-    fresh, _ = train(problem, TrainConfig(**{**cfg.__dict__, "epochs": 0}))
+    pairs, history = train(with_training(problem, lr=1e-300))
+    fresh, _ = train(with_training(problem, epochs=0))
     assert np.allclose(flatten_params(pairs), flatten_params(fresh), rtol=0, atol=1e-250)
     assert np.allclose(history.train_loss, history.train_loss[0])
 
@@ -102,9 +104,8 @@ def test_history_deterministic_across_runs():
 
 def test_test_loss_has_no_side_effects():
     problem = ring_problem(epochs=6, seed=5)
-    cfg_no_test = TrainConfig(**{**problem.training.__dict__, "n_test": 0})
     pairs_a, ha = train(problem)
-    pairs_b, hb = train(problem, cfg_no_test)
+    pairs_b, hb = train(with_training(problem, n_test=0))
     assert ha.train_loss == hb.train_loss
     assert np.array_equal(flatten_params(pairs_a), flatten_params(pairs_b))
     assert all(math.isnan(v) for v in hb.test_loss)
