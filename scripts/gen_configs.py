@@ -221,10 +221,10 @@ def dd_plate_hole() -> ProblemSpec:
         BoundaryPiece(Arc(0j, r, pi, 1.5 * pi), T0(), Side.LEFT, (2,), "hole_sw"),
         BoundaryPiece(Arc(0j, r, 1.5 * pi, 2.0 * pi), T0(), Side.LEFT, (3,), "hole_se"),
         # interfaces between adjacent quadrants
-        BoundaryPiece(Line(r * 1j, h * 1j), Interface(0, 1), Side.RIGHT, (0, 1), "iface_ne_nw"),
-        BoundaryPiece(Line(-h + 0j, -r + 0j), Interface(1, 2), Side.RIGHT, (1, 2), "iface_nw_sw"),
-        BoundaryPiece(Line(-r * 1j, -h * 1j), Interface(2, 3), Side.RIGHT, (2, 3), "iface_sw_se"),
-        BoundaryPiece(Line(r + 0j, h + 0j), Interface(3, 0), Side.RIGHT, (3, 0), "iface_se_ne"),
+        BoundaryPiece(Line(r * 1j, h * 1j), Interface(), Side.RIGHT, (0, 1), "iface_ne_nw"),
+        BoundaryPiece(Line(-h + 0j, -r + 0j), Interface(), Side.RIGHT, (1, 2), "iface_nw_sw"),
+        BoundaryPiece(Line(-r * 1j, -h * 1j), Interface(), Side.RIGHT, (2, 3), "iface_sw_se"),
+        BoundaryPiece(Line(r + 0j, h + 0j), Interface(), Side.RIGHT, (3, 0), "iface_se_ne"),
     ]
     quads = [(0.0, h, 0.0, h), (-h, 0.0, 0.0, h), (-h, 0.0, -h, 0.0), (0.0, h, -h, 0.0)]
     regions = [Region((Patch(rect=q, disks_out=((0j, r),)),)) for q in quads]
@@ -267,7 +267,7 @@ def _piece_json(p: geo.BoundaryPiece) -> dict:
     elif isinstance(bc, el.Symmetry):
         out["bc"] = {"type": "symmetry"}
     else:
-        out["bc"] = {"type": "interface", "subdomains": [bc.a, bc.b]}
+        out["bc"] = {"type": "interface", "subdomains": list(p.subdomains)}
     if not isinstance(bc, el.Interface):
         out["subdomain"] = p.subdomains[0]
     out["side"] = p.side.value

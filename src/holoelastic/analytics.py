@@ -20,6 +20,7 @@ from . import geometry as geo
 from .autodiff import field_adjoints, loss_forward, pack_batch
 from .jets import ActivationKind, NonFiniteError
 from .network import BranchPair, HoloMLP, Mode, branch_backward, forward_jets, mlp_forward
+from .problem import NetworkConfig, OutputConfig, ProblemSpec
 from .rng import Rng
 from .training import TrainConfig, build_pairs, init_pairs
 
@@ -223,10 +224,8 @@ def _branch_grad_var(net: HoloMLP, caches: list, channel: int) -> list[float]:
     return [_cvar(gw) for gw, _ in branch_backward(net, caches, seed)]
 
 
-def _square_problem(hidden: Sequence[int], activation: ActivationKind) -> "ProblemSpec":
+def _square_problem(hidden: Sequence[int], activation: ActivationKind) -> ProblemSpec:
     """Homogeneous square benchmark: clamped bottom/left, traction-free right/top."""
-    from .problem import NetworkConfig, OutputConfig, ProblemSpec
-
     if len(set(hidden)) != 1:
         raise ValueError(f"need one or more hidden layers of equal width, got {list(hidden)}")
     zero = el.ConstantData(0.0, 0.0)
@@ -315,9 +314,9 @@ def heldout_residuals(pairs, problem, n_points: int, seed: int) -> dict:
     index ("piece") and residual norm ("norm"), in loss_forward's order."""
     samples = geo.sample_boundary(problem.domain, n_points, Rng(seed).spawn(7))
     _, rec = loss_forward(pairs, samples, problem)
-    iface = [r.ravel() for g, r in zip(rec.groups, rec.residuals) if not g.outer]
+    iface = [r.ravel() for g, r in zip(rec.groups, rec.residuals) if len(g.sides) == 2]
     return {
-        "outer_rms": rms(np.concatenate([r.ravel() for g, r in zip(rec.groups, rec.residuals) if g.outer])),
+        "outer_rms": rms(np.concatenate([r.ravel() for g, r in zip(rec.groups, rec.residuals) if len(g.sides) == 1])),
         "interface_rms": rms(np.concatenate(iface)) if iface else None,
         "piece_rms": [rms(r) for r in rec.residuals],
         "z": np.concatenate([g.z for g in rec.groups]),

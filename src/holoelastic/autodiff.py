@@ -27,7 +27,7 @@ mode), and its adjoint has the same channels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
@@ -49,14 +49,13 @@ class Group:
     """All samples of one boundary piece, sorted by the piece parameter."""
 
     piece: int
-    outer: bool  # False on an interface
     alpha: float  # loss weight of el.group_weights
-    subs: tuple[int, ...]
     z: np.ndarray
     t: np.ndarray
     A: np.ndarray  # (B, k, 5) residual operator of el.bc_operator
     d: np.ndarray  # (B, k) prescribed data
-    slices: dict[int, slice] = field(default_factory=dict)
+    # (subdomain, rows of its eval_z) per side: one on an outer piece, a then b on an interface
+    sides: tuple[tuple[int, slice], ...]
 
 
 @dataclass
@@ -77,6 +76,7 @@ def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
     outer = [not p.is_interface for p in domain.pieces]
     alphas = el.group_weights([piece_length(p) for p in domain.pieces], outer)
     groups = []
+    chunks: dict[int, list[np.ndarray]] = {i: [] for i in range(domain.n_subdomains)}
     for idx, piece in enumerate(domain.pieces):
         rows = np.flatnonzero(samples.piece == idx)
         if rows.size == 0:
@@ -84,15 +84,12 @@ def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
         rows = rows[np.argsort(samples.t[rows], kind="stable")]
         z = samples.z[rows]
         A, d = el.bc_operator(piece.bc, samples.normal[rows], z)
-        groups.append(Group(idx, outer[idx], alphas[idx], tuple(piece.subdomains), z, samples.t[rows], A, d))
-    chunks: dict[int, list[np.ndarray]] = {i: [] for i in range(domain.n_subdomains)}
-    offsets = {i: 0 for i in range(domain.n_subdomains)}
-    for g in groups:
-        for sub in g.subs:
-            start = offsets[sub]
-            chunks[sub].append(g.z)
-            offsets[sub] = start + g.z.size
-            g.slices[sub] = slice(start, start + g.z.size)
+        sides = []
+        for sub in piece.subdomains:
+            start = sum(c.size for c in chunks[sub])
+            chunks[sub].append(z)
+            sides.append((sub, slice(start, start + z.size)))
+        groups.append(Group(idx, alphas[idx], z, samples.t[rows], A, d, tuple(sides)))
     return PackedBatch(groups, {s: np.concatenate(c) for s, c in chunks.items()})
 
 
@@ -153,11 +150,8 @@ def _residuals(groups: list[Group], fields: dict[int, np.ndarray]) -> list[np.nd
     """Per-group (B, k) residuals from each subdomain's (nf, B) field rows."""
     out = []
     for g in groups:
-        fa = fields[g.subs[0]][:, g.slices[g.subs[0]]]
-        if g.outer:
-            out.append(el.bc_residual(g.A, g.d, fa))
-        else:
-            out.append(el.interface_residual(g.A, fa, fields[g.subs[1]][:, g.slices[g.subs[1]]]))
+        fa, *fb = (fields[sub][:, rows] for sub, rows in g.sides)
+        out.append(el.interface_residual(g.A, fa, *fb) if fb else el.bc_residual(g.A, g.d, fa))
     return out
 
 
@@ -230,11 +224,12 @@ def field_adjoints(rec: LossRecord) -> list[tuple[np.ndarray, np.ndarray]]:
     # own slice (negated on side b of an interface, whose residual is A fa - A fb)
     adj = {sub: np.zeros_like(sp.fields) for sub, sp in rec.subs.items()}
     for g, r in zip(rec.groups, rec.residuals):
-        nf = adj[g.subs[0]].shape[0]
+        (sa, rows), *side_b = g.sides
+        nf = adj[sa].shape[0]
         at = np.einsum("bkf,bk->fb", g.A[:, :, :nf], (2.0 * g.alpha / r.shape[0]) * r)
-        adj[g.subs[0]][:, g.slices[g.subs[0]]] += at
-        if not g.outer:
-            adj[g.subs[1]][:, g.slices[g.subs[1]]] -= at
+        adj[sa][:, rows] += at
+        for sb, rows in side_b:
+            adj[sb][:, rows] -= at
     return [el.km_fields_adjoint(sp.z, adj[sub], rec.material) for sub, sp in rec.subs.items()]
 
 

@@ -43,6 +43,9 @@ def _units(text: str) -> int:
         n = 0
     if n < 4:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 4, got {text!r}")
+    # the shallow approximator overflows a double from 131 units on the unit disk; counts double from 4
+    if n > 128:
+        raise argparse.ArgumentTypeError(f"expected an integer of at most 128, got {text!r}")
     return n
 
 
@@ -67,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     i.add_argument("--seed", type=int, default=None)
 
     a = sub.add_parser("approx-demo", help="shallow approximator convergence study")
-    a.add_argument("--n", type=_units, default=32, help="largest unit count (doubling from 4)")
+    a.add_argument("--n", type=_units, default=32, help="largest unit count, 4-128 (doubling from 4)")
     a.add_argument("--target", default="inv_shift", choices=("inv_shift", "exp"))
     a.add_argument("--out", default="approx.csv")
 
@@ -111,16 +114,12 @@ def _cmd_eval(args) -> int:
         raise ValueError(
             f"checkpoint has {len(pairs)} network pairs, config needs {spec.domain.n_subdomains}"
         )
-    nets = spec.networks
-    want_hidden = [nets.units] * nets.hidden_layers + [1]
+    arch = lambda net: f"{net.widths[1:]}/{net.mode.value}/{net.activation.value}"
+    want = arch(training.build_pairs(spec)[0].phi)  # zero weights: np.zeros pages stay untouched
     for pair in pairs:
         for net in (pair.phi, pair.psi):
-            got = net.widths[1:]
-            if got != want_hidden or net.mode is not nets.mode or net.activation is not nets.activation:
-                raise ValueError(
-                    f"checkpoint architecture {got}/{net.mode.value}/{net.activation.value} does not "
-                    f"match config {want_hidden}/{nets.mode.value}/{nets.activation.value}"
-                )
+            if arch(net) != want:
+                raise ValueError(f"checkpoint architecture {arch(net)} does not match config {want}")
     nx, ny = args.grid or spec.outputs.grid
     errors = RingErrors(spec.reference) if spec.reference else None  # load_config admits only the ring
     interior = []

@@ -162,12 +162,7 @@ class Symmetry:
 
 @dataclass(frozen=True)
 class Interface:
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a == self.b or self.a < 0 or self.b < 0:
-            raise ValueError(f"interface needs two distinct subdomains, got {self.a}, {self.b}")
+    """Continuity of (u, t) from side a to side b, its piece's first and second subdomain."""
 
 
 BCKind = Union[Traction, Displacement, Symmetry, Interface]

@@ -51,17 +51,13 @@ class BoundaryPiece:
     name: str = ""
 
     def __post_init__(self):
-        if piece_length(self) <= 0.0:
+        if piece_length(self) <= 0.0:  # also an arc of radius <= 0
             raise ValueError(f"piece {self.name!r} has non-positive length")
-        if isinstance(self.shape, Arc) and self.shape.radius <= 0.0:
-            raise ValueError(f"piece {self.name!r} has non-positive radius")
-        is_iface = isinstance(self.bc, Interface)
-        if is_iface != (len(self.subdomains) == 2):
-            raise ValueError(
-                f"piece {self.name!r}: interface pieces carry exactly two subdomains"
-            )
-        if is_iface and set(self.subdomains) != {self.bc.a, self.bc.b}:
-            raise ValueError(f"piece {self.name!r}: interface ids do not match subdomains")
+        # an interface joins sides a and b, subdomains[0] and [1]; other pieces bound one subdomain
+        subs = self.subdomains
+        if len(set(subs)) != len(subs) or len(subs) != 1 + self.is_interface:
+            raise ValueError(f"piece {self.name!r}: an interface needs two distinct subdomains, any other piece one, "
+                             f"got {list(subs)}")
 
     @property
     def is_interface(self) -> bool:

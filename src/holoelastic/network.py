@@ -380,7 +380,10 @@ def checkpoint_load(path: str) -> list[BranchPair]:
                 raise ValueError(f"checkpoint {path}: pair {pi} {name}: missing or malformed {e}") from e
             except ValueError as e:
                 raise ValueError(f"checkpoint {path}: pair {pi} {name}: {e}") from e
-        pairs.append(BranchPair(nets["phi"], nets["psi"]))
+        try:
+            pairs.append(BranchPair(nets["phi"], nets["psi"]))
+        except ValueError as e:
+            raise ValueError(f"checkpoint {path}: pair {pi}: {e}") from e
     return pairs
 
 

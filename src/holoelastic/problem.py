@@ -72,6 +72,16 @@ def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
 
 
+def _made(path: str, make):
+    """make(), its ValueError reported at `path`; a ConfigError passes as it is."""
+    try:
+        return make()
+    except ConfigError:
+        raise
+    except ValueError as e:
+        _fail(path, str(e))
+
+
 def _obj(v, path: str) -> dict:
     if not isinstance(v, dict):
         _fail(path, f"expected an object, got {v!r}")
@@ -149,10 +159,9 @@ def _parse_bc(obj: dict, path: str) -> tuple[el.BCKind, tuple[int, ...]]:
         if not (isinstance(subs, list) and len(subs) == 2):
             _fail(path, "interface needs 'subdomains': [a, b]")
         a, b = (_int(s, f"{path}.subdomains") for s in subs)
-        try:
-            return el.Interface(a, b), (a, b)
-        except ValueError as e:
-            _fail(f"{path}.subdomains", str(e))
+        if a == b or a < 0 or b < 0:
+            _fail(f"{path}.subdomains", f"interface needs two distinct subdomains, got {a}, {b}")
+        return el.Interface(), (a, b)
     _fail(path, f"unknown bc type {kind!r}")
 
 
@@ -172,11 +181,7 @@ def _parse_piece(obj: dict, i: int) -> geo.BoundaryPiece:
     _keys(obj, path, "kind", *read, "bc", *(() if subs else ("subdomain",)), "side", "name")
     subs = subs or (_int(_need(obj, "subdomain", path), f"{path}.subdomain"),)
     name = _str(obj.get("name", f"piece{i}"), f"{path}.name")
-    try:
-        side = geo.Side(obj.get("side", "left"))
-        return geo.BoundaryPiece(shape, bc, side, subs, name=name)
-    except ValueError as e:
-        _fail(path, str(e))
+    return _made(path, lambda: geo.BoundaryPiece(shape, bc, geo.Side(obj.get("side", "left")), subs, name=name))
 
 
 def _rows(obj: dict, key: str, n: int, path: str) -> list[tuple[float, ...]]:
@@ -217,10 +222,7 @@ def load_config(path: str) -> ProblemSpec:
     _keys(doc, "config", "name", "material", "geometry", "networks", "training", "outputs", "reference")
     mat_obj = _keys(_need(doc, "material", "config"), "material", "lambda", "mu", "mode")
     lam, mu = (_num(_need(mat_obj, k, "material"), f"material.{k}") for k in ("lambda", "mu"))
-    try:
-        material = el.Material(lam, mu, el.PlaneMode(mat_obj.get("mode", "plane_strain")))
-    except ValueError as e:
-        raise ConfigError(f"material: {e}")
+    material = _made("material", lambda: el.Material(lam, mu, el.PlaneMode(mat_obj.get("mode", "plane_strain"))))
 
     geo_obj = _keys(_need(doc, "geometry", "config"), "geometry", "n_subdomains", "pieces", "regions")
     piece_objs = _list(_need(geo_obj, "pieces", "geometry"), "geometry.pieces")
@@ -232,19 +234,12 @@ def load_config(path: str) -> ProblemSpec:
             for i, r in enumerate(_list(geo_obj["regions"], "geometry.regions"))
         ]
     n_sub = _int(geo_obj.get("n_subdomains", 1), "geometry.n_subdomains")
-    try:
-        domain = geo.DomainSpec(pieces, n_sub, regions)
-    except ValueError as e:
-        raise ConfigError(f"geometry: {e}")
+    domain = _made("geometry", lambda: geo.DomainSpec(pieces, n_sub, regions))
 
     net_obj = _keys(_need(doc, "networks", "config"), "networks", "hidden_layers", "units", "activation", "mode")
     layers, units = (_int(_need(net_obj, k, "networks"), f"networks.{k}") for k in ("hidden_layers", "units"))
-    try:
-        networks = NetworkConfig(
-            layers, units, ActivationKind(net_obj.get("activation", "exp")), Mode(net_obj.get("mode", "standard"))
-        )
-    except ValueError as e:
-        raise ConfigError(f"networks: {e}")
+    act, mode = net_obj.get("activation", "exp"), net_obj.get("mode", "standard")
+    networks = _made("networks", lambda: NetworkConfig(layers, units, ActivationKind(act), Mode(mode)))
 
     tr_obj = _need(doc, "training", "config")
     _keys(tr_obj, "training", "epochs", "lr", "n_train", "n_test", "seed", "beta", "m_e", "lr_decay")
@@ -252,10 +247,7 @@ def load_config(path: str) -> ProblemSpec:
     fields.update({k: _int(tr_obj.get(k, v), f"training.{k}") for k, v in (("n_test", 0), ("seed", 0), ("m_e", 3))})
     fields["lr"] = _num(_need(tr_obj, "lr", "training"), "training.lr")
     fields.update({k: _num(tr_obj.get(k, v), f"training.{k}") for k, v in (("beta", 0.5), ("lr_decay", 1.0))})
-    try:
-        training = TrainConfig(**fields)
-    except ValueError as e:
-        raise ConfigError(f"training: {e}")
+    training = _made("training", lambda: TrainConfig(**fields))
 
     out_obj = _keys(doc.get("outputs", {}), "outputs", "grid", "dir")
     grid = out_obj.get("grid", [40, 40])
@@ -273,17 +265,5 @@ def load_config(path: str) -> ProblemSpec:
         if not 0.0 < r < R:
             _fail("reference.r", f"need 0 < r < R, got r={r}, R={R}")
 
-    try:
-        return ProblemSpec(
-            material=material,
-            domain=domain,
-            networks=networks,
-            training=training,
-            outputs=outputs,
-            reference=ref,
-            name=_str(doc.get("name", os.path.splitext(os.path.basename(path))[0]), "name"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"config: {e}")
+    name = _str(doc.get("name", os.path.splitext(os.path.basename(path))[0]), "name")
+    return _made("config", lambda: ProblemSpec(material, domain, networks, training, outputs, ref, name))

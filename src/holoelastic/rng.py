@@ -43,16 +43,14 @@ class Rng:
         self._counter += n
         return _mix64(self._key + idx * _GOLDEN)
 
-    def uniform(self, n: int | None = None, low: float = 0.0, high: float = 1.0):
-        """Uniform floats in [low, high) with 53-bit resolution."""
-        m = 1 if n is None else int(n)
-        u = (self._raw(m) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
-        out = low + (high - low) * u
-        return float(out[0]) if n is None else out
+    def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        """n uniform floats in [low, high) with 53-bit resolution."""
+        u = (self._raw(int(n)) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        return low + (high - low) * u
 
-    def normal(self, n: int | None = None, mean: float = 0.0, std: float = 1.0):
-        """Standard normals via Box-Muller on uniform pairs."""
-        m = 1 if n is None else int(n)
+    def normal(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+        """n normals via Box-Muller on uniform pairs."""
+        m = int(n)
         pairs = (m + 1) // 2
         raw = self._raw(2 * pairs)
         # u1 in (0, 1] so log() is finite
@@ -61,8 +59,7 @@ class Rng:
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:m]
-        out = mean + std * z
-        return float(out[0]) if n is None else out
+        return mean + std * z
 
     def complex_normal(self, n: int, std: float = 1.0) -> np.ndarray:
         """Complex samples with Re and Im i.i.d. N(0, std^2)."""

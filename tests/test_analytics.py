@@ -290,8 +290,8 @@ def test_heldout_residuals_is_one_loss_forward(configs):
     _, rec = loss_forward(pairs, sample_boundary(spec.domain, 300, Rng(11).spawn(7)), spec)
     assert {r.shape[1] for r in rec.residuals} == {2, 4}
     mean_sq = lambda rs: float(np.sum(np.concatenate([r.ravel() for r in rs]) ** 2)) / sum(r.size for r in rs)
-    outer = [r for g, r in zip(rec.groups, rec.residuals) if g.outer]
-    iface = [r for g, r in zip(rec.groups, rec.residuals) if not g.outer]
+    outer = [r for g, r in zip(rec.groups, rec.residuals) if len(g.sides) == 1]
+    iface = [r for g, r in zip(rec.groups, rec.residuals) if len(g.sides) == 2]
     assert got["outer_rms"] == math.sqrt(mean_sq(outer)) and got["interface_rms"] == math.sqrt(mean_sq(iface))
     # per piece: each sample's squared norm, added with math.fsum
     assert got["piece_rms"] == [math.sqrt(math.fsum(np.sum(r * r, axis=1)) / r.size) for r in rec.residuals]

@@ -181,7 +181,7 @@ def test_displacement_residual_needs_displacements():
 
 def test_interface_residual_cases():
     f1 = np.array([[1.0], [2.0], [0.5], [0.1], [0.2]])
-    A, d = bc_operator(Interface(0, 1), 1 + 0j, 0j)
+    A, d = bc_operator(Interface(), 1 + 0j, 0j)
     assert np.all(d == 0.0)
     r = interface_residual(A, f1, f1)
     assert np.allclose(r, 0.0)
@@ -189,7 +189,7 @@ def test_interface_residual_cases():
     f2 = np.array([[1.0], [2.0], [0.5 - 0.3], [0.1], [0.2]])
     r = interface_residual(A, f1, f2)
     assert np.allclose(r.ravel(), [0.0, 0.0, 0.0, 0.3])
-    r_flip = interface_residual(bc_operator(Interface(0, 1), -1 + 0j, 0j)[0], f1, f2)
+    r_flip = interface_residual(bc_operator(Interface(), -1 + 0j, 0j)[0], f1, f2)
     assert np.allclose(np.linalg.norm(r_flip), np.linalg.norm(r))
     assert np.allclose(r_flip.ravel()[3], -0.3)
 
@@ -215,14 +215,9 @@ def test_bc_operators_match_the_written_out_conditions():
     g = rng.normal(size=(5, B))
     gxx, gyy, gxy, gux, guy = g
     gx, gy = gxx * nx + gxy * ny, gxy * nx + gyy * ny
-    A, _ = bc_operator(Interface(0, 1), n, z)
+    A, _ = bc_operator(Interface(), n, z)
     jump = [ux - gux, uy - guy, tx - gx, ty - gy]
     assert np.allclose(interface_residual(A, f, g), np.array(jump).T, atol=1e-14)
-
-
-def test_interface_residual_distinct_ids():
-    with pytest.raises(ValueError):
-        Interface(2, 2)
 
 
 def test_assemble_loss_alpha_split():

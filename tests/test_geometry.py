@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import config_path, ring_quadrant_domain
-from holoelastic.elasticity import ConstantData, Traction
+from holoelastic.elasticity import ConstantData, Interface, Traction
 from holoelastic.geometry import (
     Arc,
     BoundaryPiece,
@@ -40,6 +40,14 @@ def test_degenerate_arc_rejected():
         BoundaryPiece(Arc(0, 2.0, 1.0, 1.0), BC, Side.LEFT, (0,))
     with pytest.raises(ValueError):
         BoundaryPiece(Line(1j, 1j), BC, Side.LEFT, (0,))
+
+
+def test_interface_piece_needs_two_distinct_subdomains():
+    # an interface piece names sides a and b; every other piece bounds one subdomain
+    for bc, subs in ((Interface(), (2, 2)), (Interface(), (1,)), (Interface(), (0, 1, 2)), (BC, (0, 1)), (BC, ())):
+        with pytest.raises(ValueError, match="an interface needs two distinct subdomains, any other piece one"):
+            BoundaryPiece(Line(0, 1), bc, Side.LEFT, subs)
+    assert BoundaryPiece(Line(0, 1), Interface(), Side.LEFT, (2, 0)).subdomains == (2, 0)
 
 
 def test_line_normal_sides():

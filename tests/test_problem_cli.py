@@ -46,7 +46,7 @@ def test_dd_config_structure(configs):
     ifaces = [p for p in spec.domain.pieces if isinstance(p.bc, Interface)]
     assert len(ifaces) == 4
     for p in ifaces:
-        assert set(p.subdomains) == {p.bc.a, p.bc.b}
+        assert len(set(p.subdomains)) == 2
 
 
 def _gen_configs_script():
@@ -201,6 +201,9 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         (("reference", "q"), 1.0, [], "error: reference: unknown field 'q'; expected one of kind, p, r, R"),
         (("reference", "p"), 0, [], "error: reference.p: ring pressure must be nonzero, got 0"),
         (("reference", "p"), -0.0, [], "error: reference.p: ring pressure must be nonzero, got 0"),
+        (("material", "mode"), "x", [], "error: material: 'x' is not a valid PlaneMode"),
+        (("networks", "activation"), "x", [], "error: networks: 'x' is not a valid ActivationKind"),
+        (("networks", "mode"), "x", [], "error: networks: 'x' is not a valid Mode"),
     ],
     ids=[
         "grid_one", "grid_nonpositive", "constant_3", "pressure_str", "radius_str", "side_str", "subdomain_str",
@@ -214,6 +217,7 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         "dir_list", "piece_name_list", "name_object", "training_typo", "lr_decay_typo", "activation_typo",
         "grid_typo", "root_typo", "material_extra", "geometry_typo", "line_with_radius", "symmetry_with_data",
         "data_both", "region_typo", "patch_typo", "reference_extra", "ref_p_zero", "ref_p_negative_zero",
+        "plane_mode_str", "activation_str", "net_mode_str",
     ],
 )
 def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, keys, value, args, message):
@@ -386,9 +390,11 @@ def test_cli_eval_rejects_checkpoint_of_another_activation(tmp_path, capsys):
          "pair 0 psi: layer 1 bias must hold finite numbers"),
         (lambda d: d["pairs"][0]["phi"]["layers"][2]["bias"].__setitem__(0, ["0.5", True]),
          "pair 0 phi: layer 3 bias must hold finite numbers"),
+        (lambda d: d["pairs"][0]["psi"].update(mode="stress_only"),
+         "checkpoint.json: pair 0: both branches must share the mode"),
     ],
     ids=["short_weights", "long_bias", "zero_width", "broken_chain", "missing_weights", "no_pairs",
-         "nan_weight", "inf_bias", "string_bias"],
+         "nan_weight", "inf_bias", "string_bias", "mixed_modes"],
 )
 def test_cli_eval_rejects_malformed_checkpoint(tmp_path, capsys, edit, message):
     cfg, out = _mini_ring(tmp_path, epochs=0)
@@ -482,6 +488,15 @@ def test_cli_approx_demo_rejects_fewer_than_4_units(tmp_path, capsys, n):
     out = str(tmp_path / "approx.csv")
     assert run_command(["approx-demo", f"--n={n}", "--out", out]) == 2
     assert f"argument --n: expected an integer of at least 4, got '{n}'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("n", ["129", "256"])
+def test_cli_approx_demo_rejects_more_than_128_units(tmp_path, capsys, n):
+    # the unit counts double from 4, and 256 units overflow a double on the unit disk
+    out = str(tmp_path / "approx.csv")
+    assert run_command(["approx-demo", f"--n={n}", "--out", out]) == 2
+    assert f"argument --n: expected an integer of at most 128, got '{n}'" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
