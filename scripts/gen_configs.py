@@ -133,7 +133,7 @@ def clamped_square() -> ProblemSpec:
         MAT,
         DomainSpec(pieces, 1, [region]),
         NetworkConfig(4, 100),
-        TrainConfig(epochs=1000, lr=1e-4, n_train=200, n_test=20, seed=0),
+        TrainConfig(epochs=1000, lr=1e-4, n_train=200, n_test=20, seed=0, precision="single"),
         OutputConfig((40, 40), "out/clamped_square"),
         name="clamped_square",
     )
@@ -322,6 +322,8 @@ def save_config(spec: ProblemSpec, path: str) -> None:
         },
         "outputs": {"grid": list(spec.outputs.grid), "dir": spec.outputs.out_dir},
     }
+    if spec.training.precision != "double":  # the default is left out
+        doc["training"]["precision"] = spec.training.precision
     if spec.domain.regions is not None:
         doc["geometry"]["regions"] = [_region_json(r) for r in spec.domain.regions]
     if spec.reference is not None:

@@ -33,6 +33,13 @@ variable does not reach the BLAS.  It hashes:
                                           the displacement-free fields.csv rows; the
                                           report re-runs the two-channel phi branch
                                           at order 2
+  clamped_square@double/checkpoint.json, history.csv, fields.csv
+                                          `train` for 20 epochs and `eval --grid 40x40`
+                                          of clamped_square with its training.precision
+                                          key deleted: clamped_square trains with
+                                          single-precision branch sweeps, so these are
+                                          the only runs of 100-wide nets through the
+                                          double-precision training path
   <config>/samples.csv                    `sample --n 300` (all configs)
   approx.csv                              `approx-demo --n 32`
   <config>@<act>/checkpoint.json, history.csv
@@ -154,6 +161,10 @@ def main(argv: list[str]) -> int:
         _show(f"{label}/fields.csv", os.path.join(out, "fields.csv"))
         run("init-check", cfg)
         _show(f"{label}/variance.csv", os.path.join(out, "variance.csv"))
+        label = "clamped_square@double"
+        cfg, _, ckpt = train(tmp, "clamped_square", label, lambda doc: doc["training"].pop("precision", None))
+        run("eval", cfg, ckpt, "--grid", "40x40")
+        _show(f"{label}/fields.csv", os.path.join(os.path.dirname(ckpt), "fields.csv"))
         approx = os.path.join(tmp, "approx.csv")
         run("approx-demo", "--n", "32", "--out", approx)
         _show("approx.csv", approx)

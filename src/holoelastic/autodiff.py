@@ -177,6 +177,7 @@ def loss_forward(
     problem: "ProblemSpec",
     test: Optional[PackedBatch] = None,
     sweep_psi: bool = True,
+    dtype=np.complex128,
 ) -> tuple[float, LossRecord]:
     """Boundary loss of the networks on a sample batch, with its record.
 
@@ -184,7 +185,9 @@ def loss_forward(
     subdomain through the same branch forwards: rec.test_loss equals
     loss_value on it bit for bit, and loss_backward leaves its points out.
     With sweep_psi False the psi branch keeps no layer caches, so only phi
-    sweeps (branch_backward) can read the record, not loss_backward.
+    sweeps (branch_backward) can read the record, not loss_backward.  The
+    branches and their caches compute in the complex `dtype`; the field map,
+    residuals and loss are double whatever it is.
     """
     packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
     if len(pairs) != problem.domain.n_subdomains:
@@ -197,7 +200,7 @@ def loss_forward(
         n = z.size
         zz = z if test is None else np.concatenate((z, test.eval_z[sub]))
         cphi, cpsi = [], []
-        jp, jq = mlp_forward(pairs[sub], zz, f"pair {sub} ", (cphi, cpsi if sweep_psi else None))
+        jp, jq = mlp_forward(pairs[sub], zz, f"pair {sub} ", (cphi, cpsi if sweep_psi else None), dtype)
         fields = el.km_fields(zz, jp, jq, problem.material)
         subs[sub] = SubdomainPass(z, cphi, cpsi, fields[:, :n])
         test_fields[sub] = fields[:, n:]

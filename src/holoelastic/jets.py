@@ -58,7 +58,6 @@ def _cos_sqrt_series(z: np.ndarray, k: int) -> np.ndarray:
 
 
 def _cos_sqrt_derivs(z: np.ndarray, order: int) -> tuple[np.ndarray, ...]:
-    z = np.asarray(z, dtype=np.complex128)
     small = np.abs(z) < _COS_SQRT_SWITCH
     zs = np.where(small, 1.0, z)  # keep the closed form off the singularity
     w = np.sqrt(zs)
@@ -79,27 +78,29 @@ _CLEAR = np.ones((2, 2))  # see act_derivs
 
 
 def act_derivs(kind: ActivationKind, y: np.ndarray, order: int = 3) -> tuple[np.ndarray, ...]:
-    """Activation value and derivatives up to `order` (elementwise).
+    """Activation value and derivatives up to `order` (elementwise), at y's complex precision.
 
     Overflow is not clipped and not warned about here; callers detect
     non-finite results and abort with context.
     """
+    y = np.asarray(y)
+    dtype = np.result_type(y, np.complex64)
+    # evaluated in complex128: numpy's complex64 exp/cos/sin are slower than that plus two casts
+    y = y.astype(np.complex128, copy=False)
     # libm's complex exp/cos/sin run 10-20x slower right after an OpenBLAS zgemm
     # (600x100 exp, Haswell Xeon: 29 vs 1.5 ms); a real matmul restores full speed.
     _CLEAR @ _CLEAR
-    y = np.asarray(y, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         if kind is ActivationKind.EXP:
-            e = np.exp(y)
+            e = np.exp(y).astype(dtype, copy=False)
             return (e,) * (order + 1)
+        if kind is ActivationKind.COS_SQRT:
+            return tuple(d.astype(dtype, copy=False) for d in _cos_sqrt_derivs(y, order))
+        c, s = np.cos(y).astype(dtype, copy=False), np.sin(y).astype(dtype, copy=False)
         if kind is ActivationKind.COS:
-            c, s = np.cos(y), np.sin(y)
             return (c, -s, -c, s)[: order + 1]
         if kind is ActivationKind.SIN:
-            c, s = np.cos(y), np.sin(y)
             return (s, c, -s, -c)[: order + 1]
-        if kind is ActivationKind.COS_SQRT:
-            return _cos_sqrt_derivs(y, order)
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -110,12 +111,12 @@ def act_derivs(kind: ActivationKind, y: np.ndarray, order: int = 3) -> tuple[np.
 # channels lets each affine layer run as a single GEMM.
 
 
-def seed_jets(z: np.ndarray, order: int = 2) -> np.ndarray:
-    """Identity jets (z, 1, 0) of the given order (0, 1 or 2) at the points z."""
+def seed_jets(z: np.ndarray, order: int = 2, dtype=np.complex128) -> np.ndarray:
+    """Identity jets (z, 1, 0) of the given order (0, 1 or 2) at the points z, of the complex dtype."""
     z = np.asarray(z, dtype=np.complex128).ravel()
     if not np.isfinite(z).all():
         raise ValueError("seed_jets requires finite inputs")
-    out = np.zeros((order + 1, z.size, 1), dtype=np.complex128)
+    out = np.zeros((order + 1, z.size, 1), dtype=dtype)
     out[0, :, 0] = z
     if order >= 1:
         out[1, :, 0] = 1.0
@@ -123,10 +124,10 @@ def seed_jets(z: np.ndarray, order: int = 2) -> np.ndarray:
 
 
 def affine_jets(jets: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """(n,B,Ni) jets through y = W x + b; the bias touches the value channel only."""
+    """(n,B,Ni) jets through y = W x + b in the jets' dtype; the bias touches the value channel only."""
     n, b, ni = jets.shape
-    out = (jets.reshape(n * b, ni) @ weights.T).reshape(n, b, weights.shape[0])
-    out[0] += bias
+    out = (jets.reshape(n * b, ni) @ weights.astype(jets.dtype, copy=False).T).reshape(n, b, weights.shape[0])
+    out[0] += bias.astype(jets.dtype, copy=False)
     return out
 
 
@@ -140,7 +141,7 @@ def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.
     n, b, ni = jets.shape
     a2 = adj.reshape(n * b, adj.shape[2])
     gw = a2.T @ np.conj(jets).reshape(n * b, ni)
-    da = None if weights is None else (a2 @ np.conj(weights)).reshape(n, b, ni)
+    da = None if weights is None else (a2 @ np.conj(weights.astype(adj.dtype, copy=False))).reshape(n, b, ni)
     return gw, adj[0].sum(axis=0), da
 
 

@@ -116,9 +116,10 @@ def forward_jets(
     caches: Optional[list] = None,
     where: str = "",
     check_layers: bool = False,
+    dtype=np.complex128,
 ) -> np.ndarray:
-    """Evaluate the network on seeded jets of `order`; returns the (order + 1, B)
-    value and derivative channels.
+    """Evaluate the network on seeded jets of `order`, computing in the complex
+    `dtype`; returns the (order + 1, B) complex128 value and derivative channels.
 
     With a `caches` list, appends one (input jets, derivative jet) entry per
     layer for branch_backward; the output layer has no activation and caches
@@ -127,13 +128,12 @@ def forward_jets(
     Only the output is checked for finiteness: a hidden overflow reaches it
     through any derivative channel (0 * inf after exp(-inf) = 0), and order-0
     jets, which have none, check every layer.  A non-finite output re-runs
-    with `check_layers`, raising NonFiniteError that names the first bad
-    hidden layer after `where`; if none is bad, the output is returned for
-    the caller to report.
+    with `check_layers` at the same dtype, raising NonFiniteError that names
+    the first bad hidden layer after `where`; if none is bad, it is returned.
     """
     keep = caches is not None
     check_layers = check_layers or order == 0
-    jets = seed_jets(z, order)
+    jets = seed_jets(z, order, dtype)
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(net.layers):
@@ -149,32 +149,33 @@ def forward_jets(
                     )
             if keep:
                 caches.append((x, g))
-    out = jets[:, :, 0]
+    out = jets[:, :, 0].astype(np.complex128, copy=False)
     if not check_layers and not np.isfinite(out).all():
-        forward_jets(net, z, order, where=where, check_layers=True)
+        forward_jets(net, z, order, where=where, check_layers=True, dtype=dtype)
     return out
 
 
 def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Reverse sweep of forward_jets from an (n, B) output adjoint.
 
-    Returns per layer the packed (dL/dW, dL/db).  Only the first n channels
-    and the first B rows of the caches take part: rows past B hold test
-    points, and an adjoint that is zero above channel n - 1 stays so through
-    every layer (the Leibniz rule of truncated series), so a sweep seeded at
-    a low channel skips the rows above it.  Each layer's (input jets,
-    derivative jet) cache is all its adjoints read.  Reads the live weight
-    arrays, so it must run before they are updated.
+    Runs in the caches' dtype; returns per layer the packed complex128
+    (dL/dW, dL/db).  Only the first n channels and the first B rows of the
+    caches take part: rows past B hold test points, and an adjoint that is
+    zero above channel n - 1 stays so through every layer (the Leibniz rule
+    of truncated series), so a sweep seeded at a low channel skips the rows
+    above it.  Each layer's (input jets, derivative jet) cache is all its
+    adjoints read.  Reads the live weight arrays, so it must run before they
+    are updated.
     """
     n, b = adj.shape
-    a = adj[:, :, None]
+    a = adj[:, :, None].astype(caches[0][0].dtype, copy=False)
     grads = []
     for i in reversed(range(len(net.layers))):
         x, g = caches[i]
         if g is not None:
             a = activate_jets_adjoint(a, g[:n, :b])
         gw, gb, a = affine_jets_adjoint(a, x[:n, :b], net.layers[i].weights if i else None)
-        grads.append((gw, gb))
+        grads.append((gw.astype(np.complex128, copy=False), gb.astype(np.complex128, copy=False)))
     return grads[::-1]
 
 
@@ -183,15 +184,16 @@ def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[n
 JET_ORDERS = {Mode.STANDARD: (2, 1), Mode.STRESS_ONLY: (1, 0)}
 
 
-def mlp_forward(pair: BranchPair, z, where: str = "", caches=None) -> tuple[np.ndarray, np.ndarray]:
+def mlp_forward(pair: BranchPair, z, where: str = "", caches=None, dtype=np.complex128) -> tuple[np.ndarray, np.ndarray]:
     """The (phi, psi) branch jets of `pair` at the points z (flattened), each at
     its JET_ORDERS order, for elasticity.km_fields.  With `caches`, a (phi, psi)
-    pair of lists, records each branch's forward_jets layer caches.  An
+    pair of lists, records each branch's forward_jets layer caches.  Both
+    branches compute in the complex `dtype` and return complex128.  An
     overflow names "{where}phi" or "{where}psi" and the layer."""
     cphi, cpsi = caches or (None, None)
     order_phi, order_psi = JET_ORDERS[pair.mode]
-    jp = forward_jets(pair.phi, z, order_phi, cphi, where=where + "phi ")
-    jq = forward_jets(pair.psi, z, order_psi, cpsi, where=where + "psi ")
+    jp = forward_jets(pair.phi, z, order_phi, cphi, where=where + "phi ", dtype=dtype)
+    jq = forward_jets(pair.psi, z, order_psi, cpsi, where=where + "psi ", dtype=dtype)
     return jp, jq
 
 

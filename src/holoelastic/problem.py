@@ -242,11 +242,12 @@ def load_config(path: str) -> ProblemSpec:
     networks = _made("networks", lambda: NetworkConfig(layers, units, ActivationKind(act), Mode(mode)))
 
     tr_obj = _need(doc, "training", "config")
-    _keys(tr_obj, "training", "epochs", "lr", "n_train", "n_test", "seed", "beta", "m_e", "lr_decay")
+    _keys(tr_obj, "training", "epochs", "lr", "n_train", "n_test", "seed", "beta", "m_e", "lr_decay", "precision")
     fields = {k: _int(_need(tr_obj, k, "training"), f"training.{k}") for k in ("epochs", "n_train")}
     fields.update({k: _int(tr_obj.get(k, v), f"training.{k}") for k, v in (("n_test", 0), ("seed", 0), ("m_e", 3))})
     fields["lr"] = _num(_need(tr_obj, "lr", "training"), "training.lr")
     fields.update({k: _num(tr_obj.get(k, v), f"training.{k}") for k, v in (("beta", 0.5), ("lr_decay", 1.0))})
+    fields["precision"] = _str(tr_obj.get("precision", "double"), "training.precision")
     training = _made("training", lambda: TrainConfig(**fields))
 
     out_obj = _keys(doc.get("outputs", {}), "outputs", "grid", "dir")

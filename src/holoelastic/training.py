@@ -4,7 +4,7 @@ Training is full batch: one epoch is one optimizer step over all training
 points, which are drawn once up front (together with the test points and the
 init probe) from seeded sub-streams of the run seed.  The test loss rides
 the training forward (autodiff.loss_forward's `test`).  Complex weights are
-optimized as independent real pairs.
+optimized as independent real pairs; only the branch sweeps follow `precision`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .jets import NonFiniteError
 from .network import BranchPair, build_mlp, flatten_params, init_weights, write_params
 from .rng import Rng
 
+# training.precision -> the complex dtype of the branch sweeps
+PRECISIONS = {"double": np.complex128, "single": np.complex64}
+
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
 
@@ -35,6 +38,7 @@ class TrainConfig:
     beta: float = 0.5
     m_e: int = 3
     lr_decay: float = 1.0  # per-epoch multiplicative factor
+    precision: str = "double"  # a key of PRECISIONS
 
     def __post_init__(self):
         if self.epochs < 0 or self.n_test < 0 or self.n_train <= 0:
@@ -47,6 +51,8 @@ class TrainConfig:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.m_e < 2:
             raise ValueError(f"m_e must be >= 2, got {self.m_e}")
+        if self.precision not in PRECISIONS:
+            raise ValueError(f"precision must be 'double' or 'single', got {self.precision!r}")
 
 
 # Adam's moment decay rates and denominator guard
@@ -67,18 +73,22 @@ class AdamState:
 def adam_step(
     state: AdamState, grads: np.ndarray, lr: float, params: np.ndarray
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; params and state are updated in place."""
+    """One bias-corrected Adam update; params and state are updated in place,
+    through two work arrays and in the textbook formulas' operation order."""
     if grads.shape != params.shape or grads.shape != state.m.shape:
         raise ValueError("gradient/parameter/state shapes disagree")
-    bad = ~np.isfinite(grads)
-    if bad.any():
-        raise NonFiniteError(f"non-finite gradient at component {int(np.argmax(bad))}")
+    if not np.isfinite(grads).all():
+        raise NonFiniteError(f"non-finite gradient at component {int(np.argmax(~np.isfinite(grads)))}")
     state.step += 1
-    state.m += (1.0 - ADAM_BETA1) * (grads - state.m)
-    state.v += (1.0 - ADAM_BETA2) * (grads * grads - state.v)
-    mhat = state.m / (1.0 - ADAM_BETA1**state.step)
-    vhat = state.v / (1.0 - ADAM_BETA2**state.step)
-    params -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    t = grads - state.m
+    state.m += np.multiply(t, 1.0 - ADAM_BETA1, out=t)
+    u = grads * grads
+    u -= state.v
+    state.v += np.multiply(u, 1.0 - ADAM_BETA2, out=u)
+    np.sqrt(np.divide(state.v, 1.0 - ADAM_BETA2**state.step, out=u), out=u)  # sqrt(vhat)
+    u += ADAM_EPS
+    np.multiply(np.divide(state.m, 1.0 - ADAM_BETA1**state.step, out=t), lr, out=t)  # lr * mhat
+    params -= np.divide(t, u, out=t)
     return params, state
 
 
@@ -143,7 +153,7 @@ def train(problem: "ProblemSpec") -> tuple[list[BranchPair], History]:
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         try:
-            loss, rec = loss_forward(pairs, packed_train, problem, test=packed_test)
+            loss, rec = loss_forward(pairs, packed_train, problem, test=packed_test, dtype=PRECISIONS[cfg.precision])
             grads = loss_backward(rec).to_vector()
             test = rec.test_loss
             del rec  # its caches must not outlive the epoch into the next forward

@@ -330,6 +330,38 @@ def test_hidden_layer_overflow_names_pair_branch_and_layer():
         train(problem)
 
 
+def test_single_precision_overflow_names_pair_branch_and_layer():
+    # complex64 exp overflows past about 88.7 and complex128 past about 709:
+    # a pre-activation near 95 leaves the double loss finite, and the
+    # single-precision forward re-runs in single to name the layer
+    problem, samples, pairs = _ring_setup(n=8, hidden=(10,))
+    pairs[0].phi.layers[0].bias[:] = 95.0
+    assert np.isfinite(loss_value(pairs, samples, problem))
+    with pytest.raises(NonFiniteError, match=r"^non-finite value in pair 0 phi layer 1 \(exp\)$"):
+        loss_forward(pairs, samples, problem, dtype=np.complex64)
+
+
+@pytest.mark.parametrize("name", ["clamped_square", "dd_plate_hole"])
+def test_single_precision_loss_and_gradient_stay_close_to_double(name):
+    # at init on the config's n_train batch (dd_plate_hole adds interface
+    # rows): complex64 branch sweeps, double loss and gradient, within 1e-5
+    problem = load_config(config_path(name))
+    cfg = problem.training
+    rng = Rng(cfg.seed)
+    packed = pack_batch(sample_boundary(problem.domain, cfg.n_train, rng.spawn(1)), problem.domain)
+    pairs = build_pairs(problem)
+    init_pairs(pairs, sample_boundary(problem.domain, 10 * cfg.n_train, rng.spawn(3)).z, cfg.beta, cfg.m_e, rng)
+    ref, rec = loss_forward(pairs, packed, problem)
+    gref = loss_backward(rec).to_vector()
+    loss, rec = loss_forward(pairs, packed, problem, dtype=np.complex64)
+    assert {x.dtype for sp in rec.subs.values() for x, _ in sp.phi + sp.psi} == {np.dtype(np.complex64)}
+    assert all(sp.fields.dtype == np.float64 for sp in rec.subs.values())
+    g = loss_backward(rec).to_vector()
+    assert g.dtype == np.float64 and loss != ref
+    assert abs(loss - ref) <= 1e-5 * ref
+    assert np.linalg.norm(g - gref) <= 1e-5 * np.linalg.norm(gref)
+
+
 def test_gradient_vector_alignment():
     problem, samples, pairs = _ring_setup(n=8)
     _, rec = loss_forward(pairs, samples, problem)

@@ -129,6 +129,18 @@ def test_activation_jets_match_finite_differences(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_act_derivs_keeps_single_precision(kind):
+    # complex64 in, complex64 out: every activation evaluates in complex128
+    # and rounds its results once
+    rng = np.random.default_rng(3)
+    y = (rng.normal(size=40) + 1j * rng.normal(size=40)).astype(np.complex64)
+    got = act_derivs(kind, y, order=3)
+    assert [d.dtype for d in got] == [np.dtype(np.complex64)] * 4
+    for g, r in zip(got, act_derivs(kind, y.astype(np.complex128), order=3)):
+        assert np.array_equal(g, r.astype(np.complex64))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_act_derivs_bitwise_after_complex_gemm(kind):
     # act_derivs runs a real matmul before libm to dodge a slowdown after
     # complex GEMMs; that must change timing only, never a single bit

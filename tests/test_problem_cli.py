@@ -204,6 +204,9 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         (("material", "mode"), "x", [], "error: material: 'x' is not a valid PlaneMode"),
         (("networks", "activation"), "x", [], "error: networks: 'x' is not a valid ActivationKind"),
         (("networks", "mode"), "x", [], "error: networks: 'x' is not a valid Mode"),
+        (("training", "precision"), "half", [], "error: training: precision must be 'double' or 'single', got 'half'"),
+        (("training", "precision"), 32, [], "error: training.precision: expected a nonempty string, got 32"),
+        (("training", "precision"), ["single"], [], "error: training.precision: expected a nonempty string, got ['single']"),
     ],
     ids=[
         "grid_one", "grid_nonpositive", "constant_3", "pressure_str", "radius_str", "side_str", "subdomain_str",
@@ -217,7 +220,7 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         "dir_list", "piece_name_list", "name_object", "training_typo", "lr_decay_typo", "activation_typo",
         "grid_typo", "root_typo", "material_extra", "geometry_typo", "line_with_radius", "symmetry_with_data",
         "data_both", "region_typo", "patch_typo", "reference_extra", "ref_p_zero", "ref_p_negative_zero",
-        "plane_mode_str", "activation_str", "net_mode_str",
+        "plane_mode_str", "activation_str", "net_mode_str", "precision_str", "precision_int", "precision_list",
     ],
 )
 def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, keys, value, args, message):
@@ -265,6 +268,14 @@ def test_interface_piece_names_its_subdomains_in_the_bc_only(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=rf"^geometry\.pieces\[{i}\]: unknown field 'subdomain'; expected one of kind, "):
         load_config(str(path))
+
+
+def test_precision_defaults_to_double(configs):
+    # only clamped_square opts into single-precision branch sweeps
+    assert {n: s.training.precision for n, s in configs.items()} == {
+        n: "single" if n == "clamped_square" else "double" for n in CONFIG_NAMES
+    }
+    assert "precision" not in json.load(open(config_path("ring_quadrant")))["training"]
 
 
 def test_integer_json_numbers_load_as_floats(tmp_path):

@@ -1,15 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import ring_problem, square_problem, with_training
+from conftest import config_path, ring_problem, square_problem, with_training
 from holoelastic.autodiff import loss_value, pack_batch
+from holoelastic.cli import run_command
 from holoelastic.geometry import sample_boundary
 from holoelastic.jets import NonFiniteError
 from holoelastic.network import flatten_params
 from holoelastic.rng import Rng
-from holoelastic.training import AdamState, TrainConfig, adam_step, train
+from holoelastic.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig, adam_step, train
 
 
 def test_config_validation():
@@ -24,6 +26,8 @@ def test_config_validation():
         TrainConfig(lr_decay=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lr_decay=1.5)
+    with pytest.raises(ValueError, match="precision must be 'double' or 'single', got 'half'"):
+        TrainConfig(precision="half")
 
 
 def test_adam_zero_gradient_is_identity():
@@ -60,6 +64,26 @@ def test_adam_two_steps_match_scalar_recurrence():
         vh = v / (1 - 0.999**t)
         p -= 0.1 * mh / (math.sqrt(vh) + 1e-8)
     assert abs(params[0] - p) < 1e-15
+
+
+def test_adam_step_matches_the_textbook_formulas_bit_for_bit():
+    # the in-place update keeps the operations and their order
+    rng = np.random.default_rng(11)
+    n = 1000
+    params = rng.normal(size=n)
+    ref, m, v = params.copy(), np.zeros(n), np.zeros(n)
+    state = AdamState.zeros(n)
+    for step in range(1, 51):
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 3, size=n)
+        lr = 0.03 * 0.99**step
+        adam_step(state, g, lr, params)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        mhat = m / (1.0 - ADAM_BETA1**step)
+        vhat = v / (1.0 - ADAM_BETA2**step)
+        ref -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    assert np.array_equal(params, ref)
+    assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
 
 
 def test_adam_rejects_non_finite_gradient():
@@ -115,3 +139,20 @@ def test_training_reduces_loss_on_square():
     problem = square_problem(epochs=150, seed=0)
     _, history = train(problem)
     assert history.train_loss[-1] < 0.1 * history.train_loss[0]
+
+
+def test_single_precision_training_is_deterministic(tmp_path):
+    # two single-precision runs write the same bytes, which differ from a
+    # double-precision run's
+    doc = json.load(open(config_path("ring_quadrant")))
+    doc["training"].update(epochs=30, n_train=40, n_test=8)
+    runs = {}
+    for tag, precision in (("a", "single"), ("b", "single"), ("double", "double")):
+        doc["training"]["precision"] = precision
+        doc["outputs"]["dir"] = str(tmp_path / tag)
+        cfg = tmp_path / f"{tag}.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_command(["train", str(cfg)]) == 0
+        runs[tag] = [(tmp_path / tag / f).read_bytes() for f in ("history.csv", "checkpoint.json")]
+    assert runs["a"] == runs["b"]
+    assert all(a != d for a, d in zip(runs["a"], runs["double"]))
