@@ -1,11 +1,11 @@
 """Generate the shipped problem configs.
 
-Builds each benchmark geometry from exact arithmetic, self-checks that the
-boundary loops close and that every outward normal points out of the region
-mask, then serializes to configs/*.json with save_config, the inverse of
-holoelastic.problem.load_config.  The JSON files are the source of truth;
-tests/test_problem_cli.py checks that this script reproduces them byte for
-byte.
+Builds each benchmark geometry from exact arithmetic, self-checks that every
+outward normal points out of the subdomain that its piece bounds (DomainSpec
+checks that the boundary loops close), then serializes to configs/*.json with
+save_config, the inverse of holoelastic.problem.load_config.  The JSON files
+are the source of truth; tests/test_problem_cli.py checks that this script
+reproduces them byte for byte.
 
 Run from the repo root:  python scripts/gen_configs.py
 """
@@ -16,8 +16,6 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
-
-import numpy as np
 
 from holoelastic import elasticity as el
 from holoelastic import geometry as geo
@@ -36,8 +34,6 @@ from holoelastic.geometry import (
     BoundaryPiece,
     DomainSpec,
     Line,
-    Patch,
-    Region,
     Side,
     outward_normal,
     piece_point,
@@ -52,29 +48,19 @@ ZERO = ConstantData(0.0, 0.0)
 MAT = Material(1.0, 1.0, PlaneMode.STRAIN)
 
 
-def check_spec(spec: ProblemSpec, closed_loops=True):
-    """Normals must point out of the region; loops must close."""
+def check_spec(spec: ProblemSpec):
+    """Normals must point out of the subdomain a piece bounds; an interface's
+    normal points from one of its subdomains into the other."""
     dom = spec.domain
-    union = Region(tuple(p for r in dom.regions for p in r.patches))
     eps = 1e-6
+    inside = lambda s, z: bool(region_contains(dom.subdomain_pieces(s), z.real, z.imag)[0, 0])
     for piece in dom.pieces:
         for t in (0.21, 0.5, 0.83):
             z = complex(piece_point(piece, t))
             n = complex(outward_normal(piece, t))
-            zin = z - eps * n
-            zout = z + eps * n
-            inside_in = bool(region_contains(union, zin.real, zin.imag))
-            inside_out = bool(region_contains(union, zout.real, zout.imag))
-            if piece.is_interface:
-                assert inside_in and inside_out, f"{spec.name}/{piece.name}: interface not interior"
-            else:
-                assert inside_in, f"{spec.name}/{piece.name}: z - eps*n not inside at t={t}"
-                assert not inside_out, f"{spec.name}/{piece.name}: z + eps*n inside at t={t}"
-    if closed_loops:
-        starts = [complex(piece_point(p, 0.0)) for p in dom.pieces if not p.is_interface]
-        ends = [complex(piece_point(p, 1.0)) for p in dom.pieces if not p.is_interface]
-        for e in ends:
-            assert min(abs(e - s) for s in starts) < 1e-9, f"{spec.name}: open boundary at {e}"
+            sides = sorted((inside(s, z - eps * n), inside(s, z + eps * n)) for s in piece.subdomains)
+            want = [(False, True), (True, False)] if piece.is_interface else [(True, False)]
+            assert sides == want, f"{spec.name}/{piece.name}: normal at t={t} does not leave its subdomain"
 
 
 def ring_quadrant() -> ProblemSpec:
@@ -86,10 +72,9 @@ def ring_quadrant() -> ProblemSpec:
         BoundaryPiece(Arc(0j, r, math.pi, math.pi / 2), Traction(ZERO), Side.RIGHT, (0,), "inner"),
         BoundaryPiece(Line(r * 1j, R * 1j), Symmetry(), Side.RIGHT, (0,), "axis_y"),
     ]
-    region = Region((Patch(rect=(-R, 0.0, 0.0, R), disks_in=((0j, R),), disks_out=((0j, r),)),))
     return ProblemSpec(
         MAT,
-        DomainSpec(pieces, 1, [region]),
+        DomainSpec(pieces),
         NetworkConfig(2, 10),
         TrainConfig(epochs=1000, lr=0.03, n_train=200, n_test=20, seed=0),
         OutputConfig((40, 40), "out/ring_quadrant"),
@@ -108,10 +93,9 @@ def plate_hole_quadrant() -> ProblemSpec:
         BoundaryPiece(Arc(0j, r, math.pi / 2, math.pi), Traction(ZERO), Side.LEFT, (0,), "hole"),
         BoundaryPiece(Line(-r + 0j, -h + 0j), Symmetry(), Side.LEFT, (0,), "axis_x"),
     ]
-    region = Region((Patch(rect=(-h, 0.0, 0.0, h), disks_out=((0j, r),)),))
     return ProblemSpec(
         MAT,
-        DomainSpec(pieces, 1, [region]),
+        DomainSpec(pieces),
         NetworkConfig(2, 10),
         TrainConfig(epochs=2000, lr=0.03, n_train=200, n_test=20, seed=0),
         OutputConfig((40, 40), "out/plate_hole_quadrant"),
@@ -128,10 +112,9 @@ def clamped_square() -> ProblemSpec:
         BoundaryPiece(Line(h + h * 1j, -h + h * 1j), Traction(ConstantData(1.0, 0.0)), Side.RIGHT, (0,), "top"),
         BoundaryPiece(Line(-h + h * 1j, -h - h * 1j), Traction(ZERO), Side.RIGHT, (0,), "left"),
     ]
-    region = Region((Patch(rect=(-h, h, -h, h)),))
     return ProblemSpec(
         MAT,
-        DomainSpec(pieces, 1, [region]),
+        DomainSpec(pieces),
         NetworkConfig(4, 100),
         TrainConfig(epochs=1000, lr=1e-4, n_train=200, n_test=20, seed=0, precision="single"),
         OutputConfig((40, 40), "out/clamped_square"),
@@ -176,23 +159,9 @@ def rail_section() -> ProblemSpec:
         BoundaryPiece(Line(complex(10.0, 4.5), complex(10.0, 0.0)), T(), Side.LEFT, (0,), "foot_right"),
         BoundaryPiece(Line(complex(10.0, 0.0), 0j), Displacement(ZERO), Side.LEFT, (0,), "foot_bottom"),
     ]
-    hp = (1.0, 1.0, z1.real + z1.imag)  # x + y >= const, right of the web_left line
-    patches = (
-        Patch(rect=(0.0, 10.0, 0.0, 4.0)),
-        Patch(rect=(-1.0, 10.0, 4.0, 4.5), disks_out=((c1, 3.0),)),
-        Patch(rect=(-1.0, c5.real, 4.5, 5.0), disks_out=((c1, 3.0), (c5, 0.5))),
-        Patch(rect=(-1.0, z4.real, 5.0, z4.imag), disks_out=((c1, 3.0),)),
-        Patch(rect=(-1.0, 8.0, z4.imag, z1.imag), disks_out=((c1, 3.0), (c4, 3.0))),
-        Patch(rect=(-3.0, 8.0, z1.imag, z2.imag), halfplanes=(hp,), disks_out=((c4, 3.0),)),
-        Patch(rect=(c2.real, c3.real, z2.imag, c2.imag)),
-        Patch(rect=(-4.0, c3.real, z2.imag, c2.imag), disks_in=((c2, 3.0),)),
-        Patch(rect=(c2.real, 8.0, z2.imag, c2.imag), disks_in=((c3, 3.0),)),
-        Patch(rect=(z3.real, (z3 + complex(11, 2)).real, c2.imag, z3.imag + 2.0)),
-    )
-    region = Region(patches)
     return ProblemSpec(
         MAT,
-        DomainSpec(pieces, 1, [region]),
+        DomainSpec(pieces),
         NetworkConfig(5, 100),
         TrainConfig(epochs=4000, lr=5e-4, n_train=400, n_test=40, seed=0),
         OutputConfig((40, 40), "out/rail_section"),
@@ -226,11 +195,9 @@ def dd_plate_hole() -> ProblemSpec:
         BoundaryPiece(Line(-r * 1j, -h * 1j), Interface(), Side.RIGHT, (2, 3), "iface_sw_se"),
         BoundaryPiece(Line(r + 0j, h + 0j), Interface(), Side.RIGHT, (3, 0), "iface_se_ne"),
     ]
-    quads = [(0.0, h, 0.0, h), (-h, 0.0, 0.0, h), (-h, 0.0, -h, 0.0), (0.0, h, -h, 0.0)]
-    regions = [Region((Patch(rect=q, disks_out=((0j, r),)),)) for q in quads]
     return ProblemSpec(
         MAT,
-        DomainSpec(pieces, 4, regions),
+        DomainSpec(pieces, 4),
         NetworkConfig(2, 10),
         TrainConfig(epochs=2000, lr=0.03, n_train=600, n_test=60, seed=0),
         OutputConfig((40, 40), "out/dd_plate_hole"),
@@ -275,22 +242,6 @@ def _piece_json(p: geo.BoundaryPiece) -> dict:
     return out
 
 
-def _region_json(r: geo.Region) -> dict:
-    patches = []
-    for p in r.patches:
-        obj: dict = {}
-        if p.rect is not None:
-            obj["rect"] = list(p.rect)
-        if p.disks_in:
-            obj["disks_in"] = [[c.real, c.imag, rad] for c, rad in p.disks_in]
-        if p.disks_out:
-            obj["disks_out"] = [[c.real, c.imag, rad] for c, rad in p.disks_out]
-        if p.halfplanes:
-            obj["halfplanes"] = [list(h) for h in p.halfplanes]
-        patches.append(obj)
-    return {"patches": patches}
-
-
 def save_config(spec: ProblemSpec, path: str) -> None:
     """Serialize a ProblemSpec; load_config(save_config(s)) == s."""
     doc = {
@@ -324,8 +275,6 @@ def save_config(spec: ProblemSpec, path: str) -> None:
     }
     if spec.training.precision != "double":  # the default is left out
         doc["training"]["precision"] = spec.training.precision
-    if spec.domain.regions is not None:
-        doc["geometry"]["regions"] = [_region_json(r) for r in spec.domain.regions]
     if spec.reference is not None:
         doc["reference"] = spec.reference
     tmp = f"{path}.tmp"

@@ -3,8 +3,8 @@
 The pressurized-ring problem has an exact solution (constant phi', a 1/z^2
 psi'), which makes it the main quantitative benchmark: phi' and psi' are
 unique once a symmetry condition pins rigid motion, unlike phi and psi which
-float by additive constants.  Field grids are masked by analytic containment
-tests (rectangles, disks, halfplanes) of the problem's region spec.
+float by additive constants.  Field grids are masked by the region that each
+subdomain's boundary pieces enclose.
 """
 
 from __future__ import annotations
@@ -86,24 +86,25 @@ def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Itera
     at most for the networks' widest layer, or one grid row when a row is
     wider; so a hidden layer's jets hold (order + 1) * FORWARD_BLOCK entries
     per block, however large the grid and the networks.  Points outside every
-    subdomain region stay masked and carry NaN; a non-finite field at an
-    interior point raises NonFiniteError naming the pair and the point.
-    Grid nodes are cell centers so samples stay clear of the boundary curves.
+    subdomain stay masked and carry NaN; a non-finite field at an interior
+    point raises NonFiniteError naming the pair and the point.
+    Grid nodes are cell centers; one on a piece counts as inside its subdomain.
     """
     domain = problem.domain
-    if domain.regions is None:
-        raise ValueError("problem has no region spec; cannot mask a field grid")
     x0, x1, y0, y1 = domain_bbox(domain)
     xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
     ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
     nf = 5 if pairs[0].mode is Mode.STANDARD else 3
     width = max(max(p.phi.widths + p.psi.widths) for p in pairs)
     step = max(1, FORWARD_BLOCK // (nx * width))
+    band = step * max(1, FORWARD_BLOCK // (nx * step))  # whole blocks, FORWARD_BLOCK nodes at most
     for i in range(0, ny, step):
+        if i % band == 0:  # owners for a band of rows: a region_contains call costs per call more than per row
+            owner = np.full((len(ys[i : i + band]), nx), -1)
+            for s in range(domain.n_subdomains):  # a node on an interface goes to the lower-numbered side
+                owner[geo.region_contains(domain.subdomain_pieces(s), xs, ys[i : i + band]) & (owner < 0)] = s
         X, Y = np.meshgrid(xs, ys[i : i + step])
-        sub = np.full(X.shape, -1, dtype=int)
-        for s, region in enumerate(domain.regions):
-            sub[geo.region_contains(region, X, Y) & (sub < 0)] = s
+        sub = owner[i % band : i % band + step]
         f = np.full((nf,) + X.shape, np.nan)
         dphi, dpsi = np.full(X.shape, np.nan + 0j), np.full(X.shape, np.nan + 0j)
         for s in range(domain.n_subdomains):
@@ -235,8 +236,7 @@ def _square_problem(hidden: Sequence[int], activation: ActivationKind) -> Proble
         geo.BoundaryPiece(geo.Line(1 + 1j, -1 + 1j), el.Traction(zero), geo.Side.RIGHT, (0,), "top"),
         geo.BoundaryPiece(geo.Line(-1 + 1j, -1 - 1j), el.Displacement(zero), geo.Side.RIGHT, (0,), "left"),
     ]
-    region = geo.Region((geo.Patch(rect=(-1.0, 1.0, -1.0, 1.0)),))
-    domain = geo.DomainSpec(pieces, 1, [region])
+    domain = geo.DomainSpec(pieces)
     material = el.Material(1.0, 1.0, el.PlaneMode.STRAIN)
     nets = NetworkConfig(len(hidden), hidden[0], activation, Mode.STANDARD)
     return ProblemSpec(material, domain, nets, TrainConfig(epochs=0), OutputConfig(), name="square")

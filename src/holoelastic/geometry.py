@@ -1,4 +1,4 @@
-"""Boundary geometry: lines and circular arcs, sampling, outward normals.
+"""Boundary geometry: lines and circular arcs, sampling, normals, containment.
 
 Pieces are parameterized by t in [0, 1].  The outward normal of a piece is
 the unit tangent rotated by -90 deg (side RIGHT) or +90 deg (side LEFT); the
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -98,51 +98,13 @@ def outward_normal(p: BoundaryPiece, t) -> np.ndarray:
     return 1j * tan if p.side is Side.LEFT else -1j * tan
 
 
-# --- regions (analytic containment for field grids) -------------------------
-
-
-@dataclass(frozen=True)
-class Patch:
-    """Intersection of analytic primitives; a Region is a union of patches."""
-
-    rect: Optional[tuple[float, float, float, float]] = None  # xmin, xmax, ymin, ymax
-    disks_in: tuple[tuple[complex, float], ...] = ()
-    disks_out: tuple[tuple[complex, float], ...] = ()
-    halfplanes: tuple[tuple[float, float, float], ...] = ()  # a*x + b*y >= c
-
-
-@dataclass(frozen=True)
-class Region:
-    patches: tuple[Patch, ...]
-
-
-def region_contains(region: Region, x, y) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    inside = np.zeros(np.broadcast(x, y).shape, dtype=bool)
-    for p in region.patches:
-        ok = np.ones_like(inside)
-        if p.rect is not None:
-            x0, x1, y0, y1 = p.rect
-            ok &= (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
-        for c, r in p.disks_in:
-            ok &= np.hypot(x - c.real, y - c.imag) <= r
-        for c, r in p.disks_out:
-            ok &= np.hypot(x - c.real, y - c.imag) >= r
-        for a, b, cc in p.halfplanes:
-            ok &= a * x + b * y >= cc
-        inside |= ok
-    return inside
-
-
-# --- domain spec and sampling ------------------------------------------------
+# --- domain spec and containment ----------------------------------------------
 
 
 @dataclass
 class DomainSpec:
     pieces: list[BoundaryPiece]
     n_subdomains: int = 1
-    regions: Optional[list[Region]] = None  # one per subdomain, used for grids
 
     def __post_init__(self):
         for p in self.pieces:
@@ -154,11 +116,65 @@ class DomainSpec:
             raise ValueError(f"subdomain {min(bare)} has no boundary piece")
         if self.outer_length() <= 0.0:
             raise ValueError("total outer boundary length must be positive")
-        if self.regions is not None and len(self.regions) != self.n_subdomains:
-            raise ValueError("need one region per subdomain")
+        tol = 1e-9 * max(piece_length(p) for p in self.pieces)
+        for s in range(self.n_subdomains):  # region_contains needs each subdomain's pieces to close into loops
+            ends = [(p, complex(piece_point(p, t))) for p in self.subdomain_pieces(s) for t in (0.0, 1.0)]
+            for p, z in ends:  # an end meets itself and one more
+                if sum(abs(z - w) <= tol for _, w in ends) < 2:
+                    raise ValueError(f"subdomain {s} is open: piece {p.name!r} meets no other piece at {z:.6g}")
 
     def outer_length(self) -> float:
         return math.fsum(piece_length(p) for p in self.pieces if not p.is_interface)
+
+    def subdomain_pieces(self, s: int) -> list[BoundaryPiece]:
+        """The pieces that bound subdomain s, its interfaces included."""
+        return [p for p in self.pieces if s in p.subdomains]
+
+
+def region_contains(pieces: Sequence[BoundaryPiece], xs, ys) -> np.ndarray:
+    """(len(ys), len(xs)) mask of the grid nodes (x, y), xs ascending, inside
+    the region that the closed loops of `pieces` enclose: a node on a piece,
+    or one whose ray to the right crosses the pieces an odd number of times.
+
+    The nodes of a grid row share their y, so the pieces are cut into parts
+    that each meet a row at most once: lines, and arcs cut at their
+    y-extremes; horizontal lines hold a row between their ends.  A part
+    crosses the rows in [ylo, yhi), so a vertex shared by two parts counts once.
+    """
+    X, Y = np.atleast_1d(np.asarray(xs, float)), np.atleast_1d(np.asarray(ys, float))[:, None]
+    ends = np.array([(p.shape.p0, p.shape.p1) for p in pieces if isinstance(p.shape, Line)], complex).reshape(-1, 2)
+    flat = ends[:, 0].imag == ends[:, 1].imag
+    (x0, x1), (y0, y1) = ends[~flat].real.T, ends[~flat].imag.T
+    arcs = [part for p in pieces if isinstance(p.shape, Arc) for part in _arc_parts(p.shape)]
+    cx, cy, r, sign, ylo, yhi = np.array(arcs).reshape(-1, 6).T
+    lo, hi = np.concatenate([np.minimum(y0, y1), ylo]), np.concatenate([np.maximum(y0, y1), yhi])
+    meet = (lo <= Y) & (Y <= hi)  # (rows, parts)
+    xm = np.where(meet, np.concatenate([
+        x0 + (Y - y0) * ((x1 - x0) / (y1 - y0)), cx + sign * np.sqrt(np.maximum(r * r - (Y - cy) ** 2, 0.0))
+    ], axis=1), np.nan)  # where each part meets each row
+    inside = np.logical_xor.reduce(np.where(Y < hi, xm, np.nan)[:, :, None] > X, axis=1)
+    # a node on a part is one of the two around the meeting point: test those exactly
+    j = np.searchsorted(X, xm)
+    near = np.clip(np.stack([j - 1, j]), 0, X.size - 1)
+    xn, n = X[near], len(x0)
+    on = meet & np.concatenate([
+        (x1 - x0) * (Y - y0) == (y1 - y0) * (xn[..., :n] - x0),
+        (np.hypot(xn[..., n:] - cx, Y - cy) == r) & (sign * (xn[..., n:] - cx) >= 0.0),
+    ], axis=2)
+    inside[np.nonzero(on)[1], near[on]] = True
+    (hx0, hx1), hy = ends[flat].real.T[:, :, None, None], ends[flat, 0].imag[:, None, None]
+    return inside | ((Y == hy) & (np.minimum(hx0, hx1) <= X) & (X <= np.maximum(hx0, hx1))).any(axis=0)
+
+
+def _arc_parts(a: Arc) -> list[tuple[float, ...]]:
+    """The arc cut at theta = (k + 1/2) pi into y-monotone parts
+    (cx, cy, r, sign, ylo, yhi); sign is +1 right of the center, -1 left."""
+    lo, hi = sorted((a.theta0, a.theta1))
+    cuts = [lo, *(math.pi * np.arange(math.floor(lo / math.pi - 0.5) + 1.5, hi / math.pi)), hi]
+    # sin(k pi) is 0 exactly: an arc that ends on its center's horizontal axis ends on it, as the next piece does
+    ys = [a.center.imag + a.radius * (v if abs(v := math.sin(t)) > 1e-15 else 0.0) for t in cuts]
+    return [(a.center.real, a.center.imag, a.radius, math.copysign(1.0, math.cos((t0 + t1) / 2)), *sorted(yy))
+            for t0, t1, *yy in zip(cuts, cuts[1:], ys, ys[1:])]
 
 
 def allocate_counts(lengths: Sequence[float], n: int) -> list[int]:

@@ -88,12 +88,6 @@ def _obj(v, path: str) -> dict:
     return v
 
 
-def _list(v, path: str) -> list:
-    if not isinstance(v, list):
-        _fail(path, f"expected a list, got {v!r}")
-    return v
-
-
 def _keys(obj, path: str, *read: str) -> dict:
     """obj, once every key in it is one of `read`: the keys the loader reads there."""
     for key in _obj(obj, path):
@@ -184,33 +178,6 @@ def _parse_piece(obj: dict, i: int) -> geo.BoundaryPiece:
     return _made(path, lambda: geo.BoundaryPiece(shape, bc, geo.Side(obj.get("side", "left")), subs, name=name))
 
 
-def _rows(obj: dict, key: str, n: int, path: str) -> list[tuple[float, ...]]:
-    return [_nums(v, n, f"{path}.{key}[{k}]") for k, v in enumerate(_list(obj.get(key, []), f"{path}.{key}"))]
-
-
-def _disks(obj: dict, key: str, path: str) -> tuple[tuple[complex, float], ...]:
-    rows = _rows(obj, key, 3, path)
-    for k, (_, _, r) in enumerate(rows):
-        if not r > 0.0:
-            _fail(f"{path}.{key}[{k}]", f"disk radius must be positive, got {r}")
-    return tuple((complex(x, y), r) for x, y, r in rows)
-
-
-def _parse_region(obj: dict, path: str) -> geo.Region:
-    patches = []
-    for j, p in enumerate(_list(_keys(obj, path, "patches").get("patches", []), f"{path}.patches")):
-        pp = f"{path}.patches[{j}]"
-        _keys(p, pp, "rect", "disks_in", "disks_out", "halfplanes")
-        rect = _nums(p["rect"], 4, f"{pp}.rect") if "rect" in p else None
-        if rect and not (rect[0] < rect[1] and rect[2] < rect[3]):
-            _fail(f"{pp}.rect", f"need xmin < xmax and ymin < ymax, got {list(rect)}")
-        disks_in, disks_out = (_disks(p, key, pp) for key in ("disks_in", "disks_out"))
-        patches.append(geo.Patch(rect, disks_in, disks_out, tuple(_rows(p, "halfplanes", 3, pp))))
-    if not patches:
-        _fail(path, "region needs at least one patch")
-    return geo.Region(tuple(patches))
-
-
 def load_config(path: str) -> ProblemSpec:
     """Parse and fully validate a problem config; errors name the JSON path."""
     with open(path) as fh:
@@ -224,17 +191,13 @@ def load_config(path: str) -> ProblemSpec:
     lam, mu = (_num(_need(mat_obj, k, "material"), f"material.{k}") for k in ("lambda", "mu"))
     material = _made("material", lambda: el.Material(lam, mu, el.PlaneMode(mat_obj.get("mode", "plane_strain"))))
 
-    geo_obj = _keys(_need(doc, "geometry", "config"), "geometry", "n_subdomains", "pieces", "regions")
-    piece_objs = _list(_need(geo_obj, "pieces", "geometry"), "geometry.pieces")
+    geo_obj = _keys(_need(doc, "geometry", "config"), "geometry", "n_subdomains", "pieces")
+    piece_objs = _need(geo_obj, "pieces", "geometry")
+    if not isinstance(piece_objs, list):
+        _fail("geometry.pieces", f"expected a list, got {piece_objs!r}")
     pieces = [_parse_piece(p, i) for i, p in enumerate(piece_objs)]
-    regions = None
-    if "regions" in geo_obj:
-        regions = [
-            _parse_region(r, f"geometry.regions[{i}]")
-            for i, r in enumerate(_list(geo_obj["regions"], "geometry.regions"))
-        ]
     n_sub = _int(geo_obj.get("n_subdomains", 1), "geometry.n_subdomains")
-    domain = _made("geometry", lambda: geo.DomainSpec(pieces, n_sub, regions))
+    domain = _made("geometry", lambda: geo.DomainSpec(pieces, n_sub))
 
     net_obj = _keys(_need(doc, "networks", "config"), "networks", "hidden_layers", "units", "activation", "mode")
     layers, units = (_int(_need(net_obj, k, "networks"), f"networks.{k}") for k in ("hidden_layers", "units"))

@@ -7,7 +7,7 @@ import pytest
 
 from holoelastic.autodiff import PackedBatch, loss_backward, loss_forward, loss_value, pack_batch
 from holoelastic.elasticity import ConstantData, Material, NormalPressure, Symmetry, Traction, km_fields
-from holoelastic.geometry import Arc, BoundaryPiece, DomainSpec, Line, Patch, Region, Side
+from holoelastic.geometry import Arc, BoundaryPiece, DomainSpec, Line, Side
 from holoelastic.network import flatten_params, mlp_forward, write_params
 from holoelastic.problem import NetworkConfig, OutputConfig, ProblemSpec
 from holoelastic.training import TrainConfig
@@ -41,8 +41,7 @@ def ring_quadrant_domain() -> DomainSpec:
         BoundaryPiece(Arc(0j, 0.5, np.pi, np.pi / 2), Traction(ConstantData(0, 0)), Side.RIGHT, (0,), "inner"),
         BoundaryPiece(Line(0.5j, 2j), Symmetry(), Side.RIGHT, (0,), "axis_y"),
     ]
-    region = Region((Patch(rect=(-2, 0, 0, 2), disks_in=((0j, 2.0),), disks_out=((0j, 0.5),)),))
-    return DomainSpec(pieces, 1, [region])
+    return DomainSpec(pieces)
 
 
 def ring_problem(epochs=0, seed=0, n_train=200, n_test=20) -> ProblemSpec:
@@ -71,8 +70,7 @@ def traction_square_domain() -> DomainSpec:
         BoundaryPiece(Line(1 + 1j, -1 + 1j), pull(0, 1), Side.RIGHT, (0,), "top"),
         BoundaryPiece(Line(-1 + 1j, -1 - 1j), pull(-1, 0), Side.RIGHT, (0,), "left"),
     ]
-    region = Region((Patch(rect=(-1, 1, -1, 1)),))
-    return DomainSpec(pieces, 1, [region])
+    return DomainSpec(pieces)
 
 
 def square_problem(mode="standard", epochs=0, seed=0) -> ProblemSpec:

@@ -236,10 +236,10 @@ def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, 
     assert grid.xs.shape == (nx,) and grid.ys.shape == (ny,)
     X, Y = np.meshgrid(grid.xs, grid.ys)
     sub = np.full(X.shape, -1)
-    for s, region in enumerate(spec.domain.regions):
-        sub[region_contains(region, X, Y) & (sub < 0)] = s
+    for s in range(spec.domain.n_subdomains):
+        sub[region_contains(spec.domain.subdomain_pieces(s), grid.xs, grid.ys) & (sub < 0)] = s
     assert np.array_equal(grid.mask, sub >= 0)
-    # each interior point carries the fields of its owner, the first region that holds it
+    # each interior point carries the fields of its owner, the first subdomain that holds it
     for s, pair in enumerate(pairs):
         where = sub == s
         z = X[where] + 1j * Y[where]
@@ -251,6 +251,25 @@ def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, 
         assert grid.dphi[where].tobytes() == dphi.tobytes() and grid.dpsi[where].tobytes() == dpsi.tobytes(), s
     for values in (grid.rows[:, ~grid.mask], grid.dphi[~grid.mask], grid.dpsi[~grid.mask]):
         assert np.isnan(values).all()
+
+
+@pytest.mark.parametrize("nx, ny", [(41, 39), (301, 301)])
+def test_dd_interface_nodes_belong_to_the_lower_numbered_quadrant(configs, nx, ny):
+    # odd grids put nodes exactly on x = 0 and y = 0, the interfaces; each goes
+    # to the first of the closed quadrants NE, NW, SW, SE (outside the closed
+    # hole) that holds it, and carries that pair's fields
+    spec = configs["dd_plate_hole"]
+    pairs = _initialized_pairs(spec)
+    grid = eval_grid(pairs, spec, nx, ny)
+    X, Y = np.meshgrid(grid.xs, grid.ys)
+    assert (X == 0.0).any() and (Y == 0.0).any()
+    quadrants = [(X >= 0) & (Y >= 0), (X <= 0) & (Y >= 0), (X <= 0) & (Y <= 0), (X >= 0) & (Y <= 0)]
+    owner = np.select(quadrants, range(4), -1)
+    owner[np.hypot(X, Y) < 1.0] = -1
+    assert np.array_equal(grid.mask, owner >= 0)
+    for s, pair in enumerate(pairs):
+        z = X[owner == s] + 1j * Y[owner == s]
+        assert grid.rows[:, owner == s].tobytes() == km_fields(z, *mlp_forward(pair, z), spec.material).tobytes(), s
 
 
 def test_cli_eval_outputs_are_those_of_eval_grid(monkeypatch, tmp_path):

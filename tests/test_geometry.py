@@ -10,6 +10,7 @@ from holoelastic.elasticity import ConstantData, Interface, Traction
 from holoelastic.geometry import (
     Arc,
     BoundaryPiece,
+    DomainSpec,
     Line,
     Side,
     allocate_counts,
@@ -17,6 +18,7 @@ from holoelastic.geometry import (
     piece_length,
     piece_point,
     piece_tangent,
+    region_contains,
     sample_boundary,
 )
 from holoelastic.problem import load_config
@@ -68,6 +70,43 @@ def test_ring_quadrant_perimeter():
     dom = ring_quadrant_domain()
     want = np.pi * 2.0 / 2 + np.pi * 0.5 / 2 + 2 * 1.5
     assert abs(dom.outer_length() - want) < 1e-9
+
+
+def _loop(*corners):
+    return [BoundaryPiece(Line(a, b), BC, Side.RIGHT, (0,)) for a, b in zip(corners, corners[1:] + corners[:1])]
+
+
+def _arcs(r, *thetas):
+    return [BoundaryPiece(Arc(0j, r, a, b), BC, Side.RIGHT, (0,)) for a, b in zip(thetas, thetas[1:])]
+
+
+# nodes k/8 lie exactly on every edge, vertex and circle below: hypot(3/8, 1/2) = 5/8, hypot(3/4, 1) = 5/4
+@pytest.mark.parametrize(
+    "pieces, closed",
+    [
+        (_loop(-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j) + _arcs(0.625, 0.0, 2 * np.pi),  # a hole made of one full circle
+         lambda x, y: (abs(x) <= 2) & (abs(y) <= 2) & (np.hypot(x, y) >= 0.625)),
+        (_arcs(1.25, 0.0, np.pi, 2 * np.pi),  # two half circles, each through a y-extreme
+         lambda x, y: np.hypot(x, y) <= 1.25),
+        (_arcs(1.25, np.pi, 0.0, -np.pi) + _arcs(0.625, 2 * np.pi, 0.0),  # clockwise arcs: an annulus
+         lambda x, y: (np.hypot(x, y) <= 1.25) & (np.hypot(x, y) >= 0.625)),
+        (_loop(0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j),  # an L: horizontal edges and a reflex vertex
+         lambda x, y: (x >= 0) & (y >= 0) & (((x <= 2) & (y <= 1)) | ((x <= 1) & (y <= 2)))),
+        (_loop(-1 + 0j, -1j, 1 + 0j, 1j),  # a diamond: vertices at its y-extremes and x-extremes
+         lambda x, y: abs(x) + abs(y) <= 1),
+    ],
+    ids=["full_circle_hole", "half_circles", "clockwise_annulus", "l_shape", "diamond"],
+)
+def test_region_contains_is_the_closed_region(pieces, closed):
+    DomainSpec(pieces)  # the pieces close
+    xs = np.arange(-20, 21) / 8.0
+    X, Y = np.meshgrid(xs, xs)
+    want = closed(X, Y)
+    assert want.any() and not want.all()
+    assert np.array_equal(region_contains(pieces, xs, xs), want)
+    # every row alone, and the columns in any subset, give the same nodes
+    for i, y in enumerate(xs):
+        assert np.array_equal(region_contains(pieces, xs[::3], [y])[0], want[i, ::3]), y
 
 
 def test_allocate_counts_exact_proportions():

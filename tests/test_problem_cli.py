@@ -16,7 +16,7 @@ from holoelastic.analytics import GridField
 from holoelastic.cli import run_command
 from holoelastic.elasticity import Displacement, Interface, Symmetry, Traction
 from holoelastic.export import write_fields_csv
-from holoelastic.geometry import outward_normal, piece_point, region_contains, Region
+from holoelastic.geometry import outward_normal, piece_point, region_contains
 from holoelastic.network import checkpoint_load, checkpoint_save
 from holoelastic.problem import ConfigError, load_config
 
@@ -29,7 +29,6 @@ def test_shipped_configs_load(name):
     spec = load_config(config_path(name))
     assert spec.name == name
     assert spec.domain.outer_length() > 0
-    assert spec.domain.regions is not None
 
 
 def test_ring_config_structure(configs):
@@ -74,17 +73,15 @@ def test_roundtrip_equals_original(name, tmp_path):
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_outward_normals_leave_region(name, configs):
-    spec = configs[name]
-    union = Region(tuple(p for r in spec.domain.regions for pch in [r.patches] for p in pch))
-    for piece in spec.domain.pieces:
+    # a piece's normal leaves the subdomain it bounds; an interface's leads from one side into the other
+    domain = configs[name].domain
+    inside = lambda s, z: bool(region_contains(domain.subdomain_pieces(s), z.real, z.imag)[0, 0])
+    for piece in domain.pieces:
         for t in (0.25, 0.75):
             z = complex(piece_point(piece, t))
             n = complex(outward_normal(piece, t))
-            inner = z - 1e-6 * n
-            outer = z + 1e-6 * n
-            assert bool(region_contains(union, inner.real, inner.imag))
-            if not piece.is_interface:
-                assert not bool(region_contains(union, outer.real, outer.imag))
+            sides = sorted((inside(s, z - 1e-6 * n), inside(s, z + 1e-6 * n)) for s in piece.subdomains)
+            assert sides == ([(False, True), (True, False)] if piece.is_interface else [(True, False)]), piece.name
 
 
 def test_missing_block_names_it(tmp_path):
@@ -119,7 +116,7 @@ def test_bad_piece_reports_path(tmp_path):
         load_config(str(path))
 
 
-PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
+PIECES = ("geometry", "pieces")
 
 
 @pytest.mark.parametrize(
@@ -132,9 +129,6 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         ((*PIECES, 0, "radius"), "two", [], "error: geometry.pieces[0].radius: "),
         ((*PIECES, 1, "side"), "up", [], "error: geometry.pieces[1]: 'up' is not a valid Side"),
         ((*PIECES, 1, "subdomain"), "x", [], "error: geometry.pieces[1].subdomain: expected an integer, got 'x'"),
-        ((*PATCH, "rect"), [-2.0, 0.0, 0.0], [], "error: geometry.regions[0].patches[0].rect: "),
-        ((*PATCH, "halfplanes"), [[1.0, 0.0]], [], "error: geometry.regions[0].patches[0].halfplanes[0]: "),
-        ((*PATCH, "disks_in"), [[0.0, 0.0]], [], "error: geometry.regions[0].patches[0].disks_in[0]: "),
         (("geometry", "n_subdomains"), 2, [], "error: geometry: subdomain 1 has no boundary piece"),
         ((), None, ["--grid", "40"], "argument --grid: expected NxM with positive N and M"),
         (("training", "epochs"), 2.7, [], "error: training.epochs: expected an integer, got 2.7"),
@@ -173,15 +167,6 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         ((*PIECES, 2), 7, [], "error: geometry.pieces[2]: expected an object, got 7"),
         ((*PIECES, 0, "bc"), "traction", [], "error: geometry.pieces[0].bc: expected an object, got 'traction'"),
         ((*PIECES, 0, "bc", "data"), -1.0, [], "error: geometry.pieces[0].bc.data: expected an object, got -1.0"),
-        (("geometry", "regions"), {"patches": []}, [], "error: geometry.regions: expected a list, got {'patches': []}"),
-        (("geometry", "regions", 0), 5, [], "error: geometry.regions[0]: expected an object, got 5"),
-        (("geometry", "regions", 0, "patches"), {}, [], "error: geometry.regions[0].patches: expected a list, got {}"),
-        (PATCH, "rect", [], "error: geometry.regions[0].patches[0]: expected an object, got 'rect'"),
-        ((*PATCH, "disks_out"), 0.5, [], "error: geometry.regions[0].patches[0].disks_out: expected a list, got 0.5"),
-        ((*PATCH, "rect"), [0, -2, 0, 2], [],
-         "error: geometry.regions[0].patches[0].rect: need xmin < xmax and ymin < ymax, got [0.0, -2.0, 0.0, 2.0]"),
-        ((*PATCH, "disks_in"), [[0.0, 0.0, -2.0]], [],
-         "error: geometry.regions[0].patches[0].disks_in[0]: disk radius must be positive, got -2.0"),
         (("outputs", "dir"), [1], [], "error: outputs.dir: expected a nonempty string, got [1]"),
         ((*PIECES, 0, "name"), [1], [], "error: geometry.pieces[0].name: expected a nonempty string, got [1]"),
         (("name",), {"a": 1}, [], "error: name: expected a nonempty string, got {'a': 1}"),
@@ -192,12 +177,12 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
         (("refrence",), {}, [], "error: config: unknown field 'refrence'"),
         (("material", "nu"), 0.3, [], "error: material: unknown field 'nu'"),
         (("geometry", "n_subdomain"), 1, [], "error: geometry: unknown field 'n_subdomain'"),
+        (("geometry", "regions"), [], [],
+         "error: geometry: unknown field 'regions'; expected one of n_subdomains, pieces"),
         ((*PIECES, 1, "radius"), 1.0, [], "error: geometry.pieces[1]: unknown field 'radius'; expected one of kind, p0,"),
         ((*PIECES, 1, "bc", "data"), {"constant": [0.0, 0.0]}, [], "error: geometry.pieces[1].bc: unknown field 'data'"),
         ((*PIECES, 0, "bc", "data", "constant"), [0.0, 0.0], [],
          "error: geometry.pieces[0].bc.data: unknown field 'normal_pressure'; expected one of constant"),
-        (("geometry", "regions", 0, "patch"), [], [], "error: geometry.regions[0]: unknown field 'patch'"),
-        ((*PATCH, "disk_in"), [], [], "error: geometry.regions[0].patches[0]: unknown field 'disk_in'"),
         (("reference", "q"), 1.0, [], "error: reference: unknown field 'q'; expected one of kind, p, r, R"),
         (("reference", "p"), 0, [], "error: reference.p: ring pressure must be nonzero, got 0"),
         (("reference", "p"), -0.0, [], "error: reference.p: ring pressure must be nonzero, got 0"),
@@ -210,17 +195,16 @@ PIECES, PATCH = ("geometry", "pieces"), ("geometry", "regions", 0, "patches", 0)
     ],
     ids=[
         "grid_one", "grid_nonpositive", "constant_3", "pressure_str", "radius_str", "side_str", "subdomain_str",
-        "rect_3", "halfplane_2", "disk_2", "bare_subdomain", "cli_grid", "epochs_float", "n_train_float",
-        "n_test_str", "seed_float", "m_e_float", "layers_bool", "units_float", "n_subdomains_float", "m_e_1",
-        "beta_negative", "n_test_below_pieces", "n_train_below_pieces", "ref_missing_R", "ref_kind", "ref_str",
-        "ref_r_beyond_R", "lr_null", "lr_str", "lr_nan", "lr_inf", "beta_bool", "lr_decay_str", "mu_str",
-        "lambda_null", "pressure_nan", "subdomain_float", "subdomain_numeric_str", "material_int", "networks_int",
-        "training_list", "outputs_list", "pieces_object", "piece_int", "bc_str", "bc_data_float", "regions_object",
-        "region_int", "patches_object", "patch_str", "disks_out_float", "rect_reversed", "disk_radius_negative",
-        "dir_list", "piece_name_list", "name_object", "training_typo", "lr_decay_typo", "activation_typo",
-        "grid_typo", "root_typo", "material_extra", "geometry_typo", "line_with_radius", "symmetry_with_data",
-        "data_both", "region_typo", "patch_typo", "reference_extra", "ref_p_zero", "ref_p_negative_zero",
-        "plane_mode_str", "activation_str", "net_mode_str", "precision_str", "precision_int", "precision_list",
+        "bare_subdomain", "cli_grid", "epochs_float", "n_train_float", "n_test_str", "seed_float", "m_e_float",
+        "layers_bool", "units_float", "n_subdomains_float", "m_e_1", "beta_negative", "n_test_below_pieces",
+        "n_train_below_pieces", "ref_missing_R", "ref_kind", "ref_str", "ref_r_beyond_R", "lr_null", "lr_str",
+        "lr_nan", "lr_inf", "beta_bool", "lr_decay_str", "mu_str", "lambda_null", "pressure_nan", "subdomain_float",
+        "subdomain_numeric_str", "material_int", "networks_int", "training_list", "outputs_list", "pieces_object",
+        "piece_int", "bc_str", "bc_data_float", "dir_list", "piece_name_list", "name_object", "training_typo",
+        "lr_decay_typo", "activation_typo", "grid_typo", "root_typo", "material_extra", "geometry_typo",
+        "regions_rejected", "line_with_radius", "symmetry_with_data", "data_both", "reference_extra", "ref_p_zero",
+        "ref_p_negative_zero", "plane_mode_str", "activation_str", "net_mode_str", "precision_str", "precision_int",
+        "precision_list",
     ],
 )
 def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, keys, value, args, message):
@@ -267,6 +251,17 @@ def test_interface_piece_names_its_subdomains_in_the_bc_only(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=rf"^geometry\.pieces\[{i}\]: unknown field 'subdomain'; expected one of kind, "):
+        load_config(str(path))
+
+
+def test_open_boundary_fails_at_load(tmp_path):
+    # a ring whose inner arc grows while the axes stay put leaves axis_x's inner end open
+    doc = json.load(open(config_path("ring_quadrant")))
+    next(p for p in doc["geometry"]["pieces"] if p["name"] == "inner")["radius"] = 0.6
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(doc))
+    want = r"^geometry: subdomain 0 is open: piece 'axis_x' meets no other piece at -0\.5\+0j$"
+    with pytest.raises(ConfigError, match=want):
         load_config(str(path))
 
 
@@ -338,14 +333,17 @@ def test_cli_train_eval_cycle(tmp_path, capsys):
 
 
 def test_cli_ring_eval_without_interior_points_writes_no_errors(tmp_path, capsys):
-    # a valid region that misses every grid point leaves the ring errors undefined
+    # a ring of inner radius 1.9 leaves the one node of a 1x1 grid, (-1, 1), in
+    # its hole, and the ring errors undefined
     cfg, out = _mini_ring(tmp_path)
     doc = json.load(open(cfg))
-    doc["geometry"]["regions"][0]["patches"][0]["rect"] = [5, 6, 5, 6]
+    pieces = {p["name"]: p for p in doc["geometry"]["pieces"]}
+    pieces["inner"]["radius"], pieces["axis_x"]["p1"], pieces["axis_y"]["p0"] = 1.9, [-1.9, 0.0], [0.0, 1.9]
+    doc["reference"]["r"] = 1.9
     with open(cfg, "w") as fh:
         json.dump(doc, fh)
     assert run_command(["train", cfg]) == 0
-    assert run_command(["eval", cfg, os.path.join(out, "checkpoint.json")]) == 2
+    assert run_command(["eval", cfg, os.path.join(out, "checkpoint.json"), "--grid", "1x1"]) == 2
     assert "error: ring errors need at least one interior grid point" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "errors.csv"))
 
