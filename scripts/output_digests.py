@@ -39,7 +39,10 @@ variable does not reach the BLAS.  It hashes:
                                           key deleted: clamped_square trains with
                                           single-precision branch sweeps, so these are
                                           the only runs of 100-wide nets through the
-                                          double-precision training path
+                                          double-precision training path, and
+                                          clamped_square and clamped_square@stress_only
+                                          are the only runs of the single-precision exp
+                                          (numpy's float32 exp, cos and sin)
   <config>/samples.csv                    `sample --n 300` (all configs)
   approx.csv                              `approx-demo --n 32`
   <config>@<act>/checkpoint.json, history.csv

@@ -128,29 +128,74 @@ def test_activation_jets_match_finite_differences(kind):
         assert np.max(np.abs(fd2 - d2) / np.maximum(1.0, np.abs(d2))) < 1e-4
 
 
+EXP_ULPS = 4  # complex64 exp: numpy's float32 exp, cos and sin measure up to 3.2 ulps of |e|
+
+
+def _ulps(got, ref):
+    """|got - ref| in float32 ulps of |ref|, for complex64 got and ref."""
+    return np.abs(got.astype(np.complex128) - ref) / np.spacing(np.abs(ref))
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_act_derivs_keeps_single_precision(kind):
-    # complex64 in, complex64 out: every activation evaluates in complex128
-    # and rounds its results once
+    # complex64 in, complex64 out: exp runs on numpy's float32 exp, cos and
+    # sin, within EXP_ULPS of |e| of the complex128 result rounded once; the
+    # other activations evaluate in complex128 and round their results once
     rng = np.random.default_rng(3)
     y = (rng.normal(size=40) + 1j * rng.normal(size=40)).astype(np.complex64)
     got = act_derivs(kind, y, order=3)
     assert [d.dtype for d in got] == [np.dtype(np.complex64)] * 4
     for g, r in zip(got, act_derivs(kind, y.astype(np.complex128), order=3)):
-        assert np.array_equal(g, r.astype(np.complex64))
+        if kind is ActivationKind.EXP:
+            assert np.max(_ulps(g, r.astype(np.complex64))) <= EXP_ULPS
+        else:
+            assert np.array_equal(g, r.astype(np.complex64))
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_act_derivs_bitwise_after_complex_gemm(kind):
+def test_single_precision_exp_edges():
+    # finite up to Re 88.6 (float32 overflows at e^88.72), 0 from Re -104
+    # (half the least float32 denormal is e^-103.97), and within the bound for
+    # |Im| > 71476, where numpy's float32 cos and sin leave their SIMD range
+    rng = np.random.default_rng(5)
+    n = 20_000
+
+    def exp64(re, im):
+        return act_derivs(ActivationKind.EXP, (re + 1j * im).astype(np.complex64), order=0)[0]
+
+    def within_bound(re, im):
+        ref = np.exp((re + 1j * im).astype(np.complex64).astype(np.complex128)).astype(np.complex64)
+        got = exp64(re, im)
+        return np.isfinite(got).all() and np.max(_ulps(got, ref)) <= EXP_ULPS
+
+    im = rng.uniform(-10, 10, n)
+    assert within_bound(np.r_[rng.uniform(-104, 88.6, n - 3), -104, 88.6, 0], im)
+    assert not np.isfinite(exp64(np.r_[rng.uniform(88.8, 1e3, n - 2), 88.8, 1e30], im)).any()
+    assert (exp64(np.r_[rng.uniform(-1e3, -104, n - 2), -104, -1e30], im) == 0).all()
+    big = rng.choice([-1, 1], n) * np.r_[10 ** rng.uniform(np.log10(71477), 38, n - 1), 71477]
+    assert within_bound(rng.uniform(-80, 80, n), big)
+
+
+# the complex128 cases keep their ids from before the complex64 ones joined
+GEMM_CASES = [pytest.param(k, np.complex128, id=str(k)) for k in ALL_KINDS] + [
+    pytest.param(k, np.complex64, id=f"{k}-complex64") for k in ALL_KINDS
+]
+
+
+@pytest.mark.parametrize("kind, dtype", GEMM_CASES)
+def test_act_derivs_bitwise_after_complex_gemm(kind, dtype):
     # act_derivs runs a real matmul before libm to dodge a slowdown after
-    # complex GEMMs; that must change timing only, never a single bit
+    # complex GEMMs (the complex64 exp runs no libm and skips it); either
+    # must change timing only, never a single bit
     rng = np.random.default_rng(7)
     x = rng.normal(size=(600, 100)) + 1j * rng.normal(size=(600, 100))
     w = 0.02 * (rng.normal(size=(100, 100)) + 1j * rng.normal(size=(100, 100)))
+    x, w = x.astype(dtype), w.astype(dtype)
     y = x @ w.T
     got = act_derivs(kind, y, order=3)
     y0 = y.copy()
-    if kind is ActivationKind.EXP:
+    if dtype is np.complex64:
+        want = act_derivs(kind, y0, order=3)  # after no GEMM
+    elif kind is ActivationKind.EXP:
         want = (np.exp(y0),) * 4
     elif kind is ActivationKind.COS:
         c, s = np.cos(y0), np.sin(y0)
@@ -162,5 +207,5 @@ def test_act_derivs_bitwise_after_complex_gemm(kind):
         want = _cos_sqrt_derivs(y0, 3)
     assert len(got) == 4
     for g, r in zip(got, want):
-        assert np.isfinite(g).all()
+        assert g.dtype == dtype and np.isfinite(g).all()
         assert np.array_equal(g.view(np.uint64), r.view(np.uint64))
