@@ -1,11 +1,11 @@
 """Generate the shipped problem configs.
 
-Builds each benchmark geometry from exact arithmetic, self-checks that every
-outward normal points out of the subdomain that its piece bounds (DomainSpec
-checks that the boundary loops close), then serializes to configs/*.json with
-save_config, the inverse of holoelastic.problem.load_config.  The JSON files
-are the source of truth; tests/test_problem_cli.py checks that this script
-reproduces them byte for byte.
+Builds each benchmark geometry from exact arithmetic (DomainSpec checks that
+the boundary loops close and derives every outward normal), then serializes
+to configs/*.json with save_config, the inverse of
+holoelastic.problem.load_config.  The JSON files are the source of truth;
+tests/test_problem_cli.py checks that this script reproduces them byte for
+byte.
 
 Run from the repo root:  python scripts/gen_configs.py
 """
@@ -29,16 +29,7 @@ from holoelastic.elasticity import (
     Symmetry,
     Traction,
 )
-from holoelastic.geometry import (
-    Arc,
-    BoundaryPiece,
-    DomainSpec,
-    Line,
-    Side,
-    outward_normal,
-    piece_point,
-    region_contains,
-)
+from holoelastic.geometry import Arc, BoundaryPiece, DomainSpec, Line
 from holoelastic.problem import NetworkConfig, OutputConfig, ProblemSpec
 from holoelastic.training import TrainConfig
 
@@ -48,29 +39,14 @@ ZERO = ConstantData(0.0, 0.0)
 MAT = Material(1.0, 1.0, PlaneMode.STRAIN)
 
 
-def check_spec(spec: ProblemSpec):
-    """Normals must point out of the subdomain a piece bounds; an interface's
-    normal points from one of its subdomains into the other."""
-    dom = spec.domain
-    eps = 1e-6
-    inside = lambda s, z: bool(region_contains(dom.subdomain_pieces(s), z.real, z.imag)[0, 0])
-    for piece in dom.pieces:
-        for t in (0.21, 0.5, 0.83):
-            z = complex(piece_point(piece, t))
-            n = complex(outward_normal(piece, t))
-            sides = sorted((inside(s, z - eps * n), inside(s, z + eps * n)) for s in piece.subdomains)
-            want = [(False, True), (True, False)] if piece.is_interface else [(True, False)]
-            assert sides == want, f"{spec.name}/{piece.name}: normal at t={t} does not leave its subdomain"
-
-
 def ring_quadrant() -> ProblemSpec:
     # upper-left quadrant of a ring r=0.5, R=2; pressure -1 on the outer arc
     r, R = 0.5, 2.0
     pieces = [
-        BoundaryPiece(Arc(0j, R, math.pi / 2, math.pi), Traction(NormalPressure(-1.0)), Side.RIGHT, (0,), "outer"),
-        BoundaryPiece(Line(-R + 0j, -r + 0j), Symmetry(), Side.RIGHT, (0,), "axis_x"),
-        BoundaryPiece(Arc(0j, r, math.pi, math.pi / 2), Traction(ZERO), Side.RIGHT, (0,), "inner"),
-        BoundaryPiece(Line(r * 1j, R * 1j), Symmetry(), Side.RIGHT, (0,), "axis_y"),
+        BoundaryPiece(Arc(0j, R, math.pi / 2, math.pi), Traction(NormalPressure(-1.0)), (0,), "outer"),
+        BoundaryPiece(Line(-R + 0j, -r + 0j), Symmetry(), (0,), "axis_x"),
+        BoundaryPiece(Arc(0j, r, math.pi, math.pi / 2), Traction(ZERO), (0,), "inner"),
+        BoundaryPiece(Line(r * 1j, R * 1j), Symmetry(), (0,), "axis_y"),
     ]
     return ProblemSpec(
         MAT,
@@ -87,11 +63,11 @@ def plate_hole_quadrant() -> ProblemSpec:
     # upper-left quadrant of a 2.5 x 2.5 plate with a r=1 hole, uniaxial tension 1 MPa
     h, r = 1.25, 1.0
     pieces = [
-        BoundaryPiece(Line(-h + 0j, -h + h * 1j), Traction(ConstantData(-1.0, 0.0)), Side.LEFT, (0,), "left"),
-        BoundaryPiece(Line(-h + h * 1j, 0 + h * 1j), Traction(ZERO), Side.LEFT, (0,), "top"),
-        BoundaryPiece(Line(h * 1j, r * 1j), Symmetry(), Side.LEFT, (0,), "axis_y"),
-        BoundaryPiece(Arc(0j, r, math.pi / 2, math.pi), Traction(ZERO), Side.LEFT, (0,), "hole"),
-        BoundaryPiece(Line(-r + 0j, -h + 0j), Symmetry(), Side.LEFT, (0,), "axis_x"),
+        BoundaryPiece(Line(-h + 0j, -h + h * 1j), Traction(ConstantData(-1.0, 0.0)), (0,), "left"),
+        BoundaryPiece(Line(-h + h * 1j, 0 + h * 1j), Traction(ZERO), (0,), "top"),
+        BoundaryPiece(Line(h * 1j, r * 1j), Symmetry(), (0,), "axis_y"),
+        BoundaryPiece(Arc(0j, r, math.pi / 2, math.pi), Traction(ZERO), (0,), "hole"),
+        BoundaryPiece(Line(-r + 0j, -h + 0j), Symmetry(), (0,), "axis_x"),
     ]
     return ProblemSpec(
         MAT,
@@ -107,10 +83,10 @@ def clamped_square() -> ProblemSpec:
     # unit square, shear 1 MPa on top, clamped bottom, free sides
     h = 0.5
     pieces = [
-        BoundaryPiece(Line(-h - h * 1j, h - h * 1j), Displacement(ZERO), Side.RIGHT, (0,), "bottom"),
-        BoundaryPiece(Line(h - h * 1j, h + h * 1j), Traction(ZERO), Side.RIGHT, (0,), "right"),
-        BoundaryPiece(Line(h + h * 1j, -h + h * 1j), Traction(ConstantData(1.0, 0.0)), Side.RIGHT, (0,), "top"),
-        BoundaryPiece(Line(-h + h * 1j, -h - h * 1j), Traction(ZERO), Side.RIGHT, (0,), "left"),
+        BoundaryPiece(Line(-h - h * 1j, h - h * 1j), Displacement(ZERO), (0,), "bottom"),
+        BoundaryPiece(Line(h - h * 1j, h + h * 1j), Traction(ZERO), (0,), "right"),
+        BoundaryPiece(Line(h + h * 1j, -h + h * 1j), Traction(ConstantData(1.0, 0.0)), (0,), "top"),
+        BoundaryPiece(Line(-h + h * 1j, -h - h * 1j), Traction(ZERO), (0,), "left"),
     ]
     return ProblemSpec(
         MAT,
@@ -138,26 +114,25 @@ def rail_section() -> ProblemSpec:
     q = math.pi / 4.0
     T = lambda: Traction(ZERO)
     pieces = [
-        BoundaryPiece(Line(0j, 4j), T(), Side.LEFT, (0,), "foot_left"),
-        BoundaryPiece(Arc(c1, 3.0, 0.0, q), T(), Side.LEFT, (0,), "fillet_left_lower"),
-        BoundaryPiece(Line(z1, z2), T(), Side.LEFT, (0,), "web_left"),
-        BoundaryPiece(Arc(c2, 3.0, math.pi + q, math.pi), T(), Side.LEFT, (0,), "fillet_left_upper"),
-        BoundaryPiece(Line(z3, z3 + 2j), T(), Side.LEFT, (0,), "head_left"),
+        BoundaryPiece(Line(0j, 4j), T(), (0,), "foot_left"),
+        BoundaryPiece(Arc(c1, 3.0, 0.0, q), T(), (0,), "fillet_left_lower"),
+        BoundaryPiece(Line(z1, z2), T(), (0,), "web_left"),
+        BoundaryPiece(Arc(c2, 3.0, math.pi + q, math.pi), T(), (0,), "fillet_left_upper"),
+        BoundaryPiece(Line(z3, z3 + 2j), T(), (0,), "head_left"),
         BoundaryPiece(
             Line(z3 + 2j, z3 + complex(11.0, 2.0)),
             Traction(NormalPressure(1.0)),
-            Side.LEFT,
             (0,),
             "head_top",
         ),
-        BoundaryPiece(Line(z3 + complex(11.0, 2.0), z3 + complex(11.0, 0.0)), T(), Side.LEFT, (0,), "head_right"),
-        BoundaryPiece(Arc(c3, 3.0, 0.0, -q), T(), Side.LEFT, (0,), "fillet_right_upper"),
-        BoundaryPiece(Arc(c4, 3.0, math.pi - q, math.pi), T(), Side.LEFT, (0,), "fillet_right_lower"),
-        BoundaryPiece(Line(z4, z4 + complex(0.0, -(2.0 * c - 1.0))), T(), Side.LEFT, (0,), "web_right"),
-        BoundaryPiece(Arc(c5, 0.5, math.pi, 1.5 * math.pi), T(), Side.LEFT, (0,), "fillet_foot"),
-        BoundaryPiece(Line(z5, complex(10.0, 4.5)), T(), Side.LEFT, (0,), "foot_top"),
-        BoundaryPiece(Line(complex(10.0, 4.5), complex(10.0, 0.0)), T(), Side.LEFT, (0,), "foot_right"),
-        BoundaryPiece(Line(complex(10.0, 0.0), 0j), Displacement(ZERO), Side.LEFT, (0,), "foot_bottom"),
+        BoundaryPiece(Line(z3 + complex(11.0, 2.0), z3 + complex(11.0, 0.0)), T(), (0,), "head_right"),
+        BoundaryPiece(Arc(c3, 3.0, 0.0, -q), T(), (0,), "fillet_right_upper"),
+        BoundaryPiece(Arc(c4, 3.0, math.pi - q, math.pi), T(), (0,), "fillet_right_lower"),
+        BoundaryPiece(Line(z4, z4 + complex(0.0, -(2.0 * c - 1.0))), T(), (0,), "web_right"),
+        BoundaryPiece(Arc(c5, 0.5, math.pi, 1.5 * math.pi), T(), (0,), "fillet_foot"),
+        BoundaryPiece(Line(z5, complex(10.0, 4.5)), T(), (0,), "foot_top"),
+        BoundaryPiece(Line(complex(10.0, 4.5), complex(10.0, 0.0)), T(), (0,), "foot_right"),
+        BoundaryPiece(Line(complex(10.0, 0.0), 0j), Displacement(ZERO), (0,), "foot_bottom"),
     ]
     return ProblemSpec(
         MAT,
@@ -176,28 +151,28 @@ def dd_plate_hole() -> ProblemSpec:
     T0 = lambda: Traction(ZERO)
     pieces = [
         # outer edges, two per side
-        BoundaryPiece(Line(h + 0j, h + h * 1j), Traction(ConstantData(1.0, 0.0)), Side.RIGHT, (0,), "right_up"),
-        BoundaryPiece(Line(h + h * 1j, 0 + h * 1j), T0(), Side.RIGHT, (0,), "top_right"),
-        BoundaryPiece(Line(0 + h * 1j, -h + h * 1j), T0(), Side.RIGHT, (1,), "top_left"),
-        BoundaryPiece(Line(-h + h * 1j, -h + 0j), Traction(ConstantData(-1.0, 0.0)), Side.RIGHT, (1,), "left_up"),
-        BoundaryPiece(Line(-h + 0j, -h - h * 1j), Traction(ConstantData(-1.0, 0.0)), Side.RIGHT, (2,), "left_down"),
-        BoundaryPiece(Line(-h - h * 1j, 0 - h * 1j), T0(), Side.RIGHT, (2,), "bottom_left"),
-        BoundaryPiece(Line(0 - h * 1j, h - h * 1j), T0(), Side.RIGHT, (3,), "bottom_right"),
-        BoundaryPiece(Line(h - h * 1j, h + 0j), Traction(ConstantData(1.0, 0.0)), Side.RIGHT, (3,), "right_down"),
+        BoundaryPiece(Line(h + 0j, h + h * 1j), Traction(ConstantData(1.0, 0.0)), (0,), "right_up"),
+        BoundaryPiece(Line(h + h * 1j, 0 + h * 1j), T0(), (0,), "top_right"),
+        BoundaryPiece(Line(0 + h * 1j, -h + h * 1j), T0(), (1,), "top_left"),
+        BoundaryPiece(Line(-h + h * 1j, -h + 0j), Traction(ConstantData(-1.0, 0.0)), (1,), "left_up"),
+        BoundaryPiece(Line(-h + 0j, -h - h * 1j), Traction(ConstantData(-1.0, 0.0)), (2,), "left_down"),
+        BoundaryPiece(Line(-h - h * 1j, 0 - h * 1j), T0(), (2,), "bottom_left"),
+        BoundaryPiece(Line(0 - h * 1j, h - h * 1j), T0(), (3,), "bottom_right"),
+        BoundaryPiece(Line(h - h * 1j, h + 0j), Traction(ConstantData(1.0, 0.0)), (3,), "right_down"),
         # hole, one quarter arc per subdomain; material outside the circle
-        BoundaryPiece(Arc(0j, r, 0.0, pi / 2), T0(), Side.LEFT, (0,), "hole_ne"),
-        BoundaryPiece(Arc(0j, r, pi / 2, pi), T0(), Side.LEFT, (1,), "hole_nw"),
-        BoundaryPiece(Arc(0j, r, pi, 1.5 * pi), T0(), Side.LEFT, (2,), "hole_sw"),
-        BoundaryPiece(Arc(0j, r, 1.5 * pi, 2.0 * pi), T0(), Side.LEFT, (3,), "hole_se"),
+        BoundaryPiece(Arc(0j, r, 0.0, pi / 2), T0(), (0,), "hole_ne"),
+        BoundaryPiece(Arc(0j, r, pi / 2, pi), T0(), (1,), "hole_nw"),
+        BoundaryPiece(Arc(0j, r, pi, 1.5 * pi), T0(), (2,), "hole_sw"),
+        BoundaryPiece(Arc(0j, r, 1.5 * pi, 2.0 * pi), T0(), (3,), "hole_se"),
         # interfaces between adjacent quadrants
-        BoundaryPiece(Line(r * 1j, h * 1j), Interface(), Side.RIGHT, (0, 1), "iface_ne_nw"),
-        BoundaryPiece(Line(-h + 0j, -r + 0j), Interface(), Side.RIGHT, (1, 2), "iface_nw_sw"),
-        BoundaryPiece(Line(-r * 1j, -h * 1j), Interface(), Side.RIGHT, (2, 3), "iface_sw_se"),
-        BoundaryPiece(Line(r + 0j, h + 0j), Interface(), Side.RIGHT, (3, 0), "iface_se_ne"),
+        BoundaryPiece(Line(r * 1j, h * 1j), Interface(), (0, 1), "iface_ne_nw"),
+        BoundaryPiece(Line(-h + 0j, -r + 0j), Interface(), (1, 2), "iface_nw_sw"),
+        BoundaryPiece(Line(-r * 1j, -h * 1j), Interface(), (2, 3), "iface_sw_se"),
+        BoundaryPiece(Line(r + 0j, h + 0j), Interface(), (3, 0), "iface_se_ne"),
     ]
     return ProblemSpec(
         MAT,
-        DomainSpec(pieces, 4),
+        DomainSpec(pieces),
         NetworkConfig(2, 10),
         TrainConfig(epochs=2000, lr=0.03, n_train=600, n_test=60, seed=0),
         OutputConfig((40, 40), "out/dd_plate_hole"),
@@ -234,10 +209,8 @@ def _piece_json(p: geo.BoundaryPiece) -> dict:
     elif isinstance(bc, el.Symmetry):
         out["bc"] = {"type": "symmetry"}
     else:
-        out["bc"] = {"type": "interface", "subdomains": list(p.subdomains)}
-    if not isinstance(bc, el.Interface):
-        out["subdomain"] = p.subdomains[0]
-    out["side"] = p.side.value
+        out["bc"] = {"type": "interface"}
+    out["subdomains"] = list(p.subdomains)
     out["name"] = p.name
     return out
 
@@ -251,10 +224,7 @@ def save_config(spec: ProblemSpec, path: str) -> None:
             "mu": spec.material.mu,
             "mode": spec.material.mode.value,
         },
-        "geometry": {
-            "n_subdomains": spec.domain.n_subdomains,
-            "pieces": [_piece_json(p) for p in spec.domain.pieces],
-        },
+        "geometry": {"pieces": [_piece_json(p) for p in spec.domain.pieces]},
         "networks": {
             "hidden_layers": spec.networks.hidden_layers,
             "units": spec.networks.units,
@@ -269,7 +239,6 @@ def save_config(spec: ProblemSpec, path: str) -> None:
             "seed": spec.training.seed,
             "beta": spec.training.beta,
             "m_e": spec.training.m_e,
-            "lr_decay": spec.training.lr_decay,
         },
         "outputs": {"grid": list(spec.outputs.grid), "dir": spec.outputs.out_dir},
     }
@@ -287,7 +256,6 @@ def save_config(spec: ProblemSpec, path: str) -> None:
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
     for spec in (gen() for gen in GENERATORS):
-        check_spec(spec)
         path = os.path.join(OUT_DIR, f"{spec.name}.json")
         save_config(spec, path)
         n_outer = sum(1 for p in spec.domain.pieces if not p.is_interface)

@@ -231,10 +231,10 @@ def _square_problem(hidden: Sequence[int], activation: ActivationKind) -> Proble
         raise ValueError(f"need one or more hidden layers of equal width, got {list(hidden)}")
     zero = el.ConstantData(0.0, 0.0)
     pieces = [
-        geo.BoundaryPiece(geo.Line(-1 - 1j, 1 - 1j), el.Displacement(zero), geo.Side.RIGHT, (0,), "bottom"),
-        geo.BoundaryPiece(geo.Line(1 - 1j, 1 + 1j), el.Traction(zero), geo.Side.RIGHT, (0,), "right"),
-        geo.BoundaryPiece(geo.Line(1 + 1j, -1 + 1j), el.Traction(zero), geo.Side.RIGHT, (0,), "top"),
-        geo.BoundaryPiece(geo.Line(-1 + 1j, -1 - 1j), el.Displacement(zero), geo.Side.RIGHT, (0,), "left"),
+        geo.BoundaryPiece(geo.Line(-1 - 1j, 1 - 1j), el.Displacement(zero), (0,), "bottom"),
+        geo.BoundaryPiece(geo.Line(1 - 1j, 1 + 1j), el.Traction(zero), (0,), "right"),
+        geo.BoundaryPiece(geo.Line(1 + 1j, -1 + 1j), el.Traction(zero), (0,), "top"),
+        geo.BoundaryPiece(geo.Line(-1 + 1j, -1 - 1j), el.Displacement(zero), (0,), "left"),
     ]
     domain = geo.DomainSpec(pieces)
     material = el.Material(1.0, 1.0, el.PlaneMode.STRAIN)

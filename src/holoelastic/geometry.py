@@ -1,17 +1,15 @@
 """Boundary geometry: lines and circular arcs, sampling, normals, containment.
 
-Pieces are parameterized by t in [0, 1].  The outward normal of a piece is
-the unit tangent rotated by -90 deg (side RIGHT) or +90 deg (side LEFT); the
-side is stored explicitly per piece because multiply-connected domains (holes)
-make global orientation inference error-prone.  2D vectors are complex
-numbers (nx + i*ny).
+Pieces are parameterized by t in [0, 1], traversed either way.  The outward
+normal of a piece is its unit tangent turned +90 or -90 deg, whichever points
+out of the piece's first subdomain: DomainSpec tests both sides of each
+piece's midpoint with region_contains.  2D vectors are complex numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -37,16 +35,10 @@ class Arc:
 Shape = Union[Line, Arc]
 
 
-class Side(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-
-
 @dataclass
 class BoundaryPiece:
     shape: Shape
     bc: BCKind
-    side: Side
     subdomains: tuple[int, ...]
     name: str = ""
 
@@ -55,9 +47,9 @@ class BoundaryPiece:
             raise ValueError(f"piece {self.name!r} has non-positive length")
         # an interface joins sides a and b, subdomains[0] and [1]; other pieces bound one subdomain
         subs = self.subdomains
-        if len(set(subs)) != len(subs) or len(subs) != 1 + self.is_interface:
+        if len(set(subs)) != len(subs) or len(subs) != 1 + self.is_interface or min(subs, default=0) < 0:
             raise ValueError(f"piece {self.name!r}: an interface needs two distinct subdomains, any other piece one, "
-                             f"got {list(subs)}")
+                             f"each a non-negative id; got {list(subs)}")
 
     @property
     def is_interface(self) -> bool:
@@ -85,32 +77,31 @@ def piece_tangent(p: BoundaryPiece, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     s = p.shape
     if isinstance(s, Line):
-        d = s.p1 - s.p0
-        return np.broadcast_to(d / abs(d), t.shape).copy() if t.shape else d / abs(d)
+        return np.full(t.shape, (s.p1 - s.p0) / abs(s.p1 - s.p0))
     theta = s.theta0 + t * (s.theta1 - s.theta0)
     sign = 1.0 if s.theta1 > s.theta0 else -1.0
     return sign * 1j * np.exp(1j * theta)
 
 
-def outward_normal(p: BoundaryPiece, t) -> np.ndarray:
-    """Unit outward normal at parameter t, per the piece's side convention."""
-    tan = piece_tangent(p, t)
-    return 1j * tan if p.side is Side.LEFT else -1j * tan
-
-
 # --- domain spec and containment ----------------------------------------------
+
+
+class PieceError(ValueError):
+    """A ValueError about DomainSpec.pieces[index]."""
+
+    def __init__(self, msg: str, index: int):
+        super().__init__(msg)
+        self.index = index
 
 
 @dataclass
 class DomainSpec:
     pieces: list[BoundaryPiece]
-    n_subdomains: int = 1
+    n_subdomains: int = field(init=False)  # 1 + the largest id on any piece
+    turns: list[complex] = field(init=False, repr=False, compare=False)  # outward normal / tangent, +-1j
 
     def __post_init__(self):
-        for p in self.pieces:
-            for s in p.subdomains:
-                if not (0 <= s < self.n_subdomains):
-                    raise ValueError(f"piece {p.name!r} references subdomain {s}")
+        self.n_subdomains = 1 + max((s for p in self.pieces for s in p.subdomains), default=-1)
         bare = set(range(self.n_subdomains)).difference(*(p.subdomains for p in self.pieces))
         if bare:
             raise ValueError(f"subdomain {min(bare)} has no boundary piece")
@@ -122,6 +113,22 @@ class DomainSpec:
             for p, z in ends:  # an end meets itself and one more
                 if sum(abs(z - w) <= tol for _, w in ends) < 2:
                     raise ValueError(f"subdomain {s} is open: piece {p.name!r} meets no other piece at {z:.6g}")
+        self.turns = []
+        for i, p in enumerate(self.pieces):  # of the two points 1e-6 of the piece's length either side of its
+            # midpoint, one must lie inside its first subdomain and one outside; the normal points to the latter
+            z, tan = complex(piece_point(p, 0.5)), complex(piece_tangent(p, 0.5))
+            pts = z + 1e-6 * piece_length(p) * tan * np.array([1j, -1j])  # left of the traversal, then right
+            inside = region_contains(self.subdomain_pieces(p.subdomains[0]), np.sort(pts.real), pts.imag)
+            left, right = inside[[0, 1], np.argsort(pts.real)]  # each point's row and its x's column
+            if left == right:
+                where = "both sides of its midpoint lie" if left else "neither side of its midpoint lies"
+                raise PieceError(f"piece {p.name!r}: {where} inside subdomain {p.subdomains[0]}, so its outward "
+                                 "normal is undecidable (is the piece listed twice?)", i)
+            self.turns.append(-1j if left else 1j)
+
+    def outward_normal(self, i: int, t) -> np.ndarray:
+        """Unit outward normal of pieces[i] at parameter t."""
+        return self.turns[i] * piece_tangent(self.pieces[i], t)
 
     def outer_length(self) -> float:
         return math.fsum(piece_length(p) for p in self.pieces if not p.is_interface)
@@ -218,7 +225,7 @@ def sample_boundary(spec: DomainSpec, n: int, rng: Rng) -> np.recarray:
     for idx, (piece, cnt) in enumerate(zip(spec.pieces, counts)):
         rows = slice(start, start + cnt)
         ts = np.sort(rng.uniform(cnt))
-        out.t[rows], out.z[rows], out.normal[rows] = ts, piece_point(piece, ts), outward_normal(piece, ts)
+        out.t[rows], out.z[rows], out.normal[rows] = ts, piece_point(piece, ts), spec.outward_normal(idx, ts)
         out.piece[rows] = idx
         start += cnt
     return out

@@ -1,9 +1,11 @@
 """Problem configuration: JSON schema and validation.
 
 A config bundles material, boundary geometry with BC data, network
-architecture, training protocol and output settings.  Boundary data are
-restricted to constant vectors and a normal-pressure catalogue entry, which
-covers all shipped benchmark problems without an expression interpreter.
+architecture, training protocol and output settings.  A piece states its
+shape, its condition and its subdomains once; the subdomain count and the
+outward normals follow from the pieces.  Boundary data are restricted to
+constant vectors and a normal-pressure catalogue entry, which covers all
+shipped benchmark problems without an expression interpreter.
 """
 
 from __future__ import annotations
@@ -73,13 +75,13 @@ def _fail(path: str, msg: str):
 
 
 def _made(path: str, make):
-    """make(), its ValueError reported at `path`; a ConfigError passes as it is."""
+    """make(), its ValueError reported at `path` (a PieceError at its piece); a ConfigError passes as it is."""
     try:
         return make()
     except ConfigError:
         raise
     except ValueError as e:
-        _fail(path, str(e))
+        _fail(f"{path}.pieces[{e.index}]" if isinstance(e, geo.PieceError) else path, str(e))
 
 
 def _obj(v, path: str) -> dict:
@@ -140,22 +142,14 @@ def _parse_data(obj: dict, path: str) -> el.BoundaryData:
     _fail(path, "boundary data must give 'constant' or 'normal_pressure'")
 
 
-def _parse_bc(obj: dict, path: str) -> tuple[el.BCKind, tuple[int, ...]]:
+def _parse_bc(obj: dict, path: str) -> el.BCKind:
     kind = _need(obj, "type", path)
     if kind in ("traction", "displacement"):
         data = _parse_data(_need(_keys(obj, path, "type", "data"), "data", path), f"{path}.data")
-        return (el.Traction if kind == "traction" else el.Displacement)(data), ()
-    if kind == "symmetry":
+        return (el.Traction if kind == "traction" else el.Displacement)(data)
+    if kind in ("symmetry", "interface"):
         _keys(obj, path, "type")
-        return el.Symmetry(), ()
-    if kind == "interface":
-        subs = _need(_keys(obj, path, "type", "subdomains"), "subdomains", path)
-        if not (isinstance(subs, list) and len(subs) == 2):
-            _fail(path, "interface needs 'subdomains': [a, b]")
-        a, b = (_int(s, f"{path}.subdomains") for s in subs)
-        if a == b or a < 0 or b < 0:
-            _fail(f"{path}.subdomains", f"interface needs two distinct subdomains, got {a}, {b}")
-        return el.Interface(), (a, b)
+        return el.Symmetry() if kind == "symmetry" else el.Interface()
     _fail(path, f"unknown bc type {kind!r}")
 
 
@@ -171,11 +165,14 @@ def _parse_piece(obj: dict, i: int) -> geo.BoundaryPiece:
         shape = geo.Arc(center, *(_num(_need(obj, k, path), f"{path}.{k}") for k in read[1:]))
     else:
         _fail(path, f"unknown piece kind {kind!r}")
-    bc, subs = _parse_bc(_need(obj, "bc", path), f"{path}.bc")
-    _keys(obj, path, "kind", *read, "bc", *(() if subs else ("subdomain",)), "side", "name")
-    subs = subs or (_int(_need(obj, "subdomain", path), f"{path}.subdomain"),)
+    _keys(obj, path, "kind", *read, "bc", "subdomains", "name")
+    bc = _parse_bc(_need(obj, "bc", path), f"{path}.bc")
+    subs = _need(obj, "subdomains", path)
+    if not isinstance(subs, list):
+        _fail(f"{path}.subdomains", f"expected a list of integers, got {subs!r}")
+    subs = tuple(_int(s, f"{path}.subdomains") for s in subs)
     name = _str(obj.get("name", f"piece{i}"), f"{path}.name")
-    return _made(path, lambda: geo.BoundaryPiece(shape, bc, geo.Side(obj.get("side", "left")), subs, name=name))
+    return _made(path, lambda: geo.BoundaryPiece(shape, bc, subs, name=name))
 
 
 def load_config(path: str) -> ProblemSpec:
@@ -191,13 +188,11 @@ def load_config(path: str) -> ProblemSpec:
     lam, mu = (_num(_need(mat_obj, k, "material"), f"material.{k}") for k in ("lambda", "mu"))
     material = _made("material", lambda: el.Material(lam, mu, el.PlaneMode(mat_obj.get("mode", "plane_strain"))))
 
-    geo_obj = _keys(_need(doc, "geometry", "config"), "geometry", "n_subdomains", "pieces")
-    piece_objs = _need(geo_obj, "pieces", "geometry")
+    piece_objs = _need(_keys(_need(doc, "geometry", "config"), "geometry", "pieces"), "pieces", "geometry")
     if not isinstance(piece_objs, list):
         _fail("geometry.pieces", f"expected a list, got {piece_objs!r}")
     pieces = [_parse_piece(p, i) for i, p in enumerate(piece_objs)]
-    n_sub = _int(geo_obj.get("n_subdomains", 1), "geometry.n_subdomains")
-    domain = _made("geometry", lambda: geo.DomainSpec(pieces, n_sub))
+    domain = _made("geometry", lambda: geo.DomainSpec(pieces))
 
     net_obj = _keys(_need(doc, "networks", "config"), "networks", "hidden_layers", "units", "activation", "mode")
     layers, units = (_int(_need(net_obj, k, "networks"), f"networks.{k}") for k in ("hidden_layers", "units"))
@@ -205,11 +200,11 @@ def load_config(path: str) -> ProblemSpec:
     networks = _made("networks", lambda: NetworkConfig(layers, units, ActivationKind(act), Mode(mode)))
 
     tr_obj = _need(doc, "training", "config")
-    _keys(tr_obj, "training", "epochs", "lr", "n_train", "n_test", "seed", "beta", "m_e", "lr_decay", "precision")
+    _keys(tr_obj, "training", "epochs", "lr", "n_train", "n_test", "seed", "beta", "m_e", "precision")
     fields = {k: _int(_need(tr_obj, k, "training"), f"training.{k}") for k in ("epochs", "n_train")}
     fields.update({k: _int(tr_obj.get(k, v), f"training.{k}") for k, v in (("n_test", 0), ("seed", 0), ("m_e", 3))})
     fields["lr"] = _num(_need(tr_obj, "lr", "training"), "training.lr")
-    fields.update({k: _num(tr_obj.get(k, v), f"training.{k}") for k, v in (("beta", 0.5), ("lr_decay", 1.0))})
+    fields["beta"] = _num(tr_obj.get("beta", 0.5), "training.beta")
     fields["precision"] = _str(tr_obj.get("precision", "double"), "training.precision")
     training = _made("training", lambda: TrainConfig(**fields))
 

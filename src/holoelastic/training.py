@@ -37,7 +37,6 @@ class TrainConfig:
     seed: int = 0
     beta: float = 0.5
     m_e: int = 3
-    lr_decay: float = 1.0  # per-epoch multiplicative factor
     precision: str = "double"  # a key of PRECISIONS
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class TrainConfig:
             raise ValueError("epochs/n_test must be >= 0 and n_train positive")
         if not 0.0 < self.lr < np.inf:
             raise ValueError(f"lr must be a finite positive number, got {self.lr}")
-        if not (0.0 < self.lr_decay <= 1.0):
-            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.m_e < 2:
@@ -157,7 +154,7 @@ def train(problem: "ProblemSpec") -> tuple[list[BranchPair], History]:
             grads = loss_backward(rec).to_vector()
             test = rec.test_loss
             del rec  # its caches must not outlive the epoch into the next forward
-            adam_step(adam, grads, cfg.lr * cfg.lr_decay**epoch, vec)
+            adam_step(adam, grads, cfg.lr, vec)
         except NonFiniteError as e:
             raise NonFiniteError(f"epoch {epoch}: {e}") from e
         write_params(pairs, vec)

@@ -7,7 +7,7 @@ import pytest
 
 from holoelastic.autodiff import PackedBatch, loss_backward, loss_forward, loss_value, pack_batch
 from holoelastic.elasticity import ConstantData, Material, NormalPressure, Symmetry, Traction, km_fields
-from holoelastic.geometry import Arc, BoundaryPiece, DomainSpec, Line, Side
+from holoelastic.geometry import Arc, BoundaryPiece, DomainSpec, Line
 from holoelastic.network import flatten_params, mlp_forward, write_params
 from holoelastic.problem import NetworkConfig, OutputConfig, ProblemSpec
 from holoelastic.training import TrainConfig
@@ -36,10 +36,10 @@ def configs():
 def ring_quadrant_domain() -> DomainSpec:
     """Upper-left ring quadrant, r=0.5, R=2, built inline for unit tests."""
     pieces = [
-        BoundaryPiece(Arc(0j, 2.0, np.pi / 2, np.pi), Traction(NormalPressure(-1.0)), Side.RIGHT, (0,), "outer"),
-        BoundaryPiece(Line(-2 + 0j, -0.5 + 0j), Symmetry(), Side.RIGHT, (0,), "axis_x"),
-        BoundaryPiece(Arc(0j, 0.5, np.pi, np.pi / 2), Traction(ConstantData(0, 0)), Side.RIGHT, (0,), "inner"),
-        BoundaryPiece(Line(0.5j, 2j), Symmetry(), Side.RIGHT, (0,), "axis_y"),
+        BoundaryPiece(Arc(0j, 2.0, np.pi / 2, np.pi), Traction(NormalPressure(-1.0)), (0,), "outer"),
+        BoundaryPiece(Line(-2 + 0j, -0.5 + 0j), Symmetry(), (0,), "axis_x"),
+        BoundaryPiece(Arc(0j, 0.5, np.pi, np.pi / 2), Traction(ConstantData(0, 0)), (0,), "inner"),
+        BoundaryPiece(Line(0.5j, 2j), Symmetry(), (0,), "axis_y"),
     ]
     return DomainSpec(pieces)
 
@@ -65,10 +65,10 @@ def traction_square_domain() -> DomainSpec:
     """Unit square under uniform biaxial tension; pure Neumann."""
     pull = lambda vx, vy: Traction(ConstantData(vx, vy))
     pieces = [
-        BoundaryPiece(Line(-1 - 1j, 1 - 1j), pull(0, -1), Side.RIGHT, (0,), "bottom"),
-        BoundaryPiece(Line(1 - 1j, 1 + 1j), pull(1, 0), Side.RIGHT, (0,), "right"),
-        BoundaryPiece(Line(1 + 1j, -1 + 1j), pull(0, 1), Side.RIGHT, (0,), "top"),
-        BoundaryPiece(Line(-1 + 1j, -1 - 1j), pull(-1, 0), Side.RIGHT, (0,), "left"),
+        BoundaryPiece(Line(-1 - 1j, 1 - 1j), pull(0, -1), (0,), "bottom"),
+        BoundaryPiece(Line(1 - 1j, 1 + 1j), pull(1, 0), (0,), "right"),
+        BoundaryPiece(Line(1 + 1j, -1 + 1j), pull(0, 1), (0,), "top"),
+        BoundaryPiece(Line(-1 + 1j, -1 - 1j), pull(-1, 0), (0,), "left"),
     ]
     return DomainSpec(pieces)
 

@@ -12,9 +12,8 @@ from holoelastic.geometry import (
     BoundaryPiece,
     DomainSpec,
     Line,
-    Side,
+    PieceError,
     allocate_counts,
-    outward_normal,
     piece_length,
     piece_point,
     piece_tangent,
@@ -28,42 +27,90 @@ BC = Traction(ConstantData(0, 0))
 
 
 def test_line_length():
-    p = BoundaryPiece(Line(0, 3 + 4j), BC, Side.LEFT, (0,))
+    p = BoundaryPiece(Line(0, 3 + 4j), BC, (0,))
     assert piece_length(p) == 5.0
 
 
 def test_arc_length():
-    p = BoundaryPiece(Arc(0, 2.0, 0.0, np.pi / 2), BC, Side.LEFT, (0,))
+    p = BoundaryPiece(Arc(0, 2.0, 0.0, np.pi / 2), BC, (0,))
     assert abs(piece_length(p) - np.pi) < 1e-15
 
 
 def test_degenerate_arc_rejected():
     with pytest.raises(ValueError):
-        BoundaryPiece(Arc(0, 2.0, 1.0, 1.0), BC, Side.LEFT, (0,))
+        BoundaryPiece(Arc(0, 2.0, 1.0, 1.0), BC, (0,))
     with pytest.raises(ValueError):
-        BoundaryPiece(Line(1j, 1j), BC, Side.LEFT, (0,))
+        BoundaryPiece(Line(1j, 1j), BC, (0,))
 
 
 def test_interface_piece_needs_two_distinct_subdomains():
     # an interface piece names sides a and b; every other piece bounds one subdomain
     for bc, subs in ((Interface(), (2, 2)), (Interface(), (1,)), (Interface(), (0, 1, 2)), (BC, (0, 1)), (BC, ())):
         with pytest.raises(ValueError, match="an interface needs two distinct subdomains, any other piece one"):
-            BoundaryPiece(Line(0, 1), bc, Side.LEFT, subs)
-    assert BoundaryPiece(Line(0, 1), Interface(), Side.LEFT, (2, 0)).subdomains == (2, 0)
+            BoundaryPiece(Line(0, 1), bc, subs)
+    assert BoundaryPiece(Line(0, 1), Interface(), (2, 0)).subdomains == (2, 0)
+
+
+def _square(clockwise: bool) -> list:
+    corners = [-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j]
+    return _loop(*(corners[::-1] if clockwise else corners))
 
 
 def test_line_normal_sides():
-    p = BoundaryPiece(Line(0, 1), BC, Side.LEFT, (0,))
-    assert abs(outward_normal(p, 0.5) - 1j) < 1e-15
-    p = BoundaryPiece(Line(0, 1), BC, Side.RIGHT, (0,))
-    assert abs(outward_normal(p, 0.5) + 1j) < 1e-15
+    # a square traversed either way: each edge's normal leaves the square
+    want = {-1j: -1j, 1 + 0j: 1 + 0j, 1j: 1j, -1 + 0j: -1 + 0j}  # midpoint: outward normal
+    for clockwise in (False, True):
+        dom = DomainSpec(_square(clockwise))
+        got = {complex(piece_point(p, 0.5)): complex(dom.outward_normal(i, 0.5)) for i, p in enumerate(dom.pieces)}
+        assert got == want
 
 
 def test_arc_normal_outward_and_hole():
-    ccw = BoundaryPiece(Arc(0, 1.0, 0.0, np.pi), BC, Side.RIGHT, (0,))
-    assert abs(outward_normal(ccw, 0.0) - 1.0) < 1e-15  # radial at angle 0
-    hole = BoundaryPiece(Arc(0, 1.0, 0.0, np.pi), BC, Side.LEFT, (0,))
-    assert abs(outward_normal(hole, 0.0) + 1.0) < 1e-15  # toward the center
+    # a disk of two half circles, and a hole of two in the square, each traversed either way:
+    # a disk's normal is radial, a hole's points toward the hole's center
+    t = np.linspace(0.0, 1.0, 9)
+    center = 0.25 + 0.25j
+    for thetas in ((0.0, np.pi, 2 * np.pi), (2 * np.pi, np.pi, 0.0)):
+        arcs = [BoundaryPiece(Arc(center, 0.5, a, b), BC, (0,)) for a, b in zip(thetas, thetas[1:])]
+        for dom, arc_ids, sign in ((DomainSpec(arcs), (0, 1), 1.0), (DomainSpec(_square(False) + arcs), (4, 5), -1.0)):
+            for i in arc_ids:
+                radial = (piece_point(dom.pieces[i], t) - center) / 0.5
+                assert np.abs(dom.outward_normal(i, t) - sign * radial).max() < 1e-12
+
+
+@pytest.mark.parametrize("subs, normal", [((0, 1), 1.0), ((1, 0), -1.0)])
+@pytest.mark.parametrize("ends", [(-1j, 1j), (1j, -1j)], ids=["up", "down"])
+def test_interface_normal_points_out_of_side_a(subs, normal, ends):
+    # two unit squares side by side, 0 left of the interface x = 0, 1 right of it
+    left = [BoundaryPiece(Line(a, b), BC, (0,)) for a, b in ((-1j, -1 - 1j), (-1 - 1j, -1 + 1j), (-1 + 1j, 1j))]
+    right = [BoundaryPiece(Line(a, b), BC, (1,)) for a, b in ((1j, 1 + 1j), (1 + 1j, 1 - 1j), (1 - 1j, -1j))]
+    dom = DomainSpec(left + right + [BoundaryPiece(Line(*ends), Interface(), subs)])
+    assert dom.n_subdomains == 2
+    assert abs(dom.outward_normal(6, 0.3) - normal) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "twins, where",
+    [
+        ([(-1 + 1j, -1 - 1j)], "both sides of its midpoint lie"),  # the square's left edge listed twice
+        ([(2 + 0j, 3 + 0j), (3 + 0j, 2 + 0j)], "neither side of its midpoint lies"),  # a slit outside, there and back
+    ],
+    ids=["edge_twice", "slit_outside"],
+)
+def test_undecidable_normal_names_the_piece(twins, where):
+    pieces = [BoundaryPiece(Line(*ends), BC, (0,), "twin") for ends in twins] + _square(False)
+    with pytest.raises(PieceError, match=f"^piece 'twin': {where} inside subdomain 0, so its outward normal is ") as e:
+        DomainSpec(pieces)
+    assert e.value.index == 0
+
+
+def test_subdomain_count_is_one_past_the_largest_id():
+    dom = ring_quadrant_domain()
+    assert dom.n_subdomains == 1
+    with pytest.raises(ValueError, match="^subdomain 0 has no boundary piece$"):
+        DomainSpec([BoundaryPiece(p.shape, p.bc, (1,)) for p in dom.pieces])
+    with pytest.raises(ValueError, match="each a non-negative id; got \\[-1\\]$"):
+        BoundaryPiece(Line(0, 1), BC, (-1,))
 
 
 def test_ring_quadrant_perimeter():
@@ -73,11 +120,11 @@ def test_ring_quadrant_perimeter():
 
 
 def _loop(*corners):
-    return [BoundaryPiece(Line(a, b), BC, Side.RIGHT, (0,)) for a, b in zip(corners, corners[1:] + corners[:1])]
+    return [BoundaryPiece(Line(a, b), BC, (0,)) for a, b in zip(corners, corners[1:] + corners[:1])]
 
 
 def _arcs(r, *thetas):
-    return [BoundaryPiece(Arc(0j, r, a, b), BC, Side.RIGHT, (0,)) for a, b in zip(thetas, thetas[1:])]
+    return [BoundaryPiece(Arc(0j, r, a, b), BC, (0,)) for a, b in zip(thetas, thetas[1:])]
 
 
 # nodes k/8 lie exactly on every edge, vertex and circle below: hypot(3/8, 1/2) = 5/8, hypot(3/4, 1) = 5/4
@@ -168,7 +215,7 @@ def test_sample_columns_are_piece_functions_of_t(name):
         s = samples[samples.piece == i]
         assert s.size > 0 and np.all(np.diff(s.t) >= 0) and np.all((s.t >= 0.0) & (s.t < 1.0))
         assert np.array_equal(s.z, piece_point(piece, s.t))
-        assert np.array_equal(s.normal, np.broadcast_to(outward_normal(piece, s.t), s.shape))
+        assert np.array_equal(s.normal, dom.outward_normal(i, s.t))
 
 
 def test_arc_samples_on_circle():

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,7 @@ from holoelastic.analytics import GridField
 from holoelastic.cli import run_command
 from holoelastic.elasticity import Displacement, Interface, Symmetry, Traction
 from holoelastic.export import write_fields_csv
-from holoelastic.geometry import outward_normal, piece_point, region_contains
+from holoelastic.geometry import piece_point, region_contains
 from holoelastic.network import checkpoint_load, checkpoint_save
 from holoelastic.problem import ConfigError, load_config
 
@@ -73,15 +74,15 @@ def test_roundtrip_equals_original(name, tmp_path):
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_outward_normals_leave_region(name, configs):
-    # a piece's normal leaves the subdomain it bounds; an interface's leads from one side into the other
+    # a piece's normal leaves the subdomain it bounds; an interface's leads out of side a into side b
     domain = configs[name].domain
     inside = lambda s, z: bool(region_contains(domain.subdomain_pieces(s), z.real, z.imag)[0, 0])
-    for piece in domain.pieces:
-        for t in (0.25, 0.75):
+    for i, piece in enumerate(domain.pieces):
+        for t in (0.21, 0.5, 0.83):
             z = complex(piece_point(piece, t))
-            n = complex(outward_normal(piece, t))
-            sides = sorted((inside(s, z - 1e-6 * n), inside(s, z + 1e-6 * n)) for s in piece.subdomains)
-            assert sides == ([(False, True), (True, False)] if piece.is_interface else [(True, False)]), piece.name
+            n = complex(domain.outward_normal(i, t))
+            sides = [(inside(s, z - 1e-6 * n), inside(s, z + 1e-6 * n)) for s in piece.subdomains]
+            assert sides == [(True, False), (False, True)][: len(piece.subdomains)], piece.name
 
 
 def test_missing_block_names_it(tmp_path):
@@ -127,9 +128,10 @@ PIECES = ("geometry", "pieces")
         ((*PIECES, 2, "bc", "data", "constant"), [0.0, 0.0, 0.0], [], "error: geometry.pieces[2].bc.data.constant: "),
         ((*PIECES, 0, "bc", "data", "normal_pressure"), "x", [], "error: geometry.pieces[0].bc.data.normal_pressure: "),
         ((*PIECES, 0, "radius"), "two", [], "error: geometry.pieces[0].radius: "),
-        ((*PIECES, 1, "side"), "up", [], "error: geometry.pieces[1]: 'up' is not a valid Side"),
-        ((*PIECES, 1, "subdomain"), "x", [], "error: geometry.pieces[1].subdomain: expected an integer, got 'x'"),
-        (("geometry", "n_subdomains"), 2, [], "error: geometry: subdomain 1 has no boundary piece"),
+        ((*PIECES, 1, "side"), "left", [],
+         "error: geometry.pieces[1]: unknown field 'side'; expected one of kind, p0, p1, bc, subdomains, name"),
+        ((*PIECES, 1, "subdomains", 0), "x", [], "error: geometry.pieces[1].subdomains: expected an integer, got 'x'"),
+        ((*PIECES, 1, "subdomains"), [2], [], "error: geometry: subdomain 1 has no boundary piece"),
         ((), None, ["--grid", "40"], "argument --grid: expected NxM with positive N and M"),
         (("training", "epochs"), 2.7, [], "error: training.epochs: expected an integer, got 2.7"),
         (("training", "n_train"), 40.0, [], "error: training.n_train: expected an integer"),
@@ -138,7 +140,7 @@ PIECES = ("geometry", "pieces")
         (("training", "m_e"), 3.0, [], "error: training.m_e: expected an integer"),
         (("networks", "hidden_layers"), True, [], "error: networks.hidden_layers: expected an integer, got True"),
         (("networks", "units"), 10.5, [], "error: networks.units: expected an integer"),
-        (("geometry", "n_subdomains"), 1.0, [], "error: geometry.n_subdomains: expected an integer"),
+        (("geometry", "n_subdomains"), 1.0, [], "error: geometry: unknown field 'n_subdomains'; expected one of"),
         (("training", "m_e"), 1, [], "error: training: m_e must be >= 2, got 1"),
         (("training", "beta"), -1, [], "error: training: beta must be positive"),
         (("training", "n_test"), 2, [], "error: training: n_test must be at least the number of boundary pieces (4)"),
@@ -152,13 +154,17 @@ PIECES = ("geometry", "pieces")
         (("training", "lr"), math.nan, [], "error: training.lr: expected a finite number, got nan"),
         (("training", "lr"), math.inf, [], "error: training.lr: expected a finite number, got inf"),
         (("training", "beta"), True, [], "error: training.beta: expected a finite number, got True"),
-        (("training", "lr_decay"), "1", [], "error: training.lr_decay: expected a finite number, got '1'"),
+        (("training", "lr_decay"), "1", [], "error: training: unknown field 'lr_decay'; expected one of epochs,"),
         (("material", "mu"), "1", [], "error: material.mu: expected a finite number, got '1'"),
         (("material", "lambda"), None, [], "error: material.lambda: expected a finite number, got None"),
         ((*PIECES, 0, "bc", "data", "normal_pressure"), math.nan, [],
          "error: geometry.pieces[0].bc.data.normal_pressure: expected a finite number, got nan"),
-        ((*PIECES, 1, "subdomain"), 0.5, [], "error: geometry.pieces[1].subdomain: expected an integer, got 0.5"),
-        ((*PIECES, 1, "subdomain"), "0", [], "error: geometry.pieces[1].subdomain: expected an integer, got '0'"),
+        ((*PIECES, 1, "subdomains", 0), 0.5, [], "error: geometry.pieces[1].subdomains: expected an integer, got 0.5"),
+        ((*PIECES, 1, "subdomains", 0), "0", [], "error: geometry.pieces[1].subdomains: expected an integer, got '0'"),
+        ((*PIECES, 1, "subdomains"), 0, [], "error: geometry.pieces[1].subdomains: expected a list of integers, got 0"),
+        ((*PIECES, 1, "subdomains"), [0, 1], [],
+         "error: geometry.pieces[1]: piece 'axis_x': an interface needs two distinct subdomains, any other piece one"),
+        ((*PIECES, 1, "subdomain"), 0, [], "error: geometry.pieces[1]: unknown field 'subdomain'; expected one of "),
         (("material",), 5, [], "error: material: expected an object, got 5"),
         (("networks",), 3, [], "error: networks: expected an object, got 3"),
         (("training",), [], [], "error: training: expected an object, got []"),
@@ -171,14 +177,13 @@ PIECES = ("geometry", "pieces")
         ((*PIECES, 0, "name"), [1], [], "error: geometry.pieces[0].name: expected a nonempty string, got [1]"),
         (("name",), {"a": 1}, [], "error: name: expected a nonempty string, got {'a': 1}"),
         (("training", "n_tset"), 8, [], "error: training: unknown field 'n_tset'; expected one of epochs, lr,"),
-        (("training", "lr_decya"), 0.5, [], "error: training: unknown field 'lr_decya'"),
         (("networks", "activaton"), "cos", [], "error: networks: unknown field 'activaton'"),
         (("outputs", "gird"), [8, 8], [], "error: outputs: unknown field 'gird'; expected one of grid, dir"),
         (("refrence",), {}, [], "error: config: unknown field 'refrence'"),
         (("material", "nu"), 0.3, [], "error: material: unknown field 'nu'"),
         (("geometry", "n_subdomain"), 1, [], "error: geometry: unknown field 'n_subdomain'"),
         (("geometry", "regions"), [], [],
-         "error: geometry: unknown field 'regions'; expected one of n_subdomains, pieces"),
+         "error: geometry: unknown field 'regions'; expected one of pieces"),
         ((*PIECES, 1, "radius"), 1.0, [], "error: geometry.pieces[1]: unknown field 'radius'; expected one of kind, p0,"),
         ((*PIECES, 1, "bc", "data"), {"constant": [0.0, 0.0]}, [], "error: geometry.pieces[1].bc: unknown field 'data'"),
         ((*PIECES, 0, "bc", "data", "constant"), [0.0, 0.0], [],
@@ -199,9 +204,10 @@ PIECES = ("geometry", "pieces")
         "layers_bool", "units_float", "n_subdomains_float", "m_e_1", "beta_negative", "n_test_below_pieces",
         "n_train_below_pieces", "ref_missing_R", "ref_kind", "ref_str", "ref_r_beyond_R", "lr_null", "lr_str",
         "lr_nan", "lr_inf", "beta_bool", "lr_decay_str", "mu_str", "lambda_null", "pressure_nan", "subdomain_float",
-        "subdomain_numeric_str", "material_int", "networks_int", "training_list", "outputs_list", "pieces_object",
-        "piece_int", "bc_str", "bc_data_float", "dir_list", "piece_name_list", "name_object", "training_typo",
-        "lr_decay_typo", "activation_typo", "grid_typo", "root_typo", "material_extra", "geometry_typo",
+        "subdomain_numeric_str", "subdomains_int", "outer_piece_two_subdomains", "subdomain_rejected",
+        "material_int", "networks_int", "training_list", "outputs_list", "pieces_object", "piece_int", "bc_str",
+        "bc_data_float", "dir_list", "piece_name_list", "name_object", "training_typo", "activation_typo",
+        "grid_typo", "root_typo", "material_extra", "geometry_typo",
         "regions_rejected", "line_with_radius", "symmetry_with_data", "data_both", "reference_extra", "ref_p_zero",
         "ref_p_negative_zero", "plane_mode_str", "activation_str", "net_mode_str", "precision_str", "precision_int",
         "precision_list",
@@ -225,10 +231,10 @@ def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, ke
 def test_interface_subdomains_must_be_integers(tmp_path):
     doc = json.load(open(config_path("dd_plate_hole")))
     i = next(k for k, p in enumerate(doc["geometry"]["pieces"]) if p["bc"]["type"] == "interface")
-    doc["geometry"]["pieces"][i]["bc"]["subdomains"][1] = 1.0
+    doc["geometry"]["pieces"][i]["subdomains"][1] = 1.0
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=rf"^geometry\.pieces\[{i}\]\.bc\.subdomains: expected an integer, got 1\.0$"):
+    with pytest.raises(ConfigError, match=rf"^geometry\.pieces\[{i}\]\.subdomains: expected an integer, got 1\.0$"):
         load_config(str(path))
 
 
@@ -236,21 +242,36 @@ def test_interface_subdomains_must_be_integers(tmp_path):
 def test_interface_subdomains_must_be_distinct_and_nonnegative(tmp_path, subs):
     doc = json.load(open(config_path("dd_plate_hole")))
     i = next(k for k, p in enumerate(doc["geometry"]["pieces"]) if p["bc"]["type"] == "interface")
-    doc["geometry"]["pieces"][i]["bc"]["subdomains"] = subs
+    doc["geometry"]["pieces"][i]["subdomains"] = subs
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    want = rf"^geometry\.pieces\[{i}\]\.bc\.subdomains: interface needs two distinct subdomains, got {subs[0]}, {subs[1]}$"
+    want = (rf"^geometry\.pieces\[{i}\]: piece 'iface_ne_nw': an interface needs two distinct subdomains, "
+            rf"any other piece one, each a non-negative id; got \[{subs[0]}, {subs[1]}\]$")
     with pytest.raises(ConfigError, match=want):
         load_config(str(path))
 
 
-def test_interface_piece_names_its_subdomains_in_the_bc_only(tmp_path):
-    doc = json.load(open(config_path("dd_plate_hole")))
-    i = next(k for k, p in enumerate(doc["geometry"]["pieces"]) if p["bc"]["type"] == "interface")
-    doc["geometry"]["pieces"][i]["subdomain"] = 0
-    path = tmp_path / "bad.json"
+def test_interface_piece_names_its_subdomains_on_the_piece_only(tmp_path):
+    # the keys that named a piece's subdomains before `subdomains` did are rejected where they stood
+    for where, key in (("", "subdomain"), (".bc", "subdomains")):
+        doc = json.load(open(config_path("dd_plate_hole")))
+        i, piece = next((k, p) for k, p in enumerate(doc["geometry"]["pieces"]) if p["bc"]["type"] == "interface")
+        (piece["bc"] if where else piece)[key] = [0, 1]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=rf"^geometry\.pieces\[{i}\]{re.escape(where)}: unknown field '{key}'; "):
+            load_config(str(path))
+
+
+def test_duplicated_piece_fails_at_load(tmp_path):
+    # a square with its left edge listed twice puts both sides of the edge inside the square
+    doc = json.load(open(config_path("clamped_square")))
+    pieces = doc["geometry"]["pieces"]
+    pieces.append(dict(pieces[3]))
+    path = tmp_path / "twice.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match=rf"^geometry\.pieces\[{i}\]: unknown field 'subdomain'; expected one of kind, "):
+    want = r"^geometry\.pieces\[3\]: piece 'left': both sides of its midpoint lie inside subdomain 0, so its outward "
+    with pytest.raises(ConfigError, match=want):
         load_config(str(path))
 
 

@@ -22,10 +22,6 @@ def test_config_validation():
     for lr in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"lr must be a finite positive number, got {lr}"):
             TrainConfig(lr=lr)
-    with pytest.raises(ValueError):
-        TrainConfig(lr_decay=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(lr_decay=1.5)
     with pytest.raises(ValueError, match="precision must be 'double' or 'single', got 'half'"):
         TrainConfig(precision="half")
 
