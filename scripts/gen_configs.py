@@ -41,9 +41,9 @@ MAT = Material(1.0, 1.0, PlaneMode.STRAIN)
 
 def ring_quadrant() -> ProblemSpec:
     # upper-left quadrant of a ring r=0.5, R=2; pressure -1 on the outer arc
-    r, R = 0.5, 2.0
+    p, r, R = -1.0, 0.5, 2.0
     pieces = [
-        BoundaryPiece(Arc(0j, R, math.pi / 2, math.pi), Traction(NormalPressure(-1.0)), (0,), "outer"),
+        BoundaryPiece(Arc(0j, R, math.pi / 2, math.pi), Traction(NormalPressure(p)), (0,), "outer"),
         BoundaryPiece(Line(-R + 0j, -r + 0j), Symmetry(), (0,), "axis_x"),
         BoundaryPiece(Arc(0j, r, math.pi, math.pi / 2), Traction(ZERO), (0,), "inner"),
         BoundaryPiece(Line(r * 1j, R * 1j), Symmetry(), (0,), "axis_y"),
@@ -54,7 +54,7 @@ def ring_quadrant() -> ProblemSpec:
         NetworkConfig(2, 10),
         TrainConfig(epochs=1000, lr=0.03, n_train=200, n_test=20, seed=0),
         OutputConfig((40, 40), "out/ring_quadrant"),
-        reference={"kind": "ring", "p": -1.0, "r": r, "R": R},
+        reference={"kind": "ring", "p": p, "r": r, "R": R},
         name="ring_quadrant",
     )
 
@@ -244,8 +244,8 @@ def save_config(spec: ProblemSpec, path: str) -> None:
     }
     if spec.training.precision != "double":  # the default is left out
         doc["training"]["precision"] = spec.training.precision
-    if spec.reference is not None:
-        doc["reference"] = spec.reference
+    if spec.reference is not None:  # the loader reads the ring's p, r and R off its arcs
+        doc["reference"] = {"kind": spec.reference["kind"]}
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
         json.dump(doc, fh, indent=1)

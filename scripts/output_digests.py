@@ -6,7 +6,10 @@ Runs the holoelastic CLI of REPO (default: the checkout that holds this
 script) single-threaded inside a temporary directory, which is removed
 afterwards.  It sets the three BLAS thread variables itself, because in
 checkouts older than the package root's HOLOELASTIC_THREADS cap that
-variable does not reach the BLAS.  It hashes:
+variable does not reach the BLAS.  It prints each config's loaded
+ProblemSpec.reference as JSON (`<config>/reference <json>`, `null` without
+one), so a change to how the loader builds the reference shows in the diff,
+and it hashes:
 
   <config>/checkpoint.json, history.csv  `train` for 20 epochs (all configs)
   <config>/fields.csv                     `eval --grid 40x40` of that checkpoint
@@ -93,6 +96,7 @@ def main(argv: list[str]) -> int:
         os.environ[var] = "1"  # before numpy loads
     sys.path.insert(0, os.path.join(repo, "src"))
     from holoelastic.cli import run_command
+    from holoelastic.problem import load_config
 
     def run(*args: str) -> None:
         out, err = io.StringIO(), io.StringIO()
@@ -136,6 +140,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for src in configs:
             name = os.path.splitext(os.path.basename(src))[0]
+            print(f"{name}/reference {json.dumps(load_config(src).reference)}", flush=True)
             cfg, doc, ckpt = train(tmp, name)
             out = os.path.dirname(ckpt)
             run("eval", cfg, ckpt, "--grid", "40x40")

@@ -3,8 +3,8 @@
 The pressurized-ring problem has an exact solution (constant phi', a 1/z^2
 psi'), which makes it the main quantitative benchmark: phi' and psi' are
 unique once a symmetry condition pins rigid motion, unlike phi and psi which
-float by additive constants.  Field grids are masked by the region that each
-subdomain's boundary pieces enclose.
+float by additive constants.  Field grids are masked, and their nodes given to
+subdomains, by geometry.DomainSpec.owner.
 """
 
 from __future__ import annotations
@@ -99,10 +99,8 @@ def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Itera
     step = max(1, FORWARD_BLOCK // (nx * width))
     band = step * max(1, FORWARD_BLOCK // (nx * step))  # whole blocks, FORWARD_BLOCK nodes at most
     for i in range(0, ny, step):
-        if i % band == 0:  # owners for a band of rows: a region_contains call costs per call more than per row
-            owner = np.full((len(ys[i : i + band]), nx), -1)
-            for s in range(domain.n_subdomains):  # a node on an interface goes to the lower-numbered side
-                owner[geo.region_contains(domain.subdomain_pieces(s), xs, ys[i : i + band]) & (owner < 0)] = s
+        if i % band == 0:  # owners for a band of rows: an owner map costs per call more than per row
+            owner = domain.owner(xs, ys[i : i + band])
         X, Y = np.meshgrid(xs, ys[i : i + step])
         sub = owner[i % band : i % band + step]
         f = np.full((nf,) + X.shape, np.nan)

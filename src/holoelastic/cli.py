@@ -146,7 +146,7 @@ def _cmd_init_check(args) -> int:
     beta = args.beta if args.beta is not None else spec.training.beta
     seed = args.seed if args.seed is not None else spec.training.seed
     n = spec.training.n_train
-    report = variance_report(spec, beta, args.m_e, probe_n=10 * n, batch_n=n, seed=seed)
+    report = variance_report(spec, beta, args.m_e, probe_n=training.PROBE_FACTOR * n, batch_n=n, seed=seed)
     path = _out_path(spec, "variance.csv")
     export.write_variance_csv(path, report)
     print(f"wrote {path} (beta={beta:g})")

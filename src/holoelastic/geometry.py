@@ -2,8 +2,8 @@
 
 Pieces are parameterized by t in [0, 1], traversed either way.  The outward
 normal of a piece is its unit tangent turned +90 or -90 deg, whichever points
-out of the piece's first subdomain: DomainSpec tests both sides of each
-piece's midpoint with region_contains.  2D vectors are complex numbers.
+out of its first subdomain, read off one DomainSpec.owner map (point ->
+subdomain) of both sides of every midpoint.  2D vectors are complex numbers.
 """
 
 from __future__ import annotations
@@ -107,24 +107,26 @@ class DomainSpec:
             raise ValueError(f"subdomain {min(bare)} has no boundary piece")
         if self.outer_length() <= 0.0:
             raise ValueError("total outer boundary length must be positive")
+        at = np.array([piece_point(p, [0.0, 1.0, 0.5]) for p in self.pieces])  # each piece's ends and midpoint
         tol = 1e-9 * max(piece_length(p) for p in self.pieces)
         for s in range(self.n_subdomains):  # region_contains needs each subdomain's pieces to close into loops
-            ends = [(p, complex(piece_point(p, t))) for p in self.subdomain_pieces(s) for t in (0.0, 1.0)]
-            for p, z in ends:  # an end meets itself and one more
-                if sum(abs(z - w) <= tol for _, w in ends) < 2:
-                    raise ValueError(f"subdomain {s} is open: piece {p.name!r} meets no other piece at {z:.6g}")
-        self.turns = []
-        for i, p in enumerate(self.pieces):  # of the two points 1e-6 of the piece's length either side of its
-            # midpoint, one must lie inside its first subdomain and one outside; the normal points to the latter
-            z, tan = complex(piece_point(p, 0.5)), complex(piece_tangent(p, 0.5))
-            pts = z + 1e-6 * piece_length(p) * tan * np.array([1j, -1j])  # left of the traversal, then right
-            inside = region_contains(self.subdomain_pieces(p.subdomains[0]), np.sort(pts.real), pts.imag)
-            left, right = inside[[0, 1], np.argsort(pts.real)]  # each point's row and its x's column
-            if left == right:
-                where = "both sides of its midpoint lie" if left else "neither side of its midpoint lies"
+            mine = [i for i, p in enumerate(self.pieces) if s in p.subdomains]
+            ends = at[mine, :2].ravel()
+            alone = (abs(ends[:, None] - ends) <= tol).sum(axis=1) < 2  # an end meets itself and one more
+            if alone.any():
+                raise ValueError(f"subdomain {s} is open: piece {self.pieces[mine[alone.argmax() // 2]].name!r} "
+                                 f"meets no other piece at {complex(ends[alone.argmax()]):.6g}")
+        # a normal points to the side of its midpoint, 1e-6 of its length off, outside its first subdomain
+        step = np.array([1e-6 * piece_length(p) * piece_tangent(p, 0.5) for p in self.pieces])
+        pts = (at[:, 2] + step * np.array([[1j], [-1j]])).ravel()  # left of each traversal, then right
+        own = self.owner(np.sort(pts.real), pts.imag)[np.arange(pts.size), pts.real.argsort().argsort()]  # x_i's column
+        left, right = own.reshape(2, -1) == [p.subdomains[0] for p in self.pieces]
+        for i, p in enumerate(self.pieces):
+            if left[i] == right[i]:
+                where = "both sides of its midpoint lie" if left[i] else "neither side of its midpoint lies"
                 raise PieceError(f"piece {p.name!r}: {where} inside subdomain {p.subdomains[0]}, so its outward "
                                  "normal is undecidable (is the piece listed twice?)", i)
-            self.turns.append(-1j if left else 1j)
+        self.turns = [-1j if side else 1j for side in left]
 
     def outward_normal(self, i: int, t) -> np.ndarray:
         """Unit outward normal of pieces[i] at parameter t."""
@@ -136,6 +138,13 @@ class DomainSpec:
     def subdomain_pieces(self, s: int) -> list[BoundaryPiece]:
         """The pieces that bound subdomain s, its interfaces included."""
         return [p for p in self.pieces if s in p.subdomains]
+
+    def owner(self, xs, ys) -> np.ndarray:
+        """Map (len(ys), len(xs)) of grid nodes (x, y), xs ascending, to the lowest subdomain holding each, or -1."""
+        own = np.full((np.size(ys), np.size(xs)), -1)
+        for s in reversed(range(self.n_subdomains)):  # one region_contains call per subdomain
+            own[region_contains(self.subdomain_pieces(s), xs, ys)] = s
+        return own
 
 
 def region_contains(pieces: Sequence[BoundaryPiece], xs, ys) -> np.ndarray:

@@ -2,10 +2,10 @@
 
 A config bundles material, boundary geometry with BC data, network
 architecture, training protocol and output settings.  A piece states its
-shape, its condition and its subdomains once; the subdomain count and the
-outward normals follow from the pieces.  Boundary data are restricted to
-constant vectors and a normal-pressure catalogue entry, which covers all
-shipped benchmark problems without an expression interpreter.
+shape, its condition and its subdomains once; the subdomain count, the
+outward normals and a ring reference follow from the pieces.  Boundary data
+are restricted to constant vectors and a normal-pressure catalogue entry,
+which covers all shipped benchmark problems without an expression interpreter.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class ProblemSpec:
     networks: NetworkConfig
     training: TrainConfig
     outputs: OutputConfig = field(default_factory=OutputConfig)
-    reference: Optional[dict] = None  # e.g. {"kind": "ring", "p": -1, "r": 0.5, "R": 2}
+    reference: Optional[dict] = None  # e.g. {"kind": "ring", "p": -1, "r": 0.5, "R": 2}; a config states the kind
     name: str = ""
 
     def __post_init__(self):
@@ -216,13 +216,15 @@ def load_config(path: str) -> ProblemSpec:
 
     ref = doc.get("reference")
     if ref is not None:
-        if _keys(ref, "reference", "kind", "p", "r", "R").get("kind") != "ring":
+        if _keys(ref, "reference", "kind").get("kind") != "ring":
             _fail("reference.kind", f"expected 'ring', got {ref.get('kind')!r}")
-        p, r, R = (_num(ref.get(k), f"reference.{k}") for k in ("p", "r", "R"))
-        if p == 0.0:  # the rel-L2 errors divide by the exact fields, all zero without pressure
-            _fail("reference.p", "ring pressure must be nonzero, got 0")
-        if not 0.0 < r < R:
-            _fail("reference.r", f"need 0 < r < R, got r={r}, R={R}")
+        arcs = {q.shape.radius: q.bc for q in pieces if isinstance(q.shape, geo.Arc) and q.shape.center == 0}
+        r, R = min(arcs, default=0.0), max(arcs, default=0.0)  # Lame's ring: its arcs about the origin
+        p = getattr(getattr(arcs.get(R), "data", None), "p", 0.0)  # the outer arc's normal pressure, else 0
+        if not (0.0 < r < R and p != 0.0):  # the rel-L2 errors divide by the exact fields, all zero without pressure
+            _fail("reference", f"a ring needs arcs about the origin of radii 0 < r < R and a nonzero normal "
+                  f"pressure p on the outer one; got r={r}, R={R}, p={p}")
+        ref = {"kind": "ring", "p": p, "r": r, "R": R}
 
     name = _str(doc.get("name", os.path.splitext(os.path.basename(path))[0]), "name")
     return _made("config", lambda: ProblemSpec(material, domain, networks, training, outputs, ref, name))

@@ -23,6 +23,7 @@ from .rng import Rng
 
 # training.precision -> the complex dtype of the branch sweeps
 PRECISIONS = {"double": np.complex128, "single": np.complex64}
+PROBE_FACTOR = 10  # init probe points per training point, for train and for the CLI's init-check
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -140,7 +141,7 @@ def train(problem: "ProblemSpec") -> tuple[list[BranchPair], History]:
     packed_test: Optional[PackedBatch] = None
     if cfg.n_test > 0:
         packed_test = pack_batch(sample_boundary(domain, cfg.n_test, rng.spawn(2)), domain)
-    probe = sample_boundary(domain, 10 * cfg.n_train, rng.spawn(3)).z
+    probe = sample_boundary(domain, PROBE_FACTOR * cfg.n_train, rng.spawn(3)).z
     pairs = build_pairs(problem)
     init_pairs(pairs, probe, cfg.beta, cfg.m_e, rng)
 

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import CONFIG_DIR, CONFIG_NAMES, config_path
 import holoelastic
+from holoelastic import geometry
 from holoelastic.analytics import GridField
 from holoelastic.cli import run_command
 from holoelastic.elasticity import Displacement, Interface, Symmetry, Traction
@@ -85,6 +86,43 @@ def test_outward_normals_leave_region(name, configs):
             assert sides == [(True, False), (False, True)][: len(piece.subdomains)], piece.name
 
 
+def test_load_maps_points_to_subdomains_once_per_subdomain(monkeypatch, configs):
+    # the outward normals of all pieces come from one DomainSpec.owner map, one region_contains call per subdomain
+    calls = []
+    contains = geometry.region_contains
+    monkeypatch.setattr(geometry, "region_contains", lambda *a: calls.append(1) or contains(*a))
+    counts = {}
+    for name in CONFIG_NAMES:
+        calls.clear()
+        load_config(config_path(name))
+        counts[name] = len(calls)
+    assert counts == {name: configs[name].domain.n_subdomains for name in CONFIG_NAMES}
+    assert sorted(counts.values()) == [1, 1, 1, 1, 4]
+    # the owner map of dd_plate_hole's quadrants: the per-subdomain loop that eval's masks were built from, with
+    # nodes on the interfaces (x = 0, y = 0) going to the lower-numbered quadrant
+    domain = configs["dd_plate_hole"].domain
+    xs = np.linspace(-1.25, 1.25, 41)  # node 20 is 0, node 2 is -1.125 and node 38 is 1.125
+    want = np.full((xs.size, xs.size), -1)
+    for s in range(domain.n_subdomains):
+        want[contains(domain.subdomain_pieces(s), xs, xs) & (want < 0)] = s
+    assert [want[20, 38], want[38, 20], want[20, 2], want[2, 20]] == [0, 0, 1, 2]
+    assert np.array_equal(domain.owner(xs, xs), want)
+
+
+def test_ring_reference_is_read_off_the_arcs(tmp_path, configs):
+    # the shipped ring states only its kind; r, R and p come from its arcs about the origin
+    ref = configs["ring_quadrant"].reference
+    assert list(ref.items()) == [("kind", "ring"), ("p", -1.0), ("r", 0.5), ("R", 2.0)]
+    assert all(type(v) is float for v in list(ref.values())[1:])
+    # plate_hole_quadrant has one arc, the traction-free hole: r = R and no pressure
+    doc = json.load(open(config_path("plate_hole_quadrant")))
+    doc["reference"] = {"kind": "ring"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"^reference: a ring needs arcs .* got r=1\.0, R=1\.0, p=0\.0$"):
+        load_config(str(path))
+
+
 def test_missing_block_names_it(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"geometry": {"pieces": []}}))
@@ -145,10 +183,11 @@ PIECES = ("geometry", "pieces")
         (("training", "beta"), -1, [], "error: training: beta must be positive"),
         (("training", "n_test"), 2, [], "error: training: n_test must be at least the number of boundary pieces (4)"),
         (("training", "n_train"), 3, [], "error: training: n_train must be at least the number of boundary pieces"),
-        (("reference",), {"kind": "ring", "p": -1.0, "r": 0.5}, [], "error: reference.R: "),
+        (("reference", "p"), -1.0, [], "error: reference: unknown field 'p'; expected one of kind"),
         (("reference", "kind"), "rign", [], "error: reference.kind: expected 'ring'"),
         (("reference",), "ring", [], "error: reference: expected an object"),
-        (("reference", "r"), 3.0, [], "error: reference.r: need 0 < r < R"),
+        (("reference", "r"), 0.5, [], "error: reference: unknown field 'r'; expected one of kind"),
+        (("reference", "R"), 2.0, [], "error: reference: unknown field 'R'; expected one of kind"),
         (("training", "lr"), None, [], "error: training.lr: expected a finite number, got None"),
         (("training", "lr"), "0.03", [], "error: training.lr: expected a finite number, got '0.03'"),
         (("training", "lr"), math.nan, [], "error: training.lr: expected a finite number, got nan"),
@@ -188,9 +227,13 @@ PIECES = ("geometry", "pieces")
         ((*PIECES, 1, "bc", "data"), {"constant": [0.0, 0.0]}, [], "error: geometry.pieces[1].bc: unknown field 'data'"),
         ((*PIECES, 0, "bc", "data", "constant"), [0.0, 0.0], [],
          "error: geometry.pieces[0].bc.data: unknown field 'normal_pressure'; expected one of constant"),
-        (("reference", "q"), 1.0, [], "error: reference: unknown field 'q'; expected one of kind, p, r, R"),
-        (("reference", "p"), 0, [], "error: reference.p: ring pressure must be nonzero, got 0"),
-        (("reference", "p"), -0.0, [], "error: reference.p: ring pressure must be nonzero, got 0"),
+        (("reference", "q"), 1.0, [], "error: reference: unknown field 'q'; expected one of kind"),
+        ((*PIECES, 0, "bc", "data", "normal_pressure"), 0, [],
+         "error: reference: a ring needs arcs about the origin of radii 0 < r < R and a nonzero normal pressure p "
+         "on the outer one; got r=0.5, R=2.0, p=0.0"),
+        ((*PIECES, 0, "bc", "data", "normal_pressure"), -0.0, [],
+         "error: reference: a ring needs arcs about the origin of radii 0 < r < R and a nonzero normal pressure p "
+         "on the outer one; got r=0.5, R=2.0, p=-0.0"),
         (("material", "mode"), "x", [], "error: material: 'x' is not a valid PlaneMode"),
         (("networks", "activation"), "x", [], "error: networks: 'x' is not a valid ActivationKind"),
         (("networks", "mode"), "x", [], "error: networks: 'x' is not a valid Mode"),
@@ -202,10 +245,10 @@ PIECES = ("geometry", "pieces")
         "grid_one", "grid_nonpositive", "constant_3", "pressure_str", "radius_str", "side_str", "subdomain_str",
         "bare_subdomain", "cli_grid", "epochs_float", "n_train_float", "n_test_str", "seed_float", "m_e_float",
         "layers_bool", "units_float", "n_subdomains_float", "m_e_1", "beta_negative", "n_test_below_pieces",
-        "n_train_below_pieces", "ref_missing_R", "ref_kind", "ref_str", "ref_r_beyond_R", "lr_null", "lr_str",
-        "lr_nan", "lr_inf", "beta_bool", "lr_decay_str", "mu_str", "lambda_null", "pressure_nan", "subdomain_float",
-        "subdomain_numeric_str", "subdomains_int", "outer_piece_two_subdomains", "subdomain_rejected",
-        "material_int", "networks_int", "training_list", "outputs_list", "pieces_object", "piece_int", "bc_str",
+        "n_train_below_pieces", "ref_p_stated", "ref_kind", "ref_str", "ref_r_stated", "ref_R_stated", "lr_null",
+        "lr_str", "lr_nan", "lr_inf", "beta_bool", "lr_decay_str", "mu_str", "lambda_null", "pressure_nan",
+        "subdomain_float", "subdomain_numeric_str", "subdomains_int", "outer_piece_two_subdomains",
+        "subdomain_rejected", "material_int", "networks_int", "training_list", "outputs_list", "pieces_object", "piece_int", "bc_str",
         "bc_data_float", "dir_list", "piece_name_list", "name_object", "training_typo", "activation_typo",
         "grid_typo", "root_typo", "material_extra", "geometry_typo",
         "regions_rejected", "line_with_radius", "symmetry_with_data", "data_both", "reference_extra", "ref_p_zero",
@@ -360,7 +403,6 @@ def test_cli_ring_eval_without_interior_points_writes_no_errors(tmp_path, capsys
     doc = json.load(open(cfg))
     pieces = {p["name"]: p for p in doc["geometry"]["pieces"]}
     pieces["inner"]["radius"], pieces["axis_x"]["p1"], pieces["axis_y"]["p0"] = 1.9, [-1.9, 0.0], [0.0, 1.9]
-    doc["reference"]["r"] = 1.9
     with open(cfg, "w") as fh:
         json.dump(doc, fh)
     assert run_command(["train", cfg]) == 0
