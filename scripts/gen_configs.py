@@ -242,7 +242,7 @@ def save_config(spec: ProblemSpec, path: str) -> None:
         },
         "outputs": {"grid": list(spec.outputs.grid), "dir": spec.outputs.out_dir},
     }
-    if spec.training.precision != "double":  # the default is left out
+    if spec.training.precision != TrainConfig.precision:  # the default is left out
         doc["training"]["precision"] = spec.training.precision
     if spec.reference is not None:  # the loader reads the ring's p, r and R off its arcs
         doc["reference"] = {"kind": spec.reference["kind"]}

@@ -7,9 +7,10 @@ script) single-threaded inside a temporary directory, which is removed
 afterwards.  It sets the three BLAS thread variables itself, because in
 checkouts older than the package root's HOLOELASTIC_THREADS cap that
 variable does not reach the BLAS.  It prints each config's loaded
-ProblemSpec.reference as JSON (`<config>/reference <json>`, `null` without
-one), so a change to how the loader builds the reference shows in the diff,
-and it hashes:
+networks, training, outputs, material and reference sections as JSON
+(`<config>/<section> <json>`; enums by value, a missing reference `null`),
+so a change to how the loader fills defaults or builds the reference shows
+in the diff, and it hashes:
 
   <config>/checkpoint.json, history.csv  `train` for 20 epochs (all configs)
   <config>/fields.csv                     `eval --grid 40x40` of that checkpoint
@@ -66,6 +67,7 @@ these outputs byte-identical:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import glob
 import hashlib
 import io
@@ -140,7 +142,11 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for src in configs:
             name = os.path.splitext(os.path.basename(src))[0]
-            print(f"{name}/reference {json.dumps(load_config(src).reference)}", flush=True)
+            spec = load_config(src)
+            for key in ("networks", "training", "outputs", "material", "reference"):
+                section = getattr(spec, key)
+                section = dataclasses.asdict(section) if dataclasses.is_dataclass(section) else section
+                print(f"{name}/{key} {json.dumps(section, default=lambda e: e.value)}", flush=True)
             cfg, doc, ckpt = train(tmp, name)
             out = os.path.dirname(ckpt)
             run("eval", cfg, ckpt, "--grid", "40x40")

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import elasticity as el
 from . import geometry as geo
-from .autodiff import field_adjoints, loss_forward, pack_batch
+from .autodiff import field_adjoints, loss_forward
 from .jets import ActivationKind, NonFiniteError
 from .network import BranchPair, HoloMLP, Mode, branch_backward, forward_jets, mlp_forward
 from .problem import NetworkConfig, OutputConfig, ProblemSpec
 from .rng import Rng
-from .training import TrainConfig, build_pairs, init_pairs
+from .training import TrainConfig, start
 
 
 # --- ring benchmark -----------------------------------------------------------
@@ -223,7 +223,7 @@ def _branch_grad_var(net: HoloMLP, caches: list, channel: int) -> list[float]:
     return [_cvar(gw) for gw, _ in branch_backward(net, caches, seed)]
 
 
-def _square_problem(hidden: Sequence[int], activation: ActivationKind) -> ProblemSpec:
+def _square_problem(hidden: Sequence[int], activation: ActivationKind, cfg: TrainConfig) -> ProblemSpec:
     """Homogeneous square benchmark: clamped bottom/left, traction-free right/top."""
     if len(set(hidden)) != 1:
         raise ValueError(f"need one or more hidden layers of equal width, got {list(hidden)}")
@@ -237,34 +237,29 @@ def _square_problem(hidden: Sequence[int], activation: ActivationKind) -> Proble
     domain = geo.DomainSpec(pieces)
     material = el.Material(1.0, 1.0, el.PlaneMode.STRAIN)
     nets = NetworkConfig(len(hidden), hidden[0], activation, Mode.STANDARD)
-    return ProblemSpec(material, domain, nets, TrainConfig(epochs=0), OutputConfig(), name="square")
+    return ProblemSpec(material, domain, nets, cfg, OutputConfig(), name="square")
 
 
-def variance_report(problem, beta: float, m_e: Optional[int], probe_n: int, batch_n: int, seed: int) -> VarianceReport:
-    """Initialize the branches that train starts from for `problem` and sample
-    per-layer variances; m_e None reads a probe statistic for every layer.
+def variance_report(problem, m_e: Optional[int], n_probe: int) -> VarianceReport:
+    """Sample per-layer variances of the branches that train starts from for
+    `problem` (training.start, with an n_probe-point probe); m_e None reads a
+    probe statistic for every layer.
 
     Only the phi branch is swept, so the loss forward caches no psi layer:
     once per output channel 0, 1 and 2 for the phi rows (_branch_grad_var),
     and once from the loss adjoint for var_loss_w.
     """
-    if probe_n < 1 or batch_n < 1:
-        raise ValueError("probe and batch sizes must be positive")
+    if n_probe < 1:
+        raise ValueError(f"the probe size must be positive, got {n_probe}")
     if problem.domain.n_subdomains != 1:
         raise ValueError("variance diagnostics run on single-subdomain problems")
     n_inner = problem.networks.hidden_layers
-    if m_e is None:
-        m_e = n_inner + 2
-    rng = Rng(seed)
-    domain = problem.domain
-    probe = geo.sample_boundary(domain, probe_n, rng.spawn(3)).z
-    packed = pack_batch(geo.sample_boundary(domain, batch_n, rng.spawn(1)), domain)
-    pairs = build_pairs(problem)
-    phi = pairs[0].phi
+    m_e = n_inner + 2 if m_e is None else m_e
     layers = list(range(1, n_inner + 1))
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            init_pairs(pairs, probe, beta, m_e, rng)
+            pairs, packed, _ = start(problem, m_e, n_probe)
+            phi = pairs[0].phi
             _, rec = loss_forward(pairs, packed, problem, sweep_psi=False)
             z, caches, adj = rec.subs[0].z, rec.subs[0].phi, field_adjoints(rec)[0][0]
             del rec  # the sweeps read z, caches and adj alone
@@ -284,21 +279,15 @@ def variance_report(problem, beta: float, m_e: Optional[int], probe_n: int, batc
         return VarianceReport(layers, inf, inf[:], inf[:], inf[:], inf[:], [True] * n_inner)
 
 
-def init_diagnostics(
-    arch: Sequence[int],
-    activation: ActivationKind,
-    beta: float,
-    m_e: Optional[int],
-    probe: int,
-    batch: int,
-    seed: int,
-) -> VarianceReport:
+def init_diagnostics(arch: Sequence[int], activation: ActivationKind, beta: float, m_e: Optional[int],
+                     probe: int, batch: int, seed: int) -> VarianceReport:
     """Variance diagnostics on the homogeneous square benchmark.
 
     `arch` lists the hidden widths (e.g. [100]*7), one width for every layer
     as in a NetworkConfig; probe/batch are boundary sample counts.
     """
-    return variance_report(_square_problem(list(arch), activation), beta, m_e, probe, batch, seed)
+    cfg = TrainConfig(epochs=0, n_train=batch, n_test=0, seed=seed, beta=beta)
+    return variance_report(_square_problem(list(arch), activation, cfg), m_e, probe)
 
 
 # --- held-out residual diagnostics ----------------------------------------------

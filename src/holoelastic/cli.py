@@ -143,13 +143,14 @@ def _cmd_eval(args) -> int:
 
 def _cmd_init_check(args) -> int:
     spec = load_config(args.config)
-    beta = args.beta if args.beta is not None else spec.training.beta
-    seed = args.seed if args.seed is not None else spec.training.seed
-    n = spec.training.n_train
-    report = variance_report(spec, beta, args.m_e, probe_n=training.PROBE_FACTOR * n, batch_n=n, seed=seed)
+    if args.beta is not None:
+        spec.training.beta = args.beta
+    if args.seed is not None:
+        spec.training.seed = args.seed
+    report = variance_report(spec, args.m_e, training.PROBE_FACTOR * spec.training.n_train)
     path = _out_path(spec, "variance.csv")
     export.write_variance_csv(path, report)
-    print(f"wrote {path} (beta={beta:g})")
+    print(f"wrote {path} (beta={spec.training.beta:g})")
     return 0
 
 

@@ -60,8 +60,8 @@ class LayerParams:
 @dataclass
 class HoloMLP:
     layers: list[LayerParams]
-    activation: ActivationKind = ActivationKind.EXP
-    mode: Mode = Mode.STANDARD
+    activation: ActivationKind
+    mode: Mode
 
     def __post_init__(self):
         shapes = [l.weights.shape for l in self.layers]

@@ -133,6 +133,29 @@ def _cx(v, path: str) -> complex:
     return complex(*_nums(v, 2, path))
 
 
+def _grid(v, path: str) -> tuple[int, int]:
+    if not (isinstance(v, list) and len(v) == 2 and all(type(n) is int and n > 0 for n in v)):
+        _fail(path, f"expected [nx, ny] with positive integers, got {v!r}")
+    return tuple(v)
+
+
+def _enum(kind):
+    return lambda v, path: kind(v)  # a ValueError, reported at the section
+
+
+_FIELDS = {"lambda": "lam", "dir": "out_dir"}  # the config keys whose dataclass field is named otherwise
+
+
+def _section(path: str, obj, make, reads: dict, *required: str):
+    """make(**fields) of the keys that obj gives, each read by reads[key] (reads names every key the loader
+    reads there; the `required` ones must be given), so a key left out takes its dataclass default."""
+    _keys(obj, path, *reads)
+    for key in required:
+        _need(obj, key, path)
+    read = lambda: {_FIELDS.get(k, k): rd(obj[k], f"{path}.{k}") for k, rd in reads.items() if k in obj}
+    return _made(path, lambda: make(**read()))
+
+
 def _parse_data(obj: dict, path: str) -> el.BoundaryData:
     if "constant" in _obj(obj, path):
         return el.ConstantData(*_nums(_keys(obj, path, "constant")["constant"], 2, f"{path}.constant"))
@@ -184,9 +207,8 @@ def load_config(path: str) -> ProblemSpec:
             raise ConfigError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
 
     _keys(doc, "config", "name", "material", "geometry", "networks", "training", "outputs", "reference")
-    mat_obj = _keys(_need(doc, "material", "config"), "material", "lambda", "mu", "mode")
-    lam, mu = (_num(_need(mat_obj, k, "material"), f"material.{k}") for k in ("lambda", "mu"))
-    material = _made("material", lambda: el.Material(lam, mu, el.PlaneMode(mat_obj.get("mode", "plane_strain"))))
+    material = _section("material", _need(doc, "material", "config"), el.Material,
+                        {"lambda": _num, "mu": _num, "mode": _enum(el.PlaneMode)}, "lambda", "mu")
 
     piece_objs = _need(_keys(_need(doc, "geometry", "config"), "geometry", "pieces"), "pieces", "geometry")
     if not isinstance(piece_objs, list):
@@ -194,25 +216,13 @@ def load_config(path: str) -> ProblemSpec:
     pieces = [_parse_piece(p, i) for i, p in enumerate(piece_objs)]
     domain = _made("geometry", lambda: geo.DomainSpec(pieces))
 
-    net_obj = _keys(_need(doc, "networks", "config"), "networks", "hidden_layers", "units", "activation", "mode")
-    layers, units = (_int(_need(net_obj, k, "networks"), f"networks.{k}") for k in ("hidden_layers", "units"))
-    act, mode = net_obj.get("activation", "exp"), net_obj.get("mode", "standard")
-    networks = _made("networks", lambda: NetworkConfig(layers, units, ActivationKind(act), Mode(mode)))
-
-    tr_obj = _need(doc, "training", "config")
-    _keys(tr_obj, "training", "epochs", "lr", "n_train", "n_test", "seed", "beta", "m_e", "precision")
-    fields = {k: _int(_need(tr_obj, k, "training"), f"training.{k}") for k in ("epochs", "n_train")}
-    fields.update({k: _int(tr_obj.get(k, v), f"training.{k}") for k, v in (("n_test", 0), ("seed", 0), ("m_e", 3))})
-    fields["lr"] = _num(_need(tr_obj, "lr", "training"), "training.lr")
-    fields["beta"] = _num(tr_obj.get("beta", 0.5), "training.beta")
-    fields["precision"] = _str(tr_obj.get("precision", "double"), "training.precision")
-    training = _made("training", lambda: TrainConfig(**fields))
-
-    out_obj = _keys(doc.get("outputs", {}), "outputs", "grid", "dir")
-    grid = out_obj.get("grid", [40, 40])
-    if not (isinstance(grid, list) and len(grid) == 2 and all(type(v) is int and v > 0 for v in grid)):
-        _fail("outputs.grid", f"expected [nx, ny] with positive integers, got {grid!r}")
-    outputs = OutputConfig(tuple(grid), _str(out_obj.get("dir", "out"), "outputs.dir"))
+    networks = _section("networks", _need(doc, "networks", "config"), NetworkConfig, {
+        "hidden_layers": _int, "units": _int, "activation": _enum(ActivationKind), "mode": _enum(Mode)},
+        "hidden_layers", "units")
+    training = _section("training", _need(doc, "training", "config"), TrainConfig, {
+        "epochs": _int, "lr": _num, "n_train": _int, "n_test": _int, "seed": _int, "beta": _num, "m_e": _int,
+        "precision": _str}, "epochs", "n_train", "lr")
+    outputs = _section("outputs", doc.get("outputs", {}), OutputConfig, {"grid": _grid, "dir": _str})
 
     ref = doc.get("reference")
     if ref is not None:
@@ -220,10 +230,13 @@ def load_config(path: str) -> ProblemSpec:
             _fail("reference.kind", f"expected 'ring', got {ref.get('kind')!r}")
         arcs = {q.shape.radius: q.bc for q in pieces if isinstance(q.shape, geo.Arc) and q.shape.center == 0}
         r, R = min(arcs, default=0.0), max(arcs, default=0.0)  # Lame's ring: its arcs about the origin
-        p = getattr(getattr(arcs.get(R), "data", None), "p", 0.0)  # the outer arc's normal pressure, else 0
+        outer = arcs.get(R)  # p is its normal pressure when it is a traction, else 0
+        p = outer.data.p if isinstance(outer, el.Traction) and isinstance(outer.data, el.NormalPressure) else 0.0
         if not (0.0 < r < R and p != 0.0):  # the rel-L2 errors divide by the exact fields, all zero without pressure
             _fail("reference", f"a ring needs arcs about the origin of radii 0 < r < R and a nonzero normal "
                   f"pressure p on the outer one; got r={r}, R={R}, p={p}")
+        if arcs[r] not in (el.Traction(el.ConstantData(0.0, 0.0)), el.Traction(el.NormalPressure(0.0))):
+            _fail("reference", f"a ring needs a traction-free inner arc; the one of radius r={r} has {arcs[r]}")
         ref = {"kind": "ring", "p": p, "r": r, "R": R}
 
     name = _str(doc.get("name", os.path.splitext(os.path.basename(path))[0]), "name")

@@ -1,8 +1,8 @@
 """Adam training of branch pairs on fixed boundary sample sets.
 
 Training is full batch: one epoch is one optimizer step over all training
-points, which are drawn once up front (together with the test points and the
-init probe) from seeded sub-streams of the run seed.  The test loss rides
+points, which start draws once up front, with the test points and the init
+probe, from seeded sub-streams of the run seed.  The test loss rides
 the training forward (autodiff.loss_forward's `test`).  Complex weights are
 optimized as independent real pairs; only the branch sweeps follow `precision`.
 """
@@ -23,7 +23,7 @@ from .rng import Rng
 
 # training.precision -> the complex dtype of the branch sweeps
 PRECISIONS = {"double": np.complex128, "single": np.complex64}
-PROBE_FACTOR = 10  # init probe points per training point, for train and for the CLI's init-check
+PROBE_FACTOR = 10  # init probe points per training point (stream 3 of start), for train and init-check
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -34,7 +34,7 @@ class TrainConfig:
     epochs: int = 1000
     lr: float = 0.03
     n_train: int = 200
-    n_test: int = 20
+    n_test: int = 0
     seed: int = 0
     beta: float = 0.5
     m_e: int = 3
@@ -103,28 +103,34 @@ class History:
 def build_pairs(problem: "ProblemSpec") -> list[BranchPair]:
     """Fresh zero-weight branch pairs, one per subdomain."""
     net = problem.networks
-    hidden = [net.units] * net.hidden_layers
-    return [
-        BranchPair(
-            build_mlp(hidden, net.activation, net.mode),
-            build_mlp(hidden, net.activation, net.mode),
-        )
-        for _ in range(problem.domain.n_subdomains)
-    ]
+    mlp = lambda: build_mlp([net.units] * net.hidden_layers, net.activation, net.mode)
+    return [BranchPair(mlp(), mlp()) for _ in range(problem.domain.n_subdomains)]
 
 
-def init_pairs(
-    pairs: Sequence[BranchPair],
-    probe: np.ndarray,
-    beta: float,
-    m_e: int,
-    rng: Rng,
-) -> None:
-    """network.init_weights on every branch: pair i draws phi from stream
-    100 + 2i and psi from 101 + 2i of `rng`."""
+def init_pairs(pairs: Sequence[BranchPair], probe: np.ndarray, beta: float, m_e: int, rng: Rng) -> None:
+    """network.init_weights on every branch, each from its own stream of `rng` (the layout is start's)."""
     for i, pair in enumerate(pairs):
         init_weights(pair.phi, probe, beta, m_e, rng.spawn(100 + 2 * i))
         init_weights(pair.psi, probe, beta, m_e, rng.spawn(101 + 2 * i))
+
+
+def start(problem: "ProblemSpec", m_e: int, n_probe: int) -> tuple[list[BranchPair], PackedBatch, Optional[PackedBatch]]:
+    """The initialized pairs, packed training batch and packed test batch
+    (None when n_test is 0) that a run of `problem` starts from.
+
+    Streams of Rng(training.seed): 1 the n_train training points, 2 the
+    n_test test points, 3 the n_probe init probe points, and 100 + 2i and
+    101 + 2i the phi and psi weights of pair i (init_pairs at training.beta
+    and m_e), drawn in that order.
+    """
+    cfg, domain = problem.training, problem.domain
+    rng = Rng(cfg.seed)
+    packed_train = pack_batch(sample_boundary(domain, cfg.n_train, rng.spawn(1)), domain)
+    packed_test = pack_batch(sample_boundary(domain, cfg.n_test, rng.spawn(2)), domain) if cfg.n_test else None
+    probe = sample_boundary(domain, n_probe, rng.spawn(3)).z
+    pairs = build_pairs(problem)
+    init_pairs(pairs, probe, cfg.beta, m_e, rng)
+    return pairs, packed_train, packed_test
 
 
 def train(problem: "ProblemSpec") -> tuple[list[BranchPair], History]:
@@ -135,16 +141,7 @@ def train(problem: "ProblemSpec") -> tuple[list[BranchPair], History]:
     update, so entry 0 is the loss of the freshly initialized networks.
     """
     cfg = problem.training
-    domain = problem.domain
-    rng = Rng(cfg.seed)
-    packed_train = pack_batch(sample_boundary(domain, cfg.n_train, rng.spawn(1)), domain)
-    packed_test: Optional[PackedBatch] = None
-    if cfg.n_test > 0:
-        packed_test = pack_batch(sample_boundary(domain, cfg.n_test, rng.spawn(2)), domain)
-    probe = sample_boundary(domain, PROBE_FACTOR * cfg.n_train, rng.spawn(3)).z
-    pairs = build_pairs(problem)
-    init_pairs(pairs, probe, cfg.beta, cfg.m_e, rng)
-
+    pairs, packed_train, packed_test = start(problem, cfg.m_e, PROBE_FACTOR * cfg.n_train)
     vec = flatten_params(pairs)
     adam = AdamState.zeros(vec.size)
     history = History()

@@ -385,9 +385,12 @@ def test_variance_report_stress_only_sweeps_three_phi_channels():
     # a stress-only phi branch carries two jet channels in the loss; the
     # report still sweeps all three output channels, and with the same
     # domain, seed and beta they match the standard-mode report bit for bit
-    args = (0.7, None, 200, 40, 0)  # square_problem has two hidden layers of 8
-    std = variance_report(square_problem(), *args)
-    so = variance_report(square_problem(mode="stress_only"), *args)
+    reports = []
+    for mode in ("standard", "stress_only"):
+        spec = square_problem(mode=mode)  # two hidden layers of 8, 40 training points, seed 0
+        spec.training.beta = 0.7
+        reports.append(variance_report(spec, None, 200))
+    std, so = reports
     assert not any(so.overflow)
     assert all(v > 0 for v in so.var_ddphi_w)
     for name in ("var_y", "var_phi_w", "var_dphi_w", "var_ddphi_w"):
@@ -451,7 +454,9 @@ def test_init_diagnostics_cache_no_psi_layer(monkeypatch):
 
 def test_init_check_sweeps_the_networks_that_train_starts_from(monkeypatch, tmp_path):
     # `init-check --m-e 3` on a config draws its probe, batch and weights from
-    # the streams that `train` uses at the config's m_e = 3, for the same seed
+    # the streams that `train` uses at the config's m_e = 3, for the same seed;
+    # with `--beta B --seed S` it sweeps what train starts from on a copy whose
+    # training.beta is B and training.seed S
     records = _recorded_loss_forwards(monkeypatch)
     doc = json.load(open(config_path("ring_quadrant")))
     doc["training"].update(epochs=0, n_train=60, seed=7)
@@ -459,12 +464,21 @@ def test_init_check_sweeps_the_networks_that_train_starts_from(monkeypatch, tmp_
     cfg = str(tmp_path / "ring.json")
     with open(cfg, "w") as fh:
         json.dump(doc, fh)
-    assert run_command(["init-check", cfg, "--m-e", "3"]) == 0
-    ((_, rec),) = records
-    assert rec.subs[0].z.size == 60
-    pairs, _ = train(load_config(cfg))
-    for name in ("phi", "psi"):
-        got, want = getattr(rec.pairs[0], name), getattr(pairs[0], name)
-        assert got.widths == want.widths == [1, 10, 10, 1]
-        for a, b in zip(got.layers, want.layers):
-            assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+    swept = []
+    for args, overrides in (([], {}), (["--beta", "0.45", "--seed", "11"], {"beta": 0.45, "seed": 11})):
+        records.clear()
+        assert run_command(["init-check", cfg, "--m-e", "3", *args]) == 0
+        ((_, rec),) = records
+        assert rec.subs[0].z.size == 60
+        doc["training"].update(overrides)
+        copy = str(tmp_path / "copy.json")
+        with open(copy, "w") as fh:
+            json.dump(doc, fh)
+        pairs, _ = train(load_config(copy))
+        for name in ("phi", "psi"):
+            got, want = getattr(rec.pairs[0], name), getattr(pairs[0], name)
+            assert got.widths == want.widths == [1, 10, 10, 1]
+            for a, b in zip(got.layers, want.layers):
+                assert a.weights.tobytes() == b.weights.tobytes() and a.bias.tobytes() == b.bias.tobytes()
+        swept.append(rec.pairs[0].phi.layers[0].weights.tobytes())
+    assert swept[0] != swept[1]  # the overrides reach the sweep

@@ -16,11 +16,12 @@ import holoelastic
 from holoelastic import geometry
 from holoelastic.analytics import GridField
 from holoelastic.cli import run_command
-from holoelastic.elasticity import Displacement, Interface, Symmetry, Traction
+from holoelastic.elasticity import Displacement, Interface, Material, Symmetry, Traction
 from holoelastic.export import write_fields_csv
 from holoelastic.geometry import piece_point, region_contains
 from holoelastic.network import checkpoint_load, checkpoint_save
-from holoelastic.problem import ConfigError, load_config
+from holoelastic.problem import ConfigError, NetworkConfig, OutputConfig, load_config
+from holoelastic.training import TrainConfig
 
 
 # --- config loading -----------------------------------------------------------
@@ -121,6 +122,62 @@ def test_ring_reference_is_read_off_the_arcs(tmp_path, configs):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=r"^reference: a ring needs arcs .* got r=1\.0, R=1\.0, p=0\.0$"):
         load_config(str(path))
+    # a zero normal pressure on the ring's inner arc is traction-free too
+    doc = json.load(open(config_path("ring_quadrant")))
+    doc["geometry"]["pieces"][2]["bc"]["data"] = {"normal_pressure": 0.0}
+    path.write_text(json.dumps(doc))
+    assert load_config(str(path)).reference == ref
+
+
+PRESSED_DISPLACEMENT = {"type": "displacement", "data": {"normal_pressure": -1.0}}
+LOADED_TRACTION = {"type": "traction", "data": {"constant": [5, 0]}}
+
+
+@pytest.mark.parametrize(
+    "bcs",
+    [
+        {0: PRESSED_DISPLACEMENT, 2: LOADED_TRACTION},
+        {0: PRESSED_DISPLACEMENT},
+        {2: LOADED_TRACTION},
+        {2: {"type": "symmetry"}},
+    ],
+    ids=["both", "outer_displacement", "inner_loaded", "inner_symmetry"],
+)
+def test_ring_reference_needs_a_pressed_outer_arc_and_a_free_inner_one(tmp_path, bcs):
+    # Lame's solution holds for a pressure traction on the radius-R arc and a
+    # traction-free radius-r arc; a ring posed otherwise fails at `reference`
+    doc = json.load(open(config_path("ring_quadrant")))
+    for i, bc in bcs.items():  # pieces 0 and 2 are the outer and the inner arc
+        doc["geometry"]["pieces"][i]["bc"] = bc
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"^reference: a ring needs "):
+        load_config(str(path))
+
+
+REQUIRED = {
+    "material": ("lambda", "mu"),
+    "networks": ("hidden_layers", "units"),
+    "training": ("epochs", "lr", "n_train"),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_each_default_is_stated_once_on_its_dataclass(tmp_path, name):
+    # a config with its required keys alone loads each section as its
+    # dataclass built from those values: the loader states no default of its own
+    doc = json.load(open(config_path(name)))
+    for section, keys in REQUIRED.items():
+        doc[section] = {k: doc[section][k] for k in keys}
+    del doc["outputs"]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc))
+    spec = load_config(str(path))
+    mat, net, tr = (doc[k] for k in REQUIRED)
+    assert spec.material == Material(mat["lambda"], mat["mu"])
+    assert spec.networks == NetworkConfig(net["hidden_layers"], net["units"])
+    assert spec.training == TrainConfig(epochs=tr["epochs"], lr=tr["lr"], n_train=tr["n_train"])
+    assert spec.outputs == OutputConfig()
 
 
 def test_missing_block_names_it(tmp_path):
