@@ -49,13 +49,15 @@ in the diff, and it hashes:
                                           (numpy's float32 exp, cos and sin)
   <config>/samples.csv                    `sample --n 300` (all configs)
   approx.csv                              `approx-demo --n 32`
-  <config>@<act>/checkpoint.json, history.csv
-                                          `train` for 20 epochs of ring_quadrant and
-                                          clamped_square with the activation <act>
-                                          (cos, sin, cos_sqrt): the shipped configs
-                                          all use exp, whose derivative jet is its
-                                          output, so only these runs take the other
-                                          activations' forward and reverse paths
+  <config>@<act>/checkpoint.json, history.csv, fields.csv
+                                          `train` for 20 epochs and `eval --grid 40x40`
+                                          of ring_quadrant and clamped_square with the
+                                          activation <act> (cos, sin, cos_sqrt): the
+                                          shipped configs all use exp, whose derivative
+                                          jet is its output, so only these runs take
+                                          the other activations' training forward and
+                                          reverse paths and their eval forward, which
+                                          keeps no layer caches
 
 Diffing the output on two checkouts checks that a change leaves every one of
 these outputs byte-identical:
@@ -184,7 +186,10 @@ def main(argv: list[str]) -> int:
         _show("approx.csv", approx)
         for name in ("ring_quadrant", "clamped_square"):
             for activation in ("cos", "sin", "cos_sqrt"):
-                train(tmp, name, f"{name}@{activation}", lambda doc: doc["networks"].update(activation=activation))
+                label = f"{name}@{activation}"
+                cfg, _, ckpt = train(tmp, name, label, lambda doc: doc["networks"].update(activation=activation))
+                run("eval", cfg, ckpt, "--grid", "40x40")
+                _show(f"{label}/fields.csv", os.path.join(os.path.dirname(ckpt), "fields.csv"))
     return 0
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import elasticity as el
 from . import geometry as geo
-from .autodiff import field_adjoints, loss_forward
+from .autodiff import loss_backward, loss_forward
 from .jets import ActivationKind, NonFiniteError
 from .network import BranchPair, HoloMLP, Mode, branch_backward, forward_jets, mlp_forward
 from .problem import NetworkConfig, OutputConfig, ProblemSpec
@@ -247,7 +247,7 @@ def variance_report(problem, m_e: Optional[int], n_probe: int) -> VarianceReport
 
     Only the phi branch is swept, so the loss forward caches no psi layer:
     once per output channel 0, 1 and 2 for the phi rows (_branch_grad_var),
-    and once from the loss adjoint for var_loss_w.
+    and once by loss_backward for var_loss_w.
     """
     if n_probe < 1:
         raise ValueError(f"the probe size must be positive, got {n_probe}")
@@ -261,10 +261,9 @@ def variance_report(problem, m_e: Optional[int], n_probe: int) -> VarianceReport
             pairs, packed, _ = start(problem, m_e, n_probe)
             phi = pairs[0].phi
             _, rec = loss_forward(pairs, packed, problem, sweep_psi=False)
-            z, caches, adj = rec.subs[0].z, rec.subs[0].phi, field_adjoints(rec)[0][0]
-            del rec  # the sweeps read z, caches and adj alone
-            # the phi rows of loss_backward(rec), without the psi sweep
-            var_loss = [_cvar(gw) for gw, _ in branch_backward(phi, caches, adj)[:n_inner]]
+            var_loss = [_cvar(gw) for gw, _ in loss_backward(rec).grads[0][0][:n_inner]]
+            z, caches = rec.subs[0].z, rec.subs[0].phi
+            del rec  # the sweeps read z and caches alone
             if caches[0][0].shape[0] < 3:
                 # a stress-only phi branch carries no second derivative; the
                 # three sweeps read one order-2 forward of the same branch

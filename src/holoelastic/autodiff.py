@@ -4,14 +4,14 @@ The loss graph always has the same shape: per subdomain two branches
 (L x (jet affine, jet activation) each, one network.mlp_forward), the
 Kolosov-Muskhelishvili field map from their jets to (nf, B) field rows
 (el.km_fields), per-piece boundary residuals and the length-weighted mean
-square.  pack_batch fixes each piece's residual operator and loss weight
-once per sample batch.  loss_forward runs the stages, optionally on test
-points appended to the training points for a test loss, and keeps what the
-reverse pass needs: the branch caches, each piece's (B, k) residual array
-and its mean square.  field_adjoints passes
-adjoints back to the branch outputs (residuals -> el.km_fields_adjoint), and
-loss_backward sweeps them through the branches, yielding for every complex
-weight w the real pair (dL/dRe w, dL/dIm w) packed as a complex number.
+square.  pack_batch fixes each piece's residual operator once per sample
+batch and reads its loss weight off DomainSpec.weights.  loss_forward runs
+the stages, optionally on test points appended to the training points for a
+test loss, and keeps what the reverse pass needs: the branch caches, each
+piece's (B, k) residual array and its mean square.  loss_backward passes adjoints back to the branch
+outputs (residuals -> el.km_fields_adjoint) and sweeps them through the
+branches, yielding for every complex weight w the real pair
+(dL/dRe w, dL/dIm w) packed as a complex number.
 
 Adjoint rules: every variable u carries a(u) = dL/dRe(u) + i dL/dIm(u).
 Through a holomorphic step v = f(u) the adjoint propagates as
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 import numpy as np
 
 from . import elasticity as el
-from .geometry import DomainSpec, piece_length
+from .geometry import DomainSpec
 from .jets import NonFiniteError
 from .network import BranchPair, branch_backward, mlp_forward
 
@@ -49,7 +49,7 @@ class Group:
     """All samples of one boundary piece, sorted by the piece parameter."""
 
     piece: int
-    alpha: float  # loss weight of el.group_weights
+    alpha: float  # loss weight, DomainSpec.weights[piece]
     z: np.ndarray
     t: np.ndarray
     A: np.ndarray  # (B, k, 5) residual operator of el.bc_operator
@@ -65,16 +65,14 @@ class PackedBatch:
 
 
 def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
-    """Group a sample_boundary batch by piece, fix each piece's loss weight
-    and residual operator, and build the per-subdomain evaluation arrays.
+    """Group a sample_boundary batch by piece, fix each piece's residual operator,
+    read its loss weight off domain.weights and build the per-subdomain evaluation arrays.
 
     Every piece needs at least one sample.  Within each group samples are
     ordered by t (ties keep their batch order), which fixes the reduction
     order regardless of the input permutation.  Interface samples appear in
     the evaluation arrays of both adjoining subdomains.
     """
-    outer = [not p.is_interface for p in domain.pieces]
-    alphas = el.group_weights([piece_length(p) for p in domain.pieces], outer)
     groups = []
     chunks: dict[int, list[np.ndarray]] = {i: [] for i in range(domain.n_subdomains)}
     for idx, piece in enumerate(domain.pieces):
@@ -89,7 +87,7 @@ def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
             start = sum(c.size for c in chunks[sub])
             chunks[sub].append(z)
             sides.append((sub, slice(start, start + z.size)))
-        groups.append(Group(idx, alphas[idx], z, samples.t[rows], A, d, tuple(sides)))
+        groups.append(Group(idx, domain.weights[idx], z, samples.t[rows], A, d, tuple(sides)))
     return PackedBatch(groups, {s: np.concatenate(c) for s, c in chunks.items()})
 
 
@@ -184,10 +182,10 @@ def loss_forward(
     A packed `test` batch's points follow the training points of each
     subdomain through the same branch forwards: rec.test_loss equals
     loss_value on it bit for bit, and loss_backward leaves its points out.
-    With sweep_psi False the psi branch keeps no layer caches, so only phi
-    sweeps (branch_backward) can read the record, not loss_backward.  The
-    branches and their caches compute in the complex `dtype`; the field map,
-    residuals and loss are double whatever it is.
+    With sweep_psi False the psi branch keeps no layer caches, so
+    loss_backward sweeps the phi branches alone.  The branches and their
+    caches compute in the complex `dtype`; the field map, residuals and loss
+    are double whatever it is.
     """
     packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
     if len(pairs) != problem.domain.n_subdomains:
@@ -220,9 +218,14 @@ def loss_value(pairs, batch, problem) -> float:
 # --- backward ------------------------------------------------------------------
 
 
-def field_adjoints(rec: LossRecord) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per subdomain the (phi, psi) branch-output adjoints of rec.loss
-    (network.JET_ORDERS channels by B training points): residuals -> KM fields -> jets."""
+def loss_backward(rec: LossRecord) -> WeightGrad:
+    """Gradient of rec.loss over every complex weight: residuals -> KM fields
+    -> branch jets (el.km_fields_adjoint) -> weights (branch_backward).  A psi
+    branch that kept no layer caches (loss_forward's sweep_psi False) gets [].
+
+    Reads the live weight arrays of rec.pairs, not copies: call it before
+    the weights are updated.
+    """
     # dL/dfields per subdomain: zeros, then each group adds A^T rho into its
     # own slice (negated on side b of an interface, whose residual is A fa - A fb)
     adj = {sub: np.zeros_like(sp.fields) for sub, sp in rec.subs.items()}
@@ -233,17 +236,9 @@ def field_adjoints(rec: LossRecord) -> list[tuple[np.ndarray, np.ndarray]]:
         adj[sa][:, rows] += at
         for sb, rows in side_b:
             adj[sb][:, rows] -= at
-    return [el.km_fields_adjoint(sp.z, adj[sub], rec.material) for sub, sp in rec.subs.items()]
-
-
-def loss_backward(rec: LossRecord) -> WeightGrad:
-    """Gradient of rec.loss over every complex weight.
-
-    Reads the live weight arrays of rec.pairs, not copies: call it before
-    the weights are updated.
-    """
     grads = []
-    for (sub, sp), (ap, aq) in zip(rec.subs.items(), field_adjoints(rec)):
+    for sub, sp in rec.subs.items():
+        ap, aq = el.km_fields_adjoint(sp.z, adj[sub], rec.material)
         pair = rec.pairs[sub]
-        grads.append((branch_backward(pair.phi, sp.phi, ap), branch_backward(pair.psi, sp.psi, aq)))
+        grads.append((branch_backward(pair.phi, sp.phi, ap), branch_backward(pair.psi, sp.psi, aq) if sp.psi else []))
     return WeightGrad(grads)

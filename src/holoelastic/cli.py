@@ -20,10 +20,8 @@ import numpy as np
 
 from . import export, training  # training.train is looked up per call, so it can be wrapped
 from .analytics import RingErrors, grid_blocks, variance_report
-from .geometry import sample_boundary
 from .network import checkpoint_load, checkpoint_save, constructive_shallow, shallow_eval
 from .problem import load_config
-from .rng import Rng
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -76,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sample", help="draw boundary samples")
     s.add_argument("config")
-    s.add_argument("--n", type=int, default=None)
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--n", type=int, default=None, help="override the config n_train")
+    s.add_argument("--seed", type=int, default=None, help="override the config seed")
     return p
 
 
@@ -85,10 +83,17 @@ def _out_path(spec, name: str) -> str:
     return os.path.join(spec.outputs.out_dir, name)
 
 
-def _cmd_train(args) -> int:
+def _load(args, **overrides):
+    """load_config of args.config, each override that is not None written into its `training`."""
     spec = load_config(args.config)
-    if args.seed is not None:
-        spec.training.seed = args.seed
+    for key, value in overrides.items():
+        if value is not None:
+            setattr(spec.training, key, value)
+    return spec
+
+
+def _cmd_train(args) -> int:
+    spec = _load(args, seed=args.seed)
     t0 = time.perf_counter()
     pairs, history = training.train(spec)
     elapsed = time.perf_counter() - t0
@@ -142,11 +147,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_init_check(args) -> int:
-    spec = load_config(args.config)
-    if args.beta is not None:
-        spec.training.beta = args.beta
-    if args.seed is not None:
-        spec.training.seed = args.seed
+    spec = _load(args, beta=args.beta, seed=args.seed)
     report = variance_report(spec, args.m_e, training.PROBE_FACTOR * spec.training.n_train)
     path = _out_path(spec, "variance.csv")
     export.write_variance_csv(path, report)
@@ -178,10 +179,8 @@ def _cmd_approx_demo(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    spec = load_config(args.config)
-    n = args.n if args.n is not None else spec.training.n_train
-    seed = args.seed if args.seed is not None else spec.training.seed
-    samples = sample_boundary(spec.domain, n, Rng(seed).spawn(1))
+    spec = _load(args, n_train=args.n, seed=args.seed)
+    samples = training.train_samples(spec)
     path = _out_path(spec, "samples.csv")
     export.write_samples_csv(path, samples, spec.domain)
     print(f"wrote {len(samples)} samples to {path}")

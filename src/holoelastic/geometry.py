@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .elasticity import BCKind, Interface
+from . import elasticity as el
 from .rng import Rng
 
 
@@ -38,7 +38,7 @@ Shape = Union[Line, Arc]
 @dataclass
 class BoundaryPiece:
     shape: Shape
-    bc: BCKind
+    bc: el.BCKind
     subdomains: tuple[int, ...]
     name: str = ""
 
@@ -53,7 +53,7 @@ class BoundaryPiece:
 
     @property
     def is_interface(self) -> bool:
-        return isinstance(self.bc, Interface)
+        return isinstance(self.bc, el.Interface)
 
 
 def piece_length(p: BoundaryPiece) -> float:
@@ -99,16 +99,17 @@ class DomainSpec:
     pieces: list[BoundaryPiece]
     n_subdomains: int = field(init=False)  # 1 + the largest id on any piece
     turns: list[complex] = field(init=False, repr=False, compare=False)  # outward normal / tangent, +-1j
+    weights: list[float] = field(init=False, repr=False, compare=False)  # el.group_weights, fixed at load
 
     def __post_init__(self):
         self.n_subdomains = 1 + max((s for p in self.pieces for s in p.subdomains), default=-1)
         bare = set(range(self.n_subdomains)).difference(*(p.subdomains for p in self.pieces))
         if bare:
             raise ValueError(f"subdomain {min(bare)} has no boundary piece")
-        if self.outer_length() <= 0.0:
-            raise ValueError("total outer boundary length must be positive")
+        lengths = [piece_length(p) for p in self.pieces]
+        self.weights = el.group_weights(lengths, [not p.is_interface for p in self.pieces])  # raises on no outer length
         at = np.array([piece_point(p, [0.0, 1.0, 0.5]) for p in self.pieces])  # each piece's ends and midpoint
-        tol = 1e-9 * max(piece_length(p) for p in self.pieces)
+        tol = 1e-9 * max(lengths)
         for s in range(self.n_subdomains):  # region_contains needs each subdomain's pieces to close into loops
             mine = [i for i, p in enumerate(self.pieces) if s in p.subdomains]
             ends = at[mine, :2].ravel()

@@ -8,7 +8,7 @@ function in one pass; the chain rule is applied to order k at every
 activation.  A jet's order is its channel count minus one, so each primitive
 reads it off the array, and its precision (complex128 or complex64) from the
 dtype.  The affine layer and the activation each come with their adjoint; the
-activation's reads only the cached jet of f'(y).
+activation also returns the jet of f'(y), which is all its adjoint reads.
 """
 
 from __future__ import annotations
@@ -156,18 +156,17 @@ def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.
     return gw, adj[0].sum(axis=0), da
 
 
-def activate_jets(kind: ActivationKind, jets: np.ndarray, cache: bool = False):
+def activate_jets(kind: ActivationKind, jets: np.ndarray):
     """Elementwise activation f on a jet batch, to the jet's own order.
 
-    Returns (out, g).  With `cache`, g is the derivative jet: the jet of
-    f'(y), with out's channels, which is all activate_jets_adjoint reads; for
-    exp it is out itself.  Otherwise g is None.  Overflow is not checked
-    here; network.forward_jets checks.
+    Returns (out, g), g the derivative jet: the jet of f'(y), with out's
+    channels, which is all activate_jets_adjoint reads; for exp it is out
+    itself.  Overflow is not checked here; network.forward_jets checks.
     """
     n = jets.shape[0]
-    d = act_derivs(kind, jets[0], order=n if cache else n - 1)
+    d = act_derivs(kind, jets[0], order=n)
     outs = []  # out by the chain rule from (f, f', ...); g from (f', f'', ...)
-    for p in [d, d[1:]] if cache and kind is not ActivationKind.EXP else [d]:
+    for p in [d] if kind is ActivationKind.EXP else [d, d[1:]]:
         out = np.empty_like(jets)
         out[0] = p[0]
         if n > 1:
@@ -177,7 +176,7 @@ def activate_jets(kind: ActivationKind, jets: np.ndarray, cache: bool = False):
             out[2] *= jets[1]
             out[2] += p[1] * jets[2]
         outs.append(out)
-    return outs[0], outs[-1] if cache else None
+    return outs[0], outs[-1]
 
 
 def activate_jets_adjoint(adj: np.ndarray, g: np.ndarray) -> np.ndarray:

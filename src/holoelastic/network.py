@@ -138,11 +138,10 @@ def forward_jets(
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(net.layers):
             # without caches no layer's arrays outlive it (large eval grids)
-            x = jets if keep else None
+            x, g = jets if keep else None, None
             jets = affine_jets(jets, layer.weights, layer.bias)
-            g = None
             if i != last:
-                jets, g = activate_jets(net.activation, jets, cache=keep)
+                jets, g = activate_jets(net.activation, jets)
                 if check_layers and not np.isfinite(jets).all():
                     raise NonFiniteError(
                         f"non-finite value in {where}layer {i + 1} ({net.activation.value})"
@@ -240,8 +239,10 @@ def init_weights(net: HoloMLP, probe, beta: float, m_e: int, rng: Rng) -> HoloML
 
     Layers below m_e scale the weight variance by the sample mean of
     |x_{l-1}|^2 over a propagated probe of boundary points (complex
-    coordinates); from m_e on, the activations are assumed Gaussian, which
-    gives the closed-form scale e^beta for the exponential activation.
+    coordinates); from m_e on, the pre-activations y are assumed Gaussian,
+    with Var Re y = Var Im y = beta/2, and every activation gets the scale
+    e^beta = E|exp y|^2, though the same y gives E|cos y|^2 = cosh beta and
+    E|sin y|^2 = sinh beta: cos, sin and cos_sqrt nets are scaled as exp.
     Biases start at zero.  The probe is propagated only up to the input of
     the last layer below m_e, so m_e = 2 propagates nothing and m_e >= L + 1
     reaches x_{L-1}.  A probe statistic that is not finite and positive (an

@@ -114,18 +114,23 @@ def init_pairs(pairs: Sequence[BranchPair], probe: np.ndarray, beta: float, m_e:
         init_weights(pair.psi, probe, beta, m_e, rng.spawn(101 + 2 * i))
 
 
+def train_samples(problem: "ProblemSpec") -> np.recarray:
+    """The n_train training points of a run of `problem`, unpacked: stream 1 of start."""
+    return sample_boundary(problem.domain, problem.training.n_train, Rng(problem.training.seed).spawn(1))
+
+
 def start(problem: "ProblemSpec", m_e: int, n_probe: int) -> tuple[list[BranchPair], PackedBatch, Optional[PackedBatch]]:
     """The initialized pairs, packed training batch and packed test batch
     (None when n_test is 0) that a run of `problem` starts from.
 
-    Streams of Rng(training.seed): 1 the n_train training points, 2 the
-    n_test test points, 3 the n_probe init probe points, and 100 + 2i and
-    101 + 2i the phi and psi weights of pair i (init_pairs at training.beta
-    and m_e), drawn in that order.
+    Streams of Rng(training.seed): 1 the n_train training points (train_samples,
+    which `holoelastic sample` writes), 2 the n_test test points, 3 the n_probe
+    init probe points, and 100 + 2i and 101 + 2i the phi and psi weights of
+    pair i (init_pairs at training.beta and m_e), drawn in that order.
     """
     cfg, domain = problem.training, problem.domain
     rng = Rng(cfg.seed)
-    packed_train = pack_batch(sample_boundary(domain, cfg.n_train, rng.spawn(1)), domain)
+    packed_train = pack_batch(train_samples(problem), domain)
     packed_test = pack_batch(sample_boundary(domain, cfg.n_test, rng.spawn(2)), domain) if cfg.n_test else None
     probe = sample_boundary(domain, n_probe, rng.spawn(3)).z
     pairs = build_pairs(problem)

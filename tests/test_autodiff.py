@@ -86,7 +86,9 @@ def test_loss_reads_the_packed_piece_weights(name):
     assert loss == rec.loss == total > 0.0
 
 
-def test_train_computes_piece_weights_once_per_batch(monkeypatch):
+def test_piece_weights_are_computed_once_when_the_domain_is_built(monkeypatch):
+    # DomainSpec fixes the weights at load; packing the training and the
+    # test batch and every epoch read them
     calls = []
     weights = elasticity.group_weights
 
@@ -95,8 +97,27 @@ def test_train_computes_piece_weights_once_per_batch(monkeypatch):
         return weights(*args)
 
     monkeypatch.setattr(elasticity, "group_weights", counted)
-    train(ring_problem(epochs=4, n_train=40, n_test=8))
-    assert len(calls) == 2  # the training and the test batch
+    problem = ring_problem(epochs=4, n_train=40, n_test=8)
+    assert len(calls) == 1
+    assert problem.domain.weights == weights(*calls[0])
+    train(problem)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["ring_quadrant", "stress_only"])
+def test_loss_backward_sweeps_phi_alone_without_psi_caches(name):
+    # a sweep_psi=False record yields the phi gradients of the full record
+    # bit for bit and no psi gradients
+    problem = ring_problem(seed=4) if name == "ring_quadrant" else square_problem(mode="stress_only")
+    pairs = build_pairs(problem)
+    rng = Rng(4)
+    init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.7, 3, rng)
+    samples = sample_boundary(problem.domain, 40, rng.spawn(1))
+    full = loss_backward(loss_forward(pairs, samples, problem)[1]).grads
+    (phi, psi), = loss_backward(loss_forward(pairs, samples, problem, sweep_psi=False)[1]).grads
+    assert psi == [] and len(phi) == len(full[0][0])
+    for (gw, gb), (fw, fb) in zip(phi, full[0][0]):
+        assert np.array_equal(gw, fw) and np.array_equal(gb, fb)
 
 
 def test_subdomain_count_mismatch():
@@ -249,8 +270,7 @@ def test_cauchy_riemann_consistency_of_adjoint_rules():
     def forward(wv):
         jets = np.zeros((3, 1, 1), dtype=complex)
         jets[0, 0, 0] = wv * z0
-        out, cache = activate_jets(ActivationKind.EXP, jets, cache=True)
-        return out, cache
+        return activate_jets(ActivationKind.EXP, jets)
 
     out, g = forward(w)
     p1 = g[0]  # f'(y) at the value channel

@@ -24,8 +24,8 @@ def _jet(f, d1, d2):
     return np.array([f, d1, d2], dtype=np.complex128).reshape(3, 1, 1)
 
 
-def _act(kind, jets, **kw):
-    return activate_jets(kind, jets, **kw)[0][:, 0, 0]
+def _act(kind, jets):
+    return activate_jets(kind, jets)[0][:, 0, 0]
 
 
 def test_seed_identity_jet():
@@ -63,6 +63,23 @@ def test_exp_of_square_at_one():
     assert abs(f - e) < 1e-14
     assert abs(d1 - 2 * e) < 1e-13
     assert abs(d2 - 6 * e) < 1e-13
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_activation_returns_its_derivative_jet(n, dtype):
+    # g is the jet of f'(y) on out's channels: exp' = exp is out itself,
+    # cos' = -sin and sin' = cos bit for bit, and cos(sqrt)'s value channel
+    # is act_derivs' first derivative
+    rng = np.random.default_rng(n)
+    jets = (rng.normal(size=(n, 4, 3)) + 1j * rng.normal(size=(n, 4, 3))).astype(dtype)
+    (ec, gc), (es, gs) = (activate_jets(k, jets) for k in (ActivationKind.COS, ActivationKind.SIN))
+    assert np.array_equal(gc, -es) and np.array_equal(gs, ec)
+    out, g = activate_jets(ActivationKind.EXP, jets)
+    assert g is out
+    out, g = activate_jets(ActivationKind.COS_SQRT, jets)
+    assert g.shape == out.shape == jets.shape and g.dtype == dtype
+    assert np.array_equal(g[0], act_derivs(ActivationKind.COS_SQRT, jets[0], order=1)[1])
 
 
 def _cos_sqrt_series(z, order, terms=40):

@@ -13,7 +13,8 @@ import pytest
 
 from conftest import CONFIG_DIR, CONFIG_NAMES, config_path
 import holoelastic
-from holoelastic import geometry
+from holoelastic import geometry, training
+from holoelastic.autodiff import pack_batch
 from holoelastic.analytics import GridField
 from holoelastic.cli import run_command
 from holoelastic.elasticity import Displacement, Interface, Material, Symmetry, Traction
@@ -602,6 +603,31 @@ def test_cli_sample(tmp_path):
     lines = open(os.path.join(out, "samples.csv")).read().splitlines()
     assert lines[0] == "x,y,nx,ny,piece,t,subdomains"
     assert len(lines) == 26
+
+
+@pytest.mark.parametrize("name", ["ring_quadrant", "dd_plate_hole"])
+def test_cli_sample_writes_the_training_batch_that_start_packs(monkeypatch, tmp_path, name):
+    # `sample --n 60 --seed 7` overrides n_train and seed as `train --seed`
+    # does, and writes the batch that training.start packs for a copy with
+    # those values: the same points, normals, pieces and t, row for row
+    doc = json.load(open(config_path(name)))
+    doc["outputs"]["dir"] = out = str(tmp_path / "out")
+    cfg = str(tmp_path / "cfg.json")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert run_command(["sample", cfg, "--n", "60", "--seed", "7"]) == 0
+    cols = list(zip(*(line.split(",") for line in open(os.path.join(out, "samples.csv")).read().splitlines()[1:])))
+    doc["training"].update(n_train=60, seed=7)
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    packed = []
+    monkeypatch.setattr(training, "pack_batch", lambda s, d: packed.append(s) or pack_batch(s, d))
+    _, batch, _ = training.start(load_config(cfg), 3, 100)
+    s = packed[0]  # the training batch, packed first
+    want = (s.z.real, s.z.imag, s.normal.real, s.normal.imag, s.piece, s.t)
+    assert len(cols[0]) == 60 and [list(map(float, c)) for c in cols[:6]] == [w.tolist() for w in want]
+    assert np.array_equal(np.concatenate([g.z for g in batch.groups]), s.z)
+    assert np.array_equal(np.concatenate([g.t for g in batch.groups]), s.t)
 
 
 def test_cli_approx_demo(tmp_path):
