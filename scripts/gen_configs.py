@@ -2,8 +2,8 @@
 
 Builds each benchmark geometry from exact arithmetic (DomainSpec checks that
 the boundary loops close and derives every outward normal), then serializes
-to configs/*.json with save_config, the inverse of
-holoelastic.problem.load_config.  The JSON files are the source of truth;
+to configs/*.json with save_config, which walks the format tables that
+holoelastic.problem.load_config reads.  The JSON files are the source of truth;
 tests/test_problem_cli.py checks that this script reproduces them byte for
 byte.
 
@@ -14,11 +14,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import astuple, fields
+from enum import Enum
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from holoelastic import elasticity as el
-from holoelastic import geometry as geo
+from holoelastic import problem
 from holoelastic.elasticity import (
     ConstantData,
     Displacement,
@@ -183,67 +184,43 @@ def dd_plate_hole() -> ProblemSpec:
 GENERATORS = (ring_quadrant, plate_hole_quadrant, clamped_square, rail_section, dd_plate_hole)
 
 
-def _data_json(data: el.BoundaryData) -> dict:
-    if isinstance(data, el.ConstantData):
-        return {"constant": [data.vx, data.vy]}
-    return {"normal_pressure": data.p}
+def _json(v):
+    """A loaded value as a config writes it: an enum by its value, a point as [x, y] and a tuple as a list."""
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    return list(v) if isinstance(v, tuple) else v
 
 
-def _piece_json(p: geo.BoundaryPiece) -> dict:
-    out: dict = {}
-    if isinstance(p.shape, geo.Line):
-        out["kind"] = "line"
-        out["p0"] = [p.shape.p0.real, p.shape.p0.imag]
-        out["p1"] = [p.shape.p1.real, p.shape.p1.imag]
-    else:
-        out["kind"] = "arc"
-        out["center"] = [p.shape.center.real, p.shape.center.imag]
-        out["radius"] = p.shape.radius
-        out["theta0"] = p.shape.theta0
-        out["theta1"] = p.shape.theta1
-    bc = p.bc
-    if isinstance(bc, el.Traction):
-        out["bc"] = {"type": "traction", "data": _data_json(bc.data)}
-    elif isinstance(bc, el.Displacement):
-        out["bc"] = {"type": "displacement", "data": _data_json(bc.data)}
-    elif isinstance(bc, el.Symmetry):
-        out["bc"] = {"type": "symmetry"}
-    else:
-        out["bc"] = {"type": "interface"}
-    out["subdomains"] = list(p.subdomains)
-    out["name"] = p.name
-    return out
+def _keys_json(obj, keys) -> dict:
+    """obj's value of each config key in `keys`, as JSON."""
+    return {k: _json(getattr(obj, problem.FIELDS.get(k, k))) for k in keys}
+
+
+def _tag(table: dict, obj) -> str:
+    """The key under which `table` holds obj's class."""
+    return next(k for k, cls in table.items() if type(obj) is cls)
+
+
+def _data_json(data) -> dict:
+    vals = astuple(data)  # a number for one field, else a list
+    return {_tag(problem.DATA_KINDS, data): _json(vals if len(vals) > 1 else vals[0])}
+
+
+def _piece_json(p: BoundaryPiece) -> dict:
+    kind, reads = next((k, reads) for k, (cls, reads) in problem.PIECE_KINDS.items() if type(p.shape) is cls)
+    bc = {"type": _tag(problem.BC_TYPES, p.bc), **{f.name: _data_json(getattr(p.bc, f.name)) for f in fields(p.bc)}}
+    return {"kind": kind, **_keys_json(p.shape, reads), "bc": bc, "subdomains": _json(p.subdomains), "name": p.name}
 
 
 def save_config(spec: ProblemSpec, path: str) -> None:
-    """Serialize a ProblemSpec; load_config(save_config(s)) == s."""
-    doc = {
-        "name": spec.name,
-        "material": {
-            "lambda": spec.material.lam,
-            "mu": spec.material.mu,
-            "mode": spec.material.mode.value,
-        },
-        "geometry": {"pieces": [_piece_json(p) for p in spec.domain.pieces]},
-        "networks": {
-            "hidden_layers": spec.networks.hidden_layers,
-            "units": spec.networks.units,
-            "activation": spec.networks.activation.value,
-            "mode": spec.networks.mode.value,
-        },
-        "training": {
-            "epochs": spec.training.epochs,
-            "lr": spec.training.lr,
-            "n_train": spec.training.n_train,
-            "n_test": spec.training.n_test,
-            "seed": spec.training.seed,
-            "beta": spec.training.beta,
-            "m_e": spec.training.m_e,
-        },
-        "outputs": {"grid": list(spec.outputs.grid), "dir": spec.outputs.out_dir},
-    }
-    if spec.training.precision != TrainConfig.precision:  # the default is left out
-        doc["training"]["precision"] = spec.training.precision
+    """Serialize a ProblemSpec through problem's format tables; load_config(save_config(s)) == s."""
+    doc = {"name": spec.name, "material": None, "geometry": {"pieces": [_piece_json(p) for p in spec.domain.pieces]}}
+    for key, (_, reads, _) in problem.SECTIONS.items():  # material fills its place above, the others follow
+        doc[key] = _keys_json(getattr(spec, key), reads)
+    if spec.training.precision == TrainConfig.precision:  # the default is left out
+        del doc["training"]["precision"]
     if spec.reference is not None:  # the loader reads the ring's p, r and R off its arcs
         doc["reference"] = {"kind": spec.reference["kind"]}
     tmp = f"{path}.tmp"

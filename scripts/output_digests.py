@@ -49,6 +49,9 @@ in the diff, and it hashes:
                                           (numpy's float32 exp, cos and sin)
   <config>/samples.csv                    `sample --n 300` (all configs)
   approx.csv                              `approx-demo --n 32`
+  approx_exp.csv                          `approx-demo --n 32 --target exp`: the
+                                          shallow net built from exp's Taylor
+                                          coefficients, exp itself up to round-off
   <config>@<act>/checkpoint.json, history.csv, fields.csv
                                           `train` for 20 epochs and `eval --grid 40x40`
                                           of ring_quadrant and clamped_square with the
@@ -184,6 +187,8 @@ def main(argv: list[str]) -> int:
         approx = os.path.join(tmp, "approx.csv")
         run("approx-demo", "--n", "32", "--out", approx)
         _show("approx.csv", approx)
+        run("approx-demo", "--n", "32", "--target", "exp", "--out", approx)
+        _show("approx_exp.csv", approx)
         for name in ("ring_quadrant", "clamped_square"):
             for activation in ("cos", "sin", "cos_sqrt"):
                 label = f"{name}@{activation}"

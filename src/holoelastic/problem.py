@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import elasticity as el
@@ -143,52 +143,58 @@ def _enum(kind):
     return lambda v, path: kind(v)  # a ValueError, reported at the section
 
 
-_FIELDS = {"lambda": "lam", "dir": "out_dir"}  # the config keys whose dataclass field is named otherwise
+# The config format, which scripts/gen_configs.py writes through.  A section: its dataclass, a reader for each key
+# (in the order a config writes them) and the keys it requires; FIELDS renames a key to its dataclass field.
+FIELDS = {"lambda": "lam", "dir": "out_dir"}
+SECTIONS = {
+    "material": (el.Material, {"lambda": _num, "mu": _num, "mode": _enum(el.PlaneMode)}, ("lambda", "mu")),
+    "networks": (NetworkConfig, {"hidden_layers": _int, "units": _int, "activation": _enum(ActivationKind),
+                                 "mode": _enum(Mode)}, ("hidden_layers", "units")),
+    "training": (TrainConfig, {"epochs": _int, "lr": _num, "n_train": _int, "n_test": _int, "seed": _int,
+                               "beta": _num, "m_e": _int, "precision": _str}, ("epochs", "n_train", "lr")),
+    "outputs": (OutputConfig, {"grid": _grid, "dir": _str}, ()),
+}
+PIECE_KINDS = {"line": (geo.Line, {"p0": _cx, "p1": _cx}),  # a shape and a reader for each key, all required
+               "arc": (geo.Arc, {"center": _cx, "radius": _num, "theta0": _num, "theta1": _num})}
+BC_TYPES = {"traction": el.Traction, "displacement": el.Displacement, "symmetry": el.Symmetry, "interface": el.Interface}
+DATA_KINDS = {"constant": el.ConstantData, "normal_pressure": el.NormalPressure}  # a number for one field, else a list
 
 
-def _section(path: str, obj, make, reads: dict, *required: str):
-    """make(**fields) of the keys that obj gives, each read by reads[key] (reads names every key the loader
-    reads there; the `required` ones must be given), so a key left out takes its dataclass default."""
-    _keys(obj, path, *reads)
+def _section(doc: dict, path: str):
+    """SECTIONS[path]'s dataclass of the keys that doc[path] gives, so a key left out takes its dataclass default;
+    a section that requires no key may be left out."""
+    make, reads, required = SECTIONS[path]
+    obj = _keys(_need(doc, path, "config") if required else doc.get(path, {}), path, *reads)
     for key in required:
         _need(obj, key, path)
-    read = lambda: {_FIELDS.get(k, k): rd(obj[k], f"{path}.{k}") for k, rd in reads.items() if k in obj}
+    read = lambda: {FIELDS.get(k, k): rd(obj[k], f"{path}.{k}") for k, rd in reads.items() if k in obj}
     return _made(path, lambda: make(**read()))
 
 
+def _pick(table: dict, kind, path: str, what: str):  # kind is any JSON value: a list or an object is unhashable
+    return table[kind] if isinstance(kind, str) and kind in table else _fail(path, f"unknown {what} {kind!r}")
+
+
 def _parse_data(obj: dict, path: str) -> el.BoundaryData:
-    if "constant" in _obj(obj, path):
-        return el.ConstantData(*_nums(_keys(obj, path, "constant")["constant"], 2, f"{path}.constant"))
-    if "normal_pressure" in obj:
-        _keys(obj, path, "normal_pressure")
-        return el.NormalPressure(_num(obj["normal_pressure"], f"{path}.normal_pressure"))
-    _fail(path, "boundary data must give 'constant' or 'normal_pressure'")
+    for key, cls in DATA_KINDS.items():
+        if key in _obj(obj, path):
+            n, v, at = len(fields(cls)), _keys(obj, path, key)[key], f"{path}.{key}"
+            return cls(*(_nums(v, n, at) if n > 1 else (_num(v, at),)))
+    _fail(path, f"boundary data must give {' or '.join(map(repr, DATA_KINDS))}")
 
 
 def _parse_bc(obj: dict, path: str) -> el.BCKind:
-    kind = _need(obj, "type", path)
-    if kind in ("traction", "displacement"):
-        data = _parse_data(_need(_keys(obj, path, "type", "data"), "data", path), f"{path}.data")
-        return (el.Traction if kind == "traction" else el.Displacement)(data)
-    if kind in ("symmetry", "interface"):
-        _keys(obj, path, "type")
-        return el.Symmetry() if kind == "symmetry" else el.Interface()
-    _fail(path, f"unknown bc type {kind!r}")
+    cls = _pick(BC_TYPES, _need(obj, "type", path), path, "bc type")
+    keys = [f.name for f in fields(cls)]  # "data", or none
+    _keys(obj, path, "type", *keys)
+    return cls(*(_parse_data(_need(obj, k, path), f"{path}.{k}") for k in keys))
 
 
 def _parse_piece(obj: dict, i: int) -> geo.BoundaryPiece:
     path = f"geometry.pieces[{i}]"
-    kind = _need(obj, "kind", path)
-    if kind == "line":
-        read = ("p0", "p1")
-        shape = geo.Line(*(_cx(_need(obj, k, path), f"{path}.{k}") for k in read))
-    elif kind == "arc":
-        read = ("center", "radius", "theta0", "theta1")
-        center = _cx(_need(obj, "center", path), f"{path}.center")
-        shape = geo.Arc(center, *(_num(_need(obj, k, path), f"{path}.{k}") for k in read[1:]))
-    else:
-        _fail(path, f"unknown piece kind {kind!r}")
-    _keys(obj, path, "kind", *read, "bc", "subdomains", "name")
+    make, reads = _pick(PIECE_KINDS, _need(obj, "kind", path), path, "piece kind")
+    shape = make(*(rd(_need(obj, k, path), f"{path}.{k}") for k, rd in reads.items()))
+    _keys(obj, path, "kind", *reads, "bc", "subdomains", "name")
     bc = _parse_bc(_need(obj, "bc", path), f"{path}.bc")
     subs = _need(obj, "subdomains", path)
     if not isinstance(subs, list):
@@ -207,8 +213,7 @@ def load_config(path: str) -> ProblemSpec:
             raise ConfigError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}")
 
     _keys(doc, "config", "name", "material", "geometry", "networks", "training", "outputs", "reference")
-    material = _section("material", _need(doc, "material", "config"), el.Material,
-                        {"lambda": _num, "mu": _num, "mode": _enum(el.PlaneMode)}, "lambda", "mu")
+    material = _section(doc, "material")
 
     piece_objs = _need(_keys(_need(doc, "geometry", "config"), "geometry", "pieces"), "pieces", "geometry")
     if not isinstance(piece_objs, list):
@@ -216,13 +221,7 @@ def load_config(path: str) -> ProblemSpec:
     pieces = [_parse_piece(p, i) for i, p in enumerate(piece_objs)]
     domain = _made("geometry", lambda: geo.DomainSpec(pieces))
 
-    networks = _section("networks", _need(doc, "networks", "config"), NetworkConfig, {
-        "hidden_layers": _int, "units": _int, "activation": _enum(ActivationKind), "mode": _enum(Mode)},
-        "hidden_layers", "units")
-    training = _section("training", _need(doc, "training", "config"), TrainConfig, {
-        "epochs": _int, "lr": _num, "n_train": _int, "n_test": _int, "seed": _int, "beta": _num, "m_e": _int,
-        "precision": _str}, "epochs", "n_train", "lr")
-    outputs = _section("outputs", doc.get("outputs", {}), OutputConfig, {"grid": _grid, "dir": _str})
+    networks, training, outputs = (_section(doc, key) for key in ("networks", "training", "outputs"))
 
     ref = doc.get("reference")
     if ref is not None:

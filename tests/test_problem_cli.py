@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import importlib.util
 import json
@@ -17,11 +18,12 @@ from holoelastic import geometry, training
 from holoelastic.autodiff import pack_batch
 from holoelastic.analytics import GridField
 from holoelastic.cli import run_command
-from holoelastic.elasticity import Displacement, Interface, Material, Symmetry, Traction
+from holoelastic.elasticity import Displacement, Interface, Material, PlaneMode, Symmetry, Traction
 from holoelastic.export import write_fields_csv
-from holoelastic.geometry import piece_point, region_contains
-from holoelastic.network import checkpoint_load, checkpoint_save
-from holoelastic.problem import ConfigError, NetworkConfig, OutputConfig, load_config
+from holoelastic.geometry import DomainSpec, piece_point, region_contains
+from holoelastic.jets import ActivationKind
+from holoelastic.network import Mode, checkpoint_load, checkpoint_save
+from holoelastic.problem import ConfigError, NetworkConfig, OutputConfig, ProblemSpec, load_config
 from holoelastic.training import TrainConfig
 
 
@@ -72,6 +74,27 @@ def test_roundtrip_equals_original(name, tmp_path):
     script.save_config(spec, path)
     with open(path, "rb") as fh, open(config_path(name), "rb") as shipped:
         assert fh.read() == shipped.read()
+    assert load_config(path) == spec
+
+
+def test_roundtrip_keeps_the_values_no_shipped_config_uses(tmp_path):
+    # plane stress, cos, stress-only networks (the ring with its symmetry axes
+    # made traction-free), single precision and a grid and seed off their
+    # defaults: every enum and tuple the writer handles beyond the shipped configs
+    script = _gen_configs_script()
+    ring = script.ring_quadrant()
+    free = lambda p: dataclasses.replace(p, bc=Traction(script.ZERO)) if isinstance(p.bc, Symmetry) else p
+    spec = ProblemSpec(
+        Material(2.0, 0.5, PlaneMode.STRESS),
+        DomainSpec([free(p) for p in ring.domain.pieces]),
+        NetworkConfig(3, 8, ActivationKind.COS, Mode.STRESS_ONLY),
+        TrainConfig(epochs=10, lr=0.01, n_train=40, n_test=8, seed=7, beta=0.7, precision="single"),
+        OutputConfig((24, 16), "out/ring_stress_only"),
+        reference=ring.reference,
+        name="ring_stress_only",
+    )
+    path = str(tmp_path / "spec.json")
+    script.save_config(spec, path)
     assert load_config(path) == spec
 
 
@@ -298,6 +321,14 @@ PIECES = ("geometry", "pieces")
         (("training", "precision"), "half", [], "error: training: precision must be 'double' or 'single', got 'half'"),
         (("training", "precision"), 32, [], "error: training.precision: expected a nonempty string, got 32"),
         (("training", "precision"), ["single"], [], "error: training.precision: expected a nonempty string, got ['single']"),
+        ((*PIECES, 0, "kind"), "spline", [], "error: geometry.pieces[0]: unknown piece kind 'spline'"),
+        ((*PIECES, 0, "kind"), None, [], "error: geometry.pieces[0]: unknown piece kind None"),
+        ((*PIECES, 0, "kind"), ["line"], [], "error: geometry.pieces[0]: unknown piece kind ['line']"),
+        ((*PIECES, 0, "bc", "type"), "slip", [], "error: geometry.pieces[0].bc: unknown bc type 'slip'"),
+        ((*PIECES, 0, "bc", "type"), ["traction"], [], "error: geometry.pieces[0].bc: unknown bc type ['traction']"),
+        ((*PIECES, 0, "bc", "data"), {}, [],
+         "error: geometry.pieces[0].bc.data: boundary data must give 'constant' or 'normal_pressure'"),
+        (("networks", "units"), 0, [], "error: networks: hidden_layers and units must be positive"),
     ],
     ids=[
         "grid_one", "grid_nonpositive", "constant_3", "pressure_str", "radius_str", "side_str", "subdomain_str",
@@ -311,7 +342,8 @@ PIECES = ("geometry", "pieces")
         "grid_typo", "root_typo", "material_extra", "geometry_typo",
         "regions_rejected", "line_with_radius", "symmetry_with_data", "data_both", "reference_extra", "ref_p_zero",
         "ref_p_negative_zero", "plane_mode_str", "activation_str", "net_mode_str", "precision_str", "precision_int",
-        "precision_list",
+        "precision_list", "kind_unknown", "kind_null", "kind_list", "bc_type_unknown", "bc_type_list", "data_empty",
+        "units_zero",
     ],
 )
 def test_bad_eval_input_fails_before_the_checkpoint_is_read(tmp_path, capsys, keys, value, args, message):
@@ -490,6 +522,13 @@ def test_cli_eval_architecture_mismatch(tmp_path, capsys):
     assert "architecture" in capsys.readouterr().err
 
 
+def test_cli_eval_rejects_a_checkpoint_of_another_subdomain_count(tmp_path, capsys):
+    cfg, out = _mini_ring(tmp_path, epochs=1)
+    assert run_command(["train", cfg]) == 0
+    assert run_command(["eval", config_path("dd_plate_hole"), os.path.join(out, "checkpoint.json")]) == 2
+    assert "error: checkpoint has 1 network pairs, config needs 4" in capsys.readouterr().err
+
+
 def test_cli_eval_rejects_checkpoint_of_another_activation(tmp_path, capsys):
     cfg, out = _mini_ring(tmp_path, epochs=1)
     doc = json.load(open(cfg))
@@ -630,12 +669,16 @@ def test_cli_sample_writes_the_training_batch_that_start_packs(monkeypatch, tmp_
     assert np.array_equal(np.concatenate([g.t for g in batch.groups]), s.t)
 
 
-def test_cli_approx_demo(tmp_path):
+@pytest.mark.parametrize("target", ["inv_shift", "exp"])
+def test_cli_approx_demo(tmp_path, target):
     out = str(tmp_path / "approx.csv")
-    assert run_command(["approx-demo", "--n", "16", "--target", "inv_shift", "--out", out]) == 0
+    assert run_command(["approx-demo", "--n", "16", "--target", target, "--out", out]) == 0
     lines = open(out).read().splitlines()
     errs = [float(l.split(",")[1]) for l in lines[1:]]
-    assert errs == sorted(errs, reverse=True)
+    if target == "inv_shift":
+        assert errs == sorted(errs, reverse=True)
+    else:  # the shallow net of exp's Taylor coefficients is exp itself, up to round-off
+        assert len(errs) == 3 and max(errs) < 1e-14
 
 
 @pytest.mark.parametrize("n", ["2", "-5", "3", "four"])
@@ -677,6 +720,16 @@ def test_cli_init_check(tmp_path):
     lines = open(os.path.join(out, "variance.csv")).read().splitlines()
     assert lines[0].startswith("layer,var_y")
     assert len(lines) == 3  # two hidden layers
+
+
+def test_cli_init_check_rejects_a_domain_decomposed_problem(tmp_path, capsys):
+    doc = json.load(open(config_path("dd_plate_hole")))
+    doc["outputs"]["dir"] = out = str(tmp_path / "out")
+    cfg = tmp_path / "dd.json"
+    cfg.write_text(json.dumps(doc))
+    assert run_command(["init-check", str(cfg)]) == 2
+    assert "error: variance diagnostics run on single-subdomain problems" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "variance.csv"))
 
 
 @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "0"])
