@@ -5,10 +5,13 @@ The loss graph always has the same shape: per subdomain two branches
 Kolosov-Muskhelishvili field map from their jets to (nf, B) field rows
 (el.km_fields), per-piece boundary residuals and the length-weighted mean
 square.  pack_batch fixes each piece's residual operator once per sample
-batch and reads its loss weight off DomainSpec.weights.  loss_forward runs
-the stages, optionally on test points appended to the training points for a
-test loss, and keeps what the reverse pass needs: the branch caches, each
-piece's (B, k) residual array and its mean square.  loss_backward passes adjoints back to the branch
+batch, reads its loss weight off DomainSpec.weights and stacks the outer
+pieces of each subdomain into one operator (OuterStack), so residuals and
+their adjoints run once per subdomain and once per interface piece.
+loss_forward runs the stages, optionally on test points appended to the
+training points for a test loss, and keeps what the reverse pass needs: the
+branch caches, each piece's (B, k) residual array and its mean square.
+loss_backward passes adjoints back to the branch
 outputs (residuals -> el.km_fields_adjoint) and sweeps them through the
 branches, yielding for every complex weight w the real pair
 (dL/dRe w, dL/dIm w) packed as a complex number.
@@ -53,20 +56,55 @@ class Group:
     z: np.ndarray
     t: np.ndarray
     A: np.ndarray  # (B, k, 5) residual operator of el.bc_operator
-    d: np.ndarray  # (B, k) prescribed data
+    d: np.ndarray  # (B, k) prescribed data (outer pieces: row views of their OuterStack)
     # (subdomain, rows of its eval_z) per side: one on an outer piece, a then b on an interface
     sides: tuple[tuple[int, slice], ...]
+
+
+@dataclass
+class OuterStack:
+    """The outer pieces of one subdomain as one (B_s, 2, 5) residual operator,
+    in piece order; each of their groups' A and d is a row view of it."""
+
+    rows: Union[slice, np.ndarray]  # their rows of the subdomain's eval_z
+    A: np.ndarray  # (B_s, 2, 5)
+    d: np.ndarray  # (B_s, 2), column-major
+    scale: np.ndarray  # (B_s,) loss scale 2 alpha / B of each row's piece
+    parts: list[tuple[int, slice]]  # (group index, its rows of A) per piece
 
 
 @dataclass
 class PackedBatch:
     groups: list[Group]
     eval_z: dict[int, np.ndarray]
+    stacks: dict[int, OuterStack]  # per subdomain with an outer piece
+
+
+def _stack_outer(groups: list[Group], sub: int) -> Optional[OuterStack]:
+    """Stack the outer groups of subdomain `sub` and rebind their A and d as row views."""
+    idx = [i for i, g in enumerate(groups) if len(g.sides) == 1 and g.sides[0][0] == sub]
+    if not idx:
+        return None
+    gs = [groups[i] for i in idx]
+    spans = [g.sides[0][1] for g in gs]
+    if all(a.stop == b.start for a, b in zip(spans, spans[1:])):
+        rows = slice(spans[0].start, spans[-1].stop)
+    else:
+        rows = np.concatenate([np.arange(s.start, s.stop) for s in spans])
+    A = np.concatenate([g.A for g in gs])
+    d = np.asfortranarray(np.concatenate([g.d for g in gs]))
+    scale = np.concatenate([np.full(g.z.size, 2.0 * g.alpha / g.z.size) for g in gs])
+    ends = np.cumsum([g.z.size for g in gs]).tolist()
+    parts = [(i, slice(end - g.z.size, end)) for i, g, end in zip(idx, gs, ends)]
+    for g, (_, part) in zip(gs, parts):
+        g.A, g.d = A[part], d[part]
+    return OuterStack(rows, A, d, scale, parts)
 
 
 def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
     """Group a sample_boundary batch by piece, fix each piece's residual operator,
-    read its loss weight off domain.weights and build the per-subdomain evaluation arrays.
+    read its loss weight off domain.weights, build the per-subdomain evaluation
+    arrays and stack each subdomain's outer operators (OuterStack).
 
     Every piece needs at least one sample.  Within each group samples are
     ordered by t (ties keep their batch order), which fixes the reduction
@@ -88,7 +126,8 @@ def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
             chunks[sub].append(z)
             sides.append((sub, slice(start, start + z.size)))
         groups.append(Group(idx, domain.weights[idx], z, samples.t[rows], A, d, tuple(sides)))
-    return PackedBatch(groups, {s: np.concatenate(c) for s, c in chunks.items()})
+    stacks = {sub: st for sub in chunks if (st := _stack_outer(groups, sub)) is not None}
+    return PackedBatch(groups, {s: np.concatenate(c) for s, c in chunks.items()}, stacks)
 
 
 # --- weight gradients ---------------------------------------------------------
@@ -129,11 +168,16 @@ class LossRecord:
     pairs: Sequence[BranchPair]
     material: el.Material
     subs: dict[int, SubdomainPass]
-    groups: list[Group]
+    batch: PackedBatch
     residuals: list[np.ndarray]  # (B, k) per group
+    outer: dict[int, np.ndarray]  # (B_s, 2) residual per OuterStack, viewed by its groups' residuals
     loss: float
     mse: list[float]  # mean squared residual norm per group
     test_loss: float = math.nan  # loss on the test batch, if one rode along
+
+    @property
+    def groups(self) -> list[Group]:
+        return self.batch.groups
 
     @property
     def ops(self) -> list:
@@ -144,13 +188,21 @@ class LossRecord:
         return out + self.residuals + [self.mse]
 
 
-def _residuals(groups: list[Group], fields: dict[int, np.ndarray]) -> list[np.ndarray]:
-    """Per-group (B, k) residuals from each subdomain's (nf, B) field rows."""
-    out = []
-    for g in groups:
-        fa, *fb = (fields[sub][:, rows] for sub, rows in g.sides)
-        out.append(el.interface_residual(g.A, fa, *fb) if fb else el.bc_residual(g.A, g.d, fa))
-    return out
+def _residuals(packed: PackedBatch, fields: dict[int, np.ndarray]) -> tuple[list[np.ndarray], dict[int, np.ndarray]]:
+    """Per-group (B, k) residuals from each subdomain's (nf, B) field rows, and
+    the residual of each OuterStack: one el.bc_residual per subdomain, whose
+    column-major rows its outer groups' residuals view."""
+    out: list = [None] * len(packed.groups)
+    outer = {}
+    for sub, st in packed.stacks.items():
+        outer[sub] = el.bc_residual(st.A, st.d, fields[sub][:, st.rows])
+        for i, part in st.parts:
+            out[i] = outer[sub][part]
+    for i, g in enumerate(packed.groups):
+        if len(g.sides) == 2:
+            (sa, ra), (sb, rb) = g.sides
+            out[i] = el.interface_residual(g.A, fields[sa][:, ra], fields[sb][:, rb])
+    return out, outer
 
 
 def _loss(groups: list[Group], residuals: list[np.ndarray]) -> tuple[float, list[float]]:
@@ -202,11 +254,11 @@ def loss_forward(
         fields = el.km_fields(zz, jp, jq, problem.material)
         subs[sub] = SubdomainPass(z, cphi, cpsi, fields[:, :n])
         test_fields[sub] = fields[:, n:]
-    residuals = _residuals(packed.groups, {s: sp.fields for s, sp in subs.items()})
+    residuals, outer = _residuals(packed, {s: sp.fields for s, sp in subs.items()})
     loss, mse = _loss(packed.groups, residuals)
-    rec = LossRecord(pairs, problem.material, subs, packed.groups, residuals, loss, mse)
+    rec = LossRecord(pairs, problem.material, subs, packed, residuals, outer, loss, mse)
     if test is not None:
-        rec.test_loss = _loss(test.groups, _residuals(test.groups, test_fields))[0]
+        rec.test_loss = _loss(test.groups, _residuals(test, test_fields)[0])[0]
     return loss, rec
 
 
@@ -226,16 +278,19 @@ def loss_backward(rec: LossRecord) -> WeightGrad:
     Reads the live weight arrays of rec.pairs, not copies: call it before
     the weights are updated.
     """
-    # dL/dfields per subdomain: zeros, then each group adds A^T rho into its
-    # own slice (negated on side b of an interface, whose residual is A fa - A fb)
+    # dL/dfields per subdomain: zeros, then each OuterStack and each interface
+    # group adds A^T rho into its own rows (negated on side b of an interface,
+    # whose residual is A fa - A fb); rho is the residual times 2 alpha / B
     adj = {sub: np.zeros_like(sp.fields) for sub, sp in rec.subs.items()}
+    nf = next(iter(adj.values())).shape[0]
+    for sub, st in rec.batch.stacks.items():
+        adj[sub][:, st.rows] += np.einsum("bkf,bk->fb", st.A[:, :, :nf], st.scale[:, None] * rec.outer[sub])
     for g, r in zip(rec.groups, rec.residuals):
-        (sa, rows), *side_b = g.sides
-        nf = adj[sa].shape[0]
-        at = np.einsum("bkf,bk->fb", g.A[:, :, :nf], (2.0 * g.alpha / r.shape[0]) * r)
-        adj[sa][:, rows] += at
-        for sb, rows in side_b:
-            adj[sb][:, rows] -= at
+        if len(g.sides) == 2:
+            (sa, ra), (sb, rb) = g.sides
+            at = np.einsum("bkf,bk->fb", g.A[:, :, :nf], (2.0 * g.alpha / r.shape[0]) * r)
+            adj[sa][:, ra] += at
+            adj[sb][:, rb] -= at
     grads = []
     for sub, sp in rec.subs.items():
         ap, aq = el.km_fields_adjoint(sp.z, adj[sub], rec.material)

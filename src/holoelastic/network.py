@@ -203,12 +203,16 @@ def mlp_forward(pair: BranchPair, z, where: str = "", caches=None, dtype=np.comp
 # weights before bias, re/im interleaved (the complex128 memory layout).
 
 
-def _param_arrays(pairs: Sequence[BranchPair]):
+def _layers(pairs: Sequence[BranchPair]):
     for pair in pairs:
         for net in (pair.phi, pair.psi):
-            for layer in net.layers:
-                yield layer.weights
-                yield layer.bias
+            yield from net.layers
+
+
+def _param_arrays(pairs: Sequence[BranchPair]):
+    for layer in _layers(pairs):
+        yield layer.weights
+        yield layer.bias
 
 
 def flatten_params(pairs: Sequence[BranchPair]) -> np.ndarray:
@@ -225,6 +229,19 @@ def write_params(pairs: Sequence[BranchPair], vec: np.ndarray) -> None:
         pos += n
     if pos != vec.size:
         raise ValueError(f"parameter vector has {vec.size} entries, networks need {pos}")
+
+
+def bind_params(pairs: Sequence[BranchPair]) -> np.ndarray:
+    """flatten_params, with every layer's weights and bias rebound as complex
+    views of the returned vector: updating it in place updates the networks."""
+    vec = flatten_params(pairs)
+    pos = 0
+    for layer in _layers(pairs):
+        for name in ("weights", "bias"):
+            a = getattr(layer, name)
+            setattr(layer, name, vec[pos : pos + 2 * a.size].view(np.complex128).reshape(a.shape))
+            pos += 2 * a.size
+    return vec
 
 
 # --- initialization ---------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import PackedBatch, loss_backward, loss_forward, pack_batch
 from .geometry import sample_boundary
 from .jets import NonFiniteError
-from .network import BranchPair, build_mlp, flatten_params, init_weights, write_params
+from .network import BranchPair, bind_params, build_mlp, init_weights
 from .rng import Rng
 
 # training.precision -> the complex dtype of the branch sweeps
@@ -147,7 +147,7 @@ def train(problem: "ProblemSpec") -> tuple[list[BranchPair], History]:
     """
     cfg = problem.training
     pairs, packed_train, packed_test = start(problem, cfg.m_e, PROBE_FACTOR * cfg.n_train)
-    vec = flatten_params(pairs)
+    vec = bind_params(pairs)  # adam_step updates the layers through it
     adam = AdamState.zeros(vec.size)
     history = History()
     for epoch in range(cfg.epochs):
@@ -160,7 +160,6 @@ def train(problem: "ProblemSpec") -> tuple[list[BranchPair], History]:
             adam_step(adam, grads, cfg.lr, vec)
         except NonFiniteError as e:
             raise NonFiniteError(f"epoch {epoch}: {e}") from e
-        write_params(pairs, vec)
         history.train_loss.append(loss)
         history.test_loss.append(test)
         history.ms.append(1e3 * (time.perf_counter() - t0))

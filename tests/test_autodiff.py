@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -6,14 +7,14 @@ import pytest
 
 from conftest import CONFIG_NAMES, config_path, grad_check, ring_problem, square_problem
 from holoelastic import elasticity
-from holoelastic.autodiff import loss_backward, loss_forward, loss_value, pack_batch
+from holoelastic.autodiff import _residuals, loss_backward, loss_forward, loss_value, pack_batch
 from holoelastic.elasticity import ConstantData, Traction
-from holoelastic.geometry import piece_length, sample_boundary
+from holoelastic.geometry import DomainSpec, piece_length, sample_boundary
 from holoelastic.jets import ActivationKind, NonFiniteError, act_derivs
 from holoelastic.network import BranchPair, branch_backward, build_mlp, flatten_params, write_params
 from holoelastic.problem import load_config
 from holoelastic.rng import Rng
-from holoelastic.training import build_pairs, init_pairs, train
+from holoelastic.training import build_pairs, init_pairs, train, train_samples
 
 
 def _ring_setup(n=8, seed=3, hidden=(10, 10)):
@@ -64,6 +65,47 @@ def test_pack_batch_ignores_sample_order(name):
         for field in ("z", "t", "A", "d"):
             assert np.array_equal(getattr(ga, field), getattr(gb, field)), field
     assert loss_value(pairs, a, problem) == loss_value(pairs, b, problem)
+
+
+def _load(name: str):
+    """A shipped config; "dd_plate_hole@interleaved" lists its interface pieces
+    between the outer ones, so subdomain 0's outer rows are not contiguous in
+    its evaluation array."""
+    problem = load_config(config_path(name.removesuffix("@interleaved")))
+    if not name.endswith("@interleaved"):
+        return problem
+    outer = [p for p in problem.domain.pieces if not p.is_interface]
+    iface = [p for p in problem.domain.pieces if p.is_interface]
+    pieces = [p for pair in zip(outer, iface) for p in pair] + outer[len(iface):]
+    return dataclasses.replace(problem, domain=DomainSpec(pieces))
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES + ["dd_plate_hole@interleaved"])
+def test_outer_stack_gives_each_piece_its_own_residual_and_adjoint(name):
+    # one operator per subdomain: each outer piece's residual and adjoint rows
+    # are those of its own operator, bit for bit, on the run's train and test batches
+    problem = _load(name)
+    cfg = problem.training
+    test_samples = sample_boundary(problem.domain, cfg.n_test, Rng(cfg.seed).spawn(2))
+    for packed in (pack_batch(train_samples(problem), problem.domain), pack_batch(test_samples, problem.domain)):
+        rng = Rng(3)
+        fields = {s: rng.spawn(s).normal(5 * z.size).reshape(5, z.size) for s, z in packed.eval_z.items()}
+        residuals, outer = _residuals(packed, fields)
+        n_outer = 0
+        for sub, st in packed.stacks.items():
+            adj = np.einsum("bkf,bk->fb", st.A, st.scale[:, None] * outer[sub])
+            for i, part in st.parts:
+                g, r = packed.groups[i], residuals[i]
+                (_, rows), = g.sides
+                assert r.tobytes() == elasticity.bc_residual(g.A, g.d, fields[sub][:, rows]).tobytes()
+                assert r.strides[0] == r.itemsize and np.shares_memory(r, outer[sub])
+                assert np.shares_memory(g.A, st.A) and np.shares_memory(g.d, st.d)
+                own = np.einsum("bkf,bk->fb", g.A, (2.0 * g.alpha / r.shape[0]) * r)
+                assert adj[:, part].tobytes() == own.tobytes()
+                n_outer += 1
+        assert n_outer == sum(len(g.sides) == 1 for g in packed.groups)
+        contiguous = [isinstance(st.rows, slice) for st in packed.stacks.values()]
+        assert not all(contiguous) if name.endswith("@interleaved") else all(contiguous)
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
@@ -212,11 +254,13 @@ def test_gradients_match_fd_other_activations(kind):
     assert grad_check(pairs, samples, problem, step=1e-6) < 1e-5
 
 
-@pytest.mark.parametrize("name, n", [("clamped_square", 12), ("dd_plate_hole", 32)])
+@pytest.mark.parametrize("name, n", [("clamped_square", 12), ("dd_plate_hole", 32), ("dd_plate_hole@interleaved", 32)])
 def test_gradients_match_fd_displacement_and_interface(name, n):
     # clamped_square has Displacement pieces, dd_plate_hole Interface pieces
-    # between its 4 subdomains; the ring and traction-square cases reach neither
-    problem = load_config(config_path(name))
+    # between its 4 subdomains (listed between the outer pieces, they make a
+    # subdomain's outer rows gathered by index); the ring and traction-square
+    # cases reach neither
+    problem = _load(name)
     problem.networks.hidden_layers = 1
     problem.networks.units = 3
     rng = Rng(2)

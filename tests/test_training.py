@@ -1,17 +1,33 @@
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import holoelastic
 from conftest import config_path, ring_problem, square_problem, with_training
-from holoelastic.autodiff import loss_value, pack_batch
+from holoelastic.autodiff import loss_backward, loss_forward, loss_value, pack_batch
 from holoelastic.cli import run_command
 from holoelastic.geometry import sample_boundary
 from holoelastic.jets import NonFiniteError
-from holoelastic.network import flatten_params
+from holoelastic.network import flatten_params, write_params
+from holoelastic.problem import load_config
 from holoelastic.rng import Rng
-from holoelastic.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState, TrainConfig, adam_step, train
+from holoelastic.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    PROBE_FACTOR,
+    AdamState,
+    TrainConfig,
+    adam_step,
+    start,
+    train,
+)
 
 
 def test_config_validation():
@@ -152,3 +168,81 @@ def test_single_precision_training_is_deterministic(tmp_path):
         runs[tag] = [(tmp_path / tag / f).read_bytes() for f in ("history.csv", "checkpoint.json")]
     assert runs["a"] == runs["b"]
     assert all(a != d for a, d in zip(runs["a"], runs["double"]))
+
+
+def test_train_matches_the_flatten_step_write_loop_bit_for_bit():
+    # train's layers view Adam's vector; the loop that copied the vector back
+    # into the layers after every step gives the same weights and losses
+    problem = with_training(load_config(config_path("ring_quadrant")), epochs=50)
+    pairs, history = train(problem)
+    cfg = problem.training
+    ref, packed_train, packed_test = start(problem, cfg.m_e, PROBE_FACTOR * cfg.n_train)
+    vec = flatten_params(ref)
+    adam = AdamState.zeros(vec.size)
+    losses = []
+    for _ in range(cfg.epochs):
+        loss, rec = loss_forward(ref, packed_train, problem, test=packed_test)
+        grads = loss_backward(rec).to_vector()
+        losses.append((loss, rec.test_loss))
+        adam_step(adam, grads, cfg.lr, vec)
+        write_params(ref, vec)
+    assert list(zip(history.train_loss, history.test_loss)) == losses
+    assert flatten_params(pairs).tobytes() == flatten_params(ref).tobytes()
+
+
+def _fresh_process(code: str) -> str:
+    src = os.path.dirname(os.path.dirname(holoelastic.__file__))
+    env = dict(os.environ, HOLOELASTIC_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+glibc_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the package root pins glibc's allocator thresholds only",
+)
+
+
+@glibc_only
+def test_freed_heap_top_is_kept_between_rounds():
+    # twenty 96 KB arrays sit on the heap top; with glibc's default trim
+    # threshold (128 KiB) freeing them returns the pages, and every round
+    # faults about 440 back in
+    out = _fresh_process(
+        "import resource, holoelastic, numpy as np\n"
+        "def rnd():\n"
+        "    a = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    xs = [np.ones(12_000) for _ in range(20)]\n"
+        "    del xs\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - a\n"
+        "print(*[rnd() for _ in range(5)])\n"
+    )
+    assert sum(map(int, out.split()[1:])) < 20, out
+
+
+@glibc_only
+def test_steady_ring_epochs_fault_no_pages():
+    # ru_minflt from epoch 50 to 300 of a fresh ring_quadrant train: the
+    # epoch's arrays reuse the heap the earlier epochs left.  A random array
+    # drawn first leaves the heap in a state where, under glibc's dynamic
+    # thresholds, each epoch's freed arrays were trimmed off its top and
+    # faulted back in by the next epoch (11 faults per epoch here, 107 in a
+    # bare script)
+    out = _fresh_process(
+        "import dataclasses, resource\n"
+        "from holoelastic import training\n"
+        "from holoelastic.problem import load_config\n"
+        "import numpy as np\n"
+        "rng = np.random.default_rng(0)\n"
+        "y = rng.standard_normal((220, 10)) + 1j * rng.standard_normal((220, 10))\n"
+        "marks, step = [], training.adam_step\n"
+        "def counted(*args):\n"
+        "    marks.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)\n"
+        "    return step(*args)\n"
+        "training.adam_step = counted\n"
+        f"spec = load_config({config_path('ring_quadrant')!r})\n"
+        "training.train(dataclasses.replace(spec, training=dataclasses.replace(spec.training, epochs=300)))\n"
+        "print((marks[-1] - marks[50]) / (len(marks) - 51))\n"
+    )
+    assert float(out) < 5.0, out
