@@ -52,15 +52,6 @@ in the diff, and it hashes:
   approx_exp.csv                          `approx-demo --n 32 --target exp`: the
                                           shallow net built from exp's Taylor
                                           coefficients, exp itself up to round-off
-  <config>@<act>/checkpoint.json, history.csv, fields.csv
-                                          `train` for 20 epochs and `eval --grid 40x40`
-                                          of ring_quadrant and clamped_square with the
-                                          activation <act> (cos, sin, cos_sqrt): the
-                                          shipped configs all use exp, whose derivative
-                                          jet is its output, so only these runs take
-                                          the other activations' training forward and
-                                          reverse paths and their eval forward, which
-                                          keeps no layer caches
 
 Diffing the output on two checkouts checks that a change leaves every one of
 these outputs byte-identical:
@@ -189,12 +180,6 @@ def main(argv: list[str]) -> int:
         _show("approx.csv", approx)
         run("approx-demo", "--n", "32", "--target", "exp", "--out", approx)
         _show("approx_exp.csv", approx)
-        for name in ("ring_quadrant", "clamped_square"):
-            for activation in ("cos", "sin", "cos_sqrt"):
-                label = f"{name}@{activation}"
-                cfg, _, ckpt = train(tmp, name, label, lambda doc: doc["networks"].update(activation=activation))
-                run("eval", cfg, ckpt, "--grid", "40x40")
-                _show(f"{label}/fields.csv", os.path.join(os.path.dirname(ckpt), "fields.csv"))
     return 0
 
 

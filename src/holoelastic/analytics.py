@@ -223,7 +223,7 @@ def _branch_grad_var(net: HoloMLP, caches: list, channel: int) -> list[float]:
     return [_cvar(gw) for gw, _ in branch_backward(net, caches, seed)]
 
 
-def _square_problem(hidden: Sequence[int], activation: ActivationKind, cfg: TrainConfig) -> ProblemSpec:
+def _square_problem(hidden: Sequence[int], cfg: TrainConfig) -> ProblemSpec:
     """Homogeneous square benchmark: clamped bottom/left, traction-free right/top."""
     if len(set(hidden)) != 1:
         raise ValueError(f"need one or more hidden layers of equal width, got {list(hidden)}")
@@ -236,7 +236,7 @@ def _square_problem(hidden: Sequence[int], activation: ActivationKind, cfg: Trai
     ]
     domain = geo.DomainSpec(pieces)
     material = el.Material(1.0, 1.0, el.PlaneMode.STRAIN)
-    nets = NetworkConfig(len(hidden), hidden[0], activation, Mode.STANDARD)
+    nets = NetworkConfig(len(hidden), hidden[0], Mode.STANDARD)
     return ProblemSpec(material, domain, nets, cfg, OutputConfig(), name="square")
 
 
@@ -283,10 +283,11 @@ def init_diagnostics(arch: Sequence[int], activation: ActivationKind, beta: floa
     """Variance diagnostics on the homogeneous square benchmark.
 
     `arch` lists the hidden widths (e.g. [100]*7), one width for every layer
-    as in a NetworkConfig; probe/batch are boundary sample counts.
+    as in a NetworkConfig; probe/batch are boundary sample counts.  The
+    nets are exp nets: `activation` is ActivationKind.EXP, its one member.
     """
     cfg = TrainConfig(epochs=0, n_train=batch, n_test=0, seed=seed, beta=beta)
-    return variance_report(_square_problem(list(arch), activation, cfg), m_e, probe)
+    return variance_report(_square_problem(list(arch), cfg), m_e, probe)
 
 
 # --- held-out residual diagnostics ----------------------------------------------

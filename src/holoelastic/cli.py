@@ -119,7 +119,7 @@ def _cmd_eval(args) -> int:
         raise ValueError(
             f"checkpoint has {len(pairs)} network pairs, config needs {spec.domain.n_subdomains}"
         )
-    arch = lambda net: f"{net.widths[1:]}/{net.mode.value}/{net.activation.value}"
+    arch = lambda net: f"{net.widths[1:]}/{net.mode.value}"
     want = arch(training.build_pairs(spec)[0].phi)  # zero weights: np.zeros pages stay untouched
     for pair in pairs:
         for net in (pair.phi, pair.psi):

@@ -2,10 +2,10 @@
 Taylor-matching approximator.
 
 A network maps one complex input through complex fully-connected layers with
-an entire activation between them; the final layer is affine.  Evaluating it
-on a seeded jet of order k yields the value and its first k z-derivatives in
-a single pass.  Each branch runs at the order the Kolosov-Muskhelishvili map
-reads (JET_ORDERS): in standard mode a branch pair returns the jets
+exp between them; the final layer is affine.  Evaluating it on a seeded jet
+of order k yields the value and its first k z-derivatives in a single pass.
+Each branch runs at the order the Kolosov-Muskhelishvili map reads
+(JET_ORDERS): in standard mode a branch pair returns the jets
 (phi, phi', phi'') and (psi, psi'); in stress-only mode the branch outputs are
 read as phi' and psi' directly, so the pair returns (phi', phi'') and (psi').
 mlp_forward is the one pair forward, for training and eval alike; its jets go
@@ -60,7 +60,6 @@ class LayerParams:
 @dataclass
 class HoloMLP:
     layers: list[LayerParams]
-    activation: ActivationKind
     mode: Mode
 
     def __post_init__(self):
@@ -92,11 +91,7 @@ class BranchPair:
         return self.phi.mode
 
 
-def build_mlp(
-    hidden: Sequence[int],
-    activation: ActivationKind = ActivationKind.EXP,
-    mode: Mode = Mode.STANDARD,
-) -> HoloMLP:
+def build_mlp(hidden: Sequence[int], mode: Mode = Mode.STANDARD) -> HoloMLP:
     """Zero-initialized network with the given hidden widths."""
     widths = [1] + list(hidden) + [1]
     layers = [
@@ -106,7 +101,7 @@ def build_mlp(
         )
         for ni, no in zip(widths, widths[1:])
     ]
-    return HoloMLP(layers, activation, mode)
+    return HoloMLP(layers, mode)
 
 
 def forward_jets(
@@ -123,7 +118,8 @@ def forward_jets(
 
     With a `caches` list, appends one (input jets, derivative jet) entry per
     layer for branch_backward; the output layer has no activation and caches
-    (input jets, None).  For exp the derivative jet is the next layer's input.
+    (input jets, None).  exp's derivative jet is its output, the next
+    layer's input.
 
     Only the output is checked for finiteness: a hidden overflow reaches it
     through any derivative channel (0 * inf after exp(-inf) = 0), and order-0
@@ -141,11 +137,9 @@ def forward_jets(
             x, g = jets if keep else None, None
             jets = affine_jets(jets, layer.weights, layer.bias)
             if i != last:
-                jets, g = activate_jets(net.activation, jets)
+                jets = g = activate_jets(ActivationKind.EXP, jets)
                 if check_layers and not np.isfinite(jets).all():
-                    raise NonFiniteError(
-                        f"non-finite value in {where}layer {i + 1} ({net.activation.value})"
-                    )
+                    raise NonFiniteError(f"non-finite value in {where}layer {i + 1}")
             if keep:
                 caches.append((x, g))
     out = jets[:, :, 0].astype(np.complex128, copy=False)
@@ -257,9 +251,7 @@ def init_weights(net: HoloMLP, probe, beta: float, m_e: int, rng: Rng) -> HoloML
     Layers below m_e scale the weight variance by the sample mean of
     |x_{l-1}|^2 over a propagated probe of boundary points (complex
     coordinates); from m_e on, the pre-activations y are assumed Gaussian,
-    with Var Re y = Var Im y = beta/2, and every activation gets the scale
-    e^beta = E|exp y|^2, though the same y gives E|cos y|^2 = cosh beta and
-    E|sin y|^2 = sinh beta: cos, sin and cos_sqrt nets are scaled as exp.
+    with Var Re y = Var Im y = beta/2, so E|exp y|^2 = e^beta sets the scale.
     Biases start at zero.  The probe is propagated only up to the input of
     the last layer below m_e, so m_e = 2 propagates nothing and m_e >= L + 1
     reaches x_{L-1}.  A probe statistic that is not finite and positive (an
@@ -298,7 +290,7 @@ def init_weights(net: HoloMLP, probe, beta: float, m_e: int, rng: Rng) -> HoloML
         if l < last:
             # one pre-activation and one activation alive at a time
             x = x @ layer.weights.T
-            x = act_derivs(net.activation, x, order=0)[0]
+            x = act_derivs(ActivationKind.EXP, x)
     return net
 
 
@@ -351,7 +343,7 @@ def _checkpoint_chunks(path: str, pairs: Sequence[BranchPair]):
     for pi, pair in enumerate(pairs):
         yield ", {" if pi else "{"
         for name, net in (("phi", pair.phi), ("psi", pair.psi)):
-            head = json.dumps({"activation": net.activation.value, "mode": net.mode.value})
+            head = json.dumps({"mode": net.mode.value})
             yield f'{", " if name == "psi" else ""}"{name}": {head[:-1]}, "layers": ['
             for li, l in enumerate(net.layers, start=1):
                 for what, a in (("weights", l.weights), ("bias", l.bias)):
@@ -372,9 +364,10 @@ def checkpoint_load(path: str) -> list[BranchPair]:
     """Branch pairs of a checkpoint_save file.
 
     A malformed file fails with a ValueError naming the pair, branch and
-    layer: shapes must be positive [n_out, n_in], weights and bias must hold
-    n_out * n_in and n_out [re, im] pairs of finite JSON numbers, and the
-    widths must chain 1 -> 1.
+    layer: a branch holds `mode` and `layers` and no other key, shapes must
+    be positive [n_out, n_in], weights and bias must hold n_out * n_in and
+    n_out [re, im] pairs of finite JSON numbers, and the widths must chain
+    1 -> 1.
     """
     with open(path) as fh:
         doc = json.load(fh, object_hook=_layer_arrays)
@@ -395,7 +388,10 @@ def checkpoint_load(path: str) -> list[BranchPair]:
                         _pairs_to_complex(l["weights"], shape, f"layer {li} weights"),
                         _pairs_to_complex(l["bias"], shape[:1], f"layer {li} bias"),
                     ))
-                nets[name] = HoloMLP(layers, ActivationKind(spec["activation"]), Mode(spec["mode"]))
+                nets[name] = HoloMLP(layers, Mode(spec["mode"]))
+                unknown = sorted(spec.keys() - {"mode", "layers"})
+                if unknown:
+                    raise ValueError(f"unknown key {unknown[0]!r}")
             except (KeyError, TypeError) as e:
                 raise ValueError(f"checkpoint {path}: pair {pi} {name}: missing or malformed {e}") from e
             except ValueError as e:

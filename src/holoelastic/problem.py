@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import elasticity as el
 from . import geometry as geo
-from .jets import ActivationKind
 from .network import Mode
 from .training import TrainConfig
 
@@ -27,7 +26,6 @@ from .training import TrainConfig
 class NetworkConfig:
     hidden_layers: int = 2
     units: int = 10
-    activation: ActivationKind = ActivationKind.EXP
     mode: Mode = Mode.STANDARD
 
     def __post_init__(self):
@@ -148,8 +146,7 @@ def _enum(kind):
 FIELDS = {"lambda": "lam", "dir": "out_dir"}
 SECTIONS = {
     "material": (el.Material, {"lambda": _num, "mu": _num, "mode": _enum(el.PlaneMode)}, ("lambda", "mu")),
-    "networks": (NetworkConfig, {"hidden_layers": _int, "units": _int, "activation": _enum(ActivationKind),
-                                 "mode": _enum(Mode)}, ("hidden_layers", "units")),
+    "networks": (NetworkConfig, {"hidden_layers": _int, "units": _int, "mode": _enum(Mode)}, ("hidden_layers", "units")),
     "training": (TrainConfig, {"epochs": _int, "lr": _num, "n_train": _int, "n_test": _int, "seed": _int,
                                "beta": _num, "m_e": _int, "precision": _str}, ("epochs", "n_train", "lr")),
     "outputs": (OutputConfig, {"grid": _grid, "dir": _str}, ()),

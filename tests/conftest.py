@@ -180,7 +180,6 @@ def checkpoint_json(pairs) -> str:
         entry = {}
         for name, net in (("phi", pair.phi), ("psi", pair.psi)):
             entry[name] = {
-                "activation": net.activation.value,
                 "mode": net.mode.value,
                 "layers": [
                     {"shape": list(l.weights.shape), "weights": to_pairs(l.weights), "bias": to_pairs(l.bias)}

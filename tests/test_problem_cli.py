@@ -21,7 +21,6 @@ from holoelastic.cli import run_command
 from holoelastic.elasticity import Displacement, Interface, Material, PlaneMode, Symmetry, Traction
 from holoelastic.export import write_fields_csv
 from holoelastic.geometry import DomainSpec, piece_point, region_contains
-from holoelastic.jets import ActivationKind
 from holoelastic.network import Mode, checkpoint_load, checkpoint_save
 from holoelastic.problem import ConfigError, NetworkConfig, OutputConfig, ProblemSpec, load_config
 from holoelastic.training import TrainConfig
@@ -78,7 +77,7 @@ def test_roundtrip_equals_original(name, tmp_path):
 
 
 def test_roundtrip_keeps_the_values_no_shipped_config_uses(tmp_path):
-    # plane stress, cos, stress-only networks (the ring with its symmetry axes
+    # plane stress, stress-only networks (the ring with its symmetry axes
     # made traction-free), single precision and a grid and seed off their
     # defaults: every enum and tuple the writer handles beyond the shipped configs
     script = _gen_configs_script()
@@ -87,7 +86,7 @@ def test_roundtrip_keeps_the_values_no_shipped_config_uses(tmp_path):
     spec = ProblemSpec(
         Material(2.0, 0.5, PlaneMode.STRESS),
         DomainSpec([free(p) for p in ring.domain.pieces]),
-        NetworkConfig(3, 8, ActivationKind.COS, Mode.STRESS_ONLY),
+        NetworkConfig(3, 8, Mode.STRESS_ONLY),
         TrainConfig(epochs=10, lr=0.01, n_train=40, n_test=8, seed=7, beta=0.7, precision="single"),
         OutputConfig((24, 16), "out/ring_stress_only"),
         reference=ring.reference,
@@ -316,7 +315,7 @@ PIECES = ("geometry", "pieces")
          "error: reference: a ring needs arcs about the origin of radii 0 < r < R and a nonzero normal pressure p "
          "on the outer one; got r=0.5, R=2.0, p=-0.0"),
         (("material", "mode"), "x", [], "error: material: 'x' is not a valid PlaneMode"),
-        (("networks", "activation"), "x", [], "error: networks: 'x' is not a valid ActivationKind"),
+        (("networks", "activation"), "exp", [], "error: networks: unknown field 'activation'"),
         (("networks", "mode"), "x", [], "error: networks: 'x' is not a valid Mode"),
         (("training", "precision"), "half", [], "error: training: precision must be 'double' or 'single', got 'half'"),
         (("training", "precision"), 32, [], "error: training.precision: expected a nonempty string, got 32"),
@@ -341,7 +340,7 @@ PIECES = ("geometry", "pieces")
         "bc_data_float", "dir_list", "piece_name_list", "name_object", "training_typo", "activation_typo",
         "grid_typo", "root_typo", "material_extra", "geometry_typo",
         "regions_rejected", "line_with_radius", "symmetry_with_data", "data_both", "reference_extra", "ref_p_zero",
-        "ref_p_negative_zero", "plane_mode_str", "activation_str", "net_mode_str", "precision_str", "precision_int",
+        "ref_p_negative_zero", "plane_mode_str", "activation_rejected", "net_mode_str", "precision_str", "precision_int",
         "precision_list", "kind_unknown", "kind_null", "kind_list", "bc_type_unknown", "bc_type_list", "data_empty",
         "units_zero",
     ],
@@ -529,19 +528,18 @@ def test_cli_eval_rejects_a_checkpoint_of_another_subdomain_count(tmp_path, caps
     assert "error: checkpoint has 1 network pairs, config needs 4" in capsys.readouterr().err
 
 
-def test_cli_eval_rejects_checkpoint_of_another_activation(tmp_path, capsys):
+def test_cli_eval_rejects_a_checkpoint_that_names_an_activation(tmp_path, capsys):
+    # checkpoints of cos nets held "activation": "cos"; every net is exp now,
+    # so such a file must not load as one
     cfg, out = _mini_ring(tmp_path, epochs=1)
-    doc = json.load(open(cfg))
-    doc["networks"]["activation"] = "cos"
-    with open(cfg, "w") as fh:
-        json.dump(doc, fh)
     assert run_command(["train", cfg]) == 0
-    doc["networks"]["activation"] = "exp"
-    with open(cfg, "w") as fh:
+    ckpt = os.path.join(out, "checkpoint.json")
+    doc = json.load(open(ckpt))
+    doc["pairs"][0]["psi"]["activation"] = "cos"
+    with open(ckpt, "w") as fh:
         json.dump(doc, fh)
-    assert run_command(["eval", cfg, os.path.join(out, "checkpoint.json")]) == 2
-    err = capsys.readouterr().err
-    assert "architecture" in err and "cos" in err
+    assert run_command(["eval", cfg, ckpt]) == 2
+    assert "checkpoint.json: pair 0 psi: unknown key 'activation'\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -587,7 +585,7 @@ def test_cli_eval_overflow_names_the_branch(tmp_path, capsys):
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
     assert run_command(["eval", cfg, ckpt]) == 2
-    assert "error: non-finite value in pair 0 psi layer 1 (exp)" in capsys.readouterr().err
+    assert "error: non-finite value in pair 0 psi layer 1\n" in capsys.readouterr().err
 
 
 def test_cli_eval_overflow_names_the_pair(tmp_path, capsys):
@@ -605,7 +603,7 @@ def test_cli_eval_overflow_names_the_pair(tmp_path, capsys):
     with open(ckpt, "w") as fh:
         json.dump(ck, fh)
     assert run_command(["eval", cfg, ckpt, "--grid", "20x20"]) == 2
-    assert "error: non-finite value in pair 2 phi layer 1 (exp)" in capsys.readouterr().err
+    assert "error: non-finite value in pair 2 phi layer 1\n" in capsys.readouterr().err
     # the overflow is raised while fields.csv.tmp is being written; no partial file stays
     assert not os.path.exists(str(tmp_path / "out" / "fields.csv"))
     assert not os.path.exists(str(tmp_path / "out" / "fields.csv.tmp"))
