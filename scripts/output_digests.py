@@ -27,26 +27,13 @@ in the diff, and it hashes:
                                           for every layer)
   clamped_square/variance_m_e3.csv        `init-check --m-e 3`, the probe depth that
                                           training uses
-  clamped_square@stress_only/checkpoint.json, history.csv, fields.csv, variance.csv
-                                          `train` for 20 epochs, `eval --grid 40x40`
-                                          and `init-check` of a stress-only copy of
-                                          clamped_square (its clamped pieces made
-                                          traction-free, as stress-only mode allows
-                                          tractions only; beta 0.7): the only runs of
-                                          the stress-only field map, its adjoint and
-                                          the displacement-free fields.csv rows; the
-                                          report re-runs the two-channel phi branch
-                                          at order 2
   clamped_square@double/checkpoint.json, history.csv, fields.csv
                                           `train` for 20 epochs and `eval --grid 40x40`
                                           of clamped_square with its training.precision
                                           key deleted: clamped_square trains with
                                           single-precision branch sweeps, so these are
                                           the only runs of 100-wide nets through the
-                                          double-precision training path, and
-                                          clamped_square and clamped_square@stress_only
-                                          are the only runs of the single-precision exp
-                                          (numpy's float32 exp, cos and sin)
+                                          double-precision training path
   <config>/samples.csv                    `sample --n 300` (all configs)
   approx.csv                              `approx-demo --n 32`
   approx_exp.csv                          `approx-demo --n 32 --target exp`: the
@@ -78,14 +65,6 @@ EPOCHS = 20
 def _show(label: str, path: str) -> None:
     with open(path, "rb") as fh:
         print(f"{label} {hashlib.sha256(fh.read()).hexdigest()}", flush=True)
-
-
-def _stress_only(doc: dict) -> None:
-    doc["networks"]["mode"] = "stress_only"
-    doc["training"]["beta"] = 0.7  # inside stress-only mode's admissible range
-    for piece in doc["geometry"]["pieces"]:
-        if piece["bc"]["type"] == "displacement":
-            piece["bc"]["type"] = "traction"  # keeps its zero data
 
 
 def main(argv: list[str]) -> int:
@@ -164,13 +143,6 @@ def main(argv: list[str]) -> int:
                 _show(f"{name}/variance_m_e3.csv", os.path.join(out, "variance.csv"))
             run("sample", cfg, "--n", "300")
             _show(f"{name}/samples.csv", os.path.join(out, "samples.csv"))
-        label = "clamped_square@stress_only"
-        cfg, _, ckpt = train(tmp, "clamped_square", label, _stress_only)
-        out = os.path.dirname(ckpt)
-        run("eval", cfg, ckpt, "--grid", "40x40")
-        _show(f"{label}/fields.csv", os.path.join(out, "fields.csv"))
-        run("init-check", cfg)
-        _show(f"{label}/variance.csv", os.path.join(out, "variance.csv"))
         label = "clamped_square@double"
         cfg, _, ckpt = train(tmp, "clamped_square", label, lambda doc: doc["training"].pop("precision", None))
         run("eval", cfg, ckpt, "--grid", "40x40")

@@ -19,7 +19,7 @@ from . import elasticity as el
 from . import geometry as geo
 from .autodiff import loss_backward, loss_forward
 from .jets import ActivationKind, NonFiniteError
-from .network import BranchPair, HoloMLP, Mode, branch_backward, forward_jets, mlp_forward
+from .network import BranchPair, HoloMLP, branch_backward, mlp_forward
 from .problem import NetworkConfig, OutputConfig, ProblemSpec
 from .rng import Rng
 from .training import TrainConfig, start
@@ -66,7 +66,7 @@ class GridField:
     xs: np.ndarray
     ys: np.ndarray
     mask: np.ndarray  # True where the point is inside the domain
-    rows: np.ndarray  # (nf, ny, nx) el.km_fields rows: sxx, syy, sxy[, ux, uy]; NaN outside
+    rows: np.ndarray  # (5, ny, nx) el.km_fields rows: sxx, syy, sxy, ux, uy; NaN outside
     dphi: np.ndarray
     dpsi: np.ndarray
 
@@ -94,7 +94,6 @@ def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Itera
     x0, x1, y0, y1 = domain_bbox(domain)
     xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
     ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
-    nf = 5 if pairs[0].mode is Mode.STANDARD else 3
     width = max(max(p.phi.widths + p.psi.widths) for p in pairs)
     step = max(1, FORWARD_BLOCK // (nx * width))
     band = step * max(1, FORWARD_BLOCK // (nx * step))  # whole blocks, FORWARD_BLOCK nodes at most
@@ -103,7 +102,7 @@ def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Itera
             owner = domain.owner(xs, ys[i : i + band])
         X, Y = np.meshgrid(xs, ys[i : i + step])
         sub = owner[i % band : i % band + step]
-        f = np.full((nf,) + X.shape, np.nan)
+        f = np.full((5,) + X.shape, np.nan)
         dphi, dpsi = np.full(X.shape, np.nan + 0j), np.full(X.shape, np.nan + 0j)
         for s in range(domain.n_subdomains):
             where = sub == s
@@ -236,7 +235,7 @@ def _square_problem(hidden: Sequence[int], cfg: TrainConfig) -> ProblemSpec:
     ]
     domain = geo.DomainSpec(pieces)
     material = el.Material(1.0, 1.0, el.PlaneMode.STRAIN)
-    nets = NetworkConfig(len(hidden), hidden[0], Mode.STANDARD)
+    nets = NetworkConfig(len(hidden), hidden[0])
     return ProblemSpec(material, domain, nets, cfg, OutputConfig(), name="square")
 
 
@@ -262,13 +261,8 @@ def variance_report(problem, m_e: Optional[int], n_probe: int) -> VarianceReport
             phi = pairs[0].phi
             _, rec = loss_forward(pairs, packed, problem, sweep_psi=False)
             var_loss = [_cvar(gw) for gw, _ in loss_backward(rec).grads[0][0][:n_inner]]
-            z, caches = rec.subs[0].z, rec.subs[0].phi
-            del rec  # the sweeps read z and caches alone
-            if caches[0][0].shape[0] < 3:
-                # a stress-only phi branch carries no second derivative; the
-                # three sweeps read one order-2 forward of the same branch
-                caches = []
-                forward_jets(phi, z, 2, caches)
+            caches = rec.subs[0].phi
+            del rec  # the sweeps read the caches alone
             # the caches hold no pre-activations: one value-channel GEMM per layer
             var_y = [_cvar(x[0] @ l.weights.T + l.bias) for (x, _), l in zip(caches[:n_inner], phi.layers)]
             per_q = [_branch_grad_var(phi, caches, ch)[:n_inner] for ch in (0, 1, 2)]

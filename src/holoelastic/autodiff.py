@@ -2,7 +2,7 @@
 
 The loss graph always has the same shape: per subdomain two branches
 (L x (jet affine, jet activation) each, one network.mlp_forward), the
-Kolosov-Muskhelishvili field map from their jets to (nf, B) field rows
+Kolosov-Muskhelishvili field map from their jets to (5, B) field rows
 (el.km_fields), per-piece boundary residuals and the length-weighted mean
 square.  pack_batch fixes each piece's residual operator once per sample
 batch, reads its loss weight off DomainSpec.weights and stacks the outer
@@ -23,8 +23,7 @@ conj, the conj(z)-products of the field map, squared residuals) get
 dedicated rules.  The z-derivatives inside the jets are handled by the
 forward jet arithmetic, never by the reverse pass.  Each branch carries
 only the jet channels the field map reads (network.JET_ORDERS: phi to
-order 2 and psi to order 1 in standard mode, 1 and 0 in stress-only
-mode), and its adjoint has the same channels.
+order 2 and psi to order 1), and its adjoint has the same channels.
 """
 
 from __future__ import annotations
@@ -158,7 +157,7 @@ class SubdomainPass:
     z: np.ndarray
     phi: list  # forward_jets layer caches
     psi: list
-    fields: np.ndarray  # (nf, B) rows of el.km_fields
+    fields: np.ndarray  # (5, B) rows of el.km_fields
 
 
 @dataclass
@@ -189,7 +188,7 @@ class LossRecord:
 
 
 def _residuals(packed: PackedBatch, fields: dict[int, np.ndarray]) -> tuple[list[np.ndarray], dict[int, np.ndarray]]:
-    """Per-group (B, k) residuals from each subdomain's (nf, B) field rows, and
+    """Per-group (B, k) residuals from each subdomain's (5, B) field rows, and
     the residual of each OuterStack: one el.bc_residual per subdomain, whose
     column-major rows its outer groups' residuals view."""
     out: list = [None] * len(packed.groups)
@@ -282,13 +281,12 @@ def loss_backward(rec: LossRecord) -> WeightGrad:
     # group adds A^T rho into its own rows (negated on side b of an interface,
     # whose residual is A fa - A fb); rho is the residual times 2 alpha / B
     adj = {sub: np.zeros_like(sp.fields) for sub, sp in rec.subs.items()}
-    nf = next(iter(adj.values())).shape[0]
     for sub, st in rec.batch.stacks.items():
-        adj[sub][:, st.rows] += np.einsum("bkf,bk->fb", st.A[:, :, :nf], st.scale[:, None] * rec.outer[sub])
+        adj[sub][:, st.rows] += np.einsum("bkf,bk->fb", st.A, st.scale[:, None] * rec.outer[sub])
     for g, r in zip(rec.groups, rec.residuals):
         if len(g.sides) == 2:
             (sa, ra), (sb, rb) = g.sides
-            at = np.einsum("bkf,bk->fb", g.A[:, :, :nf], (2.0 * g.alpha / r.shape[0]) * r)
+            at = np.einsum("bkf,bk->fb", g.A, (2.0 * g.alpha / r.shape[0]) * r)
             adj[sa][:, ra] += at
             adj[sb][:, rb] -= at
     grads = []

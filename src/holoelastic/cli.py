@@ -119,12 +119,11 @@ def _cmd_eval(args) -> int:
         raise ValueError(
             f"checkpoint has {len(pairs)} network pairs, config needs {spec.domain.n_subdomains}"
         )
-    arch = lambda net: f"{net.widths[1:]}/{net.mode.value}"
-    want = arch(training.build_pairs(spec)[0].phi)  # zero weights: np.zeros pages stay untouched
+    want = [spec.networks.units] * spec.networks.hidden_layers + [1]
     for pair in pairs:
         for net in (pair.phi, pair.psi):
-            if arch(net) != want:
-                raise ValueError(f"checkpoint architecture {arch(net)} does not match config {want}")
+            if net.widths[1:] != want:
+                raise ValueError(f"checkpoint architecture {net.widths[1:]} does not match config {want}")
     nx, ny = args.grid or spec.outputs.grid
     errors = RingErrors(spec.reference) if spec.reference else None  # load_config admits only the ring
     interior = []

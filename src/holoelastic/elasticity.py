@@ -8,13 +8,12 @@ holomorphic potentials phi, psi:
     sxy = Im(conj(z) phi'' + psi')
     ux + i uy = (gamma phi - z conj(phi') - conj(psi)) / (2 mu)
 
-km_fields maps the phi- and psi-branch jets to the (nf, B) field rows
-(sxx, syy, sxy, ux, uy), the three stress rows alone in stress-only mode, and
-km_fields_adjoint, its exact transpose, maps row adjoints back to the jets;
-km_derivatives picks (phi', phi'', psi') off the jets in either mode, so no
-other module indexes jet channels.  Every boundary condition is a per-sample
-linear operator on the field rows, built once per sample batch by
-bc_operator; the residual applies it and the residual's adjoint is its
+km_fields maps the phi- and psi-branch jets to the (5, B) field rows
+(sxx, syy, sxy, ux, uy), and km_fields_adjoint, its exact transpose, maps row
+adjoints back to the jets; km_derivatives picks (phi', phi'', psi') off the
+jets, so no other module indexes jet channels.  Every boundary condition is
+a per-sample linear operator on the field rows, built once per sample batch
+by bc_operator; the residual applies it and the residual's adjoint is its
 transpose.
 
 Units are MPa for moduli/stresses and meters for lengths/displacements.
@@ -67,47 +66,39 @@ class Material:
 
 
 def km_derivatives(jp: np.ndarray, jq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phi', phi'', psi') of the phi- and psi-branch jets (network.JET_ORDERS).
-
-    Three phi channels are standard mode: (phi, phi', phi'') and (psi, psi').
-    Two are stress-only mode, whose branch outputs are phi' and psi': phi'' is
-    the first jet derivative of the phi'-branch and phi/psi are absent.
-    """
-    return jp[-2], jp[-1], jq[-1]
+    """(phi', phi'', psi') of the branch jets (phi, phi', phi'') and (psi, psi')
+    (network.JET_ORDERS)."""
+    return jp[1], jp[2], jq[1]
 
 
 def km_fields(z, jp: np.ndarray, jq: np.ndarray, mat: Material) -> np.ndarray:
-    """The (nf, B) field rows (sxx, syy, sxy, ux, uy) at z of the branch jets
-    (km_derivatives); stress-only jets give the three stress rows alone.
-    Overflow warnings are silenced: callers check the rows for finiteness."""
+    """The (5, B) field rows (sxx, syy, sxy, ux, uy) at z of the branch jets
+    (km_derivatives).  Overflow warnings are silenced: callers check the rows
+    for finiteness."""
     z = np.asarray(z, dtype=np.complex128)
     dphi, ddphi, dpsi = km_derivatives(jp, jq)
-    out = np.empty((5 if len(jp) == 3 else 3, z.size))
+    out = np.empty((5, z.size))
     zc = np.conj(z)
     with np.errstate(over="ignore", invalid="ignore"):
         a = zc * ddphi + dpsi
         out[0] = np.real(2.0 * dphi - a)
         out[1] = np.real(2.0 * dphi + a)
         out[2] = np.imag(a)
-        if len(jp) == 3:
-            # np.multiply, not `*`: from 16,384 points numpy reuses a temporary right
-            # operand of `*` in place, which swaps a complex product's operands and bits
-            w = (mat.gamma * jp[0] - np.multiply(z, np.conj(dphi)) - np.conj(jq[0])) / (2.0 * mat.mu)
-            out[3], out[4] = np.real(w), np.imag(w)
+        # np.multiply, not `*`: from 16,384 points numpy reuses a temporary right
+        # operand of `*` in place, which swaps a complex product's operands and bits
+        w = (mat.gamma * jp[0] - np.multiply(z, np.conj(dphi)) - np.conj(jq[0])) / (2.0 * mat.mu)
+        out[3], out[4] = np.real(w), np.imag(w)
     return out
 
 
 def km_fields_adjoint(z: np.ndarray, adj: np.ndarray, mat: Material) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoints (dL/dRe + i dL/dIm) of the phi- and psi-branch jets of km_fields
-    from the (nf, B) dL/dfields: five rows give (3, B) and (2, B), three rows
-    (stress-only) (2, B) and (1, B).  The field map is the only
-    non-holomorphic complex step of the pipeline."""
+    """Adjoints (dL/dRe + i dL/dIm), (3, B) and (2, B), of the phi- and
+    psi-branch jets of km_fields from the (5, B) dL/dfields.  The field map is
+    the only non-holomorphic complex step of the pipeline."""
     rxx, ryy, rxy = adj[0], adj[1], adj[2]
     a_ddphi = z * (ryy - rxx + 1j * rxy)
     a_dpsi = (ryy - rxx) + 1j * rxy
     a_dphi = 2.0 * (rxx + ryy) + 0j
-    if len(adj) == 3:
-        return np.stack((a_dphi, a_ddphi)), a_dpsi[None]
     a_u = adj[3] + 1j * adj[4]
     a_dphi = a_dphi + np.conj(a_u) * (-z / (2.0 * mat.mu))
     a_psi = np.conj(a_u) * (-1.0 / (2.0 * mat.mu))
@@ -209,18 +200,14 @@ def bc_operator(kind: BCKind, n, z) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply(A: np.ndarray, f: np.ndarray) -> np.ndarray:
-    nf = f.shape[0]
-    if nf < A.shape[2] and A[:, :, nf:].any():
-        raise ValueError("residual reads displacements of stress-only fields")
-    return np.einsum("bkf,fb->bk", A[:, :, :nf], f, order="F")
+    return np.einsum("bkf,fb->bk", A, f, order="F")
 
 
 def bc_residual(A: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Residual A f - d of one outer boundary condition; shape (B, k).
 
-    (A, d) come from bc_operator and `f` holds the (nf, B) field rows of
-    km_fields; stress-only rows (nf = 3) serve operators that read
-    no displacement.
+    (A, d) come from bc_operator and `f` holds the (5, B) field rows of
+    km_fields.
     """
     return _apply(A, f) - d
 

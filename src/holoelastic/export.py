@@ -66,12 +66,11 @@ def _field_rows(blocks: Iterable[GridField]) -> Iterator[str]:
     for grid in blocks:
         if grid.xs is not grid_xs:  # the blocks of one grid share its xs
             grid_xs, xs = grid.xs, [f"{x}," for x in grid.xs.tolist()]
-        end = "\n" if len(grid.rows) == 5 else ",,\n"
         for iy, y in enumerate(grid.ys.tolist()):
             y = f"{y},"
             cells = zip(*grid.rows[:, iy].tolist())
             yield "".join(
-                f"{x}{y}{','.join(map(repr, c))}{end}" if m else f"{x}{y},,,,\n"
+                f"{x}{y}{','.join(map(repr, c))}\n" if m else f"{x}{y},,,,\n"
                 for x, m, c in zip(xs, grid.mask[iy].tolist(), cells)
             )
 

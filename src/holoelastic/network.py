@@ -5,11 +5,9 @@ A network maps one complex input through complex fully-connected layers with
 exp between them; the final layer is affine.  Evaluating it on a seeded jet
 of order k yields the value and its first k z-derivatives in a single pass.
 Each branch runs at the order the Kolosov-Muskhelishvili map reads
-(JET_ORDERS): in standard mode a branch pair returns the jets
-(phi, phi', phi'') and (psi, psi'); in stress-only mode the branch outputs are
-read as phi' and psi' directly, so the pair returns (phi', phi'') and (psi').
-mlp_forward is the one pair forward, for training and eval alike; its jets go
-straight to elasticity.km_fields.
+(JET_ORDERS): a branch pair returns the jets (phi, phi', phi'') and
+(psi, psi').  mlp_forward is the one pair forward, for training and eval
+alike; its jets go straight to elasticity.km_fields.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,18 +34,12 @@ from .jets import (
 )
 from .rng import Rng
 
-# Admissible ends of the init-variance scale: 1 stabilizes first-derivative
-# backprop variance, (sqrt(5)-1)/2 second, sqrt(2)-1 third.  Standard mode
-# (loss touches third derivatives of the pre-activations via phi'') admits
-# [BETA3, BETA1]; stress-only mode admits [BETA2, BETA1].
+# Ends of the init-variance scale: 1 stabilizes first-derivative backprop
+# variance, (sqrt(5)-1)/2 second, sqrt(2)-1 third.  The loss touches third
+# derivatives of the pre-activations (via phi''), so [BETA3, BETA1] is admissible.
 BETA1 = 1.0
 BETA2 = (math.sqrt(5.0) - 1.0) / 2.0
 BETA3 = math.sqrt(2.0) - 1.0
-
-
-class Mode(Enum):
-    STANDARD = "standard"
-    STRESS_ONLY = "stress_only"
 
 
 @dataclass
@@ -60,7 +51,6 @@ class LayerParams:
 @dataclass
 class HoloMLP:
     layers: list[LayerParams]
-    mode: Mode
 
     def __post_init__(self):
         shapes = [l.weights.shape for l in self.layers]
@@ -82,16 +72,8 @@ class BranchPair:
     phi: HoloMLP
     psi: HoloMLP
 
-    def __post_init__(self):
-        if self.phi.mode is not self.psi.mode:
-            raise ValueError("both branches must share the mode")
 
-    @property
-    def mode(self) -> Mode:
-        return self.phi.mode
-
-
-def build_mlp(hidden: Sequence[int], mode: Mode = Mode.STANDARD) -> HoloMLP:
+def build_mlp(hidden: Sequence[int]) -> HoloMLP:
     """Zero-initialized network with the given hidden widths."""
     widths = [1] + list(hidden) + [1]
     layers = [
@@ -101,7 +83,7 @@ def build_mlp(hidden: Sequence[int], mode: Mode = Mode.STANDARD) -> HoloMLP:
         )
         for ni, no in zip(widths, widths[1:])
     ]
-    return HoloMLP(layers, mode)
+    return HoloMLP(layers)
 
 
 def forward_jets(
@@ -172,9 +154,9 @@ def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[n
     return grads[::-1]
 
 
-# Jet orders (phi branch, psi branch) per mode: exactly the channels
-# elasticity.km_fields reads, so no branch computes a derivative it never uses.
-JET_ORDERS = {Mode.STANDARD: (2, 1), Mode.STRESS_ONLY: (1, 0)}
+# Jet orders (phi branch, psi branch): exactly the channels elasticity.km_fields
+# reads, so no branch computes a derivative it never uses.
+JET_ORDERS = (2, 1)
 
 
 def mlp_forward(pair: BranchPair, z, where: str = "", caches=None, dtype=np.complex128) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +166,7 @@ def mlp_forward(pair: BranchPair, z, where: str = "", caches=None, dtype=np.comp
     branches compute in the complex `dtype` and return complex128.  An
     overflow names "{where}phi" or "{where}psi" and the layer."""
     cphi, cpsi = caches or (None, None)
-    order_phi, order_psi = JET_ORDERS[pair.mode]
+    order_phi, order_psi = JET_ORDERS
     jp = forward_jets(pair.phi, z, order_phi, cphi, where=where + "phi ", dtype=dtype)
     jq = forward_jets(pair.psi, z, order_psi, cpsi, where=where + "psi ", dtype=dtype)
     return jp, jq
@@ -241,10 +223,6 @@ def bind_params(pairs: Sequence[BranchPair]) -> np.ndarray:
 # --- initialization ---------------------------------------------------------
 
 
-def admissible_beta(mode: Mode) -> tuple[float, float]:
-    return (BETA2, BETA1) if mode is Mode.STRESS_ONLY else (BETA3, BETA1)
-
-
 def init_weights(net: HoloMLP, probe, beta: float, m_e: int, rng: Rng) -> HoloMLP:
     """Probe-calibrated Gaussian initialization of `net`, in place; returns it.
 
@@ -265,11 +243,10 @@ def init_weights(net: HoloMLP, probe, beta: float, m_e: int, rng: Rng) -> HoloML
         raise ValueError(f"m_e must be >= 2, got {m_e}")
     if not (math.isfinite(beta) and beta > 0.0):
         raise ValueError(f"beta must be a finite positive number, got {beta}")
-    lo, hi = admissible_beta(net.mode)
-    if not (lo <= beta <= hi):
+    if not (BETA3 <= beta <= BETA1):
         warnings.warn(
-            f"beta={beta:.4g} outside the admissible range [{lo:.4g}, {hi:.4g}] "
-            f"for {net.mode.value} mode; expect unstable gradients",
+            f"beta={beta:.4g} outside the admissible range [{BETA3:.4g}, {BETA1:.4g}]; "
+            "expect unstable gradients",
             stacklevel=2,
         )
     x = probe.reshape(-1, 1)
@@ -343,8 +320,7 @@ def _checkpoint_chunks(path: str, pairs: Sequence[BranchPair]):
     for pi, pair in enumerate(pairs):
         yield ", {" if pi else "{"
         for name, net in (("phi", pair.phi), ("psi", pair.psi)):
-            head = json.dumps({"mode": net.mode.value})
-            yield f'{", " if name == "psi" else ""}"{name}": {head[:-1]}, "layers": ['
+            yield f'{", " if name == "psi" else ""}"{name}": {{"layers": ['
             for li, l in enumerate(net.layers, start=1):
                 for what, a in (("weights", l.weights), ("bias", l.bias)):
                     if not np.isfinite(a).all():
@@ -364,15 +340,17 @@ def checkpoint_load(path: str) -> list[BranchPair]:
     """Branch pairs of a checkpoint_save file.
 
     A malformed file fails with a ValueError naming the pair, branch and
-    layer: a branch holds `mode` and `layers` and no other key, shapes must
-    be positive [n_out, n_in], weights and bias must hold n_out * n_in and
-    n_out [re, im] pairs of finite JSON numbers, and the widths must chain
-    1 -> 1.
+    layer: `pairs` must be a list, a branch holds `layers` as its only key,
+    shapes must be positive [n_out, n_in], weights and bias must hold
+    n_out * n_in and n_out [re, im] pairs of finite JSON numbers, and the
+    widths must chain 1 -> 1.
     """
     with open(path) as fh:
         doc = json.load(fh, object_hook=_layer_arrays)
     if not isinstance(doc, dict) or not doc.get("pairs"):
         raise ValueError(f"checkpoint {path}: no network pairs")
+    if not isinstance(doc["pairs"], list):
+        raise ValueError(f"checkpoint {path}: pairs must be a list, got {type(doc['pairs']).__name__}")
     pairs = []
     for pi, entry in enumerate(doc["pairs"]):
         nets = {}
@@ -388,18 +366,15 @@ def checkpoint_load(path: str) -> list[BranchPair]:
                         _pairs_to_complex(l["weights"], shape, f"layer {li} weights"),
                         _pairs_to_complex(l["bias"], shape[:1], f"layer {li} bias"),
                     ))
-                nets[name] = HoloMLP(layers, Mode(spec["mode"]))
-                unknown = sorted(spec.keys() - {"mode", "layers"})
+                nets[name] = HoloMLP(layers)
+                unknown = sorted(spec.keys() - {"layers"})
                 if unknown:
                     raise ValueError(f"unknown key {unknown[0]!r}")
             except (KeyError, TypeError) as e:
                 raise ValueError(f"checkpoint {path}: pair {pi} {name}: missing or malformed {e}") from e
             except ValueError as e:
                 raise ValueError(f"checkpoint {path}: pair {pi} {name}: {e}") from e
-        try:
-            pairs.append(BranchPair(nets["phi"], nets["psi"]))
-        except ValueError as e:
-            raise ValueError(f"checkpoint {path}: pair {pi}: {e}") from e
+        pairs.append(BranchPair(nets["phi"], nets["psi"]))
     return pairs
 
 

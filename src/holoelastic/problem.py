@@ -18,7 +18,6 @@ from typing import Optional
 
 from . import elasticity as el
 from . import geometry as geo
-from .network import Mode
 from .training import TrainConfig
 
 
@@ -26,7 +25,6 @@ from .training import TrainConfig
 class NetworkConfig:
     hidden_layers: int = 2
     units: int = 10
-    mode: Mode = Mode.STANDARD
 
     def __post_init__(self):
         if self.hidden_layers < 1 or self.units < 1:
@@ -55,13 +53,6 @@ class ProblemSpec:
             v = getattr(self.training, key)
             if (key == "n_train" or v > 0) and v < n:
                 raise ConfigError(f"training: {key} must be at least the number of boundary pieces ({n}), got {v}")
-        if self.networks.mode is Mode.STRESS_ONLY:
-            for p in self.domain.pieces:
-                if not isinstance(p.bc, el.Traction):
-                    raise ValueError(
-                        "stress-only networks allow traction conditions only; "
-                        f"piece {p.name!r} has {type(p.bc).__name__}"
-                    )
 
 
 class ConfigError(ValueError):
@@ -146,7 +137,7 @@ def _enum(kind):
 FIELDS = {"lambda": "lam", "dir": "out_dir"}
 SECTIONS = {
     "material": (el.Material, {"lambda": _num, "mu": _num, "mode": _enum(el.PlaneMode)}, ("lambda", "mu")),
-    "networks": (NetworkConfig, {"hidden_layers": _int, "units": _int, "mode": _enum(Mode)}, ("hidden_layers", "units")),
+    "networks": (NetworkConfig, {"hidden_layers": _int, "units": _int}, ("hidden_layers", "units")),
     "training": (TrainConfig, {"epochs": _int, "lr": _num, "n_train": _int, "n_test": _int, "seed": _int,
                                "beta": _num, "m_e": _int, "precision": _str}, ("epochs", "n_train", "lr")),
     "outputs": (OutputConfig, {"grid": _grid, "dir": _str}, ()),

@@ -103,7 +103,7 @@ class History:
 def build_pairs(problem: "ProblemSpec") -> list[BranchPair]:
     """Fresh zero-weight branch pairs, one per subdomain."""
     net = problem.networks
-    mlp = lambda: build_mlp([net.units] * net.hidden_layers, net.mode)
+    mlp = lambda: build_mlp([net.units] * net.hidden_layers)
     return [BranchPair(mlp(), mlp()) for _ in range(problem.domain.n_subdomains)]
 
 

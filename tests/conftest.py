@@ -73,13 +73,11 @@ def traction_square_domain() -> DomainSpec:
     return DomainSpec(pieces)
 
 
-def square_problem(mode="standard", epochs=0, seed=0) -> ProblemSpec:
-    from holoelastic.network import Mode
-
+def square_problem(epochs=0, seed=0) -> ProblemSpec:
     return ProblemSpec(
         Material(1.0, 1.0),
         traction_square_domain(),
-        NetworkConfig(2, 8, mode=Mode(mode)),
+        NetworkConfig(2, 8),
         TrainConfig(epochs=epochs, lr=0.01, n_train=40, n_test=8, seed=seed),
         OutputConfig(),
         name="square_test",
@@ -180,7 +178,6 @@ def checkpoint_json(pairs) -> str:
         entry = {}
         for name, net in (("phi", pair.phi), ("psi", pair.psi)):
             entry[name] = {
-                "mode": net.mode.value,
                 "layers": [
                     {"shape": list(l.weights.shape), "weights": to_pairs(l.weights), "bias": to_pairs(l.bias)}
                     for l in net.layers

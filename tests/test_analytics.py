@@ -19,7 +19,6 @@ from holoelastic.analytics import (
     ring_exact_stress,
     rms,
     rotate_stress,
-    variance_report,
 )
 from holoelastic import analytics, network
 from holoelastic.autodiff import loss_backward, loss_forward
@@ -63,14 +62,20 @@ def test_ring_potentials():
         ring_exact_potentials(0j, -1.0, 0.5, 2.0)
 
 
+def _ring_stress(z):
+    """The stress rows of km_fields on the exact ring's (phi', psi'), with
+    phi'' = 0 and zero potential values, which only the displacements read."""
+    dphi, dpsi = ring_exact_potentials(z, -1.0, 0.5, 2.0)
+    zero = np.zeros_like(dpsi)
+    return tuple(km_fields(z, np.array([zero, dphi, zero]), np.array([zero, dpsi]), MAT)[:3])
+
+
 def test_ring_potentials_reproduce_polar_stress():
     rng = Rng(0)
     rho = rng.uniform(50, 0.5, 2.0)
     theta = rng.uniform(50, 0.0, 2.0 * np.pi)
     z = rho * np.exp(1j * theta)
-    dphi, dpsi = ring_exact_potentials(z, -1.0, 0.5, 2.0)
-    # stress-only jets (phi', phi'') and (psi')
-    sxx, syy, sxy = km_fields(z, np.array([dphi, np.zeros_like(dphi)]), dpsi[None], MAT)
+    sxx, syy, sxy = _ring_stress(z)
     srr, stt, srt = rotate_stress(sxx, syy, sxy, theta)
     sr_ref, st_ref = ring_exact_stress(rho, -1.0, 0.5, 2.0)
     assert np.max(np.abs(srr - sr_ref)) < 1e-10
@@ -113,13 +118,9 @@ def test_equilibrium_by_construction_random_nets():
 
 
 def test_equilibrium_exact_ring_potentials():
-    def stress(z):
-        dphi, dpsi = ring_exact_potentials(z, -1.0, 0.5, 2.0)
-        return tuple(km_fields(z, np.array([dphi, np.zeros_like(dphi)]), dpsi[None], MAT))
-
     # truncation scales with h^2 times the cubic 1/z^2-field derivatives, so
     # h = 1e-4 sits at ~2e-8 and h = 1e-5 comfortably under 1e-8
-    r1, r2, _ = fd_equilibrium(stress, np.array([1.0 + 0j]), 1e-5)
+    r1, r2, _ = fd_equilibrium(_ring_stress, np.array([1.0 + 0j]), 1e-5)
     assert abs(r1[0]) < 1e-8 and abs(r2[0]) < 1e-8
 
 
@@ -215,16 +216,11 @@ def _initialized_pairs(spec, seed=0):
         ("ring_quadrant", 100, 90, None, 8),  # width 10: blocks of 8 rows, 11 x 8 + 2
         ("dd_plate_hole", 150, 150, 40960, 27),  # blocks of 27 rows cross y = 0 and x = 0
         ("ring_quadrant", 100, 30, 640, 1),  # a row is wider than the block: one row per block
-        ("square_stress_only", 64, 40, 4096, 8),  # width 8; fields without displacements
         ("clamped_square", 200, 6, None, 1),  # width 100: the 1-row blocks of a 200x200 eval
     ],
 )
 def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, nx, ny, block, rows):
-    if name == "square_stress_only":
-        spec = square_problem("stress_only")
-        spec.training.beta = 0.7  # inside stress-only mode's admissible range
-    else:
-        spec = configs[name]
+    spec = configs[name]
     pairs = _initialized_pairs(spec)
     if block:
         monkeypatch.setattr(analytics, "FORWARD_BLOCK", block)
@@ -379,22 +375,6 @@ def test_variance_report_rejects_empty_probe():
     for arch in ([10, 20], []):
         with pytest.raises(ValueError, match=rf"need one or more hidden layers of equal width, got \{arch}"):
             init_diagnostics(arch, ActivationKind.EXP, 0.5, None, 100, 100, 0)
-
-
-def test_variance_report_stress_only_sweeps_three_phi_channels():
-    # a stress-only phi branch carries two jet channels in the loss; the
-    # report still sweeps all three output channels, and with the same
-    # domain, seed and beta they match the standard-mode report bit for bit
-    reports = []
-    for mode in ("standard", "stress_only"):
-        spec = square_problem(mode=mode)  # two hidden layers of 8, 40 training points, seed 0
-        spec.training.beta = 0.7
-        reports.append(variance_report(spec, None, 200))
-    std, so = reports
-    assert not any(so.overflow)
-    assert all(v > 0 for v in so.var_ddphi_w)
-    for name in ("var_y", "var_phi_w", "var_dphi_w", "var_ddphi_w"):
-        assert getattr(so, name) == getattr(std, name), name
 
 
 def test_variance_report_flags_overflow_instead_of_nan():

@@ -146,11 +146,11 @@ def test_piece_weights_are_computed_once_when_the_domain_is_built(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name", ["ring_quadrant", "stress_only"])
+@pytest.mark.parametrize("name", ["ring_quadrant", "square"])
 def test_loss_backward_sweeps_phi_alone_without_psi_caches(name):
     # a sweep_psi=False record yields the phi gradients of the full record
     # bit for bit and no psi gradients
-    problem = ring_problem(seed=4) if name == "ring_quadrant" else square_problem(mode="stress_only")
+    problem = ring_problem(seed=4) if name == "ring_quadrant" else square_problem()
     pairs = build_pairs(problem)
     rng = Rng(4)
     init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.7, 3, rng)
@@ -186,14 +186,14 @@ def test_fresh_net_loss_positive_and_replayable():
     assert loss_value(pairs, samples, problem) == loss
 
 
-@pytest.mark.parametrize("mode, n_phi, n_psi", [("standard", 3, 2), ("stress_only", 2, 1)])
-def test_loss_record_caches_only_the_channels_km_reads(mode, n_phi, n_psi):
-    problem = square_problem(mode=mode)
+def test_loss_record_caches_only_the_channels_km_reads():
+    problem = square_problem()
     pairs = build_pairs(problem)
     samples = sample_boundary(problem.domain, 8, Rng(0))
     _, rec = loss_forward(pairs, samples, problem)
     sp = rec.subs[0]
-    for caches, n in ((sp.phi, n_phi), (sp.psi, n_psi)):
+    # (phi, phi', phi'') and (psi, psi')
+    for caches, n in ((sp.phi, 3), (sp.psi, 2)):
         for x, g in caches:
             # input and derivative jets both carry exactly n channels
             assert x.shape[0] == n and (g is None or g.shape[:2] == x.shape[:2])
@@ -233,16 +233,6 @@ def test_gradients_match_finite_differences():
     problem, samples, pairs = _ring_setup(n=8, hidden=(6, 6))
     dev = grad_check(pairs, samples, problem, step=1e-6)
     assert dev < 1e-5, dev
-
-
-def test_gradients_match_fd_stress_only():
-    problem = square_problem(mode="stress_only")
-    rng = Rng(1)
-    samples = sample_boundary(problem.domain, 10, rng.spawn(1))
-    pairs = build_pairs(problem)
-    probe = np.array([s.z for s in sample_boundary(problem.domain, 100, rng.spawn(3))])
-    init_pairs(pairs, probe, 0.7, 3, rng)
-    assert grad_check(pairs, samples, problem, step=1e-6) < 1e-5
 
 
 @pytest.mark.parametrize("name, n", [("clamped_square", 12), ("dd_plate_hole", 32), ("dd_plate_hole@interleaved", 32)])
@@ -349,14 +339,11 @@ def test_readout_overflow_names_residual_sample_without_warnings():
             loss_forward(pairs, samples, problem)
 
 
-@pytest.mark.parametrize("name", ["ring_quadrant", "dd_plate_hole", "stress_only"])
+@pytest.mark.parametrize("name", ["ring_quadrant", "dd_plate_hole"])
 def test_test_rows_ride_the_training_forward(name):
     # the test loss of the fused forward equals loss_value on the test batch
     # bit for bit, and the train loss and gradient do not see the test rows
-    if name == "stress_only":
-        problem = square_problem(mode="stress_only")
-    else:
-        problem = load_config(config_path(name))
+    problem = load_config(config_path(name))
     problem.networks.hidden_layers = 2
     problem.networks.units = 6
     rng = Rng(4)
@@ -427,11 +414,10 @@ def test_gradient_vector_alignment():
 
 
 @pytest.mark.parametrize("kind", [ActivationKind.EXP])
-@pytest.mark.parametrize("mode", ["standard", "stress_only"])
-def test_branch_backward_reads_the_adjoints_channels_only(mode, kind):
+def test_branch_backward_reads_the_adjoints_channels_only(kind):
     # an n-channel adjoint on wider caches gives the sweep of the same
     # adjoint zero-padded to the caches' channels (test rows ride along)
-    problem = square_problem(mode=mode)
+    problem = square_problem()
     problem.networks.hidden_layers, problem.networks.units = 3, 12
     rng = Rng(5)
     train_b = pack_batch(sample_boundary(problem.domain, 48, rng.spawn(1)), problem.domain)

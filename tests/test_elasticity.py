@@ -73,22 +73,13 @@ def test_km_fields_zero_state():
 
 
 def test_km_fields_uniform_biaxial():
-    f = km_fields(1.0 + 2.0j, _jets(2.5 + 0j, 0j), _jets(0j), MAT)
-    assert f.shape == (3, 1)
-    sxx, syy, sxy = f[:, 0]
+    # phi = 2.5 z, psi = 0: sxx = syy = 2 Re(phi') and u = (gamma - 1) phi / (2 mu)
+    z = 1.0 + 2.0j
+    f = km_fields(z, _jets(2.5 * z, 2.5 + 0j, 0j), _jets(0j, 0j), MAT)
+    assert f.shape == (5, 1)
+    sxx, syy, sxy, ux, uy = f[:, 0]
     assert sxx == 5.0 and syy == 5.0 and sxy == 0.0
-
-
-def test_stress_only_rows_are_the_standard_stress_rows():
-    # stress-only jets share (phi', phi'', psi') with standard jets: its rows
-    # must be the first three standard rows, bit for bit
-    rng = np.random.default_rng(5)
-    c = lambda *shape: rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    z, jp, jq = c(50), c(3, 50), c(2, 50)
-    standard = km_fields(z, jp, jq, MAT)
-    stress_only = km_fields(z, jp[1:], jq[1:], MAT)
-    assert standard.shape == (5, 50) and stress_only.shape == (3, 50)
-    assert stress_only.tobytes() == standard[:3].tobytes()
+    assert (ux, uy) == (1.25, 2.5)  # gamma = 2, mu = 1
 
 
 def test_km_fields_does_not_depend_on_the_batch_size():
@@ -106,7 +97,7 @@ def test_km_fields_does_not_depend_on_the_batch_size():
         assert whole[k].tobytes() == row.tobytes(), k
 
 
-@pytest.mark.parametrize("n_phi, n_psi, nf", [(3, 2, 5), (2, 1, 3)])
+@pytest.mark.parametrize("n_phi, n_psi, nf", [(3, 2, 5)])
 def test_km_fields_adjoint_matches_central_differences(n_phi, n_psi, nf):
     # L = sum(adj * fields) with fields = km_fields(z, jp, jq); each
     # jet entry u gets dL/dRe(u) + i dL/dIm(u).  L is real-linear in the jets,
@@ -144,7 +135,7 @@ def test_km_fields_polynomial_example():
 
 
 def test_traction_residual_uniform_pressure():
-    f = (3.0, 3.0, 0.0)  # (sxx, syy, sxy)
+    f = (3.0, 3.0, 0.0, 0.0, 0.0)  # (sxx, syy, sxy, ux, uy)
     r = _residual(Traction(ConstantData(3.0, 0.0)), f, 1 + 0j)
     assert np.allclose(r, 0.0)
 

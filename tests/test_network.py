@@ -18,7 +18,6 @@ from holoelastic.network import (
     BETA2,
     BETA3,
     BranchPair,
-    Mode,
     build_mlp,
     checkpoint_load,
     checkpoint_save,
@@ -36,8 +35,8 @@ def _ring_probe(n=400, seed=0):
     return sample_boundary(ring_quadrant_domain(), n, Rng(seed)).z.copy()
 
 
-def _init_pair(hidden, seed=0, beta=0.5, m_e=3, mode=Mode.STANDARD):
-    pair = BranchPair(build_mlp(hidden, mode=mode), build_mlp(hidden, mode=mode))
+def _init_pair(hidden, seed=0, beta=0.5, m_e=3):
+    pair = BranchPair(build_mlp(hidden), build_mlp(hidden))
     probe, rng = _ring_probe(), Rng(seed)
     init_weights(pair.phi, probe, beta, m_e, rng.spawn(0))
     init_weights(pair.psi, probe, beta, m_e, rng.spawn(1))
@@ -58,29 +57,6 @@ def test_zero_net_forward_is_zero():
     # (phi, phi', phi'') and (psi, psi')
     assert jp.shape == (3, 1) and jq.shape == (2, 1)
     assert np.all(jp == 0) and np.all(jq == 0)
-
-
-def test_stress_only_forward_semantics():
-    pair = _init_pair([6, 6], mode=Mode.STRESS_ONLY, beta=0.7)
-    z = np.array([0.2 + 0.1j, -0.3 + 0.5j])
-    jp, jq = mlp_forward(pair, z)
-    # no phi or psi channel: (phi', phi'') and (psi')
-    assert jp.shape == (2, 2) and jq.shape == (1, 2)
-    # dphi is branch output, ddphi its first jet derivative
-    jets = forward_jets(pair.phi, z)
-    assert np.allclose(jp[0], jets[0])
-    assert np.allclose(jp[1], jets[1])
-    assert np.allclose(jq[0], forward_jets(pair.psi, z)[0])
-
-
-def test_stress_only_constant_output_has_zero_ddphi():
-    pair = BranchPair(
-        build_mlp([4], mode=Mode.STRESS_ONLY), build_mlp([4], mode=Mode.STRESS_ONLY)
-    )
-    pair.phi.layers[-1].bias[:] = 2.0 + 1.0j  # constant output
-    (dphi, ddphi), _ = mlp_forward(pair, 0.5 + 0.2j)
-    assert dphi == 2.0 + 1.0j
-    assert ddphi == 0.0
 
 
 def test_jets_match_finite_differences_in_z():
@@ -145,14 +121,13 @@ def test_init_beta_bounds():
             init_weights(net, probe, beta, 3, Rng(0))
     with pytest.warns(UserWarning, match="admissible"):
         init_weights(net, probe, 0.2, 3, Rng(0))
-    # beta2 admissible in stress-only, warns in standard only below beta3
-    so = build_mlp([4], mode=Mode.STRESS_ONLY)
+    with pytest.warns(UserWarning, match="admissible"):
+        init_weights(net, probe, 1.2, 3, Rng(0))
+    # the ends of [BETA3, BETA1] and BETA2 between them are admissible
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        init_weights(so, probe, BETA2, 3, Rng(0))
-        init_weights(net, probe, BETA3, 3, Rng(0))
-    with pytest.warns(UserWarning):
-        init_weights(so, probe, 0.5, 3, Rng(0))
+        for beta in (BETA3, BETA2, BETA1):
+            init_weights(net, probe, beta, 3, Rng(0))
 
 
 def test_init_empty_probe_rejected():
@@ -271,7 +246,7 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     assert len(loaded) == 1
     for branch in ("phi", "psi"):
         a, b = getattr(pairs[0], branch), getattr(loaded[0], branch)
-        assert a.mode is b.mode
+        assert a.widths == b.widths
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.bias, lb.bias)
@@ -297,8 +272,7 @@ def test_checkpoint_bytes_per_activation_and_mode(tmp_path, kind):
     init_weights(pair.phi, probe, 0.5, 3, rng.spawn(0))
     init_weights(pair.psi, probe, 0.5, 3, rng.spawn(1))
     pair.phi.layers[1].bias[:] = 0.25 - 1e-3j
-    stress_only = _init_pair([6, 6], mode=Mode.STRESS_ONLY, beta=0.7)
-    pairs = [pair, stress_only]
+    pairs = [pair, _init_pair([6, 6], beta=0.7)]
     assert _saved(tmp_path, pairs) == checkpoint_json(pairs)
 
 
@@ -312,11 +286,9 @@ _EDGE_VALUES = [-0.0, 5e-324, 1e-5, 0.1, 1e16, -1.7976931348623157e308]
 def test_checkpoint_bytes_match_one_json_dumps_property(tmp_path_factory, data):
     pool = _EDGE_VALUES + data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6))
     fill = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    mode = data.draw(st.sampled_from(list(Mode)))
     pairs = []
     for _ in range(data.draw(st.integers(1, 3))):
-        nets = [build_mlp(data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4)), mode)
-                for _ in range(2)]
+        nets = [build_mlp(data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=4))) for _ in range(2)]
         for a in (a for net in nets for l in net.layers for a in (l.weights, l.bias)):
             a.view(np.float64)[...] = fill.choice(pool, size=a.view(np.float64).shape)
         pairs.append(BranchPair(*nets))

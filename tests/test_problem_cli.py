@@ -1,4 +1,3 @@
-import dataclasses
 import glob
 import importlib.util
 import json
@@ -20,8 +19,8 @@ from holoelastic.analytics import GridField
 from holoelastic.cli import run_command
 from holoelastic.elasticity import Displacement, Interface, Material, PlaneMode, Symmetry, Traction
 from holoelastic.export import write_fields_csv
-from holoelastic.geometry import DomainSpec, piece_point, region_contains
-from holoelastic.network import Mode, checkpoint_load, checkpoint_save
+from holoelastic.geometry import piece_point, region_contains
+from holoelastic.network import checkpoint_load, checkpoint_save
 from holoelastic.problem import ConfigError, NetworkConfig, OutputConfig, ProblemSpec, load_config
 from holoelastic.training import TrainConfig
 
@@ -77,20 +76,18 @@ def test_roundtrip_equals_original(name, tmp_path):
 
 
 def test_roundtrip_keeps_the_values_no_shipped_config_uses(tmp_path):
-    # plane stress, stress-only networks (the ring with its symmetry axes
-    # made traction-free), single precision and a grid and seed off their
-    # defaults: every enum and tuple the writer handles beyond the shipped configs
+    # plane stress, single precision and a grid and seed off their defaults:
+    # every enum and tuple the writer handles beyond the shipped configs
     script = _gen_configs_script()
     ring = script.ring_quadrant()
-    free = lambda p: dataclasses.replace(p, bc=Traction(script.ZERO)) if isinstance(p.bc, Symmetry) else p
     spec = ProblemSpec(
         Material(2.0, 0.5, PlaneMode.STRESS),
-        DomainSpec([free(p) for p in ring.domain.pieces]),
-        NetworkConfig(3, 8, Mode.STRESS_ONLY),
+        ring.domain,
+        NetworkConfig(3, 8),
         TrainConfig(epochs=10, lr=0.01, n_train=40, n_test=8, seed=7, beta=0.7, precision="single"),
-        OutputConfig((24, 16), "out/ring_stress_only"),
+        OutputConfig((24, 16), "out/ring_plane_stress"),
         reference=ring.reference,
-        name="ring_stress_only",
+        name="ring_plane_stress",
     )
     path = str(tmp_path / "spec.json")
     script.save_config(spec, path)
@@ -217,15 +214,6 @@ def test_parse_error_reports_line(tmp_path):
         load_config(str(path))
 
 
-def test_stress_only_with_dirichlet_rejected(tmp_path):
-    doc = json.load(open(config_path("clamped_square")))
-    doc["networks"]["mode"] = "stress_only"
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError, match="stress-only"):
-        load_config(str(path))
-
-
 def test_bad_piece_reports_path(tmp_path):
     doc = json.load(open(config_path("ring_quadrant")))
     doc["geometry"]["pieces"][0]["radius"] = -1.0
@@ -316,7 +304,7 @@ PIECES = ("geometry", "pieces")
          "on the outer one; got r=0.5, R=2.0, p=-0.0"),
         (("material", "mode"), "x", [], "error: material: 'x' is not a valid PlaneMode"),
         (("networks", "activation"), "exp", [], "error: networks: unknown field 'activation'"),
-        (("networks", "mode"), "x", [], "error: networks: 'x' is not a valid Mode"),
+        (("networks", "mode"), "standard", [], "error: networks: unknown field 'mode'"),
         (("training", "precision"), "half", [], "error: training: precision must be 'double' or 'single', got 'half'"),
         (("training", "precision"), 32, [], "error: training.precision: expected a nonempty string, got 32"),
         (("training", "precision"), ["single"], [], "error: training.precision: expected a nonempty string, got ['single']"),
@@ -557,11 +545,14 @@ def test_cli_eval_rejects_a_checkpoint_that_names_an_activation(tmp_path, capsys
          "pair 0 psi: layer 1 bias must hold finite numbers"),
         (lambda d: d["pairs"][0]["phi"]["layers"][2]["bias"].__setitem__(0, ["0.5", True]),
          "pair 0 phi: layer 3 bias must hold finite numbers"),
-        (lambda d: d["pairs"][0]["psi"].update(mode="stress_only"),
-         "checkpoint.json: pair 0: both branches must share the mode"),
+        # the branches of older checkpoints held a network mode
+        (lambda d: (d["pairs"][0]["phi"].update(mode="standard"), d["pairs"][0]["psi"].update(mode="stress_only")),
+         "checkpoint.json: pair 0 phi: unknown key 'mode'\n"),
+        (lambda d: d.update(pairs=5), "checkpoint.json: pairs must be a list, got int\n"),
+        (lambda d: d.update(pairs=True), "checkpoint.json: pairs must be a list, got bool\n"),
     ],
     ids=["short_weights", "long_bias", "zero_width", "broken_chain", "missing_weights", "no_pairs",
-         "nan_weight", "inf_bias", "string_bias", "mixed_modes"],
+         "nan_weight", "inf_bias", "string_bias", "mixed_modes", "pairs_int", "pairs_bool"],
 )
 def test_cli_eval_rejects_malformed_checkpoint(tmp_path, capsys, edit, message):
     cfg, out = _mini_ring(tmp_path, epochs=0)
@@ -759,8 +750,7 @@ def test_no_partial_files_on_failure(tmp_path):
     assert not os.path.exists(os.path.join(out, "fields.csv"))
 
 
-@pytest.mark.parametrize("with_u", [True, False])
-def test_fields_csv_matches_per_cell_formatting(tmp_path, with_u):
+def test_fields_csv_matches_per_cell_formatting(tmp_path):
     rng = np.random.default_rng(0)
     ny, nx = 3, 4
     vals = [rng.normal(size=(ny, nx)) * 10.0 ** rng.integers(-20, 20, size=(ny, nx)) for _ in range(5)]
@@ -768,14 +758,13 @@ def test_fields_csv_matches_per_cell_formatting(tmp_path, with_u):
     mask = rng.random((ny, nx)) < 0.7
     mask[0, 1] = True
     xs, ys = np.linspace(-2.0, 0.0, nx), np.linspace(0.1, 2.0, ny)
-    us = vals[3:] if with_u else [None, None]
-    grid = GridField(xs, ys, mask, np.stack(vals if with_u else vals[:3]), None, None)
+    grid = GridField(xs, ys, mask, np.stack(vals), None, None)
     path = str(tmp_path / "fields.csv")
     write_fields_csv(path, [grid])
-    # reference: str() of each numpy scalar, empty cells where masked or absent
+    # reference: str() of each numpy scalar, empty cells where masked
     want = ["x,y,sxx,syy,sxy,ux,uy"]
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
-            cells = [v[iy, ix] if v is not None and mask[iy, ix] else None for v in vals[:3] + us]
+            cells = [v[iy, ix] if mask[iy, ix] else None for v in vals]
             want.append(",".join("" if c is None else str(c) for c in (x, y, *cells)))
     assert open(path).read() == "\n".join(want) + "\n"
