@@ -34,6 +34,13 @@ in the diff, and it hashes:
                                           single-precision branch sweeps, so these are
                                           the only runs of 100-wide nets through the
                                           double-precision training path
+  dd_plate_hole@interleaved/checkpoint.json, history.csv, fields.csv
+                                          `train` for 20 epochs and `eval --grid 40x40`
+                                          of dd_plate_hole with its interface pieces
+                                          listed between the outer ones (as
+                                          tests/test_autodiff.py's _load builds it),
+                                          so a subdomain's outer rows are not
+                                          contiguous in its evaluation array
   <config>/samples.csv                    `sample --n 300` (all configs)
   approx.csv                              `approx-demo --n 32`
   approx_exp.csv                          `approx-demo --n 32 --target exp`: the
@@ -65,6 +72,17 @@ EPOCHS = 20
 def _show(label: str, path: str) -> None:
     with open(path, "rb") as fh:
         print(f"{label} {hashlib.sha256(fh.read()).hexdigest()}", flush=True)
+
+
+def _double(doc: dict) -> None:
+    doc["training"].pop("precision", None)
+
+
+def _interleave(doc: dict) -> None:
+    pieces = doc["geometry"]["pieces"]
+    outer = [p for p in pieces if p["bc"]["type"] != "interface"]
+    iface = [p for p in pieces if p["bc"]["type"] == "interface"]
+    doc["geometry"]["pieces"] = [p for pair in zip(outer, iface) for p in pair] + outer[len(iface):]
 
 
 def main(argv: list[str]) -> int:
@@ -143,10 +161,11 @@ def main(argv: list[str]) -> int:
                 _show(f"{name}/variance_m_e3.csv", os.path.join(out, "variance.csv"))
             run("sample", cfg, "--n", "300")
             _show(f"{name}/samples.csv", os.path.join(out, "samples.csv"))
-        label = "clamped_square@double"
-        cfg, _, ckpt = train(tmp, "clamped_square", label, lambda doc: doc["training"].pop("precision", None))
-        run("eval", cfg, ckpt, "--grid", "40x40")
-        _show(f"{label}/fields.csv", os.path.join(os.path.dirname(ckpt), "fields.csv"))
+        for name, label, edit in (("clamped_square", "clamped_square@double", _double),
+                                  ("dd_plate_hole", "dd_plate_hole@interleaved", _interleave)):
+            cfg, _, ckpt = train(tmp, name, label, edit)
+            run("eval", cfg, ckpt, "--grid", "40x40")
+            _show(f"{label}/fields.csv", os.path.join(os.path.dirname(ckpt), "fields.csv"))
         approx = os.path.join(tmp, "approx.csv")
         run("approx-demo", "--n", "32", "--out", approx)
         _show("approx.csv", approx)

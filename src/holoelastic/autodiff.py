@@ -5,9 +5,9 @@ The loss graph always has the same shape: per subdomain two branches
 Kolosov-Muskhelishvili field map from their jets to (5, B) field rows
 (el.km_fields), per-piece boundary residuals and the length-weighted mean
 square.  pack_batch fixes each piece's residual operator once per sample
-batch, reads its loss weight off DomainSpec.weights and stacks the outer
-pieces of each subdomain into one operator (OuterStack), so residuals and
-their adjoints run once per subdomain and once per interface piece.
+batch, reads its loss weight off DomainSpec.weights and stacks the rows of
+each subdomain, interface sides included, into one operator
+(SubdomainOperator), so residuals and their adjoints run once per subdomain.
 loss_forward runs the stages, optionally on test points appended to the
 training points for a test loss, and keeps what the reverse pass needs: the
 branch caches, each piece's (B, k) residual array and its mean square.
@@ -55,55 +55,44 @@ class Group:
     z: np.ndarray
     t: np.ndarray
     A: np.ndarray  # (B, k, 5) residual operator of el.bc_operator
-    d: np.ndarray  # (B, k) prescribed data (outer pieces: row views of their OuterStack)
+    d: np.ndarray  # (B, k) prescribed data
     # (subdomain, rows of its eval_z) per side: one on an outer piece, a then b on an interface
     sides: tuple[tuple[int, slice], ...]
 
 
 @dataclass
-class OuterStack:
-    """The outer pieces of one subdomain as one (B_s, 2, 5) residual operator,
-    in piece order; each of their groups' A and d is a row view of it."""
+class SubdomainOperator:
+    """Every row of one subdomain's eval_z as one (B_s, k, 5) residual operator:
+    k = 4 when an interface bounds the subdomain, else 2, and an outer piece's
+    rows past its own 2 components are zero."""
 
-    rows: Union[slice, np.ndarray]  # their rows of the subdomain's eval_z
-    A: np.ndarray  # (B_s, 2, 5)
-    d: np.ndarray  # (B_s, 2), column-major
-    scale: np.ndarray  # (B_s,) loss scale 2 alpha / B of each row's piece
-    parts: list[tuple[int, slice]]  # (group index, its rows of A) per piece
+    A: np.ndarray  # (B_s, k, 5)
+    d: np.ndarray  # (B_s, k), column-major
+    scale: np.ndarray  # (B_s,) loss scale 2 alpha / B of each row's piece, negated on side b of an interface
 
 
 @dataclass
 class PackedBatch:
     groups: list[Group]
     eval_z: dict[int, np.ndarray]
-    stacks: dict[int, OuterStack]  # per subdomain with an outer piece
+    operators: dict[int, SubdomainOperator]
 
 
-def _stack_outer(groups: list[Group], sub: int) -> Optional[OuterStack]:
-    """Stack the outer groups of subdomain `sub` and rebind their A and d as row views."""
-    idx = [i for i, g in enumerate(groups) if len(g.sides) == 1 and g.sides[0][0] == sub]
-    if not idx:
-        return None
-    gs = [groups[i] for i in idx]
-    spans = [g.sides[0][1] for g in gs]
-    if all(a.stop == b.start for a, b in zip(spans, spans[1:])):
-        rows = slice(spans[0].start, spans[-1].stop)
-    else:
-        rows = np.concatenate([np.arange(s.start, s.stop) for s in spans])
-    A = np.concatenate([g.A for g in gs])
-    d = np.asfortranarray(np.concatenate([g.d for g in gs]))
-    scale = np.concatenate([np.full(g.z.size, 2.0 * g.alpha / g.z.size) for g in gs])
-    ends = np.cumsum([g.z.size for g in gs]).tolist()
-    parts = [(i, slice(end - g.z.size, end)) for i, g, end in zip(idx, gs, ends)]
-    for g, (_, part) in zip(gs, parts):
-        g.A, g.d = A[part], d[part]
-    return OuterStack(rows, A, d, scale, parts)
+def _operator(groups: list[Group], sub: int, n: int) -> SubdomainOperator:
+    """The SubdomainOperator of subdomain `sub`, whose eval_z has n rows."""
+    sides = [(g, rows, i) for g in groups for i, (s, rows) in enumerate(g.sides) if s == sub]
+    k = max(g.A.shape[1] for g, _, _ in sides)
+    A, d, scale = np.zeros((n, k, 5)), np.zeros((n, k), order="F"), np.empty(n)
+    for g, rows, i in sides:
+        A[rows, : g.A.shape[1]], d[rows, : g.d.shape[1]] = g.A, g.d
+        scale[rows] = (-2.0 if i else 2.0) * g.alpha / g.z.size
+    return SubdomainOperator(A, d, scale)
 
 
 def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
     """Group a sample_boundary batch by piece, fix each piece's residual operator,
     read its loss weight off domain.weights, build the per-subdomain evaluation
-    arrays and stack each subdomain's outer operators (OuterStack).
+    arrays and each subdomain's operator over them (SubdomainOperator).
 
     Every piece needs at least one sample.  Within each group samples are
     ordered by t (ties keep their batch order), which fixes the reduction
@@ -125,8 +114,8 @@ def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
             chunks[sub].append(z)
             sides.append((sub, slice(start, start + z.size)))
         groups.append(Group(idx, domain.weights[idx], z, samples.t[rows], A, d, tuple(sides)))
-    stacks = {sub: st for sub in chunks if (st := _stack_outer(groups, sub)) is not None}
-    return PackedBatch(groups, {s: np.concatenate(c) for s, c in chunks.items()}, stacks)
+    eval_z = {s: np.concatenate(c) for s, c in chunks.items()}
+    return PackedBatch(groups, eval_z, {s: _operator(groups, s, z.size) for s, z in eval_z.items()})
 
 
 # --- weight gradients ---------------------------------------------------------
@@ -169,7 +158,7 @@ class LossRecord:
     subs: dict[int, SubdomainPass]
     batch: PackedBatch
     residuals: list[np.ndarray]  # (B, k) per group
-    outer: dict[int, np.ndarray]  # (B_s, 2) residual per OuterStack, viewed by its groups' residuals
+    rows: dict[int, np.ndarray]  # (B_s, k) residual per SubdomainOperator, which the residuals view (side a's)
     loss: float
     mse: list[float]  # mean squared residual norm per group
     test_loss: float = math.nan  # loss on the test batch, if one rode along
@@ -189,19 +178,18 @@ class LossRecord:
 
 def _residuals(packed: PackedBatch, fields: dict[int, np.ndarray]) -> tuple[list[np.ndarray], dict[int, np.ndarray]]:
     """Per-group (B, k) residuals from each subdomain's (5, B) field rows, and
-    the residual of each OuterStack: one el.bc_residual per subdomain, whose
-    column-major rows its outer groups' residuals view."""
-    out: list = [None] * len(packed.groups)
-    outer = {}
-    for sub, st in packed.stacks.items():
-        outer[sub] = el.bc_residual(st.A, st.d, fields[sub][:, st.rows])
-        for i, part in st.parts:
-            out[i] = outer[sub][part]
-    for i, g in enumerate(packed.groups):
+    each subdomain's column-major (B_s, k) residual rows: one el.bc_residual
+    per subdomain, of whose rows each group's residual is a view; an
+    interface's is side a's rows minus side b's, written back into both."""
+    rows = {sub: el.bc_residual(op.A, op.d, fields[sub]) for sub, op in packed.operators.items()}
+    out = []
+    for g in packed.groups:
+        sa, ra = g.sides[0]
         if len(g.sides) == 2:
-            (sa, ra), (sb, rb) = g.sides
-            out[i] = el.interface_residual(g.A, fields[sa][:, ra], fields[sb][:, rb])
-    return out, outer
+            sb, rb = g.sides[1]
+            rows[sa][ra] = rows[sb][rb] = rows[sa][ra] - rows[sb][rb]
+        out.append(rows[sa][ra, : g.A.shape[1]])
+    return out, rows
 
 
 def _loss(groups: list[Group], residuals: list[np.ndarray]) -> tuple[float, list[float]]:
@@ -253,9 +241,9 @@ def loss_forward(
         fields = el.km_fields(zz, jp, jq, problem.material)
         subs[sub] = SubdomainPass(z, cphi, cpsi, fields[:, :n])
         test_fields[sub] = fields[:, n:]
-    residuals, outer = _residuals(packed, {s: sp.fields for s, sp in subs.items()})
+    residuals, rows = _residuals(packed, {s: sp.fields for s, sp in subs.items()})
     loss, mse = _loss(packed.groups, residuals)
-    rec = LossRecord(pairs, problem.material, subs, packed, residuals, outer, loss, mse)
+    rec = LossRecord(pairs, problem.material, subs, packed, residuals, rows, loss, mse)
     if test is not None:
         rec.test_loss = _loss(test.groups, _residuals(test, test_fields)[0])[0]
     return loss, rec
@@ -277,21 +265,14 @@ def loss_backward(rec: LossRecord) -> WeightGrad:
     Reads the live weight arrays of rec.pairs, not copies: call it before
     the weights are updated.
     """
-    # dL/dfields per subdomain: zeros, then each OuterStack and each interface
-    # group adds A^T rho into its own rows (negated on side b of an interface,
-    # whose residual is A fa - A fb); rho is the residual times 2 alpha / B
-    adj = {sub: np.zeros_like(sp.fields) for sub, sp in rec.subs.items()}
-    for sub, st in rec.batch.stacks.items():
-        adj[sub][:, st.rows] += np.einsum("bkf,bk->fb", st.A, st.scale[:, None] * rec.outer[sub])
-    for g, r in zip(rec.groups, rec.residuals):
-        if len(g.sides) == 2:
-            (sa, ra), (sb, rb) = g.sides
-            at = np.einsum("bkf,bk->fb", g.A, (2.0 * g.alpha / r.shape[0]) * r)
-            adj[sa][:, ra] += at
-            adj[sb][:, rb] -= at
     grads = []
     for sub, sp in rec.subs.items():
-        ap, aq = el.km_fields_adjoint(sp.z, adj[sub], rec.material)
+        # dL/dfields: A^T rho onto zeros (which maps -0.0 to +0.0), rho being
+        # the residual rows times their signed loss scale
+        op = rec.batch.operators[sub]
+        adj = np.zeros_like(sp.fields)
+        adj += np.einsum("bkf,bk->fb", op.A, op.scale[:, None] * rec.rows[sub])
+        ap, aq = el.km_fields_adjoint(sp.z, adj, rec.material)
         pair = rec.pairs[sub]
         grads.append((branch_backward(pair.phi, sp.phi, ap), branch_backward(pair.psi, sp.psi, aq) if sp.psi else []))
     return WeightGrad(grads)

@@ -213,7 +213,9 @@ def bc_residual(A: np.ndarray, d: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def interface_residual(A: np.ndarray, fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Displacement and traction jumps A fa - A fb across an interface; shape (B, 4)."""
+    """Displacement and traction jumps A fa - A fb across an interface; shape (B, 4).  The loss computes
+    these rows in each subdomain's stacked operator (autodiff._residuals); this is the tests' per-piece
+    reference for them, and perfbench's ENTRY_POINTS names it (test_span_entry_points_resolve)."""
     return _apply(A, fa) - _apply(A, fb)
 
 

@@ -336,14 +336,21 @@ def _checkpoint_chunks(path: str, pairs: Sequence[BranchPair]):
     yield "]}"
 
 
+def _no_other_keys(obj: dict, keys: set, where: str) -> None:
+    """Fail, naming `where`, on the first key of obj (sorted) that is not in keys."""
+    unknown = sorted(obj.keys() - keys)
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+
+
 def checkpoint_load(path: str) -> list[BranchPair]:
     """Branch pairs of a checkpoint_save file.
 
     A malformed file fails with a ValueError naming the pair, branch and
-    layer: `pairs` must be a list, a branch holds `layers` as its only key,
-    shapes must be positive [n_out, n_in], weights and bias must hold
-    n_out * n_in and n_out [re, im] pairs of finite JSON numbers, and the
-    widths must chain 1 -> 1.
+    layer: `pairs` must be a list and the file's only key, a pair holds `phi`
+    and `psi` alone, a branch holds `layers` as its only key, shapes must be
+    positive [n_out, n_in], weights and bias must hold n_out * n_in and n_out
+    [re, im] pairs of finite JSON numbers, and the widths must chain 1 -> 1.
     """
     with open(path) as fh:
         doc = json.load(fh, object_hook=_layer_arrays)
@@ -351,8 +358,11 @@ def checkpoint_load(path: str) -> list[BranchPair]:
         raise ValueError(f"checkpoint {path}: no network pairs")
     if not isinstance(doc["pairs"], list):
         raise ValueError(f"checkpoint {path}: pairs must be a list, got {type(doc['pairs']).__name__}")
+    _no_other_keys(doc, {"pairs"}, f"checkpoint {path}")
     pairs = []
     for pi, entry in enumerate(doc["pairs"]):
+        if isinstance(entry, dict):
+            _no_other_keys(entry, {"phi", "psi"}, f"checkpoint {path}: pair {pi}")
         nets = {}
         for name in ("phi", "psi"):
             try:
@@ -367,13 +377,11 @@ def checkpoint_load(path: str) -> list[BranchPair]:
                         _pairs_to_complex(l["bias"], shape[:1], f"layer {li} bias"),
                     ))
                 nets[name] = HoloMLP(layers)
-                unknown = sorted(spec.keys() - {"layers"})
-                if unknown:
-                    raise ValueError(f"unknown key {unknown[0]!r}")
             except (KeyError, TypeError) as e:
                 raise ValueError(f"checkpoint {path}: pair {pi} {name}: missing or malformed {e}") from e
             except ValueError as e:
                 raise ValueError(f"checkpoint {path}: pair {pi} {name}: {e}") from e
+            _no_other_keys(spec, {"layers"}, f"checkpoint {path}: pair {pi} {name}")
         pairs.append(BranchPair(nets["phi"], nets["psi"]))
     return pairs
 

@@ -215,15 +215,22 @@ def load_config(path: str) -> ProblemSpec:
     if ref is not None:
         if _keys(ref, "reference", "kind").get("kind") != "ring":
             _fail("reference.kind", f"expected 'ring', got {ref.get('kind')!r}")
-        arcs = {q.shape.radius: q.bc for q in pieces if isinstance(q.shape, geo.Arc) and q.shape.center == 0}
-        r, R = min(arcs, default=0.0), max(arcs, default=0.0)  # Lame's ring: its arcs about the origin
-        outer = arcs.get(R)  # p is its normal pressure when it is a traction, else 0
-        p = outer.data.p if isinstance(outer, el.Traction) and isinstance(outer.data, el.NormalPressure) else 0.0
+        arcs = [(q.shape.radius, q.bc) for q in pieces if isinstance(q.shape, geo.Arc) and q.shape.center == 0]
+        radii = [rho for rho, _ in arcs]
+        r, R = min(radii, default=0.0), max(radii, default=0.0)  # Lame's ring: its arcs about the origin
+        # p is the normal pressure of each radius-R arc that is a pressure traction, 0 of any other; they must agree
+        ps = {bc.data.p if isinstance(bc, el.Traction) and isinstance(bc.data, el.NormalPressure) else 0.0
+              for rho, bc in arcs if rho == R}
+        if len(ps) > 1:
+            _fail("reference", f"a ring needs the same normal pressure on every arc of radius R={R}; got {sorted(ps)}")
+        p = ps.pop() if ps else 0.0
         if not (0.0 < r < R and p != 0.0):  # the rel-L2 errors divide by the exact fields, all zero without pressure
             _fail("reference", f"a ring needs arcs about the origin of radii 0 < r < R and a nonzero normal "
                   f"pressure p on the outer one; got r={r}, R={R}, p={p}")
-        if arcs[r] not in (el.Traction(el.ConstantData(0.0, 0.0)), el.Traction(el.NormalPressure(0.0))):
-            _fail("reference", f"a ring needs a traction-free inner arc; the one of radius r={r} has {arcs[r]}")
+        free = (el.Traction(el.ConstantData(0.0, 0.0)), el.Traction(el.NormalPressure(0.0)))
+        held = [bc for rho, bc in arcs if rho == r and bc not in free]
+        if held:
+            _fail("reference", f"a ring needs traction-free inner arcs; one of radius r={r} has {held[0]}")
         ref = {"kind": "ring", "p": p, "r": r, "R": R}
 
     name = _str(doc.get("name", os.path.splitext(os.path.basename(path))[0]), "name")

@@ -8,10 +8,10 @@ import pytest
 from conftest import CONFIG_NAMES, config_path, grad_check, ring_problem, square_problem
 from holoelastic import elasticity
 from holoelastic.autodiff import _residuals, loss_backward, loss_forward, loss_value, pack_batch
-from holoelastic.elasticity import ConstantData, Traction
-from holoelastic.geometry import DomainSpec, piece_length, sample_boundary
+from holoelastic.elasticity import ConstantData, Displacement, Interface, Traction
+from holoelastic.geometry import BoundaryPiece, DomainSpec, Line, piece_length, sample_boundary
 from holoelastic.jets import ActivationKind, NonFiniteError
-from holoelastic.network import BranchPair, branch_backward, build_mlp, flatten_params, write_params
+from holoelastic.network import BranchPair, branch_backward, build_mlp, flatten_params
 from holoelastic.problem import load_config
 from holoelastic.rng import Rng
 from holoelastic.training import build_pairs, init_pairs, train, train_samples
@@ -67,10 +67,24 @@ def test_pack_batch_ignores_sample_order(name):
     assert loss_value(pairs, a, problem) == loss_value(pairs, b, problem)
 
 
+def _framed_square():
+    """A [-1, 1]^2 frame (subdomain 0), its bottom clamped and its other edges
+    under traction (0, 0.3), around a [-0.5, 0.5]^2 square (subdomain 1) that
+    interface pieces alone bound."""
+    loops = [[complex(x, y) * h for x, y in ((-1, -1), (1, -1), (1, 1), (-1, 1))] for h in (1.0, 0.5)]
+    edges = [list(zip(loop, loop[1:] + loop[:1])) for loop in loops]
+    bcs = [Displacement(ConstantData(0.0, 0.0))] + 3 * [Traction(ConstantData(0.0, 0.3))]
+    pieces = [BoundaryPiece(Line(a, b), bc, (0,)) for (a, b), bc in zip(edges[0], bcs)]
+    pieces += [BoundaryPiece(Line(a, b), Interface(), (1, 0)) for a, b in edges[1]]
+    return dataclasses.replace(load_config(config_path("clamped_square")), domain=DomainSpec(pieces))
+
+
 def _load(name: str):
     """A shipped config; "dd_plate_hole@interleaved" lists its interface pieces
     between the outer ones, so subdomain 0's outer rows are not contiguous in
-    its evaluation array."""
+    its evaluation array, and "framed_square" is _framed_square()."""
+    if name == "framed_square":
+        return _framed_square()
     problem = load_config(config_path(name.removesuffix("@interleaved")))
     if not name.endswith("@interleaved"):
         return problem
@@ -80,32 +94,32 @@ def _load(name: str):
     return dataclasses.replace(problem, domain=DomainSpec(pieces))
 
 
-@pytest.mark.parametrize("name", CONFIG_NAMES + ["dd_plate_hole@interleaved"])
+@pytest.mark.parametrize("name", CONFIG_NAMES + ["dd_plate_hole@interleaved", "framed_square"])
 def test_outer_stack_gives_each_piece_its_own_residual_and_adjoint(name):
-    # one operator per subdomain: each outer piece's residual and adjoint rows
-    # are those of its own operator, bit for bit, on the run's train and test batches
+    # one operator per subdomain stacks every row of its evaluation array,
+    # interface sides included: each piece's residual and adjoint rows are
+    # those of its own operator, bit for bit, on the run's train and test batches
     problem = _load(name)
     cfg = problem.training
     test_samples = sample_boundary(problem.domain, cfg.n_test, Rng(cfg.seed).spawn(2))
     for packed in (pack_batch(train_samples(problem), problem.domain), pack_batch(test_samples, problem.domain)):
         rng = Rng(3)
         fields = {s: rng.spawn(s).normal(5 * z.size).reshape(5, z.size) for s, z in packed.eval_z.items()}
-        residuals, outer = _residuals(packed, fields)
-        n_outer = 0
-        for sub, st in packed.stacks.items():
-            adj = np.einsum("bkf,bk->fb", st.A, st.scale[:, None] * outer[sub])
-            for i, part in st.parts:
-                g, r = packed.groups[i], residuals[i]
-                (_, rows), = g.sides
-                assert r.tobytes() == elasticity.bc_residual(g.A, g.d, fields[sub][:, rows]).tobytes()
-                assert r.strides[0] == r.itemsize and np.shares_memory(r, outer[sub])
-                assert np.shares_memory(g.A, st.A) and np.shares_memory(g.d, st.d)
-                own = np.einsum("bkf,bk->fb", g.A, (2.0 * g.alpha / r.shape[0]) * r)
-                assert adj[:, part].tobytes() == own.tobytes()
-                n_outer += 1
-        assert n_outer == sum(len(g.sides) == 1 for g in packed.groups)
-        contiguous = [isinstance(st.rows, slice) for st in packed.stacks.values()]
-        assert not all(contiguous) if name.endswith("@interleaved") else all(contiguous)
+        residuals, rows = _residuals(packed, fields)
+        adj = {}
+        for sub, op in packed.operators.items():
+            iface = any(p.is_interface and sub in p.subdomains for p in problem.domain.pieces)
+            assert op.A.shape == (packed.eval_z[sub].size, 4 if iface else 2, 5)
+            adj[sub] = np.zeros_like(fields[sub])
+            adj[sub] += np.einsum("bkf,bk->fb", op.A, op.scale[:, None] * rows[sub])
+        for g, r in zip(packed.groups, residuals):
+            f = [fields[sub][:, span] for sub, span in g.sides]
+            own = elasticity.bc_residual(g.A, g.d, *f) if len(f) == 1 else elasticity.interface_residual(g.A, *f)
+            assert r.tobytes("F") == own.tobytes("F")
+            assert r.shape[0] == 1 or r.strides[0] == r.itemsize
+            at = np.einsum("bkf,bk->fb", g.A, (2.0 * g.alpha / r.shape[0]) * r)
+            for (sub, span), side in zip(g.sides, (np.add, np.subtract)):  # side b enters the jump as -A fb
+                assert adj[sub][:, span].tobytes() == side(0.0, at).tobytes()
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
@@ -235,12 +249,14 @@ def test_gradients_match_finite_differences():
     assert dev < 1e-5, dev
 
 
-@pytest.mark.parametrize("name, n", [("clamped_square", 12), ("dd_plate_hole", 32), ("dd_plate_hole@interleaved", 32)])
+@pytest.mark.parametrize(
+    "name, n", [("clamped_square", 12), ("dd_plate_hole", 32), ("dd_plate_hole@interleaved", 32), ("framed_square", 40)]
+)
 def test_gradients_match_fd_displacement_and_interface(name, n):
     # clamped_square has Displacement pieces, dd_plate_hole Interface pieces
-    # between its 4 subdomains (listed between the outer pieces, they make a
-    # subdomain's outer rows gathered by index); the ring and traction-square
-    # cases reach neither
+    # between its 4 subdomains (also listed between the outer pieces), and
+    # framed_square a subdomain that interfaces alone bound; the ring and
+    # traction-square cases reach none of these
     problem = _load(name)
     problem.networks.hidden_layers = 1
     problem.networks.units = 3

@@ -17,7 +17,7 @@ from holoelastic import geometry, training
 from holoelastic.autodiff import pack_batch
 from holoelastic.analytics import GridField
 from holoelastic.cli import run_command
-from holoelastic.elasticity import Displacement, Interface, Material, PlaneMode, Symmetry, Traction
+from holoelastic.elasticity import Interface, Material, PlaneMode, Symmetry, Traction
 from holoelastic.export import write_fields_csv
 from holoelastic.geometry import piece_point, region_contains
 from holoelastic.network import checkpoint_load, checkpoint_save
@@ -130,6 +130,15 @@ def test_load_maps_points_to_subdomains_once_per_subdomain(monkeypatch, configs)
     assert np.array_equal(domain.owner(xs, xs), want)
 
 
+def _split_arc(doc: dict, i: int, bc: dict, last: bool = False) -> None:
+    """Split piece i, an arc, at its mid-angle; the half that takes bc is listed first, or last."""
+    pieces = doc["geometry"]["pieces"]
+    head, tail = dict(pieces[i]), dict(pieces[i])
+    head["theta1"] = tail["theta0"] = (pieces[i]["theta0"] + pieces[i]["theta1"]) / 2
+    head["bc"] = bc
+    pieces[i:i + 1] = [tail, head] if last else [head, tail]
+
+
 def test_ring_reference_is_read_off_the_arcs(tmp_path, configs):
     # the shipped ring states only its kind; r, R and p come from its arcs about the origin
     ref = configs["ring_quadrant"].reference
@@ -147,10 +156,17 @@ def test_ring_reference_is_read_off_the_arcs(tmp_path, configs):
     doc["geometry"]["pieces"][2]["bc"]["data"] = {"normal_pressure": 0.0}
     path.write_text(json.dumps(doc))
     assert load_config(str(path)).reference == ref
+    # an arc split into halves under the same condition reads as the whole
+    for i in (0, 2):
+        doc = json.load(open(config_path("ring_quadrant")))
+        _split_arc(doc, i, doc["geometry"]["pieces"][i]["bc"])
+        path.write_text(json.dumps(doc))
+        assert load_config(str(path)).reference == ref
 
 
 PRESSED_DISPLACEMENT = {"type": "displacement", "data": {"normal_pressure": -1.0}}
 LOADED_TRACTION = {"type": "traction", "data": {"constant": [5, 0]}}
+FREE_TRACTION = {"type": "traction", "data": {"constant": [0, 0]}}
 
 
 @pytest.mark.parametrize(
@@ -160,15 +176,24 @@ LOADED_TRACTION = {"type": "traction", "data": {"constant": [5, 0]}}
         {0: PRESSED_DISPLACEMENT},
         {2: LOADED_TRACTION},
         {2: {"type": "symmetry"}},
+        lambda doc: _split_arc(doc, 0, FREE_TRACTION),
+        lambda doc: _split_arc(doc, 0, FREE_TRACTION, last=True),
+        lambda doc: _split_arc(doc, 2, LOADED_TRACTION),
+        lambda doc: _split_arc(doc, 2, LOADED_TRACTION, last=True),
     ],
-    ids=["both", "outer_displacement", "inner_loaded", "inner_symmetry"],
+    ids=["both", "outer_displacement", "inner_loaded", "inner_symmetry",
+         "outer_free_half_first", "outer_free_half_last", "inner_loaded_half_first", "inner_loaded_half_last"],
 )
 def test_ring_reference_needs_a_pressed_outer_arc_and_a_free_inner_one(tmp_path, bcs):
-    # Lame's solution holds for a pressure traction on the radius-R arc and a
-    # traction-free radius-r arc; a ring posed otherwise fails at `reference`
+    # Lame's solution holds for a pressure traction on every radius-R arc and a
+    # traction-free condition on every radius-r arc, in any piece order; a ring
+    # posed otherwise fails at `reference`
     doc = json.load(open(config_path("ring_quadrant")))
-    for i, bc in bcs.items():  # pieces 0 and 2 are the outer and the inner arc
-        doc["geometry"]["pieces"][i]["bc"] = bc
+    if callable(bcs):
+        bcs(doc)
+    else:
+        for i, bc in bcs.items():  # pieces 0 and 2 are the outer and the inner arc
+            doc["geometry"]["pieces"][i]["bc"] = bc
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=r"^reference: a ring needs "):
@@ -550,9 +575,11 @@ def test_cli_eval_rejects_a_checkpoint_that_names_an_activation(tmp_path, capsys
          "checkpoint.json: pair 0 phi: unknown key 'mode'\n"),
         (lambda d: d.update(pairs=5), "checkpoint.json: pairs must be a list, got int\n"),
         (lambda d: d.update(pairs=True), "checkpoint.json: pairs must be a list, got bool\n"),
+        (lambda d: d.update(extra=1), "checkpoint.json: unknown key 'extra'\n"),
+        (lambda d: d["pairs"][0].update(chi=d["pairs"][0]["phi"]), "checkpoint.json: pair 0: unknown key 'chi'\n"),
     ],
     ids=["short_weights", "long_bias", "zero_width", "broken_chain", "missing_weights", "no_pairs",
-         "nan_weight", "inf_bias", "string_bias", "mixed_modes", "pairs_int", "pairs_bool"],
+         "nan_weight", "inf_bias", "string_bias", "mixed_modes", "pairs_int", "pairs_bool", "top_key", "pair_key"],
 )
 def test_cli_eval_rejects_malformed_checkpoint(tmp_path, capsys, edit, message):
     cfg, out = _mini_ring(tmp_path, epochs=0)

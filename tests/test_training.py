@@ -10,7 +10,7 @@ import pytest
 
 import holoelastic
 from conftest import config_path, ring_problem, square_problem, with_training
-from holoelastic.autodiff import loss_backward, loss_forward, loss_value, pack_batch
+from holoelastic.autodiff import loss_backward, loss_forward, loss_value
 from holoelastic.cli import run_command
 from holoelastic.geometry import sample_boundary
 from holoelastic.jets import NonFiniteError
