@@ -41,6 +41,13 @@ in the diff, and it hashes:
                                           tests/test_autodiff.py's _load builds it),
                                           so a subdomain's outer rows are not
                                           contiguous in its evaluation array
+  ring_quadrant@1000/checkpoint.json, history.csv
+                                          `train` of ring_quadrant for its full 1000
+                                          epochs: a rounding change that only grows
+                                          late shows here (after a one-ulp change to
+                                          one first-layer weight the ring's train
+                                          loss is still the same at epoch 10 and
+                                          differs by 5.6e-8 relative at epoch 999)
   <config>/samples.csv                    `sample --n 300` (all configs)
   approx.csv                              `approx-demo --n 32`
   approx_exp.csv                          `approx-demo --n 32 --target exp`: the
@@ -76,6 +83,10 @@ def _show(label: str, path: str) -> None:
 
 def _double(doc: dict) -> None:
     doc["training"].pop("precision", None)
+
+
+def _full_length(doc: dict) -> None:
+    doc["training"]["epochs"] = 1000
 
 
 def _interleave(doc: dict) -> None:
@@ -166,6 +177,7 @@ def main(argv: list[str]) -> int:
             cfg, _, ckpt = train(tmp, name, label, edit)
             run("eval", cfg, ckpt, "--grid", "40x40")
             _show(f"{label}/fields.csv", os.path.join(os.path.dirname(ckpt), "fields.csv"))
+        train(tmp, "ring_quadrant", "ring_quadrant@1000", _full_length)
         approx = os.path.join(tmp, "approx.csv")
         run("approx-demo", "--n", "32", "--out", approx)
         _show("approx.csv", approx)

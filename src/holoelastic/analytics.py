@@ -18,7 +18,7 @@ import numpy as np
 from . import elasticity as el
 from . import geometry as geo
 from .autodiff import loss_backward, loss_forward
-from .jets import ActivationKind, NonFiniteError
+from .jets import ActivationKind, NonFiniteError, seed_jets
 from .network import BranchPair, HoloMLP, branch_backward, mlp_forward
 from .problem import NetworkConfig, OutputConfig, ProblemSpec
 from .rng import Rng
@@ -109,7 +109,7 @@ def grid_blocks(pairs: Sequence[BranchPair], problem, nx: int, ny: int) -> Itera
             if not where.any():
                 continue
             z = X[where] + 1j * Y[where]
-            jp, jq = mlp_forward(pairs[s], z, where=f"pair {s} ")
+            jp, jq = mlp_forward(pairs[s], seed_jets(z), where=f"pair {s} ")
             fs = el.km_fields(z, jp, jq, problem.material)
             bad = ~np.isfinite(fs).all(axis=0)
             if bad.any():

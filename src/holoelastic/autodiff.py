@@ -8,13 +8,15 @@ square.  pack_batch fixes each piece's residual operator once per sample
 batch, reads its loss weight off DomainSpec.weights and stacks the rows of
 each subdomain, interface sides included, into one operator
 (SubdomainOperator), so residuals and their adjoints run once per subdomain.
-loss_forward runs the stages, optionally on test points appended to the
-training points for a test loss, and keeps what the reverse pass needs: the
-branch caches, each piece's (B, k) residual array and its mean square.
-loss_backward passes adjoints back to the branch
-outputs (residuals -> el.km_fields_adjoint) and sweeps them through the
-branches, yielding for every complex weight w the real pair
-(dL/dRe w, dL/dIm w) packed as a complex number.
+loss_forward runs the stages from each subdomain's seed jets (seed_batch),
+optionally on test points appended to the training points for a test loss,
+and keeps what the reverse pass needs: the branch caches, each piece's (B, k)
+residual array and its mean square.  loss_backward passes adjoints back to
+the branch outputs (residuals -> el.km_fields_adjoint) and sweeps them
+through the branches, writing for every complex weight w the real pair
+(dL/dRe w, dL/dIm w) into one gradient vector (WeightGrad).  The seeds and
+the vector depend on the batch and the network shapes only, so train builds
+both once per run.
 
 Adjoint rules: every variable u carries a(u) = dL/dRe(u) + i dL/dIm(u).
 Through a holomorphic step v = f(u) the adjoint propagates as
@@ -36,8 +38,8 @@ import numpy as np
 
 from . import elasticity as el
 from .geometry import DomainSpec
-from .jets import NonFiniteError
-from .network import BranchPair, branch_backward, mlp_forward
+from .jets import NonFiniteError, seed_jets
+from .network import JET_ORDERS, BranchPair, branch_backward, mlp_forward, param_views
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -123,19 +125,42 @@ def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
 
 @dataclass
 class WeightGrad:
-    """Per subdomain the (phi, psi) lists of branch_backward's per-layer
-    (dL/dW, dL/db), each weight's pair (dL/dRe w, dL/dIm w) packed as Re + i Im."""
+    """The real gradient vector `vec`, aligned with network.flatten_params, and
+    per subdomain the (phi, psi) lists of per-layer (dL/dW, dL/db) that
+    branch_backward writes: complex views of vec (network.param_views), each
+    weight's pair (dL/dRe w, dL/dIm w) packed as Re + i Im."""
 
+    vec: np.ndarray
     grads: list[tuple[list, list]]
 
+    @classmethod
+    def zeros(cls, pairs: Sequence[BranchPair]) -> "WeightGrad":
+        """A zero gradient of the weights of `pairs`."""
+        vec = np.zeros(sum(2 * (l.weights.size + l.bias.size) for p in pairs for l in p.phi.layers + p.psi.layers))
+        return cls(vec, param_views(pairs, vec))
+
     def to_vector(self) -> np.ndarray:
-        """Real gradient vector aligned with network.flatten_params ordering."""
-        return np.concatenate(
-            [g.view(np.float64).ravel() for pair in self.grads for branch in pair for layer in branch for g in layer]
-        )
+        """vec; perfbench's ENTRY_POINTS names this method (test_span_entry_points_resolve)."""
+        return self.vec
 
 
 # --- forward -------------------------------------------------------------------
+
+
+@dataclass
+class Seeds:
+    """Per subdomain the evaluation points, its training rows then any test
+    rows, and their order-2 seed jets in the branches' complex dtype: fixed
+    for a batch, so a training run builds them once (seed_batch)."""
+
+    z: dict[int, np.ndarray]
+    jets: dict[int, np.ndarray]
+
+
+def seed_batch(packed: PackedBatch, test: Optional[PackedBatch] = None, dtype=np.complex128) -> Seeds:
+    """The Seeds of loss_forward on `packed` with `test` riding along, in the complex dtype."""
+    z = {s: z if test is None else np.concatenate((z, test.eval_z[s])) for s, z in packed.eval_z.items()}
+    return Seeds(z, {s: seed_jets(zs, JET_ORDERS[0], dtype) for s, zs in z.items()})
 
 
 @dataclass
@@ -214,7 +239,7 @@ def loss_forward(
     problem: "ProblemSpec",
     test: Optional[PackedBatch] = None,
     sweep_psi: bool = True,
-    dtype=np.complex128,
+    seeds: Optional[Seeds] = None,
 ) -> tuple[float, LossRecord]:
     """Boundary loss of the networks on a sample batch, with its record.
 
@@ -222,23 +247,24 @@ def loss_forward(
     subdomain through the same branch forwards: rec.test_loss equals
     loss_value on it bit for bit, and loss_backward leaves its points out.
     With sweep_psi False the psi branch keeps no layer caches, so
-    loss_backward sweeps the phi branches alone.  The branches and their
-    caches compute in the complex `dtype`; the field map, residuals and loss
-    are double whatever it is.
+    loss_backward sweeps the phi branches alone.  `seeds` are
+    seed_batch(batch, test, dtype), complex128 ones when None: the branches
+    and their caches compute in their dtype, and the field map, residuals
+    and loss are double whatever it is.
     """
     packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
     if len(pairs) != problem.domain.n_subdomains:
         raise ValueError(
             f"{len(pairs)} network pairs for {problem.domain.n_subdomains} subdomains"
         )
+    seeds = seed_batch(packed, test) if seeds is None else seeds
     subs: dict[int, SubdomainPass] = {}
     test_fields: dict[int, np.ndarray] = {}
     for sub, z in packed.eval_z.items():
         n = z.size
-        zz = z if test is None else np.concatenate((z, test.eval_z[sub]))
         cphi, cpsi = [], []
-        jp, jq = mlp_forward(pairs[sub], zz, f"pair {sub} ", (cphi, cpsi if sweep_psi else None), dtype)
-        fields = el.km_fields(zz, jp, jq, problem.material)
+        jp, jq = mlp_forward(pairs[sub], seeds.jets[sub], f"pair {sub} ", (cphi, cpsi if sweep_psi else None))
+        fields = el.km_fields(seeds.z[sub], jp, jq, problem.material)
         subs[sub] = SubdomainPass(z, cphi, cpsi, fields[:, :n])
         test_fields[sub] = fields[:, n:]
     residuals, rows = _residuals(packed, {s: sp.fields for s, sp in subs.items()})
@@ -257,22 +283,25 @@ def loss_value(pairs, batch, problem) -> float:
 # --- backward ------------------------------------------------------------------
 
 
-def loss_backward(rec: LossRecord) -> WeightGrad:
+def loss_backward(rec: LossRecord, grad: Optional[WeightGrad] = None) -> WeightGrad:
     """Gradient of rec.loss over every complex weight: residuals -> KM fields
-    -> branch jets (el.km_fields_adjoint) -> weights (branch_backward).  A psi
-    branch that kept no layer caches (loss_forward's sweep_psi False) gets [].
+    -> branch jets (el.km_fields_adjoint) -> weights (branch_backward),
+    written into `grad` (WeightGrad.zeros(rec.pairs) when None; train passes
+    the one it reuses every epoch) and returned.  A psi branch that kept no
+    layer caches (loss_forward's sweep_psi False) is not swept: its entries
+    keep their values, zero in a new WeightGrad.
 
     Reads the live weight arrays of rec.pairs, not copies: call it before
     the weights are updated.
     """
-    grads = []
+    grad = WeightGrad.zeros(rec.pairs) if grad is None else grad
     for sub, sp in rec.subs.items():
-        # dL/dfields: A^T rho onto zeros (which maps -0.0 to +0.0), rho being
-        # the residual rows times their signed loss scale
+        # dL/dfields = A^T rho, rho being the residual rows times their signed loss scale
         op = rec.batch.operators[sub]
-        adj = np.zeros_like(sp.fields)
-        adj += np.einsum("bkf,bk->fb", op.A, op.scale[:, None] * rec.rows[sub])
+        adj = np.einsum("bkf,bk->fb", op.A, op.scale[:, None] * rec.rows[sub])
         ap, aq = el.km_fields_adjoint(sp.z, adj, rec.material)
-        pair = rec.pairs[sub]
-        grads.append((branch_backward(pair.phi, sp.phi, ap), branch_backward(pair.psi, sp.psi, aq) if sp.psi else []))
-    return WeightGrad(grads)
+        pair, (gphi, gpsi) = rec.pairs[sub], grad.grads[sub]
+        branch_backward(pair.phi, sp.phi, ap, gphi)
+        if sp.psi:
+            branch_backward(pair.psi, sp.psi, aq, gpsi)
+    return grad

@@ -96,13 +96,14 @@ def km_fields_adjoint(z: np.ndarray, adj: np.ndarray, mat: Material) -> tuple[np
     psi-branch jets of km_fields from the (5, B) dL/dfields.  The field map is
     the only non-holomorphic complex step of the pipeline."""
     rxx, ryy, rxy = adj[0], adj[1], adj[2]
-    a_ddphi = z * (ryy - rxx + 1j * rxy)
-    a_dpsi = (ryy - rxx) + 1j * rxy
-    a_dphi = 2.0 * (rxx + ryy) + 0j
+    ap, aq = np.empty((3, z.size), np.complex128), np.empty((2, z.size), np.complex128)
     a_u = adj[3] + 1j * adj[4]
-    a_dphi = a_dphi + np.conj(a_u) * (-z / (2.0 * mat.mu))
-    a_psi = np.conj(a_u) * (-1.0 / (2.0 * mat.mu))
-    return np.stack(((mat.gamma / (2.0 * mat.mu)) * a_u, a_dphi, a_ddphi)), np.stack((a_psi, a_dpsi))
+    ap[0] = (mat.gamma / (2.0 * mat.mu)) * a_u
+    ap[1] = 2.0 * (rxx + ryy) + 0j + np.conj(a_u) * (-z / (2.0 * mat.mu))
+    ap[2] = z * (ryy - rxx + 1j * rxy)
+    aq[0] = np.conj(a_u) * (-1.0 / (2.0 * mat.mu))
+    aq[1] = (ryy - rxx) + 1j * rxy
+    return ap, aq
 
 
 # --- boundary conditions ----------------------------------------------------
@@ -239,6 +240,6 @@ def assemble_loss(residuals: Sequence[np.ndarray], alphas: Sequence[float]) -> t
     total = 0.0
     mse = []
     for r, alpha in zip(residuals, alphas):
-        mse.append(float(np.sum(r * r) / r.shape[0]))
+        mse.append(float(np.add.reduce(r * r, axis=None) / r.shape[0]))  # np.sum's reduction
         total += alpha * mse[-1]
     return total, mse

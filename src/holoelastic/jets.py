@@ -7,9 +7,10 @@ exponential activation yields the value and the first k z-derivatives of the
 composed function in one pass; the chain rule is applied to order k at every
 activation.  A jet's order is its channel count minus one, so each primitive
 reads it off the array, and its precision (complex128 or complex64) from the
-dtype.  The affine layer and the activation each come with their adjoint;
-exp is its own derivative, so the activated jet is also the jet of f'(y),
-which is all the activation's adjoint reads.
+dtype; so does network.forward_jets, which takes seed jets that a training
+run builds once.  The affine layer and the activation each come with their
+adjoint; exp is its own derivative, so the activated jet is also the jet of
+f'(y), which is all the activation's adjoint reads.
 """
 
 from __future__ import annotations
@@ -35,28 +36,30 @@ class ActivationKind(Enum):
 _CLEAR = np.ones((2, 2))  # see act_derivs
 
 
-def act_derivs(kind: ActivationKind, y: np.ndarray) -> np.ndarray:
+def act_derivs(kind: ActivationKind, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """e^y elementwise, at y's complex precision; it is also every derivative of exp.
 
     A complex64 exp is e^x (cos y + i sin y) on numpy's float32 exp, cos and
     sin, within 4 float32 ulps of |e| of the complex128 result.  Any other
-    input is evaluated in complex128 through libm.  Overflow is not clipped
-    and not warned about here; callers detect non-finite results and abort
-    with context.
+    input is evaluated in complex128 through libm.  The result goes into
+    `out` when given (activate_jets passes its output jet's value channel),
+    with the same bits as a new array.  Overflow is not clipped and not
+    warned about here; callers detect non-finite results and abort with
+    context.
     """
     y = np.asarray(y)
     with np.errstate(over="ignore", invalid="ignore"):
         if y.dtype == np.complex64:
             # numpy's float32 SIMD kernels (220x100 after a GEMM, 2-vCPU Xeon: 0.19 vs 1.5 ms below)
             m = np.exp(y.real)
-            e = np.empty_like(y)
+            e = np.empty_like(y) if out is None else out
             np.multiply(m, np.cos(y.imag), out=e.real)
             np.multiply(m, np.sin(y.imag), out=e.imag)
             return e
         # libm's complex exp runs 10-20x slower right after an OpenBLAS zgemm
         # (600x100 exp, Haswell Xeon: 29 vs 1.5 ms); a real matmul restores full speed.
         _CLEAR @ _CLEAR
-        return np.exp(y.astype(np.complex128, copy=False))
+        return np.exp(y.astype(np.complex128, copy=False), out=out)
 
 
 # --- vectorized layer primitives ------------------------------------------
@@ -81,8 +84,9 @@ def seed_jets(z: np.ndarray, order: int = 2, dtype=np.complex128) -> np.ndarray:
 def affine_jets(jets: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """(n,B,Ni) jets through y = W x + b in the jets' dtype; the bias touches the value channel only."""
     n, b, ni = jets.shape
-    out = (jets.reshape(n * b, ni) @ weights.astype(jets.dtype, copy=False).T).reshape(n, b, weights.shape[0])
-    out[0] += bias.astype(jets.dtype, copy=False)
+    w = weights if weights.dtype == jets.dtype else weights.astype(jets.dtype)
+    out = (jets.reshape(n * b, ni) @ w.T).reshape(n, b, w.shape[0])
+    out[0] += bias if bias.dtype == jets.dtype else bias.astype(jets.dtype)
     return out
 
 
@@ -96,7 +100,8 @@ def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.
     n, b, ni = jets.shape
     a2 = adj.reshape(n * b, adj.shape[2])
     gw = a2.T @ np.conj(jets).reshape(n * b, ni)
-    da = None if weights is None else (a2 @ np.conj(weights.astype(adj.dtype, copy=False))).reshape(n, b, ni)
+    w = weights if weights is None or weights.dtype == adj.dtype else weights.astype(adj.dtype)
+    da = None if w is None else (a2 @ np.conj(w)).reshape(n, b, ni)
     return gw, adj[0].sum(axis=0), da
 
 
@@ -108,9 +113,8 @@ def activate_jets(kind: ActivationKind, jets: np.ndarray) -> np.ndarray:
     network.forward_jets checks.
     """
     n = jets.shape[0]
-    e = act_derivs(kind, jets[0])
     out = np.empty_like(jets)
-    out[0] = e
+    e = act_derivs(kind, jets[0], out[0])
     if n > 1:
         np.multiply(e, jets[1], out=out[1])
     if n > 2:

@@ -30,7 +30,6 @@ from .jets import (
     activate_jets_adjoint,
     affine_jets,
     affine_jets_adjoint,
-    seed_jets,
 )
 from .rng import Rng
 
@@ -88,15 +87,15 @@ def build_mlp(hidden: Sequence[int]) -> HoloMLP:
 
 def forward_jets(
     net: HoloMLP,
-    z: np.ndarray,
-    order: int = 2,
+    seeds: np.ndarray,
     caches: Optional[list] = None,
     where: str = "",
     check_layers: bool = False,
-    dtype=np.complex128,
 ) -> np.ndarray:
-    """Evaluate the network on seeded jets of `order`, computing in the complex
-    `dtype`; returns the (order + 1, B) complex128 value and derivative channels.
+    """Evaluate the network on seed jets (jets.seed_jets) at their order and in
+    their complex dtype, both read off the array; returns the (order + 1, B)
+    complex128 value and derivative channels.  The seeds are only read, so a
+    run builds them once for all its epochs.
 
     With a `caches` list, appends one (input jets, derivative jet) entry per
     layer for branch_backward; the output layer has no activation and caches
@@ -106,12 +105,12 @@ def forward_jets(
     Only the output is checked for finiteness: a hidden overflow reaches it
     through any derivative channel (0 * inf after exp(-inf) = 0), and order-0
     jets, which have none, check every layer.  A non-finite output re-runs
-    with `check_layers` at the same dtype, raising NonFiniteError that names
-    the first bad hidden layer after `where`; if none is bad, it is returned.
+    with `check_layers`, raising NonFiniteError that names the first bad
+    hidden layer after `where`; if none is bad, it is returned.
     """
     keep = caches is not None
-    check_layers = check_layers or order == 0
-    jets = seed_jets(z, order, dtype)
+    check_layers = check_layers or seeds.shape[0] == 1
+    jets = seeds
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(net.layers):
@@ -126,32 +125,34 @@ def forward_jets(
                 caches.append((x, g))
     out = jets[:, :, 0].astype(np.complex128, copy=False)
     if not check_layers and not np.isfinite(out).all():
-        forward_jets(net, z, order, where=where, check_layers=True, dtype=dtype)
+        forward_jets(net, seeds, where=where, check_layers=True)
     return out
 
 
-def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray, out: Optional[list] = None) -> list:
     """Reverse sweep of forward_jets from an (n, B) output adjoint.
 
-    Runs in the caches' dtype; returns per layer the packed complex128
-    (dL/dW, dL/db).  Only the first n channels and the first B rows of the
-    caches take part: rows past B hold test points, and an adjoint that is
-    zero above channel n - 1 stays so through every layer (the Leibniz rule
-    of truncated series), so a sweep seeded at a low channel skips the rows
-    above it.  Each layer's (input jets, derivative jet) cache is all its
-    adjoints read.  Reads the live weight arrays, so it must run before they
-    are updated.
+    Runs in the caches' dtype and writes per layer the complex128 (dL/dW,
+    dL/db) into `out`, a list of per-layer (weights, bias) arrays such as
+    param_views gives (new arrays when None); returns it.  Only the first n
+    channels and the first B rows of the caches take part: rows past B hold
+    test points, and an adjoint that is zero above channel n - 1 stays so
+    through every layer (the Leibniz rule of truncated series), so a sweep
+    seeded at a low channel skips the rows above it.  Each layer's (input
+    jets, derivative jet) cache is all its adjoints read.  Reads the live
+    weight arrays, so it must run before they are updated.
     """
     n, b = adj.shape
+    if out is None:
+        out = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in net.layers]
     a = adj[:, :, None].astype(caches[0][0].dtype, copy=False)
-    grads = []
     for i in reversed(range(len(net.layers))):
         x, g = caches[i]
         if g is not None:
             a = activate_jets_adjoint(a, g[:n, :b])
         gw, gb, a = affine_jets_adjoint(a, x[:n, :b], net.layers[i].weights if i else None)
-        grads.append((gw.astype(np.complex128, copy=False), gb.astype(np.complex128, copy=False)))
-    return grads[::-1]
+        out[i][0][...], out[i][1][...] = gw, gb
+    return out
 
 
 # Jet orders (phi branch, psi branch): exactly the channels elasticity.km_fields
@@ -159,16 +160,18 @@ def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray) -> list[tuple[n
 JET_ORDERS = (2, 1)
 
 
-def mlp_forward(pair: BranchPair, z, where: str = "", caches=None, dtype=np.complex128) -> tuple[np.ndarray, np.ndarray]:
-    """The (phi, psi) branch jets of `pair` at the points z (flattened), each at
-    its JET_ORDERS order, for elasticity.km_fields.  With `caches`, a (phi, psi)
-    pair of lists, records each branch's forward_jets layer caches.  Both
-    branches compute in the complex `dtype` and return complex128.  An
-    overflow names "{where}phi" or "{where}psi" and the layer."""
+def mlp_forward(pair: BranchPair, seeds: np.ndarray, where: str = "", caches=None) -> tuple[np.ndarray, np.ndarray]:
+    """The (phi, psi) branch jets of `pair` from the order-2 seed jets
+    seed_jets(z) (flattened points z, in the branches' complex dtype), each
+    at its JET_ORDERS order, for elasticity.km_fields: phi reads the seeds
+    and psi their first two channels, which equal seed_jets(z, 1).  With
+    `caches`, a (phi, psi) pair of lists, records each branch's forward_jets
+    layer caches.  Both return complex128.  An overflow names
+    "{where}phi" or "{where}psi" and the layer."""
     cphi, cpsi = caches or (None, None)
     order_phi, order_psi = JET_ORDERS
-    jp = forward_jets(pair.phi, z, order_phi, cphi, where=where + "phi ", dtype=dtype)
-    jq = forward_jets(pair.psi, z, order_psi, cpsi, where=where + "psi ", dtype=dtype)
+    jp = forward_jets(pair.phi, seeds[: order_phi + 1], cphi, where=where + "phi ")
+    jq = forward_jets(pair.psi, seeds[: order_psi + 1], cpsi, where=where + "psi ")
     return jp, jq
 
 
@@ -207,16 +210,26 @@ def write_params(pairs: Sequence[BranchPair], vec: np.ndarray) -> None:
         raise ValueError(f"parameter vector has {vec.size} entries, networks need {pos}")
 
 
+def param_views(pairs: Sequence[BranchPair], vec: np.ndarray) -> list[tuple[list, list]]:
+    """Per pair the (phi, psi) lists of per-layer (weights, bias) complex views
+    of the real vector vec, shaped as the pairs' arrays, in flatten_params order."""
+    pos = 0
+
+    def view(a: np.ndarray) -> np.ndarray:
+        nonlocal pos
+        pos += 2 * a.size
+        return vec[pos - 2 * a.size : pos].view(np.complex128).reshape(a.shape)
+
+    return [tuple([(view(l.weights), view(l.bias)) for l in net.layers] for net in (p.phi, p.psi)) for p in pairs]
+
+
 def bind_params(pairs: Sequence[BranchPair]) -> np.ndarray:
     """flatten_params, with every layer's weights and bias rebound as complex
     views of the returned vector: updating it in place updates the networks."""
     vec = flatten_params(pairs)
-    pos = 0
-    for layer in _layers(pairs):
-        for name in ("weights", "bias"):
-            a = getattr(layer, name)
-            setattr(layer, name, vec[pos : pos + 2 * a.size].view(np.complex128).reshape(a.shape))
-            pos += 2 * a.size
+    views = [v for branches in param_views(pairs, vec) for layers in branches for v in layers]
+    for layer, (w, b) in zip(_layers(pairs), views):
+        layer.weights, layer.bias = w, b
     return vec
 
 

@@ -5,6 +5,8 @@ points, which start draws once up front, with the test points and the init
 probe, from seeded sub-streams of the run seed.  The test loss rides
 the training forward (autodiff.loss_forward's `test`).  Complex weights are
 optimized as independent real pairs; only the branch sweeps follow `precision`.
+An epoch redoes only what changes with the weights: the seed jets of the
+points and the gradient vector are built once per run.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import PackedBatch, loss_backward, loss_forward, pack_batch
+from .autodiff import PackedBatch, WeightGrad, loss_backward, loss_forward, pack_batch, seed_batch
 from .geometry import sample_boundary
 from .jets import NonFiniteError
 from .network import BranchPair, bind_params, build_mlp, init_weights
@@ -149,12 +151,14 @@ def train(problem: "ProblemSpec") -> tuple[list[BranchPair], History]:
     pairs, packed_train, packed_test = start(problem, cfg.m_e, PROBE_FACTOR * cfg.n_train)
     vec = bind_params(pairs)  # adam_step updates the layers through it
     adam = AdamState.zeros(vec.size)
+    seeds = seed_batch(packed_train, packed_test, PRECISIONS[cfg.precision])
+    grad = WeightGrad.zeros(pairs)
     history = History()
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         try:
-            loss, rec = loss_forward(pairs, packed_train, problem, test=packed_test, dtype=PRECISIONS[cfg.precision])
-            grads = loss_backward(rec).to_vector()
+            loss, rec = loss_forward(pairs, packed_train, problem, test=packed_test, seeds=seeds)
+            grads = loss_backward(rec, grad).to_vector()
             test = rec.test_loss
             del rec  # its caches must not outlive the epoch into the next forward
             adam_step(adam, grads, cfg.lr, vec)

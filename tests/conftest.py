@@ -8,6 +8,7 @@ import pytest
 from holoelastic.autodiff import PackedBatch, loss_backward, loss_forward, loss_value, pack_batch
 from holoelastic.elasticity import ConstantData, Material, NormalPressure, Symmetry, Traction, km_fields
 from holoelastic.geometry import Arc, BoundaryPiece, DomainSpec, Line
+from holoelastic.jets import seed_jets
 from holoelastic.network import flatten_params, mlp_forward, write_params
 from holoelastic.problem import NetworkConfig, OutputConfig, ProblemSpec
 from holoelastic.training import TrainConfig
@@ -117,7 +118,7 @@ def fd_trace_laplacian(stress_fn, z, h: float):
 
 def net_stress_fn(pair, mat):
     def fn(z):
-        return tuple(km_fields(z, *mlp_forward(pair, z), mat)[:3])
+        return tuple(km_fields(z, *mlp_forward(pair, seed_jets(z)), mat)[:3])
 
     return fn
 

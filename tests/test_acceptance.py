@@ -37,7 +37,7 @@ from holoelastic.analytics import (
 from holoelastic.cli import run_command
 from holoelastic.elasticity import Material, km_fields
 from holoelastic.geometry import allocate_counts, piece_length, sample_boundary
-from holoelastic.jets import ActivationKind
+from holoelastic.jets import ActivationKind, seed_jets
 from holoelastic.network import BETA2, BETA3, constructive_shallow, mlp_forward, shallow_eval
 from holoelastic.problem import load_config
 from holoelastic.rng import Rng
@@ -246,7 +246,7 @@ def test_criterion_8b_clamped_square_boundary_quality():
 
     def trace_second_diff(h):
         z_line = xs + 0.5j
-        f = lambda zz: km_fields(zz, *mlp_forward(pairs[0], zz), mat)
+        f = lambda zz: km_fields(zz, *mlp_forward(pairs[0], seed_jets(zz)), mat)
         vals = [f(z_line - h), f(z_line), f(z_line + h)]
         worst = 0.0
         for comp in range(5):  # sxx, syy, sxy, ux, uy

@@ -26,7 +26,7 @@ from holoelastic.cli import run_command
 from holoelastic.elasticity import Material, km_derivatives, km_fields
 from holoelastic.export import write_fields_csv
 from holoelastic.geometry import region_contains, sample_boundary
-from holoelastic.jets import ActivationKind
+from holoelastic.jets import ActivationKind, seed_jets
 from holoelastic.network import checkpoint_load, mlp_forward
 from holoelastic.problem import load_config
 from holoelastic.rng import Rng
@@ -239,7 +239,7 @@ def test_eval_grid_blocks_match_one_shot_evaluation(monkeypatch, configs, name, 
     for s, pair in enumerate(pairs):
         where = sub == s
         z = X[where] + 1j * Y[where]
-        jp, jq = mlp_forward(pair, z)
+        jp, jq = mlp_forward(pair, seed_jets(z))
         f = km_fields(z, jp, jq, spec.material)
         dphi, _, dpsi = km_derivatives(jp, jq)
         assert grid.rows.shape == (len(f), ny, nx), s
@@ -265,7 +265,7 @@ def test_dd_interface_nodes_belong_to_the_lower_numbered_quadrant(configs, nx, n
     assert np.array_equal(grid.mask, owner >= 0)
     for s, pair in enumerate(pairs):
         z = X[owner == s] + 1j * Y[owner == s]
-        assert grid.rows[:, owner == s].tobytes() == km_fields(z, *mlp_forward(pair, z), spec.material).tobytes(), s
+        assert grid.rows[:, owner == s].tobytes() == km_fields(z, *mlp_forward(pair, seed_jets(z)), spec.material).tobytes(), s
 
 
 def test_cli_eval_outputs_are_those_of_eval_grid(monkeypatch, tmp_path):

@@ -7,14 +7,14 @@ import pytest
 
 from conftest import CONFIG_NAMES, config_path, grad_check, ring_problem, square_problem
 from holoelastic import elasticity
-from holoelastic.autodiff import _residuals, loss_backward, loss_forward, loss_value, pack_batch
+from holoelastic.autodiff import WeightGrad, _residuals, loss_backward, loss_forward, loss_value, pack_batch, seed_batch
 from holoelastic.elasticity import ConstantData, Displacement, Interface, Traction
 from holoelastic.geometry import BoundaryPiece, DomainSpec, Line, piece_length, sample_boundary
 from holoelastic.jets import ActivationKind, NonFiniteError
 from holoelastic.network import BranchPair, branch_backward, build_mlp, flatten_params
 from holoelastic.problem import load_config
 from holoelastic.rng import Rng
-from holoelastic.training import build_pairs, init_pairs, train, train_samples
+from holoelastic.training import PRECISIONS, build_pairs, init_pairs, train, train_samples
 
 
 def _ring_setup(n=8, seed=3, hidden=(10, 10)):
@@ -163,7 +163,7 @@ def test_piece_weights_are_computed_once_when_the_domain_is_built(monkeypatch):
 @pytest.mark.parametrize("name", ["ring_quadrant", "square"])
 def test_loss_backward_sweeps_phi_alone_without_psi_caches(name):
     # a sweep_psi=False record yields the phi gradients of the full record
-    # bit for bit and no psi gradients
+    # bit for bit and leaves the psi gradients at zero
     problem = ring_problem(seed=4) if name == "ring_quadrant" else square_problem()
     pairs = build_pairs(problem)
     rng = Rng(4)
@@ -171,7 +171,7 @@ def test_loss_backward_sweeps_phi_alone_without_psi_caches(name):
     samples = sample_boundary(problem.domain, 40, rng.spawn(1))
     full = loss_backward(loss_forward(pairs, samples, problem)[1]).grads
     (phi, psi), = loss_backward(loss_forward(pairs, samples, problem, sweep_psi=False)[1]).grads
-    assert psi == [] and len(phi) == len(full[0][0])
+    assert len(phi) == len(full[0][0]) and not any(gw.any() or gb.any() for gw, gb in psi)
     for (gw, gb), (fw, fb) in zip(phi, full[0][0]):
         assert np.array_equal(gw, fw) and np.array_equal(gb, fb)
 
@@ -395,8 +395,9 @@ def test_single_precision_overflow_names_pair_branch_and_layer():
     problem, samples, pairs = _ring_setup(n=8, hidden=(10,))
     pairs[0].phi.layers[0].bias[:] = 95.0
     assert np.isfinite(loss_value(pairs, samples, problem))
+    packed = pack_batch(samples, problem.domain)
     with pytest.raises(NonFiniteError, match=r"^non-finite value in pair 0 phi layer 1$"):
-        loss_forward(pairs, samples, problem, dtype=np.complex64)
+        loss_forward(pairs, packed, problem, seeds=seed_batch(packed, dtype=np.complex64))
 
 
 @pytest.mark.parametrize("name", ["clamped_square", "dd_plate_hole"])
@@ -411,7 +412,7 @@ def test_single_precision_loss_and_gradient_stay_close_to_double(name):
     init_pairs(pairs, sample_boundary(problem.domain, 10 * cfg.n_train, rng.spawn(3)).z, cfg.beta, cfg.m_e, rng)
     ref, rec = loss_forward(pairs, packed, problem)
     gref = loss_backward(rec).to_vector()
-    loss, rec = loss_forward(pairs, packed, problem, dtype=np.complex64)
+    loss, rec = loss_forward(pairs, packed, problem, seeds=seed_batch(packed, dtype=np.complex64))
     assert {x.dtype for sp in rec.subs.values() for x, _ in sp.phi + sp.psi} == {np.dtype(np.complex64)}
     assert all(sp.fields.dtype == np.float64 for sp in rec.subs.values())
     g = loss_backward(rec).to_vector()
@@ -427,6 +428,32 @@ def test_gradient_vector_alignment():
     assert gvec.shape == flatten_params(pairs).shape
     assert np.all(np.isfinite(gvec))
     assert np.any(gvec != 0.0)
+
+
+@pytest.mark.parametrize("name", ["ring_quadrant", "clamped_square", "dd_plate_hole"])
+def test_gradient_lands_in_the_reused_vector_as_concatenated_layers(name):
+    # loss_backward writes every layer's gradient into the WeightGrad it is
+    # given, as train reuses one over all epochs: over stale entries, the
+    # vector equals the layers of a new WeightGrad concatenated in order (in
+    # the config's precision; dd_plate_hole has four pairs)
+    problem = load_config(config_path(name))
+    problem.networks.hidden_layers, problem.networks.units = 2, 6
+    rng = Rng(6)
+    train_b = pack_batch(sample_boundary(problem.domain, 64, rng.spawn(1)), problem.domain)
+    test_b = pack_batch(sample_boundary(problem.domain, 24, rng.spawn(2)), problem.domain)
+    pairs = build_pairs(problem)
+    init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.7, 3, rng)
+    seeds = seed_batch(train_b, test_b, PRECISIONS[problem.training.precision])
+    grad = WeightGrad.zeros(pairs)
+    grad.vec[:] = np.nan
+    for step in range(2):
+        _, rec = loss_forward(pairs, train_b, problem, test=test_b, seeds=seeds)
+        assert loss_backward(rec, grad) is grad and grad.to_vector() is grad.vec
+        layers = [g for pair in loss_backward(rec).grads for branch in pair for layer in branch for g in layer]
+        want = np.concatenate([g.view(np.float64).ravel() for g in layers])
+        assert grad.vec.shape == flatten_params(pairs).shape and grad.vec.tobytes() == want.tobytes()
+        for p in pairs:  # the second step's gradient replaces the first's
+            p.phi.layers[0].weights *= 1.5
 
 
 @pytest.mark.parametrize("kind", [ActivationKind.EXP])

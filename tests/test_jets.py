@@ -82,7 +82,7 @@ def test_activation_overflow_raises():
     for layer, w in zip(net.layers, (1.0, 1.0, 1e4, 1.0)):
         layer.weights[:] = w
     with pytest.raises(NonFiniteError, match=r"layer 3$"):
-        forward_jets(net, np.array([1.0 + 0j]))
+        forward_jets(net, seed_jets(np.array([1.0 + 0j])))
 
 
 @pytest.mark.parametrize("kind", [ActivationKind.EXP])
@@ -166,3 +166,35 @@ def test_act_derivs_bitwise_after_complex_gemm(kind, dtype):
     want = act_derivs(kind, y0) if dtype is np.complex64 else np.exp(y0)  # after no GEMM
     assert got.dtype == dtype and np.isfinite(got).all()
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _activate_by_copy(jets):
+    """activate_jets with e^y computed in an array of its own and copied into the output jet."""
+    n = jets.shape[0]
+    e = act_derivs(ActivationKind.EXP, jets[0])
+    out = np.empty_like(jets)
+    out[0] = e
+    if n > 1:
+        np.multiply(e, jets[1], out=out[1])
+    if n > 2:
+        np.multiply(e, jets[1], out=out[2])
+        out[2] *= jets[1]
+        out[2] += e * jets[2]
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("points", [220, 4000])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_activate_jets_writes_e_y_into_its_output_jet_bit_for_bit(dtype, points, channels):
+    # activate_jets has act_derivs write e^y straight into its output's value
+    # channel; every channel keeps the bits of e^y computed apart and copied.
+    # 10 units: 220 points stay below numpy's 256 KiB temporary-elision size
+    # in both dtypes, 4000 points pass it
+    rng = np.random.default_rng(points + channels)
+    shape = (channels, points, 10)
+    jets = (rng.normal(scale=0.5, size=shape) + 1j * rng.normal(scale=0.5, size=shape)).astype(dtype)
+    got = activate_jets(ActivationKind.EXP, jets)
+    assert got.dtype == dtype
+    assert got[0].tobytes() == act_derivs(ActivationKind.EXP, jets[0]).tobytes()
+    assert got.tobytes() == _activate_by_copy(jets).tobytes()

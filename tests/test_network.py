@@ -53,7 +53,7 @@ def test_param_count_matches_reference_protocol():
 
 def test_zero_net_forward_is_zero():
     pair = BranchPair(build_mlp([10, 10]), build_mlp([10, 10]))
-    jp, jq = mlp_forward(pair, 0.3 + 0.4j)
+    jp, jq = mlp_forward(pair, seed_jets(0.3 + 0.4j))
     # (phi, phi', phi'') and (psi, psi')
     assert jp.shape == (3, 1) and jq.shape == (2, 1)
     assert np.all(jp == 0) and np.all(jq == 0)
@@ -63,10 +63,10 @@ def test_jets_match_finite_differences_in_z():
     pair = _init_pair([10, 10], seed=4)
     rng = Rng(9)
     z = (rng.uniform(20, -1.5, -0.2) + 1j * rng.uniform(20, 0.2, 1.5)).astype(complex)
-    jets = forward_jets(pair.phi, z)
+    jets = forward_jets(pair.phi, seed_jets(z))
     h = 1e-5
-    fp = forward_jets(pair.phi, z + h)[0]
-    fm = forward_jets(pair.phi, z - h)[0]
+    fp = forward_jets(pair.phi, seed_jets(z + h))[0]
+    fm = forward_jets(pair.phi, seed_jets(z - h))[0]
     d1_fd = (fp - fm) / (2 * h)
     d2_fd = (fp - 2 * jets[0] + fm) / h**2
     assert np.max(np.abs(d1_fd - jets[1]) / np.maximum(1.0, np.abs(jets[1]))) < 1e-6
@@ -77,15 +77,33 @@ def test_jets_match_finite_differences_in_z():
 def test_forward_jets_lower_orders_are_channel_prefixes(kind):
     pair = _init_pair([6, 6], seed=2)
     z = np.array([0.2 + 0.1j, -0.3 + 0.5j, 0.7 - 0.4j])
-    full = forward_jets(pair.phi, z, 2)
+    full = forward_jets(pair.phi, seed_jets(z, 2))
     assert full.shape == (3, z.size)
     for order in (0, 1, 2):
         caches = []
-        got = forward_jets(pair.phi, z, order, caches)
+        got = forward_jets(pair.phi, seed_jets(z, order), caches)
         assert got.shape == (order + 1, z.size)
         assert np.array_equal(got, full[: order + 1])
         # each hidden layer caches a derivative jet with its input's channels
         assert all(g.shape[0] == x.shape[0] == order + 1 for x, g in caches[:-1])
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_psi_seeds_are_phis_first_two_channels(dtype):
+    # mlp_forward seeds once at phi's order and hands psi the first two
+    # channels: bit for bit the forward, caches included, of order-1 seeds
+    pair = _init_pair([6, 6], seed=5)
+    z = np.array([0.2 + 0.1j, -0.3 + 0.5j, 0.7 - 0.4j, 1.1 + 0.9j])
+    seeds = seed_jets(z, 2, dtype)
+    assert seeds[:2].tobytes() == seed_jets(z, 1, dtype).tobytes()
+    cut, own = [], []
+    got = forward_jets(pair.psi, seeds[:2], cut)
+    want = forward_jets(pair.psi, seed_jets(z, 1, dtype), own)
+    assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
+    assert mlp_forward(pair, seeds)[1].tobytes() == want.tobytes()
+    for (xa, ga), (xb, gb) in zip(cut, own):
+        assert xa.dtype == dtype and xa.tobytes() == xb.tobytes()
+        assert (ga is None and gb is None) or ga.tobytes() == gb.tobytes()
 
 
 def _unchecked_forward(net, z, order):
@@ -110,7 +128,7 @@ def test_hidden_overflow_is_named_at_every_jet_order(order):
     z = np.array([1.0 + 0j])
     assert np.isfinite(_unchecked_forward(net, z, order)).all() == (order == 0)
     with pytest.raises(NonFiniteError, match=r"^non-finite value in pair 3 psi layer 1$"):
-        forward_jets(net, z, order, where="pair 3 psi ")
+        forward_jets(net, seed_jets(z, order), where="pair 3 psi ")
 
 
 def test_init_beta_bounds():

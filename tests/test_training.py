@@ -10,6 +10,7 @@ import pytest
 
 import holoelastic
 from conftest import config_path, ring_problem, square_problem, with_training
+from holoelastic import jets
 from holoelastic.autodiff import loss_backward, loss_forward, loss_value
 from holoelastic.cli import run_command
 from holoelastic.geometry import sample_boundary
@@ -188,6 +189,21 @@ def test_train_matches_the_flatten_step_write_loop_bit_for_bit():
         write_params(ref, vec)
     assert list(zip(history.train_loss, history.test_loss)) == losses
     assert flatten_params(pairs).tobytes() == flatten_params(ref).tobytes()
+
+
+@pytest.mark.parametrize("name", ["ring_quadrant", "dd_plate_hole"])
+def test_train_seeds_each_subdomain_once_per_run(monkeypatch, name):
+    # the seed jets of the training and test points are fixed for a run, so
+    # a 5-epoch train builds them once per subdomain, not twice per epoch;
+    # seed_jets is counted in every module that holds it
+    problem = with_training(load_config(config_path(name)), epochs=5)
+    calls, seed_jets = [], jets.seed_jets
+    counted = lambda *a, **k: calls.append(1) or seed_jets(*a, **k)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("holoelastic") and getattr(mod, "seed_jets", None) is seed_jets:
+            monkeypatch.setattr(mod, "seed_jets", counted)
+    assert len(train(problem)[1]) == 5
+    assert 0 < len(calls) <= problem.domain.n_subdomains
 
 
 def _fresh_process(code: str) -> str:
