@@ -1,10 +1,14 @@
 """Print one `<artifact> <sha256>` line for every output of the shipped configs.
 
 Usage: python scripts/output_digests.py [REPO]
+       python scripts/output_digests.py --check DIGESTS.txt [REPO]
+       python scripts/output_digests.py --list
 
 Runs the holoelastic CLI of REPO (default: the checkout that holds this
 script) single-threaded inside a temporary directory, which is removed
-afterwards.  It sets the three BLAS thread variables itself, because in
+afterwards.  The lines follow a header of `#` lines that name the platform
+the bytes depend on: the numpy version, the OpenBLAS build and the kernel
+it picked for the CPU, the CPU model and the BLAS thread count.  It sets the three BLAS thread variables itself, because in
 checkouts older than the package root's HOLOELASTIC_THREADS cap that
 variable does not reach the BLAS.  It prints each config's loaded
 networks, training, outputs, material and reference sections as JSON
@@ -54,8 +58,17 @@ in the diff, and it hashes:
                                           shallow net built from exp's Taylor
                                           coefficients, exp itself up to round-off
 
-Diffing the output on two checkouts checks that a change leaves every one of
-these outputs byte-identical:
+DIGESTS.txt at the repo root holds these lines as of its commit.  `--check
+DIGESTS.txt` recomputes them and prints each artifact whose line moved (or
+that is new or gone); it exits 0 when none did and 1 otherwise.  If the
+file's header is not this host's platform it exits 3 without running
+anything, since hashes from another BLAS kernel or CPU say nothing.  A
+change that moves an output rewrites DIGESTS.txt in the same commit:
+
+  python scripts/output_digests.py > DIGESTS.txt
+
+`--list` prints the artifact labels alone, without running anything.
+Diffing the output on two checkouts compares any two commits:
 
   python scripts/output_digests.py /path/to/other/checkout > a.txt
   python scripts/output_digests.py > b.txt && diff a.txt b.txt
@@ -63,6 +76,7 @@ these outputs byte-identical:
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import dataclasses
 import glob
@@ -70,15 +84,27 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 
 EPOCHS = 20
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _show(label: str, path: str) -> None:
-    with open(path, "rb") as fh:
-        print(f"{label} {hashlib.sha256(fh.read()).hexdigest()}", flush=True)
+def platform_header() -> list[str]:
+    """The `#` lines naming what the output bytes depend on besides the code."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = platform.processor() or platform.machine()
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((l.split(":", 1)[1].strip() for l in fh if l.startswith("model name")), cpu)
+    return [f"# numpy {np.__version__}",
+            f"# blas {blas.get('openblas configuration', blas.get('name'))}",
+            f"# cpu {cpu}",
+            f"# threads {os.environ['OPENBLAS_NUM_THREADS']}"]
 
 
 def _double(doc: dict) -> None:
@@ -96,15 +122,23 @@ def _interleave(doc: dict) -> None:
     doc["geometry"]["pieces"] = [p for pair in zip(outer, iface) for p in pair] + outer[len(iface):]
 
 
-def main(argv: list[str]) -> int:
-    repo = os.path.abspath(argv[0] if argv else os.path.join(os.path.dirname(__file__), ".."))
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"  # before numpy loads
-    sys.path.insert(0, os.path.join(repo, "src"))
-    from holoelastic.cli import run_command
-    from holoelastic.problem import load_config
+def digests(repo: str, dry: bool = False):
+    """Yield (label, line value) per artifact in output order; with `dry` the
+    labels alone (value None), running and loading nothing of holoelastic."""
+    if not dry:
+        sys.path.insert(0, os.path.join(repo, "src"))
+        from holoelastic.cli import run_command
+        from holoelastic.problem import load_config
+
+    def show(label: str, path: str) -> tuple[str, str]:
+        if dry:
+            return label, None
+        with open(path, "rb") as fh:
+            return label, hashlib.sha256(fh.read()).hexdigest()
 
     def run(*args: str) -> None:
+        if dry:
+            return
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run_command(list(args))
@@ -138,51 +172,99 @@ def main(argv: list[str]) -> int:
         cfg, doc, out = copy_config(tmp, name, label, edit_all)
         ckpt = os.path.join(out, "checkpoint.json")
         run("train", cfg)
-        _show(f"{label}/checkpoint.json", ckpt)
-        _show(f"{label}/history.csv", os.path.join(out, "history.csv"))
+        yield show(f"{label}/checkpoint.json", ckpt)
+        yield show(f"{label}/history.csv", os.path.join(out, "history.csv"))
         return cfg, doc, ckpt
 
     configs = sorted(glob.glob(os.path.join(repo, "configs", "*.json")))
     with tempfile.TemporaryDirectory() as tmp:
         for src in configs:
             name = os.path.splitext(os.path.basename(src))[0]
-            spec = load_config(src)
+            spec = None if dry else load_config(src)
             for key in ("networks", "training", "outputs", "material", "reference"):
+                if dry:
+                    yield f"{name}/{key}", None
+                    continue
                 section = getattr(spec, key)
                 section = dataclasses.asdict(section) if dataclasses.is_dataclass(section) else section
-                print(f"{name}/{key} {json.dumps(section, default=lambda e: e.value)}", flush=True)
-            cfg, doc, ckpt = train(tmp, name)
+                yield f"{name}/{key}", json.dumps(section, default=lambda e: e.value)
+            cfg, doc, ckpt = yield from train(tmp, name)
             out = os.path.dirname(ckpt)
             run("eval", cfg, ckpt, "--grid", "40x40")
-            _show(f"{name}/fields.csv", os.path.join(out, "fields.csv"))
+            yield show(f"{name}/fields.csv", os.path.join(out, "fields.csv"))
             if doc.get("reference"):
-                _show(f"{name}/errors.csv", os.path.join(out, "errors.csv"))
+                yield show(f"{name}/errors.csv", os.path.join(out, "errors.csv"))
                 run("eval", cfg, ckpt, "--grid", "400x400")
-                _show(f"{name}/fields_400x400.csv", os.path.join(out, "fields.csv"))
-                _show(f"{name}/errors_400x400.csv", os.path.join(out, "errors.csv"))
+                yield show(f"{name}/fields_400x400.csv", os.path.join(out, "fields.csv"))
+                yield show(f"{name}/errors_400x400.csv", os.path.join(out, "errors.csv"))
             if name == "dd_plate_hole":
                 run("eval", cfg, ckpt, "--grid", "300x300")
-                _show(f"{name}/fields_300x300.csv", os.path.join(out, "fields.csv"))
+                yield show(f"{name}/fields_300x300.csv", os.path.join(out, "fields.csv"))
             if name == "clamped_square":
                 run("eval", cfg, ckpt, "--grid", "200x200")
-                _show(f"{name}/fields_200x200.csv", os.path.join(out, "fields.csv"))
+                yield show(f"{name}/fields_200x200.csv", os.path.join(out, "fields.csv"))
                 run("init-check", cfg)
-                _show(f"{name}/variance.csv", os.path.join(out, "variance.csv"))
+                yield show(f"{name}/variance.csv", os.path.join(out, "variance.csv"))
                 run("init-check", cfg, "--m-e", "3")
-                _show(f"{name}/variance_m_e3.csv", os.path.join(out, "variance.csv"))
+                yield show(f"{name}/variance_m_e3.csv", os.path.join(out, "variance.csv"))
             run("sample", cfg, "--n", "300")
-            _show(f"{name}/samples.csv", os.path.join(out, "samples.csv"))
+            yield show(f"{name}/samples.csv", os.path.join(out, "samples.csv"))
         for name, label, edit in (("clamped_square", "clamped_square@double", _double),
                                   ("dd_plate_hole", "dd_plate_hole@interleaved", _interleave)):
-            cfg, _, ckpt = train(tmp, name, label, edit)
+            cfg, _, ckpt = yield from train(tmp, name, label, edit)
             run("eval", cfg, ckpt, "--grid", "40x40")
-            _show(f"{label}/fields.csv", os.path.join(os.path.dirname(ckpt), "fields.csv"))
-        train(tmp, "ring_quadrant", "ring_quadrant@1000", _full_length)
+            yield show(f"{label}/fields.csv", os.path.join(os.path.dirname(ckpt), "fields.csv"))
+        yield from train(tmp, "ring_quadrant", "ring_quadrant@1000", _full_length)
         approx = os.path.join(tmp, "approx.csv")
         run("approx-demo", "--n", "32", "--out", approx)
-        _show("approx.csv", approx)
+        yield show("approx.csv", approx)
         run("approx-demo", "--n", "32", "--target", "exp", "--out", approx)
-        _show("approx_exp.csv", approx)
+        yield show("approx_exp.csv", approx)
+
+
+def check(path: str, repo: str) -> int:
+    """Compare the lines of the digests file at `path` with this host's: 3 if
+    its header is another platform's, else 1 if any line moved, else 0."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header, host = [l for l in lines if l.startswith("#")], platform_header()
+    if header != host:
+        print(f"{path} was recorded on another platform; its hashes are not compared", file=sys.stderr)
+        print("\n".join([f"  recorded {l}" for l in header] + [f"  host     {l}" for l in host]), file=sys.stderr)
+        return 3
+    want = dict(l.split(" ", 1) for l in lines if l and not l.startswith("#"))
+    moved = 0
+    for label, value in digests(repo):
+        if want.pop(label, None) != value:
+            moved += 1
+            print(label, flush=True)
+    for label in want:  # recorded, but no longer produced
+        moved += 1
+        print(label, flush=True)
+    print(f"{moved} artifact line(s) moved" if moved else "all artifact lines match", file=sys.stderr)
+    return 1 if moved else 0
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description="Digests of every output of the shipped configs.")
+    ap.add_argument("repo", nargs="?", default=os.path.join(os.path.dirname(__file__), ".."),
+                    help="checkout whose holoelastic runs (default: this script's)")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--check", metavar="DIGESTS", help="recompute and report the lines that moved")
+    mode.add_argument("--list", action="store_true", help="print the artifact labels without running anything")
+    args = ap.parse_args(argv)
+    repo = os.path.abspath(args.repo)
+    if args.list:
+        for label, _ in digests(repo, dry=True):
+            print(label)
+        return 0
+    for var in THREAD_VARS:
+        os.environ[var] = "1"  # before numpy loads
+    if args.check:
+        return check(args.check, repo)
+    print("\n".join(platform_header()), flush=True)
+    for label, value in digests(repo):
+        print(f"{label} {value}", flush=True)
     return 0
 
 

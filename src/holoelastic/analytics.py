@@ -17,7 +17,7 @@ import numpy as np
 
 from . import elasticity as el
 from . import geometry as geo
-from .autodiff import loss_backward, loss_forward
+from .autodiff import loss_backward, loss_forward, pack_batch, seed_batch
 from .jets import ActivationKind, NonFiniteError, seed_jets
 from .network import BranchPair, HoloMLP, branch_backward, mlp_forward
 from .problem import NetworkConfig, OutputConfig, ProblemSpec
@@ -259,7 +259,7 @@ def variance_report(problem, m_e: Optional[int], n_probe: int) -> VarianceReport
         with np.errstate(over="ignore", invalid="ignore"):
             pairs, packed, _ = start(problem, m_e, n_probe)
             phi = pairs[0].phi
-            _, rec = loss_forward(pairs, packed, problem, sweep_psi=False)
+            _, rec = loss_forward(pairs, seed_batch(packed), problem, sweep_psi=False)
             var_loss = [_cvar(gw) for gw, _ in loss_backward(rec).grads[0][0][:n_inner]]
             caches = rec.subs[0].phi
             del rec  # the sweeps read the caches alone
@@ -294,7 +294,7 @@ def heldout_residuals(pairs, problem, n_points: int, seed: int) -> dict:
     one) and per piece ("piece_rms"), and each sample's point ("z"), piece
     index ("piece") and residual norm ("norm"), in loss_forward's order."""
     samples = geo.sample_boundary(problem.domain, n_points, Rng(seed).spawn(7))
-    _, rec = loss_forward(pairs, samples, problem)
+    _, rec = loss_forward(pairs, seed_batch(pack_batch(samples, problem.domain)), problem)
     iface = [r.ravel() for g, r in zip(rec.groups, rec.residuals) if len(g.sides) == 2]
     return {
         "outer_rms": rms(np.concatenate([r.ravel() for g, r in zip(rec.groups, rec.residuals) if len(g.sides) == 1])),

@@ -4,13 +4,13 @@ The loss graph always has the same shape: per subdomain two branches
 (L x (jet affine, jet activation) each, one network.mlp_forward), the
 Kolosov-Muskhelishvili field map from their jets to (5, B) field rows
 (el.km_fields), per-piece boundary residuals and the length-weighted mean
-square.  pack_batch fixes each piece's residual operator once per sample
-batch, reads its loss weight off DomainSpec.weights and stacks the rows of
-each subdomain, interface sides included, into one operator
-(SubdomainOperator), so residuals and their adjoints run once per subdomain.
-loss_forward runs the stages from each subdomain's seed jets (seed_batch),
-optionally on test points appended to the training points for a test loss,
-and keeps what the reverse pass needs: the branch caches, each piece's (B, k)
+square.  pack_batch writes each piece's residual operator once per sample
+batch, into the rows of each subdomain it bounds, interface sides included:
+one operator per subdomain (SubdomainOperator), so residuals and their
+adjoints run once per subdomain.  loss_forward's one input is the Seeds
+of a packed batch (seed_batch), which also carry any test batch whose
+points ride along after the training points for a test loss.  It keeps
+what the reverse pass needs: the branch caches, each piece's (B, k)
 residual array and its mean square.  loss_backward passes adjoints back to
 the branch outputs (residuals -> el.km_fields_adjoint) and sweeps them
 through the branches, writing for every complex weight w the real pair
@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from . import elasticity as el
 from .geometry import DomainSpec
 from .jets import NonFiniteError, seed_jets
-from .network import JET_ORDERS, BranchPair, branch_backward, mlp_forward, param_views
+from .network import BranchPair, branch_backward, mlp_forward, param_views
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -56,9 +56,8 @@ class Group:
     alpha: float  # loss weight, DomainSpec.weights[piece]
     z: np.ndarray
     t: np.ndarray
-    A: np.ndarray  # (B, k, 5) residual operator of el.bc_operator
-    d: np.ndarray  # (B, k) prescribed data
-    # (subdomain, rows of its eval_z) per side: one on an outer piece, a then b on an interface
+    k: int  # residual components of el.bc_operator, 2 per side
+    # (subdomain, rows of its eval_z and operator) per side: one on an outer piece, a then b on an interface
     sides: tuple[tuple[int, slice], ...]
 
 
@@ -80,44 +79,42 @@ class PackedBatch:
     operators: dict[int, SubdomainOperator]
 
 
-def _operator(groups: list[Group], sub: int, n: int) -> SubdomainOperator:
-    """The SubdomainOperator of subdomain `sub`, whose eval_z has n rows."""
-    sides = [(g, rows, i) for g in groups for i, (s, rows) in enumerate(g.sides) if s == sub]
-    k = max(g.A.shape[1] for g, _, _ in sides)
-    A, d, scale = np.zeros((n, k, 5)), np.zeros((n, k), order="F"), np.empty(n)
-    for g, rows, i in sides:
-        A[rows, : g.A.shape[1]], d[rows, : g.d.shape[1]] = g.A, g.d
-        scale[rows] = (-2.0 if i else 2.0) * g.alpha / g.z.size
-    return SubdomainOperator(A, d, scale)
-
-
 def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
-    """Group a sample_boundary batch by piece, fix each piece's residual operator,
-    read its loss weight off domain.weights, build the per-subdomain evaluation
-    arrays and each subdomain's operator over them (SubdomainOperator).
+    """Group a sample_boundary batch by piece, read each piece's loss weight
+    off domain.weights, and write its points and residual operator
+    (el.bc_operator) once, into the rows of every subdomain it bounds: the
+    subdomain's eval_z and SubdomainOperator, sized up front.
 
     Every piece needs at least one sample.  Within each group samples are
     ordered by t (ties keep their batch order), which fixes the reduction
-    order regardless of the input permutation.  Interface samples appear in
-    the evaluation arrays of both adjoining subdomains.
+    order regardless of the input permutation.  A subdomain's rows follow
+    its pieces' order, so interface samples appear in the evaluation arrays
+    of both adjoining subdomains.
     """
-    groups = []
-    chunks: dict[int, list[np.ndarray]] = {i: [] for i in range(domain.n_subdomains)}
+    count = np.bincount(samples.piece, minlength=len(domain.pieces))
+    eval_z, ops = {}, {}
+    for s in range(domain.n_subdomains):
+        mine = [i for i, p in enumerate(domain.pieces) if s in p.subdomains]
+        n, k = int(count[mine].sum()), 4 if any(domain.pieces[i].is_interface for i in mine) else 2
+        eval_z[s] = np.empty(n, samples.z.dtype)
+        ops[s] = SubdomainOperator(np.zeros((n, k, 5)), np.zeros((n, k), order="F"), np.empty(n))
+    groups, fill = [], [0] * domain.n_subdomains
     for idx, piece in enumerate(domain.pieces):
         rows = np.flatnonzero(samples.piece == idx)
         if rows.size == 0:
             raise ValueError(f"boundary piece {idx} ({piece.name!r}) is empty: the batch has no sample on it")
         rows = rows[np.argsort(samples.t[rows], kind="stable")]
-        z = samples.z[rows]
+        z, alpha = samples.z[rows], domain.weights[idx]
         A, d = el.bc_operator(piece.bc, samples.normal[rows], z)
         sides = []
-        for sub in piece.subdomains:
-            start = sum(c.size for c in chunks[sub])
-            chunks[sub].append(z)
-            sides.append((sub, slice(start, start + z.size)))
-        groups.append(Group(idx, domain.weights[idx], z, samples.t[rows], A, d, tuple(sides)))
-    eval_z = {s: np.concatenate(c) for s, c in chunks.items()}
-    return PackedBatch(groups, eval_z, {s: _operator(groups, s, z.size) for s, z in eval_z.items()})
+        for i, sub in enumerate(piece.subdomains):
+            r, op = slice(fill[sub], fill[sub] + z.size), ops[sub]
+            fill[sub] = r.stop
+            eval_z[sub][r], op.A[r, : A.shape[1]], op.d[r, : A.shape[1]] = z, A, d
+            op.scale[r] = (-2.0 if i else 2.0) * alpha / z.size
+            sides.append((sub, r))
+        groups.append(Group(idx, alpha, z, samples.t[rows], A.shape[1], tuple(sides)))
+    return PackedBatch(groups, eval_z, ops)
 
 
 # --- weight gradients ---------------------------------------------------------
@@ -149,18 +146,21 @@ class WeightGrad:
 
 @dataclass
 class Seeds:
-    """Per subdomain the evaluation points, its training rows then any test
-    rows, and their order-2 seed jets in the branches' complex dtype: fixed
+    """loss_forward's input: a packed batch, an optional packed test batch,
+    and per subdomain the evaluation points, the batch's rows then any test
+    rows, with their seed jets in the branches' complex dtype.  All are fixed
     for a batch, so a training run builds them once (seed_batch)."""
 
+    batch: PackedBatch
+    test: Optional[PackedBatch]
     z: dict[int, np.ndarray]
     jets: dict[int, np.ndarray]
 
 
 def seed_batch(packed: PackedBatch, test: Optional[PackedBatch] = None, dtype=np.complex128) -> Seeds:
-    """The Seeds of loss_forward on `packed` with `test` riding along, in the complex dtype."""
+    """The Seeds of `packed` with `test` riding along, in the complex dtype."""
     z = {s: z if test is None else np.concatenate((z, test.eval_z[s])) for s, z in packed.eval_z.items()}
-    return Seeds(z, {s: seed_jets(zs, JET_ORDERS[0], dtype) for s, zs in z.items()})
+    return Seeds(packed, test, z, {s: seed_jets(zs, dtype) for s, zs in z.items()})
 
 
 @dataclass
@@ -213,7 +213,7 @@ def _residuals(packed: PackedBatch, fields: dict[int, np.ndarray]) -> tuple[list
         if len(g.sides) == 2:
             sb, rb = g.sides[1]
             rows[sa][ra] = rows[sb][rb] = rows[sa][ra] - rows[sb][rb]
-        out.append(rows[sa][ra, : g.A.shape[1]])
+        out.append(rows[sa][ra, : g.k])
     return out, rows
 
 
@@ -234,30 +234,21 @@ def _loss(groups: list[Group], residuals: list[np.ndarray]) -> tuple[float, list
 
 
 def loss_forward(
-    pairs: Sequence[BranchPair],
-    batch: Union[PackedBatch, np.recarray],
-    problem: "ProblemSpec",
-    test: Optional[PackedBatch] = None,
-    sweep_psi: bool = True,
-    seeds: Optional[Seeds] = None,
+    pairs: Sequence[BranchPair], seeds: Seeds, problem: "ProblemSpec", sweep_psi: bool = True
 ) -> tuple[float, LossRecord]:
-    """Boundary loss of the networks on a sample batch, with its record.
+    """Boundary loss of the networks on the packed batch of `seeds`, with its record.
 
-    A packed `test` batch's points follow the training points of each
-    subdomain through the same branch forwards: rec.test_loss equals
+    The points of a test batch (seeds.test) follow the training points of
+    each subdomain through the same branch forwards: rec.test_loss equals
     loss_value on it bit for bit, and loss_backward leaves its points out.
     With sweep_psi False the psi branch keeps no layer caches, so
-    loss_backward sweeps the phi branches alone.  `seeds` are
-    seed_batch(batch, test, dtype), complex128 ones when None: the branches
-    and their caches compute in their dtype, and the field map, residuals
-    and loss are double whatever it is.
+    loss_backward sweeps the phi branches alone.  The branches and their
+    caches compute in the seeds' dtype, and the field map, residuals and
+    loss are double whatever it is.
     """
-    packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
+    packed, test = seeds.batch, seeds.test
     if len(pairs) != problem.domain.n_subdomains:
-        raise ValueError(
-            f"{len(pairs)} network pairs for {problem.domain.n_subdomains} subdomains"
-        )
-    seeds = seed_batch(packed, test) if seeds is None else seeds
+        raise ValueError(f"{len(pairs)} network pairs for {problem.domain.n_subdomains} subdomains")
     subs: dict[int, SubdomainPass] = {}
     test_fields: dict[int, np.ndarray] = {}
     for sub, z in packed.eval_z.items():
@@ -275,9 +266,9 @@ def loss_forward(
     return loss, rec
 
 
-def loss_value(pairs, batch, problem) -> float:
-    """Boundary loss alone."""
-    return loss_forward(pairs, batch, problem)[0]
+def loss_value(pairs, batch: PackedBatch, problem) -> float:
+    """Boundary loss alone, on complex128 seeds."""
+    return loss_forward(pairs, seed_batch(batch), problem)[0]
 
 
 # --- backward ------------------------------------------------------------------

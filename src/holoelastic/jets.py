@@ -69,15 +69,14 @@ def act_derivs(kind: ActivationKind, y: np.ndarray, out: Optional[np.ndarray] = 
 # channels lets each affine layer run as a single GEMM.
 
 
-def seed_jets(z: np.ndarray, order: int = 2, dtype=np.complex128) -> np.ndarray:
-    """Identity jets (z, 1, 0) of the given order (0, 1 or 2) at the points z, of the complex dtype."""
+def seed_jets(z: np.ndarray, dtype=np.complex128) -> np.ndarray:
+    """Order-2 identity jets (z, 1, 0) at the points z, of the complex dtype;
+    their first two channels are the order-1 ones."""
     z = np.asarray(z, dtype=np.complex128).ravel()
     if not np.isfinite(z).all():
         raise ValueError("seed_jets requires finite inputs")
-    out = np.zeros((order + 1, z.size, 1), dtype=dtype)
-    out[0, :, 0] = z
-    if order >= 1:
-        out[1, :, 0] = 1.0
+    out = np.zeros((3, z.size, 1), dtype=dtype)
+    out[0, :, 0], out[1, :, 0] = z, 1.0
     return out
 
 

@@ -103,13 +103,12 @@ def forward_jets(
     layer's input.
 
     Only the output is checked for finiteness: a hidden overflow reaches it
-    through any derivative channel (0 * inf after exp(-inf) = 0), and order-0
-    jets, which have none, check every layer.  A non-finite output re-runs
-    with `check_layers`, raising NonFiniteError that names the first bad
-    hidden layer after `where`; if none is bad, it is returned.
+    through any derivative channel (0 * inf after exp(-inf) = 0).  A
+    non-finite output re-runs with `check_layers`, raising NonFiniteError
+    that names the first bad hidden layer after `where`; if none is bad, it
+    is returned.
     """
     keep = caches is not None
-    check_layers = check_layers or seeds.shape[0] == 1
     jets = seeds
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -161,10 +160,10 @@ JET_ORDERS = (2, 1)
 
 
 def mlp_forward(pair: BranchPair, seeds: np.ndarray, where: str = "", caches=None) -> tuple[np.ndarray, np.ndarray]:
-    """The (phi, psi) branch jets of `pair` from the order-2 seed jets
-    seed_jets(z) (flattened points z, in the branches' complex dtype), each
-    at its JET_ORDERS order, for elasticity.km_fields: phi reads the seeds
-    and psi their first two channels, which equal seed_jets(z, 1).  With
+    """The (phi, psi) branch jets of `pair` from the seed jets seed_jets(z)
+    (flattened points z, in the branches' complex dtype), each at its
+    JET_ORDERS order, for elasticity.km_fields: phi reads the seeds and psi
+    their first two channels, the order-1 seed jets.  With
     `caches`, a (phi, psi) pair of lists, records each branch's forward_jets
     layer caches.  Both return complex128.  An overflow names
     "{where}phi" or "{where}psi" and the layer."""
@@ -365,8 +364,9 @@ def checkpoint_load(path: str) -> list[BranchPair]:
     positive [n_out, n_in], weights and bias must hold n_out * n_in and n_out
     [re, im] pairs of finite JSON numbers, and the widths must chain 1 -> 1.
     """
-    with open(path) as fh:
-        doc = json.load(fh, object_hook=_layer_arrays)
+    with open(path) as fh:  # an integer past the float range reads as a signed inf, which fails as 1e309 does
+        doc = json.load(fh, object_hook=_layer_arrays,
+                        parse_int=lambda s: int(s) if math.isfinite(float(s)) else float(s))
     if not isinstance(doc, dict) or not doc.get("pairs"):
         raise ValueError(f"checkpoint {path}: no network pairs")
     if not isinstance(doc["pairs"], list):

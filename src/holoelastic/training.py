@@ -3,7 +3,7 @@
 Training is full batch: one epoch is one optimizer step over all training
 points, which start draws once up front, with the test points and the init
 probe, from seeded sub-streams of the run seed.  The test loss rides
-the training forward (autodiff.loss_forward's `test`).  Complex weights are
+the training forward (autodiff.seed_batch's `test`).  Complex weights are
 optimized as independent real pairs; only the branch sweeps follow `precision`.
 An epoch redoes only what changes with the weights: the seed jets of the
 points and the gradient vector are built once per run.
@@ -157,7 +157,7 @@ def train(problem: "ProblemSpec") -> tuple[list[BranchPair], History]:
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
         try:
-            loss, rec = loss_forward(pairs, packed_train, problem, test=packed_test, seeds=seeds)
+            loss, rec = loss_forward(pairs, seeds, problem)
             grads = loss_backward(rec, grad).to_vector()
             test = rec.test_loss
             del rec  # its caches must not outlive the epoch into the next forward

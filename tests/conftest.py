@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from holoelastic.autodiff import PackedBatch, loss_backward, loss_forward, loss_value, pack_batch
+from holoelastic.autodiff import PackedBatch, Seeds, loss_backward, loss_forward, loss_value, pack_batch, seed_batch
 from holoelastic.elasticity import ConstantData, Material, NormalPressure, Symmetry, Traction, km_fields
 from holoelastic.geometry import Arc, BoundaryPiece, DomainSpec, Line
 from holoelastic.jets import seed_jets
@@ -131,6 +131,15 @@ def equilibrium_residual(nets, mat, z, h: float):
     return r1, r2
 
 
+# --- the loss's input ------------------------------------------------------------
+
+
+def seeded(batch, problem: ProblemSpec, test=None) -> Seeds:
+    """The complex128 Seeds of a sample or packed batch, with an optional test batch riding along."""
+    pack = lambda b: b if b is None or isinstance(b, PackedBatch) else pack_batch(b, problem.domain)
+    return seed_batch(pack(batch), pack(test))
+
+
 # --- the FD gradient contract ---------------------------------------------------
 
 
@@ -142,8 +151,9 @@ def grad_check(pairs, batch, problem, step: float = 1e-6) -> float:
     """
     if not (0.0 < step <= 1e-3):
         raise ValueError(f"step must be in (0, 1e-3], got {step}")
-    packed = batch if isinstance(batch, PackedBatch) else pack_batch(batch, problem.domain)
-    _, rec = loss_forward(pairs, packed, problem)
+    seeds = seeded(batch, problem)
+    packed = seeds.batch
+    _, rec = loss_forward(pairs, seeds, problem)
     gvec = loss_backward(rec).to_vector()
     vec = flatten_params(pairs)
     scale = 1e-3 * max(float(np.max(np.abs(gvec))) if gvec.size else 0.0, 1e-30)

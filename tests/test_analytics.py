@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import config_path, equilibrium_residual, fd_equilibrium, fd_trace_laplacian, net_stress_fn, ring_problem, square_problem
+from conftest import (config_path, equilibrium_residual, fd_equilibrium, fd_trace_laplacian, net_stress_fn, ring_problem, seeded,
+                      square_problem)
 from holoelastic.analytics import (
     GridField,
     eval_grid,
@@ -302,7 +303,7 @@ def test_heldout_residuals_is_one_loss_forward(configs):
     spec = configs["dd_plate_hole"]
     pairs = _initialized_pairs(spec)
     got = heldout_residuals(pairs, spec, 300, seed=11)
-    _, rec = loss_forward(pairs, sample_boundary(spec.domain, 300, Rng(11).spawn(7)), spec)
+    _, rec = loss_forward(pairs, seeded(sample_boundary(spec.domain, 300, Rng(11).spawn(7)), spec), spec)
     assert {r.shape[1] for r in rec.residuals} == {2, 4}
     mean_sq = lambda rs: float(np.sum(np.concatenate([r.ravel() for r in rs]) ** 2)) / sum(r.size for r in rs)
     outer = [r for g, r in zip(rec.groups, rec.residuals) if len(g.sides) == 1]

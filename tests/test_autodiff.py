@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CONFIG_NAMES, config_path, grad_check, ring_problem, square_problem
+from conftest import CONFIG_NAMES, config_path, grad_check, ring_problem, seeded, square_problem
 from holoelastic import elasticity
 from holoelastic.autodiff import WeightGrad, _residuals, loss_backward, loss_forward, loss_value, pack_batch, seed_batch
 from holoelastic.elasticity import ConstantData, Displacement, Interface, Traction
@@ -24,7 +24,7 @@ def _ring_setup(n=8, seed=3, hidden=(10, 10)):
     rng = Rng(seed)
     samples = sample_boundary(problem.domain, n, rng.spawn(1))
     pairs = build_pairs(problem)
-    probe = np.array([s.z for s in sample_boundary(problem.domain, 200, rng.spawn(3))])
+    probe = sample_boundary(problem.domain, 200, rng.spawn(3)).z
     init_pairs(pairs, probe, 0.5, 3, rng)
     return problem, samples, pairs
 
@@ -32,7 +32,7 @@ def _ring_setup(n=8, seed=3, hidden=(10, 10)):
 def test_empty_batch_rejected():
     problem, samples, pairs = _ring_setup()
     with pytest.raises(ValueError, match="empty"):
-        loss_forward(pairs, samples[:0], problem)
+        loss_forward(pairs, seeded(samples[:0], problem), problem)
 
 
 def test_pack_rejects_batch_missing_a_piece():
@@ -62,8 +62,12 @@ def test_pack_batch_ignores_sample_order(name):
     assert np.any(perm != np.arange(len(samples)))
     a, b = pack_batch(samples, problem.domain), pack_batch(samples[perm], problem.domain)
     for ga, gb in zip(a.groups, b.groups):
-        for field in ("z", "t", "A", "d"):
+        for field in ("z", "t", "k", "sides"):
             assert np.array_equal(getattr(ga, field), getattr(gb, field)), field
+    for sub, op in a.operators.items():
+        assert a.eval_z[sub].tobytes() == b.eval_z[sub].tobytes()
+        for field in ("A", "d", "scale"):
+            assert getattr(op, field).tobytes() == getattr(b.operators[sub], field).tobytes(), field
     assert loss_value(pairs, a, problem) == loss_value(pairs, b, problem)
 
 
@@ -114,10 +118,12 @@ def test_outer_stack_gives_each_piece_its_own_residual_and_adjoint(name):
             adj[sub] += np.einsum("bkf,bk->fb", op.A, op.scale[:, None] * rows[sub])
         for g, r in zip(packed.groups, residuals):
             f = [fields[sub][:, span] for sub, span in g.sides]
-            own = elasticity.bc_residual(g.A, g.d, *f) if len(f) == 1 else elasticity.interface_residual(g.A, *f)
+            piece = problem.domain.pieces[g.piece]
+            A, d = elasticity.bc_operator(piece.bc, problem.domain.outward_normal(g.piece, g.t), g.z)
+            own = elasticity.bc_residual(A, d, *f) if len(f) == 1 else elasticity.interface_residual(A, *f)
             assert r.tobytes("F") == own.tobytes("F")
             assert r.shape[0] == 1 or r.strides[0] == r.itemsize
-            at = np.einsum("bkf,bk->fb", g.A, (2.0 * g.alpha / r.shape[0]) * r)
+            at = np.einsum("bkf,bk->fb", A, (2.0 * g.alpha / r.shape[0]) * r)
             for (sub, span), side in zip(g.sides, (np.add, np.subtract)):  # side b enters the jump as -A fb
                 assert adj[sub][:, span].tobytes() == side(0.0, at).tobytes()
 
@@ -134,7 +140,7 @@ def test_loss_reads_the_packed_piece_weights(name):
     assert [g.alpha for g in packed.groups] == [piece_length(p) / outer_len for p in problem.domain.pieces]
     pairs = build_pairs(problem)
     init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.5, 3, rng)
-    loss, rec = loss_forward(pairs, packed, problem)
+    loss, rec = loss_forward(pairs, seeded(packed, problem), problem)
     total = 0.0
     for g, r, mse in zip(rec.groups, rec.residuals, rec.mse):
         assert r.shape[0] == g.z.size and mse == float(np.sum(r * r) / r.shape[0])
@@ -169,8 +175,8 @@ def test_loss_backward_sweeps_phi_alone_without_psi_caches(name):
     rng = Rng(4)
     init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.7, 3, rng)
     samples = sample_boundary(problem.domain, 40, rng.spawn(1))
-    full = loss_backward(loss_forward(pairs, samples, problem)[1]).grads
-    (phi, psi), = loss_backward(loss_forward(pairs, samples, problem, sweep_psi=False)[1]).grads
+    full = loss_backward(loss_forward(pairs, seeded(samples, problem), problem)[1]).grads
+    (phi, psi), = loss_backward(loss_forward(pairs, seeded(samples, problem), problem, sweep_psi=False)[1]).grads
     assert len(phi) == len(full[0][0]) and not any(gw.any() or gb.any() for gw, gb in psi)
     for (gw, gb), (fw, fb) in zip(phi, full[0][0]):
         assert np.array_equal(gw, fw) and np.array_equal(gb, fb)
@@ -179,7 +185,7 @@ def test_loss_backward_sweeps_phi_alone_without_psi_caches(name):
 def test_subdomain_count_mismatch():
     problem, samples, pairs = _ring_setup()
     with pytest.raises(ValueError, match="subdomain"):
-        loss_forward(pairs + pairs, samples, problem)
+        loss_forward(pairs + pairs, seeded(samples, problem), problem)
 
 
 def test_zero_net_zero_data_gives_zero_loss():
@@ -188,23 +194,23 @@ def test_zero_net_zero_data_gives_zero_loss():
         piece.bc = Traction(ConstantData(0.0, 0.0))
     pairs = build_pairs(problem)  # zero weights
     samples = sample_boundary(problem.domain, 16, Rng(0))
-    loss, _ = loss_forward(pairs, samples, problem)
+    loss, _ = loss_forward(pairs, seeded(samples, problem), problem)
     assert loss == 0.0
 
 
 def test_fresh_net_loss_positive_and_replayable():
     problem, samples, pairs = _ring_setup()
-    loss, _ = loss_forward(pairs, samples, problem)
+    loss, _ = loss_forward(pairs, seeded(samples, problem), problem)
     assert np.isfinite(loss) and loss > 0
     # the forward-only re-evaluation agrees bit for bit
-    assert loss_value(pairs, samples, problem) == loss
+    assert loss_value(pairs, pack_batch(samples, problem.domain), problem) == loss
 
 
 def test_loss_record_caches_only_the_channels_km_reads():
     problem = square_problem()
     pairs = build_pairs(problem)
     samples = sample_boundary(problem.domain, 8, Rng(0))
-    _, rec = loss_forward(pairs, samples, problem)
+    _, rec = loss_forward(pairs, seeded(samples, problem), problem)
     sp = rec.subs[0]
     # (phi, phi', phi'') and (psi, psi')
     for caches, n in ((sp.phi, 3), (sp.psi, 2)):
@@ -217,7 +223,7 @@ def test_loss_record_caches_only_the_channels_km_reads():
 def test_exp_derivative_jet_is_the_next_layers_input():
     # exp' = exp, so an exp layer caches nothing beyond its output
     problem, samples, pairs = _ring_setup()
-    _, rec = loss_forward(pairs, samples, problem)
+    _, rec = loss_forward(pairs, seeded(samples, problem), problem)
     for caches in (rec.subs[0].phi, rec.subs[0].psi):
         assert all(caches[i][1] is caches[i + 1][0] for i in range(len(caches) - 1))
 
@@ -236,7 +242,7 @@ def test_loss_record_holds_one_jet_per_hidden_layer_and_activation(kind):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        _, rec = loss_forward(pairs, samples, problem)
+        _, rec = loss_forward(pairs, seeded(samples, problem), problem)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -293,7 +299,7 @@ def test_zeroed_fanout_gives_exactly_zero_gradient():
     problem, samples, pairs = _ring_setup(n=8)
     # cut unit 2 of the phi branch's hidden layer 1 out of every downstream path
     pairs[0].phi.layers[1].weights[:, 2] = 0.0
-    _, rec = loss_forward(pairs, samples, problem)
+    _, rec = loss_forward(pairs, seeded(samples, problem), problem)
     g = loss_backward(rec).grads[0][0][0][0]  # pair 0, phi, layer 1, dL/dW
     assert np.all(g[2, :] == 0.0)
     gb = loss_backward(rec).grads[0][0][0][1]
@@ -332,7 +338,7 @@ def test_non_finite_loss_names_sample():
     # the quadrant has Re(z) <= 0, so a large negative weight overflows exp
     pairs[0].phi.layers[0].weights[:] = -4000.0
     with pytest.raises(NonFiniteError, match="layer"):
-        loss_forward(pairs, samples, problem)
+        loss_forward(pairs, seeded(samples, problem), problem)
 
 
 def test_nan_output_weight_names_residual_sample():
@@ -340,7 +346,7 @@ def test_nan_output_weight_names_residual_sample():
     # the output layer has no activation check, so the NaN reaches the residuals
     pairs[0].phi.layers[-1].weights[0, 0] = np.nan
     with pytest.raises(NonFiniteError, match=r"non-finite residual at piece 0, sample t=.*, z="):
-        loss_forward(pairs, samples, problem)
+        loss_forward(pairs, seeded(samples, problem), problem)
 
 
 def test_readout_overflow_names_residual_sample_without_warnings():
@@ -352,7 +358,7 @@ def test_readout_overflow_names_residual_sample_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteError, match=r"^non-finite residual at piece \d+, sample t=.*, z="):
-            loss_forward(pairs, samples, problem)
+            loss_forward(pairs, seeded(samples, problem), problem)
 
 
 @pytest.mark.parametrize("name", ["ring_quadrant", "dd_plate_hole"])
@@ -368,9 +374,9 @@ def test_test_rows_ride_the_training_forward(name):
     pairs = build_pairs(problem)
     probe = np.array([s.z for s in sample_boundary(problem.domain, 200, rng.spawn(3))])
     init_pairs(pairs, probe, 0.7, 3, rng)
-    loss, rec = loss_forward(pairs, train_b, problem, test=test_b)
+    loss, rec = loss_forward(pairs, seeded(train_b, problem, test_b), problem)
     assert rec.test_loss == loss_value(pairs, test_b, problem)
-    loss0, rec0 = loss_forward(pairs, train_b, problem)
+    loss0, rec0 = loss_forward(pairs, seeded(train_b, problem), problem)
     assert loss == loss0 and np.isnan(rec0.test_loss)
     g, g0 = (loss_backward(r).to_vector() for r in (rec, rec0))
     assert np.any(g != 0.0) and np.array_equal(g, g0)
@@ -380,7 +386,7 @@ def test_hidden_layer_overflow_names_pair_branch_and_layer():
     problem, samples, pairs = _ring_setup(n=8)
     pairs[0].psi.layers[1].bias[:] = 1e4
     with pytest.raises(NonFiniteError, match=r"^non-finite value in pair 0 psi layer 2$"):
-        loss_forward(pairs, samples, problem)
+        loss_forward(pairs, seeded(samples, problem), problem)
     # training runs the same forward; its message adds the epoch
     problem = ring_problem(epochs=5, seed=0, n_train=40, n_test=8)
     problem.training.lr = 10.0
@@ -394,10 +400,10 @@ def test_single_precision_overflow_names_pair_branch_and_layer():
     # single-precision forward re-runs in single to name the layer
     problem, samples, pairs = _ring_setup(n=8, hidden=(10,))
     pairs[0].phi.layers[0].bias[:] = 95.0
-    assert np.isfinite(loss_value(pairs, samples, problem))
+    assert np.isfinite(loss_value(pairs, pack_batch(samples, problem.domain), problem))
     packed = pack_batch(samples, problem.domain)
     with pytest.raises(NonFiniteError, match=r"^non-finite value in pair 0 phi layer 1$"):
-        loss_forward(pairs, packed, problem, seeds=seed_batch(packed, dtype=np.complex64))
+        loss_forward(pairs, seed_batch(packed, dtype=np.complex64), problem)
 
 
 @pytest.mark.parametrize("name", ["clamped_square", "dd_plate_hole"])
@@ -410,9 +416,9 @@ def test_single_precision_loss_and_gradient_stay_close_to_double(name):
     packed = pack_batch(sample_boundary(problem.domain, cfg.n_train, rng.spawn(1)), problem.domain)
     pairs = build_pairs(problem)
     init_pairs(pairs, sample_boundary(problem.domain, 10 * cfg.n_train, rng.spawn(3)).z, cfg.beta, cfg.m_e, rng)
-    ref, rec = loss_forward(pairs, packed, problem)
+    ref, rec = loss_forward(pairs, seeded(packed, problem), problem)
     gref = loss_backward(rec).to_vector()
-    loss, rec = loss_forward(pairs, packed, problem, seeds=seed_batch(packed, dtype=np.complex64))
+    loss, rec = loss_forward(pairs, seed_batch(packed, dtype=np.complex64), problem)
     assert {x.dtype for sp in rec.subs.values() for x, _ in sp.phi + sp.psi} == {np.dtype(np.complex64)}
     assert all(sp.fields.dtype == np.float64 for sp in rec.subs.values())
     g = loss_backward(rec).to_vector()
@@ -423,7 +429,7 @@ def test_single_precision_loss_and_gradient_stay_close_to_double(name):
 
 def test_gradient_vector_alignment():
     problem, samples, pairs = _ring_setup(n=8)
-    _, rec = loss_forward(pairs, samples, problem)
+    _, rec = loss_forward(pairs, seeded(samples, problem), problem)
     gvec = loss_backward(rec).to_vector()
     assert gvec.shape == flatten_params(pairs).shape
     assert np.all(np.isfinite(gvec))
@@ -447,7 +453,7 @@ def test_gradient_lands_in_the_reused_vector_as_concatenated_layers(name):
     grad = WeightGrad.zeros(pairs)
     grad.vec[:] = np.nan
     for step in range(2):
-        _, rec = loss_forward(pairs, train_b, problem, test=test_b, seeds=seeds)
+        _, rec = loss_forward(pairs, seeds, problem)
         assert loss_backward(rec, grad) is grad and grad.to_vector() is grad.vec
         layers = [g for pair in loss_backward(rec).grads for branch in pair for layer in branch for g in layer]
         want = np.concatenate([g.view(np.float64).ravel() for g in layers])
@@ -467,7 +473,7 @@ def test_branch_backward_reads_the_adjoints_channels_only(kind):
     test_b = pack_batch(sample_boundary(problem.domain, 16, rng.spawn(2)), problem.domain)
     pairs = build_pairs(problem)
     init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.7, 3, rng)
-    _, rec = loss_forward(pairs, train_b, problem, test=test_b)
+    _, rec = loss_forward(pairs, seeded(train_b, problem, test_b), problem)
     sp = rec.subs[0]
     b = sp.z.size
     for net, caches in ((pairs[0].phi, sp.phi), (pairs[0].psi, sp.psi)):

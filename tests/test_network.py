@@ -77,11 +77,11 @@ def test_jets_match_finite_differences_in_z():
 def test_forward_jets_lower_orders_are_channel_prefixes(kind):
     pair = _init_pair([6, 6], seed=2)
     z = np.array([0.2 + 0.1j, -0.3 + 0.5j, 0.7 - 0.4j])
-    full = forward_jets(pair.phi, seed_jets(z, 2))
+    full = forward_jets(pair.phi, seed_jets(z))
     assert full.shape == (3, z.size)
     for order in (0, 1, 2):
         caches = []
-        got = forward_jets(pair.phi, seed_jets(z, order), caches)
+        got = forward_jets(pair.phi, seed_jets(z)[: order + 1], caches)
         assert got.shape == (order + 1, z.size)
         assert np.array_equal(got, full[: order + 1])
         # each hidden layer caches a derivative jet with its input's channels
@@ -94,11 +94,11 @@ def test_psi_seeds_are_phis_first_two_channels(dtype):
     # channels: bit for bit the forward, caches included, of order-1 seeds
     pair = _init_pair([6, 6], seed=5)
     z = np.array([0.2 + 0.1j, -0.3 + 0.5j, 0.7 - 0.4j, 1.1 + 0.9j])
-    seeds = seed_jets(z, 2, dtype)
-    assert seeds[:2].tobytes() == seed_jets(z, 1, dtype).tobytes()
+    seeds = seed_jets(z, dtype)
+    assert seeds.dtype == dtype and np.array_equal(seeds[:2, :, 0], np.array([z, np.ones(z.size)], dtype))
     cut, own = [], []
     got = forward_jets(pair.psi, seeds[:2], cut)
-    want = forward_jets(pair.psi, seed_jets(z, 1, dtype), own)
+    want = forward_jets(pair.psi, seed_jets(z, dtype)[:2].copy(), own)
     assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
     assert mlp_forward(pair, seeds)[1].tobytes() == want.tobytes()
     for (xa, ga), (xb, gb) in zip(cut, own):
@@ -107,7 +107,7 @@ def test_psi_seeds_are_phis_first_two_channels(dtype):
 
 
 def _unchecked_forward(net, z, order):
-    jets = seed_jets(z, order)
+    jets = seed_jets(z)[: order + 1]
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(net.layers):
             jets = affine_jets(jets, layer.weights, layer.bias)
@@ -116,19 +116,18 @@ def _unchecked_forward(net, z, order):
     return jets[:, :, 0]
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("order", [1, 2])
 def test_hidden_overflow_is_named_at_every_jet_order(order):
     # layer 1 overflows to inf and layer 2 maps it to exp(-inf + i nan) = 0.
     # A derivative channel carries the overflow to the output as 0 * inf =
-    # NaN; an order-0 jet has none, so its value comes out finite and
-    # forward_jets checks every layer of an order-0 branch
+    # NaN, so the output check re-runs the branch to name the layer
     net = build_mlp([1, 1])
     for layer, w in zip(net.layers, (1e4, -1.0, 1.0)):
         layer.weights[:] = w
     z = np.array([1.0 + 0j])
-    assert np.isfinite(_unchecked_forward(net, z, order)).all() == (order == 0)
+    assert not np.isfinite(_unchecked_forward(net, z, order)).all()
     with pytest.raises(NonFiniteError, match=r"^non-finite value in pair 3 psi layer 1$"):
-        forward_jets(net, seed_jets(z, order), where="pair 3 psi ")
+        forward_jets(net, seed_jets(z)[: order + 1], where="pair 3 psi ")
 
 
 def test_init_beta_bounds():

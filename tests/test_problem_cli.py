@@ -570,6 +570,11 @@ def test_cli_eval_rejects_a_checkpoint_that_names_an_activation(tmp_path, capsys
          "pair 0 psi: layer 1 bias must hold finite numbers"),
         (lambda d: d["pairs"][0]["phi"]["layers"][2]["bias"].__setitem__(0, ["0.5", True]),
          "pair 0 phi: layer 3 bias must hold finite numbers"),
+        # JSON integers past the float range fail as 1e309 does, not with an unnamed OverflowError
+        (lambda d: d["pairs"][0]["phi"]["layers"][1]["weights"][3].__setitem__(0, 10**400),
+         "checkpoint.json: pair 0 phi: layer 2 weights must hold finite numbers\n"),
+        (lambda d: d["pairs"][0]["psi"]["layers"][0]["bias"][0].__setitem__(1, -10**400),
+         "checkpoint.json: pair 0 psi: layer 1 bias must hold finite numbers\n"),
         # the branches of older checkpoints held a network mode
         (lambda d: (d["pairs"][0]["phi"].update(mode="standard"), d["pairs"][0]["psi"].update(mode="stress_only")),
          "checkpoint.json: pair 0 phi: unknown key 'mode'\n"),
@@ -579,7 +584,7 @@ def test_cli_eval_rejects_a_checkpoint_that_names_an_activation(tmp_path, capsys
         (lambda d: d["pairs"][0].update(chi=d["pairs"][0]["phi"]), "checkpoint.json: pair 0: unknown key 'chi'\n"),
     ],
     ids=["short_weights", "long_bias", "zero_width", "broken_chain", "missing_weights", "no_pairs",
-         "nan_weight", "inf_bias", "string_bias", "mixed_modes", "pairs_int", "pairs_bool", "top_key", "pair_key"],
+         "nan_weight", "inf_bias", "string_bias", "huge_int_weight", "huge_int_bias", "mixed_modes", "pairs_int", "pairs_bool", "top_key", "pair_key"],
 )
 def test_cli_eval_rejects_malformed_checkpoint(tmp_path, capsys, edit, message):
     cfg, out = _mini_ring(tmp_path, epochs=0)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import holoelastic
-from conftest import config_path, ring_problem, square_problem, with_training
+from conftest import config_path, ring_problem, seeded, square_problem, with_training
 from holoelastic import jets
-from holoelastic.autodiff import loss_backward, loss_forward, loss_value
+from holoelastic.autodiff import loss_backward, loss_forward, loss_value, pack_batch
 from holoelastic.cli import run_command
 from holoelastic.geometry import sample_boundary
 from holoelastic.jets import NonFiniteError
@@ -118,7 +118,7 @@ def test_epoch0_loss_is_initial_loss_and_lr0_like_behavior():
     _, history = train(problem)
     rng = Rng(problem.training.seed)
     samples = sample_boundary(problem.domain, problem.training.n_train, rng.spawn(1))
-    direct = loss_value(pairs0, samples, problem)
+    direct = loss_value(pairs0, pack_batch(samples, problem.domain), problem)
     assert history.train_loss[0] == direct
 
 
@@ -182,7 +182,7 @@ def test_train_matches_the_flatten_step_write_loop_bit_for_bit():
     adam = AdamState.zeros(vec.size)
     losses = []
     for _ in range(cfg.epochs):
-        loss, rec = loss_forward(ref, packed_train, problem, test=packed_test)
+        loss, rec = loss_forward(ref, seeded(packed_train, problem, packed_test), problem)
         grads = loss_backward(rec).to_vector()
         losses.append((loss, rec.test_loss))
         adam_step(adam, grads, cfg.lr, vec)
