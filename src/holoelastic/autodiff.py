@@ -18,14 +18,16 @@ through the branches, writing for every complex weight w the real pair
 the vector depend on the batch and the network shapes only, so train builds
 both once per run.
 
-Adjoint rules: every variable u carries a(u) = dL/dRe(u) + i dL/dIm(u).
-Through a holomorphic step v = f(u) the adjoint propagates as
-a(u) += a(v) * conj(f'(u)); the non-holomorphic terminal steps (Re, Im,
+Adjoint rules: from the loss back to the branch outputs every variable u
+carries a(u) = dL/dRe(u) + i dL/dIm(u); the non-holomorphic steps (Re, Im,
 conj, the conj(z)-products of the field map, squared residuals) get
-dedicated rules.  The z-derivatives inside the jets are handled by the
-forward jet arithmetic, never by the reverse pass.  Each branch carries
-only the jet channels the field map reads (network.JET_ORDERS: phi to
-order 2 and psi to order 1), and its adjoint has the same channels.
+dedicated rules.  Inside a branch every step v = f(u) is holomorphic, and
+network.branch_backward carries conj(a(u)) = 2 dL/du, which propagates as
+conj(a(u)) += conj(a(v)) * f'(u) with no conjugate; it converts at both
+ends.  The z-derivatives inside the jets are handled by the forward jet
+arithmetic, never by the reverse pass.  Each branch carries only the jet
+channels the field map reads (network.JET_ORDERS: phi to order 2 and psi
+to order 1), and its adjoint has the same channels.
 """
 
 from __future__ import annotations

@@ -78,12 +78,10 @@ def km_fields(z, jp: np.ndarray, jq: np.ndarray, mat: Material) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     dphi, ddphi, dpsi = km_derivatives(jp, jq)
     out = np.empty((5, z.size))
-    zc = np.conj(z)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = zc * ddphi + dpsi
-        out[0] = np.real(2.0 * dphi - a)
-        out[1] = np.real(2.0 * dphi + a)
-        out[2] = np.imag(a)
+        a = np.conj(z) * ddphi + dpsi
+        d2 = 2.0 * dphi
+        out[0], out[1], out[2] = np.real(d2 - a), np.real(d2 + a), np.imag(a)
         # np.multiply, not `*`: from 16,384 points numpy reuses a temporary right
         # operand of `*` in place, which swaps a complex product's operands and bits
         w = (mat.gamma * jp[0] - np.multiply(z, np.conj(dphi)) - np.conj(jq[0])) / (2.0 * mat.mu)

@@ -9,8 +9,9 @@ activation.  A jet's order is its channel count minus one, so each primitive
 reads it off the array, and its precision (complex128 or complex64) from the
 dtype; so does network.forward_jets, which takes seed jets that a training
 run builds once.  The affine layer and the activation each come with their
-adjoint; exp is its own derivative, so the activated jet is also the jet of
-f'(y), which is all the activation's adjoint reads.
+adjoint, on 2 dL/du (network.branch_backward converts); exp is its own
+derivative, so the activated jet is also the jet of f'(y), all that the
+activation's adjoint reads.
 """
 
 from __future__ import annotations
@@ -83,24 +84,20 @@ def seed_jets(z: np.ndarray, dtype=np.complex128) -> np.ndarray:
 def affine_jets(jets: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """(n,B,Ni) jets through y = W x + b in the jets' dtype; the bias touches the value channel only."""
     n, b, ni = jets.shape
-    w = weights if weights.dtype == jets.dtype else weights.astype(jets.dtype)
+    w = weights.astype(jets.dtype, copy=False)
     out = (jets.reshape(n * b, ni) @ w.T).reshape(n, b, w.shape[0])
-    out[0] += bias if bias.dtype == jets.dtype else bias.astype(jets.dtype)
+    out[0] += bias.astype(jets.dtype, copy=False)
     return out
 
 
 def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.ndarray]):
-    """Reverse of affine_jets: (dL/dW, dL/db, dL/djets) from dL/dout.
-
-    `jets` is the layer input (n,B,Ni) and `adj` the output adjoint
-    (n,B,No); weight adjoints are packed as dL/dRe w + i dL/dIm w.  With
-    `weights` None the input adjoint is skipped and returned as None.
-    """
+    """Reverse of affine_jets: (dL/dW, dL/db, dL/djets), all as 2 dL/du, from
+    the output adjoint `adj` (n,B,No) and the layer input `jets` (n,B,Ni);
+    with `weights` None the input adjoint is skipped and returned as None."""
     n, b, ni = jets.shape
     a2 = adj.reshape(n * b, adj.shape[2])
-    gw = a2.T @ np.conj(jets).reshape(n * b, ni)
-    w = weights if weights is None or weights.dtype == adj.dtype else weights.astype(adj.dtype)
-    da = None if w is None else (a2 @ np.conj(w)).reshape(n, b, ni)
+    gw = a2.T @ jets.reshape(n * b, ni)
+    da = None if weights is None else (a2 @ weights.astype(adj.dtype, copy=False)).reshape(n, b, ni)
     return gw, adj[0].sum(axis=0), da
 
 
@@ -117,30 +114,31 @@ def activate_jets(kind: ActivationKind, jets: np.ndarray) -> np.ndarray:
     if n > 1:
         np.multiply(e, jets[1], out=out[1])
     if n > 2:
-        np.multiply(e, jets[1], out=out[2])
-        out[2] *= jets[1]
+        np.multiply(out[1], jets[1], out=out[2])
         out[2] += e * jets[2]
     return out
 
 
-def activate_jets_adjoint(adj: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Reverse of activate_jets: dL/djets from dL/dout and the derivative jet g.
+# numpy's complex product is not commutative bit for bit: with FMA, a * b and
+# b * a differ in the imaginary part.  The conjugated sweep's `a * np.conj(g)`
+# ran as `conj(g) * a` once the conj temporary reached 256 KiB (temporary
+# elision), so from this size activate_jets_adjoint puts g first.
+G_FIRST_BYTES = 256 * 1024
 
-    out = f(y) has d out = g . d y in truncated series arithmetic (the
-    Leibniz rule), so each input channel's adjoint sums the output adjoints
-    times the conjugated channels of g that multiply it.
-    """
-    n = g.shape[0]
-    out = np.empty_like(g)
-    # conj(g) is not hoisted: numpy elides the conj temporary of arrays
-    # >= 256 KiB by computing a * conj(b) in place as conj(b) * a (with FMA
-    # a * b and b * a differ in the imaginary part)
-    out[0] = adj[0] * np.conj(g[0])
+
+def activate_jets_adjoint(adj: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Reverse of activate_jets, written over the output adjoint `adj` (and
+    returned): out = f(y) has d out = g . d y in truncated series arithmetic
+    (the Leibniz rule), so each input channel's adjoint sums the output
+    adjoints times the channels of the derivative jet g (only read) it meets."""
+    n, g_first = g.shape[0], g[0].nbytes >= G_FIRST_BYTES
+    mul = (lambda a, h, out=None: np.multiply(h, a, out=out)) if g_first else np.multiply
+    mul(adj[0], g[0], adj[0])  # channel 0 first: it reads every channel of adj
+    for k in range(1, n):
+        adj[0] += mul(adj[k], g[k])
     if n > 1:
-        out[0] += adj[1] * np.conj(g[1])
-        out[1] = adj[1] * np.conj(g[0])
+        mul(adj[1], g[0], adj[1])
     if n > 2:
-        out[0] += adj[2] * np.conj(g[2])
-        out[1] += adj[2] * np.conj(2.0 * g[1])
-        out[2] = adj[2] * np.conj(g[0])
-    return out
+        adj[1] += mul(adj[2], 2.0 * g[1])
+        mul(adj[2], g[0], adj[2])
+    return adj

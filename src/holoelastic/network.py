@@ -133,24 +133,26 @@ def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray, out: Optional[l
 
     Runs in the caches' dtype and writes per layer the complex128 (dL/dW,
     dL/db) into `out`, a list of per-layer (weights, bias) arrays such as
-    param_views gives (new arrays when None); returns it.  Only the first n
-    channels and the first B rows of the caches take part: rows past B hold
-    test points, and an adjoint that is zero above channel n - 1 stays so
-    through every layer (the Leibniz rule of truncated series), so a sweep
-    seeded at a low channel skips the rows above it.  Each layer's (input
-    jets, derivative jet) cache is all its adjoints read.  Reads the live
-    weight arrays, so it must run before they are updated.
+    param_views gives (new arrays when None); returns it.  `adj` (only read)
+    and the gradients are dL/dRe + i dL/dIm; the sweep carries their
+    conjugate 2 dL/du, which passes each holomorphic step as a plain
+    product.  Only the first n channels and the first B rows of the caches
+    take part: rows past B hold test points, and an adjoint that is zero
+    above channel n - 1 stays so through every layer (the Leibniz rule of
+    truncated series), so a sweep seeded at a low channel skips the rows
+    above it.  Reads the live weight arrays, so it must run before they are
+    updated.
     """
     n, b = adj.shape
     if out is None:
         out = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in net.layers]
-    a = adj[:, :, None].astype(caches[0][0].dtype, copy=False)
+    a = np.conj(adj[:, :, None]).astype(caches[0][0].dtype, copy=False)
     for i in reversed(range(len(net.layers))):
         x, g = caches[i]
         if g is not None:
             a = activate_jets_adjoint(a, g[:n, :b])
         gw, gb, a = affine_jets_adjoint(a, x[:n, :b], net.layers[i].weights if i else None)
-        out[i][0][...], out[i][1][...] = gw, gb
+        out[i][0][...], out[i][1][...] = gw.conj(), gb.conj()
     return out
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_NAMES, config_path, grad_check, ring_problem, seeded, square_problem
-from holoelastic import elasticity
+from holoelastic import autodiff, elasticity
 from holoelastic.autodiff import WeightGrad, _residuals, loss_backward, loss_forward, loss_value, pack_batch, seed_batch
 from holoelastic.elasticity import ConstantData, Displacement, Interface, Traction
 from holoelastic.geometry import BoundaryPiece, DomainSpec, Line, piece_length, sample_boundary
@@ -247,6 +247,72 @@ def test_loss_record_holds_one_jet_per_hidden_layer_and_activation(kind):
     finally:
         tracemalloc.stop()
     assert held < 1.1 * floor, held / floor
+
+
+def test_loss_backward_temporaries_stay_within_two_input_jets():
+    # criterion 6's shape (7x100 nets, batch 1000): the sweep carries dL/du,
+    # so no affine adjoint conjugates its input jet or weights and the
+    # activation adjoint writes over its adjoint; the peak above the record
+    # is an affine layer's output and input adjoints, two (3, 1000, 100)
+    # jets (2.09 of them measured, 2.73 with the conjugated sweep)
+    problem = square_problem()
+    problem.networks.hidden_layers, problem.networks.units = 7, 100
+    pairs = build_pairs(problem)
+    seeds = seeded(sample_boundary(problem.domain, 1000, Rng(0)), problem)
+    grad = WeightGrad.zeros(pairs)
+    jet = 3 * 1000 * 100 * 16
+    tracemalloc.start()
+    try:
+        _, rec = loss_forward(pairs, seeds, problem)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        loss_backward(rec, grad)
+        temporaries = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert temporaries < 2.4 * jet, temporaries / jet
+
+
+def _record_arrays(rec, seeds) -> list:
+    """Every array a LossRecord holds or reads, its seeds' included."""
+    out = list(seeds.z.values()) + list(seeds.jets.values()) + rec.residuals + list(rec.rows.values())
+    for op in rec.batch.operators.values():
+        out += [op.A, op.d, op.scale]
+    for sp in rec.subs.values():
+        out += [sp.z, sp.fields] + [a for cache in sp.phi + sp.psi for a in cache if a is not None]
+    return out
+
+
+@pytest.mark.parametrize("name", ["ring_quadrant", "clamped_square", "dd_plate_hole"])
+def test_loss_backward_leaves_the_record_and_the_branch_adjoints_alone(name, monkeypatch):
+    # the sweep writes over its own adjoints only: every cached array and
+    # every adjoint handed to branch_backward keeps its bytes (at the
+    # config's nets, batch and precision, single for clamped_square, with a
+    # test batch riding along), and a second loss_backward on the same record
+    # gives the same gradient vector
+    problem = load_config(config_path(name))
+    cfg = problem.training
+    rng = Rng(cfg.seed)
+    train_b = pack_batch(sample_boundary(problem.domain, cfg.n_train, rng.spawn(1)), problem.domain)
+    test_b = pack_batch(sample_boundary(problem.domain, cfg.n_test, rng.spawn(2)), problem.domain)
+    pairs = build_pairs(problem)
+    init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, cfg.beta, cfg.m_e, rng)
+    seeds = seed_batch(train_b, test_b, PRECISIONS[cfg.precision])
+    _, rec = loss_forward(pairs, seeds, problem)
+    cached = _record_arrays(rec, seeds)
+    before = [a.tobytes() for a in cached]
+    handed = []
+
+    def recording(net, caches, adj, out=None):
+        handed.append((adj, adj.tobytes()))
+        return branch_backward(net, caches, adj, out)
+
+    monkeypatch.setattr(autodiff, "branch_backward", recording)
+    first = loss_backward(rec).to_vector()
+    assert len(handed) == 2 * len(pairs)
+    assert all(adj.tobytes() == b for adj, b in handed)
+    assert all(a.tobytes() == b for a, b in zip(cached, before))
+    assert loss_backward(rec).to_vector().tobytes() == first.tobytes()
 
 
 def test_gradients_match_finite_differences():

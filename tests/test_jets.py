@@ -8,7 +8,9 @@ from holoelastic.jets import (
     NonFiniteError,
     act_derivs,
     activate_jets,
+    activate_jets_adjoint,
     affine_jets,
+    affine_jets_adjoint,
     seed_jets,
 )
 from holoelastic.network import build_mlp, forward_jets
@@ -198,3 +200,82 @@ def test_activate_jets_writes_e_y_into_its_output_jet_bit_for_bit(dtype, points,
     assert got.dtype == dtype
     assert got[0].tobytes() == act_derivs(ActivationKind.EXP, jets[0]).tobytes()
     assert got.tobytes() == _activate_by_copy(jets).tobytes()
+
+
+# The adjoints as the conjugated sweep ran them, on a(u) = dL/dRe u + i dL/dIm u
+# (a * conj(f'(u)) through each step): references for the dL/du primitives.
+def _affine_adjoint_conj_ref(adj, jets, weights):
+    n, b, ni = jets.shape
+    a2 = adj.reshape(n * b, adj.shape[2])
+    gw = a2.T @ np.conj(jets).reshape(n * b, ni)
+    w = weights if weights is None or weights.dtype == adj.dtype else weights.astype(adj.dtype)
+    da = None if w is None else (a2 @ np.conj(w)).reshape(n, b, ni)
+    return gw, adj[0].sum(axis=0), da
+
+
+def _activate_adjoint_conj_ref(adj, g):
+    n = g.shape[0]
+    out = np.empty_like(g)
+    out[0] = adj[0] * np.conj(g[0])
+    if n > 1:
+        out[0] += adj[1] * np.conj(g[1])
+        out[1] = adj[1] * np.conj(g[0])
+    if n > 2:
+        out[0] += adj[2] * np.conj(g[2])
+        out[1] += adj[2] * np.conj(2.0 * g[1])
+        out[2] = adj[2] * np.conj(g[0])
+    return out
+
+
+def _cnormal(rng, shape, dtype):
+    return (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(dtype)
+
+
+def _cache_views(rng, channels, points, units, dtype):
+    """A (channels, points, units) jet, contiguous and as the test-row slice
+    x[:n, :b] of a 3-channel cache that holds 30 test rows after the points."""
+    cache = _cnormal(rng, (3, points + 30, units), dtype)
+    return {"contiguous": _cnormal(rng, (channels, points, units), dtype), "test-row slice": cache[:channels, :points]}
+
+
+# 220 points x 10 units stay below numpy's 256 KiB temporary-elision size in
+# both dtypes, 4000 x 10 and 4000 x 100 pass it, and 220 x 100 passes it in
+# complex128 only: both operand orders of jets.G_FIRST_BYTES are reached
+ADJOINT_SHAPES = [(220, 10), (220, 100), (4000, 10), (4000, 100)]
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("points, units", ADJOINT_SHAPES)
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_activate_jets_adjoint_is_the_conjugated_sweep_bit_for_bit(dtype, points, units, channels):
+    # fed conj(a), the dL/du adjoint returns the conjugate of the conjugated
+    # sweep's a * conj(g) products, bit for bit, on either side of 256 KiB
+    rng = np.random.default_rng(points + units + channels)
+    for what, g in _cache_views(rng, channels, points, units, dtype).items():
+        adj = _cnormal(rng, (channels, points, units), dtype)
+        want = _activate_adjoint_conj_ref(adj, g)
+        got = activate_jets_adjoint(np.conj(adj), g)
+        assert got.dtype == dtype
+        assert np.conj(got).tobytes() == want.tobytes(), what
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("points, units", ADJOINT_SHAPES)
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_affine_jets_adjoint_is_the_conjugated_sweep_bit_for_bit(dtype, points, units, channels):
+    # a hidden layer (units -> units), the readout (units -> 1) and the first
+    # layer (1 -> units, weights None), on contiguous and test-row-sliced
+    # input jets; the complex128 weights are cast to the jets' dtype
+    rng = np.random.default_rng(points + units + channels)
+    layers = {"hidden": (units, units), "readout": (units, 1), "first": (1, units)}
+    for name, (ni, no) in layers.items():
+        for what, x in _cache_views(rng, channels, points, ni, dtype).items():
+            adj = _cnormal(rng, (channels, points, no), dtype)
+            w = None if name == "first" else _cnormal(rng, (no, ni), np.complex128)
+            want = _affine_adjoint_conj_ref(adj, x, w)
+            got = affine_jets_adjoint(np.conj(adj), x, w)
+            for k, (gv, wv) in enumerate(zip(got, want)):
+                if wv is None:
+                    assert gv is None, (name, what)
+                else:
+                    assert gv.dtype == dtype and np.conj(gv).tobytes() == wv.tobytes(), (name, what, k)
