@@ -18,7 +18,7 @@ import numpy as np
 from . import elasticity as el
 from . import geometry as geo
 from .autodiff import loss_backward, loss_forward, pack_batch, seed_batch
-from .jets import ActivationKind, NonFiniteError, seed_jets
+from .jets import ActivationKind, NonFiniteError, affine_jets, seed_jets
 from .network import BranchPair, HoloMLP, branch_backward, mlp_forward
 from .problem import NetworkConfig, OutputConfig, ProblemSpec
 from .rng import Rng
@@ -217,7 +217,7 @@ def _branch_grad_var(net: HoloMLP, caches: list, channel: int) -> list[float]:
     seeded channel.  The entries of each layer's weight derivative
     (real/imag pooled) give the reported variance.
     """
-    seed = np.zeros((channel + 1, caches[0][0].shape[1]), dtype=np.complex128)
+    seed = np.zeros((channel + 1, caches[0].shape[1]), dtype=np.complex128)
     seed[channel] = 1.0
     return [_cvar(gw) for gw, _ in branch_backward(net, caches, seed)]
 
@@ -263,8 +263,8 @@ def variance_report(problem, m_e: Optional[int], n_probe: int) -> VarianceReport
             var_loss = [_cvar(gw) for gw, _ in loss_backward(rec).grads[0][0][:n_inner]]
             caches = rec.subs[0].phi
             del rec  # the sweeps read the caches alone
-            # the caches hold no pre-activations: one value-channel GEMM per layer
-            var_y = [_cvar(x[0] @ l.weights.T + l.bias) for (x, _), l in zip(caches[:n_inner], phi.layers)]
+            # the caches hold no pre-activations: each layer's affine map on its input's value channel
+            var_y = [_cvar(affine_jets(x[:1], l.weights, l.bias)) for x, l in zip(caches[:n_inner], phi.layers)]
             per_q = [_branch_grad_var(phi, caches, ch)[:n_inner] for ch in (0, 1, 2)]
         return VarianceReport(layers, var_y, per_q[0], per_q[1], per_q[2], var_loss, [False] * n_inner)
     except (NonFiniteError, FloatingPointError):

@@ -9,14 +9,15 @@ batch, into the rows of each subdomain it bounds, interface sides included:
 one operator per subdomain (SubdomainOperator), so residuals and their
 adjoints run once per subdomain.  loss_forward's one input is the Seeds
 of a packed batch (seed_batch), which also carry any test batch whose
-points ride along after the training points for a test loss.  It keeps
-what the reverse pass needs: the branch caches, each piece's (B, k)
-residual array and its mean square.  loss_backward passes adjoints back to
-the branch outputs (residuals -> el.km_fields_adjoint) and sweeps them
-through the branches, writing for every complex weight w the real pair
-(dL/dRe w, dL/dIm w) into one gradient vector (WeightGrad).  The seeds and
-the vector depend on the batch and the network shapes only, so train builds
-both once per run.
+points ride along after the training points for a test loss.  Its record
+holds each array once: the packed batch, each branch's layer inputs
+(forward_jets caches), each subdomain's residual rows, which each piece's
+(B, k) residual array views, and each piece's mean square.  loss_backward
+passes adjoints back to the branch outputs (residuals ->
+el.km_fields_adjoint) and sweeps them through the branches, writing for
+every complex weight w the real pair (dL/dRe w, dL/dIm w) into one
+gradient vector (WeightGrad).  The seeds and the vector depend on the
+batch and the network shapes only, so train builds both once per run.
 
 Adjoint rules: from the loss back to the branch outputs every variable u
 carries a(u) = dL/dRe(u) + i dL/dIm(u); the non-holomorphic steps (Re, Im,
@@ -41,7 +42,7 @@ import numpy as np
 from . import elasticity as el
 from .geometry import DomainSpec
 from .jets import NonFiniteError, seed_jets
-from .network import BranchPair, branch_backward, mlp_forward, param_views
+from .network import BranchPair, branch_backward, flatten_params, mlp_forward, param_views
 
 if TYPE_CHECKING:  # pragma: no cover
     from .problem import ProblemSpec
@@ -135,7 +136,7 @@ class WeightGrad:
     @classmethod
     def zeros(cls, pairs: Sequence[BranchPair]) -> "WeightGrad":
         """A zero gradient of the weights of `pairs`."""
-        vec = np.zeros(sum(2 * (l.weights.size + l.bias.size) for p in pairs for l in p.phi.layers + p.psi.layers))
+        vec = np.zeros(flatten_params(pairs).size)
         return cls(vec, param_views(pairs, vec))
 
     def to_vector(self) -> np.ndarray:
@@ -167,13 +168,12 @@ def seed_batch(packed: PackedBatch, test: Optional[PackedBatch] = None, dtype=np
 
 @dataclass
 class SubdomainPass:
-    """Seed -> phi and psi branches -> KM fields on one subdomain's training
-    points (the branch caches also hold any test points, after them)."""
+    """The forward_jets layer caches of one subdomain's phi and psi branches,
+    on its batch's eval_z points then any test points (empty for a branch
+    that is not swept)."""
 
-    z: np.ndarray
-    phi: list  # forward_jets layer caches
+    phi: list
     psi: list
-    fields: np.ndarray  # (5, B) rows of el.km_fields
 
 
 @dataclass
@@ -252,15 +252,14 @@ def loss_forward(
     if len(pairs) != problem.domain.n_subdomains:
         raise ValueError(f"{len(pairs)} network pairs for {problem.domain.n_subdomains} subdomains")
     subs: dict[int, SubdomainPass] = {}
+    fields: dict[int, np.ndarray] = {}  # (5, B) rows of el.km_fields, training points
     test_fields: dict[int, np.ndarray] = {}
     for sub, z in packed.eval_z.items():
-        n = z.size
-        cphi, cpsi = [], []
-        jp, jq = mlp_forward(pairs[sub], seeds.jets[sub], f"pair {sub} ", (cphi, cpsi if sweep_psi else None))
-        fields = el.km_fields(seeds.z[sub], jp, jq, problem.material)
-        subs[sub] = SubdomainPass(z, cphi, cpsi, fields[:, :n])
-        test_fields[sub] = fields[:, n:]
-    residuals, rows = _residuals(packed, {s: sp.fields for s, sp in subs.items()})
+        sp = subs[sub] = SubdomainPass([], [])
+        jp, jq = mlp_forward(pairs[sub], seeds.jets[sub], f"pair {sub} ", (sp.phi, sp.psi if sweep_psi else None))
+        f = el.km_fields(seeds.z[sub], jp, jq, problem.material)
+        fields[sub], test_fields[sub] = f[:, : z.size], f[:, z.size :]
+    residuals, rows = _residuals(packed, fields)
     loss, mse = _loss(packed.groups, residuals)
     rec = LossRecord(pairs, problem.material, subs, packed, residuals, rows, loss, mse)
     if test is not None:
@@ -292,7 +291,7 @@ def loss_backward(rec: LossRecord, grad: Optional[WeightGrad] = None) -> WeightG
         # dL/dfields = A^T rho, rho being the residual rows times their signed loss scale
         op = rec.batch.operators[sub]
         adj = np.einsum("bkf,bk->fb", op.A, op.scale[:, None] * rec.rows[sub])
-        ap, aq = el.km_fields_adjoint(sp.z, adj, rec.material)
+        ap, aq = el.km_fields_adjoint(rec.batch.eval_z[sub], adj, rec.material)
         pair, (gphi, gpsi) = rec.pairs[sub], grad.grads[sub]
         branch_backward(pair.phi, sp.phi, ap, gphi)
         if sp.psi:

@@ -119,26 +119,23 @@ def activate_jets(kind: ActivationKind, jets: np.ndarray) -> np.ndarray:
     return out
 
 
-# numpy's complex product is not commutative bit for bit: with FMA, a * b and
-# b * a differ in the imaginary part.  The conjugated sweep's `a * np.conj(g)`
-# ran as `conj(g) * a` once the conj temporary reached 256 KiB (temporary
-# elision), so from this size activate_jets_adjoint puts g first.
-G_FIRST_BYTES = 256 * 1024
-
-
 def activate_jets_adjoint(adj: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Reverse of activate_jets, written over the output adjoint `adj` (and
     returned): out = f(y) has d out = g . d y in truncated series arithmetic
     (the Leibniz rule), so each input channel's adjoint sums the output
-    adjoints times the channels of the derivative jet g (only read) it meets."""
-    n, g_first = g.shape[0], g[0].nbytes >= G_FIRST_BYTES
-    mul = (lambda a, h, out=None: np.multiply(h, a, out=out)) if g_first else np.multiply
-    mul(adj[0], g[0], adj[0])  # channel 0 first: it reads every channel of adj
+    adjoints times the channels of the derivative jet g (only read) it meets.
+
+    Every product is np.multiply(adj, g), adjoint first, at every size:
+    numpy's complex product is not commutative bit for bit (with FMA, a * b
+    and b * a differ in the imaginary part), and one order makes each row's
+    adjoint independent of the batch size and width."""
+    n = g.shape[0]
+    np.multiply(adj[0], g[0], adj[0])  # channel 0 first: it reads every channel of adj
     for k in range(1, n):
-        adj[0] += mul(adj[k], g[k])
+        adj[0] += np.multiply(adj[k], g[k])
     if n > 1:
-        mul(adj[1], g[0], adj[1])
+        np.multiply(adj[1], g[0], adj[1])
     if n > 2:
-        adj[1] += mul(adj[2], 2.0 * g[1])
-        mul(adj[2], g[0], adj[2])
+        adj[1] += np.multiply(adj[2], 2.0 * g[1])
+        np.multiply(adj[2], g[0], adj[2])
     return adj

@@ -97,10 +97,10 @@ def forward_jets(
     complex128 value and derivative channels.  The seeds are only read, so a
     run builds them once for all its epochs.
 
-    With a `caches` list, appends one (input jets, derivative jet) entry per
-    layer for branch_backward; the output layer has no activation and caches
-    (input jets, None).  exp's derivative jet is its output, the next
-    layer's input.
+    With a `caches` list, appends each layer's input jets for
+    branch_backward, one entry per layer.  exp's derivative jet is its
+    output, the next layer's input, so caches[i + 1] is also the derivative
+    jet of hidden layer i.
 
     Only the output is checked for finiteness: a hidden overflow reaches it
     through any derivative channel (0 * inf after exp(-inf) = 0).  A
@@ -108,20 +108,17 @@ def forward_jets(
     that names the first bad hidden layer after `where`; if none is bad, it
     is returned.
     """
-    keep = caches is not None
     jets = seeds
     last = len(net.layers) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(net.layers):
-            # without caches no layer's arrays outlive it (large eval grids)
-            x, g = jets if keep else None, None
+            if caches is not None:
+                caches.append(jets)
             jets = affine_jets(jets, layer.weights, layer.bias)
             if i != last:
-                jets = g = activate_jets(ActivationKind.EXP, jets)
+                jets = activate_jets(ActivationKind.EXP, jets)
                 if check_layers and not np.isfinite(jets).all():
                     raise NonFiniteError(f"non-finite value in {where}layer {i + 1}")
-            if keep:
-                caches.append((x, g))
     out = jets[:, :, 0].astype(np.complex128, copy=False)
     if not check_layers and not np.isfinite(out).all():
         forward_jets(net, seeds, where=where, check_layers=True)
@@ -136,22 +133,22 @@ def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray, out: Optional[l
     param_views gives (new arrays when None); returns it.  `adj` (only read)
     and the gradients are dL/dRe + i dL/dIm; the sweep carries their
     conjugate 2 dL/du, which passes each holomorphic step as a plain
-    product.  Only the first n channels and the first B rows of the caches
-    take part: rows past B hold test points, and an adjoint that is zero
-    above channel n - 1 stays so through every layer (the Leibniz rule of
-    truncated series), so a sweep seeded at a low channel skips the rows
-    above it.  Reads the live weight arrays, so it must run before they are
-    updated.
+    product.  caches[i] is layer i's input and, as exp's output, the
+    derivative jet of layer i - 1.  Only the first n channels and the first
+    B rows of the caches take part: rows past B hold test points, and an
+    adjoint that is zero above channel n - 1 stays so through every layer
+    (the Leibniz rule of truncated series), so a sweep seeded at a low
+    channel skips the rows above it.  Reads the live weight arrays, so it
+    must run before they are updated.
     """
     n, b = adj.shape
     if out is None:
         out = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in net.layers]
-    a = np.conj(adj[:, :, None]).astype(caches[0][0].dtype, copy=False)
+    a = np.conj(adj[:, :, None]).astype(caches[0].dtype, copy=False)
     for i in reversed(range(len(net.layers))):
-        x, g = caches[i]
-        if g is not None:
-            a = activate_jets_adjoint(a, g[:n, :b])
-        gw, gb, a = affine_jets_adjoint(a, x[:n, :b], net.layers[i].weights if i else None)
+        if i + 1 < len(net.layers):
+            a = activate_jets_adjoint(a, caches[i + 1][:n, :b])
+        gw, gb, a = affine_jets_adjoint(a, caches[i][:n, :b], net.layers[i].weights if i else None)
         out[i][0][...], out[i][1][...] = gw.conj(), gb.conj()
     return out
 

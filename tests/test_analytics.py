@@ -419,7 +419,7 @@ def test_variance_rows_match_the_full_sweeps(monkeypatch):
     assert rep.var_loss_w == [analytics._cvar(gw) for gw, _ in phi[:3]]
     caches = rec.subs[0].phi
     for channel, row in enumerate((rep.var_phi_w, rep.var_dphi_w, rep.var_ddphi_w)):
-        seed = np.zeros((3, rec.subs[0].z.size), dtype=np.complex128)
+        seed = np.zeros((3, rec.batch.eval_z[0].size), dtype=np.complex128)
         seed[channel] = 1.0
         want = [analytics._cvar(gw) for gw, _ in network.branch_backward(rec.pairs[0].phi, caches, seed)[:3]]
         assert np.allclose(row, want, rtol=1e-14, atol=0.0), channel
@@ -450,7 +450,7 @@ def test_init_check_sweeps_the_networks_that_train_starts_from(monkeypatch, tmp_
         records.clear()
         assert run_command(["init-check", cfg, "--m-e", "3", *args]) == 0
         ((_, rec),) = records
-        assert rec.subs[0].z.size == 60
+        assert rec.batch.eval_z[0].size == 60
         doc["training"].update(overrides)
         copy = str(tmp_path / "copy.json")
         with open(copy, "w") as fh:

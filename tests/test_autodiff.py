@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import CONFIG_NAMES, config_path, grad_check, ring_problem, seeded, square_problem
-from holoelastic import autodiff, elasticity
+from holoelastic import autodiff, elasticity, network
 from holoelastic.autodiff import WeightGrad, _residuals, loss_backward, loss_forward, loss_value, pack_batch, seed_batch
 from holoelastic.elasticity import ConstantData, Displacement, Interface, Traction
 from holoelastic.geometry import BoundaryPiece, DomainSpec, Line, piece_length, sample_boundary
-from holoelastic.jets import ActivationKind, NonFiniteError
+from holoelastic.jets import ActivationKind, NonFiniteError, activate_jets, affine_jets
 from holoelastic.network import BranchPair, branch_backward, build_mlp, flatten_params
 from holoelastic.problem import load_config
 from holoelastic.rng import Rng
@@ -212,20 +212,47 @@ def test_loss_record_caches_only_the_channels_km_reads():
     samples = sample_boundary(problem.domain, 8, Rng(0))
     _, rec = loss_forward(pairs, seeded(samples, problem), problem)
     sp = rec.subs[0]
-    # (phi, phi', phi'') and (psi, psi')
+    assert [f.name for f in dataclasses.fields(sp)] == ["phi", "psi"]
+    # (phi, phi', phi'') and (psi, psi'): every layer's input jets carry exactly n channels
     for caches, n in ((sp.phi, 3), (sp.psi, 2)):
-        for x, g in caches:
-            # input and derivative jets both carry exactly n channels
-            assert x.shape[0] == n and (g is None or g.shape[:2] == x.shape[:2])
-        assert caches[-1][1] is None  # the output layer has no activation
+        assert [x.shape[:2] for x in caches] == [(n, 8)] * len(pairs[0].phi.layers)
 
 
-def test_exp_derivative_jet_is_the_next_layers_input():
-    # exp' = exp, so an exp layer caches nothing beyond its output
+def test_exp_derivative_jet_is_the_next_layers_input(monkeypatch):
+    # exp' = exp, so the caches are the layer inputs alone, one per layer:
+    # caches[i] is what layer i's affine map read, and caches[i + 1] the
+    # array exp returned for layer i, its derivative jet
     problem, samples, pairs = _ring_setup()
+    read, activated = [], []
+
+    def affine(jets, *args):
+        read.append(jets)
+        return affine_jets(jets, *args)
+
+    def activate(kind, jets):
+        activated.append(activate_jets(kind, jets))
+        return activated[-1]
+
+    monkeypatch.setattr(network, "affine_jets", affine)
+    monkeypatch.setattr(network, "activate_jets", activate)
     _, rec = loss_forward(pairs, seeded(samples, problem), problem)
-    for caches in (rec.subs[0].phi, rec.subs[0].psi):
-        assert all(caches[i][1] is caches[i + 1][0] for i in range(len(caches) - 1))
+    caches = rec.subs[0].phi + rec.subs[0].psi
+    assert len(rec.subs[0].phi) == len(pairs[0].phi.layers) and len(rec.subs[0].psi) == len(pairs[0].psi.layers)
+    assert len(caches) == len(read) and all(c is not None and c is x for c, x in zip(caches, read))
+    nexts = rec.subs[0].phi[1:] + rec.subs[0].psi[1:]
+    assert len(nexts) == len(activated) and all(c is g for c, g in zip(nexts, activated))
+
+
+@pytest.mark.parametrize("name, count", [("ring_quadrant", 12), ("dd_plate_hole", 45)])
+def test_loss_record_ops_keep_their_count(name, count):
+    # perfbench reports len(rec.ops) as autodiff.tape_ops: per subdomain one
+    # cache per layer of either branch and its pass, then one residual array
+    # per piece and the mean squares (the configs' 2-hidden-layer nets;
+    # dd_plate_hole has 4 subdomains and 16 pieces)
+    problem = load_config(config_path(name))
+    samples = sample_boundary(problem.domain, 64, Rng(0))
+    _, rec = loss_forward(build_pairs(problem), seeded(samples, problem), problem)
+    assert len(rec.ops) == count
 
 
 @pytest.mark.parametrize("kind", [ActivationKind.EXP])
@@ -276,10 +303,11 @@ def test_loss_backward_temporaries_stay_within_two_input_jets():
 def _record_arrays(rec, seeds) -> list:
     """Every array a LossRecord holds or reads, its seeds' included."""
     out = list(seeds.z.values()) + list(seeds.jets.values()) + rec.residuals + list(rec.rows.values())
+    out += list(rec.batch.eval_z.values())
     for op in rec.batch.operators.values():
         out += [op.A, op.d, op.scale]
     for sp in rec.subs.values():
-        out += [sp.z, sp.fields] + [a for cache in sp.phi + sp.psi for a in cache if a is not None]
+        out += sp.phi + sp.psi
     return out
 
 
@@ -473,9 +501,10 @@ def test_single_precision_overflow_names_pair_branch_and_layer():
 
 
 @pytest.mark.parametrize("name", ["clamped_square", "dd_plate_hole"])
-def test_single_precision_loss_and_gradient_stay_close_to_double(name):
+def test_single_precision_loss_and_gradient_stay_close_to_double(name, monkeypatch):
     # at init on the config's n_train batch (dd_plate_hole adds interface
-    # rows): complex64 branch sweeps, double loss and gradient, within 1e-5
+    # rows): complex64 branch sweeps, double field map, loss and gradient,
+    # within 1e-5
     problem = load_config(config_path(name))
     cfg = problem.training
     rng = Rng(cfg.seed)
@@ -484,9 +513,19 @@ def test_single_precision_loss_and_gradient_stay_close_to_double(name):
     init_pairs(pairs, sample_boundary(problem.domain, 10 * cfg.n_train, rng.spawn(3)).z, cfg.beta, cfg.m_e, rng)
     ref, rec = loss_forward(pairs, seeded(packed, problem), problem)
     gref = loss_backward(rec).to_vector()
+    field_dtypes = []
+    km_fields = elasticity.km_fields
+
+    def recording_km_fields(*args):
+        f = km_fields(*args)
+        field_dtypes.append(f.dtype)
+        return f
+
+    monkeypatch.setattr(elasticity, "km_fields", recording_km_fields)
     loss, rec = loss_forward(pairs, seed_batch(packed, dtype=np.complex64), problem)
-    assert {x.dtype for sp in rec.subs.values() for x, _ in sp.phi + sp.psi} == {np.dtype(np.complex64)}
-    assert all(sp.fields.dtype == np.float64 for sp in rec.subs.values())
+    assert field_dtypes == [np.dtype(np.float64)] * len(pairs)
+    assert {x.dtype for sp in rec.subs.values() for x in sp.phi + sp.psi} == {np.dtype(np.complex64)}
+    assert all(r.dtype == np.float64 for r in rec.rows.values())
     g = loss_backward(rec).to_vector()
     assert g.dtype == np.float64 and loss != ref
     assert abs(loss - ref) <= 1e-5 * ref
@@ -541,9 +580,9 @@ def test_branch_backward_reads_the_adjoints_channels_only(kind):
     init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.7, 3, rng)
     _, rec = loss_forward(pairs, seeded(train_b, problem, test_b), problem)
     sp = rec.subs[0]
-    b = sp.z.size
+    b = train_b.eval_z[0].size
     for net, caches in ((pairs[0].phi, sp.phi), (pairs[0].psi, sp.psi)):
-        full_n = caches[0][0].shape[0]
+        full_n = caches[0].shape[0]
         for n in range(1, full_n + 1):
             adj = rng.spawn(10 + n).complex_normal(n * b).reshape(n, b)
             padded = np.zeros((full_n, b), dtype=np.complex128)

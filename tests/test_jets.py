@@ -213,17 +213,20 @@ def _affine_adjoint_conj_ref(adj, jets, weights):
     return gw, adj[0].sum(axis=0), da
 
 
+# Each product is a np.multiply call, adjoint first: `adj * np.conj(g)` would
+# leave the operand order to numpy's temporary elision, which swaps it once
+# the conj temporary reaches 256 KiB.
 def _activate_adjoint_conj_ref(adj, g):
     n = g.shape[0]
     out = np.empty_like(g)
-    out[0] = adj[0] * np.conj(g[0])
+    out[0] = np.multiply(adj[0], np.conj(g[0]))
     if n > 1:
-        out[0] += adj[1] * np.conj(g[1])
-        out[1] = adj[1] * np.conj(g[0])
+        out[0] += np.multiply(adj[1], np.conj(g[1]))
+        out[1] = np.multiply(adj[1], np.conj(g[0]))
     if n > 2:
-        out[0] += adj[2] * np.conj(g[2])
-        out[1] += adj[2] * np.conj(2.0 * g[1])
-        out[2] = adj[2] * np.conj(g[0])
+        out[0] += np.multiply(adj[2], np.conj(g[2]))
+        out[1] += np.multiply(adj[2], np.conj(2.0 * g[1]))
+        out[2] = np.multiply(adj[2], np.conj(g[0]))
     return out
 
 
@@ -238,9 +241,9 @@ def _cache_views(rng, channels, points, units, dtype):
     return {"contiguous": _cnormal(rng, (channels, points, units), dtype), "test-row slice": cache[:channels, :points]}
 
 
-# 220 points x 10 units stay below numpy's 256 KiB temporary-elision size in
-# both dtypes, 4000 x 10 and 4000 x 100 pass it, and 220 x 100 passes it in
-# complex128 only: both operand orders of jets.G_FIRST_BYTES are reached
+# both sides of numpy's 256 KiB temporary-elision size, so a `*` in the
+# primitive or the reference would show: 220 x 10 stays below it in both
+# dtypes, 4000 x 10 and 4000 x 100 pass it, 220 x 100 in complex128 only
 ADJOINT_SHAPES = [(220, 10), (220, 100), (4000, 10), (4000, 100)]
 
 
@@ -249,7 +252,7 @@ ADJOINT_SHAPES = [(220, 10), (220, 100), (4000, 10), (4000, 100)]
 @pytest.mark.parametrize("channels", [1, 2, 3])
 def test_activate_jets_adjoint_is_the_conjugated_sweep_bit_for_bit(dtype, points, units, channels):
     # fed conj(a), the dL/du adjoint returns the conjugate of the conjugated
-    # sweep's a * conj(g) products, bit for bit, on either side of 256 KiB
+    # sweep's a * conj(g) products, bit for bit, at every shape
     rng = np.random.default_rng(points + units + channels)
     for what, g in _cache_views(rng, channels, points, units, dtype).items():
         adj = _cnormal(rng, (channels, points, units), dtype)
@@ -257,6 +260,19 @@ def test_activate_jets_adjoint_is_the_conjugated_sweep_bit_for_bit(dtype, points
         got = activate_jets_adjoint(np.conj(adj), g)
         assert got.dtype == dtype
         assert np.conj(got).tobytes() == want.tobytes(), what
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("units", [10, 100])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_activate_jets_adjoint_rows_do_not_depend_on_the_batch_size(dtype, units, channels):
+    # the first 100 rows of a 4000-row batch get the bits that those rows get
+    # alone: the batch's channels pass numpy's 256 KiB temporary-elision
+    # size, the 100 rows' stay below it
+    rng = np.random.default_rng(units + channels)
+    g, adj = (_cnormal(rng, (channels, 4000, units), dtype) for _ in range(2))
+    alone = activate_jets_adjoint(adj[:, :100].copy(), g[:, :100].copy())
+    assert activate_jets_adjoint(adj, g)[:, :100].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])

@@ -84,8 +84,8 @@ def test_forward_jets_lower_orders_are_channel_prefixes(kind):
         got = forward_jets(pair.phi, seed_jets(z)[: order + 1], caches)
         assert got.shape == (order + 1, z.size)
         assert np.array_equal(got, full[: order + 1])
-        # each hidden layer caches a derivative jet with its input's channels
-        assert all(g.shape[0] == x.shape[0] == order + 1 for x, g in caches[:-1])
+        # each layer caches its input jets, with the seeds' channels
+        assert [x.shape[0] for x in caches] == [order + 1] * len(pair.phi.layers)
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
@@ -101,9 +101,9 @@ def test_psi_seeds_are_phis_first_two_channels(dtype):
     want = forward_jets(pair.psi, seed_jets(z, dtype)[:2].copy(), own)
     assert got.dtype == np.complex128 and got.tobytes() == want.tobytes()
     assert mlp_forward(pair, seeds)[1].tobytes() == want.tobytes()
-    for (xa, ga), (xb, gb) in zip(cut, own):
+    assert len(cut) == len(own) == len(pair.psi.layers)
+    for xa, xb in zip(cut, own):
         assert xa.dtype == dtype and xa.tobytes() == xb.tobytes()
-        assert (ga is None and gb is None) or ga.tobytes() == gb.tobytes()
 
 
 def _unchecked_forward(net, z, order):
