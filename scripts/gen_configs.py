@@ -31,8 +31,7 @@ from holoelastic.elasticity import (
     Traction,
 )
 from holoelastic.geometry import Arc, BoundaryPiece, DomainSpec, Line
-from holoelastic.problem import NetworkConfig, OutputConfig, ProblemSpec
-from holoelastic.training import TrainConfig
+from holoelastic.problem import NetworkConfig, OutputConfig, ProblemSpec, TrainConfig
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 

@@ -20,9 +20,9 @@ from . import geometry as geo
 from .autodiff import loss_backward, loss_forward, pack_batch, seed_batch
 from .jets import ActivationKind, NonFiniteError, affine_jets, seed_jets
 from .network import BranchPair, HoloMLP, branch_backward, mlp_forward
-from .problem import NetworkConfig, OutputConfig, ProblemSpec
+from .problem import NetworkConfig, OutputConfig, ProblemSpec, TrainConfig
 from .rng import Rng
-from .training import TrainConfig, start
+from .training import start
 
 
 # --- ring benchmark -----------------------------------------------------------
@@ -267,7 +267,7 @@ def variance_report(problem, m_e: Optional[int], n_probe: int) -> VarianceReport
             var_y = [_cvar(affine_jets(x[:1], l.weights, l.bias)) for x, l in zip(caches[:n_inner], phi.layers)]
             per_q = [_branch_grad_var(phi, caches, ch)[:n_inner] for ch in (0, 1, 2)]
         return VarianceReport(layers, var_y, per_q[0], per_q[1], per_q[2], var_loss, [False] * n_inner)
-    except (NonFiniteError, FloatingPointError):
+    except NonFiniteError:
         inf = [math.inf] * n_inner
         return VarianceReport(layers, inf, inf[:], inf[:], inf[:], inf[:], [True] * n_inner)
 
@@ -295,12 +295,13 @@ def heldout_residuals(pairs, problem, n_points: int, seed: int) -> dict:
     index ("piece") and residual norm ("norm"), in loss_forward's order."""
     samples = geo.sample_boundary(problem.domain, n_points, Rng(seed).spawn(7))
     _, rec = loss_forward(pairs, seed_batch(pack_batch(samples, problem.domain)), problem)
-    iface = [r.ravel() for g, r in zip(rec.groups, rec.residuals) if len(g.sides) == 2]
+    groups = rec.batch.groups
+    iface = [r.ravel() for g, r in zip(groups, rec.residuals) if len(g.sides) == 2]
     return {
-        "outer_rms": rms(np.concatenate([r.ravel() for g, r in zip(rec.groups, rec.residuals) if len(g.sides) == 1])),
+        "outer_rms": rms(np.concatenate([r.ravel() for g, r in zip(groups, rec.residuals) if len(g.sides) == 1])),
         "interface_rms": rms(np.concatenate(iface)) if iface else None,
         "piece_rms": [rms(r) for r in rec.residuals],
-        "z": np.concatenate([g.z for g in rec.groups]),
-        "piece": np.concatenate([np.full(g.z.size, g.piece) for g in rec.groups]),
+        "z": np.concatenate([g.z for g in groups]),
+        "piece": np.concatenate([np.full(g.z.size, g.piece) for g in groups]),
         "norm": np.concatenate([np.sqrt(np.sum(r * r, axis=1)) for r in rec.residuals]),
     }

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,9 +43,7 @@ from . import elasticity as el
 from .geometry import DomainSpec
 from .jets import NonFiniteError, seed_jets
 from .network import BranchPair, branch_backward, flatten_params, mlp_forward, param_views
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .problem import ProblemSpec
+from .problem import ProblemSpec
 
 
 # --- batch packing -----------------------------------------------------------
@@ -191,10 +189,6 @@ class LossRecord:
     test_loss: float = math.nan  # loss on the test batch, if one rode along
 
     @property
-    def groups(self) -> list[Group]:
-        return self.batch.groups
-
-    @property
     def ops(self) -> list:
         """Stage caches in forward order (perfbench reports their count)."""
         out: list = []
@@ -236,7 +230,7 @@ def _loss(groups: list[Group], residuals: list[np.ndarray]) -> tuple[float, list
 
 
 def loss_forward(
-    pairs: Sequence[BranchPair], seeds: Seeds, problem: "ProblemSpec", sweep_psi: bool = True
+    pairs: Sequence[BranchPair], seeds: Seeds, problem: ProblemSpec, sweep_psi: bool = True
 ) -> tuple[float, LossRecord]:
     """Boundary loss of the networks on the packed batch of `seeds`, with its record.
 

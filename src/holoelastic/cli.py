@@ -11,6 +11,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -84,12 +85,10 @@ def _out_path(spec, name: str) -> str:
 
 
 def _load(args, **overrides):
-    """load_config of args.config, each override that is not None written into its `training`."""
+    """load_config of args.config with each override that is not None in `training`, checked as config values are."""
     spec = load_config(args.config)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(spec.training, key, value)
-    return spec
+    given = {key: value for key, value in overrides.items() if value is not None}
+    return dataclasses.replace(spec, training=dataclasses.replace(spec.training, **given))
 
 
 def _cmd_train(args) -> int:

@@ -16,9 +16,37 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+import numpy as np
+
 from . import elasticity as el
 from . import geometry as geo
-from .training import TrainConfig
+
+# training.precision -> the complex dtype of the branch sweeps
+PRECISIONS = {"double": np.complex128, "single": np.complex64}
+
+
+@dataclass
+class TrainConfig:
+    epochs: int = 1000
+    lr: float = 0.03
+    n_train: int = 200
+    n_test: int = 0
+    seed: int = 0
+    beta: float = 0.5
+    m_e: int = 3
+    precision: str = "double"  # a key of PRECISIONS
+
+    def __post_init__(self):
+        if self.epochs < 0 or self.n_test < 0 or self.n_train <= 0:
+            raise ValueError("epochs/n_test must be >= 0 and n_train positive")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be a finite positive number, got {self.lr}")
+        if not 0.0 < self.beta < np.inf:  # network.init_weights' rule and wording
+            raise ValueError(f"beta must be a finite positive number, got {self.beta}")
+        if self.m_e < 2:
+            raise ValueError(f"m_e must be >= 2, got {self.m_e}")
+        if self.precision not in PRECISIONS:
+            raise ValueError(f"precision must be 'double' or 'single', got {self.precision!r}")
 
 
 @dataclass

@@ -48,7 +48,7 @@ class Rng:
         u = (self._raw(int(n)) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
         return low + (high - low) * u
 
-    def normal(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+    def normal(self, n: int, std: float = 1.0) -> np.ndarray:
         """n normals via Box-Muller on uniform pairs."""
         m = int(n)
         pairs = (m + 1) // 2
@@ -59,7 +59,7 @@ class Rng:
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:m]
-        return mean + std * z
+        return std * z
 
     def complex_normal(self, n: int, std: float = 1.0) -> np.ndarray:
         """Complex samples with Re and Im i.i.d. N(0, std^2)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,39 +21,10 @@ from .autodiff import PackedBatch, WeightGrad, loss_backward, loss_forward, pack
 from .geometry import sample_boundary
 from .jets import NonFiniteError
 from .network import BranchPair, bind_params, build_mlp, init_weights
+from .problem import PRECISIONS, ProblemSpec
 from .rng import Rng
 
-# training.precision -> the complex dtype of the branch sweeps
-PRECISIONS = {"double": np.complex128, "single": np.complex64}
 PROBE_FACTOR = 10  # init probe points per training point (stream 3 of start), for train and init-check
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .problem import ProblemSpec
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 1000
-    lr: float = 0.03
-    n_train: int = 200
-    n_test: int = 0
-    seed: int = 0
-    beta: float = 0.5
-    m_e: int = 3
-    precision: str = "double"  # a key of PRECISIONS
-
-    def __post_init__(self):
-        if self.epochs < 0 or self.n_test < 0 or self.n_train <= 0:
-            raise ValueError("epochs/n_test must be >= 0 and n_train positive")
-        if not 0.0 < self.lr < np.inf:
-            raise ValueError(f"lr must be a finite positive number, got {self.lr}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.m_e < 2:
-            raise ValueError(f"m_e must be >= 2, got {self.m_e}")
-        if self.precision not in PRECISIONS:
-            raise ValueError(f"precision must be 'double' or 'single', got {self.precision!r}")
-
 
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -70,9 +41,7 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n))
 
 
-def adam_step(
-    state: AdamState, grads: np.ndarray, lr: float, params: np.ndarray
-) -> tuple[np.ndarray, AdamState]:
+def adam_step(state: AdamState, grads: np.ndarray, lr: float, params: np.ndarray) -> None:
     """One bias-corrected Adam update; params and state are updated in place,
     through two work arrays and in the textbook formulas' operation order."""
     if grads.shape != params.shape or grads.shape != state.m.shape:
@@ -89,7 +58,6 @@ def adam_step(
     u += ADAM_EPS
     np.multiply(np.divide(state.m, 1.0 - ADAM_BETA1**state.step, out=t), lr, out=t)  # lr * mhat
     params -= np.divide(t, u, out=t)
-    return params, state
 
 
 @dataclass
@@ -102,7 +70,7 @@ class History:
         return len(self.train_loss)
 
 
-def build_pairs(problem: "ProblemSpec") -> list[BranchPair]:
+def build_pairs(problem: ProblemSpec) -> list[BranchPair]:
     """Fresh zero-weight branch pairs, one per subdomain."""
     net = problem.networks
     mlp = lambda: build_mlp([net.units] * net.hidden_layers)
@@ -116,12 +84,12 @@ def init_pairs(pairs: Sequence[BranchPair], probe: np.ndarray, beta: float, m_e:
         init_weights(pair.psi, probe, beta, m_e, rng.spawn(101 + 2 * i))
 
 
-def train_samples(problem: "ProblemSpec") -> np.recarray:
+def train_samples(problem: ProblemSpec) -> np.recarray:
     """The n_train training points of a run of `problem`, unpacked: stream 1 of start."""
     return sample_boundary(problem.domain, problem.training.n_train, Rng(problem.training.seed).spawn(1))
 
 
-def start(problem: "ProblemSpec", m_e: int, n_probe: int) -> tuple[list[BranchPair], PackedBatch, Optional[PackedBatch]]:
+def start(problem: ProblemSpec, m_e: int, n_probe: int) -> tuple[list[BranchPair], PackedBatch, Optional[PackedBatch]]:
     """The initialized pairs, packed training batch and packed test batch
     (None when n_test is 0) that a run of `problem` starts from.
 
@@ -140,7 +108,7 @@ def start(problem: "ProblemSpec", m_e: int, n_probe: int) -> tuple[list[BranchPa
     return pairs, packed_train, packed_test
 
 
-def train(problem: "ProblemSpec") -> tuple[list[BranchPair], History]:
+def train(problem: ProblemSpec) -> tuple[list[BranchPair], History]:
     """Train networks for `problem` with the settings of `problem.training`;
     returns the pairs and the loss history.
 

@@ -10,8 +10,7 @@ from holoelastic.elasticity import ConstantData, Material, NormalPressure, Symme
 from holoelastic.geometry import Arc, BoundaryPiece, DomainSpec, Line
 from holoelastic.jets import seed_jets
 from holoelastic.network import flatten_params, mlp_forward, write_params
-from holoelastic.problem import NetworkConfig, OutputConfig, ProblemSpec
-from holoelastic.training import TrainConfig
+from holoelastic.problem import NetworkConfig, OutputConfig, ProblemSpec, TrainConfig
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 CONFIG_NAMES = [

@@ -306,13 +306,13 @@ def test_heldout_residuals_is_one_loss_forward(configs):
     _, rec = loss_forward(pairs, seeded(sample_boundary(spec.domain, 300, Rng(11).spawn(7)), spec), spec)
     assert {r.shape[1] for r in rec.residuals} == {2, 4}
     mean_sq = lambda rs: float(np.sum(np.concatenate([r.ravel() for r in rs]) ** 2)) / sum(r.size for r in rs)
-    outer = [r for g, r in zip(rec.groups, rec.residuals) if len(g.sides) == 1]
-    iface = [r for g, r in zip(rec.groups, rec.residuals) if len(g.sides) == 2]
+    outer = [r for g, r in zip(rec.batch.groups, rec.residuals) if len(g.sides) == 1]
+    iface = [r for g, r in zip(rec.batch.groups, rec.residuals) if len(g.sides) == 2]
     assert got["outer_rms"] == math.sqrt(mean_sq(outer)) and got["interface_rms"] == math.sqrt(mean_sq(iface))
     # per piece: each sample's squared norm, added with math.fsum
     assert got["piece_rms"] == [math.sqrt(math.fsum(np.sum(r * r, axis=1)) / r.size) for r in rec.residuals]
-    assert got["z"].tobytes() == np.concatenate([g.z for g in rec.groups]).tobytes()
-    assert got["piece"].tolist() == [g.piece for g in rec.groups for _ in g.z]
+    assert got["z"].tobytes() == np.concatenate([g.z for g in rec.batch.groups]).tobytes()
+    assert got["piece"].tolist() == [g.piece for g in rec.batch.groups for _ in g.z]
     assert got["norm"].tobytes() == np.concatenate([np.linalg.norm(r, axis=1) for r in rec.residuals]).tobytes()
     assert got["z"].size == 300 and 0.0 < got["outer_rms"] < math.inf
 

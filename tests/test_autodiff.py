@@ -12,9 +12,9 @@ from holoelastic.elasticity import ConstantData, Displacement, Interface, Tracti
 from holoelastic.geometry import BoundaryPiece, DomainSpec, Line, piece_length, sample_boundary
 from holoelastic.jets import ActivationKind, NonFiniteError, activate_jets, affine_jets
 from holoelastic.network import BranchPair, branch_backward, build_mlp, flatten_params
-from holoelastic.problem import load_config
+from holoelastic.problem import PRECISIONS, load_config
 from holoelastic.rng import Rng
-from holoelastic.training import PRECISIONS, build_pairs, init_pairs, train, train_samples
+from holoelastic.training import build_pairs, init_pairs, train, train_samples
 
 
 def _ring_setup(n=8, seed=3, hidden=(10, 10)):
@@ -142,7 +142,7 @@ def test_loss_reads_the_packed_piece_weights(name):
     init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.5, 3, rng)
     loss, rec = loss_forward(pairs, seeded(packed, problem), problem)
     total = 0.0
-    for g, r, mse in zip(rec.groups, rec.residuals, rec.mse):
+    for g, r, mse in zip(rec.batch.groups, rec.residuals, rec.mse):
         assert r.shape[0] == g.z.size and mse == float(np.sum(r * r) / r.shape[0])
         total += g.alpha * mse
     assert loss == rec.loss == total > 0.0

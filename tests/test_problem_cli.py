@@ -21,8 +21,7 @@ from holoelastic.elasticity import Interface, Material, PlaneMode, Symmetry, Tra
 from holoelastic.export import write_fields_csv
 from holoelastic.geometry import piece_point, region_contains
 from holoelastic.network import checkpoint_load, checkpoint_save
-from holoelastic.problem import ConfigError, NetworkConfig, OutputConfig, ProblemSpec, load_config
-from holoelastic.training import TrainConfig
+from holoelastic.problem import ConfigError, NetworkConfig, OutputConfig, ProblemSpec, TrainConfig, load_config
 
 
 # --- config loading -----------------------------------------------------------
@@ -273,7 +272,7 @@ PIECES = ("geometry", "pieces")
         (("networks", "units"), 10.5, [], "error: networks.units: expected an integer"),
         (("geometry", "n_subdomains"), 1.0, [], "error: geometry: unknown field 'n_subdomains'; expected one of"),
         (("training", "m_e"), 1, [], "error: training: m_e must be >= 2, got 1"),
-        (("training", "beta"), -1, [], "error: training: beta must be positive"),
+        (("training", "beta"), -1, [], "error: training: beta must be a finite positive number"),
         (("training", "n_test"), 2, [], "error: training: n_test must be at least the number of boundary pieces (4)"),
         (("training", "n_train"), 3, [], "error: training: n_train must be at least the number of boundary pieces"),
         (("reference", "p"), -1.0, [], "error: reference: unknown field 'p'; expected one of kind"),
@@ -665,6 +664,15 @@ def test_cli_sample(tmp_path):
     assert len(lines) == 26
 
 
+def test_cli_sample_checks_its_n_as_a_config_n_train(tmp_path, capsys):
+    # the ring has 4 boundary pieces: ProblemSpec's check rejects --n 3 before any sample is drawn
+    cfg, out = _mini_ring(tmp_path)
+    assert run_command(["sample", cfg, "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "error: training: n_train must be at least the number of boundary pieces (4), got 3" in err
+    assert not os.path.exists(os.path.join(out, "samples.csv"))
+
+
 @pytest.mark.parametrize("name", ["ring_quadrant", "dd_plate_hole"])
 def test_cli_sample_writes_the_training_batch_that_start_packs(monkeypatch, tmp_path, name):
     # `sample --n 60 --seed 7` overrides n_train and seed as `train --seed`
@@ -735,6 +743,16 @@ def test_package_import_caps_blas_threads_before_numpy_loads():
     assert run(OPENBLAS_NUM_THREADS="2") == ["False", "3", "2", "3"]
 
 
+def test_config_module_loads_no_solver_code():
+    # problem defines and checks the run settings; the solver imports it, not the other way round
+    src = os.path.dirname(os.path.dirname(holoelastic.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, holoelastic.problem; print(*sorted(m for m in sys.modules if m.startswith('holoelastic.')))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [f"holoelastic.{m}" for m in ("elasticity", "geometry", "problem", "rng")]
+
+
 def test_cli_init_check(tmp_path):
     cfg, out = _mini_ring(tmp_path)
     assert run_command(["init-check", cfg, "--beta", "0.5"]) == 0
@@ -768,6 +786,17 @@ def test_cli_seed_override_changes_output(tmp_path):
     assert run_command(["train", cfg, "--seed", "2"]) == 0
     h2 = open(os.path.join(out, "history.csv")).read()
     assert h1 != h2
+
+
+def test_cli_seed_override_means_what_the_config_seed_means(tmp_path):
+    # `train --seed 3` writes the bytes that `train` writes for a copy of the config with "seed": 3
+    cfg, out = _mini_ring(tmp_path, out="flag")
+    assert run_command(["train", cfg, "--seed", "3"]) == 0
+    cfg, seeded_out = _mini_ring(tmp_path, out="config", seed=3)
+    assert run_command(["train", cfg]) == 0
+    for name in ("checkpoint.json", "history.csv"):
+        got, want = (open(os.path.join(d, name), "rb").read() for d in (out, seeded_out))
+        assert got == want, name
 
 
 def test_no_partial_files_on_failure(tmp_path):

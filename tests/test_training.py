@@ -16,7 +16,7 @@ from holoelastic.cli import run_command
 from holoelastic.geometry import sample_boundary
 from holoelastic.jets import NonFiniteError
 from holoelastic.network import flatten_params, write_params
-from holoelastic.problem import load_config
+from holoelastic.problem import TrainConfig, load_config
 from holoelastic.rng import Rng
 from holoelastic.training import (
     ADAM_BETA1,
@@ -24,7 +24,6 @@ from holoelastic.training import (
     ADAM_EPS,
     PROBE_FACTOR,
     AdamState,
-    TrainConfig,
     adam_step,
     start,
     train,
