@@ -22,7 +22,7 @@ import numpy as np
 from . import export, training  # training.train is looked up per call, so it can be wrapped
 from .analytics import RingErrors, grid_blocks, variance_report
 from .network import checkpoint_load, checkpoint_save, constructive_shallow, shallow_eval
-from .problem import load_config
+from .problem import ConfigError, load_config
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -85,10 +85,15 @@ def _out_path(spec, name: str) -> str:
 
 
 def _load(args, **overrides):
-    """load_config of args.config with each override that is not None in `training`, checked as config values are."""
+    """load_config of args.config with each override that is not None in `training`, checked as config values are
+    and failing with the same message."""
     spec = load_config(args.config)
     given = {key: value for key, value in overrides.items() if value is not None}
-    return dataclasses.replace(spec, training=dataclasses.replace(spec.training, **given))
+    try:
+        training = dataclasses.replace(spec.training, **given)
+    except ValueError as e:
+        raise ConfigError(f"training: {e}") from None
+    return dataclasses.replace(spec, training=training)
 
 
 def _cmd_train(args) -> int:

@@ -90,15 +90,36 @@ def affine_jets(jets: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return out
 
 
+# The largest row block of an adjoint that affine_jets_adjoint's GEMM writes
+# over at once: the one temporary it makes beside the adjoint.
+SWEEP_BLOCK_BYTES = 1 << 20
+
+
 def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.ndarray]):
     """Reverse of affine_jets: (dL/dW, dL/db, dL/djets), all as 2 dL/du, from
-    the output adjoint `adj` (n,B,No) and the layer input `jets` (n,B,Ni);
-    with `weights` None the input adjoint is skipped and returned as None."""
+    the output adjoint `adj` (n,B,No) and the layer input `jets` (n,B,Ni, only
+    read); with `weights` None the input adjoint is skipped and returned as None.
+
+    A square layer's input adjoint above SWEEP_BLOCK_BYTES is written over
+    `adj` (a copy of it when `adj` does not reshape to rows in place), one row
+    block of the GEMM at a time: each row is the same row GEMM as in the
+    whole-array product, so the bits do not depend on the block.  Smaller
+    adjoints and the readout (Ni != No) get a new array.  A test-row slice
+    jets[:n, :B] of a cache is copied by the reshape of the dL/dW GEMM; a
+    strided product would reorder that GEMM's reduction and move every
+    output, so the copy stays."""
     n, b, ni = jets.shape
     a2 = adj.reshape(n * b, adj.shape[2])
-    gw = a2.T @ jets.reshape(n * b, ni)
-    da = None if weights is None else (a2 @ weights.astype(adj.dtype, copy=False)).reshape(n, b, ni)
-    return gw, adj[0].sum(axis=0), da
+    gw, gb = a2.T @ jets.reshape(n * b, ni), adj[0].sum(axis=0)
+    if weights is None:
+        return gw, gb, None
+    w = weights.astype(adj.dtype, copy=False)
+    if ni != a2.shape[1] or a2.nbytes <= SWEEP_BLOCK_BYTES:
+        return gw, gb, (a2 @ w).reshape(n, b, ni)
+    rows = SWEEP_BLOCK_BYTES // a2[0].nbytes
+    for r in range(0, n * b, rows):
+        np.matmul(a2[r : r + rows], w, out=a2[r : r + rows])
+    return gw, gb, a2.reshape(n, b, ni)
 
 
 def activate_jets(kind: ActivationKind, jets: np.ndarray) -> np.ndarray:
@@ -130,12 +151,13 @@ def activate_jets_adjoint(adj: np.ndarray, g: np.ndarray) -> np.ndarray:
     and b * a differ in the imaginary part), and one order makes each row's
     adjoint independent of the batch size and width."""
     n = g.shape[0]
+    s = np.empty_like(adj[0])  # the one scratch channel every product goes through
     np.multiply(adj[0], g[0], adj[0])  # channel 0 first: it reads every channel of adj
     for k in range(1, n):
-        adj[0] += np.multiply(adj[k], g[k])
+        adj[0] += np.multiply(adj[k], g[k], s)
     if n > 1:
         np.multiply(adj[1], g[0], adj[1])
     if n > 2:
-        adj[1] += np.multiply(adj[2], 2.0 * g[1])
+        adj[1] += np.multiply(adj[2], np.multiply(2.0, g[1], s), s)
         np.multiply(adj[2], g[0], adj[2])
     return adj

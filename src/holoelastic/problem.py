@@ -37,8 +37,9 @@ class TrainConfig:
     precision: str = "double"  # a key of PRECISIONS
 
     def __post_init__(self):
-        if self.epochs < 0 or self.n_test < 0 or self.n_train <= 0:
-            raise ValueError("epochs/n_test must be >= 0 and n_train positive")
+        for key, least in (("epochs", 0), ("n_train", 1), ("n_test", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
         if not 0.0 < self.lr < np.inf:
             raise ValueError(f"lr must be a finite positive number, got {self.lr}")
         if not 0.0 < self.beta < np.inf:  # network.init_weights' rule and wording

@@ -12,6 +12,7 @@ from holoelastic.jets import (
     affine_jets,
     affine_jets_adjoint,
     seed_jets,
+    SWEEP_BLOCK_BYTES,
 )
 from holoelastic.network import build_mlp, forward_jets
 
@@ -275,13 +276,30 @@ def test_activate_jets_adjoint_rows_do_not_depend_on_the_batch_size(dtype, units
     assert activate_jets_adjoint(adj, g)[:, :100].tobytes() == alone.tobytes()
 
 
+def _adjoint_layouts(adj):
+    """The adjoint `adj` as an array of its own and as a strided view: the
+    first rows of a longer buffer, which reshapes to rows in place only with
+    one channel."""
+    buf = np.empty((adj.shape[0], adj.shape[1] + 30, adj.shape[2]), adj.dtype)
+    buf[:, : adj.shape[1]] = adj
+    return {"owned": adj.copy(), "strided": buf[:, : adj.shape[1]]}
+
+
+# Square adjoints about SWEEP_BLOCK_BYTES: 3 x 220 x 100 in complex128 and
+# 3 x 440 x 100 in both dtypes sit just above it, with row counts (660, 1320)
+# that are no multiple of the block's rows (655 in complex128, 1310 in
+# complex64); 2 x 256 x 128 in complex128 is exactly one block
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
-@pytest.mark.parametrize("points, units", ADJOINT_SHAPES)
+@pytest.mark.parametrize("points, units", ADJOINT_SHAPES + [(440, 100), (256, 128)])
 @pytest.mark.parametrize("channels", [1, 2, 3])
 def test_affine_jets_adjoint_is_the_conjugated_sweep_bit_for_bit(dtype, points, units, channels):
     # a hidden layer (units -> units), the readout (units -> 1) and the first
     # layer (1 -> units, weights None), on contiguous and test-row-sliced
-    # input jets; the complex128 weights are cast to the jets' dtype
+    # input jets, which stay untouched; the complex128 weights are cast to the
+    # jets' dtype.  The input adjoint has the bits of the whole-array
+    # a2 @ W and is written over a square-layer adjoint above
+    # SWEEP_BLOCK_BYTES that reshapes to rows in place, in row blocks; any
+    # other adjoint gets a new array
     rng = np.random.default_rng(points + units + channels)
     layers = {"hidden": (units, units), "readout": (units, 1), "first": (1, units)}
     for name, (ni, no) in layers.items():
@@ -289,9 +307,18 @@ def test_affine_jets_adjoint_is_the_conjugated_sweep_bit_for_bit(dtype, points, 
             adj = _cnormal(rng, (channels, points, no), dtype)
             w = None if name == "first" else _cnormal(rng, (no, ni), np.complex128)
             want = _affine_adjoint_conj_ref(adj, x, w)
-            got = affine_jets_adjoint(np.conj(adj), x, w)
-            for k, (gv, wv) in enumerate(zip(got, want)):
-                if wv is None:
-                    assert gv is None, (name, what)
-                else:
-                    assert gv.dtype == dtype and np.conj(gv).tobytes() == wv.tobytes(), (name, what, k)
+            x_bytes = x.tobytes()
+            for layout, a in _adjoint_layouts(np.conj(adj)).items():
+                whole = None if w is None else a.reshape(-1, no) @ w.astype(dtype)
+                got = affine_jets_adjoint(a, x, w)
+                assert x.tobytes() == x_bytes, (name, what, layout)
+                for k, (gv, wv) in enumerate(zip(got, want)):
+                    if wv is None:
+                        assert gv is None, (name, what)
+                    else:
+                        assert gv.dtype == dtype and np.conj(gv).tobytes() == wv.tobytes(), (name, what, layout, k)
+                if w is not None:
+                    assert got[2].tobytes() == whole.tobytes(), (name, what, layout)
+                    rows_in_place = np.shares_memory(a.reshape(-1, no), a)  # a one-channel view does
+                    blocked = rows_in_place and ni == no and a.nbytes > SWEEP_BLOCK_BYTES
+                    assert np.shares_memory(got[2], a) == blocked, (name, what, layout)

@@ -775,8 +775,36 @@ def test_cli_init_check_rejects_a_domain_decomposed_problem(tmp_path, capsys):
 def test_cli_init_check_rejects_a_beta_that_is_not_finite_and_positive(tmp_path, capsys, beta):
     cfg, out = _mini_ring(tmp_path)
     assert run_command(["init-check", cfg, f"--beta={beta}"]) == 2
-    assert f"error: beta must be a finite positive number, got {float(beta)}" in capsys.readouterr().err
+    assert f"error: training: beta must be a finite positive number, got {float(beta)}" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "variance.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, key, value, flag, message",
+    [
+        ("sample", "n_train", 0, "--n", "n_train must be >= 1, got 0"),
+        ("init-check", "beta", -1.0, "--beta", "beta must be a finite positive number, got -1.0"),
+        ("sample", "epochs", -1, None, "epochs must be >= 0, got -1"),
+        ("sample", "n_test", -1, None, "n_test must be >= 0, got -1"),
+    ],
+    ids=["n_train_0", "beta_negative", "epochs_negative", "n_test_negative"],
+)
+def test_a_bad_training_value_fails_by_name_and_value_from_the_config_and_the_cli(
+    tmp_path, capsys, command, key, value, flag, message
+):
+    # the config's value and the same value given as a CLI override fail
+    # with one message, the config's `training:` prefix included
+    cfg, out = _mini_ring(tmp_path)
+    doc = json.load(open(cfg))
+    doc["training"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_command([command, str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: training: {message}\n"
+    if flag is not None:
+        assert run_command([command, cfg, flag, str(value)]) == 2
+        assert capsys.readouterr().err == f"error: training: {message}\n"
+    assert not os.path.exists(out)
 
 
 def test_cli_seed_override_changes_output(tmp_path):
