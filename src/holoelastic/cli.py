@@ -22,7 +22,7 @@ import numpy as np
 from . import export, training  # training.train is looked up per call, so it can be wrapped
 from .analytics import RingErrors, grid_blocks, variance_report
 from .network import checkpoint_load, checkpoint_save, constructive_shallow, shallow_eval
-from .problem import ConfigError, load_config
+from .problem import load_config, made
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -89,11 +89,7 @@ def _load(args, **overrides):
     and failing with the same message."""
     spec = load_config(args.config)
     given = {key: value for key, value in overrides.items() if value is not None}
-    try:
-        training = dataclasses.replace(spec.training, **given)
-    except ValueError as e:
-        raise ConfigError(f"training: {e}") from None
-    return dataclasses.replace(spec, training=training)
+    return dataclasses.replace(spec, training=made("training", lambda: dataclasses.replace(spec.training, **given)))
 
 
 def _cmd_train(args) -> int:

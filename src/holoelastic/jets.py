@@ -100,11 +100,11 @@ def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.
     the output adjoint `adj` (n,B,No) and the layer input `jets` (n,B,Ni, only
     read); with `weights` None the input adjoint is skipped and returned as None.
 
-    A square layer's input adjoint above SWEEP_BLOCK_BYTES is written over
-    `adj` (a copy of it when `adj` does not reshape to rows in place), one row
-    block of the GEMM at a time: each row is the same row GEMM as in the
-    whole-array product, so the bits do not depend on the block.  Smaller
-    adjoints and the readout (Ni != No) get a new array.  A test-row slice
+    A square layer's input adjoint is written over `adj` (a copy of it when
+    `adj` does not reshape to rows in place), in row blocks of at most
+    SWEEP_BLOCK_BYTES: each row is the same row GEMM as in the whole-array
+    product, so the bits do not depend on the block.  The readout (Ni != No)
+    gets a new array.  A test-row slice
     jets[:n, :B] of a cache is copied by the reshape of the dL/dW GEMM; a
     strided product would reorder that GEMM's reduction and move every
     output, so the copy stays."""
@@ -114,9 +114,9 @@ def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.
     if weights is None:
         return gw, gb, None
     w = weights.astype(adj.dtype, copy=False)
-    if ni != a2.shape[1] or a2.nbytes <= SWEEP_BLOCK_BYTES:
+    if ni != a2.shape[1]:
         return gw, gb, (a2 @ w).reshape(n, b, ni)
-    rows = SWEEP_BLOCK_BYTES // a2[0].nbytes
+    rows = max(1, SWEEP_BLOCK_BYTES // a2[0].nbytes)
     for r in range(0, n * b, rows):
         np.matmul(a2[r : r + rows], w, out=a2[r : r + rows])
     return gw, gb, a2.reshape(n, b, ni)

@@ -92,7 +92,7 @@ def _fail(path: str, msg: str):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _made(path: str, make):
+def made(path: str, make):
     """make(), its ValueError reported at `path` (a PieceError at its piece); a ConfigError passes as it is."""
     try:
         return make()
@@ -185,7 +185,7 @@ def _section(doc: dict, path: str):
     for key in required:
         _need(obj, key, path)
     read = lambda: {FIELDS.get(k, k): rd(obj[k], f"{path}.{k}") for k, rd in reads.items() if k in obj}
-    return _made(path, lambda: make(**read()))
+    return made(path, lambda: make(**read()))
 
 
 def _pick(table: dict, kind, path: str, what: str):  # kind is any JSON value: a list or an object is unhashable
@@ -218,7 +218,7 @@ def _parse_piece(obj: dict, i: int) -> geo.BoundaryPiece:
         _fail(f"{path}.subdomains", f"expected a list of integers, got {subs!r}")
     subs = tuple(_int(s, f"{path}.subdomains") for s in subs)
     name = _str(obj.get("name", f"piece{i}"), f"{path}.name")
-    return _made(path, lambda: geo.BoundaryPiece(shape, bc, subs, name=name))
+    return made(path, lambda: geo.BoundaryPiece(shape, bc, subs, name=name))
 
 
 def load_config(path: str) -> ProblemSpec:
@@ -236,7 +236,7 @@ def load_config(path: str) -> ProblemSpec:
     if not isinstance(piece_objs, list):
         _fail("geometry.pieces", f"expected a list, got {piece_objs!r}")
     pieces = [_parse_piece(p, i) for i, p in enumerate(piece_objs)]
-    domain = _made("geometry", lambda: geo.DomainSpec(pieces))
+    domain = made("geometry", lambda: geo.DomainSpec(pieces))
 
     networks, training, outputs = (_section(doc, key) for key in ("networks", "training", "outputs"))
 
@@ -263,4 +263,4 @@ def load_config(path: str) -> ProblemSpec:
         ref = {"kind": "ring", "p": p, "r": r, "R": R}
 
     name = _str(doc.get("name", os.path.splitext(os.path.basename(path))[0]), "name")
-    return _made("config", lambda: ProblemSpec(material, domain, networks, training, outputs, ref, name))
+    return made("config", lambda: ProblemSpec(material, domain, networks, training, outputs, ref, name))

@@ -12,7 +12,6 @@ from holoelastic.jets import (
     affine_jets,
     affine_jets_adjoint,
     seed_jets,
-    SWEEP_BLOCK_BYTES,
 )
 from holoelastic.network import build_mlp, forward_jets
 
@@ -288,7 +287,8 @@ def _adjoint_layouts(adj):
 # Square adjoints about SWEEP_BLOCK_BYTES: 3 x 220 x 100 in complex128 and
 # 3 x 440 x 100 in both dtypes sit just above it, with row counts (660, 1320)
 # that are no multiple of the block's rows (655 in complex128, 1310 in
-# complex64); 2 x 256 x 128 in complex128 is exactly one block
+# complex64); 2 x 256 x 128 in complex128 is exactly one block, and the
+# smaller shapes fit in one
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @pytest.mark.parametrize("points, units", ADJOINT_SHAPES + [(440, 100), (256, 128)])
 @pytest.mark.parametrize("channels", [1, 2, 3])
@@ -297,9 +297,9 @@ def test_affine_jets_adjoint_is_the_conjugated_sweep_bit_for_bit(dtype, points, 
     # layer (1 -> units, weights None), on contiguous and test-row-sliced
     # input jets, which stay untouched; the complex128 weights are cast to the
     # jets' dtype.  The input adjoint has the bits of the whole-array
-    # a2 @ W and is written over a square-layer adjoint above
-    # SWEEP_BLOCK_BYTES that reshapes to rows in place, in row blocks; any
-    # other adjoint gets a new array
+    # a2 @ W and is written, in row blocks, over a square-layer adjoint that
+    # reshapes to rows in place; the readout and any other layout get a new
+    # array
     rng = np.random.default_rng(points + units + channels)
     layers = {"hidden": (units, units), "readout": (units, 1), "first": (1, units)}
     for name, (ni, no) in layers.items():
@@ -320,5 +320,5 @@ def test_affine_jets_adjoint_is_the_conjugated_sweep_bit_for_bit(dtype, points, 
                 if w is not None:
                     assert got[2].tobytes() == whole.tobytes(), (name, what, layout)
                     rows_in_place = np.shares_memory(a.reshape(-1, no), a)  # a one-channel view does
-                    blocked = rows_in_place and ni == no and a.nbytes > SWEEP_BLOCK_BYTES
+                    blocked = rows_in_place and ni == no
                     assert np.shares_memory(got[2], a) == blocked, (name, what, layout)
