@@ -116,7 +116,7 @@ def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.
     w = weights.astype(adj.dtype, copy=False)
     if ni != a2.shape[1]:
         return gw, gb, (a2 @ w).reshape(n, b, ni)
-    rows = max(1, SWEEP_BLOCK_BYTES // a2[0].nbytes)
+    rows = SWEEP_BLOCK_BYTES // a2[0].nbytes
     for r in range(0, n * b, rows):
         np.matmul(a2[r : r + rows], w, out=a2[r : r + rows])
     return gw, gb, a2.reshape(n, b, ni)
