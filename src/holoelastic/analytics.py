@@ -19,7 +19,7 @@ from . import elasticity as el
 from . import geometry as geo
 from .autodiff import loss_backward, loss_forward, pack_batch, seed_batch
 from .jets import ActivationKind, NonFiniteError, affine_jets, seed_jets
-from .network import BranchPair, HoloMLP, branch_backward, mlp_forward
+from .network import BranchPair, HoloMLP, branch_backward, build_mlp, mlp_forward
 from .problem import NetworkConfig, OutputConfig, ProblemSpec, TrainConfig
 from .rng import Rng
 from .training import start
@@ -219,7 +219,7 @@ def _branch_grad_var(net: HoloMLP, caches: list, channel: int) -> list[float]:
     """
     seed = np.zeros((channel + 1, caches[0].shape[1]), dtype=np.complex128)
     seed[channel] = 1.0
-    return [_cvar(gw) for gw, _ in branch_backward(net, caches, seed)]
+    return [_cvar(l.weights) for l in branch_backward(net, caches, seed, build_mlp(net.widths[1:-1])).layers]
 
 
 def _square_problem(hidden: Sequence[int], cfg: TrainConfig) -> ProblemSpec:
@@ -260,7 +260,7 @@ def variance_report(problem, m_e: Optional[int], n_probe: int) -> VarianceReport
             pairs, packed, _ = start(problem, m_e, n_probe)
             phi = pairs[0].phi
             _, rec = loss_forward(pairs, seed_batch(packed), problem, sweep_psi=False)
-            var_loss = [_cvar(gw) for gw, _ in loss_backward(rec).grads[0][0][:n_inner]]
+            var_loss = [_cvar(l.weights) for l in loss_backward(rec).grads[0].phi.layers[:n_inner]]
             caches = rec.subs[0].phi
             del rec  # the sweeps read the caches alone
             # the caches hold no pre-activations: each layer's affine map on its input's value channel

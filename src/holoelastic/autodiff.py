@@ -123,13 +123,13 @@ def pack_batch(samples: np.recarray, domain: DomainSpec) -> PackedBatch:
 
 @dataclass
 class WeightGrad:
-    """The real gradient vector `vec`, aligned with network.flatten_params, and
-    per subdomain the (phi, psi) lists of per-layer (dL/dW, dL/db) that
-    branch_backward writes: complex views of vec (network.param_views), each
-    weight's pair (dL/dRe w, dL/dIm w) packed as Re + i Im."""
+    """A gradient is a list of branch pairs over its own vector: `grads` holds
+    per subdomain a BranchPair of complex views (network.param_views) of the
+    real vector `vec`, in network.flatten_params order, whose layers hold
+    branch_backward's dL/dW and dL/db, each (dL/dRe w, dL/dIm w) as Re + i Im."""
 
     vec: np.ndarray
-    grads: list[tuple[list, list]]
+    grads: list[BranchPair]
 
     @classmethod
     def zeros(cls, pairs: Sequence[BranchPair]) -> "WeightGrad":
@@ -286,8 +286,8 @@ def loss_backward(rec: LossRecord, grad: Optional[WeightGrad] = None) -> WeightG
         op = rec.batch.operators[sub]
         adj = np.einsum("bkf,bk->fb", op.A, op.scale[:, None] * rec.rows[sub])
         ap, aq = el.km_fields_adjoint(rec.batch.eval_z[sub], adj, rec.material)
-        pair, (gphi, gpsi) = rec.pairs[sub], grad.grads[sub]
-        branch_backward(pair.phi, sp.phi, ap, gphi)
+        pair, g = rec.pairs[sub], grad.grads[sub]
+        branch_backward(pair.phi, sp.phi, ap, g.phi)
         if sp.psi:
-            branch_backward(pair.psi, sp.psi, aq, gpsi)
+            branch_backward(pair.psi, sp.psi, aq, g.psi)
     return grad

@@ -146,7 +146,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_init_check(args) -> int:
-    spec = _load(args, beta=args.beta, seed=args.seed)
+    spec = _load(args, beta=args.beta, seed=args.seed, m_e=args.m_e)
     report = variance_report(spec, args.m_e, training.PROBE_FACTOR * spec.training.n_train)
     path = _out_path(spec, "variance.csv")
     export.write_variance_csv(path, report)

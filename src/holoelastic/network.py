@@ -125,12 +125,12 @@ def forward_jets(
     return out
 
 
-def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray, out: Optional[list] = None) -> list:
+def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray, out: HoloMLP) -> HoloMLP:
     """Reverse sweep of forward_jets from an (n, B) output adjoint.
 
-    Runs in the caches' dtype and writes per layer the complex128 (dL/dW,
-    dL/db) into `out`, a list of per-layer (weights, bias) arrays such as
-    param_views gives (new arrays when None); returns it.  `adj` (only read)
+    Runs in the caches' dtype and writes per layer the complex128 dL/dW and
+    dL/db into the weights and bias of `out`, a network of net's shape such
+    as a gradient's branch (param_views); returns it.  `adj` (only read)
     and the gradients are dL/dRe + i dL/dIm; the sweep carries their
     conjugate 2 dL/du, which passes each holomorphic step as a plain
     product.  caches[i] is layer i's input and, as exp's output, the
@@ -142,14 +142,13 @@ def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray, out: Optional[l
     must run before they are updated.
     """
     n, b = adj.shape
-    if out is None:
-        out = [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in net.layers]
     a = np.conj(adj[:, :, None]).astype(caches[0].dtype, copy=False)
     for i in reversed(range(len(net.layers))):
         if i + 1 < len(net.layers):
             a = activate_jets_adjoint(a, caches[i + 1][:n, :b])
         gw, gb, a = affine_jets_adjoint(a, caches[i][:n, :b], net.layers[i].weights if i else None)
-        out[i][0][...], out[i][1][...] = gw.conj(), gb.conj()
+        g = out.layers[i]
+        g.weights[...], g.bias[...] = gw.conj(), gb.conj()
     return out
 
 
@@ -180,16 +179,12 @@ def mlp_forward(pair: BranchPair, seeds: np.ndarray, where: str = "", caches=Non
 # weights before bias, re/im interleaved (the complex128 memory layout).
 
 
-def _layers(pairs: Sequence[BranchPair]):
+def _param_arrays(pairs: Sequence[BranchPair]):
     for pair in pairs:
         for net in (pair.phi, pair.psi):
-            yield from net.layers
-
-
-def _param_arrays(pairs: Sequence[BranchPair]):
-    for layer in _layers(pairs):
-        yield layer.weights
-        yield layer.bias
+            for layer in net.layers:
+                yield layer.weights
+                yield layer.bias
 
 
 def flatten_params(pairs: Sequence[BranchPair]) -> np.ndarray:
@@ -208,9 +203,10 @@ def write_params(pairs: Sequence[BranchPair], vec: np.ndarray) -> None:
         raise ValueError(f"parameter vector has {vec.size} entries, networks need {pos}")
 
 
-def param_views(pairs: Sequence[BranchPair], vec: np.ndarray) -> list[tuple[list, list]]:
-    """Per pair the (phi, psi) lists of per-layer (weights, bias) complex views
-    of the real vector vec, shaped as the pairs' arrays, in flatten_params order."""
+def param_views(pairs: Sequence[BranchPair], vec: np.ndarray) -> list[BranchPair]:
+    """Branch pairs shaped as `pairs` whose every weights and bias array is a
+    complex view of the real vector vec, in flatten_params order: train's
+    networks over Adam's vector, and a gradient's branch pairs over its own."""
     pos = 0
 
     def view(a: np.ndarray) -> np.ndarray:
@@ -218,17 +214,10 @@ def param_views(pairs: Sequence[BranchPair], vec: np.ndarray) -> list[tuple[list
         pos += 2 * a.size
         return vec[pos - 2 * a.size : pos].view(np.complex128).reshape(a.shape)
 
-    return [tuple([(view(l.weights), view(l.bias)) for l in net.layers] for net in (p.phi, p.psi)) for p in pairs]
+    def mlp(net: HoloMLP) -> HoloMLP:
+        return HoloMLP([LayerParams(view(l.weights), view(l.bias)) for l in net.layers])
 
-
-def bind_params(pairs: Sequence[BranchPair]) -> np.ndarray:
-    """flatten_params, with every layer's weights and bias rebound as complex
-    views of the returned vector: updating it in place updates the networks."""
-    vec = flatten_params(pairs)
-    views = [v for branches in param_views(pairs, vec) for layers in branches for v in layers]
-    for layer, (w, b) in zip(_layers(pairs), views):
-        layer.weights, layer.bias = w, b
-    return vec
+    return [BranchPair(mlp(p.phi), mlp(p.psi)) for p in pairs]
 
 
 # --- initialization ---------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import PackedBatch, WeightGrad, loss_backward, loss_forward, pack_batch, seed_batch
 from .geometry import sample_boundary
 from .jets import NonFiniteError
-from .network import BranchPair, bind_params, build_mlp, init_weights
+from .network import BranchPair, build_mlp, flatten_params, init_weights, param_views
 from .problem import PRECISIONS, ProblemSpec
 from .rng import Rng
 
@@ -117,7 +117,8 @@ def train(problem: ProblemSpec) -> tuple[list[BranchPair], History]:
     """
     cfg = problem.training
     pairs, packed_train, packed_test = start(problem, cfg.m_e, PROBE_FACTOR * cfg.n_train)
-    vec = bind_params(pairs)  # adam_step updates the layers through it
+    vec = flatten_params(pairs)
+    pairs = param_views(pairs, vec)  # adam_step updates the layers through vec
     adam = AdamState.zeros(vec.size)
     seeds = seed_batch(packed_train, packed_test, PRECISIONS[cfg.precision])
     grad = WeightGrad.zeros(pairs)

@@ -415,13 +415,15 @@ def test_variance_rows_match_the_full_sweeps(monkeypatch):
     records = _recorded_loss_forwards(monkeypatch)
     rep = init_diagnostics([30, 30, 30], ActivationKind.EXP, 0.5, 3, 500, 200, 2)
     ((args, rec),) = records
-    phi = loss_backward(loss_forward(*args)[1]).grads[0][0]
-    assert rep.var_loss_w == [analytics._cvar(gw) for gw, _ in phi[:3]]
+    phi = loss_backward(loss_forward(*args)[1]).grads[0].phi
+    assert rep.var_loss_w == [analytics._cvar(l.weights) for l in phi.layers[:3]]
     caches = rec.subs[0].phi
     for channel, row in enumerate((rep.var_phi_w, rep.var_dphi_w, rep.var_ddphi_w)):
         seed = np.zeros((3, rec.batch.eval_z[0].size), dtype=np.complex128)
         seed[channel] = 1.0
-        want = [analytics._cvar(gw) for gw, _ in network.branch_backward(rec.pairs[0].phi, caches, seed)[:3]]
+        net = rec.pairs[0].phi
+        out = network.branch_backward(net, caches, seed, network.build_mlp(net.widths[1:-1]))
+        want = [analytics._cvar(l.weights) for l in out.layers[:3]]
         assert np.allclose(row, want, rtol=1e-14, atol=0.0), channel
 
 

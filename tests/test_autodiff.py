@@ -176,10 +176,10 @@ def test_loss_backward_sweeps_phi_alone_without_psi_caches(name):
     init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.7, 3, rng)
     samples = sample_boundary(problem.domain, 40, rng.spawn(1))
     full = loss_backward(loss_forward(pairs, seeded(samples, problem), problem)[1]).grads
-    (phi, psi), = loss_backward(loss_forward(pairs, seeded(samples, problem), problem, sweep_psi=False)[1]).grads
-    assert len(phi) == len(full[0][0]) and not any(gw.any() or gb.any() for gw, gb in psi)
-    for (gw, gb), (fw, fb) in zip(phi, full[0][0]):
-        assert np.array_equal(gw, fw) and np.array_equal(gb, fb)
+    (g,) = loss_backward(loss_forward(pairs, seeded(samples, problem), problem, sweep_psi=False)[1]).grads
+    assert not any(l.weights.any() or l.bias.any() for l in g.psi.layers)
+    for l, f in zip(g.phi.layers, full[0].phi.layers, strict=True):
+        assert np.array_equal(l.weights, f.weights) and np.array_equal(l.bias, f.bias)
 
 
 def test_subdomain_count_mismatch():
@@ -332,7 +332,7 @@ def test_loss_backward_leaves_the_record_and_the_branch_adjoints_alone(name, mon
     before = [a.tobytes() for a in cached]
     handed = []
 
-    def recording(net, caches, adj, out=None):
+    def recording(net, caches, adj, out):
         handed.append((adj, adj.tobytes()))
         return branch_backward(net, caches, adj, out)
 
@@ -395,10 +395,9 @@ def test_zeroed_fanout_gives_exactly_zero_gradient():
     # cut unit 2 of the phi branch's hidden layer 1 out of every downstream path
     pairs[0].phi.layers[1].weights[:, 2] = 0.0
     _, rec = loss_forward(pairs, seeded(samples, problem), problem)
-    g = loss_backward(rec).grads[0][0][0][0]  # pair 0, phi, layer 1, dL/dW
-    assert np.all(g[2, :] == 0.0)
-    gb = loss_backward(rec).grads[0][0][0][1]
-    assert gb[2] == 0.0
+    g = loss_backward(rec).grads[0].phi.layers[0]  # pair 0, phi, layer 1
+    assert np.all(g.weights[2, :] == 0.0)
+    assert g.bias[2] == 0.0
 
 
 def test_cauchy_riemann_consistency_of_adjoint_rules():
@@ -558,11 +557,16 @@ def test_gradient_lands_in_the_reused_vector_as_concatenated_layers(name):
     seeds = seed_batch(train_b, test_b, PRECISIONS[problem.training.precision])
     grad = WeightGrad.zeros(pairs)
     grad.vec[:] = np.nan
+    # the gradient has the networks' shape, every array a view of its vector
+    for g, p in zip(grad.grads, pairs, strict=True):
+        for gn, pn in ((g.phi, p.phi), (g.psi, p.psi)):
+            for gl, pl in zip(gn.layers, pn.layers, strict=True):
+                for ga, pa in ((gl.weights, pl.weights), (gl.bias, pl.bias)):
+                    assert ga.shape == pa.shape and np.shares_memory(ga, grad.vec)
     for step in range(2):
         _, rec = loss_forward(pairs, seeds, problem)
         assert loss_backward(rec, grad) is grad and grad.to_vector() is grad.vec
-        layers = [g for pair in loss_backward(rec).grads for branch in pair for layer in branch for g in layer]
-        want = np.concatenate([g.view(np.float64).ravel() for g in layers])
+        want = flatten_params(loss_backward(rec).grads)
         assert grad.vec.shape == flatten_params(pairs).shape and grad.vec.tobytes() == want.tobytes()
         for p in pairs:  # the second step's gradient replaces the first's
             p.phi.layers[0].weights *= 1.5
@@ -588,7 +592,8 @@ def test_branch_backward_reads_the_adjoints_channels_only(kind):
             adj = rng.spawn(10 + n).complex_normal(n * b).reshape(n, b)
             padded = np.zeros((full_n, b), dtype=np.complex128)
             padded[:n] = adj
-            for got, want in zip(branch_backward(net, caches, adj), branch_backward(net, caches, padded)):
-                for g, w in zip(got, want):
+            got, want = (branch_backward(net, caches, a, build_mlp(net.widths[1:-1])) for a in (adj, padded))
+            for gl, wl in zip(got.layers, want.layers, strict=True):
+                for g, w in ((gl.weights, wl.weights), (gl.bias, wl.bias)):
                     assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (n, full_n)
 

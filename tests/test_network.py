@@ -25,6 +25,7 @@ from holoelastic.network import (
     forward_jets,
     init_weights,
     mlp_forward,
+    param_views,
     write_params,
 )
 from holoelastic.rng import Rng
@@ -401,3 +402,11 @@ def test_flatten_write_roundtrip():
     vec2[3] += 1.5
     write_params(pairs, vec2)
     assert flatten_params(pairs)[3] == vec[3] + 1.5
+    # param_views: branch pairs over the vector, flattening back to it bit for
+    # bit, whose writes land in it
+    views = param_views(pairs, vec)
+    assert flatten_params(views).tobytes() == vec.tobytes()
+    views[0].psi.layers[1].weights[2, 3] = 7.0 - 2.5j
+    assert flatten_params(views).tobytes() == vec.tobytes()
+    assert complex(views[0].psi.layers[1].weights[2, 3]) == 7.0 - 2.5j
+    assert [l.weights.shape for l in views[0].phi.layers] == [l.weights.shape for l in pairs[0].phi.layers]

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 from conftest import config_path
+from holoelastic import training
 from holoelastic.cli import run_command
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
@@ -46,6 +47,29 @@ def test_benchmark_ring_errors_check_passes(monkeypatch, tmp_path):
     worker.check_ring_errors({"ops": [{"kind": "eval", "out_dir": out, "argv": argv}]}, checks, result)
     assert checks == {"errors_csv_matches_recomputed_rel_l2": True}
     assert result["rel_l2_dphi"] > 0.0 and result["fields_bytes"] > 0
+
+
+def test_benchmark_checkpoint_roundtrip_check_passes(monkeypatch, tmp_path):
+    # perfbench's train check: checkpoint.json of a 2-epoch ring train reloads
+    # to the pairs train returned (kept by the Workload's wrapper of
+    # training.train, undone after the test) and re-saves byte for byte
+    monkeypatch.syspath_prepend(PERFBENCH)
+    worker = importlib.import_module("worker")
+    monkeypatch.setattr(training, "train", training.train)
+    doc = json.load(open(config_path("ring_quadrant")))
+    doc["training"]["epochs"] = 2
+    doc["outputs"]["dir"] = out = str(tmp_path / "out")
+    cfg = str(tmp_path / "ring.json")
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    op = {"id": "train", "kind": "train", "argv": ["train", cfg], "out_dir": out}
+    plan = {"target": None, "ops": [op]}
+    wl = worker.Workload(plan, trace=False)
+    assert wl.run_op(op, traced=False)["code"] == 0
+    checks, result = {}, {}
+    worker.check_checkpoint(plan, wl, checks, result, str(tmp_path))
+    assert checks == {"checkpoint_roundtrip": True}
+    assert result["checkpoint_bytes"] == os.path.getsize(os.path.join(out, "checkpoint.json"))
 
 
 # Workload and Tracer.install patch holoelastic's modules in place, so the ops

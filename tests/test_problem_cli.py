@@ -784,10 +784,11 @@ def test_cli_init_check_rejects_a_beta_that_is_not_finite_and_positive(tmp_path,
     [
         ("sample", "n_train", 0, "--n", "n_train must be >= 1, got 0"),
         ("init-check", "beta", -1.0, "--beta", "beta must be a finite positive number, got -1.0"),
+        ("init-check", "m_e", 1, "--m-e", "m_e must be >= 2, got 1"),
         ("sample", "epochs", -1, None, "epochs must be >= 0, got -1"),
         ("sample", "n_test", -1, None, "n_test must be >= 0, got -1"),
     ],
-    ids=["n_train_0", "beta_negative", "epochs_negative", "n_test_negative"],
+    ids=["n_train_0", "beta_negative", "m_e_1", "epochs_negative", "n_test_negative"],
 )
 def test_a_bad_training_value_fails_by_name_and_value_from_the_config_and_the_cli(
     tmp_path, capsys, command, key, value, flag, message
