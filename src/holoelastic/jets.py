@@ -11,7 +11,8 @@ dtype; so does network.forward_jets, which takes seed jets that a training
 run builds once.  The affine layer and the activation each come with their
 adjoint, on 2 dL/du (network.branch_backward converts); exp is its own
 derivative, so the activated jet is also the jet of f'(y), all that the
-activation's adjoint reads.
+activation's adjoint reads.  The activation and both adjoints write over
+their input, so a branch pass holds one jet per layer and one scratch.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ def act_derivs(kind: ActivationKind, y: np.ndarray, out: Optional[np.ndarray] = 
     A complex64 exp is e^x (cos y + i sin y) on numpy's float32 exp, cos and
     sin, within 4 float32 ulps of |e| of the complex128 result.  Any other
     input is evaluated in complex128 through libm.  The result goes into
-    `out` when given (activate_jets passes its output jet's value channel),
-    with the same bits as a new array.  Overflow is not clipped and not
-    warned about here; callers detect non-finite results and abort with
-    context.
+    `out` when given, which may be y itself (activate_jets passes its jet's
+    value channel as both), with the same bits as a new array.  Overflow is
+    not clipped and not warned about here; callers detect non-finite results
+    and abort with context.
     """
     y = np.asarray(y)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -90,9 +91,9 @@ def affine_jets(jets: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.n
     return out
 
 
-# The largest row block of an adjoint that affine_jets_adjoint's GEMM writes
-# over at once: the one temporary it makes beside the adjoint.
-SWEEP_BLOCK_BYTES = 1 << 20
+# The row block an adjoint primitive works on at once: it bounds the one temporary
+# each makes beside the adjoint, up to a floor of one row (two for the affine GEMM).
+SWEEP_BLOCK_BYTES = 1 << 18
 
 
 def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.ndarray]):
@@ -101,10 +102,11 @@ def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.
     read); with `weights` None the input adjoint is skipped and returned as None.
 
     A square layer's input adjoint is written over `adj` (a copy of it when
-    `adj` does not reshape to rows in place), in row blocks of at most
-    SWEEP_BLOCK_BYTES: each row is the same row GEMM as in the whole-array
-    product, so the bits do not depend on the block.  The readout (Ni != No)
-    gets a new array.  A test-row slice
+    `adj` does not reshape to rows in place), in row blocks of SWEEP_BLOCK_BYTES,
+    at least two rows each (a last row left alone joins the block before it):
+    numpy takes a one-row product through gemv, but any other block row is the
+    same row GEMM as in the whole-array product, so the bits do not depend on
+    the block.  The readout (Ni != No) gets a new array.  A test-row slice
     jets[:n, :B] of a cache is copied by the reshape of the dL/dW GEMM; a
     strided product would reorder that GEMM's reduction and move every
     output, so the copy stays."""
@@ -116,48 +118,56 @@ def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.
     w = weights.astype(adj.dtype, copy=False)
     if ni != a2.shape[1]:
         return gw, gb, (a2 @ w).reshape(n, b, ni)
-    rows = SWEEP_BLOCK_BYTES // a2[0].nbytes
-    for r in range(0, n * b, rows):
-        np.matmul(a2[r : r + rows], w, out=a2[r : r + rows])
+    rows, m = max(2, SWEEP_BLOCK_BYTES // a2[0].nbytes), n * b
+    for r in range(0, max(m - 1, 1), rows):
+        k = slice(r, r + rows + (m - r == rows + 1))
+        np.matmul(a2[k], w, out=a2[k])
     return gw, gb, a2.reshape(n, b, ni)
 
 
 def activate_jets(kind: ActivationKind, jets: np.ndarray) -> np.ndarray:
-    """exp on a jet batch, to the jet's own order, by the chain rule.
+    """exp on a jet batch, to the jet's own order, by the chain rule, written
+    over `jets` (affine_jets' fresh output, held by no cache) and returned;
+    an order-2 jet takes one scratch channel.  Products keep the operand order
+    of (e, e y1, (e y1) y1 + e y2), as numpy's are not commutative bit for bit.
 
     The result is also the derivative jet, the jet of exp'(y), which is all
-    activate_jets_adjoint reads.  Overflow is not checked here;
-    network.forward_jets checks.
+    activate_jets_adjoint reads; network.forward_jets checks it for overflow.
     """
     n = jets.shape[0]
-    out = np.empty_like(jets)
-    e = act_derivs(kind, jets[0], out[0])
-    if n > 1:
-        np.multiply(e, jets[1], out=out[1])
+    e = act_derivs(kind, jets[0], jets[0])
+    if n == 2:
+        np.multiply(e, jets[1], out=jets[1])
     if n > 2:
-        np.multiply(out[1], jets[1], out=out[2])
-        out[2] += e * jets[2]
-    return out
+        s = e * jets[1]
+        np.multiply(e, jets[2], out=jets[2])
+        jets[2] += np.multiply(s, jets[1], out=jets[1])
+        jets[1] = s
+    return jets
 
 
 def activate_jets_adjoint(adj: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Reverse of activate_jets, written over the output adjoint `adj` (and
     returned): out = f(y) has d out = g . d y in truncated series arithmetic
     (the Leibniz rule), so each input channel's adjoint sums the output
-    adjoints times the channels of the derivative jet g (only read) it meets.
+    adjoints times the channels of the derivative jet g (only read) it meets,
+    in row blocks through one scratch of at most SWEEP_BLOCK_BYTES.
 
     Every product is np.multiply(adj, g), adjoint first, at every size:
     numpy's complex product is not commutative bit for bit (with FMA, a * b
     and b * a differ in the imaginary part), and one order makes each row's
     adjoint independent of the batch size and width."""
     n = g.shape[0]
-    s = np.empty_like(adj[0])  # the one scratch channel every product goes through
-    np.multiply(adj[0], g[0], adj[0])  # channel 0 first: it reads every channel of adj
-    for k in range(1, n):
-        adj[0] += np.multiply(adj[k], g[k], s)
-    if n > 1:
-        np.multiply(adj[1], g[0], adj[1])
-    if n > 2:
-        adj[1] += np.multiply(adj[2], np.multiply(2.0, g[1], s), s)
-        np.multiply(adj[2], g[0], adj[2])
+    rows = max(1, SWEEP_BLOCK_BYTES // adj[0, 0].nbytes)
+    scratch = np.empty_like(adj[0, :rows])
+    for r in range(0, adj.shape[1], rows):
+        a, d, s = adj[:, r : r + rows], g[:, r : r + rows], scratch[: adj.shape[1] - r]
+        np.multiply(a[0], d[0], a[0])  # channel 0 first: it reads every channel of a
+        for k in range(1, n):
+            a[0] += np.multiply(a[k], d[k], s)
+        if n > 1:
+            np.multiply(a[1], d[0], a[1])
+        if n > 2:
+            a[1] += np.multiply(a[2], np.multiply(2.0, d[1], s), s)
+            np.multiply(a[2], d[0], a[2])
     return adj

@@ -3,6 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ring_problem, seeded
+from holoelastic import network
+from holoelastic.autodiff import loss_forward
+from holoelastic.geometry import sample_boundary
 from holoelastic.jets import (
     ActivationKind,
     NonFiniteError,
@@ -14,6 +18,8 @@ from holoelastic.jets import (
     seed_jets,
 )
 from holoelastic.network import build_mlp, forward_jets
+from holoelastic.rng import Rng
+from holoelastic.training import build_pairs, init_pairs
 
 def _jet(f, d1, d2):
     """One jet (value, first, second derivative) as a (3, 1, 1) batch."""
@@ -66,10 +72,13 @@ def test_exp_of_square_at_one():
 def test_every_activation_returns_its_derivative_jet(n, dtype):
     # exp' = exp, so the activated jet is also the jet of f'(y), the one
     # array activate_jets_adjoint reads: (e, e y1, e y1^2 + e y2), e = exp(y0)
+    # (written over the jet it is given)
     rng = np.random.default_rng(n)
     jets = (rng.normal(size=(n, 4, 3)) + 1j * rng.normal(size=(n, 4, 3))).astype(dtype)
-    g = activate_jets(ActivationKind.EXP, jets)
-    assert g.shape == jets.shape and g.dtype == dtype
+    given = jets.copy()
+    g = activate_jets(ActivationKind.EXP, given)
+    assert g is given and g.dtype == dtype
+    assert g.tobytes() == _activate_by_copy(jets).tobytes()
     y = np.zeros((3,) + jets.shape[1:], dtype=np.complex128)
     y[:n] = jets
     e = np.exp(y[0])
@@ -171,7 +180,8 @@ def test_act_derivs_bitwise_after_complex_gemm(kind, dtype):
 
 
 def _activate_by_copy(jets):
-    """activate_jets with e^y computed in an array of its own and copied into the output jet."""
+    """activate_jets into a new jet, with e^y computed in an array of its own
+    and copied in; `jets` is only read."""
     n = jets.shape[0]
     e = act_derivs(ActivationKind.EXP, jets[0])
     out = np.empty_like(jets)
@@ -189,17 +199,43 @@ def _activate_by_copy(jets):
 @pytest.mark.parametrize("points", [220, 4000])
 @pytest.mark.parametrize("channels", [1, 2, 3])
 def test_activate_jets_writes_e_y_into_its_output_jet_bit_for_bit(dtype, points, channels):
-    # activate_jets has act_derivs write e^y straight into its output's value
-    # channel; every channel keeps the bits of e^y computed apart and copied.
-    # 10 units: 220 points stay below numpy's 256 KiB temporary-elision size
-    # in both dtypes, 4000 points pass it
+    # activate_jets has act_derivs write e^y over the value channel of the jet
+    # it is given, which it returns as its output; every channel keeps the
+    # bits of e^y computed apart and copied into a new jet.  10 units: 220
+    # points stay below numpy's 256 KiB temporary-elision size in both
+    # dtypes, 4000 points pass it
     rng = np.random.default_rng(points + channels)
     shape = (channels, points, 10)
     jets = (rng.normal(scale=0.5, size=shape) + 1j * rng.normal(scale=0.5, size=shape)).astype(dtype)
-    got = activate_jets(ActivationKind.EXP, jets)
-    assert got.dtype == dtype
+    given = jets.copy()
+    got = activate_jets(ActivationKind.EXP, given)
+    assert got is given and got.dtype == dtype
     assert got[0].tobytes() == act_derivs(ActivationKind.EXP, jets[0]).tobytes()
     assert got.tobytes() == _activate_by_copy(jets).tobytes()
+
+
+def test_forward_overwrites_no_seed_and_no_cache(monkeypatch):
+    # the activation writes over affine_jets' output, which no cache holds:
+    # after a ring loss_forward, the seeds and every cache entry keep the
+    # bits of a forward whose activation writes a new jet
+    problem = ring_problem(seed=2)
+    problem.networks.hidden_layers, problem.networks.units = 3, 10
+    rng = Rng(2)
+    samples = sample_boundary(problem.domain, 64, rng.spawn(1))
+    pairs = build_pairs(problem)
+    init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.5, 3, rng)
+
+    def run():
+        seeds = seeded(samples, problem)
+        _, rec = loss_forward(pairs, seeds, problem)
+        arrays = list(seeds.jets.values())
+        for sp in rec.subs.values():
+            arrays += sp.phi + sp.psi
+        return [a.tobytes() for a in arrays]
+
+    in_place = run()
+    monkeypatch.setattr(network, "activate_jets", lambda kind, jets: _activate_by_copy(jets))
+    assert in_place == run()
 
 
 # The adjoints as the conjugated sweep ran them, on a(u) = dL/dRe u + i dL/dIm u
@@ -275,6 +311,67 @@ def test_activate_jets_adjoint_rows_do_not_depend_on_the_batch_size(dtype, units
     assert activate_jets_adjoint(adj, g)[:, :100].tobytes() == alone.tobytes()
 
 
+def _activate_adjoint_whole(adj, g):
+    """activate_jets_adjoint on the whole batch at once, through one scratch
+    channel of the batch's size: the reference for the row-blocked sweep."""
+    n = g.shape[0]
+    s = np.empty_like(adj[0])
+    np.multiply(adj[0], g[0], adj[0])
+    for k in range(1, n):
+        adj[0] += np.multiply(adj[k], g[k], s)
+    if n > 1:
+        np.multiply(adj[1], g[0], adj[1])
+    if n > 2:
+        adj[1] += np.multiply(adj[2], np.multiply(2.0, g[1], s), s)
+        np.multiply(adj[2], g[0], adj[2])
+    return adj
+
+
+# complex128 rows of 100 units take 163 to a 256 KiB block, complex64 ones
+# 327, so 1000 rows end in a partial block (22 and 19 rows); 10-unit rows
+# take 1638 and 3276, so 4000 rows end in one too, and 220 rows are one block
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+@pytest.mark.parametrize("points, units", [(220, 10), (1000, 100), (4000, 10)])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+def test_activate_jets_adjoint_in_row_blocks_is_the_whole_array_sweep(dtype, points, units, channels):
+    # written over the adjoint it is given and returned, with the bits of the
+    # whole-array sweep, for a contiguous g and for a test-row slice of a cache
+    rng = np.random.default_rng(points + units + channels)
+    for what, g in _cache_views(rng, channels, points, units, dtype).items():
+        adj = _cnormal(rng, (channels, points, units), dtype)
+        want = _activate_adjoint_whole(adj.copy(), g)
+        got = activate_jets_adjoint(adj, g)
+        assert got is adj, what
+        assert got.tobytes() == want.tobytes(), what
+
+
+def _adjoints_against_whole(adj, g, w):
+    """Both adjoint primitives on a square layer, each against its whole-array bits."""
+    want = _activate_adjoint_whole(adj.copy(), g)
+    assert activate_jets_adjoint(adj.copy(), g).tobytes() == want.tobytes()
+    want = adj.reshape(-1, adj.shape[2]) @ w
+    assert affine_jets_adjoint(adj.copy(), g, w)[2].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("points", [10, 11])
+def test_adjoints_keep_the_whole_array_bits_when_a_row_exceeds_the_block(monkeypatch, points):
+    # a 1 KiB block holds no 100-unit complex128 row (1600 bytes): the
+    # activation adjoint then works one row at a time and the affine GEMM two
+    # (3 x 11 rows end in a block of three), each with the whole-array bits
+    monkeypatch.setattr("holoelastic.jets.SWEEP_BLOCK_BYTES", 1024)
+    rng = np.random.default_rng(points)
+    adj, g = (_cnormal(rng, (3, points, 100), np.complex128) for _ in range(2))
+    _adjoints_against_whole(adj, g, _cnormal(rng, (100, 100), np.complex128))
+
+
+def test_affine_jets_adjoint_joins_a_last_lone_row_to_the_block_before_it():
+    # 3 x 109 rows of 100 complex128 units are two blocks of 163 rows and one
+    # row over, which numpy's one-row product (gemv) would give other bits
+    rng = np.random.default_rng(109)
+    adj, g = (_cnormal(rng, (3, 109, 100), np.complex128) for _ in range(2))
+    _adjoints_against_whole(adj, g, _cnormal(rng, (100, 100), np.complex128))
+
+
 def _adjoint_layouts(adj):
     """The adjoint `adj` as an array of its own and as a strided view: the
     first rows of a longer buffer, which reshapes to rows in place only with
@@ -284,11 +381,11 @@ def _adjoint_layouts(adj):
     return {"owned": adj.copy(), "strided": buf[:, : adj.shape[1]]}
 
 
-# Square adjoints about SWEEP_BLOCK_BYTES: 3 x 220 x 100 in complex128 and
-# 3 x 440 x 100 in both dtypes sit just above it, with row counts (660, 1320)
-# that are no multiple of the block's rows (655 in complex128, 1310 in
-# complex64); 2 x 256 x 128 in complex128 is exactly one block, and the
-# smaller shapes fit in one
+# Square adjoints in blocks of SWEEP_BLOCK_BYTES: the 100-unit ones span
+# several, with row counts (660, 1320, ...) that are no multiple of the
+# block's rows (163 in complex128, 327 in complex64); 2 x 256 x 128 in
+# complex128 is exactly four blocks of 128 rows, and the 10-unit shapes below
+# 1638 rows (3276 in complex64) fit in one
 @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
 @pytest.mark.parametrize("points, units", ADJOINT_SHAPES + [(440, 100), (256, 128)])
 @pytest.mark.parametrize("channels", [1, 2, 3])
