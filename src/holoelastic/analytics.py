@@ -17,9 +17,9 @@ import numpy as np
 
 from . import elasticity as el
 from . import geometry as geo
-from .autodiff import loss_backward, loss_forward, pack_batch, seed_batch
-from .jets import ActivationKind, NonFiniteError, affine_jets, seed_jets
-from .network import BranchPair, HoloMLP, branch_backward, build_mlp, mlp_forward
+from .autodiff import loss_forward, output_adjoints, pack_batch, seed_batch
+from .jets import ActivationKind, NonFiniteError, affine_jets, affine_weights_adjoint, seed_jets
+from .network import BranchPair, HoloMLP, branch_sweep, mlp_forward
 from .problem import NetworkConfig, OutputConfig, ProblemSpec, TrainConfig
 from .rng import Rng
 from .training import start
@@ -209,17 +209,10 @@ def _cvar(a: np.ndarray) -> float:
     return float(np.mean(np.abs(a - mu) ** 2))
 
 
-def _branch_grad_var(net: HoloMLP, caches: list, channel: int) -> list[float]:
-    """Per-layer variance of d(sum over batch of output[channel]) / dW_l.
-
-    One reverse sweep of the branch seeded with ones over the batch; the
-    seed has channel + 1 channels, since the adjoint stays zero above the
-    seeded channel.  The entries of each layer's weight derivative
-    (real/imag pooled) give the reported variance.
-    """
-    seed = np.zeros((channel + 1, caches[0].shape[1]), dtype=np.complex128)
-    seed[channel] = 1.0
-    return [_cvar(l.weights) for l in branch_backward(net, caches, seed, build_mlp(net.widths[1:-1])).layers]
+def _sweep_var(net: HoloMLP, caches: list, adj: np.ndarray) -> list[float]:
+    """Per layer, the variance of dL/dW_l for the output adjoint `adj`, read as
+    network.branch_sweep yields it (_cvar is blind to the sweep's conjugate)."""
+    return [_cvar(affine_weights_adjoint(a, x)[0]) for _, a, x in branch_sweep(net, caches, adj)][::-1]
 
 
 def _square_problem(hidden: Sequence[int], cfg: TrainConfig) -> ProblemSpec:
@@ -245,8 +238,9 @@ def variance_report(problem, m_e: Optional[int], n_probe: int) -> VarianceReport
     probe statistic for every layer.
 
     Only the phi branch is swept, so the loss forward caches no psi layer:
-    once per output channel 0, 1 and 2 for the phi rows (_branch_grad_var),
-    and once by loss_backward for var_loss_w.
+    once per output channel 0, 1 and 2 for the phi rows, and once from the
+    loss's output adjoint for var_loss_w, each layer's gradient read as the
+    sweep yields it, so no gradient network is held beside the caches.
     """
     if n_probe < 1:
         raise ValueError(f"the probe size must be positive, got {n_probe}")
@@ -260,12 +254,15 @@ def variance_report(problem, m_e: Optional[int], n_probe: int) -> VarianceReport
             pairs, packed, _ = start(problem, m_e, n_probe)
             phi = pairs[0].phi
             _, rec = loss_forward(pairs, seed_batch(packed), problem, sweep_psi=False)
-            var_loss = [_cvar(l.weights) for l in loss_backward(rec).grads[0].phi.layers[:n_inner]]
-            caches = rec.subs[0].phi
-            del rec  # the sweeps read the caches alone
+            caches, adj = rec.subs[0].phi, output_adjoints(rec, 0)[0]
+            del rec, packed  # the sweeps read the caches alone
+            var_loss = _sweep_var(phi, caches, adj)[:n_inner]
             # the caches hold no pre-activations: each layer's affine map on its input's value channel
             var_y = [_cvar(affine_jets(x[:1], l.weights, l.bias)) for x, l in zip(caches[:n_inner], phi.layers)]
-            per_q = [_branch_grad_var(phi, caches, ch)[:n_inner] for ch in (0, 1, 2)]
+            # ones over the batch in channel ch, the adjoint of its batch sum, and zero below ch
+            b = caches[0].shape[1]
+            per_q = [_sweep_var(phi, caches, np.eye(ch + 1, dtype=np.complex128)[ch][:, None].repeat(b, 1))[:n_inner]
+                     for ch in (0, 1, 2)]
         return VarianceReport(layers, var_y, per_q[0], per_q[1], per_q[2], var_loss, [False] * n_inner)
     except NonFiniteError:
         inf = [math.inf] * n_inner

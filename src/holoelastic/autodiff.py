@@ -23,10 +23,10 @@ Adjoint rules: from the loss back to the branch outputs every variable u
 carries a(u) = dL/dRe(u) + i dL/dIm(u); the non-holomorphic steps (Re, Im,
 conj, the conj(z)-products of the field map, squared residuals) get
 dedicated rules.  Inside a branch every step v = f(u) is holomorphic, and
-network.branch_backward carries conj(a(u)) = 2 dL/du, which propagates as
-conj(a(u)) += conj(a(v)) * f'(u) with no conjugate; it converts at both
-ends.  The z-derivatives inside the jets are handled by the forward jet
-arithmetic, never by the reverse pass.  Each branch carries only the jet
+network.branch_sweep carries conj(a(u)) = 2 dL/du, which propagates as
+conj(a(u)) += conj(a(v)) * f'(u) with no conjugate; it and branch_backward
+convert at the two ends.  The z-derivatives inside the jets are handled by
+the forward jet arithmetic, never by the reverse pass.  Each branch carries only the jet
 channels the field map reads (network.JET_ORDERS: phi to order 2 and psi
 to order 1), and its adjoint has the same channels.
 """
@@ -269,23 +269,29 @@ def loss_value(pairs, batch: PackedBatch, problem) -> float:
 # --- backward ------------------------------------------------------------------
 
 
+def output_adjoints(rec: LossRecord, sub: int) -> tuple[np.ndarray, np.ndarray]:
+    """The adjoints of subdomain sub's (phi, psi) branch outputs, residuals ->
+    KM fields -> branch jets (el.km_fields_adjoint): what branch_backward
+    and network.branch_sweep take."""
+    # dL/dfields = A^T rho, rho being the residual rows times their signed loss scale
+    op = rec.batch.operators[sub]
+    adj = np.einsum("bkf,bk->fb", op.A, op.scale[:, None] * rec.rows[sub])
+    return el.km_fields_adjoint(rec.batch.eval_z[sub], adj, rec.material)
+
+
 def loss_backward(rec: LossRecord, grad: Optional[WeightGrad] = None) -> WeightGrad:
-    """Gradient of rec.loss over every complex weight: residuals -> KM fields
-    -> branch jets (el.km_fields_adjoint) -> weights (branch_backward),
-    written into `grad` (WeightGrad.zeros(rec.pairs) when None; train passes
-    the one it reuses every epoch) and returned.  A psi branch that kept no
-    layer caches (loss_forward's sweep_psi False) is not swept: its entries
-    keep their values, zero in a new WeightGrad.
+    """Gradient of rec.loss over every complex weight: output_adjoints, then
+    weights (branch_backward), written into `grad` (WeightGrad.zeros(rec.pairs)
+    when None; train passes the one it reuses every epoch) and returned.  A
+    psi branch that kept no layer caches (loss_forward's sweep_psi False) is
+    not swept: its entries keep their values, zero in a new WeightGrad.
 
     Reads the live weight arrays of rec.pairs, not copies: call it before
     the weights are updated.
     """
     grad = WeightGrad.zeros(rec.pairs) if grad is None else grad
     for sub, sp in rec.subs.items():
-        # dL/dfields = A^T rho, rho being the residual rows times their signed loss scale
-        op = rec.batch.operators[sub]
-        adj = np.einsum("bkf,bk->fb", op.A, op.scale[:, None] * rec.rows[sub])
-        ap, aq = el.km_fields_adjoint(rec.batch.eval_z[sub], adj, rec.material)
+        ap, aq = output_adjoints(rec, sub)
         pair, g = rec.pairs[sub], grad.grads[sub]
         branch_backward(pair.phi, sp.phi, ap, g.phi)
         if sp.psi:

@@ -9,10 +9,12 @@ activation.  A jet's order is its channel count minus one, so each primitive
 reads it off the array, and its precision (complex128 or complex64) from the
 dtype; so does network.forward_jets, which takes seed jets that a training
 run builds once.  The affine layer and the activation each come with their
-adjoint, on 2 dL/du (network.branch_backward converts); exp is its own
-derivative, so the activated jet is also the jet of f'(y), all that the
-activation's adjoint reads.  The activation and both adjoints write over
-their input, so a branch pass holds one jet per layer and one scratch.
+adjoint, on 2 dL/du (network.branch_sweep converts), the affine one as the
+summed weight product and the input adjoint.  exp is its own derivative, so
+the activated jet is also the jet of f'(y), all that the activation's
+adjoint reads.  The activation, the input adjoints and, when asked, a square
+affine layer write over their input: a cached branch pass holds one jet per
+layer and one scratch, and every uncached pass works in place in one jet.
 """
 
 from __future__ import annotations
@@ -82,47 +84,55 @@ def seed_jets(z: np.ndarray, dtype=np.complex128) -> np.ndarray:
     return out
 
 
-def affine_jets(jets: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """(n,B,Ni) jets through y = W x + b in the jets' dtype; the bias touches the value channel only."""
+def affine_jets(jets: np.ndarray, weights: np.ndarray, bias: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """(n,B,Ni) jets through y = W x + b in the jets' dtype; the bias touches the value channel only.
+    A square layer with `overwrite` writes over `jets` (_matmul_rows); any other gets a new array."""
     n, b, ni = jets.shape
     w = weights.astype(jets.dtype, copy=False)
-    out = (jets.reshape(n * b, ni) @ w.T).reshape(n, b, w.shape[0])
+    x2 = jets.reshape(n * b, ni)
+    out = (_matmul_rows(x2, w.T) if overwrite and w.shape[0] == ni else x2 @ w.T).reshape(n, b, w.shape[0])
     out[0] += bias.astype(jets.dtype, copy=False)
     return out
 
 
-# The row block an adjoint primitive works on at once: it bounds the one temporary
-# each makes beside the adjoint, up to a floor of one row (two for the affine GEMM).
+# The row block a primitive works on in place: it bounds the one temporary each
+# makes beside its jet, up to a floor of one row (two for a GEMM).
 SWEEP_BLOCK_BYTES = 1 << 18
 
 
-def affine_jets_adjoint(adj: np.ndarray, jets: np.ndarray, weights: Optional[np.ndarray]):
-    """Reverse of affine_jets: (dL/dW, dL/db, dL/djets), all as 2 dL/du, from
-    the output adjoint `adj` (n,B,No) and the layer input `jets` (n,B,Ni, only
-    read); with `weights` None the input adjoint is skipped and returned as None.
-
-    A square layer's input adjoint is written over `adj` (a copy of it when
-    `adj` does not reshape to rows in place), in row blocks of SWEEP_BLOCK_BYTES,
-    at least two rows each (a last row left alone joins the block before it):
-    numpy takes a one-row product through gemv, but any other block row is the
-    same row GEMM as in the whole-array product, so the bits do not depend on
-    the block.  The readout (Ni != No) gets a new array.  A test-row slice
-    jets[:n, :B] of a cache is copied by the reshape of the dL/dW GEMM; a
-    strided product would reorder that GEMM's reduction and move every
-    output, so the copy stays."""
-    n, b, ni = jets.shape
-    a2 = adj.reshape(n * b, adj.shape[2])
-    gw, gb = a2.T @ jets.reshape(n * b, ni), adj[0].sum(axis=0)
-    if weights is None:
-        return gw, gb, None
-    w = weights.astype(adj.dtype, copy=False)
-    if ni != a2.shape[1]:
-        return gw, gb, (a2 @ w).reshape(n, b, ni)
-    rows, m = max(2, SWEEP_BLOCK_BYTES // a2[0].nbytes), n * b
+def _matmul_rows(x2: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x2 @ w for square w, written over the rows x2 and returned, in row blocks
+    of SWEEP_BLOCK_BYTES, at least two rows each (a last row left alone joins
+    the block before it): numpy takes a one-row product through gemv, but any
+    other block row is the same row GEMM as in the whole-array product, so the
+    bits do not depend on the block."""
+    rows, m = max(2, SWEEP_BLOCK_BYTES // x2[0].nbytes), x2.shape[0]
     for r in range(0, max(m - 1, 1), rows):
         k = slice(r, r + rows + (m - r == rows + 1))
-        np.matmul(a2[k], w, out=a2[k])
-    return gw, gb, a2.reshape(n, b, ni)
+        np.matmul(x2[k], w, out=x2[k])
+    return x2
+
+
+def affine_weights_adjoint(adj: np.ndarray, jets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dL/dW, dL/db) of affine_jets, as 2 dL/du, summed over the batch, from
+    the output adjoint `adj` (n,B,No) and the layer input `jets` (n,B,Ni); both
+    are only read.  A test-row slice jets[:n, :B] of a cache is copied by the
+    reshape of the dL/dW GEMM; a strided product would reorder that GEMM's
+    reduction and move every output, so the copy stays."""
+    n, b, ni = jets.shape
+    return adj.reshape(n * b, adj.shape[2]).T @ jets.reshape(n * b, ni), adj[0].sum(axis=0)
+
+
+def affine_jets_adjoint(adj: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """dL/djets of affine_jets, as 2 dL/du, from the output adjoint `adj` (n,B,No).
+
+    A square layer's input adjoint is written over `adj` (a copy of it when
+    `adj` does not reshape to rows in place) by _matmul_rows; the readout
+    (Ni != No) gets a new array."""
+    n, b, no = adj.shape
+    w = weights.astype(adj.dtype, copy=False)
+    a2 = adj.reshape(n * b, no)
+    return (_matmul_rows(a2, w) if w.shape[1] == no else a2 @ w).reshape(n, b, w.shape[1])
 
 
 def activate_jets(kind: ActivationKind, jets: np.ndarray) -> np.ndarray:

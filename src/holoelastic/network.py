@@ -17,7 +17,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .jets import (
     activate_jets_adjoint,
     affine_jets,
     affine_jets_adjoint,
+    affine_weights_adjoint,
 )
 from .rng import Rng
 
@@ -100,7 +101,9 @@ def forward_jets(
     With a `caches` list, appends each layer's input jets for
     branch_backward, one entry per layer.  exp's derivative jet is its
     output, the next layer's input, so caches[i + 1] is also the derivative
-    jet of hidden layer i.
+    jet of hidden layer i.  Without one, each square layer past the first
+    writes its affine output over its input (affine_jets' overwrite), so an
+    uncached pass holds one jet and one row block.
 
     Only the output is checked for finiteness: a hidden overflow reaches it
     through any derivative channel (0 * inf after exp(-inf) = 0).  A
@@ -114,7 +117,7 @@ def forward_jets(
         for i, layer in enumerate(net.layers):
             if caches is not None:
                 caches.append(jets)
-            jets = affine_jets(jets, layer.weights, layer.bias)
+            jets = affine_jets(jets, layer.weights, layer.bias, overwrite=caches is None and i > 0)
             if i != last:
                 jets = activate_jets(ActivationKind.EXP, jets)
                 if check_layers and not np.isfinite(jets).all():
@@ -125,15 +128,17 @@ def forward_jets(
     return out
 
 
-def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray, out: HoloMLP) -> HoloMLP:
-    """Reverse sweep of forward_jets from an (n, B) output adjoint.
+def branch_sweep(net: HoloMLP, caches: list, adj: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Reverse sweep of forward_jets from an (n, B) output adjoint: yields
+    per layer, last layer first, (i, a, x), a being layer i's output adjoint
+    as 2 dL/du and x = caches[i][:n, :B] its input jets, whose summed product
+    jets.affine_weights_adjoint(a, x) is the conjugate of dL/dW and dL/db.
 
-    Runs in the caches' dtype and writes per layer the complex128 dL/dW and
-    dL/db into the weights and bias of `out`, a network of net's shape such
-    as a gradient's branch (param_views); returns it.  `adj` (only read)
-    and the gradients are dL/dRe + i dL/dIm; the sweep carries their
-    conjugate 2 dL/du, which passes each holomorphic step as a plain
-    product.  caches[i] is layer i's input and, as exp's output, the
+    `a` is yielded before the layer's input adjoint is written over it: a
+    caller that needs it after resuming the generator copies it.  `adj`
+    (only read) is dL/dRe + i dL/dIm; the sweep carries its conjugate
+    2 dL/du, which passes each holomorphic step as a plain product, in the
+    caches' dtype.  caches[i] is layer i's input and, as exp's output, the
     derivative jet of layer i - 1.  Only the first n channels and the first
     B rows of the caches take part: rows past B hold test points, and an
     adjoint that is zero above channel n - 1 stays so through every layer
@@ -146,9 +151,18 @@ def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray, out: HoloMLP) -
     for i in reversed(range(len(net.layers))):
         if i + 1 < len(net.layers):
             a = activate_jets_adjoint(a, caches[i + 1][:n, :b])
-        gw, gb, a = affine_jets_adjoint(a, caches[i][:n, :b], net.layers[i].weights if i else None)
-        g = out.layers[i]
-        g.weights[...], g.bias[...] = gw.conj(), gb.conj()
+        yield i, a, caches[i][:n, :b]
+        if i:
+            a = affine_jets_adjoint(a, net.layers[i].weights)
+
+
+def branch_backward(net: HoloMLP, caches: list, adj: np.ndarray, out: HoloMLP) -> HoloMLP:
+    """branch_sweep summed: writes per layer the complex128 dL/dW and dL/db,
+    each dL/dRe + i dL/dIm, into the weights and bias of `out`, a network of
+    net's shape such as a gradient's branch (param_views); returns it."""
+    for i, a, x in branch_sweep(net, caches, adj):
+        for o, v in zip((out.layers[i].weights, out.layers[i].bias), affine_weights_adjoint(a, x)):
+            np.conj(v, out=o)  # the sweep resumes without this layer's gradient
     return out
 
 

@@ -392,6 +392,26 @@ def test_variance_report_flags_overflow_instead_of_nan():
     assert not any(math.isnan(v) for v in rep.var_y)
 
 
+def test_variance_report_holds_no_gradient_network_beside_the_phi_caches():
+    # criterion 6's shape (7x100, probe 10000, batch 1000): each layer's
+    # gradient is read as branch_sweep yields it, so above the phi caches
+    # (seven (3, 1000, 100) complex128 jets and the seeds) the report's
+    # traced peak is the weights and at most 1.2 jets: the adjoint jet, its
+    # row block and one layer's gradient (1.11 jets measured; 1.59 with a
+    # phi+psi WeightGrad and a zero gradient network per channel sweep)
+    jet = 3 * 1000 * 100 * 16
+    caches = 7 * jet + 3 * 1000 * 16
+    weights = 2 * sum(l.weights.nbytes + l.bias.nbytes for l in network.build_mlp([100] * 7).layers)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        init_diagnostics([100] * 7, ActivationKind.EXP, 0.5, None, 10_000, 1_000, 0)
+        above = tracemalloc.get_traced_memory()[1] - before - caches - weights
+    finally:
+        tracemalloc.stop()
+    assert above <= 1.2 * jet, above / jet
+
+
 def _recorded_loss_forwards(monkeypatch) -> list:
     """(args, record) of each analytics.loss_forward call, in call order."""
     records = []

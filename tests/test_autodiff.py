@@ -10,7 +10,7 @@ from holoelastic import autodiff, elasticity, network
 from holoelastic.autodiff import WeightGrad, _residuals, loss_backward, loss_forward, loss_value, pack_batch, seed_batch
 from holoelastic.elasticity import ConstantData, Displacement, Interface, Traction
 from holoelastic.geometry import BoundaryPiece, DomainSpec, Line, piece_length, sample_boundary
-from holoelastic.jets import ActivationKind, NonFiniteError, activate_jets, affine_jets
+from holoelastic.jets import ActivationKind, NonFiniteError, activate_jets, affine_jets, affine_weights_adjoint
 from holoelastic.network import BranchPair, branch_backward, build_mlp, flatten_params
 from holoelastic.problem import PRECISIONS, load_config
 from holoelastic.rng import Rng
@@ -225,9 +225,9 @@ def test_exp_derivative_jet_is_the_next_layers_input(monkeypatch):
     problem, samples, pairs = _ring_setup()
     read, activated = [], []
 
-    def affine(jets, *args):
+    def affine(jets, *args, **kwargs):
         read.append(jets)
-        return affine_jets(jets, *args)
+        return affine_jets(jets, *args, **kwargs)
 
     def activate(kind, jets):
         activated.append(activate_jets(kind, jets))
@@ -618,3 +618,35 @@ def test_branch_backward_reads_the_adjoints_channels_only(kind):
                 for g, w in ((gl.weights, wl.weights), (gl.bias, wl.bias)):
                     assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (n, full_n)
 
+
+
+def test_branch_sweep_yields_each_layer_once_last_first_before_overwriting():
+    # one (i, a, x) per layer, last layer first, x the cache's training rows
+    # and first n channels; a square layer's yielded adjoint is written over
+    # when the generator resumes, and the summed products of the yielded
+    # pairs, read before resuming, are branch_backward's gradient bit for bit
+    problem = square_problem()
+    problem.networks.hidden_layers, problem.networks.units = 3, 12
+    rng = Rng(6)
+    train_b = pack_batch(sample_boundary(problem.domain, 48, rng.spawn(1)), problem.domain)
+    test_b = pack_batch(sample_boundary(problem.domain, 16, rng.spawn(2)), problem.domain)
+    pairs = build_pairs(problem)
+    init_pairs(pairs, sample_boundary(problem.domain, 200, rng.spawn(3)).z, 0.7, 3, rng)
+    _, rec = loss_forward(pairs, seeded(train_b, problem, test_b), problem)
+    net, caches = pairs[0].phi, rec.subs[0].phi
+    b = train_b.eval_z[0].size
+    for n in (1, 2, 3):
+        adj = rng.spawn(20 + n).complex_normal(n * b).reshape(n, b)
+        order, sums, held = [], [], []
+        for i, a, x in network.branch_sweep(net, caches, adj):
+            for h, was in held:
+                assert h.tobytes() != was, (n, i)
+            held = [(a, a.tobytes())] if 0 < i < len(net.layers) - 1 else []
+            assert x.shape == (n, b, caches[i].shape[2]) and np.shares_memory(x, caches[i])
+            assert x.tobytes() == caches[i][:n, :b].tobytes()
+            order.append(i)
+            sums.append(affine_weights_adjoint(a, x))
+        assert order == list(reversed(range(len(net.layers))))
+        want = branch_backward(net, caches, adj, build_mlp(net.widths[1:-1]))
+        for (gw, gb), layer in zip(reversed(sums), want.layers, strict=True):
+            assert gw.conj().tobytes() == layer.weights.tobytes() and gb.conj().tobytes() == layer.bias.tobytes()

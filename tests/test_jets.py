@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ring_problem, seeded
+from conftest import ring_problem, seeded, square_problem
 from holoelastic import network
 from holoelastic.autodiff import loss_forward
 from holoelastic.geometry import sample_boundary
@@ -15,9 +16,10 @@ from holoelastic.jets import (
     activate_jets_adjoint,
     affine_jets,
     affine_jets_adjoint,
+    affine_weights_adjoint,
     seed_jets,
 )
-from holoelastic.network import build_mlp, forward_jets
+from holoelastic.network import build_mlp, forward_jets, mlp_forward
 from holoelastic.rng import Rng
 from holoelastic.training import build_pairs, init_pairs
 
@@ -217,7 +219,11 @@ def test_activate_jets_writes_e_y_into_its_output_jet_bit_for_bit(dtype, points,
 def test_forward_overwrites_no_seed_and_no_cache(monkeypatch):
     # the activation writes over affine_jets' output, which no cache holds:
     # after a ring loss_forward, the seeds and every cache entry keep the
-    # bits of a forward whose activation writes a new jet
+    # bits of a forward whose activation writes a new jet.  An uncached
+    # forward also writes each square layer's affine output over its input:
+    # it keeps its seeds' bytes and returns the cached forward's bits, and at
+    # criterion 6's shape it peaks at most 1.4 (3, 1000, 100) jets above its
+    # input (1.33 measured; 2.03 when each affine layer wrote a new jet)
     problem = ring_problem(seed=2)
     problem.networks.hidden_layers, problem.networks.units = 3, 10
     rng = Rng(2)
@@ -236,6 +242,28 @@ def test_forward_overwrites_no_seed_and_no_cache(monkeypatch):
     in_place = run()
     monkeypatch.setattr(network, "activate_jets", lambda kind, jets: _activate_by_copy(jets))
     assert in_place == run()
+    monkeypatch.undo()
+
+    for sub, jets in seeded(samples, problem).jets.items():
+        given = jets.tobytes()
+        uncached = mlp_forward(pairs[sub], jets)
+        assert jets.tobytes() == given
+        cached = mlp_forward(pairs[sub], jets, caches=([], []))
+        assert [j.tobytes() for j in uncached] == [j.tobytes() for j in cached]
+
+    square = square_problem()
+    square.networks.hidden_layers, square.networks.units = 7, 100
+    pair = build_pairs(square)[0]
+    init_pairs([pair], sample_boundary(square.domain, 2000, Rng(0).spawn(3)).z, 0.5, 9, Rng(0))
+    jets = seeded(sample_boundary(square.domain, 1000, Rng(0).spawn(1)), square).jets[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mlp_forward(pair, jets)
+        above = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert above <= 1.4 * 3 * 1000 * 100 * 16, above / (3 * 1000 * 100 * 16)
 
 
 # The adjoints as the conjugated sweep ran them, on a(u) = dL/dRe u + i dL/dIm u
@@ -346,18 +374,25 @@ def test_activate_jets_adjoint_in_row_blocks_is_the_whole_array_sweep(dtype, poi
 
 
 def _adjoints_against_whole(adj, g, w):
-    """Both adjoint primitives on a square layer, each against its whole-array bits."""
+    """Both adjoint primitives and the overwriting affine forward on a square
+    layer, each against its whole-array bits."""
     want = _activate_adjoint_whole(adj.copy(), g)
     assert activate_jets_adjoint(adj.copy(), g).tobytes() == want.tobytes()
     want = adj.reshape(-1, adj.shape[2]) @ w
-    assert affine_jets_adjoint(adj.copy(), g, w)[2].tobytes() == want.tobytes()
+    assert affine_jets_adjoint(adj.copy(), w).tobytes() == want.tobytes()
+    bias = w[0]
+    x = adj.copy()
+    got = affine_jets(x, w, bias, overwrite=True)
+    assert got is not x and np.shares_memory(got, x)
+    assert got.tobytes() == affine_jets(adj, w, bias).tobytes()
 
 
 @pytest.mark.parametrize("points", [10, 11])
 def test_adjoints_keep_the_whole_array_bits_when_a_row_exceeds_the_block(monkeypatch, points):
     # a 1 KiB block holds no 100-unit complex128 row (1600 bytes): the
-    # activation adjoint then works one row at a time and the affine GEMM two
-    # (3 x 11 rows end in a block of three), each with the whole-array bits
+    # activation adjoint then works one row at a time and the affine GEMMs,
+    # forward and adjoint, two (3 x 11 rows end in a block of three), each
+    # with the whole-array bits
     monkeypatch.setattr("holoelastic.jets.SWEEP_BLOCK_BYTES", 1024)
     rng = np.random.default_rng(points)
     adj, g = (_cnormal(rng, (3, points, 100), np.complex128) for _ in range(2))
@@ -366,7 +401,8 @@ def test_adjoints_keep_the_whole_array_bits_when_a_row_exceeds_the_block(monkeyp
 
 def test_affine_jets_adjoint_joins_a_last_lone_row_to_the_block_before_it():
     # 3 x 109 rows of 100 complex128 units are two blocks of 163 rows and one
-    # row over, which numpy's one-row product (gemv) would give other bits
+    # row over, which numpy's one-row product (gemv) would give other bits,
+    # in the affine adjoint and in the overwriting affine forward alike
     rng = np.random.default_rng(109)
     adj, g = (_cnormal(rng, (3, 109, 100), np.complex128) for _ in range(2))
     _adjoints_against_whole(adj, g, _cnormal(rng, (100, 100), np.complex128))
@@ -391,12 +427,13 @@ def _adjoint_layouts(adj):
 @pytest.mark.parametrize("channels", [1, 2, 3])
 def test_affine_jets_adjoint_is_the_conjugated_sweep_bit_for_bit(dtype, points, units, channels):
     # a hidden layer (units -> units), the readout (units -> 1) and the first
-    # layer (1 -> units, weights None), on contiguous and test-row-sliced
-    # input jets, which stay untouched; the complex128 weights are cast to the
-    # jets' dtype.  The input adjoint has the bits of the whole-array
-    # a2 @ W and is written, in row blocks, over a square-layer adjoint that
-    # reshapes to rows in place; the readout and any other layout get a new
-    # array
+    # layer (1 -> units, which takes no input adjoint), on contiguous and
+    # test-row-sliced input jets, which stay untouched; the complex128
+    # weights are cast to the jets' dtype.  The summed weight product reads
+    # the adjoint before the input adjoint is taken; the input adjoint has the
+    # bits of the whole-array a2 @ W and is written, in row blocks, over a
+    # square-layer adjoint that reshapes to rows in place; the readout and
+    # any other layout get a new array
     rng = np.random.default_rng(points + units + channels)
     layers = {"hidden": (units, units), "readout": (units, 1), "first": (1, units)}
     for name, (ni, no) in layers.items():
@@ -407,13 +444,13 @@ def test_affine_jets_adjoint_is_the_conjugated_sweep_bit_for_bit(dtype, points, 
             x_bytes = x.tobytes()
             for layout, a in _adjoint_layouts(np.conj(adj)).items():
                 whole = None if w is None else a.reshape(-1, no) @ w.astype(dtype)
-                got = affine_jets_adjoint(a, x, w)
+                got = affine_weights_adjoint(a, x)
+                if w is not None:
+                    got += (affine_jets_adjoint(a, w),)
                 assert x.tobytes() == x_bytes, (name, what, layout)
+                assert len(got) == (2 if w is None else 3), (name, what)
                 for k, (gv, wv) in enumerate(zip(got, want)):
-                    if wv is None:
-                        assert gv is None, (name, what)
-                    else:
-                        assert gv.dtype == dtype and np.conj(gv).tobytes() == wv.tobytes(), (name, what, layout, k)
+                    assert gv.dtype == dtype and np.conj(gv).tobytes() == wv.tobytes(), (name, what, layout, k)
                 if w is not None:
                     assert got[2].tobytes() == whole.tobytes(), (name, what, layout)
                     rows_in_place = np.shares_memory(a.reshape(-1, no), a)  # a one-channel view does
