@@ -204,9 +204,10 @@ class VarianceReport:
 
 
 def _cvar(a: np.ndarray) -> float:
-    a = np.asarray(a).ravel()
-    mu = a.mean()
-    return float(np.mean(np.abs(a - mu) ** 2))
+    """Variance of the complex entries of `a`, a fresh array that it overwrites."""
+    a = a.ravel()
+    d = np.abs(np.subtract(a, a.mean(), out=a))
+    return float(np.mean(np.square(d, out=d)))
 
 
 def _sweep_var(net: HoloMLP, caches: list, adj: np.ndarray) -> list[float]:

@@ -1,9 +1,9 @@
 """Atomic CSV/JSON artifact writers.
 
 Everything is written to a temp file and renamed so an aborted run never
-leaves a truncated artifact.  Floats are serialized with repr (shortest
-round-trip) except the history, which uses full-precision scientific
-notation.
+leaves a truncated artifact.  CSV floats are written with repr (shortest
+round-trip), the history's in full-precision scientific notation; a
+checkpoint (network.checkpoint_save) holds base64 of its weight bytes.
 """
 
 from __future__ import annotations

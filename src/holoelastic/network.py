@@ -12,6 +12,7 @@ alike; its jets go straight to elasticity.km_fields.
 
 from __future__ import annotations
 
+import binascii
 import itertools
 import json
 import math
@@ -288,66 +289,61 @@ def init_weights(net: HoloMLP, probe, beta: float, m_e: int, rng: Rng) -> HoloML
 # --- checkpoints ------------------------------------------------------------
 
 
-def _layer_arrays(obj: dict) -> dict:
-    """json object_hook: a layer's weights and bias become float arrays as soon
-    as the decoder closes the layer, so one layer's Python lists live at a
-    time.  A value that does not convert becomes an empty array, and [re, im]
-    pairs holding strings or booleans (which asarray takes) a NaN one."""
-    for k in ("weights", "bias"):
-        if k not in obj:
-            continue
-        try:
-            a = np.asarray(obj[k], dtype=float)
-        except (TypeError, ValueError):
-            a = np.empty(0)
-        if a.ndim == 2 and a.shape[1] == 2 and not {type(v) for p in obj[k] for v in p} <= {int, float}:
-            a[:] = np.nan
-        obj[k] = a
-    return obj
-
-
-def _pairs_to_complex(a: np.ndarray, shape: tuple, what: str) -> np.ndarray:
-    if a.shape != (math.prod(shape), 2):
-        raise ValueError(f"{what} must be {math.prod(shape)} [re, im] pairs")
-    if not np.isfinite(a).all():  # json reads NaN/Infinity
-        raise ValueError(f"{what} must hold finite numbers")
-    return a.view(np.complex128).reshape(shape)
-
-
 def checkpoint_save(path: str, pairs: Sequence[BranchPair]) -> None:
-    """JSON checkpoint with exact [re, im] weight round-trip, written atomically
-    one weight row at a time.  A non-finite weight or bias raises ValueError
-    naming the pair, branch and layer and leaves any file at path as it was."""
+    """JSON checkpoint whose weight rows and biases are base64 strings of their
+    exact bytes (_b64), written atomically one weight row at a time.  A
+    non-finite weight or bias raises ValueError naming the pair, branch and
+    layer and leaves any file at path as it was."""
     write_text_atomic(path, _checkpoint_chunks(path, pairs))
 
 
-def _pairs_json(a: np.ndarray) -> str:
-    """[[re, im], ...] of a complex row, as json.dumps writes it."""
-    return json.dumps(np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist())
+def _b64(a: np.ndarray) -> str:
+    """Standard base64 (padded, one line) of a complex row's values as
+    little-endian complex128, re then im: 4 * ceil(16 * n / 3) characters."""
+    return binascii.b2a_base64(np.ascontiguousarray(a, dtype="<c16"), newline=False).decode("ascii")
 
 
 def _checkpoint_chunks(path: str, pairs: Sequence[BranchPair]):
     """The text of json.dumps({"pairs": [...]}) in pieces: each pair's and
-    branch's head, then each layer's shape, weights and bias, no piece holding
-    more than one weight row, so a save's memory follows a row, not the network."""
+    branch's head, then each layer's shape, weights (one _b64 string per row)
+    and bias (one string), no piece holding more than one weight row, so a
+    save's memory follows a row, not the network."""
     yield '{"pairs": ['
     for pi, pair in enumerate(pairs):
         yield ", {" if pi else "{"
         for name, net in (("phi", pair.phi), ("psi", pair.psi)):
             yield f'{", " if name == "psi" else ""}"{name}": {{"layers": ['
             for li, l in enumerate(net.layers, start=1):
-                for what, a in (("weights", l.weights), ("bias", l.bias)):
-                    if not np.isfinite(a).all():
-                        raise ValueError(
-                            f"checkpoint {path}: pair {pi} {name}: layer {li} {what} must hold finite numbers"
-                        )
+                _finite(l, f"checkpoint {path}: pair {pi} {name}: layer {li}")
                 yield f'{", " if li > 1 else ""}{{"shape": {json.dumps(list(l.weights.shape))}, "weights": ['
                 for ri, row in enumerate(l.weights):
-                    yield (", " if ri else "") + _pairs_json(row)[1:-1]
-                yield f'], "bias": {_pairs_json(l.bias)}}}'
+                    yield f'{", " if ri else ""}"{_b64(row)}"'
+                yield f'], "bias": "{_b64(l.bias)}"}}'
             yield "]}"
         yield "}"
     yield "]}"
+
+
+def _finite(l: LayerParams, where: str) -> LayerParams:
+    """l, or a ValueError naming `where` and l's first array that is not finite."""
+    for what, a in (("weights", l.weights), ("bias", l.bias)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{where} {what} must hold finite numbers")
+    return l
+
+
+def _unb64(s, n: int, what: str) -> np.ndarray:
+    """The n complex values of a _b64 string, as a new complex128 array; a
+    string other than the one _b64 writes for its bytes fails."""
+    try:
+        b = binascii.a2b_base64(s)
+    except (TypeError, ValueError):  # not a string, or not base64
+        b = None
+    if b is None or binascii.b2a_base64(b, newline=False).decode("ascii") != s:
+        raise ValueError(f"{what} must be a base64 string")
+    if len(b) != 16 * n:
+        raise ValueError(f"{what} must be {16 * n} bytes of complex128, got {len(b)}")
+    return np.frombuffer(b, dtype="<c16").astype(np.complex128)
 
 
 def _no_other_keys(obj: dict, keys: set, where: str) -> None:
@@ -358,17 +354,18 @@ def _no_other_keys(obj: dict, keys: set, where: str) -> None:
 
 
 def checkpoint_load(path: str) -> list[BranchPair]:
-    """Branch pairs of a checkpoint_save file.
+    """Branch pairs of a checkpoint_save file, every weight bit as saved.
 
     A malformed file fails with a ValueError naming the pair, branch and
     layer: `pairs` must be a list and the file's only key, a pair holds `phi`
     and `psi` alone, a branch holds `layers` as its only key, shapes must be
-    positive [n_out, n_in], weights and bias must hold n_out * n_in and n_out
-    [re, im] pairs of finite JSON numbers, and the widths must chain 1 -> 1.
+    positive [n_out, n_in], weights must be n_out base64 strings of n_in
+    complex128 values each and bias one of n_out, all finite, and the widths
+    must chain 1 -> 1.  A checkpoint of decimal [re, im] pairs fails at its
+    first layer.
     """
-    with open(path) as fh:  # an integer past the float range reads as a signed inf, which fails as 1e309 does
-        doc = json.load(fh, object_hook=_layer_arrays,
-                        parse_int=lambda s: int(s) if math.isfinite(float(s)) else float(s))
+    with open(path) as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict) or not doc.get("pairs"):
         raise ValueError(f"checkpoint {path}: no network pairs")
     if not isinstance(doc["pairs"], list):
@@ -387,10 +384,12 @@ def checkpoint_load(path: str) -> list[BranchPair]:
                     shape = tuple(l["shape"])
                     if len(shape) != 2 or not all(type(v) is int and v > 0 for v in shape):
                         raise ValueError(f"layer {li}: shape {list(shape)} is not [n_out, n_in] > 0")
-                    layers.append(LayerParams(
-                        _pairs_to_complex(l["weights"], shape, f"layer {li} weights"),
-                        _pairs_to_complex(l["bias"], shape[:1], f"layer {li} bias"),
-                    ))
+                    rows = l["weights"]
+                    if not isinstance(rows, list) or len(rows) != shape[0]:
+                        raise ValueError(f"layer {li} weights must be {shape[0]} base64 rows")
+                    w = np.array([_unb64(s, shape[1], f"layer {li} weights row {ri}") for ri, s in enumerate(rows)])
+                    b = _unb64(l["bias"], shape[0], f"layer {li} bias")
+                    layers.append(_finite(LayerParams(w, b), f"layer {li}"))
                 nets[name] = HoloMLP(layers)
             except (KeyError, TypeError) as e:
                 raise ValueError(f"checkpoint {path}: pair {pi} {name}: missing or malformed {e}") from e

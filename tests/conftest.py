@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import os
@@ -176,20 +177,21 @@ def grad_check(pairs, batch, problem, step: float = 1e-6) -> float:
 # --- the checkpoint format ------------------------------------------------------
 
 
+def b64_row(values) -> str:
+    """A checkpoint row string: standard base64 of the values as little-endian complex128."""
+    return base64.b64encode(np.asarray(values, dtype="<c16").tobytes()).decode("ascii")
+
+
 def checkpoint_json(pairs) -> str:
     """The whole checkpoint document in one json.dumps call: the reference for
     the bytes network.checkpoint_save writes piece by piece."""
-
-    def to_pairs(a):
-        return np.ascontiguousarray(a).view(np.float64).reshape(-1, 2).tolist()
-
     doc = {"pairs": []}
     for pair in pairs:
         entry = {}
         for name, net in (("phi", pair.phi), ("psi", pair.psi)):
             entry[name] = {
                 "layers": [
-                    {"shape": list(l.weights.shape), "weights": to_pairs(l.weights), "bias": to_pairs(l.bias)}
+                    {"shape": list(l.weights.shape), "weights": [b64_row(r) for r in l.weights], "bias": b64_row(l.bias)}
                     for l in net.layers
                 ],
             }

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -265,15 +266,31 @@ def test_checkpoint_roundtrip_exact(tmp_path):
     for branch in ("phi", "psi"):
         a, b = getattr(pairs[0], branch), getattr(loaded[0], branch)
         assert a.widths == b.widths
-        for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.weights, lb.weights)
-            assert np.array_equal(la.bias, lb.bias)
+        assert _same_bits(a, b)
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two networks' weights and biases agree byte for byte (np.array_equal
+    takes -0.0 for 0.0)."""
+    return [(l.weights.shape, l.weights.tobytes(), l.bias.tobytes()) for l in a.layers] == [
+        (l.weights.shape, l.weights.tobytes(), l.bias.tobytes()) for l in b.layers]
 
 
 def _saved(tmp_path, pairs) -> str:
     path = tmp_path / "checkpoint.json"
     checkpoint_save(str(path), pairs)
     return path.read_text()
+
+
+def test_checkpoint_row_strings_are_4_ceil_16n_over_3_characters(tmp_path):
+    pairs = [_init_pair([5, 7], seed=3), _init_pair([1, 2], seed=4)]
+    doc = json.loads(_saved(tmp_path, pairs))
+    for entry in doc["pairs"]:
+        for name in ("phi", "psi"):
+            for l in entry[name]["layers"]:
+                n_out, n_in = l["shape"]
+                assert [len(s) for s in l["weights"]] == [4 * math.ceil(16 * n_in / 3)] * n_out
+                assert len(l["bias"]) == 4 * math.ceil(16 * n_out / 3)
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)
@@ -294,9 +311,9 @@ def test_checkpoint_bytes_per_activation_and_mode(tmp_path, kind):
     assert _saved(tmp_path, pairs) == checkpoint_json(pairs)
 
 
-# values whose repr is awkward: signed zero, subnormal, short and long
-# exponents, the most negative float
-_EDGE_VALUES = [-0.0, 5e-324, 1e-5, 0.1, 1e16, -1.7976931348623157e308]
+# values whose bits are awkward: signed zero, subnormal, short and long
+# exponents, the largest finite floats of either sign
+_EDGE_VALUES = [-0.0, 5e-324, 1e-5, 0.1, 1e16, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
 @given(st.data())
@@ -310,7 +327,13 @@ def test_checkpoint_bytes_match_one_json_dumps_property(tmp_path_factory, data):
         for a in (a for net in nets for l in net.layers for a in (l.weights, l.bias)):
             a.view(np.float64)[...] = fill.choice(pool, size=a.view(np.float64).shape)
         pairs.append(BranchPair(*nets))
-    assert _saved(tmp_path_factory.mktemp("ckpt"), pairs) == checkpoint_json(pairs)
+    tmp = tmp_path_factory.mktemp("ckpt")
+    text = _saved(tmp, pairs)
+    assert text == checkpoint_json(pairs)
+    # save -> load -> save keeps every bit, -0.0 included
+    loaded = checkpoint_load(str(tmp / "checkpoint.json"))
+    assert all(_same_bits(a, b) for p, q in zip(pairs, loaded) for a, b in ((p.phi, q.phi), (p.psi, q.psi)))
+    assert _saved(tmp, loaded) == text
 
 
 def _random_pair(hidden, seed=0):
@@ -338,10 +361,10 @@ def test_checkpoint_save_memory_follows_one_row(tmp_path, units):
     assert checkpoint_load(path)[0].phi.layers[2].weights.shape == (units, units)
 
 
-def test_checkpoint_load_holds_one_layer_of_lists(tmp_path):
-    # a 4x100 pair: the file's text (2.6 MB), one 100x100 layer's Python lists
-    # and the arrays peak at 5.4 MB traced; decoding the whole document to
-    # lists first peaked at 11.5 MB
+def test_checkpoint_load_peaks_at_the_file_text_and_its_row_strings(tmp_path):
+    # a 4x100 pair: the file's text (1.3 MB) and the decoded document's row
+    # strings (1.3 MB) peak at 2.7 MB traced, the arrays coming after the text
+    # is freed; the decimal [re, im] format peaked at 5.4 MB
     pairs = [_random_pair([100] * 4)]
     path = str(tmp_path / "checkpoint.json")
     checkpoint_save(path, pairs)
@@ -351,9 +374,8 @@ def test_checkpoint_load_holds_one_layer_of_lists(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7e6, f"checkpoint_load peaked at {peak / 1e6:.2f} MB"
-    for a, b in zip(pairs[0].phi.layers + pairs[0].psi.layers, loaded[0].phi.layers + loaded[0].psi.layers):
-        assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
+    assert peak < 3.3e6, f"checkpoint_load peaked at {peak / 1e6:.2f} MB"
+    assert _same_bits(pairs[0].phi, loaded[0].phi) and _same_bits(pairs[0].psi, loaded[0].psi)
 
 
 def test_checkpoint_save_that_fails_leaves_the_old_file(tmp_path, monkeypatch):

@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import CONFIG_DIR, CONFIG_NAMES, config_path
+from conftest import CONFIG_DIR, CONFIG_NAMES, b64_row, config_path
 import holoelastic
 from holoelastic import geometry, training
 from holoelastic.autodiff import pack_batch
@@ -557,23 +558,29 @@ def test_cli_eval_rejects_a_checkpoint_that_names_an_activation(tmp_path, capsys
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda d: d["pairs"][0]["phi"]["layers"][1]["weights"].pop(), "pair 0 phi: layer 2 weights must be 100 [re, im] pairs"),
-        (lambda d: d["pairs"][0]["psi"]["layers"][2]["bias"].append([0.0, 0.0]), "pair 0 psi: layer 3 bias must be 1 [re, im] pairs"),
+        (lambda d: d["pairs"][0]["phi"]["layers"][1]["weights"].pop(), "pair 0 phi: layer 2 weights must be 10 base64 rows"),
+        (lambda d: d["pairs"][0]["psi"]["layers"][2].update(bias=b64_row([0.0, 0.0])),
+         "pair 0 psi: layer 3 bias must be 16 bytes of complex128, got 32"),
+        (lambda d: d["pairs"][0]["phi"]["layers"][1]["weights"].__setitem__(3, b64_row([0.0] * 9)),
+         "pair 0 phi: layer 2 weights row 3 must be 160 bytes of complex128, got 144"),
         (lambda d: d["pairs"][0]["phi"]["layers"][0].update(shape=[10, 0]), "pair 0 phi: layer 1: shape [10, 0] is not"),
         (lambda d: d["pairs"][0]["psi"]["layers"].pop(0), "pair 0 psi: network must map 1 -> 1"),
         (lambda d: d["pairs"][0]["psi"]["layers"][1].pop("weights"), "pair 0 psi: missing or malformed 'weights'"),
         (lambda d: d.update(pairs=[]), "no network pairs"),
-        (lambda d: d["pairs"][0]["phi"]["layers"][1]["weights"][3].__setitem__(0, math.nan),
+        (lambda d: d["pairs"][0]["phi"]["layers"][1]["weights"].__setitem__(3, b64_row([math.nan] + [0.0] * 9)),
          "pair 0 phi: layer 2 weights must hold finite numbers"),
-        (lambda d: d["pairs"][0]["psi"]["layers"][0]["bias"][0].__setitem__(1, -math.inf),
+        (lambda d: d["pairs"][0]["psi"]["layers"][0].update(bias=b64_row([complex(0.0, -math.inf)] + [0.0] * 9)),
          "pair 0 psi: layer 1 bias must hold finite numbers"),
-        (lambda d: d["pairs"][0]["phi"]["layers"][2]["bias"].__setitem__(0, ["0.5", True]),
-         "pair 0 phi: layer 3 bias must hold finite numbers"),
-        # JSON integers past the float range fail as 1e309 does, not with an unnamed OverflowError
-        (lambda d: d["pairs"][0]["phi"]["layers"][1]["weights"][3].__setitem__(0, 10**400),
-         "checkpoint.json: pair 0 phi: layer 2 weights must hold finite numbers\n"),
-        (lambda d: d["pairs"][0]["psi"]["layers"][0]["bias"][0].__setitem__(1, -10**400),
-         "checkpoint.json: pair 0 psi: layer 1 bias must hold finite numbers\n"),
+        (lambda d: d["pairs"][0]["phi"]["layers"][2].update(bias="[0.5, true]"),
+         "pair 0 phi: layer 3 bias must be a base64 string"),
+        # base64 of the right bytes, but wrapped: only the one-line spelling loads
+        (lambda d: d["pairs"][0]["phi"]["layers"][1]["weights"].__setitem__(3, "\n".join(textwrap.wrap(b64_row([1.0] * 10), 76))),
+         "pair 0 phi: layer 2 weights row 3 must be a base64 string"),
+        # a JSON number, even an integer past the float range, is not a row string
+        (lambda d: d["pairs"][0]["phi"]["layers"][1]["weights"].__setitem__(3, 10**400),
+         "checkpoint.json: pair 0 phi: layer 2 weights row 3 must be a base64 string\n"),
+        (lambda d: d["pairs"][0]["psi"]["layers"][0].update(bias=-10**400),
+         "checkpoint.json: pair 0 psi: layer 1 bias must be a base64 string\n"),
         # the branches of older checkpoints held a network mode
         (lambda d: (d["pairs"][0]["phi"].update(mode="standard"), d["pairs"][0]["psi"].update(mode="stress_only")),
          "checkpoint.json: pair 0 phi: unknown key 'mode'\n"),
@@ -582,8 +589,9 @@ def test_cli_eval_rejects_a_checkpoint_that_names_an_activation(tmp_path, capsys
         (lambda d: d.update(extra=1), "checkpoint.json: unknown key 'extra'\n"),
         (lambda d: d["pairs"][0].update(chi=d["pairs"][0]["phi"]), "checkpoint.json: pair 0: unknown key 'chi'\n"),
     ],
-    ids=["short_weights", "long_bias", "zero_width", "broken_chain", "missing_weights", "no_pairs",
-         "nan_weight", "inf_bias", "string_bias", "huge_int_weight", "huge_int_bias", "mixed_modes", "pairs_int", "pairs_bool", "top_key", "pair_key"],
+    ids=["short_weights", "long_bias", "short_row", "zero_width", "broken_chain", "missing_weights", "no_pairs",
+         "nan_weight", "inf_bias", "string_bias", "wrapped_row", "huge_int_weight", "huge_int_bias", "mixed_modes",
+         "pairs_int", "pairs_bool", "top_key", "pair_key"],
 )
 def test_cli_eval_rejects_malformed_checkpoint(tmp_path, capsys, edit, message):
     cfg, out = _mini_ring(tmp_path, epochs=0)
@@ -597,13 +605,31 @@ def test_cli_eval_rejects_malformed_checkpoint(tmp_path, capsys, edit, message):
     assert message in capsys.readouterr().err
 
 
+def test_cli_eval_rejects_a_decimal_checkpoint(tmp_path, capsys):
+    # checkpoints before base64 rows held each weight and bias as a list of
+    # [re, im] pairs of JSON numbers; such a file fails at its first layer
+    cfg, out = _mini_ring(tmp_path, epochs=1)
+    assert run_command(["train", cfg]) == 0
+    ckpt = os.path.join(out, "checkpoint.json")
+    doc = json.load(open(ckpt))
+    for entry, pair in zip(doc["pairs"], checkpoint_load(ckpt)):
+        for name in ("phi", "psi"):
+            for l, layer in zip(entry[name]["layers"], getattr(pair, name).layers):
+                for what in ("weights", "bias"):
+                    l[what] = getattr(layer, what).view(np.float64).reshape(-1, 2).tolist()
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    assert run_command(["eval", cfg, ckpt]) == 2
+    assert "checkpoint.json: pair 0 phi: layer 1 weights row 0 must be a base64 string\n" in capsys.readouterr().err
+
+
 def test_cli_eval_overflow_names_the_branch(tmp_path, capsys):
     # a finite checkpoint whose psi branch overflows exp at the grid points
     cfg, out = _mini_ring(tmp_path, epochs=0)
     assert run_command(["train", cfg]) == 0
     ckpt = os.path.join(out, "checkpoint.json")
     doc = json.load(open(ckpt))
-    doc["pairs"][0]["psi"]["layers"][0]["weights"] = [[-1e3, 0.0]] * 10  # Re(z) < 0 here
+    doc["pairs"][0]["psi"]["layers"][0]["weights"] = [b64_row([-1e3])] * 10  # Re(z) < 0 here
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
     assert run_command(["eval", cfg, ckpt]) == 2
@@ -621,7 +647,7 @@ def test_cli_eval_overflow_names_the_pair(tmp_path, capsys):
     assert run_command(["train", cfg]) == 0
     ckpt = str(tmp_path / "out" / "checkpoint.json")
     ck = json.load(open(ckpt))
-    ck["pairs"][2]["phi"]["layers"][0]["weights"] = [[1e3, 1e3]] * 10  # Re(w z) > 709 where y < x - 0.71
+    ck["pairs"][2]["phi"]["layers"][0]["weights"] = [b64_row([1e3 + 1e3j])] * 10  # Re(w z) > 709 where y < x - 0.71
     with open(ckpt, "w") as fh:
         json.dump(ck, fh)
     assert run_command(["eval", cfg, ckpt, "--grid", "20x20"]) == 2
